@@ -29,17 +29,14 @@
 //	# verdicts (the paper's multi-verifier quorum), with a dissent report
 //	authority quorum -game pd -verifiers a=127.0.0.1:7101,b=127.0.0.1:7102,c=127.0.0.1:7103
 //
-//	# replicate verdict history between verifiers: each pulls the records
-//	# it is missing from its peers on a fixed cadence (anti-entropy)
+//	# replicate verdict history between verifiers: each interval the
+//	# verifier exchanges with -fanout random -peers (default 2). While the
+//	# fanout covers every peer that is a signed pull from each; with more
+//	# peers than fanout it is epidemic push-pull gossip (fingerprints,
+//	# rumors, signed deltas both ways), converging in O(log n) rounds
+//	# instead of O(n²) exchanges
 //	authority verifier -id a -listen 127.0.0.1:7101 -persist ./a \
 //	    -peers 127.0.0.1:7102,127.0.0.1:7103 -sync-interval 30s
-//
-//	# at federation scale, replace the all-pairs pull with epidemic
-//	# push-pull gossip: each interval the verifier exchanges fingerprints
-//	# and signed deltas with -fanout random peers, converging in O(log n)
-//	# rounds instead of O(n²) exchanges
-//	authority verifier -id a -listen 127.0.0.1:7101 -persist ./a \
-//	    -peers 127.0.0.1:7102,127.0.0.1:7103 -gossip -fanout 2 -sync-interval 10s
 //
 //	# federate across operator boundaries: each authority signs the deltas
 //	# it serves with its on-disk Ed25519 identity (auto-generated in the
@@ -145,7 +142,7 @@ func usage() {
                      [-sync-backoff-max d] [-sync-jitter x] [-key file] [-peer-keys hexkey,hexkey,...]
                      [-panel-keys hexkey,hexkey,...] [-cert-threshold n]
                      [-audit-rate x] [-quarantine-threshold x] [-probation d] [-admin addr]
-                     [-gossip] [-fanout n] [-rumor-ttl n]
+                     [-fanout n] [-rumor-ttl n]
                      [-admission-interactive rate] [-admission-batch rate]
   authority keygen -key <file>                (create or load a signing identity; print its party ID)
   authority agent -inventor <addr> -verifiers <id=addr,id=addr,...> [-name <name>] [-conns n]
@@ -236,21 +233,19 @@ func runVerifier(args []string) error {
 	syncEvery := fs.Int("sync-every", store.DefaultSyncEvery,
 		"fsync the verdict log every n records (1 = sync every verdict)")
 	peers := fs.String("peers", "",
-		"comma-separated peer verifier addresses to pull missing verdict history from (requires -persist)")
+		"comma-separated peer verifier addresses to replicate verdict history with (requires -persist)")
 	syncInterval := fs.Duration("sync-interval", 30*time.Second,
-		"anti-entropy pull cadence against -peers")
+		"replication round cadence against -peers")
 	syncTimeout := fs.Duration("sync-timeout", time.Minute,
-		"bound on one anti-entropy dial+exchange (independent of the cadence, so a short -sync-interval cannot make a large catch-up delta time out forever)")
-	syncBackoffMax := fs.Duration("sync-backoff-max", service.DefaultSyncBackoffMax,
-		"cap on the per-peer exponential backoff between failed anti-entropy pulls (a dead peer costs one dial per window, not one per tick)")
-	syncJitter := fs.Float64("sync-jitter", service.DefaultSyncJitter,
-		"fraction by which the anti-entropy cadence and backoff windows are randomized, so a fleet restarted together does not pull in lockstep (0 disables)")
-	gossipMode := fs.Bool("gossip", false,
-		"replicate via epidemic push-pull gossip instead of all-pairs pulls: each -sync-interval the verifier exchanges with -fanout random -peers, so a federation of n converges in O(log n) rounds at O(n·fanout) exchanges instead of O(n²) (requires -peers)")
+		"bound on one dial+exchange (independent of the cadence, so a short -sync-interval cannot make a large catch-up delta time out forever)")
+	syncBackoffMax := fs.Duration("sync-backoff-max", gossip.DefaultBackoffMax,
+		"cap on the per-peer exponential backoff between failed exchanges (a dead peer costs one dial per window, not one per tick)")
+	syncJitter := fs.Float64("sync-jitter", gossip.DefaultJitter,
+		"fraction by which the round cadence and backoff windows are randomized, so a fleet restarted together does not exchange in lockstep (0 disables)")
 	fanout := fs.Int("fanout", gossip.DefaultFanout,
-		"gossip partners contacted per round (capped at the peer count; requires -gossip)")
+		"partners contacted per round (capped at the peer count): while it covers every peer each exchange is a signed pull; with more peers than fanout rounds are epidemic push-pull gossip, so a federation of n converges in O(log n) rounds at O(n·fanout) exchanges instead of O(n²)")
 	rumorTTL := fs.Int("rumor-ttl", gossip.DefaultRumorTTL,
-		"how many successful exchanges a fresh verdict is pushed eagerly before relying on anti-entropy (requires -gossip)")
+		"how many successful exchanges a fresh verdict is pushed eagerly before relying on anti-entropy (push-pull rounds only)")
 	auditRate := fs.Float64("audit-rate", 0,
 		"fraction of ingested peer records re-verified locally in the background (0 disables, 1 audits everything; a refuted record charges the vouching peer and is repaired; requires -persist)")
 	quarThreshold := fs.Float64("quarantine-threshold", trust.DefaultThreshold,
@@ -278,9 +273,6 @@ func runVerifier(args []string) error {
 		return err
 	}
 	peerAddrs := splitNonEmpty(*peers)
-	if *gossipMode && len(peerAddrs) == 0 {
-		return fmt.Errorf("-gossip requires -peers: gossip partners are drawn from the peer list")
-	}
 	if *fanout < 1 {
 		return fmt.Errorf("-fanout must be at least 1, got %d", *fanout)
 	}
@@ -289,7 +281,7 @@ func runVerifier(args []string) error {
 	}
 	if len(peerAddrs) > 0 {
 		if *persist == "" {
-			// Anti-entropy replicates the durable log; without one there is
+			// Replication is of the durable log; without one there is
 			// nothing to offer a peer and nowhere to keep what it sends.
 			return fmt.Errorf("-peers requires -persist: anti-entropy replicates the durable verdict log")
 		}
@@ -553,9 +545,8 @@ func runVerifier(args []string) error {
 		fmt.Printf("verifier %q is BYZANTINE: every verdict inverted before it is persisted and vouched for\n", *id)
 	}
 	var stopSync func()
-	if len(peerAddrs) > 0 && *gossipMode {
-		fmt.Printf("gossip: fanout %d over %d peers every %s (rumor ttl %d)\n",
-			*fanout, len(peerAddrs), *syncInterval, *rumorTTL)
+	if len(peerAddrs) > 0 {
+		fmt.Printf("replication: %d peers every %s\n", len(peerAddrs), *syncInterval)
 		// The engine's Jitter treats 0 as "use the default"; the flag's 0
 		// means "disable", which the engine spells as negative.
 		jitter := *syncJitter
@@ -563,44 +554,16 @@ func runVerifier(args []string) error {
 			jitter = -1
 		}
 		g, err := svc.StartGossiper(service.GossiperConfig{
-			Peers:    peerAddrs,
-			Fanout:   *fanout,
-			Interval: *syncInterval,
-			Jitter:   jitter,
-			RumorTTL: *rumorTTL,
-			Timeout:  *syncTimeout,
+			Peers:      peerAddrs,
+			Fanout:     *fanout,
+			Interval:   *syncInterval,
+			Jitter:     jitter,
+			BackoffMax: *syncBackoffMax,
+			RumorTTL:   *rumorTTL,
+			Timeout:    *syncTimeout,
 			Dial: func(addr string) (transport.Client, error) {
 				return transport.DialTCP(addr, *syncTimeout)
 			},
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-			OnRound: func(exchanged bool) {
-				// Readiness means the same thing under gossip as under the
-				// pull loop: one round with at least one successful exchange.
-				if exchanged && ready != nil {
-					ready.Mark(obs.GateFirstSync)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		stopSync = g.Stop
-	} else if len(peerAddrs) > 0 {
-		fmt.Printf("anti-entropy: pulling from %d peers every %s\n", len(peerAddrs), *syncInterval)
-		// The syncer's Jitter treats 0 as "use the default"; the flag's 0
-		// means "disable", which the syncer spells as negative.
-		jitter := *syncJitter
-		if jitter == 0 {
-			jitter = -1
-		}
-		y, err := svc.StartSyncer(service.SyncerConfig{
-			Peers:      peerAddrs,
-			Interval:   *syncInterval,
-			Timeout:    *syncTimeout,
-			BackoffMax: *syncBackoffMax,
-			Jitter:     jitter,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			},
@@ -616,14 +579,14 @@ func runVerifier(args []string) error {
 		if err != nil {
 			return err
 		}
-		stopSync = y.Stop
+		stopSync = g.Stop
 	}
 	waitForSignal()
 	// Graceful drain: stop accepting, let in-flight verifications finish,
 	// then report the service counters.
 	fmt.Println("draining...")
 	if stopSync != nil {
-		// The pull loop must stop before the service drains: an ingest
+		// The replication loop must stop before the service drains: an ingest
 		// racing the store teardown would just fail with ErrServiceClosed,
 		// but the shutdown log should not end on a spurious error line.
 		stopSync()

@@ -101,7 +101,7 @@ func run() error {
 	// One signed pull round: beta offers its (empty) manifest, alpha
 	// answers with a delta signed by its key, beta's gate verifies the
 	// signature against the allowlist and ingests.
-	applied, err := rationality.QuorumPull(context.Background(), beta, rationality.DialInProc(alpha))
+	applied, _, err := beta.PullFrom(context.Background(), rationality.DialInProc(alpha))
 	if err != nil {
 		return err
 	}
@@ -136,7 +136,7 @@ func run() error {
 	if _, err := rogue.VerifyAnnouncement(context.Background(), ann); err != nil {
 		return err
 	}
-	if _, err := rationality.QuorumPull(context.Background(), beta, rationality.DialInProc(rogue)); err != nil {
+	if _, _, err := beta.PullFrom(context.Background(), rationality.DialInProc(rogue)); err != nil {
 		fmt.Printf("beta rejects rogue's delta: %v\n", err)
 	} else {
 		return fmt.Errorf("rogue delta was ingested — the allowlist gate failed")

@@ -1,20 +1,23 @@
-// Package gossip implements the epidemic push-pull replication rounds
-// that replace all-pairs anti-entropy at federation scale. Each round a
-// node picks a small random fan-out of peers, probes each with a compact
-// store fingerprint (and any hot "rumor" records riding along), and only
-// reconciles fully — manifests and signed deltas both directions — when
-// the fingerprints disagree. With fan-out k ≥ 1 an update reaches all n
-// nodes in O(log n) rounds with high probability (the standard epidemic
-// analysis; see Aspnes's distributed-systems notes in PAPERS.md), at
-// k·n exchanges per round instead of the n·(n−1) of an all-pairs pass.
+// Package gossip implements the replication round loop: the one engine
+// every federated authority runs. Each round a node picks a random
+// fan-out of eligible peers and runs one exchange with each. With more
+// peers than fan-out that is epidemic push-pull — a compact store
+// fingerprint (and any hot "rumor" records riding along), reconciled
+// fully only on disagreement — so an update reaches all n nodes in
+// O(log n) rounds with high probability (the standard epidemic analysis;
+// see Aspnes's distributed-systems notes in PAPERS.md) at k·n exchanges
+// per round; with fan-out covering every peer the same loop is the
+// classic all-pairs pass.
 //
 // The engine is deliberately policy-free: it owns round cadence, peer
-// selection, rumor TTLs and statistics, and delegates the exchange
+// selection, per-peer failure handling (exponential backoff and a
+// circuit breaker, so a dead peer costs one dial per backoff window, not
+// one per tick), rumor TTLs and statistics, and delegates the exchange
 // itself to an injected callback — the service layer supplies one that
 // routes every transferred record through its signed federation gate, so
-// gossip inherits allowlisting, quarantine and audit sampling unchanged.
-// (The service package imports this one; the callback keeps the
-// dependency one-directional.)
+// replication inherits allowlisting, quarantine and audit sampling
+// unchanged. (The service package imports this one; the callback keeps
+// the dependency one-directional.)
 package gossip
 
 import (
@@ -42,9 +45,24 @@ const (
 	DefaultAntiEntropyEvery = 8
 	// DefaultTimeout bounds one exchange (dial included).
 	DefaultTimeout = time.Minute
-	// DefaultJitter is the fraction by which the round cadence is
-	// randomized.
+	// DefaultJitter is the fraction by which the round cadence and every
+	// backoff window are randomized.
 	DefaultJitter = 0.2
+	// DefaultBackoffMax caps the per-peer exponential backoff.
+	DefaultBackoffMax = 5 * time.Minute
+	// DefaultBreakerThreshold is the consecutive-failure count that opens
+	// a peer's circuit.
+	DefaultBreakerThreshold = 3
+)
+
+// Peer breaker states, as reported in PeerStats.State: healthy (last
+// attempt succeeded), degraded (failing, backing off) and open (the
+// breaker tripped at BreakerThreshold consecutive failures — the next due
+// attempt is a half-open probe, and one success closes the circuit).
+const (
+	Healthy  = "healthy"
+	Degraded = "degraded"
+	Open     = "open"
 )
 
 // Request is what the engine asks of one exchange: the hot keys to push
@@ -61,7 +79,9 @@ type Request struct {
 // Result is one completed exchange as the injected callback reports it.
 type Result struct {
 	// Signer is the peer's proven signing identity, learned from the
-	// exchange — what quarantine-aware selection keys on.
+	// exchange — what quarantine-aware selection keys on. Beside an error
+	// it must be one the callback verified (the engine reads a failure
+	// that names a vetoed signer as a refusal, not a fault), or empty.
 	Signer identity.PartyID
 	// InSync reports that the fingerprints matched (after any rumor
 	// application) and no reconciliation was needed: a cheap round.
@@ -87,9 +107,19 @@ type Config struct {
 	// Interval is the round cadence for Start; zero means the engine is
 	// driven manually through Round (harnesses, tests).
 	Interval time.Duration
-	// Jitter randomizes the cadence by ±Jitter (0.2 = ±20%). Zero means
-	// DefaultJitter; negative disables jitter.
+	// Jitter randomizes the cadence and backoff windows by ±Jitter (0.2 =
+	// ±20%), so a fleet restarted together does not exchange in lockstep.
+	// Zero means DefaultJitter; negative disables jitter.
 	Jitter float64
+	// BackoffMax caps the per-peer exponential backoff: after f
+	// consecutive failures a peer is not re-attempted until
+	// Interval·2^(f−1) (jittered) has passed. Zero means DefaultBackoffMax,
+	// raised to Interval if smaller. A manually stepped engine (Interval
+	// zero) has no cadence to back off against and retries every round.
+	BackoffMax time.Duration
+	// BreakerThreshold is the consecutive-failure count that opens a
+	// peer's circuit; zero means DefaultBreakerThreshold.
+	BreakerThreshold int
 	// RumorTTL is how many successful exchanges each rumor rides; zero
 	// means DefaultRumorTTL.
 	RumorTTL int
@@ -109,7 +139,9 @@ type Config struct {
 	Exchange ExchangeFunc
 	// Permitted, when non-nil, vets a peer's proven signing identity
 	// before selection: a false answer (e.g. quarantined by the trust
-	// policy) skips the peer without dialing.
+	// policy) skips the peer without dialing, and a failed exchange that
+	// names a vetoed signer is this node's own refusal, not a peer fault —
+	// it moves neither backoff nor breaker.
 	Permitted func(signer identity.PartyID) bool
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -123,11 +155,17 @@ type peerState struct {
 	addr   string
 	client transport.Client
 	signer identity.PartyID
+	state  string
+	// failures counts consecutive failures (reset on success); next is
+	// the earliest time the peer is due another attempt.
+	failures int
+	next     time.Time
 
-	exchanges         uint64
-	failures          uint64
+	attempts          uint64
+	failed            uint64
 	sent              uint64
 	received          uint64
+	skippedBackoff    uint64
 	skippedQuarantine uint64
 }
 
@@ -199,6 +237,15 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Jitter < 0:
 		cfg.Jitter = 0
 	}
+	if cfg.BackoffMax <= 0 {
+		cfg.BackoffMax = DefaultBackoffMax
+	}
+	if cfg.BackoffMax < cfg.Interval {
+		cfg.BackoffMax = cfg.Interval
+	}
+	if cfg.BreakerThreshold <= 0 {
+		cfg.BreakerThreshold = DefaultBreakerThreshold
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -217,7 +264,7 @@ func New(cfg Config) (*Engine, error) {
 		exited: make(chan struct{}),
 	}
 	for _, addr := range cfg.Peers {
-		e.peers = append(e.peers, &peerState{addr: addr})
+		e.peers = append(e.peers, &peerState{addr: addr, state: Healthy})
 	}
 	// The seed line is what makes a chaos failure replayable: re-run with
 	// Config.Seed set to the logged value and the same peer selections,
@@ -305,12 +352,13 @@ func (e *Engine) run() {
 	}
 }
 
-// Round runs one gossip round: pick Fanout random non-quarantined peers,
-// exchange with each (rumors pushed, fingerprints probed, reconciliation
-// when they disagree or the anti-entropy backstop is due), then age the
-// rumor board by the number of successful exchanges. Rounds serialize;
-// concurrent callers queue. The error is the context's, never a peer's —
-// peer failures are counted, logged and survived.
+// Round runs one round: pick Fanout random eligible peers (not backing
+// off, not quarantined), exchange with each (rumors pushed, fingerprints
+// probed, reconciliation when they disagree or the anti-entropy backstop
+// is due), then age the rumor board by the number of successful
+// exchanges. Rounds serialize; concurrent callers queue. The error is the
+// context's, never a peer's — peer failures are counted, logged, backed
+// off from and survived.
 func (e *Engine) Round(ctx context.Context) error {
 	e.roundMu.Lock()
 	defer e.roundMu.Unlock()
@@ -321,7 +369,7 @@ func (e *Engine) Round(ctx context.Context) error {
 	e.mu.Lock()
 	e.rounds++
 	full := e.cfg.AntiEntropyEvery > 0 && e.rounds%uint64(e.cfg.AntiEntropyEvery) == 0
-	partners := e.selectLocked()
+	partners := e.selectLocked(time.Now())
 	rumors := make([]identity.Hash, 0, len(e.board))
 	for k := range e.board {
 		rumors = append(rumors, k)
@@ -358,33 +406,44 @@ func (e *Engine) Round(ctx context.Context) error {
 }
 
 // selectLocked picks this round's partners: a seeded shuffle of the peer
-// list, keeping the first Fanout peers whose proven identity the
-// Permitted hook does not veto. Peers with no proven identity yet are
-// always eligible — their first exchange is what proves it, and the
+// list, keeping the first Fanout peers that are due an attempt — not
+// inside a backoff window, and not vetoed by the Permitted hook on their
+// proven identity. A skipped peer's slot goes to the next one in the
+// shuffle, so with more peers than fanout a dead or quarantined partner
+// does not cost the round an exchange. Peers with no proven identity yet
+// are always eligible — their first exchange is what proves it, and the
 // service-side federation gate refuses their data regardless if they
 // turn out quarantined. Callers hold e.mu.
-func (e *Engine) selectLocked() []*peerState {
-	order := e.rng.Perm(len(e.peers))
+func (e *Engine) selectLocked(now time.Time) []*peerState {
 	picked := make([]*peerState, 0, e.cfg.Fanout)
-	for _, i := range order {
+	for _, i := range e.rng.Perm(len(e.peers)) {
 		if len(picked) == e.cfg.Fanout {
 			break
 		}
 		p := e.peers[i]
-		if p.signer != "" && e.cfg.Permitted != nil && !e.cfg.Permitted(p.signer) {
+		switch {
+		case now.Before(p.next):
+			p.skippedBackoff++
+		case e.vetoed(p.signer):
 			p.skippedQuarantine++
-			continue
+		default:
+			picked = append(picked, p)
 		}
-		picked = append(picked, p)
 	}
 	return picked
 }
 
+// vetoed reports whether the Permitted hook refuses a proven signer; an
+// unknown one is never vetoed.
+func (e *Engine) vetoed(signer identity.PartyID) bool {
+	return signer != "" && e.cfg.Permitted != nil && !e.cfg.Permitted(signer)
+}
+
 // exchangeWith runs one peer's exchange and folds the result into the
-// counters. A failure closes the peer's client so the next selection
-// re-dials fresh.
+// counters and the peer's breaker state.
 func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bool {
 	e.mu.Lock()
+	p.attempts++
 	client := p.client
 	e.mu.Unlock()
 	if client == nil {
@@ -412,11 +471,23 @@ func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bo
 			return false // shutdown mid-exchange: not a peer failure
 		}
 		e.cfg.Logf("gossip: exchange with %s: %v", p.addr, err)
+		if e.vetoed(res.Signer) {
+			// A deliberate refusal by this node's own policy, not a peer
+			// fault: no backoff, no breaker — the selection skip takes over
+			// now that the signer is known.
+			e.mu.Lock()
+			p.skippedQuarantine++
+			e.mu.Unlock()
+			return false
+		}
 		e.noteFailure(p, client)
 		return false
 	}
 	e.mu.Lock()
-	p.exchanges++
+	recovered := p.state == Open
+	p.state = Healthy
+	p.failures = 0
+	p.next = time.Time{}
 	p.sent += uint64(res.Sent)
 	p.received += uint64(res.Received)
 	e.exchgs++
@@ -428,29 +499,63 @@ func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bo
 		e.inSync++
 	}
 	e.mu.Unlock()
+	if recovered {
+		e.cfg.Logf("gossip: circuit closed for %s: probe succeeded", p.addr)
+	}
 	if res.Sent > 0 || res.Received > 0 {
 		e.cfg.Logf("gossip: exchanged with %s: sent=%d received=%d", p.addr, res.Sent, res.Received)
 	}
 	return true
 }
 
-// noteFailure counts one failed exchange and releases the peer's client.
+// noteFailure records one failed attempt: bump the consecutive-failure
+// run, schedule the backoff window, trip the breaker at the threshold,
+// and release the peer's client so the next due attempt re-dials fresh.
 func (e *Engine) noteFailure(p *peerState, client transport.Client) {
 	e.mu.Lock()
 	p.failures++
+	p.failed++
 	e.fails++
+	window := e.backoffLocked(p.failures)
+	p.next = time.Now().Add(window)
+	opened := false
+	if p.failures >= e.cfg.BreakerThreshold {
+		opened = p.state != Open
+		p.state = Open
+	} else {
+		p.state = Degraded
+	}
+	failures := p.failures
 	if p.client == client && client != nil {
 		_ = client.Close()
 		p.client = nil
 	}
 	e.mu.Unlock()
+	if opened {
+		e.cfg.Logf("gossip: circuit open for %s after %d consecutive failures (next probe in %s)",
+			p.addr, failures, window.Round(time.Millisecond))
+	}
+}
+
+// backoffLocked is the jittered exponential backoff window after f
+// consecutive failures: Interval·2^(f-1), capped at BackoffMax. Callers
+// hold e.mu.
+func (e *Engine) backoffLocked(f int) time.Duration {
+	d := e.cfg.Interval
+	for i := 1; i < f && d < e.cfg.BackoffMax; i++ {
+		d *= 2
+	}
+	if d > e.cfg.BackoffMax {
+		d = e.cfg.BackoffMax
+	}
+	return e.jitterLocked(d)
 }
 
 // jitterLocked randomizes a duration by ±cfg.Jitter. Callers hold e.mu.
 func (e *Engine) jitterLocked(d time.Duration) time.Duration {
 	j := e.cfg.Jitter
-	if j <= 0 {
-		return d
+	if j <= 0 || d <= 0 {
+		return d // no draw: a manually stepped engine's selections replay
 	}
 	delta := float64(d) * j
 	return time.Duration(float64(d) - delta + 2*delta*e.rng.Float64())
@@ -484,25 +589,36 @@ type Stats struct {
 	Peers []PeerStats `json:"peers,omitempty"`
 }
 
-// PeerStats is one peer's gossip history.
+// PeerStats is one peer's replication state: the breaker view an operator
+// checks when a peer stops converging.
 type PeerStats struct {
 	// Address is the configured peer address; Signer the identity its
 	// exchanges proved (empty until the first completed exchange).
 	Address string           `json:"address"`
 	Signer  identity.PartyID `json:"signer,omitempty"`
-	// Exchanges / Failures count completed and failed exchanges;
-	// RecordsSent / RecordsReceived the records moved with this peer.
-	Exchanges       uint64 `json:"exchanges"`
-	Failures        uint64 `json:"failures,omitempty"`
+	// State is the breaker state: healthy, degraded, or open.
+	State string `json:"state"`
+	// ConsecutiveFailures is the current failure run (zeroed on success);
+	// Backoff is how much of the current backoff window remains.
+	ConsecutiveFailures int           `json:"consecutiveFailures,omitempty"`
+	Backoff             time.Duration `json:"backoff,omitempty"`
+	// Attempts counts exchanges actually started and Failed the ones that
+	// errored; RecordsSent / RecordsReceived the records moved with this
+	// peer.
+	Attempts        uint64 `json:"attempts"`
+	Failed          uint64 `json:"failed"`
 	RecordsSent     uint64 `json:"recordsSent,omitempty"`
 	RecordsReceived uint64 `json:"recordsReceived,omitempty"`
-	// SkippedQuarantine counts selections that passed over the peer
-	// because the trust policy quarantines its proven identity.
+	// SkippedBackoff and SkippedQuarantine count selections that passed
+	// over the peer without dialing — still inside its backoff window, or
+	// its proven identity quarantined by the trust policy.
+	SkippedBackoff    uint64 `json:"skippedBackoff,omitempty"`
 	SkippedQuarantine uint64 `json:"skippedQuarantine,omitempty"`
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
+	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
@@ -519,15 +635,22 @@ func (e *Engine) Stats() Stats {
 		Seed:            e.seed,
 	}
 	for _, p := range e.peers {
-		st.Peers = append(st.Peers, PeerStats{
-			Address:           p.addr,
-			Signer:            p.signer,
-			Exchanges:         p.exchanges,
-			Failures:          p.failures,
-			RecordsSent:       p.sent,
-			RecordsReceived:   p.received,
-			SkippedQuarantine: p.skippedQuarantine,
-		})
+		ps := PeerStats{
+			Address:             p.addr,
+			Signer:              p.signer,
+			State:               p.state,
+			ConsecutiveFailures: p.failures,
+			Attempts:            p.attempts,
+			Failed:              p.failed,
+			RecordsSent:         p.sent,
+			RecordsReceived:     p.received,
+			SkippedBackoff:      p.skippedBackoff,
+			SkippedQuarantine:   p.skippedQuarantine,
+		}
+		if p.next.After(now) {
+			ps.Backoff = p.next.Sub(now)
+		}
+		st.Peers = append(st.Peers, ps)
 	}
 	return st
 }

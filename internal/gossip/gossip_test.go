@@ -87,6 +87,52 @@ func (f *fakeFabric) partnerLog() []string {
 	return out
 }
 
+func (f *fakeFabric) dialCount(addr string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, d := range f.dials {
+		if d == addr {
+			n++
+		}
+	}
+	return n
+}
+
+func (f *fakeFabric) setFail(addr string, fail bool) {
+	f.mu.Lock()
+	f.fail[addr] = fail
+	f.mu.Unlock()
+}
+
+// peerStats returns one peer's row of the engine snapshot.
+func peerStats(t *testing.T, e *Engine, addr string) PeerStats {
+	t.Helper()
+	for _, p := range e.Stats().Peers {
+		if p.Address == addr {
+			return p
+		}
+	}
+	t.Fatalf("no peer %q in stats", addr)
+	return PeerStats{}
+}
+
+// roundsUntil steps manual rounds (a millisecond apart, so backoff
+// windows can elapse) until cond holds.
+func roundsUntil(t *testing.T, e *Engine, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, e.Stats().Peers)
+		}
+		if err := e.Round(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func newTestEngine(t *testing.T, f *fakeFabric, mutate func(*Config)) *Engine {
 	t.Helper()
 	cfg := Config{
@@ -180,6 +226,7 @@ func TestRoundSkipsVetoedPeers(t *testing.T) {
 learned:
 	veto.Store(true)
 	before := len(f.partnerLog())
+	dialsBefore := f.dialCount("p2")
 	for i := 0; i < 12; i++ {
 		if err := e.Round(context.Background()); err != nil {
 			t.Fatal(err)
@@ -189,6 +236,9 @@ learned:
 		if addr == "p2" {
 			t.Fatal("vetoed peer was selected as a gossip partner")
 		}
+	}
+	if got := f.dialCount("p2"); got != dialsBefore {
+		t.Fatalf("vetoed peer was dialed (%d -> %d dials)", dialsBefore, got)
 	}
 	st := e.Stats()
 	var skipped uint64
@@ -317,6 +367,141 @@ func TestFailureDropsCachedClient(t *testing.T) {
 	defer f.mu.Unlock()
 	if len(f.dials) != dialsAfterFailure+1 {
 		t.Fatalf("dials = %v, want a re-dial after the failure", f.dials)
+	}
+}
+
+// A dead peer must not be dialed once per tick: the backoff window and
+// circuit breaker bound the attempts while rounds keep passing.
+func TestDeadPeerBacksOff(t *testing.T) {
+	f := newFakeFabric()
+	f.fail["p1"] = true
+	e := newTestEngine(t, f, func(c *Config) {
+		c.Peers = []string{"p1"}
+		c.Interval = 2 * time.Millisecond
+		c.BackoffMax = 100 * time.Millisecond
+		c.Jitter = -1
+	})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p := peerStats(t, e, "p1"); p.State != Open || p.SkippedBackoff < 5; p = peerStats(t, e, "p1") {
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never opened with backoff skips accumulating: %+v", p)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.Stop()
+
+	p := peerStats(t, e, "p1")
+	if p.ConsecutiveFailures < DefaultBreakerThreshold {
+		t.Fatalf("ConsecutiveFailures = %d, want >= %d", p.ConsecutiveFailures, DefaultBreakerThreshold)
+	}
+	if dials := f.dialCount("p1"); p.Attempts != uint64(dials) || p.Failed != p.Attempts {
+		t.Fatalf("attempts %d, failed %d, dials %d: every attempt against a dead peer is one failed dial+exchange",
+			p.Attempts, p.Failed, dials)
+	}
+	if p.SkippedBackoff <= p.Attempts {
+		t.Fatalf("dial storm: %d attempts vs only %d backoff skips over %d rounds",
+			p.Attempts, p.SkippedBackoff, e.Stats().Rounds)
+	}
+	if p.Backoff <= 0 || p.Backoff > 100*time.Millisecond {
+		t.Fatalf("remaining backoff %s, want within (0, BackoffMax]", p.Backoff)
+	}
+}
+
+// The breaker walks healthy → degraded → open at BreakerThreshold
+// consecutive failures, and one successful half-open probe closes it.
+func TestBreakerOpensAtThresholdAndProbeCloses(t *testing.T) {
+	f := newFakeFabric()
+	f.fail["p1"] = true
+	e := newTestEngine(t, f, func(c *Config) {
+		c.Peers = []string{"p1"}
+		c.Interval = 5 * time.Millisecond // the backoff base; rounds are stepped manually
+		c.Jitter = -1
+	})
+	if p := peerStats(t, e, "p1"); p.State != Healthy {
+		t.Fatalf("initial state %q, want healthy", p.State)
+	}
+	for want := 1; want <= DefaultBreakerThreshold; want++ {
+		roundsUntil(t, e, "the next due attempt to fail", func() bool {
+			return peerStats(t, e, "p1").Failed == uint64(want)
+		})
+		p := peerStats(t, e, "p1")
+		wantState := Degraded
+		if want >= DefaultBreakerThreshold {
+			wantState = Open
+		}
+		if p.State != wantState || p.ConsecutiveFailures != want {
+			t.Fatalf("after %d failures: state=%s consecutive=%d, want %s/%d",
+				want, p.State, p.ConsecutiveFailures, wantState, want)
+		}
+	}
+	f.setFail("p1", false)
+	roundsUntil(t, e, "the half-open probe to succeed", func() bool {
+		return peerStats(t, e, "p1").State == Healthy
+	})
+	p := peerStats(t, e, "p1")
+	if p.ConsecutiveFailures != 0 || p.Backoff != 0 {
+		t.Fatalf("probe success left failure state behind: %+v", p)
+	}
+	if p.Attempts != uint64(DefaultBreakerThreshold)+1 {
+		t.Fatalf("attempts = %d, want %d failures + exactly one probe", p.Attempts, DefaultBreakerThreshold)
+	}
+}
+
+// With more peers than fanout, a peer inside its backoff window is
+// skipped and its slot goes to another partner in the same round.
+func TestBackedOffPeerSlotGoesToAnotherPartner(t *testing.T) {
+	f := newFakeFabric()
+	f.fail["p1"] = true
+	e := newTestEngine(t, f, func(c *Config) {
+		c.Interval = time.Hour // one failure backs p1 off for the whole test
+		c.Jitter = -1
+	})
+	roundsUntil(t, e, "p1 to be picked and fail", func() bool {
+		return peerStats(t, e, "p1").Failed == 1
+	})
+	for i := 0; i < 20; i++ {
+		before := len(f.partnerLog())
+		if err := e.Round(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		partners := f.partnerLog()[before:]
+		if len(partners) != 2 || partners[0] == "p1" || partners[1] == "p1" || partners[0] == partners[1] {
+			t.Fatalf("round %d partners %v, want two distinct healthy peers", i, partners)
+		}
+	}
+	p := peerStats(t, e, "p1")
+	if p.SkippedBackoff == 0 || p.Attempts != 1 {
+		t.Fatalf("p1 after 20 rounds in backoff: %+v", p)
+	}
+}
+
+// A failed exchange that names a signer the Permitted hook vetoes is this
+// node's own refusal (a quarantined peer met before its identity was
+// known): it counts as a quarantine skip and moves neither backoff nor
+// breaker.
+func TestRefusalOfVetoedSignerIsNotAPeerFailure(t *testing.T) {
+	f := newFakeFabric()
+	f.fail["p1"] = true
+	f.signers["p1"] = "signer-1"
+	e := newTestEngine(t, f, func(c *Config) {
+		c.Peers = []string{"p1"}
+		c.Interval = time.Hour
+		c.Permitted = func(s identity.PartyID) bool { return s != "signer-1" }
+	})
+	for i := 0; i < 3; i++ {
+		if err := e.Round(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := peerStats(t, e, "p1")
+	if p.State != Healthy || p.Failed != 0 || p.SkippedBackoff != 0 {
+		t.Fatalf("own-policy refusal charged to the peer: %+v", p)
+	}
+	if p.Attempts != 1 || p.SkippedQuarantine != 3 {
+		t.Fatalf("attempts=%d skippedQuarantine=%d, want one refused exchange then dial-free skips", p.Attempts, p.SkippedQuarantine)
 	}
 }
 

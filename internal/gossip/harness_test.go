@@ -144,7 +144,7 @@ func TestGossipQuarantinedPeerNeverSelected(t *testing.T) {
 	exchangesWith := func(n *gossiptest.Node) (ex, skipped uint64) {
 		for _, p := range n.Gossiper.Stats().Peers {
 			if p.Address == liar.Addr {
-				return p.Exchanges, p.SkippedQuarantine
+				return p.Attempts, p.SkippedQuarantine
 			}
 		}
 		return 0, 0

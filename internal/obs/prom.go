@@ -256,62 +256,48 @@ func WriteMetrics(w io.Writer, verifierID string, st service.Stats) error {
 		}
 	}
 
-	writeSyncPeers(&p, st.SyncPeers)
 	writeGossip(&p, st.Gossip)
 
 	_, err := io.WriteString(w, p.b.String())
 	return err
 }
 
-// writeGossip renders the epidemic gossip loop's counters: round and
-// exchange totals, the in-sync probe count (a converged federation idles
-// at inSync ≈ exchanges — the convergence signal), payload bytes by
-// direction, the rumor-board gauge and the per-peer exchange view. Absent
-// entirely when no gossiper is attached.
+// writeGossip renders the replication loop's counters: round and
+// exchange totals, the in-sync probe count (a converged push-pull
+// federation idles at inSync ≈ exchanges — the convergence signal),
+// payload bytes by direction, the rumor-board gauge and the per-peer
+// breaker view. Absent entirely when no gossiper is attached.
 func writeGossip(p *promWriter, gs *gossip.Stats) {
 	if gs == nil {
 		return
 	}
-	p.counter("rationality_gossip_rounds_total", "Completed gossip rounds.", gs.Rounds)
-	p.counter("rationality_gossip_exchanges_total", "Successful push-pull exchanges across all rounds.", gs.Exchanges)
+	p.counter("rationality_gossip_rounds_total", "Completed replication rounds.", gs.Rounds)
+	p.counter("rationality_gossip_exchanges_total", "Successful peer exchanges across all rounds.", gs.Exchanges)
 	p.counter("rationality_gossip_exchange_failures_total", "Exchanges that failed (dial, timeout, refused delta); retried against other partners on later rounds.", gs.Failures)
 	p.counter("rationality_gossip_in_sync_total", "Exchanges settled by fingerprint agreement alone; a converged federation idles with this tracking exchanges.", gs.InSync)
-	p.family("rationality_gossip_records_total", "Records moved by gossip, by direction.", "counter")
+	p.family("rationality_gossip_records_total", "Records moved by the replication loop, by direction.", "counter")
 	p.sample("rationality_gossip_records_total", []promLabel{{"direction", "sent"}}, formatUint(gs.RecordsSent))
 	p.sample("rationality_gossip_records_total", []promLabel{{"direction", "received"}}, formatUint(gs.RecordsReceived))
-	p.family("rationality_gossip_payload_bytes_total", "Gossip payload bytes on the wire, by direction.", "counter")
+	p.family("rationality_gossip_payload_bytes_total", "Replication payload bytes on the wire, by direction.", "counter")
 	p.sample("rationality_gossip_payload_bytes_total", []promLabel{{"direction", "sent"}}, formatUint(gs.BytesSent))
 	p.sample("rationality_gossip_payload_bytes_total", []promLabel{{"direction", "received"}}, formatUint(gs.BytesReceived))
 	p.gauge("rationality_gossip_rumors_pending", "Hot records currently on the rumor board, still being pushed eagerly.", int64(gs.RumorsPending))
 	p.gauge("rationality_gossip_fanout", "Partners contacted per round.", int64(gs.Fanout))
-	if len(gs.Peers) > 0 {
-		p.family("rationality_gossip_peer_exchanges_total", "Successful exchanges per configured gossip peer.", "counter")
-		for _, gp := range gs.Peers {
-			p.sample("rationality_gossip_peer_exchanges_total", []promLabel{{"peer", gp.Address}}, formatUint(gp.Exchanges))
-		}
-		p.family("rationality_gossip_peer_failures_total", "Failed exchanges per configured gossip peer.", "counter")
-		for _, gp := range gs.Peers {
-			p.sample("rationality_gossip_peer_failures_total", []promLabel{{"peer", gp.Address}}, formatUint(gp.Failures))
-		}
-		p.family("rationality_gossip_peer_skipped_quarantine_total", "Partner selections that passed over the peer because its proven identity is quarantined.", "counter")
-		for _, gp := range gs.Peers {
-			p.sample("rationality_gossip_peer_skipped_quarantine_total", []promLabel{{"peer", gp.Address}}, formatUint(gp.SkippedQuarantine))
-		}
-	}
+	writeSyncPeers(p, gs.Peers)
 }
 
-// writeSyncPeers renders the resilient sync loop's per-peer breaker view:
+// writeSyncPeers renders the replication loop's per-peer breaker view:
 // a one-hot state family plus the attempt, failure and skip counters the
 // no-dial-storm property is observable through. Peers are labeled by
 // configured address — stable from the first round, before any exchange
 // has proven which signing identity the address speaks for.
-func writeSyncPeers(p *promWriter, peers []service.SyncPeerStats) {
+func writeSyncPeers(p *promWriter, peers []gossip.PeerStats) {
 	if len(peers) == 0 {
 		return
 	}
-	p.family("rationality_sync_peer_state", "Sync-loop breaker state per peer, one-hot across healthy/degraded/open.", "gauge")
+	p.family("rationality_sync_peer_state", "Replication-loop breaker state per peer, one-hot across healthy/degraded/open.", "gauge")
 	for _, sp := range peers {
-		for _, state := range []string{service.SyncHealthy, service.SyncDegraded, service.SyncOpen} {
+		for _, state := range []string{gossip.Healthy, gossip.Degraded, gossip.Open} {
 			v := "0"
 			if sp.State == state {
 				v = "1"
@@ -323,19 +309,19 @@ func writeSyncPeers(p *promWriter, peers []service.SyncPeerStats) {
 	for _, sp := range peers {
 		p.sample("rationality_sync_peer_backoff_seconds", []promLabel{{"peer", sp.Address}}, formatSeconds(sp.Backoff.Seconds()))
 	}
-	p.family("rationality_sync_peer_attempts_total", "Pulls actually started against the peer.", "counter")
+	p.family("rationality_sync_peer_attempts_total", "Exchanges actually started against the peer.", "counter")
 	for _, sp := range peers {
 		p.sample("rationality_sync_peer_attempts_total", []promLabel{{"peer", sp.Address}}, formatUint(sp.Attempts))
 	}
-	p.family("rationality_sync_peer_failed_total", "Pull attempts against the peer that errored.", "counter")
+	p.family("rationality_sync_peer_failed_total", "Exchange attempts against the peer that errored.", "counter")
 	for _, sp := range peers {
 		p.sample("rationality_sync_peer_failed_total", []promLabel{{"peer", sp.Address}}, formatUint(sp.Failed))
 	}
-	p.family("rationality_sync_peer_pulled_records_total", "Records applied from the peer by the sync loop.", "counter")
+	p.family("rationality_sync_peer_pulled_records_total", "Records applied from the peer by the replication loop.", "counter")
 	for _, sp := range peers {
-		p.sample("rationality_sync_peer_pulled_records_total", []promLabel{{"peer", sp.Address}}, formatUint(sp.Pulled))
+		p.sample("rationality_sync_peer_pulled_records_total", []promLabel{{"peer", sp.Address}}, formatUint(sp.RecordsReceived))
 	}
-	p.family("rationality_sync_peer_skipped_total", "Rounds that skipped the peer without dialing, by reason: backoff window still open, or quarantined by the trust policy.", "counter")
+	p.family("rationality_sync_peer_skipped_total", "Partner selections that passed over the peer without dialing, by reason: backoff window still open, or quarantined by the trust policy.", "counter")
 	for _, sp := range peers {
 		p.sample("rationality_sync_peer_skipped_total", []promLabel{{"peer", sp.Address}, {"reason", "backoff"}}, formatUint(sp.SkippedBackoff))
 		p.sample("rationality_sync_peer_skipped_total", []promLabel{{"peer", sp.Address}, {"reason", "quarantine"}}, formatUint(sp.SkippedQuarantine))

@@ -115,15 +115,6 @@ func fixtureStats() service.Stats {
 				"evil\"peer\\one\n": {Deltas: 0, Records: 0, Rejected: 3},
 			},
 		},
-		SyncPeers: []service.SyncPeerStats{
-			{
-				Address: "10.0.0.2:7002", Signer: "bb22bb22", State: "open",
-				ConsecutiveFailures: 3, Backoff: 1500 * time.Millisecond,
-				Attempts: 9, Pulled: 12, Failed: 5,
-				SkippedBackoff: 40, SkippedQuarantine: 2,
-			},
-			{Address: "10.0.0.3:7002", State: "healthy", Attempts: 11, Pulled: 30},
-		},
 		Gossip: &gossip.Stats{
 			Rounds:          14,
 			Exchanges:       25,
@@ -137,10 +128,14 @@ func fixtureStats() service.Stats {
 			Fanout:          2,
 			Seed:            42,
 			Peers: []gossip.PeerStats{
-				{Address: "10.0.0.2:7002", Signer: "bb22bb22", Exchanges: 13,
-					Failures: 1, RecordsSent: 20, RecordsReceived: 17, SkippedQuarantine: 4},
-				{Address: "10.0.0.3:7002", Exchanges: 12, Failures: 2,
-					RecordsSent: 22, RecordsReceived: 20},
+				{
+					Address: "10.0.0.2:7002", Signer: "bb22bb22", State: "open",
+					ConsecutiveFailures: 3, Backoff: 1500 * time.Millisecond,
+					Attempts: 9, Failed: 5, RecordsSent: 20, RecordsReceived: 12,
+					SkippedBackoff: 40, SkippedQuarantine: 2,
+				},
+				{Address: "10.0.0.3:7002", State: "healthy", Attempts: 11,
+					RecordsSent: 22, RecordsReceived: 30},
 			},
 		},
 	}

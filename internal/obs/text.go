@@ -71,11 +71,11 @@ func WriteText(w io.Writer, st service.Stats) {
 			}
 		}
 	}
-	for _, sp := range st.SyncPeers {
-		fmt.Fprintf(w, "sync: peer %s state=%s attempts=%d pulled=%d failed=%d skippedBackoff=%d skippedQuarantine=%d\n",
-			sp.Address, sp.State, sp.Attempts, sp.Pulled, sp.Failed, sp.SkippedBackoff, sp.SkippedQuarantine)
-	}
 	if g := st.Gossip; g != nil {
+		for _, sp := range g.Peers {
+			fmt.Fprintf(w, "sync: peer %s state=%s attempts=%d pulled=%d failed=%d skippedBackoff=%d skippedQuarantine=%d\n",
+				sp.Address, sp.State, sp.Attempts, sp.RecordsReceived, sp.Failed, sp.SkippedBackoff, sp.SkippedQuarantine)
+		}
 		fmt.Fprintf(w, "gossip: rounds=%d exchanges=%d failures=%d inSync=%d sent=%d received=%d bytesTx=%d bytesRx=%d rumors=%d fanout=%d seed=%d\n",
 			g.Rounds, g.Exchanges, g.Failures, g.InSync, g.RecordsSent, g.RecordsReceived,
 			g.BytesSent, g.BytesReceived, g.RumorsPending, g.Fanout, g.Seed)

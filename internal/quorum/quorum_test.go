@@ -198,7 +198,7 @@ func TestThreeVerifiersOneLiar(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if _, err := Pull(ctx, dst, transport.DialInProc(src)); err != nil {
+			if _, _, err := dst.PullFrom(ctx, transport.DialInProc(src)); err != nil {
 				t.Fatalf("pull %d<-%d: %v", i, j, err)
 			}
 		}

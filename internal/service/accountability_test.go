@@ -2,14 +2,18 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rationality/internal/core"
+	"rationality/internal/gossip"
 	"rationality/internal/identity"
 	"rationality/internal/reputation"
+	"rationality/internal/store"
 	"rationality/internal/transport"
 	"rationality/internal/trust"
 )
@@ -162,7 +166,19 @@ func TestAuditRefutationQuarantinesLyingPeer(t *testing.T) {
 	}
 }
 
-// The resilient sync loop under fire: one Byzantine voucher, one flaky
+// peerRow returns one peer's row of the gossiper's per-peer view.
+func peerRow(t *testing.T, g *Gossiper, addr string) gossip.PeerStats {
+	t.Helper()
+	for _, p := range g.Stats().Peers {
+		if p.Address == addr {
+			return p
+		}
+	}
+	t.Fatalf("no peer %q in gossiper stats", addr)
+	return gossip.PeerStats{}
+}
+
+// The replication loop under fire: one Byzantine voucher, one flaky
 // (chaos-injected) link to an honest peer. The liar is quarantined by
 // audit evidence and skipped without dialing, while honest convergence
 // continues across the drops.
@@ -204,18 +220,24 @@ func TestByzantineFederationConvergesOverFlakyLink(t *testing.T) {
 			return nil, fmt.Errorf("unknown test peer %q", addr)
 		}
 	}
-	y, err := a.StartSyncer(SyncerConfig{
+	var byzDials atomic.Uint64
+	g, err := a.StartGossiper(GossiperConfig{
 		Peers:      []string{"byz", "honest-b"},
 		Interval:   5 * time.Millisecond,
 		BackoffMax: 40 * time.Millisecond,
 		Jitter:     -1,
 		Seed:       1,
-		Dial:       dial,
+		Dial: func(addr string) (transport.Client, error) {
+			if addr == "byz" {
+				byzDials.Add(1)
+			}
+			return dial(addr)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer y.Stop()
+	defer g.Stop()
 
 	offerLen := func() int {
 		offer, err := a.SyncOffer()
@@ -232,20 +254,35 @@ func TestByzantineFederationConvergesOverFlakyLink(t *testing.T) {
 
 	// The loop stops dialing the quarantined signer once it knows who the
 	// address speaks for; the honest peer keeps converging regardless.
-	waitFor(t, 5*time.Second, "sync loop to skip the quarantined peer without dialing", func() bool {
-		for _, p := range y.Snapshot() {
-			if p.Address == "byz" && p.SkippedQuarantine > 0 {
-				return true
-			}
-		}
-		return false
+	waitFor(t, 5*time.Second, "replication loop to skip the quarantined peer", func() bool {
+		return peerRow(t, g, "byz").SkippedQuarantine > 0
 	})
+	dialsAtSkip, skipsAtSkip := byzDials.Load(), peerRow(t, g, "byz").SkippedQuarantine
+	waitFor(t, 5*time.Second, "more quarantine skips", func() bool {
+		return peerRow(t, g, "byz").SkippedQuarantine >= skipsAtSkip+5
+	})
+	if got := byzDials.Load(); got != dialsAtSkip {
+		t.Fatalf("quarantined peer was dialed while being skipped (%d -> %d dials)", dialsAtSkip, got)
+	}
+	// A quarantine is this authority's own refusal, never a breaker event;
+	// the flaky honest link's drops are what exercise backoff.
+	if p := peerRow(t, g, "byz"); p.State != gossip.Healthy || p.Failed != 0 {
+		t.Fatalf("quarantined peer's breaker moved: %+v", p)
+	}
+	if p := peerRow(t, g, "honest-b"); p.Failed == 0 {
+		t.Fatalf("flaky link recorded no failed exchange: %+v", p)
+	}
 	if st := pol.State(string(keyB.ID())); st != trust.Active {
 		t.Fatalf("honest peer standing = %s, want active (clean audits must credit)", st)
 	}
 	st := a.Stats()
-	if st.SyncPeers == nil {
-		t.Fatal("Stats().SyncPeers empty while the syncer is running")
+	if st.Gossip == nil || len(st.Gossip.Peers) != 2 {
+		t.Fatalf("Stats().Gossip.Peers while the loop is running: %+v", st.Gossip)
+	}
+	// (The engine counts a round when it starts, the service when it
+	// completes, so a snapshot may catch one in flight.)
+	if st.SyncRounds == 0 || st.SyncRounds > st.Gossip.Rounds {
+		t.Fatalf("SyncRounds = %d, engine rounds = %d: completed rounds must count", st.SyncRounds, st.Gossip.Rounds)
 	}
 }
 
@@ -265,12 +302,15 @@ func (c chaosCounter) Call(ctx context.Context, req transport.Message) (transpor
 	return resp, err
 }
 
-// A dead peer must not be dialed once per tick: the backoff window and
-// circuit breaker bound the attempts while rounds keep passing.
-func TestSyncerDeadPeerBacksOff(t *testing.T) {
-	a := newTestService(t, Config{ID: "a", PersistPath: t.TempDir()})
+// A peer that never answers is backed off from, not punished: the skips
+// accumulate while dials stay bounded, and the trust policy is never
+// charged — no honest peer is ever quarantined for being down.
+func TestDeadPeerBacksOffAndIsNeverCharged(t *testing.T) {
+	dir := t.TempDir()
+	pol := newTrustPolicy(t, dir)
+	a := newTestService(t, Config{ID: "a", PersistPath: dir, Trust: pol})
 	var dials atomic.Uint64
-	y, err := a.StartSyncer(SyncerConfig{
+	g, err := a.StartGossiper(GossiperConfig{
 		Peers:      []string{"dead"},
 		Interval:   2 * time.Millisecond,
 		BackoffMax: 100 * time.Millisecond,
@@ -284,25 +324,129 @@ func TestSyncerDeadPeerBacksOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer y.Stop()
+	defer g.Stop()
 
 	waitFor(t, 10*time.Second, "breaker to open and backoff skips to accumulate", func() bool {
-		peers := y.Snapshot()
-		return len(peers) == 1 && peers[0].State == SyncOpen && peers[0].SkippedBackoff >= 5
+		p := peerRow(t, g, "dead")
+		return p.State == gossip.Open && p.SkippedBackoff >= 5
 	})
-	time.Sleep(50 * time.Millisecond)
-	y.Stop()
+	g.Stop()
 
-	p := y.Snapshot()[0]
-	if p.ConsecutiveFailures < DefaultBreakerThreshold {
-		t.Fatalf("ConsecutiveFailures = %d, want >= %d", p.ConsecutiveFailures, DefaultBreakerThreshold)
+	p := peerRow(t, g, "dead")
+	if p.ConsecutiveFailures < gossip.DefaultBreakerThreshold {
+		t.Fatalf("ConsecutiveFailures = %d, want >= %d", p.ConsecutiveFailures, gossip.DefaultBreakerThreshold)
 	}
-	if p.Attempts != uint64(dials.Load()) {
+	if p.Attempts != dials.Load() {
 		t.Fatalf("attempts %d != dials %d: every attempt against a dead peer is a dial", p.Attempts, dials.Load())
 	}
 	if p.SkippedBackoff <= p.Attempts {
 		t.Fatalf("dial storm: %d attempts vs only %d backoff skips over %d rounds",
 			p.Attempts, p.SkippedBackoff, p.Attempts+p.SkippedBackoff)
+	}
+	if charged := pol.Snapshot(); len(charged) != 0 || pol.Quarantined() != 0 {
+		t.Fatalf("silence was charged to the trust policy: %+v", charged)
+	}
+}
+
+// Claiming a quarantined identity is not a way out of the breaker: a peer
+// whose every delta names a quarantined signer over a signature that does
+// not verify has proven nothing, so its failures are peer faults — backed
+// off from and tripping the breaker — not this node's own refusals.
+func TestForgedQuarantinedSignerClaimIsAPeerFailure(t *testing.T) {
+	keyA, keyZ := testKeyPair(t), testKeyPair(t)
+	dir := t.TempDir()
+	pol := newTrustPolicy(t, dir)
+	for i := 0; i < 3; i++ {
+		pol.Charge(string(keyZ.ID()), "test: proven refutation")
+	}
+	if pol.State(string(keyZ.ID())) != trust.Quarantined {
+		t.Fatal("setup: signer not quarantined")
+	}
+	a := newTestService(t, Config{
+		ID: "a", PersistPath: dir, Key: keyA,
+		PeerKeys: []identity.PartyID{keyZ.ID()}, Trust: pol,
+	})
+	forger := transport.HandlerFunc(func(context.Context, transport.Message) (transport.Message, error) {
+		return transport.NewMessage(MsgSyncDelta, SyncDeltaResponse{
+			VerifierID: "forger", Signer: keyZ.ID(), Signature: make([]byte, 64),
+		})
+	})
+	g, err := a.StartGossiper(GossiperConfig{
+		Peers:      []string{"forger"},
+		Interval:   2 * time.Millisecond,
+		BackoffMax: 100 * time.Millisecond,
+		Jitter:     -1,
+		Seed:       1,
+		Dial:       func(string) (transport.Client, error) { return transport.DialInProc(forger), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	waitFor(t, 10*time.Second, "breaker to open on the forger", func() bool {
+		p := peerRow(t, g, "forger")
+		return p.State == gossip.Open && p.SkippedBackoff >= 5
+	})
+	g.Stop()
+	p := peerRow(t, g, "forger")
+	if p.Signer != "" || p.SkippedQuarantine != 0 {
+		t.Fatalf("an unverified signer claim was believed: %+v", p)
+	}
+	if p.Failed != p.Attempts || p.Failed < gossip.DefaultBreakerThreshold {
+		t.Fatalf("forged deltas were not charged as peer failures: %+v", p)
+	}
+	if n := a.Stats().Federation.RejectedBadSig; n != p.Failed {
+		t.Fatalf("RejectedBadSig = %d, want one per failed exchange (%d)", n, p.Failed)
+	}
+}
+
+// A certificate must not outlive the verdict it signs: when the audit
+// refutes and repairs a certified lying record, the liar's certificate
+// goes with the lie instead of being served beside the correction.
+func TestAuditRepairDropsRefutedCertificate(t *testing.T) {
+	a := newTestService(t, Config{ID: "honest", PersistPath: t.TempDir(), AuditRate: 1})
+	a.Register(&countingProc{format: "counting/v1", accept: true})
+
+	certified := func(ann core.Announcement, accepted bool) store.Record {
+		t.Helper()
+		req, err := json.Marshal(core.VerifyRequest{Format: ann.Format, Game: ann.Game, Advice: ann.Advice, Proof: ann.Proof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := identity.DigestBytes([]byte(ann.Format), ann.Game, ann.Advice, ann.Proof)
+		v := core.Verdict{Accepted: accepted, Format: ann.Format, Reason: "vouched by a peer"}
+		cert, err := core.EncodeCertificate(&core.Certificate{
+			Key: key.String(), Verdict: v, Panel: []byte{0x01}, Sigs: [][]byte{[]byte("sig")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.Record{Key: key, Verdict: v, Request: req, Cert: cert, Origin: "did:rationality:voucher"}
+	}
+	lieAnn, truthAnn := announcementFor("inv", `{"certified":"lie"}`), announcementFor("inv", `{"certified":"truth"}`)
+	lie, truth := certified(lieAnn, false), certified(truthAnn, true)
+	lie.Stamp, truth.Stamp = 1, 2
+	// No panel keyset: certificates ride through ingest unverified.
+	if n, err := a.Ingest([]store.Record{lie, truth}); err != nil || n != 2 {
+		t.Fatalf("Ingest = %d, %v; want both records applied", n, err)
+	}
+	waitFor(t, 5*time.Second, "both records audited", func() bool { return a.Stats().Audits >= 2 })
+	if got := a.Stats().AuditRefutations; got != 1 {
+		t.Fatalf("AuditRefutations = %d, want 1", got)
+	}
+
+	if c, found, err := a.Certificate(lie.Key); err != nil || found {
+		t.Fatalf("refuted record still certified after repair: cert=%+v err=%v", c, err)
+	}
+	if v, err := a.VerifyAnnouncement(context.Background(), lieAnn); err != nil || !v.Accepted {
+		t.Fatalf("repaired verdict = %+v, %v; want the locally verified accept", v, err)
+	}
+	// The confirmed record keeps its certificate, and a plain re-install
+	// of a same-polarity verdict still carries one forward.
+	a.cache.Put(truth.Key, truth.Verdict)
+	if _, found, err := a.Certificate(truth.Key); err != nil || !found {
+		t.Fatalf("confirmed record lost its certificate: found=%v err=%v", found, err)
 	}
 }
 

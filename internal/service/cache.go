@@ -80,9 +80,11 @@ type cacheEntry struct {
 	// cert is the encoded quorum certificate over this verdict (empty for
 	// uncertified entries). Like verdict it is immutable once the entry is
 	// published: installs copy the bytes into a fresh entry, and a plain
-	// Put that replaces a certified entry carries the certificate forward
-	// into its replacement — re-verifying an announcement must not make
-	// the authority forget the panel's co-signatures over it.
+	// Put that replaces a certified entry with a verdict of the same
+	// polarity carries the certificate forward into its replacement —
+	// re-verifying an announcement must not make the authority forget the
+	// panel's co-signatures over it, but a certificate must not outlive
+	// the verdict it signs.
 	cert []byte
 	// stamp is the recency ticket: larger = more recently used.
 	stamp atomic.Uint64
@@ -201,12 +203,14 @@ func (c *verdictCache) put(key identity.Hash, v core.Verdict, cert []byte, cold 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e.cert == nil {
-		// A plain Put over a certified entry keeps the certificate: the
-		// verdict it covers is content-addressed by the same key, so the
-		// co-signatures still apply. The entry is unpublished here, so the
-		// write races nothing; the shard lock orders it against other
-		// installs for the key.
-		if old, ok := sh.entries.Load(key); ok {
+		// A plain Put over a certified entry keeps the certificate while
+		// the verdict it signs stands: same key, same polarity, so the
+		// co-signatures still apply. A flipped verdict (an audit repair)
+		// drops it — serving a refuted verdict's certificate beside the
+		// correction would vouch for the lie. The entry is unpublished
+		// here, so the write races nothing; the shard lock orders it
+		// against other installs for the key.
+		if old, ok := sh.entries.Load(key); ok && old.(*cacheEntry).verdict.Accepted == v.Accepted {
 			e.cert = old.(*cacheEntry).cert
 		}
 	}

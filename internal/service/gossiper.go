@@ -12,22 +12,25 @@ import (
 	"rationality/internal/transport"
 )
 
-// Epidemic gossip: the federation-scale replacement for the all-pairs
-// sync loop. A Syncer pulls from every configured peer each interval —
-// O(n²) exchanges across a federation of n authorities — which is fine
-// for a handful of peers and ruinous for fifty. The Gossiper instead
-// runs push-pull rounds against a small random fan-out: each exchange
-// opens with a fixed-size store fingerprint (store.Summary) and any hot
-// "rumor" records, and only when fingerprints disagree does the pair
-// trade manifests and signed deltas both directions. An update reaches
-// every authority in O(log n) rounds while a converged federation idles
-// on fingerprint probes.
+// Replication: one round loop (the gossip engine) paces every federated
+// authority, and the service supplies the exchange it runs per partner.
+// Which exchange follows from the resolved configuration, not a switch:
 //
-// Every record that moves — rumor push, pull delta, push delta — enters
-// the receiving authority through IngestDelta, the same signed federation
-// gate the Syncer uses: allowlist, Ed25519 transfer signatures, trust
-// quarantine, refutation charging and audit sampling all apply unchanged.
-// Gossip changes who talks to whom and how often, never what is trusted.
+//   - fanout ≥ peers: every pair already meets every round, so the
+//     exchange is the plain pull (PullFrom: "sync-offer" → signed
+//     "sync-delta") — one manifest scan per side per exchange.
+//   - fanout < peers: epidemic push-pull. Each exchange opens with a
+//     fixed-size store fingerprint (store.Summary) and any hot "rumor"
+//     records, and only when fingerprints disagree does the pair trade
+//     manifests and signed deltas both directions. An update reaches
+//     every authority in O(log n) rounds while a converged federation
+//     idles on fingerprint probes.
+//
+// Every record that moves — pull delta, rumor push, push delta — enters
+// the receiving authority through IngestDelta, the signed federation
+// gate: allowlist, Ed25519 transfer signatures, trust quarantine,
+// refutation charging and audit sampling all apply unchanged. The loop
+// decides who talks to whom and how often, never what is trusted.
 
 // Gossip wire message types.
 const (
@@ -99,19 +102,27 @@ type GossipPushRequest struct {
 	Delta SyncDeltaResponse `json:"delta"`
 }
 
-// GossiperConfig configures a service's gossip loop. The zero value of
-// every knob defers to the gossip engine's defaults.
+// GossiperConfig configures a service's replication loop. The zero value
+// of every knob defers to the gossip engine's defaults.
 type GossiperConfig struct {
-	// Peers are the gossip partner addresses. Required, non-empty.
+	// Peers are the partner addresses. Required, non-empty.
 	Peers []string
 	// Fanout is how many peers each round exchanges with (default
-	// gossip.DefaultFanout, capped at len(Peers)).
+	// gossip.DefaultFanout, capped at len(Peers)). Covering every peer
+	// selects the pull exchange; fewer selects push-pull with rumors.
 	Fanout int
 	// Interval is the round cadence; zero means manual stepping via
 	// Gossiper.Round (harnesses, tests).
 	Interval time.Duration
-	// Jitter randomizes the cadence (0 = default ±20%, negative = off).
+	// Jitter randomizes the cadence and backoff windows (0 = default
+	// ±20%, negative = off).
 	Jitter float64
+	// BackoffMax caps the per-peer exponential backoff between failed
+	// exchanges (default gossip.DefaultBackoffMax); BreakerThreshold is
+	// the consecutive-failure count that opens a peer's circuit (default
+	// gossip.DefaultBreakerThreshold).
+	BackoffMax       time.Duration
+	BreakerThreshold int
 	// RumorTTL is how many successful exchanges a fresh verdict rides
 	// eagerly (default gossip.DefaultRumorTTL).
 	RumorTTL int
@@ -133,20 +144,24 @@ type GossiperConfig struct {
 	OnRound func(exchanged bool)
 }
 
-// Gossiper runs epidemic push-pull gossip for one service: the engine
-// picks partners and paces rounds, the service supplies the exchange
-// (fingerprints, signed deltas, the federation gate). Create with
+// Gossiper is one service's replication loop: the engine picks partners,
+// paces rounds and backs off from failing peers; the service supplies the
+// exchange (signed deltas through the federation gate). Create with
 // Service.StartGossiper.
 type Gossiper struct {
 	engine *gossip.Engine
+	// rumors reports that the exchange is push-pull, the only one that
+	// carries rumor records; under the pull exchange nothing is marked hot.
+	rumors bool
 }
 
-// StartGossiper attaches a gossip loop to the service and registers it in
-// Stats().Gossip. With cfg.Interval set the round loop starts
-// immediately; with Interval zero the Gossiper is manually stepped
-// (Round), which is how harnesses drive lockstep convergence
-// measurements. Requires a durable store (gossip replicates the log) and
-// at most one Gossiper per service.
+// StartGossiper attaches the replication loop to the service and
+// registers it in Stats().Gossip. With cfg.Interval set the round loop
+// starts immediately (one catch-up round, then the jittered cadence);
+// with Interval zero the Gossiper is manually stepped (Round), which is
+// how harnesses drive lockstep convergence measurements. Every completed
+// round counts into Stats().SyncRounds. Requires a durable store
+// (replication is of the log) and at most one Gossiper per service.
 func (s *Service) StartGossiper(cfg GossiperConfig) (*Gossiper, error) {
 	if s.store == nil {
 		return nil, ErrNoStore
@@ -154,27 +169,50 @@ func (s *Service) StartGossiper(cfg GossiperConfig) (*Gossiper, error) {
 	if s.gossiper.Load() != nil {
 		return nil, errors.New("service: gossiper already started")
 	}
+	g := &Gossiper{}
 	e, err := gossip.New(gossip.Config{
 		Peers:            cfg.Peers,
 		Fanout:           cfg.Fanout,
 		Interval:         cfg.Interval,
 		Jitter:           cfg.Jitter,
+		BackoffMax:       cfg.BackoffMax,
+		BreakerThreshold: cfg.BreakerThreshold,
 		RumorTTL:         cfg.RumorTTL,
 		AntiEntropyEvery: cfg.AntiEntropyEvery,
 		Timeout:          cfg.Timeout,
 		Seed:             cfg.Seed,
 		Dial:             cfg.Dial,
-		Exchange:         s.gossipExchange,
+		Exchange: func(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
+			if g.rumors {
+				return s.gossipExchange(ctx, peer, req)
+			}
+			return s.pullExchange(ctx, peer, req)
+		},
 		Permitted: func(p identity.PartyID) bool {
 			return s.trust == nil || s.trust.Allowed(string(p))
 		},
-		Logf:    cfg.Logf,
-		OnRound: cfg.OnRound,
+		Logf: cfg.Logf,
+		OnRound: func(exchanged bool) {
+			s.NoteSyncRound()
+			if cfg.OnRound != nil {
+				cfg.OnRound(exchanged)
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	g := &Gossiper{engine: e}
+	// The engine resolved the fanout (default, cap at len(Peers)); the
+	// exchange follows from it, before any round can run.
+	fanout := e.Stats().Fanout
+	g.engine, g.rumors = e, fanout < len(cfg.Peers)
+	if cfg.Logf != nil {
+		if g.rumors {
+			cfg.Logf("replication: push-pull exchange (%d peers > fanout %d)", len(cfg.Peers), fanout)
+		} else {
+			cfg.Logf("replication: pull exchange (fanout %d covers %d peers)", fanout, len(cfg.Peers))
+		}
+	}
 	if !s.gossiper.CompareAndSwap(nil, g) {
 		e.Stop()
 		return nil, errors.New("service: gossiper already started")
@@ -201,13 +239,13 @@ func (g *Gossiper) Stats() gossip.Stats { return g.engine.Stats() }
 // Seed reports the resolved selection seed (the logged value).
 func (g *Gossiper) Seed() int64 { return g.engine.Seed() }
 
-// noteRumor marks a key hot on the attached gossiper, if any: the next
+// noteRumor marks a key hot on an attached push-pull gossiper: the next
 // rounds push its record eagerly instead of waiting for a fingerprint
 // mismatch. Called for fresh local verdicts, applied foreign records
 // (so an update keeps spreading epidemically) and audit repairs (so a
 // correction outruns the lie it replaces).
 func (s *Service) noteRumor(key identity.Hash) {
-	if g := s.gossiper.Load(); g != nil {
+	if g := s.gossiper.Load(); g != nil && g.rumors {
 		g.engine.AddRumor(key)
 	}
 }
@@ -236,8 +274,8 @@ func (s *Service) rumorDelta(keys []identity.Hash) (*SyncDeltaResponse, error) {
 	return resp, nil
 }
 
-// gossipExchange is the ExchangeFunc the engine drives: one push-pull
-// exchange with one dialed peer.
+// gossipExchange is the ExchangeFunc when there are more peers than
+// fanout: one push-pull exchange with one dialed peer.
 //
 //  1. "gossip":       fingerprint + rumors    → peer's fingerprint
 //  2. "gossip-pull":  my manifest             → signed delta + peer's manifest
@@ -281,9 +319,13 @@ func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req
 		return res, err
 	}
 	res.BytesReceived += uint64(len(resp.Payload))
-	res.Signer = remote.Signer // advisory until a verified delta flows
 	res.Sent += remote.Applied // rumors the peer's gate accepted
 	if !req.Full && remote.Count == sum.Count && remote.Digest == sum.Digest {
+		// No delta flows, so the summary's unsigned claim is all there is;
+		// it only ever rides a successful result. A failed exchange reports
+		// a signer the gate verified or none — the engine must not mistake a
+		// peer fault for this node's own quarantine refusal on a claim.
+		res.Signer = remote.Signer
 		res.InSync = true
 		return res, nil
 	}
@@ -313,17 +355,14 @@ func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req
 	res.BytesReceived += uint64(len(resp.Payload))
 	applied, err := s.IngestDelta(offer, ex.Delta)
 	res.Received += applied
-	if err != nil {
-		if errors.Is(err, ErrPeerQuarantined) {
-			// The signature verified before the quarantine refusal, so this
-			// identity is proven — exactly what peer selection needs to stop
-			// picking the peer.
-			res.Signer = ex.Delta.Signer
-		}
-		return res, err
+	if err == nil || errors.Is(err, ErrPeerQuarantined) {
+		// The gate verified the signature before applying and before the
+		// quarantine refusal, so this identity is proven — exactly what
+		// peer selection needs to stop picking a quarantined peer.
+		res.Signer = ex.Delta.Signer
 	}
-	if ex.Delta.Signer != "" {
-		res.Signer = ex.Delta.Signer // verified by the gate
+	if err != nil {
+		return res, err
 	}
 
 	// ...then push what this store has that the peer lacks.

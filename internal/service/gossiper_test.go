@@ -4,48 +4,128 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"rationality/internal/gossip"
+	"rationality/internal/identity"
 	"rationality/internal/store"
 	"rationality/internal/transport"
 )
 
-// gossipPair wires two keyed, mutually allowlisted services over an
-// in-memory PipeNet and attaches a manually stepped Gossiper to each.
-type gossipPair struct {
-	net    *transport.PipeNet
-	sa, sb *Service
-	ga, gb *Gossiper
+// gossipNode is one authority of a gossipCluster.
+type gossipNode struct {
+	addr string
+	svc  *Service
+	g    *Gossiper
 }
 
-func newGossipPair(t *testing.T) *gossipPair {
+// gossipCluster wires n keyed, mutually allowlisted services over an
+// in-memory PipeNet, attaches a manually stepped Gossiper to each (peers:
+// everyone else), and records every message type each listener serves.
+type gossipCluster struct {
+	nodes []*gossipNode
+
+	mu   sync.Mutex
+	seen map[string][]string // listener addr -> request types served
+}
+
+func newGossipCluster(t *testing.T, n, fanout int) *gossipCluster {
 	t.Helper()
-	ka, kb := testKeyPair(t), testKeyPair(t)
-	p := &gossipPair{
-		net: transport.NewPipeNet(),
-		sa:  newKeyedService(t, "authority-a", ka, kb.ID()),
-		sb:  newKeyedService(t, "authority-b", kb, ka.ID()),
+	net := transport.NewPipeNet()
+	t.Cleanup(func() { _ = net.Close() })
+	keys := make([]*identity.KeyPair, n)
+	ids := make([]identity.PartyID, n)
+	for i := range keys {
+		keys[i] = testKeyPair(t)
+		ids[i] = keys[i].ID()
 	}
-	t.Cleanup(func() { _ = p.net.Close() })
-	if err := p.net.Listen("a", p.sa); err != nil {
-		t.Fatal(err)
+	c := &gossipCluster{seen: make(map[string][]string)}
+	for i := range keys {
+		addr := fmt.Sprintf("node-%d", i)
+		svc := newKeyedService(t, addr, keys[i], append(append([]identity.PartyID{}, ids[:i]...), ids[i+1:]...)...)
+		record := transport.HandlerFunc(func(ctx context.Context, req transport.Message) (transport.Message, error) {
+			c.mu.Lock()
+			c.seen[addr] = append(c.seen[addr], req.Type)
+			c.mu.Unlock()
+			return svc.Handle(ctx, req)
+		})
+		if err := net.Listen(addr, record); err != nil {
+			t.Fatal(err)
+		}
+		c.nodes = append(c.nodes, &gossipNode{addr: addr, svc: svc})
 	}
-	if err := p.net.Listen("b", p.sb); err != nil {
-		t.Fatal(err)
+	dial := func(addr string) (transport.Client, error) { return net.Dial(addr) }
+	for i, node := range c.nodes {
+		var peers []string
+		for j, other := range c.nodes {
+			if j != i {
+				peers = append(peers, other.addr)
+			}
+		}
+		// No forced-full backstop rounds: the tests count in-sync probes.
+		g, err := node.svc.StartGossiper(GossiperConfig{
+			Peers: peers, Fanout: fanout, AntiEntropyEvery: -1, Seed: int64(i + 1), Dial: dial, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Stop)
+		node.g = g
 	}
-	dial := func(addr string) (transport.Client, error) { return p.net.Dial(addr) }
-	var err error
-	p.ga, err = p.sa.StartGossiper(GossiperConfig{Peers: []string{"b"}, Fanout: 1, Seed: 1, Dial: dial, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// step runs one lockstep round on every node.
+func (c *gossipCluster) step(t *testing.T) {
+	t.Helper()
+	for _, n := range c.nodes {
+		if err := n.g.Round(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Cleanup(p.ga.Stop)
-	p.gb, err = p.sb.StartGossiper(GossiperConfig{Peers: []string{"a"}, Fanout: 1, Seed: 2, Dial: dial, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// served returns every request type the cluster's listeners have seen.
+func (c *gossipCluster) served() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, types := range c.seen {
+		out = append(out, types...)
 	}
-	t.Cleanup(p.gb.Stop)
-	return p
+	return out
+}
+
+// converged reports whether every node's manifest is identical.
+func (c *gossipCluster) converged(t *testing.T) bool {
+	t.Helper()
+	want := manifestOfService(t, c.nodes[0].svc)
+	for _, n := range c.nodes[1:] {
+		if !reflect.DeepEqual(want, manifestOfService(t, n.svc)) {
+			return false
+		}
+	}
+	return true
+}
+
+// partnerOf returns the node behind the one peer n has attempted exactly
+// `attempts` exchanges with — how the fanout-1 tests learn whom the
+// seeded selection picked.
+func (c *gossipCluster) partnerOf(t *testing.T, n *gossipNode, attempts uint64) *gossipNode {
+	t.Helper()
+	for _, p := range n.g.Stats().Peers {
+		if p.Attempts == attempts {
+			for _, other := range c.nodes {
+				if other.addr == p.Address {
+					return other
+				}
+			}
+		}
+	}
+	t.Fatalf("no peer of %s with %d attempts: %+v", n.addr, attempts, n.g.Stats().Peers)
+	return nil
 }
 
 // verifyDistinct runs n verifications with payloads unique to prefix, so
@@ -74,21 +154,26 @@ func manifestOfService(t *testing.T, s *Service) map[[32]byte]store.RecordInfo {
 }
 
 // One push-pull exchange converges a divergent pair in both directions,
-// and a converged pair settles into cheap in-sync fingerprint probes.
+// and a converged federation settles into cheap in-sync fingerprint
+// probes. Three nodes at fanout 1: more peers than fanout, so the
+// exchange is push-pull.
 func TestGossipPairConvergesAndIdlesInSync(t *testing.T) {
-	p := newGossipPair(t)
-	verifyDistinct(t, p.sa, "a", 4)
-	verifyDistinct(t, p.sb, "b", 3)
+	c := newGossipCluster(t, 3, 1)
+	a := c.nodes[0]
+	verifyDistinct(t, a.svc, "a", 4)
+	verifyDistinct(t, c.nodes[1].svc, "b", 3)
+	verifyDistinct(t, c.nodes[2].svc, "c", 3)
 	ctx := context.Background()
 
-	if err := p.ga.Round(ctx); err != nil {
+	if err := a.g.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ma, mb := manifestOfService(t, p.sa), manifestOfService(t, p.sb)
-	if len(ma) != 7 || !reflect.DeepEqual(ma, mb) {
-		t.Fatalf("one exchange did not converge the pair: %d vs %d keys", len(ma), len(mb))
+	partner := c.partnerOf(t, a, 1)
+	ma, mp := manifestOfService(t, a.svc), manifestOfService(t, partner.svc)
+	if len(ma) != 7 || !reflect.DeepEqual(ma, mp) {
+		t.Fatalf("one exchange did not converge the pair: %d vs %d keys", len(ma), len(mp))
 	}
-	st := p.ga.Stats()
+	st := a.g.Stats()
 	if st.Exchanges != 1 {
 		t.Fatalf("exchange stats: %+v", st)
 	}
@@ -96,16 +181,24 @@ func TestGossipPairConvergesAndIdlesInSync(t *testing.T) {
 		t.Fatalf("records moved: sent=%d received=%d, want 4/3", st.RecordsSent, st.RecordsReceived)
 	}
 
-	// Converged: the next probe settles on fingerprints alone.
-	if err := p.gb.Round(ctx); err != nil {
+	// Converged: the partner's next probe of a settles on fingerprints
+	// alone, whichever round its seeded selection gets there.
+	for r := 0; r < 50 && !c.converged(t); r++ {
+		c.step(t)
+	}
+	if !c.converged(t) {
+		t.Fatal("three nodes never converged")
+	}
+	before := partner.g.Stats().InSync
+	if err := partner.g.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.gb.Stats(); st.InSync != 1 {
+	if st := partner.g.Stats(); st.InSync != before+1 {
 		t.Fatalf("converged probe was not in-sync: %+v", st)
 	}
 	// And the service Stats tree carries the gossip section.
-	if ss := p.sa.Stats(); ss.Gossip == nil || ss.Gossip.Exchanges == 0 {
-		t.Fatalf("Stats().Gossip missing: %+v", ss.Gossip)
+	if ss := a.svc.Stats(); ss.Gossip == nil || ss.Gossip.Exchanges == 0 || ss.SyncRounds == 0 {
+		t.Fatalf("Stats().Gossip / SyncRounds missing: %+v rounds=%d", ss.Gossip, ss.SyncRounds)
 	}
 }
 
@@ -113,31 +206,93 @@ func TestGossipPairConvergesAndIdlesInSync(t *testing.T) {
 // applies it inside the opening message and the fingerprints agree
 // without a manifest exchange — the round stays cheap AND spreads news.
 func TestGossipFreshVerdictTravelsAsRumor(t *testing.T) {
-	p := newGossipPair(t)
+	c := newGossipCluster(t, 3, 1)
+	a := c.nodes[0]
 	ctx := context.Background()
-	if err := p.ga.Round(ctx); err != nil { // converge the empty pair
+	if err := a.g.Round(ctx); err != nil { // probe one (empty, in-sync) peer
 		t.Fatal(err)
 	}
-	verifyDistinct(t, p.sa, "fresh", 1)
-	if st := p.ga.Stats(); st.RumorsPending != 1 {
+	verifyDistinct(t, a.svc, "fresh", 1)
+	if st := a.g.Stats(); st.RumorsPending != 1 {
 		t.Fatalf("fresh verdict not rumored: %+v", st)
 	}
-	if err := p.ga.Round(ctx); err != nil {
+	if err := a.g.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := p.ga.Stats()
+	st := a.g.Stats()
 	if st.InSync != 2 {
 		t.Fatalf("rumored round should settle in-sync, got %+v", st)
 	}
 	if st.RecordsSent != 1 {
 		t.Fatalf("rumor not counted as sent: %+v", st)
 	}
-	if ma, mb := manifestOfService(t, p.sa), manifestOfService(t, p.sb); !reflect.DeepEqual(ma, mb) {
+	// The rumor's receiver is the peer that now holds the record.
+	var receiver *gossipNode
+	for _, n := range c.nodes[1:] {
+		if reflect.DeepEqual(manifestOfService(t, a.svc), manifestOfService(t, n.svc)) {
+			receiver = n
+		}
+	}
+	if receiver == nil {
 		t.Fatal("rumor did not replicate the fresh verdict")
 	}
 	// The receiving side re-rumors what it applied, spreading onward.
-	if st := p.gb.Stats(); st.RumorsPending == 0 {
+	if st := receiver.g.Stats(); st.RumorsPending == 0 {
 		t.Fatalf("receiver did not re-rumor the applied record: %+v", st)
+	}
+}
+
+// The exchange follows from the resolved configuration: while the fanout
+// covers every peer the loop speaks plain sync-offer pulls (and marks no
+// rumors); with more peers than fanout it speaks push-pull gossip. Both
+// converge.
+func TestExchangeSelectedByFanoutVersusPeers(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		nodes, fanout   int
+		wantGossipWire  bool
+		resolvedFanout  int
+		wantRumorsAfter bool
+	}{
+		{name: "2 peers, default fanout: pull", nodes: 3, fanout: 0, resolvedFanout: 2},
+		{name: "4 peers, fanout 2: push-pull", nodes: 5, fanout: 2, resolvedFanout: 2, wantGossipWire: true, wantRumorsAfter: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newGossipCluster(t, tc.nodes, tc.fanout)
+			for i, n := range c.nodes {
+				verifyDistinct(t, n.svc, fmt.Sprintf("n%d", i), 2)
+			}
+			if got := c.nodes[0].g.Stats(); got.Fanout != tc.resolvedFanout || (got.RumorsPending > 0) != tc.wantRumorsAfter {
+				t.Fatalf("fanout=%d rumorsPending=%d, want fanout %d, rumors %v",
+					got.Fanout, got.RumorsPending, tc.resolvedFanout, tc.wantRumorsAfter)
+			}
+			for r := 0; r < 50 && !c.converged(t); r++ {
+				c.step(t)
+			}
+			if !c.converged(t) || len(manifestOfService(t, c.nodes[0].svc)) != 2*tc.nodes {
+				t.Fatal("cluster did not converge on every node's records")
+			}
+			served := c.served()
+			if len(served) == 0 {
+				t.Fatal("no listener served anything")
+			}
+			for _, typ := range served {
+				if isGossip := strings.HasPrefix(typ, "gossip"); isGossip != tc.wantGossipWire || (!isGossip && typ != MsgSyncOffer) {
+					t.Fatalf("listener served %q (gossip wire wanted: %v); all: %v", typ, tc.wantGossipWire, served)
+				}
+			}
+			for _, n := range c.nodes {
+				st := n.g.Stats()
+				if st.Exchanges == 0 || st.RecordsReceived == 0 || st.BytesSent == 0 || st.BytesReceived == 0 {
+					t.Fatalf("%s counters after convergence: %+v", n.addr, st)
+				}
+				for _, p := range st.Peers {
+					if p.State != gossip.Healthy {
+						t.Fatalf("%s sees %s as %s", n.addr, p.Address, p.State)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -149,8 +304,8 @@ func TestStartGossiperValidation(t *testing.T) {
 	if _, err := bare.StartGossiper(GossiperConfig{Peers: []string{"x"}, Dial: dial}); err != ErrNoStore {
 		t.Fatalf("gossiper without a store: %v", err)
 	}
-	p := newGossipPair(t)
-	if _, err := p.sa.StartGossiper(GossiperConfig{Peers: []string{"b"}, Dial: dial}); err == nil {
+	c := newGossipCluster(t, 2, 0)
+	if _, err := c.nodes[0].svc.StartGossiper(GossiperConfig{Peers: []string{"node-1"}, Dial: dial}); err == nil {
 		t.Fatal("second gossiper must be refused")
 	}
 }

@@ -196,10 +196,10 @@ type Stats struct {
 	// DeltasServed counts sync-offer requests answered for peers.
 	Ingested     uint64 `json:"ingested"`
 	DeltasServed uint64 `json:"deltasServed"`
-	// SyncRounds counts completed anti-entropy passes over the peer list
-	// (recorded by the sync loop via NoteSyncRound; zero on an authority
-	// that runs without peers). A stalled counter under a configured
-	// -peers loop means the loop itself is stuck, not just the peers.
+	// SyncRounds counts completed replication rounds (recorded by the
+	// Gossiper via NoteSyncRound; zero on an authority that runs without
+	// peers). A stalled counter under a configured -peers loop means the
+	// loop itself is stuck, not just the peers.
 	SyncRounds uint64 `json:"syncRounds,omitempty"`
 	// IngestRefutations counts records refused at ingest because their
 	// verdict contradicted one this authority verified locally; Audits
@@ -264,31 +264,33 @@ type Stats struct {
 	// standing and refutation count. Nil when none of Config.Key,
 	// Config.PeerKeys and Config.Trust is set.
 	Federation *FederationStats `json:"federation,omitempty"`
-	// SyncPeers reports the resilient sync loop's per-peer view — breaker
-	// state, consecutive failures, remaining backoff — when a Syncer is
+	// Gossip reports the replication loop — rounds, exchanges, in-sync
+	// probes, records and bytes moved, the pending rumor board and the
+	// per-peer view (breaker state, consecutive failures, remaining
+	// backoff, attempt/failure/skip counters) — when a Gossiper is
 	// attached; nil otherwise.
-	SyncPeers []SyncPeerStats `json:"syncPeers,omitempty"`
-	// Gossip reports the epidemic push-pull loop — rounds, exchanges,
-	// in-sync probes, records and bytes moved, the pending rumor board
-	// and per-peer exchange history — when a Gossiper is attached; nil
-	// otherwise.
 	Gossip *gossip.Stats `json:"gossip,omitempty"`
 }
 
 // snapshot assembles a Stats value from the live counters. Counters are
 // read individually without a global lock, so a snapshot taken mid-traffic
 // may be off by the few requests that completed between reads — the usual
-// monitoring trade-off, and the price of a lock-free hot path.
+// monitoring trade-off, and the price of a lock-free hot path. One
+// relation does hold in every snapshot: a request counts into Requests
+// before it counts as a hit or a miss, and Requests is read after both,
+// so CacheHits+CacheMisses never exceeds Requests (the shortfall is the
+// requests still before their cache lookup).
 func (m *metrics) snapshot(shardLens []int, shardCount, workers int) Stats {
 	cacheEntries := 0
 	for _, n := range shardLens {
 		cacheEntries += n
 	}
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	s := Stats{
 		Requests:          m.requests.Load(),
 		Batches:           m.batches.Load(),
-		CacheHits:         m.cacheHits.Load(),
-		CacheMisses:       m.cacheMisses.Load(),
+		CacheHits:         hits,
+		CacheMisses:       misses,
 		Deduplicated:      m.deduplicated.Load(),
 		Ingested:          m.ingested.Load(),
 		DeltasServed:      m.deltasServed.Load(),

@@ -136,8 +136,8 @@ type Config struct {
 	AuditRate float64
 	// Seed seeds the service's internal randomness — today the audit
 	// sampler. Zero draws from the clock; setting it makes a run's
-	// sampling decisions reproducible (the sync and gossip loops take
-	// their own seeds in SyncerConfig / GossiperConfig).
+	// sampling decisions reproducible (the replication loop takes its
+	// own seed in GossiperConfig).
 	Seed int64
 	// Admission configures the two-tier admission controller: interactive
 	// requests (Verify/VerifyAnnouncement) and batch requests
@@ -190,10 +190,8 @@ type Service struct {
 	rngMu     sync.Mutex
 	rng       *rand.Rand
 
-	// syncer, when set, is the resilient pull loop whose per-peer state
-	// Stats() reports alongside the federation counters; gossiper, when
-	// set, is the epidemic push-pull loop reported as Stats().Gossip.
-	syncer   atomic.Pointer[Syncer]
+	// gossiper, when set, is the replication loop reported as
+	// Stats().Gossip.
 	gossiper atomic.Pointer[Gossiper]
 
 	// store, when non-nil, is the durable verdict log. Fresh verdicts
@@ -450,9 +448,6 @@ func (s *Service) Stats() Stats {
 	}
 	if s.admission != nil {
 		st.Admission = s.admission.snapshot()
-	}
-	if y := s.syncer.Load(); y != nil {
-		st.SyncPeers = y.Snapshot()
 	}
 	if g := s.gossiper.Load(); g != nil {
 		gs := g.Stats()

@@ -110,9 +110,13 @@ func TestSoakStreamsWithTieredAdmission(t *testing.T) {
 				return
 			default:
 			}
+			// Mid-traffic the only exact relation is the one snapshot
+			// guarantees — hits+misses never ahead of requests, no slack;
+			// the shortfall is requests not yet at their cache lookup, and
+			// equality is asserted once the soak has drained, below.
 			st := s.Stats()
-			if st.CacheHits+st.CacheMisses != st.Requests {
-				t.Errorf("mid-soak: hits(%d)+misses(%d) != requests(%d)",
+			if st.CacheHits+st.CacheMisses > st.Requests {
+				t.Errorf("mid-soak: hits(%d)+misses(%d) > requests(%d)",
 					st.CacheHits, st.CacheMisses, st.Requests)
 				return
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rationality/internal/gossip"
 	"rationality/internal/identity"
 	"rationality/internal/store"
 	"rationality/internal/transport"
@@ -85,12 +86,11 @@ func (s *Service) ServeSyncOffer(offer SyncOfferRequest) (SyncDeltaResponse, err
 	return resp, nil
 }
 
-// NoteSyncRound records one completed anti-entropy pass over the peer
-// list in Stats().SyncRounds. The sync loop lives outside the service
-// (cmd/authority's -peers ticker, or an embedder's own cadence), so only
-// it knows where a "round" ends; calling this after each full pass makes
-// the loop's liveness observable next to the per-delta counters the
-// service records itself.
+// NoteSyncRound records one completed replication pass in
+// Stats().SyncRounds. The Gossiper calls it after every round; a caller
+// that drives PullFrom on its own cadence calls it where its pass ends,
+// so the loop's liveness is observable next to the per-delta counters
+// the service records itself.
 func (s *Service) NoteSyncRound() { s.metrics.syncRounds.Add(1) }
 
 // Provenance summarizes the durable log by vouching authority: how many
@@ -291,30 +291,50 @@ func (s *Service) Ingest(recs []store.Record) (int, error) {
 // sends this service's verdict-log manifest as a sync-offer, receives
 // the signed delta, and hands it to the federation gate (IngestDelta).
 // It returns how many records were applied and the delta's signer — the
-// identity the trust policy tracks, which is how a sync loop learns whom
-// an address speaks for (and stops dialing it once that identity is
-// quarantined). A quarantine refusal surfaces as ErrPeerQuarantined with
-// the signer still reported.
+// identity the trust policy tracks, which is how the replication loop
+// learns whom an address speaks for (and stops dialing it once that
+// identity is quarantined). The signer is reported only once the gate has
+// verified its signature: on success, and on a quarantine refusal
+// (ErrPeerQuarantined); any other failure reports none.
 func (s *Service) PullFrom(ctx context.Context, peer transport.Client) (int, identity.PartyID, error) {
+	res, err := s.pullExchange(ctx, peer, gossip.Request{})
+	return res.Received, res.Signer, err
+}
+
+// pullExchange is PullFrom as the replication loop's ExchangeFunc, used
+// when every round reaches every peer (the partner's own loop pulls the
+// other direction): the same exchange, reported with the payload bytes it
+// moved. Rumors and the backstop flag do not apply — a pull always
+// offers the whole manifest.
+func (s *Service) pullExchange(ctx context.Context, peer transport.Client, _ gossip.Request) (gossip.Result, error) {
+	var res gossip.Result
 	offer, err := s.SyncOffer()
 	if err != nil {
-		return 0, "", err
+		return res, err
 	}
 	req, err := transport.NewMessage(MsgSyncOffer, offer)
 	if err != nil {
-		return 0, "", err
+		return res, err
 	}
+	res.BytesSent = uint64(len(req.Payload))
 	resp, err := peer.Call(ctx, req)
 	if err != nil {
-		return 0, "", fmt.Errorf("service: sync-offer exchange: %w", err)
+		return res, fmt.Errorf("service: sync-offer exchange: %w", err)
 	}
 	if resp.Type != MsgSyncDelta {
-		return 0, "", fmt.Errorf("service: peer answered sync-offer with %q, want %q", resp.Type, MsgSyncDelta)
+		return res, fmt.Errorf("service: peer answered sync-offer with %q, want %q", resp.Type, MsgSyncDelta)
 	}
 	var delta SyncDeltaResponse
 	if err := resp.Decode(&delta); err != nil {
-		return 0, "", err
+		return res, err
 	}
-	n, err := s.IngestDelta(offer, delta)
-	return n, delta.Signer, err
+	res.BytesReceived = uint64(len(resp.Payload))
+	res.Received, err = s.IngestDelta(offer, delta)
+	if err == nil || errors.Is(err, ErrPeerQuarantined) {
+		// Only now is the identity proven: the gate checks the signature
+		// before it applies anything and before the quarantine refusal. A
+		// delta refused for any other reason names nobody.
+		res.Signer = delta.Signer
+	}
+	return res, err
 }

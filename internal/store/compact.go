@@ -35,26 +35,14 @@ func (s *Store) compact() {
 	if s.flushErr != nil {
 		return
 	}
-	// Everything the replay reads back must be on its way to disk first.
-	s.syncTail()
-	if s.flushErr != nil {
-		return
-	}
-	live := make(map[identity.Hash]*Record, len(s.index))
-	absorb := func(r *Record) {
-		if cur, ok := s.index[r.Key]; !ok || r.Stamp != cur.stamp {
-			return // superseded or unknown: garbage
-		}
-		cp := *r
-		live[r.Key] = &cp
-	}
-	if err := replayFile(filepath.Join(s.dir, snapshotName), absorb, nil); err != nil {
+	recs, err := s.liveRecords(nil)
+	if err != nil {
 		s.flushErr = err
 		return
 	}
-	if err := replayFile(filepath.Join(s.dir, tailName), absorb, nil); err != nil {
-		s.flushErr = err
-		return
+	live := make(map[identity.Hash]*Record, len(recs))
+	for i := range recs {
+		live[recs[i].Key] = &recs[i]
 	}
 	cold, hot := s.partitionRetained(live)
 	retired := s.retireOldest(live, cold, hot)

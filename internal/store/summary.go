@@ -3,8 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"path/filepath"
-	"sort"
 
 	"rationality/internal/identity"
 )
@@ -64,33 +62,9 @@ func (s *Store) Records(keys []identity.Hash) ([]Record, error) {
 				need[k] = true
 			}
 		}
-		if len(need) == 0 {
-			return
+		if len(need) > 0 {
+			out, scanErr = s.liveRecords(need)
 		}
-		s.syncTail()
-		if s.flushErr != nil {
-			scanErr = s.flushErr
-			return
-		}
-		found := make(map[identity.Hash]Record, len(need))
-		absorb := func(r *Record) {
-			if need[r.Key] && r.Stamp == s.index[r.Key].stamp {
-				found[r.Key] = *r // the live copy, not a superseded one
-			}
-		}
-		if err := replayFile(filepath.Join(s.dir, snapshotName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		if err := replayFile(filepath.Join(s.dir, tailName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		out = make([]Record, 0, len(found))
-		for _, r := range found {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
 	})
 	if err != nil {
 		return nil, err

@@ -89,38 +89,55 @@ func (s *Store) Delta(have map[identity.Hash]RecordInfo) ([]Record, error) {
 				need[key] = true
 			}
 		}
-		if len(need) == 0 {
-			return
+		if len(need) > 0 {
+			out, scanErr = s.liveRecords(need)
 		}
-		s.syncTail()
-		if s.flushErr != nil {
-			scanErr = s.flushErr
-			return
-		}
-		found := make(map[identity.Hash]Record, len(need))
-		absorb := func(r *Record) {
-			if need[r.Key] && r.Stamp == s.index[r.Key].stamp {
-				found[r.Key] = *r // the live copy, not a superseded one
-			}
-		}
-		if err := replayFile(filepath.Join(s.dir, snapshotName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		if err := replayFile(filepath.Join(s.dir, tailName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		out = make([]Record, 0, len(found))
-		for _, r := range found {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, scanErr
+}
+
+// liveRecords reads the live copies of the wanted keys (nil: every live
+// key) back off the segment files, oldest stamp first — the index holds
+// only stamps and sums, so the verdict bodies cost one scan of snapshot +
+// tail, keeping the copy whose stamp is the index entry's and skipping
+// superseded ones. The tail is synced first, so nothing the scan returns
+// is a record a local crash could still lose. Runs on the flusher
+// goroutine.
+func (s *Store) liveRecords(want map[identity.Hash]bool) ([]Record, error) {
+	s.syncTail()
+	if s.flushErr != nil {
+		return nil, s.flushErr
+	}
+	n := len(want)
+	if want == nil {
+		n = len(s.index)
+	}
+	out := make([]Record, 0, n)
+	at := make(map[identity.Hash]int, n) // key -> position in out
+	absorb := func(r *Record) {
+		if want != nil && !want[r.Key] {
+			return // the common case on a small delta: one small-map miss
+		}
+		if cur, ok := s.index[r.Key]; !ok || r.Stamp != cur.stamp {
+			return // superseded or unknown: garbage
+		}
+		if i, dup := at[r.Key]; dup {
+			out[i] = *r // the tail's equal-stamp duplicate of a snapshot record
+			return
+		}
+		at[r.Key] = len(out)
+		out = append(out, *r)
+	}
+	for _, name := range []string{snapshotName, tailName} {
+		if err := replayFile(filepath.Join(s.dir, name), absorb, nil); err != nil {
+			return nil, err
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+	return out, nil
 }
 
 // Refutation is ingest-time evidence of a lying voucher: an incoming

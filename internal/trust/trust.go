@@ -198,29 +198,6 @@ func (p *Policy) Charge(peer, evidence string) {
 	p.fire(tr)
 }
 
-// ChargeUnresponsive records a timeout against the peer: a bounded,
-// half-weight charge (see reputation.ReportUnresponsive) followed by the
-// same threshold check as Charge. Silence alone can quarantine a peer
-// only in combination with real refutations — the unresponsive floor of
-// 0.2 sits below DefaultThreshold, so a peer that ONLY ever times out
-// does eventually get benched, which is what a sync loop wants from a
-// peer that never answers.
-func (p *Policy) ChargeUnresponsive(peer, evidence string) {
-	p.cfg.Registry.ReportUnresponsive(peer, evidence)
-	rep := p.cfg.Registry.Reputation(peer)
-
-	p.mu.Lock()
-	ps := p.peer(peer)
-	var tr *transition
-	if (ps.State == Active || ps.State == Probation) && rep < p.cfg.Threshold {
-		tr = p.move(peer, ps, Quarantined,
-			fmt.Sprintf("reputation %.3f fell below threshold %.3f: %s", rep, p.cfg.Threshold, evidence))
-	}
-	p.persistLocked()
-	p.mu.Unlock()
-	p.fire(tr)
-}
-
 // Credit records a clean observation of the peer — an ingested delta
 // whose audited records all re-verified, an agreeing quorum vote — and
 // readmits a probationary peer whose reputation has recovered past the

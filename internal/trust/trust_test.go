@@ -116,30 +116,6 @@ func TestProbationAndReadmission(t *testing.T) {
 	}
 }
 
-// Unresponsive charges are bounded: alone they can pull an otherwise
-// clean peer to the 0.2 floor — below the 0.25 threshold — but no
-// further, and the quarantine fires exactly at the crossing.
-func TestChargeUnresponsive(t *testing.T) {
-	clk := newTestClock()
-	p := newTestPolicy(t, "", clk, nil)
-
-	charges := 0
-	for p.State("slow") == Active && charges < 3*reputation.UnresponsiveCap {
-		p.ChargeUnresponsive("slow", "timed out")
-		charges++
-	}
-	if got := p.State("slow"); got != Quarantined {
-		t.Fatalf("pure unresponsiveness never quarantined (floor %f, threshold 0.25): state=%s",
-			p.Status("slow").Reputation, got)
-	}
-	if charges > reputation.UnresponsiveCap {
-		t.Errorf("took %d timeouts to quarantine, cap is %d", charges, reputation.UnresponsiveCap)
-	}
-	if st := p.Status("slow"); st.Refutations != 0 {
-		t.Errorf("timeouts must not count as refutations: %+v", st)
-	}
-}
-
 // Standing survives restart through the state file; reputation does not,
 // and that is the documented contract.
 func TestPersistenceAcrossRestart(t *testing.T) {

@@ -453,16 +453,6 @@ type (
 	// TrustStatus is one peer's standing joined with its live reputation,
 	// as reported by TrustPolicy.Snapshot.
 	TrustStatus = trust.Status
-	// Syncer is the resilient anti-entropy pull loop: jittered cadence,
-	// per-peer exponential backoff, a circuit breaker for dead peers, and
-	// quarantine-aware skipping. Build with VerificationService.StartSyncer.
-	Syncer = service.Syncer
-	// SyncerConfig configures StartSyncer: peers, cadence, timeout,
-	// backoff cap, breaker threshold and jitter fraction.
-	SyncerConfig = service.SyncerConfig
-	// SyncPeerStats is one peer's sync-loop state (breaker state, backoff,
-	// attempt/failure/skip counters), reported in ServiceStats.SyncPeers.
-	SyncPeerStats = service.SyncPeerStats
 	// ProvenanceResponse is the "provenance" wire reply: whose word the
 	// authority is serving, one ProvenancePeer per vouching party.
 	ProvenanceResponse = service.ProvenanceResponse
@@ -481,10 +471,11 @@ type (
 
 // Peer standings of the trust policy's state machine.
 const (
-	// TrustActive: deltas are ingested and the sync loop dials the peer.
+	// TrustActive: deltas are ingested and the replication loop dials the
+	// peer.
 	TrustActive = trust.Active
-	// TrustQuarantined: deltas are counted but refused; the sync loop
-	// skips the peer until probation opens.
+	// TrustQuarantined: deltas are counted but refused; the replication
+	// loop skips the peer until probation opens.
 	TrustQuarantined = trust.Quarantined
 	// TrustProbation: ingestion has resumed on trial — clean exchanges
 	// readmit the peer, one new charge re-quarantines it.
@@ -511,27 +502,32 @@ func NewTrustPolicy(cfg TrustConfig) (*TrustPolicy, error) { return trust.New(cf
 // ChaosConfig it is a transparent pass-through.
 func Chaos(inner Client, cfg ChaosConfig) *ChaosClient { return transport.Chaos(inner, cfg) }
 
-// Epidemic gossip (see internal/gossip and the service layer's Gossiper):
-// the federation-scale replacement for the all-pairs sync loop. Each round
-// an authority exchanges store fingerprints, rumor records and signed
-// deltas with a small random fan-out of peers, so an update reaches every
-// authority in O(log n) rounds while a converged federation idles on cheap
-// fingerprint probes. Every record still enters through the signed
+// Replication (see internal/gossip and the service layer's Gossiper): the
+// one round loop every federated authority runs — jittered cadence,
+// per-peer exponential backoff, a circuit breaker for dead peers, and
+// quarantine-aware partner selection. When the fanout covers every peer
+// each exchange is a plain signed pull; with more peers than fanout it is
+// epidemic push-pull — store fingerprints, rumor records and signed
+// deltas with a small random fan-out, so an update reaches every
+// authority in O(log n) rounds while a converged federation idles on
+// cheap fingerprint probes. Every record still enters through the signed
 // federation gate — allowlist, signatures, quarantine, auditing.
 type (
-	// Gossiper is a service's epidemic push-pull gossip loop. Build with
+	// Gossiper is a service's replication loop. Build with
 	// VerificationService.StartGossiper; step manually with Round when
 	// GossiperConfig.Interval is zero.
 	Gossiper = service.Gossiper
 	// GossiperConfig configures StartGossiper: peers, fanout, round
-	// cadence, rumor TTL, anti-entropy backstop cadence, seed and dialer.
+	// cadence, backoff cap, breaker threshold, rumor TTL, anti-entropy
+	// backstop cadence, seed and dialer.
 	GossiperConfig = service.GossiperConfig
 	// GossipStats is the gossip section of ServiceStats: round, exchange
 	// and in-sync counters, records and bytes by direction, the rumor
 	// board population, the resolved seed and the per-peer view.
 	GossipStats = gossip.Stats
-	// GossipPeerStats is one gossip partner's history: exchanges,
-	// failures, records moved and quarantine-skip count.
+	// GossipPeerStats is one partner's replication state: breaker state,
+	// consecutive failures, remaining backoff, attempts, failures, records
+	// moved and skip counts by reason.
 	GossipPeerStats = gossip.PeerStats
 	// GossipRequest opens a push-pull exchange on the wire: the
 	// initiator's store fingerprint plus optional rumor records.
@@ -595,17 +591,6 @@ func ParsePartyID(s string) (PartyID, error) { return identity.ParsePartyID(s) }
 // NewQuorumClient validates the panel and builds a quorum client. Member
 // clients are borrowed, not owned: closing them stays with the caller.
 func NewQuorumClient(cfg QuorumConfig) (*QuorumClient, error) { return quorum.New(cfg) }
-
-// QuorumPull performs one anti-entropy round: the local service offers
-// its verdict-log manifest to the peer, verifies the returned signed
-// delta through its federation gate (allowlist + Ed25519 signature, when
-// configured), and ingests the surviving records (newest stamp per key
-// wins) with the signer's identity as provenance, returning how many were
-// applied. Both sides need a durable verdict store
-// (ServiceConfig.PersistPath).
-func QuorumPull(ctx context.Context, svc *VerificationService, peer Client) (int, error) {
-	return quorum.Pull(ctx, svc, peer)
-}
 
 // ErrServiceClosed is returned for requests submitted after a
 // VerificationService has been closed.
