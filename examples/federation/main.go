@@ -127,13 +127,20 @@ func run() error {
 	}
 
 	// A rogue authority with a key nobody allowlisted serves a delta;
-	// beta rejects it before ingest and counts the attempt.
+	// beta rejects it before ingest and counts the attempt. The rogue
+	// must hold something beta lacks — a peer whose log fingerprints
+	// match is in sync, and an exchange with it ends before any delta.
 	rogue, _, err := newAuthority("rogue", filepath.Join(base, "rogue"))
 	if err != nil {
 		return err
 	}
 	defer rogue.Close()
-	if _, err := rogue.VerifyAnnouncement(context.Background(), ann); err != nil {
+	g.SetPayoffs(rationality.Profile{1, 1}, rationality.I(2), rationality.I(2))
+	rogueAnn, err := rationality.AnnounceEnumeration("acme-games", g, rationality.MaxNash)
+	if err != nil {
+		return err
+	}
+	if _, err := rogue.VerifyAnnouncement(context.Background(), rogueAnn); err != nil {
 		return err
 	}
 	if _, _, err := beta.PullFrom(context.Background(), rationality.DialInProc(rogue)); err != nil {

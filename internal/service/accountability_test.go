@@ -366,7 +366,14 @@ func TestForgedQuarantinedSignerClaimIsAPeerFailure(t *testing.T) {
 		ID: "a", PersistPath: dir, Key: keyA,
 		PeerKeys: []identity.PartyID{keyZ.ID()}, Trust: pol,
 	})
-	forger := transport.HandlerFunc(func(context.Context, transport.Message) (transport.Message, error) {
+	forger := transport.HandlerFunc(func(_ context.Context, req transport.Message) (transport.Message, error) {
+		if req.Type == MsgGossip {
+			// The probe's answer is unsigned: claim the same identity there
+			// and send the exchange on to the forged delta.
+			return transport.NewMessage(MsgGossipSummary, GossipSummaryResponse{
+				VerifierID: "forger", Signer: keyZ.ID(), Differ: []byte{0xff},
+			})
+		}
 		return transport.NewMessage(MsgSyncDelta, SyncDeltaResponse{
 			VerifierID: "forger", Signer: keyZ.ID(), Signature: make([]byte, 64),
 		})

@@ -1,0 +1,81 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"rationality/internal/gossip"
+	"rationality/internal/identity"
+	"rationality/internal/transport"
+)
+
+// BenchmarkPullExchange is one whole anti-entropy exchange between two
+// keyed in-process services — fingerprints, scoped offer, signed delta,
+// federation gate, ingest — starting from 4096 live records on both sides:
+// with 64 new records at the responder per exchange, with none, and as the
+// backstop round that trades complete manifests whatever the fingerprints
+// say (in-sync, so the manifest is all it moves).
+func BenchmarkPullExchange(b *testing.B) {
+	const live, news = 4096, 64
+	key := testKeyPair(b)
+	// The cache bounds the log's live set: leave room for every record.
+	src := newTestService(b, Config{ID: "src", PersistPath: b.TempDir(), CacheSize: 1 << 16, Key: key})
+	dst := newTestService(b, Config{ID: "dst", PersistPath: b.TempDir(), CacheSize: 1 << 16, PeerKeys: []identity.PartyID{key.ID()}})
+	for _, s := range []*Service{src, dst} {
+		s.Register(&countingProc{format: "counting/v1", accept: true})
+	}
+	ctx := context.Background()
+	peer := transport.DialInProc(src)
+	verified := 0
+	grow := func(n int) {
+		b.Helper()
+		for i := 0; i < n; i++ {
+			verified++
+			if _, err := src.VerifyAnnouncement(ctx, announcementFor("inv", fmt.Sprintf(`{"bench":%d}`, verified))); err != nil {
+				b.Fatal(err)
+			}
+			// Appends are asynchronous and dropped when the queue is full:
+			// stay well inside it.
+			for src.Stats().Persistence.Persisted+512 < uint64(verified) {
+				runtime.Gosched()
+			}
+		}
+		// An exchange reads what reached the log.
+		for src.Stats().Persistence.Persisted < uint64(verified) {
+			runtime.Gosched()
+		}
+	}
+	exchange := func(full bool, want int) {
+		b.Helper()
+		res, err := dst.pullExchange(ctx, peer, gossip.Request{Full: full})
+		if err != nil || res.Received != want || res.InSync != (want == 0 && !full) {
+			b.Fatalf("exchange: %+v, %v; want %d records", res, err, want)
+		}
+	}
+	grow(live)
+	exchange(false, live)
+
+	b.Run("64-of-4096", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			grow(news)
+			b.StartTimer()
+			exchange(false, news)
+		}
+	})
+	b.Run("in-sync", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			exchange(false, 0)
+		}
+	})
+	b.Run("in-sync/complete-manifest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			exchange(true, 0)
+		}
+	})
+}

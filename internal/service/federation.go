@@ -191,24 +191,32 @@ func (f *federation) snapshot() *FederationStats {
 }
 
 // offerDigest is the canonical content address of a sync-offer: the
-// requester's ID plus every manifest entry (key, stamp, sum) in key
-// order. The responder computes it over the offer as received and signs
-// it into the delta; the requester computes it over the offer it sent and
-// verifies — so a delta is cryptographically bound to exactly one offer,
+// requester's ID, every manifest entry (key, stamp, sum, certified bit) in
+// key order, and the scope bitmap the offer speaks for. The responder
+// computes it over the offer as received and signs it into the delta; the
+// requester computes it over the offer it sent and verifies — so a delta
+// is cryptographically bound to exactly one offer over exactly one scope,
 // and capturing a signed delta buys a forger nothing against any other
-// exchange. Sorting makes the digest independent of manifest order, which
-// a JSON round trip preserves anyway but nothing should have to rely on.
+// exchange (a delta served for three buckets cannot be replayed as the
+// answer to a complete manifest). Sorting makes the digest independent of
+// manifest order, which a JSON round trip preserves anyway but nothing
+// should have to rely on.
 func offerDigest(offer *SyncOfferRequest) identity.Hash {
 	entries := make([]SyncEntry, len(offer.Have))
 	copy(entries, offer.Have)
 	sort.Slice(entries, func(i, j int) bool {
 		return string(entries[i].Key) < string(entries[j].Key)
 	})
-	buf := make([]byte, 0, len(entries)*(32+8+4))
+	buf := make([]byte, 0, len(entries)*(32+8+4+1))
 	for _, e := range entries {
 		buf = append(buf, e.Key...)
 		buf = binary.BigEndian.AppendUint64(buf, e.Stamp)
 		buf = binary.BigEndian.AppendUint32(buf, e.Sum)
+		if e.Cert {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
 	}
-	return identity.DigestBytes([]byte("rationality/sync-offer/v2"), []byte(offer.VerifierID), buf)
+	return identity.DigestBytes([]byte("rationality/sync-offer/v3"), []byte(offer.VerifierID), buf, offer.Scope)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // testKeyPair generates a fresh signing identity or fails the test.
-func testKeyPair(t *testing.T) *identity.KeyPair {
+func testKeyPair(t testing.TB) *identity.KeyPair {
 	t.Helper()
 	k, err := identity.NewKeyPair()
 	if err != nil {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rationality/internal/transport"
@@ -12,7 +14,10 @@ import (
 // payload the streaming exchange carries (BatchVerifyRequest in,
 // StreamVerdict / StreamTrailer / BatchVerifyResponse out). Every decoded
 // value must re-marshal — a server must never be able to produce, nor a
-// client be wedged by, a frame the codec cannot round-trip.
+// client be wedged by, a frame the codec cannot round-trip. Replication
+// messages go one step further, into the handler of a store-backed
+// service: whatever a peer puts in a fingerprint set, a scope bitmap or a
+// manifest, the answer is a reply or an error, never a panic.
 func FuzzStreamWireJSON(f *testing.F) {
 	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"inventorId":"a","format":"f/v1","game":{},"advice":{}}]}}`))
 	f.Add([]byte(`{"type":"stream-verdict","payload":{"index":3,"verdict":{"accepted":true,"format":"f/v1"}}}`))
@@ -22,6 +27,14 @@ func FuzzStreamWireJSON(f *testing.F) {
 	f.Add([]byte(`{"type":"batch-verdicts","payload":{"partial":true,"done":1,"total":2,"error":"context canceled"}}`))
 	f.Add([]byte(`{"payload":{"index":-1}}`))
 	f.Add([]byte{0x00})
+	// Malformed scoped offers: a 3-byte bitmap (24 buckets is no width), a
+	// key outside the one bucket in scope, 12 fingerprints, 9 bytes of them.
+	f.Add([]byte(`{"type":"sync-offer","payload":{"verifierId":"p","have":[],"scope":"AAAA"}}`))
+	f.Add([]byte(`{"type":"gossip-pull","payload":{"verifierId":"p","have":[{"key":"/////////////////////////////////////////w==","stamp":1,"sum":2}],"scope":"AQ=="}}`))
+	f.Add([]byte(`{"type":"gossip","payload":{"verifierId":"p","buckets":"` + strings.Repeat("A", 128) + `"}}`))
+	f.Add([]byte(`{"type":"gossip","payload":{"verifierId":"p","buckets":"AAAAAAAAAAAA"}}`))
+	f.Add([]byte(`{"type":"gossip-push","payload":{"offer":{"have":null,"scope":"/w=="},"delta":{"count":1,"records":"UlZMUwQ="}}}`))
+	svc := newTestService(f, Config{ID: "fuzzed", PersistPath: f.TempDir()})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m transport.Message
 		if err := json.Unmarshal(data, &m); err != nil {
@@ -29,6 +42,14 @@ func FuzzStreamWireJSON(f *testing.F) {
 		}
 		if len(m.Payload) == 0 {
 			return
+		}
+		switch m.Type {
+		case MsgSyncOffer, MsgGossip, MsgGossipPull, MsgGossipPush:
+			if resp, err := svc.Handle(context.Background(), m); err == nil {
+				if _, err := json.Marshal(resp); err != nil {
+					t.Fatalf("handler reply to %q does not marshal: %v", m.Type, err)
+				}
+			}
 		}
 		reencode := func(v any) {
 			if _, err := json.Marshal(v); err != nil {

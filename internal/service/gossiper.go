@@ -14,17 +14,24 @@ import (
 
 // Replication: one round loop (the gossip engine) paces every federated
 // authority, and the service supplies the exchange it runs per partner.
-// Which exchange follows from the resolved configuration, not a switch:
+// Both exchanges open the same way — a "gossip" message carrying this
+// log's per-bucket fingerprints (store.Fingerprints), answered with the
+// buckets on which the two logs disagree — and a converged pair stops
+// there. What follows a disagreement is scoped to those buckets, and
+// which exchange runs follows from the resolved configuration, not a
+// switch:
 //
 //   - fanout ≥ peers: every pair already meets every round, so the
-//     exchange is the plain pull (PullFrom: "sync-offer" → signed
-//     "sync-delta") — one manifest scan per side per exchange.
-//   - fanout < peers: epidemic push-pull. Each exchange opens with a
-//     fixed-size store fingerprint (store.Summary) and any hot "rumor"
-//     records, and only when fingerprints disagree does the pair trade
+//     exchange is the plain pull (PullFrom: scoped "sync-offer" → signed
+//     "sync-delta"); the partner's own loop pulls the other direction.
+//   - fanout < peers: epidemic push-pull. The opener also carries any hot
+//     "rumor" records, and on disagreement the pair trades scoped
 //     manifests and signed deltas both directions. An update reaches
 //     every authority in O(log n) rounds while a converged federation
 //     idles on fingerprint probes.
+//
+// Every Nth round (the engine's anti-entropy backstop) reconciles over
+// complete manifests instead, whatever the fingerprints say.
 //
 // Every record that moves — pull delta, rumor push, push delta — enters
 // the receiving authority through IngestDelta, the signed federation
@@ -34,15 +41,17 @@ import (
 
 // Gossip wire message types.
 const (
-	// MsgGossip opens an exchange: payload GossipRequest (the initiator's
-	// store fingerprint plus optional rumor records); reply
-	// "gossip-summary" with GossipSummaryResponse.
+	// MsgGossip opens an exchange, pull or push-pull: payload GossipRequest
+	// (the initiator's bucket fingerprints plus optional rumor records);
+	// reply "gossip-summary" with GossipSummaryResponse naming the buckets
+	// that differ.
 	MsgGossip = "gossip"
 	// MsgGossipSummary answers MsgGossip and MsgGossipPush.
 	MsgGossipSummary = "gossip-summary"
 	// MsgGossipPull asks for reconciliation: payload SyncOfferRequest (the
-	// initiator's manifest); reply "gossip-exchange" with the records the
-	// initiator is missing plus the responder's own manifest.
+	// initiator's manifest over the differing buckets); reply
+	// "gossip-exchange" with the records the initiator is missing plus the
+	// responder's own manifest over the same scope.
 	MsgGossipPull = "gossip-pull"
 	// MsgGossipExchange is the reply type to a gossip-pull.
 	MsgGossipExchange = "gossip-exchange"
@@ -52,16 +61,13 @@ const (
 	MsgGossipPush = "gossip-push"
 )
 
-// GossipRequest opens a push-pull exchange: the initiator's fingerprint,
-// whether it wants a full reconciliation regardless of agreement (the
-// anti-entropy backstop), and any rumor records it is eagerly spreading.
+// GossipRequest opens an exchange: the initiator's bucket fingerprints
+// and any rumor records it is eagerly spreading.
 type GossipRequest struct {
 	VerifierID string `json:"verifierId"`
-	// Count and Digest are the initiator's store.Summary fingerprint.
-	Count  int    `json:"count"`
-	Digest uint64 `json:"digest"`
-	// Full forces manifest reconciliation even when fingerprints agree.
-	Full bool `json:"full,omitempty"`
+	// Buckets is the initiator's store.Fingerprints: eight bytes per
+	// bucket, a power-of-two count the initiator chose from its live count.
+	Buckets []byte `json:"buckets"`
 	// Rumors, when non-nil, carries hot records as a signed delta bound to
 	// the empty offer (rumor pushes are unsolicited: there is no real offer
 	// to bind to, and ingestion stays safe because the receiving gate
@@ -69,23 +75,26 @@ type GossipRequest struct {
 	Rumors *SyncDeltaResponse `json:"rumors,omitempty"`
 }
 
-// GossipSummaryResponse reports a responder's own fingerprint after it
-// absorbed whatever the triggering message carried.
+// GossipSummaryResponse reports where a responder's log stands against
+// the initiator's after it absorbed whatever the triggering message
+// carried.
 type GossipSummaryResponse struct {
 	VerifierID string `json:"verifierId"`
 	// Signer is the responder's claimed signing identity. It is advisory
 	// (summaries are unsigned); any identity that matters — quarantine
 	// skipping, provenance — is taken from verified delta signatures.
 	Signer identity.PartyID `json:"signer,omitempty"`
-	Count  int              `json:"count"`
-	Digest uint64           `json:"digest"`
+	// Differ answers a gossip open: the store.Scope bitmap, one bit per
+	// bucket the initiator sent, of the buckets whose fingerprints
+	// disagree. Empty means the two logs hold the same content.
+	Differ []byte `json:"differ,omitempty"`
 	// Applied is how many carried records the responder's gate accepted.
 	Applied int `json:"applied,omitempty"`
 }
 
 // GossipExchangeResponse answers a gossip-pull: the signed delta for the
-// initiator's manifest, plus the responder's own manifest so the
-// initiator can push back what the responder is missing.
+// initiator's manifest, plus the responder's own manifest over the same
+// scope so the initiator can push back what the responder is missing.
 type GossipExchangeResponse struct {
 	VerifierID string            `json:"verifierId"`
 	Delta      SyncDeltaResponse `json:"delta"`
@@ -254,18 +263,14 @@ func (s *Service) noteRumor(key identity.Hash) {
 // empty offer. Keys whose records were superseded or evicted since they
 // went hot are skipped silently.
 func (s *Service) rumorDelta(keys []identity.Hash) (*SyncDeltaResponse, error) {
-	recs, err := s.store.Records(keys)
+	framed, count, err := s.store.Records(keys)
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 0 {
+	if count == 0 {
 		return nil, nil
 	}
-	framed, err := store.EncodeRecords(recs)
-	if err != nil {
-		return nil, err
-	}
-	resp := &SyncDeltaResponse{VerifierID: s.id, Count: len(recs), Records: framed}
+	resp := &SyncDeltaResponse{VerifierID: s.id, Count: count, Records: framed}
 	if s.fed != nil && s.fed.key != nil {
 		empty := SyncOfferRequest{}
 		resp.Signer = s.fed.key.ID()
@@ -274,65 +279,80 @@ func (s *Service) rumorDelta(keys []identity.Hash) (*SyncDeltaResponse, error) {
 	return resp, nil
 }
 
-// gossipExchange is the ExchangeFunc when there are more peers than
-// fanout: one push-pull exchange with one dialed peer.
-//
-//  1. "gossip":       fingerprint + rumors    → peer's fingerprint
-//  2. "gossip-pull":  my manifest             → signed delta + peer's manifest
-//  3. "gossip-push":  delta for peer's manifest → peer's applied count
-//
-// Step 1 alone settles the common case (a converged pair trades ~100
-// bytes); steps 2–3 run only on fingerprint mismatch or a backstop
-// round. Bytes are counted over message payloads, records over what the
-// two federation gates actually accepted.
-func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
-	var res gossip.Result
+// probe opens an exchange, pull or push-pull: this log's bucket
+// fingerprints and any rumor records go out in a "gossip" message, and
+// the peer's answer names the buckets on which the two logs disagree
+// (none: they hold the same content) and how many rumors its gate took.
+// Payload bytes and accepted rumors are folded into res.
+func (s *Service) probe(ctx context.Context, peer transport.Client, rumors []identity.Hash, res *gossip.Result) (GossipSummaryResponse, error) {
+	var remote GossipSummaryResponse
 	if s.store == nil {
-		return res, ErrNoStore
+		return remote, ErrNoStore
 	}
-	sum, err := s.store.Summary()
+	buckets, err := s.store.Fingerprints()
 	if err != nil {
-		return res, err
+		return remote, err
 	}
-	greq := GossipRequest{VerifierID: s.id, Count: sum.Count, Digest: sum.Digest, Full: req.Full}
-	if len(req.Rumors) > 0 {
-		rumors, err := s.rumorDelta(req.Rumors)
-		if err != nil {
-			return res, err
+	greq := GossipRequest{VerifierID: s.id, Buckets: buckets}
+	if len(rumors) > 0 {
+		if greq.Rumors, err = s.rumorDelta(rumors); err != nil {
+			return remote, err
 		}
-		greq.Rumors = rumors
 	}
 	msg, err := transport.NewMessage(MsgGossip, greq)
 	if err != nil {
-		return res, err
+		return remote, err
 	}
 	res.BytesSent += uint64(len(msg.Payload))
 	resp, err := peer.Call(ctx, msg)
 	if err != nil {
-		return res, fmt.Errorf("service: gossip open: %w", err)
+		return remote, fmt.Errorf("service: gossip open: %w", err)
 	}
 	if resp.Type != MsgGossipSummary {
-		return res, fmt.Errorf("service: peer answered gossip with %q, want %q", resp.Type, MsgGossipSummary)
+		return remote, fmt.Errorf("service: peer answered gossip with %q, want %q", resp.Type, MsgGossipSummary)
 	}
-	var remote GossipSummaryResponse
 	if err := resp.Decode(&remote); err != nil {
-		return res, err
+		return remote, err
 	}
 	res.BytesReceived += uint64(len(resp.Payload))
 	res.Sent += remote.Applied // rumors the peer's gate accepted
-	if !req.Full && remote.Count == sum.Count && remote.Digest == sum.Digest {
-		// No delta flows, so the summary's unsigned claim is all there is;
-		// it only ever rides a successful result. A failed exchange reports
-		// a signer the gate verified or none — the engine must not mistake a
-		// peer fault for this node's own quarantine refusal on a claim.
-		res.Signer = remote.Signer
-		res.InSync = true
-		return res, nil
+	return remote, nil
+}
+
+// gossipExchange is the ExchangeFunc when there are more peers than
+// fanout: one push-pull exchange with one dialed peer.
+//
+//  1. "gossip":       bucket fingerprints + rumors → the buckets that differ
+//  2. "gossip-pull":  my manifest of those buckets → signed delta + peer's manifest
+//  3. "gossip-push":  delta for peer's manifest    → peer's applied count
+//
+// Step 1 alone settles the common case (a converged pair trades its
+// fingerprints and nothing else); steps 2–3 run only where fingerprints
+// disagree, scoped to those buckets, or over complete manifests on a
+// backstop round. Bytes are counted over message payloads, records over
+// what the two federation gates actually accepted.
+func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
+	var res gossip.Result
+	remote, err := s.probe(ctx, peer, req.Rumors, &res)
+	if err != nil {
+		return res, err
+	}
+	var scope store.Scope // nil: a backstop round reconciles everything
+	if !req.Full {
+		if scope = remote.Differ; len(scope) == 0 {
+			// No delta flows, so the summary's unsigned claim is all there is;
+			// it only ever rides a successful result. A failed exchange reports
+			// a signer the gate verified or none — the engine must not mistake a
+			// peer fault for this node's own quarantine refusal on a claim.
+			res.Signer = remote.Signer
+			res.InSync = true
+			return res, nil
+		}
 	}
 
 	// Fingerprints disagree (or a backstop round): pull what the peer has
 	// that this store lacks...
-	offer, err := s.SyncOffer()
+	offer, err := s.syncOffer(scope)
 	if err != nil {
 		return res, err
 	}
@@ -341,7 +361,7 @@ func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req
 		return res, err
 	}
 	res.BytesSent += uint64(len(pull.Payload))
-	resp, err = peer.Call(ctx, pull)
+	resp, err := peer.Call(ctx, pull)
 	if err != nil {
 		return res, fmt.Errorf("service: gossip pull: %w", err)
 	}
@@ -394,21 +414,29 @@ func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req
 	return res, nil
 }
 
-// gossipSummary answers the responder half of MsgGossip / MsgGossipPush:
-// the current fingerprint plus how many carried records were accepted.
-func (s *Service) gossipSummary(applied int) (GossipSummaryResponse, error) {
+// serveGossip answers a gossip open: any rumor records go through the
+// federation gate first, then the initiator's fingerprints are compared
+// with this log's — so a rumor that closes the gap settles the exchange
+// in-sync.
+func (s *Service) serveGossip(gr GossipRequest) (GossipSummaryResponse, error) {
 	if s.store == nil {
 		return GossipSummaryResponse{}, ErrNoStore
 	}
-	sum, err := s.store.Summary()
+	resp := GossipSummaryResponse{VerifierID: s.id, Signer: s.origin}
+	if gr.Rumors != nil {
+		// Rumor pushes are signed against the empty offer (there is no
+		// solicited one); the gate still enforces allowlist, signature
+		// and quarantine, so a refused initiator fails here loudly.
+		n, err := s.IngestDelta(SyncOfferRequest{}, *gr.Rumors)
+		if err != nil {
+			return GossipSummaryResponse{}, err
+		}
+		resp.Applied = n
+	}
+	differ, err := s.store.Differing(gr.Buckets)
 	if err != nil {
 		return GossipSummaryResponse{}, err
 	}
-	return GossipSummaryResponse{
-		VerifierID: s.id,
-		Signer:     s.origin,
-		Count:      sum.Count,
-		Digest:     sum.Digest,
-		Applied:    applied,
-	}, nil
+	resp.Differ = differ
+	return resp, nil
 }

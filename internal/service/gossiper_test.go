@@ -142,7 +142,7 @@ func verifyDistinct(t *testing.T, s *Service, prefix string, n int) {
 
 func manifestOfService(t *testing.T, s *Service) map[[32]byte]store.RecordInfo {
 	t.Helper()
-	m, err := s.store.Manifest()
+	m, err := s.store.Manifest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +243,9 @@ func TestGossipFreshVerdictTravelsAsRumor(t *testing.T) {
 }
 
 // The exchange follows from the resolved configuration: while the fanout
-// covers every peer the loop speaks plain sync-offer pulls (and marks no
-// rumors); with more peers than fanout it speaks push-pull gossip. Both
-// converge.
+// covers every peer the loop speaks fingerprint probes and plain
+// sync-offer pulls (and marks no rumors); with more peers than fanout it
+// speaks push-pull gossip. Both converge.
 func TestExchangeSelectedByFanoutVersusPeers(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -276,10 +276,16 @@ func TestExchangeSelectedByFanoutVersusPeers(t *testing.T) {
 			if len(served) == 0 {
 				t.Fatal("no listener served anything")
 			}
+			reconciled := false
 			for _, typ := range served {
-				if isGossip := strings.HasPrefix(typ, "gossip"); isGossip != tc.wantGossipWire || (!isGossip && typ != MsgSyncOffer) {
-					t.Fatalf("listener served %q (gossip wire wanted: %v); all: %v", typ, tc.wantGossipWire, served)
+				pushPull := strings.HasPrefix(typ, "gossip-")
+				if typ != MsgGossip && pushPull != tc.wantGossipWire || (!pushPull && typ != MsgGossip && typ != MsgSyncOffer) {
+					t.Fatalf("listener served %q (push-pull wire wanted: %v); all: %v", typ, tc.wantGossipWire, served)
 				}
+				reconciled = reconciled || typ != MsgGossip
+			}
+			if !reconciled {
+				t.Fatalf("nothing but probes served: %v", served)
 			}
 			for _, n := range c.nodes {
 				st := n.g.Stats()

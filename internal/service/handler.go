@@ -7,6 +7,7 @@ import (
 
 	"rationality/internal/core"
 	"rationality/internal/identity"
+	"rationality/internal/store"
 	"rationality/internal/transport"
 )
 
@@ -127,21 +128,39 @@ type ProvenanceResponse struct {
 }
 
 // SyncEntry is one manifest line in a sync-offer: a 32-byte verdict-log
-// key (identity.Hash), the newest stamp the requester holds for it, and
-// the checksum of the verdict content at that stamp (so a peer whose
-// copy differs only in stamp — compaction re-ranking — sends nothing).
+// key (identity.Hash), the newest stamp the requester holds for it, the
+// checksum of the verdict content at that stamp (so a peer whose copy
+// differs only in stamp — compaction re-ranking — sends nothing), and
+// whether the requester's copy carries a quorum certificate (a certified
+// copy is never superseded by a bare one, whatever the stamps).
 type SyncEntry struct {
 	Key   []byte `json:"key"`
 	Stamp uint64 `json:"stamp"`
 	Sum   uint32 `json:"sum"`
+	Cert  bool   `json:"cert,omitempty"`
 }
 
 // SyncOfferRequest is a verifier's "what I have" half of an anti-entropy
-// exchange: the peer answers with every live record whose key is absent
-// from — or stamped newer than — these entries.
+// exchange: the peer answers with every live record, inside the offer's
+// scope, whose key is absent from these entries or held there in a
+// version the peer's copy supersedes.
 type SyncOfferRequest struct {
 	VerifierID string      `json:"verifierId"`
 	Have       []SyncEntry `json:"have"`
+	// Scope, when present, is the store.Scope bitmap of key-space buckets
+	// this offer speaks for: Have lists the requester's records in those
+	// buckets only, and the responder's delta (and signature) covers those
+	// buckets only. Absent means the whole key space — a complete manifest.
+	Scope []byte `json:"scope,omitempty"`
+}
+
+// scope is the offer's scope as the store takes it: absent or empty is
+// the whole key space.
+func (o *SyncOfferRequest) scope() store.Scope {
+	if len(o.Scope) == 0 {
+		return nil
+	}
+	return o.Scope
 }
 
 // SyncDeltaResponse carries the records the requester was missing, framed
@@ -292,18 +311,7 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 		if err := req.Decode(&gr); err != nil {
 			return transport.Message{}, err
 		}
-		applied := 0
-		if gr.Rumors != nil {
-			// Rumor pushes are signed against the empty offer (there is no
-			// solicited one); the gate still enforces allowlist, signature
-			// and quarantine, so a refused initiator fails here loudly.
-			n, err := s.IngestDelta(SyncOfferRequest{}, *gr.Rumors)
-			if err != nil {
-				return transport.Message{}, err
-			}
-			applied = n
-		}
-		summary, err := s.gossipSummary(applied)
+		summary, err := s.serveGossip(gr)
 		if err != nil {
 			return transport.Message{}, err
 		}
@@ -317,7 +325,9 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 		if err != nil {
 			return transport.Message{}, err
 		}
-		have, err := s.SyncOffer()
+		// ServeSyncOffer vetted the scope; the manifest coming back covers
+		// the same buckets, so the initiator's push is scoped like its pull.
+		have, err := s.syncOffer(offer.scope())
 		if err != nil {
 			return transport.Message{}, err
 		}
@@ -333,11 +343,9 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 		if err != nil {
 			return transport.Message{}, err
 		}
-		summary, err := s.gossipSummary(applied)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		return transport.NewMessage(MsgGossipSummary, summary)
+		return transport.NewMessage(MsgGossipSummary, GossipSummaryResponse{
+			VerifierID: s.id, Signer: s.origin, Applied: applied,
+		})
 	default:
 		return transport.Message{}, fmt.Errorf("service: cannot handle %q", req.Type)
 	}

@@ -46,7 +46,7 @@ func (p *countingProc) Verify(_, _, _ json.RawMessage) (*core.Verdict, error) {
 	return &core.Verdict{Accepted: p.accept, Format: p.format}, nil
 }
 
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	if cfg.ID == "" {
 		cfg.ID = "svc-under-test"

@@ -17,7 +17,10 @@ import (
 // records it is missing. The service side is deliberately pull-based —
 // the requester offers its manifest, the responder computes the delta —
 // so a verifier that was down for a day catches up with one exchange per
-// peer and no peer ever pushes unrequested state.
+// peer and no peer ever pushes unrequested state. An exchange first
+// trades per-bucket fingerprints of the two logs (the "gossip" opener), so
+// the manifest that follows lists only the buckets that disagree and a
+// converged pair trades nothing else at all.
 
 // ErrNoStore is returned by the sync API on a service running without a
 // durable verdict store: anti-entropy replicates the log, so there must
@@ -30,55 +33,69 @@ var ErrNoStore = errors.New("service: anti-entropy requires a durable verdict st
 // activity stays observable) and refused.
 var ErrPeerQuarantined = errors.New("service: sync-delta signer is quarantined by this authority's trust policy")
 
-// SyncOffer snapshots this service's verdict log as the sync-offer
-// payload to send a peer: one entry per live record, newest stamp each.
-func (s *Service) SyncOffer() (SyncOfferRequest, error) {
+// SyncOffer snapshots this service's verdict log as the complete
+// sync-offer payload to send a peer: one entry per live record, newest
+// stamp each, no scope.
+func (s *Service) SyncOffer() (SyncOfferRequest, error) { return s.syncOffer(nil) }
+
+// syncOffer builds the offer over one scope of the key space (nil: all of
+// it — the complete manifest): the entries for the live records in the
+// scope's buckets, and the scope itself, which the responder's delta and
+// signature are then bound to.
+func (s *Service) syncOffer(scope store.Scope) (SyncOfferRequest, error) {
 	if s.store == nil {
 		return SyncOfferRequest{}, ErrNoStore
 	}
-	manifest, err := s.store.Manifest()
+	manifest, err := s.store.Manifest(scope)
 	if err != nil {
 		return SyncOfferRequest{}, err
 	}
-	offer := SyncOfferRequest{VerifierID: s.id, Have: make([]SyncEntry, 0, len(manifest))}
+	offer := SyncOfferRequest{VerifierID: s.id, Have: make([]SyncEntry, 0, len(manifest)), Scope: scope}
 	for key, info := range manifest {
 		offer.Have = append(offer.Have, SyncEntry{
 			Key:   append([]byte(nil), key[:]...),
 			Stamp: info.Stamp,
 			Sum:   info.Sum,
+			Cert:  info.Certified,
 		})
 	}
 	return offer, nil
 }
 
 // ServeSyncOffer answers a peer's sync-offer with the framed records this
-// service's log holds and the peer's manifest lacks (missing key, or
-// older stamp). A keyed service signs the delta — over the canonical
-// digest of the offer it answers, the framed records, and its own party
-// ID — so the requester can verify both who served the transfer and that
-// it was served for *this* offer (a captured delta replays against no
-// other exchange). The handler wires it to the "sync-offer" message.
+// service's log holds, inside the offer's scope, that the peer's manifest
+// lacks or holds a superseded version of (store.Delta). An offer with no
+// scope is a complete manifest and is answered over the whole log. A keyed
+// service signs the delta — over the canonical digest of the offer it
+// answers (scope included), the framed records, and its own party ID — so
+// the requester can verify both who served the transfer and that it was
+// served for *this* offer (a captured delta replays against no other
+// exchange). The handler wires it to the "sync-offer" message.
 func (s *Service) ServeSyncOffer(offer SyncOfferRequest) (SyncDeltaResponse, error) {
 	if s.store == nil {
 		return SyncDeltaResponse{}, ErrNoStore
+	}
+	scope := offer.scope()
+	if err := scope.Check(); err != nil {
+		return SyncDeltaResponse{}, err
 	}
 	have := make(map[identity.Hash]store.RecordInfo, len(offer.Have))
 	for _, e := range offer.Have {
 		if len(e.Key) != len(identity.Hash{}) {
 			return SyncDeltaResponse{}, fmt.Errorf("service: malformed sync-offer key of %d bytes", len(e.Key))
 		}
-		have[identity.Hash(e.Key)] = store.RecordInfo{Stamp: e.Stamp, Sum: e.Sum}
+		key := identity.Hash(e.Key)
+		if !scope.Contains(key) {
+			return SyncDeltaResponse{}, fmt.Errorf("service: sync-offer lists key %s outside its own scope", key)
+		}
+		have[key] = store.RecordInfo{Stamp: e.Stamp, Sum: e.Sum, Certified: e.Cert}
 	}
-	delta, err := s.store.Delta(have)
-	if err != nil {
-		return SyncDeltaResponse{}, err
-	}
-	framed, err := store.EncodeRecords(delta)
+	framed, count, err := s.store.Delta(have, scope)
 	if err != nil {
 		return SyncDeltaResponse{}, err
 	}
 	s.metrics.deltasServed.Add(1)
-	resp := SyncDeltaResponse{VerifierID: s.id, Count: len(delta), Records: framed}
+	resp := SyncDeltaResponse{VerifierID: s.id, Count: count, Records: framed}
 	if s.fed != nil && s.fed.key != nil {
 		resp.Signer = s.fed.key.ID()
 		resp.Signature = s.fed.key.Sign(identity.SyncDeltaDigest(offerDigest(&offer), framed, resp.Signer))
@@ -288,8 +305,10 @@ func (s *Service) Ingest(recs []store.Record) (int, error) {
 }
 
 // PullFrom performs one anti-entropy exchange against a single peer: it
-// sends this service's verdict-log manifest as a sync-offer, receives
-// the signed delta, and hands it to the federation gate (IngestDelta).
+// probes the peer with this log's bucket fingerprints and, unless every
+// bucket agrees (zero records, nothing further sent), sends the manifest
+// of the buckets that differ as a sync-offer, receives the signed delta,
+// and hands it to the federation gate (IngestDelta).
 // It returns how many records were applied and the delta's signer — the
 // identity the trust policy tracks, which is how the replication loop
 // learns whom an address speaks for (and stops dialing it once that
@@ -304,20 +323,31 @@ func (s *Service) PullFrom(ctx context.Context, peer transport.Client) (int, ide
 // pullExchange is PullFrom as the replication loop's ExchangeFunc, used
 // when every round reaches every peer (the partner's own loop pulls the
 // other direction): the same exchange, reported with the payload bytes it
-// moved. Rumors and the backstop flag do not apply — a pull always
-// offers the whole manifest.
-func (s *Service) pullExchange(ctx context.Context, peer transport.Client, _ gossip.Request) (gossip.Result, error) {
+// moved. Rumors do not apply; a backstop round (req.Full) skips the probe
+// and offers the complete manifest.
+func (s *Service) pullExchange(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
 	var res gossip.Result
-	offer, err := s.SyncOffer()
+	var scope store.Scope
+	if !req.Full {
+		remote, err := s.probe(ctx, peer, nil, &res)
+		if err != nil {
+			return res, err
+		}
+		if scope = remote.Differ; len(scope) == 0 {
+			res.Signer, res.InSync = remote.Signer, true
+			return res, nil
+		}
+	}
+	offer, err := s.syncOffer(scope)
 	if err != nil {
 		return res, err
 	}
-	req, err := transport.NewMessage(MsgSyncOffer, offer)
+	msg, err := transport.NewMessage(MsgSyncOffer, offer)
 	if err != nil {
 		return res, err
 	}
-	res.BytesSent = uint64(len(req.Payload))
-	resp, err := peer.Call(ctx, req)
+	res.BytesSent += uint64(len(msg.Payload))
+	resp, err := peer.Call(ctx, msg)
 	if err != nil {
 		return res, fmt.Errorf("service: sync-offer exchange: %w", err)
 	}
@@ -328,7 +358,7 @@ func (s *Service) pullExchange(ctx context.Context, peer transport.Client, _ gos
 	if err := resp.Decode(&delta); err != nil {
 		return res, err
 	}
-	res.BytesReceived = uint64(len(resp.Payload))
+	res.BytesReceived += uint64(len(resp.Payload))
 	res.Received, err = s.IngestDelta(offer, delta)
 	if err == nil || errors.Is(err, ErrPeerQuarantined) {
 		// Only now is the identity proven: the gate checks the signature

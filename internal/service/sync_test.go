@@ -1,11 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"rationality/internal/core"
+	"rationality/internal/gossip"
+	"rationality/internal/identity"
 	"rationality/internal/store"
 	"rationality/internal/transport"
 )
@@ -146,5 +151,198 @@ func TestIngestAfterCloseRefused(t *testing.T) {
 	}
 	if _, err := s.Ingest(nil); !errors.Is(err, ErrServiceClosed) {
 		t.Errorf("Ingest after Close: err = %v, want ErrServiceClosed", err)
+	}
+}
+
+// recorded serves s behind a handler that notes every request it sees.
+func recorded(s *Service, seen *[]transport.Message) transport.Client {
+	return transport.DialInProc(transport.HandlerFunc(func(ctx context.Context, req transport.Message) (transport.Message, error) {
+		*seen = append(*seen, req)
+		return s.Handle(ctx, req)
+	}))
+}
+
+// A pull probes with fingerprints first: a converged pair stops there and
+// reports in-sync, a diverged one offers only the buckets that differ, and
+// either way it applies what a complete-manifest pull would have.
+func TestPullProbesThenOffersOnlyDifferingBuckets(t *testing.T) {
+	key := testKeyPair(t)
+	src := newKeyedService(t, "src", key)
+	dst := newKeyedService(t, "dst", testKeyPair(t), key.ID())
+	ctx := context.Background()
+	verifyDistinct(t, src, "base", 400)
+	var seen []transport.Message
+	peer := recorded(src, &seen)
+
+	// Catch-up from empty: every bucket differs, the scoped offer is empty
+	// and the delta is the whole log.
+	res, err := dst.pullExchange(ctx, peer, gossip.Request{})
+	if err != nil || res.Received != 400 || res.InSync || res.Signer != key.ID() {
+		t.Fatalf("catch-up pull: %+v, %v", res, err)
+	}
+
+	// Converged: one probe, no offer, nothing ingested, in-sync.
+	seen = nil
+	res, err = dst.pullExchange(ctx, peer, gossip.Request{})
+	if err != nil || !res.InSync || res.Received != 0 || res.Signer != key.ID() {
+		t.Fatalf("converged pull: %+v, %v", res, err)
+	}
+	if len(seen) != 1 || seen[0].Type != MsgGossip {
+		t.Fatalf("converged pull sent %d messages, first %q; want the probe alone", len(seen), seen[0].Type)
+	}
+
+	// Three new records at src: the offer that follows the probe lists a
+	// sliver of dst's 400 keys, under a scope, and the delta is those three.
+	verifyDistinct(t, src, "news", 3)
+	seen = nil
+	res, err = dst.pullExchange(ctx, peer, gossip.Request{})
+	if err != nil || res.Received != 3 || res.InSync {
+		t.Fatalf("incremental pull: %+v, %v", res, err)
+	}
+	if len(seen) != 2 || seen[1].Type != MsgSyncOffer {
+		t.Fatalf("incremental pull sent %d messages", len(seen))
+	}
+	var offer SyncOfferRequest
+	if err := seen[1].Decode(&offer); err != nil {
+		t.Fatal(err)
+	}
+	if len(offer.Scope) == 0 || len(offer.Have) == 0 || len(offer.Have) > 40 {
+		t.Fatalf("scoped offer lists %d of 400 keys under a %d-byte scope", len(offer.Have), len(offer.Scope))
+	}
+	if !reflect.DeepEqual(manifestOfService(t, src), manifestOfService(t, dst)) {
+		t.Fatal("scoped pulls did not converge the pair")
+	}
+
+	// A backstop round skips the probe and offers everything.
+	seen = nil
+	res, err = dst.pullExchange(ctx, peer, gossip.Request{Full: true})
+	if err != nil || res.InSync || res.Received != 0 {
+		t.Fatalf("backstop pull: %+v, %v", res, err)
+	}
+	var complete SyncOfferRequest
+	if err := seen[0].Decode(&complete); err != nil || len(seen) != 1 || seen[0].Type != MsgSyncOffer ||
+		len(complete.Scope) != 0 || len(complete.Have) != 403 {
+		t.Fatalf("backstop pull: %d messages, %d entries, scope %x, %v", len(seen), len(complete.Have), complete.Scope, err)
+	}
+}
+
+// The delta's signature binds the scope it was served for: a delta signed
+// for a few buckets does not verify as the answer to the same manifest
+// entries under another scope, or under none.
+func TestScopedDeltaSignatureBindsScope(t *testing.T) {
+	key := testKeyPair(t)
+	src := newKeyedService(t, "src", key)
+	dst := newKeyedService(t, "dst", testKeyPair(t), key.ID())
+	verifyDistinct(t, src, "s", 20)
+	scope := store.Scope{0x0f}
+	offer, err := dst.syncOffer(scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := serveOffer(t, src, offer)
+	if delta.Count == 0 || delta.Count == 20 {
+		t.Fatalf("test premise: half the key space served %d of 20 records", delta.Count)
+	}
+	for _, other := range []store.Scope{nil, {0xff}, {0x0f, 0x00}} {
+		replay := offer
+		replay.Scope = other
+		if _, err := dst.IngestDelta(replay, delta); !errors.Is(err, identity.ErrBadSignature) {
+			t.Fatalf("delta for scope %x accepted under scope %x: %v", scope, other, err)
+		}
+	}
+	if n, err := dst.IngestDelta(offer, delta); err != nil || n != delta.Count {
+		t.Fatalf("delta under its own scope: applied %d of %d, %v", n, delta.Count, err)
+	}
+}
+
+// Malformed scoped offers and fingerprint sets are refused with an error:
+// a bitmap that is no legal width, a manifest key outside the offer's own
+// scope, a fingerprint count that is no legal width.
+func TestHandlerRejectsMalformedScopedOffers(t *testing.T) {
+	s := newTestService(t, Config{ID: "src", PersistPath: t.TempDir()})
+	s.Register(&countingProc{format: "counting/v1", accept: true})
+	verifyDistinct(t, s, "k", 10)
+	outside := SyncEntry{Key: bytes.Repeat([]byte{0xff}, 32), Stamp: 1} // last bucket; scope 0x01 is the first
+	for name, msg := range map[string]struct {
+		typ     string
+		payload any
+	}{
+		"3-byte bitmap":       {MsgSyncOffer, SyncOfferRequest{Scope: []byte{1, 2, 3}}},
+		"256-byte bitmap":     {MsgGossipPull, SyncOfferRequest{Scope: make([]byte, 256)}},
+		"key outside scope":   {MsgSyncOffer, SyncOfferRequest{Scope: []byte{0x01}, Have: []SyncEntry{outside}}},
+		"pull outside scope":  {MsgGossipPull, SyncOfferRequest{Scope: []byte{0x01}, Have: []SyncEntry{outside}}},
+		"12 fingerprints":     {MsgGossip, GossipRequest{Buckets: make([]byte, 8*12)}},
+		"4 fingerprints":      {MsgGossip, GossipRequest{Buckets: make([]byte, 8*4)}},
+		"9 fingerprint bytes": {MsgGossip, GossipRequest{Buckets: make([]byte, 9)}},
+		"no fingerprints":     {MsgGossip, GossipRequest{}},
+	} {
+		req, err := transport.NewMessage(msg.typ, msg.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := s.Handle(context.Background(), req); err == nil {
+			t.Errorf("%s: accepted, answered %q", name, resp.Type)
+		}
+	}
+	// The well-formed neighbours of each case are served.
+	inside := SyncEntry{Key: make([]byte, 32), Stamp: 1}
+	if _, err := s.ServeSyncOffer(SyncOfferRequest{Scope: []byte{0x01}, Have: []SyncEntry{inside}}); err != nil {
+		t.Fatalf("well-formed scoped offer refused: %v", err)
+	}
+	if _, err := s.serveGossip(GossipRequest{Buckets: make([]byte, 8*16)}); err != nil {
+		t.Fatalf("well-formed fingerprint set refused: %v", err)
+	}
+}
+
+// bench/README finding 7 over the wire: member C co-signed a verdict and
+// holds it bare at a stamp ahead of A's whole log; the certificate A then
+// archives must still reach C (the offer's cert bit is what tells A's
+// delta that C's copy is bare), be served by C, and then stay put — two
+// further rounds in both directions move nothing.
+func TestCertificateReplicatesToMemberWhoseClockIsAhead(t *testing.T) {
+	a := newTestService(t, Config{ID: "a", PersistPath: t.TempDir()})
+	c := newTestService(t, Config{ID: "c", PersistPath: t.TempDir()})
+	for _, s := range []*Service{a, c} {
+		s.Register(&countingProc{format: "counting/v1", accept: true})
+	}
+	ctx := context.Background()
+	ann := announcementFor("inv", `{"certified":"shared"}`)
+	verifyDistinct(t, c, "c-runs-ahead", 20)
+	for _, s := range []*Service{c, a} {
+		if _, err := s.VerifyAnnouncement(ctx, ann); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := identity.DigestBytes([]byte(ann.Format), ann.Game, ann.Advice, ann.Proof)
+	cert := &core.Certificate{
+		Key: key.String(), Verdict: core.Verdict{Accepted: true, Format: ann.Format},
+		Panel: []byte{0x07}, Sigs: [][]byte{[]byte("a"), []byte("b"), []byte("c")},
+	}
+	if err := a.StoreCertificate(cert); err != nil { // no panel keyset: stored unverified
+		t.Fatal(err)
+	}
+	if ma, mc := manifestOfService(t, a)[key], manifestOfService(t, c)[key]; !ma.Certified || mc.Certified || mc.Stamp <= ma.Stamp {
+		t.Fatalf("test premise: a holds %+v, c holds %+v", ma, mc)
+	}
+
+	if n, _, err := c.PullFrom(ctx, transport.DialInProc(a)); err != nil || n != 1 {
+		t.Fatalf("c pulled %d records from a (%v), want the certified copy", n, err)
+	}
+	if got, found, err := c.Certificate(key); err != nil || !found || !reflect.DeepEqual(got, cert) {
+		t.Fatalf("c serves certificate %+v (found=%v, %v)", got, found, err)
+	}
+	if n, _, err := a.PullFrom(ctx, transport.DialInProc(c)); err != nil || n != 20 {
+		t.Fatalf("a pulled %d records from c (%v), want its 20 others", n, err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, pair := range [][2]*Service{{a, c}, {c, a}} {
+			res, err := pair[0].pullExchange(ctx, transport.DialInProc(pair[1]), gossip.Request{})
+			if err != nil || res.Received != 0 || !res.InSync {
+				t.Fatalf("round %d, %s<-%s: %+v, %v", round, pair[0].id, pair[1].id, res, err)
+			}
+		}
+	}
+	if _, found, _ := a.Certificate(key); !found {
+		t.Fatal("a lost its certificate")
 	}
 }

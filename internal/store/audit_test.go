@@ -69,18 +69,7 @@ func TestRequestColumnRoundTrip(t *testing.T) {
 	}
 
 	// Over the wire: a delta built from this store carries the request.
-	delta, err := s2.Delta(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := EncodeRecords(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeRecords(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decoded := deltaOf(t, s2, nil)
 	found := false
 	for _, r := range decoded {
 		if r.Key == testKey(1) {
@@ -204,7 +193,7 @@ func TestIngestRefutesContradictionOfLocalVerdict(t *testing.T) {
 	}
 
 	// The local record survived untouched: same stamp, same polarity.
-	m, err := s.Manifest()
+	m, err := s.Manifest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,24 +147,14 @@ func TestCertificateTravelsAntiEntropy(t *testing.T) {
 	if !a.Append(testKey(0), testVerdict(0), testRequest(0)) {
 		t.Fatal("append refused")
 	}
-	man, err := a.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := a.Delta(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Ingest(delta); err != nil {
+	man := manifestOf(t, a)
+	if _, _, err := b.Ingest(deltaOf(t, a, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Converged: a's delta against b's manifest is empty.
-	bman, err := b.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := a.Delta(bman); err != nil || len(d) != 0 {
-		t.Fatalf("converged stores still transfer: %d records, %v", len(d), err)
+	bman := manifestOf(t, b)
+	if d := deltaOf(t, a, bman); len(d) != 0 {
+		t.Fatalf("converged stores still transfer: %d records", len(d))
 	}
 
 	// a's record gains a certificate: new content, so it travels.
@@ -172,17 +162,10 @@ func TestCertificateTravelsAntiEntropy(t *testing.T) {
 	if !a.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert) {
 		t.Fatal("certified re-append refused")
 	}
-	man2, err := a.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man2[testKey(0)].Sum == man[testKey(0)].Sum {
+	if manifestOf(t, a)[testKey(0)].Sum == man[testKey(0)].Sum {
 		t.Fatal("record sum unchanged by the certificate — anti-entropy would never ship it")
 	}
-	d, err := a.Delta(bman)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := deltaOf(t, a, bman)
 	if len(d) != 1 || !bytes.Equal(d[0].Cert, cert) {
 		t.Fatalf("certified record not in delta: %+v", d)
 	}
@@ -205,5 +188,93 @@ func TestCertificateTravelsAntiEntropy(t *testing.T) {
 	}
 	if len(back) != 1 || !bytes.Equal(back[0].Cert, cert) {
 		t.Fatalf("certificate lost on the wire: %+v", back)
+	}
+}
+
+// bench/README finding 7: a panel member that co-signed a verdict holds the
+// bare record at a stamp from its own counter, and when that counter is
+// ahead of the certificate holder's, newest-stamp-wins alone keeps the
+// certificate out for good. The merge rule ranks certified above bare at
+// equal polarity whatever the stamps, re-stamps the upgrade locally so a
+// restart keeps it, and — the same rule on the sending side — never ships
+// the newer bare copy back over the certificate.
+func TestCertificateReachesPeerWhoseClockIsAhead(t *testing.T) {
+	a, _ := mustOpen(t, t.TempDir(), Options{})
+	cdir := t.TempDir()
+	c, _ := mustOpen(t, cdir, Options{})
+	key := testKey(0)
+	// C's counter runs ahead: twenty other records, then the bare verdict.
+	for i := 1; i <= 20; i++ {
+		c.Append(testKey(i), testVerdict(i), nil)
+	}
+	c.Append(key, testVerdict(0), testRequest(0))
+	// A holds the bare verdict and then its certificate, at stamps 1 and 2.
+	cert := []byte(`{"key":"ef","sigs":["a","b","c"]}`)
+	a.Append(key, testVerdict(0), testRequest(0))
+	a.AppendCertified(key, testVerdict(0), testRequest(0), cert)
+	bare := manifestOf(t, c)[key]
+	if held := manifestOf(t, a)[key]; !held.Certified || held.Stamp >= bare.Stamp || bare.Certified {
+		t.Fatalf("test premise: a holds %+v, c holds %+v", held, bare)
+	}
+
+	applied := pull(t, c, a)
+	if len(applied) != 1 || applied[0].Key != key || !bytes.Equal(applied[0].Cert, cert) {
+		t.Fatalf("certificate did not reach the member whose clock is ahead: applied%s", keysOf(applied))
+	}
+	upgraded := manifestOf(t, c)[key]
+	if !upgraded.Certified || upgraded.Stamp <= bare.Stamp {
+		t.Fatalf("upgrade not re-stamped past the bare copy: %+v (bare was %+v)", upgraded, bare)
+	}
+
+	// A catches up on C's other records; C's newer stamp on the shared key
+	// must not ride along over A's certificate.
+	if moved := pull(t, a, c); len(moved) != 20 {
+		t.Fatalf("a pulled %d records from c, want its 20 others:%s", len(moved), keysOf(moved))
+	}
+	// No ping-pong: two further rounds, both directions, move nothing.
+	for round := 0; round < 2; round++ {
+		if moved := append(pull(t, a, c), pull(t, c, a)...); len(moved) != 0 {
+			t.Fatalf("round %d after the upgrade moved%s", round, keysOf(moved))
+		}
+	}
+	if moved := reconcile(t, c, a, "after upgrade"); len(moved) != 0 {
+		t.Fatalf("scoped round after the upgrade moved%s", keysOf(moved))
+	}
+	if !manifestOf(t, a)[key].Certified {
+		t.Fatal("a lost its certificate")
+	}
+
+	// Recovery's newest-stamp-wins replay keeps the upgrade.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := mustOpen(t, cdir, Options{})
+	for _, r := range recs {
+		if r.Key == key {
+			if !bytes.Equal(r.Cert, cert) {
+				t.Fatalf("restart dropped the certificate: %+v", r)
+			}
+			return
+		}
+	}
+	t.Fatal("certified record missing after restart")
+}
+
+// The merge rule falls back to stamps when a certificate contradicts the
+// receiver's copy: a certified record never displaces a newer verdict of
+// the opposite polarity.
+func TestCertificateDoesNotOverrideOppositePolarity(t *testing.T) {
+	s, _ := mustOpen(t, t.TempDir(), Options{})
+	key := testKey(0)
+	if _, _, err := s.Ingest([]Record{{Key: key, Stamp: 9, Verdict: testVerdict(1)}}); err != nil { // rejected
+		t.Fatal(err)
+	}
+	in := []Record{{Key: key, Stamp: 5, Verdict: testVerdict(0), Cert: []byte(`{"sigs":[]}`)}} // accepted, certified, older
+	if applied, _, err := s.Ingest(in); err != nil || len(applied) != 0 {
+		t.Fatalf("older certificate of the opposite polarity applied: %+v %v", applied, err)
+	}
+	in[0].Stamp = 10
+	if applied, _, err := s.Ingest(in); err != nil || len(applied) != 1 {
+		t.Fatalf("newer record must still win on stamps: %+v %v", applied, err)
 	}
 }

@@ -17,10 +17,12 @@ import (
 // snapshot + tail on disk contains every synced record's newest version:
 //
 //  1. Replay snapshot + tail from disk into the live set (the in-memory
-//     index has only stamps; the verdicts come back off the disk, so
-//     compaction memory is O(live), not O(log)).
-//  2. Write the live records, stamps preserved, into verdicts.snap.tmp;
-//     fsync it.
+//     index has only stamps and locations; the verdicts come back off the
+//     disk, so compaction memory is O(live), not O(log)). This is the one
+//     whole-log read left: hot records are re-stamped below, which changes
+//     their frames, so the rewrite decodes and re-encodes.
+//  2. Write the live records, stamps preserved, into verdicts.snap.tmp,
+//     pointing each index line at its frame's new home; fsync it.
 //  3. Rename over verdicts.snap (atomic on POSIX) and fsync the
 //     directory, making the snapshot the durable source of truth.
 //  4. Truncate the tail to zero and fsync it.
@@ -35,7 +37,7 @@ func (s *Store) compact() {
 	if s.flushErr != nil {
 		return
 	}
-	recs, err := s.liveRecords(nil)
+	recs, err := s.liveRecords()
 	if err != nil {
 		s.flushErr = err
 		return
@@ -43,6 +45,22 @@ func (s *Store) compact() {
 	live := make(map[identity.Hash]*Record, len(recs))
 	for i := range recs {
 		live[recs[i].Key] = &recs[i]
+	}
+	if len(live) < s.index.len() {
+		// The scan stops at a damaged frame, so records behind one are
+		// gone from the rewrite. Drop their index lines with them: a line
+		// with no frame would fail every delta that wants it, while a
+		// missing key is simply re-pulled from a peer.
+		var lost []identity.Hash
+		s.index.each(nil, func(l located) {
+			if live[l.key] == nil {
+				lost = append(lost, l.key)
+			}
+		})
+		for _, key := range lost {
+			s.index.delete(key)
+			s.live.Add(^uint64(0))
+		}
 	}
 	cold, hot := s.partitionRetained(live)
 	retired := s.retireOldest(live, cold, hot)
@@ -55,12 +73,8 @@ func (s *Store) compact() {
 		s.flushErr = fmt.Errorf("store: truncating tail: %w", err)
 		return
 	}
-	if _, err := s.tail.Write(segmentHeader); err != nil {
-		s.flushErr = fmt.Errorf("store: writing tail header: %w", err)
-		return
-	}
-	if err := s.tail.Sync(); err != nil {
-		s.flushErr = fmt.Errorf("store: syncing truncated tail: %w", err)
+	if err := s.writeTailHeader(); err != nil {
+		s.flushErr = err
 		return
 	}
 	s.compactions.Add(1)
@@ -107,7 +121,7 @@ func (s *Store) retireOldest(live map[identity.Hash]*Record, cold, hot []*Record
 	victims := append(cold[:len(cold):len(cold)], hot...)[:len(live)-s.opts.MaxLive]
 	for _, r := range victims {
 		delete(live, r.Key)
-		delete(s.index, r.Key)
+		s.index.delete(r.Key)
 	}
 	retired := uint64(len(victims))
 	s.live.Add(^(retired - 1)) // atomic subtract; victims is non-empty here
@@ -121,7 +135,8 @@ func (s *Store) retireOldest(live map[identity.Hash]*Record, cold, hot []*Record
 // valuable records as the most expendable; after each compaction the
 // stamps again mean "least valuable first". The tail may still hold the
 // old-stamp duplicates — newest-wins replay collapses them onto the
-// re-stamped snapshot copy.
+// re-stamped snapshot copy. The index learns the new stamps when
+// writeSnapshot installs the rewritten records' lines.
 func (s *Store) refreshRetained(live map[identity.Hash]*Record, hot []*Record) {
 	for _, r := range hot {
 		if _, survived := live[r.Key]; !survived {
@@ -129,15 +144,16 @@ func (s *Store) refreshRetained(live map[identity.Hash]*Record, hot []*Record) {
 		}
 		r.Stamp = s.nextStamp
 		s.nextStamp++
-		entry := s.index[r.Key]
-		entry.stamp = r.Stamp // content unchanged: the sum stays
-		s.index[r.Key] = entry
 	}
 }
 
 // writeSnapshot writes the live set into a temp segment, fsyncs it, and
-// atomically renames it over the snapshot. Writes go through one
-// buffered writer — a large live set must not become one syscall per
+// atomically renames it over the snapshot, then moves the read handle to
+// the new file. Each record's index line is re-pointed at its new frame
+// as the frame is written: a rewrite that fails part-way is fatal to the
+// store (compact latches the error and every later read refuses; Open
+// fails outright), so a half-moved index is never read. Writes go through
+// one buffered writer — a large live set must not become one syscall per
 // record on the flusher goroutine, which has appends queueing behind it.
 func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 	tmpPath := filepath.Join(s.dir, snapshotName+".tmp")
@@ -151,6 +167,7 @@ func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
 	buf := s.buf[:0]
+	off := int64(segmentHeaderLen)
 	for _, r := range live {
 		if buf, _, err = appendRecord(buf[:0], r); err != nil {
 			return err
@@ -158,6 +175,13 @@ func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("store: writing snapshot: %w", err)
 		}
+		// Same record, new frame — and a new stamp if it was re-ranked. The
+		// rest of the line stands (rebuilding it from r would also pin r's
+		// freshly decoded origin string, one copy per line per compaction).
+		e, _ := s.index.get(r.Key)
+		e.stamp, e.loc = r.Stamp, loc{seg: segSnap, n: int32(len(buf)), off: off}
+		s.index.put(r.Key, e)
+		off += int64(len(buf))
 	}
 	s.buf = buf[:0]
 	if err := w.Flush(); err != nil {
@@ -175,5 +199,40 @@ func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 	// Compaction truncates the tail only after the snapshot's directory
 	// entry is durable: a durable truncation paired with a non-durable
 	// rename would lose the whole live set on a crash.
-	return fsx.SyncDir(s.dir)
+	if err := fsx.SyncDir(s.dir); err != nil {
+		return err
+	}
+	return s.openSnapshot()
+}
+
+// liveRecords reads every live record back off the segment files, oldest
+// stamp first: one scan of snapshot + tail, keeping the copy whose stamp is
+// the index entry's and skipping superseded ones. The tail is synced first,
+// so nothing the scan returns is a record a local crash could still lose.
+// Compaction is its only caller — deltas read single frames (readFrames).
+func (s *Store) liveRecords() ([]Record, error) {
+	s.syncTail()
+	if s.flushErr != nil {
+		return nil, s.flushErr
+	}
+	out := make([]Record, 0, s.index.len())
+	at := make(map[identity.Hash]int, s.index.len()) // key -> position in out
+	absorb := func(r *Record, _ int64, _ int) {
+		if cur, ok := s.index.get(r.Key); !ok || r.Stamp != cur.stamp {
+			return // superseded or unknown: garbage
+		}
+		if i, dup := at[r.Key]; dup {
+			out[i] = *r // the tail's equal-stamp duplicate of a snapshot record
+			return
+		}
+		at[r.Key] = len(out)
+		out = append(out, *r)
+	}
+	for _, name := range []string{snapshotName, tailName} {
+		if err := replayFile(filepath.Join(s.dir, name), absorb, nil); err != nil {
+			return nil, err
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+	return out, nil
 }

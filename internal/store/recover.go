@@ -20,14 +20,15 @@ const (
 	lockName     = "store.lock"
 )
 
-// replaySegment streams records out of r, calling fn for each valid one,
-// and returns the byte length of the valid prefix (version header
-// included) plus the segment's format version. clean is false when the
+// replaySegment streams records out of r, calling fn for each valid one
+// with the byte offset and framed length it was read at, and returns the
+// byte length of the valid prefix (version header included) plus the
+// segment's format version. clean is false when the
 // segment ends in a torn or corrupt frame — everything from validBytes on
 // is untrustworthy, because record boundaries cannot be re-found past a
 // bad length field. A non-nil error is a real I/O failure or an unknown
 // segment version, not corruption.
-func replaySegment(r io.Reader, fn func(*Record)) (validBytes int64, clean bool, version int, err error) {
+func replaySegment(r io.Reader, fn func(rec *Record, off int64, n int)) (validBytes int64, clean bool, version int, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	version, err = sniffVersion(br)
 	if err != nil {
@@ -41,8 +42,8 @@ func replaySegment(r io.Reader, fn func(*Record)) (validBytes int64, clean bool,
 		n, err := readRecord(br, &rec, version)
 		switch err {
 		case nil:
+			fn(&rec, validBytes, n)
 			validBytes += int64(n)
-			fn(&rec)
 		case io.EOF:
 			return validBytes, true, version, nil
 		case errTorn:
@@ -53,9 +54,15 @@ func replaySegment(r io.Reader, fn func(*Record)) (validBytes int64, clean bool,
 	}
 }
 
+// recovered is one replayed record and where its frame sits.
+type recovered struct {
+	Record
+	loc
+}
+
 // recovery is what Open learned from the segments on disk.
 type recovery struct {
-	live     map[identity.Hash]*Record // latest record per key
+	live     map[identity.Hash]*recovered // latest record per key
 	maxStamp uint64
 	total    uint64 // valid records seen across snapshot + tail
 	salvaged int64  // bytes truncated off a torn tail
@@ -74,30 +81,31 @@ type recovery struct {
 // is left alone — the next compaction rewrites it wholesale); tail records
 // are newer than any snapshot loss, so replay continues regardless.
 func recoverDir(dir string) (*recovery, error) {
-	rec := &recovery{live: make(map[identity.Hash]*Record)}
-	absorb := func(r *Record) {
-		rec.total++
-		if r.Stamp > rec.maxStamp {
-			rec.maxStamp = r.Stamp
+	rec := &recovery{live: make(map[identity.Hash]*recovered)}
+	absorb := func(seg uint8) func(*Record, int64, int) {
+		return func(r *Record, off int64, n int) {
+			rec.total++
+			if r.Stamp > rec.maxStamp {
+				rec.maxStamp = r.Stamp
+			}
+			if old, ok := rec.live[r.Key]; ok && old.Stamp > r.Stamp {
+				return // an already-seen record is newer; keep it
+			}
+			rec.live[r.Key] = &recovered{*r, loc{seg: seg, n: int32(n), off: off}}
 		}
-		if old, ok := rec.live[r.Key]; ok && old.Stamp > r.Stamp {
-			return // an already-seen record is newer; keep it
-		}
-		cp := *r
-		rec.live[r.Key] = &cp
 	}
 	noteLegacy := func(version int, size int64) {
 		if version < segmentV4 && size > 0 {
 			rec.upgrade = true
 		}
 	}
-	if err := replayFile(filepath.Join(dir, snapshotName), absorb, func(valid, size int64, version int) error {
+	if err := replayFile(filepath.Join(dir, snapshotName), absorb(segSnap), func(valid, size int64, version int) error {
 		noteLegacy(version, size)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := replayFile(filepath.Join(dir, tailName), absorb, func(valid, size int64, version int) error {
+	if err := replayFile(filepath.Join(dir, tailName), absorb(segTail), func(valid, size int64, version int) error {
 		noteLegacy(version, size)
 		if valid < size {
 			rec.salvaged = size - valid
@@ -114,7 +122,7 @@ func recoverDir(dir string) (*recovery, error) {
 // onDone (when non-nil) receives the valid-prefix length, the file size
 // and the segment's format version, so the caller can truncate a torn
 // tail or note a legacy segment for upgrade.
-func replayFile(path string, fn func(*Record), onDone func(valid, size int64, version int) error) error {
+func replayFile(path string, fn func(rec *Record, off int64, n int), onDone func(valid, size int64, version int) error) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		if onDone != nil {
@@ -145,7 +153,7 @@ func replayFile(path string, fn func(*Record), onDone func(valid, size int64, ve
 func (r *recovery) liveRecords() []Record {
 	out := make([]Record, 0, len(r.live))
 	for _, rec := range r.live {
-		out = append(out, *rec)
+		out = append(out, rec.Record)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
 	return out

@@ -129,20 +129,50 @@ type Record struct {
 	Verdict core.Verdict
 }
 
+// Segments a live frame can sit in.
+const (
+	segSnap = iota // the compacted snapshot (verdicts.snap)
+	segTail        // the append-only tail (verdicts.log)
+)
+
+// loc addresses one record frame on disk: which segment, the byte offset
+// of the frame's length prefix, and the framed length (header + payload).
+type loc struct {
+	off int64
+	n   int32
+	seg uint8
+}
+
 // idxEntry is one on-disk index line: the newest stamp a key holds, the
-// checksum of the verdict content at that stamp, the record's origin, and
-// the verdict's polarity. The sum lets the anti-entropy manifest
+// checksum of the verdict content at that stamp, the record's origin, the
+// verdict's polarity, whether a quorum certificate rides the record, and
+// where the frame sits on disk. The sum lets the anti-entropy manifest
 // distinguish "peer has newer content" from "peer merely re-stamped
 // identical content" (compaction's warmth re-ranking does the latter on
 // every pass), so stamp churn never causes a re-transfer. The origin
 // feeds the Provenance summary without a disk scan; the polarity lets
 // Ingest refute an incoming record that contradicts a locally verified
-// one without re-reading the log.
+// one without re-reading the log; the certified bit is what the merge
+// rule (supersedes) ranks above stamps. The location — filled by recovery
+// replay and by every append, rewritten by every snapshot — is what lets
+// Delta and Records read exactly the frames they ship instead of scanning
+// the log for them.
 type idxEntry struct {
-	stamp    uint64
-	sum      uint32
-	origin   identity.PartyID
-	accepted bool
+	stamp  uint64
+	origin identity.PartyID
+	loc
+	sum       uint32
+	accepted  bool
+	certified bool
+}
+
+// entryFor is the index line of a record about to sit at at, given its
+// content sum.
+func entryFor(r *Record, sum uint32, at loc) idxEntry {
+	return idxEntry{
+		stamp: r.Stamp, sum: sum, origin: r.Origin,
+		accepted: r.Verdict.Accepted, certified: len(r.Cert) > 0, loc: at,
+	}
 }
 
 // recordSum is the content checksum the index and sync manifests carry:
@@ -326,4 +356,26 @@ func readRecord(r io.Reader, rec *Record, version int) (int, error) {
 		return 0, errTorn
 	}
 	return headerLen + int(length), nil
+}
+
+// checkFrame verifies that frame — bytes read back from a location the
+// index recorded — is the intact v4 frame of the record the index says it
+// is: the length prefix spans exactly the frame, the CRC holds, and the
+// payload opens with the expected key and stamp. The last two catch what
+// a CRC alone cannot: a stale location pointing at some other record's
+// perfectly valid frame.
+func checkFrame(frame []byte, key identity.Hash, stamp uint64) error {
+	if len(frame) < headerLen+minPayloadV4 ||
+		int(binary.BigEndian.Uint32(frame[:4])) != len(frame)-headerLen {
+		return errTorn
+	}
+	payload := frame[headerLen:]
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(frame[4:8]) {
+		return errTorn
+	}
+	if identity.Hash(payload[:keyLen]) != key ||
+		binary.BigEndian.Uint64(payload[keyLen:keyLen+stampLen]) != stamp {
+		return errTorn
+	}
+	return nil
 }

@@ -147,8 +147,8 @@ type Stats struct {
 type Store struct {
 	dir    string
 	opts   Options
-	tail   *os.File
-	unlock func() // releases the directory's exclusive flock
+	tail   *os.File // appended to and read back (frame reads for deltas)
+	unlock func()   // releases the directory's exclusive flock
 
 	queue chan Record
 	cmds  chan func()   // synchronous flusher-thread commands (sync API)
@@ -157,7 +157,9 @@ type Store struct {
 	once  sync.Once
 
 	// Flusher-owned state (no locking: single goroutine).
-	index     map[identity.Hash]idxEntry // key -> newest on-disk stamp + content sum
+	index     index    // key -> newest on-disk stamp, content sum, frame location
+	snap      *os.File // read handle on the current snapshot; nil before the first one
+	tailSize  int64    // the tail's length: where the next frame lands
 	nextStamp uint64
 	sinceSync int
 	buf       []byte
@@ -212,7 +214,7 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 		unlock()
 		return nil, nil, err
 	}
-	tail, err := os.OpenFile(filepath.Join(dir, tailName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	tail, err := os.OpenFile(filepath.Join(dir, tailName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		unlock()
 		return nil, nil, fmt.Errorf("store: opening tail: %w", err)
@@ -226,11 +228,10 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 		cmds:      make(chan func()),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
-		index:     make(map[identity.Hash]idxEntry, len(rec.live)),
 		nextStamp: rec.maxStamp + 1,
 	}
 	for key, r := range rec.live {
-		s.index[key] = idxEntry{stamp: r.Stamp, sum: recordSum(r), origin: r.Origin, accepted: r.Verdict.Accepted}
+		s.index.put(key, entryFor(&r.Record, recordSum(&r.Record), r.loc))
 	}
 	live := uint64(len(rec.live))
 	s.replayed.Store(live)
@@ -238,7 +239,7 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 	s.garbage.Store(rec.total - live)
 	s.salvaged.Store(uint64(rec.salvaged))
 	if err := s.upgradeSegments(rec); err != nil {
-		tail.Close()
+		s.closeFiles()
 		unlock()
 		return nil, nil, err
 	}
@@ -257,10 +258,15 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 // records stay unauditable, pre-v4 records stay uncertified — no one
 // recorded what was never there). The rewrite is a compaction in all but
 // trigger, and is counted as one. A store already at v4 only has its tail
-// header written when the tail is brand new or was salvaged to empty.
+// header written when the tail is brand new or was salvaged to empty, and
+// its existing snapshot opened for frame reads.
 func (s *Store) upgradeSegments(rec *recovery) error {
 	if rec.upgrade {
-		if err := s.writeSnapshot(rec.live); err != nil {
+		live := make(map[identity.Hash]*Record, len(rec.live))
+		for key, r := range rec.live {
+			live[key] = &r.Record
+		}
+		if err := s.writeSnapshot(live); err != nil {
 			return fmt.Errorf("store: upgrading legacy segments: %w", err)
 		}
 		if err := s.tail.Truncate(0); err != nil {
@@ -268,21 +274,56 @@ func (s *Store) upgradeSegments(rec *recovery) error {
 		}
 		s.compactions.Add(1)
 		s.compacted.Add(s.garbage.Swap(0))
+	} else if err := s.openSnapshot(); err != nil {
+		return err
 	}
 	info, err := s.tail.Stat()
 	if err != nil {
 		return fmt.Errorf("store: stat tail: %w", err)
 	}
-	if info.Size() != 0 {
-		return nil // existing v2 tail: header already on disk
+	if s.tailSize = info.Size(); s.tailSize != 0 {
+		return nil // existing tail: header already on disk
 	}
+	return s.writeTailHeader()
+}
+
+// writeTailHeader starts an empty tail with the segment version header and
+// makes it durable.
+func (s *Store) writeTailHeader() error {
 	if _, err := s.tail.Write(segmentHeader); err != nil {
 		return fmt.Errorf("store: writing tail header: %w", err)
 	}
 	if err := s.tail.Sync(); err != nil {
 		return fmt.Errorf("store: syncing tail header: %w", err)
 	}
+	s.tailSize = segmentHeaderLen
 	return nil
+}
+
+// openSnapshot (re)opens the read handle on the snapshot segment — at Open
+// and after every rewrite, since a rename leaves the old handle on the
+// replaced file. No snapshot yet is not an error: nothing is indexed there.
+func (s *Store) openSnapshot() error {
+	f, err := os.Open(filepath.Join(s.dir, snapshotName))
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: opening snapshot: %w", err)
+	}
+	if s.snap != nil {
+		s.snap.Close()
+	}
+	s.snap = nil
+	if err == nil {
+		s.snap = f
+	}
+	return nil
+}
+
+// closeFiles releases the segment handles.
+func (s *Store) closeFiles() {
+	s.tail.Close()
+	if s.snap != nil {
+		s.snap.Close()
+	}
 }
 
 // Append queues one verdict for persistence and reports whether it was
@@ -367,7 +408,7 @@ func (s *Store) Close() error {
 func (s *Store) flusher() {
 	defer close(s.done)
 	defer s.unlock()
-	defer s.tail.Close()
+	defer s.closeFiles()
 	for {
 		select {
 		case <-s.quit:
@@ -478,12 +519,12 @@ func (s *Store) writeStamped(r *Record) {
 		s.failed.Add(1)
 		return
 	}
-	if _, seen := s.index[r.Key]; seen {
+	if s.index.put(r.Key, entryFor(r, sum, loc{seg: segTail, n: int32(len(buf)), off: s.tailSize})) {
 		s.garbage.Add(1)
 	} else {
 		s.live.Add(1)
 	}
-	s.index[r.Key] = idxEntry{stamp: r.Stamp, sum: sum, origin: r.Origin, accepted: r.Verdict.Accepted}
+	s.tailSize += int64(len(buf))
 	s.persisted.Add(1)
 	s.sinceSync++
 }
@@ -497,9 +538,7 @@ func (s *Store) Provenance() (map[identity.PartyID]uint64, error) {
 	var m map[identity.PartyID]uint64
 	err := s.do(func() {
 		m = make(map[identity.PartyID]uint64)
-		for _, e := range s.index {
-			m[e.origin]++
-		}
+		s.index.each(nil, func(l located) { m[l.origin]++ })
 	})
 	return m, err
 }

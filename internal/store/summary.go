@@ -1,25 +1,35 @@
 package store
 
 import (
-	"encoding/binary"
-	"hash/fnv"
+	"bytes"
+	"fmt"
+	"sort"
 
 	"rationality/internal/identity"
 )
 
-// Gossip support: a push-pull round wants to know "do we already agree?"
-// without shipping a manifest, and "give me these exact records" without
-// computing a full delta. Summary answers the first with one fixed-size
-// digest; Records answers the second for rumor pushes. Both run on the
-// flusher goroutine via the command channel, like the rest of the sync
-// surface.
+// Fingerprint support: a replication exchange wants to know "do we already
+// agree, and if not, where?" without shipping a manifest. The index keeps
+// one fingerprint per key-space bucket (index.go), so Summary and
+// Fingerprints cost O(buckets) and never a pass over the live set.
+// Everything here runs on the flusher goroutine via the command channel,
+// like the rest of the sync surface.
+
+const (
+	// minWidth is the narrowest fingerprint set an exchange trades: one
+	// bitmap byte's worth of buckets.
+	minWidth = 8
+	// keysPerBucket is the live-key count per traded bucket the width is
+	// chosen for: enough buckets that a handful of changed keys drags only
+	// a handful of unchanged neighbours into the scoped manifest, few
+	// enough that an in-sync probe stays a fraction of a manifest.
+	keysPerBucket = 4
+)
 
 // Summary is a store's content fingerprint: the live-key count and an
 // order-independent digest over every live (key, content sum) pair. Two
 // stores with equal summaries hold the same verdict content with
-// overwhelming probability; stamps are deliberately excluded — compaction
-// re-ranks retained records with fresh stamps, and a digest that moved on
-// every re-rank would make converged replicas look divergent forever.
+// overwhelming probability.
 type Summary struct {
 	// Count is the number of live keys.
 	Count int `json:"count"`
@@ -28,46 +38,163 @@ type Summary struct {
 	Digest uint64 `json:"digest"`
 }
 
-// Summary fingerprints the live set. Cost is one pass over the in-memory
-// index — no disk reads — so a gossip round can afford one per exchange.
+// Summary fingerprints the live set: the XOR of the bucket fingerprints.
 func (s *Store) Summary() (Summary, error) {
 	var sum Summary
 	err := s.do(func() {
-		sum.Count = len(s.index)
-		var buf [36]byte
-		for key, e := range s.index {
-			copy(buf[:32], key[:])
-			binary.LittleEndian.PutUint32(buf[32:], e.sum)
-			h := fnv.New64a()
-			_, _ = h.Write(buf[:])
-			sum.Digest ^= h.Sum64()
+		sum.Count = s.index.len()
+		for _, f := range s.index.fp {
+			sum.Digest ^= f
 		}
 	})
 	return sum, err
 }
 
-// Records materializes the live copies of the requested keys, oldest
-// stamp first, reading the verdict bodies back off the segment files
-// (the index holds only stamps and sums). Keys the store does not hold
-// live are skipped silently — a rumor can outlive its record's
-// supersession. The tail is synced first, matching Delta: a record
-// handed to a peer must not be one a local crash could still lose.
-func (s *Store) Records(keys []identity.Hash) ([]Record, error) {
-	var out []Record
-	var scanErr error
+// Scope is a bitmap over key-space buckets, one bit per bucket (bit i of
+// byte i/8, least significant first), that restricts a manifest or a delta
+// to the keys in the set buckets. Its length fixes the width: 8·len
+// buckets, a power of two from 8 to 1024. The nil Scope is the whole key
+// space.
+type Scope []byte
+
+// Check rejects a bitmap whose length is not a width the store trades: a
+// scope that arrived from outside the program must pass it before
+// Contains is asked anything.
+func (sc Scope) Check() error {
+	if sc != nil && !validWidth(len(sc)*8) {
+		return fmt.Errorf("store: scope bitmap of %d bytes is not a power-of-two width between %d and %d buckets", len(sc), minWidth, fpBuckets)
+	}
+	return nil
+}
+
+// validWidth reports whether n is a bucket count an exchange may trade.
+func validWidth(n int) bool {
+	return n >= minWidth && n <= fpBuckets && n&(n-1) == 0
+}
+
+// has reports whether bucket i is in a non-nil scope.
+func (sc Scope) has(i int) bool { return sc[i>>3]&(1<<(i&7)) != 0 }
+
+// Contains reports whether key falls in one of the scope's buckets.
+func (sc Scope) Contains(key identity.Hash) bool {
+	return sc == nil || sc.has(bucketOf(key, len(sc)*8))
+}
+
+// Fingerprints returns the live set's bucket fingerprints in wire form:
+// eight big-endian bytes per bucket, at a width chosen from the live count
+// (about keysPerBucket keys a bucket, between 8 and 1024 buckets) so a
+// near-empty store trades 64 bytes and a large one keeps its scoped
+// manifests short. A peer answers with Differing.
+func (s *Store) Fingerprints() ([]byte, error) {
+	var out []byte
 	err := s.do(func() {
-		need := make(map[identity.Hash]bool, len(keys))
-		for _, k := range keys {
-			if _, ok := s.index[k]; ok {
-				need[k] = true
+		width := minWidth
+		for width < fpBuckets && width*keysPerBucket < s.index.len() {
+			width *= 2
+		}
+		out = s.index.folded(width)
+	})
+	return out, err
+}
+
+// Differing compares a peer's Fingerprints with this store's, folded to
+// the peer's width, and returns the scope of buckets that disagree — nil
+// when every bucket agrees and the two live sets hold the same content.
+func (s *Store) Differing(peer []byte) (Scope, error) {
+	width := len(peer) / 8
+	if len(peer)%8 != 0 || !validWidth(width) {
+		return nil, fmt.Errorf("store: %d fingerprint bytes are not a power-of-two width between %d and %d buckets", len(peer), minWidth, fpBuckets)
+	}
+	scope := make(Scope, width/8)
+	differ := false
+	err := s.do(func() {
+		mine := s.index.folded(width)
+		for i := 0; i < width; i++ {
+			if !bytes.Equal(mine[8*i:8*i+8], peer[8*i:8*i+8]) {
+				scope[i>>3] |= 1 << (i & 7)
+				differ = true
 			}
 		}
-		if len(need) > 0 {
-			out, scanErr = s.liveRecords(need)
-		}
 	})
-	if err != nil {
+	if err != nil || !differ {
 		return nil, err
 	}
-	return out, scanErr
+	return scope, nil
+}
+
+// readFrames reads the given live frames straight off their recorded
+// locations into one wire blob — the version header, then the frames
+// oldest stamp first, byte for byte as the segments hold them, which is
+// exactly what EncodeRecords would produce — and returns it with the
+// record count. Every frame is checked (length, CRC, key, stamp) before
+// anything is returned: one bad frame fails the whole read, because a
+// store whose live frames do not match its index must not vouch for any
+// of them. The tail is synced first: a record handed to a peer must not
+// be one a local crash could still lose. Runs on the flusher goroutine.
+func (s *Store) readFrames(want []located) ([]byte, int, error) {
+	if len(want) == 0 {
+		return nil, 0, nil
+	}
+	s.syncTail()
+	if s.flushErr != nil {
+		return nil, 0, s.flushErr
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].stamp != want[j].stamp {
+			return want[i].stamp < want[j].stamp
+		}
+		return bytes.Compare(want[i].key[:], want[j].key[:]) < 0
+	})
+	size := segmentHeaderLen
+	for i := range want {
+		size += int(want[i].n)
+	}
+	buf := make([]byte, segmentHeaderLen, size)
+	copy(buf, segmentHeader)
+	for i := range want {
+		w := &want[i]
+		f, name := s.tail, tailName
+		if w.seg == segSnap {
+			f, name = s.snap, snapshotName
+		}
+		frame := buf[len(buf) : len(buf)+int(w.n)]
+		if f == nil {
+			return nil, 0, fmt.Errorf("store: live record %s is indexed in a missing %s", w.key, name)
+		}
+		if _, err := f.ReadAt(frame, w.off); err != nil {
+			return nil, 0, fmt.Errorf("store: reading live record %s at %s+%d: %w", w.key, name, w.off, err)
+		}
+		if err := checkFrame(frame, w.key, w.stamp); err != nil {
+			return nil, 0, fmt.Errorf("store: live record %s at %s+%d: %w", w.key, name, w.off, err)
+		}
+		buf = buf[:len(buf)+int(w.n)]
+	}
+	return buf, len(want), nil
+}
+
+// Records returns the live copies of the requested keys as a wire blob
+// (see readFrames) plus the record count, oldest stamp first. Keys the
+// store does not hold live are skipped silently — a rumor can outlive its
+// record's supersession.
+func (s *Store) Records(keys []identity.Hash) ([]byte, int, error) {
+	var framed []byte
+	var n int
+	var readErr error
+	err := s.do(func() {
+		want := make([]located, 0, len(keys))
+		seen := make(map[identity.Hash]struct{}, len(keys))
+		for _, k := range keys {
+			if e, ok := s.index.get(k); ok {
+				if _, dup := seen[k]; !dup {
+					seen[k] = struct{}{}
+					want = append(want, located{k, e})
+				}
+			}
+		}
+		framed, n, readErr = s.readFrames(want)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return framed, n, readErr
 }

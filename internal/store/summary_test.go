@@ -82,12 +82,13 @@ func TestRecordsMaterializesLiveCopies(t *testing.T) {
 	}
 	// Supersede key 2: the fetch must return the newest copy.
 	s.Append(testKey(2), testVerdict(7), nil)
-	got, err := s.Records([]identity.Hash{testKey(1), testKey(2), testKey(42)})
+	framed, n, err := s.Records([]identity.Hash{testKey(1), testKey(2), testKey(42), testKey(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := decodeFrames(t, framed, n)
 	if len(got) != 2 {
-		t.Fatalf("got %d records, want 2 (unknown key skipped)", len(got))
+		t.Fatalf("got %d records, want 2 (unknown key skipped, repeated key once)", len(got))
 	}
 	byKey := map[identity.Hash]Record{}
 	for _, r := range got {
@@ -103,8 +104,8 @@ func TestRecordsMaterializesLiveCopies(t *testing.T) {
 		t.Fatalf("request column lost: %q", r.Request)
 	}
 	// Empty and all-unknown requests cost nothing and return nothing.
-	if recs, err := s.Records(nil); err != nil || len(recs) != 0 {
-		t.Fatalf("nil request: %v %v", recs, err)
+	if framed, n, err := s.Records(nil); err != nil || n != 0 || framed != nil {
+		t.Fatalf("nil request: %d records, %d bytes, %v", n, len(framed), err)
 	}
 }
 
@@ -119,7 +120,7 @@ func TestSummaryAndRecordsAfterClose(t *testing.T) {
 	if _, err := s.Summary(); err != ErrClosed {
 		t.Fatalf("Summary after close: %v", err)
 	}
-	if _, err := s.Records([]identity.Hash{testKey(1)}); err != ErrClosed {
+	if _, _, err := s.Records([]identity.Hash{testKey(1)}); err != ErrClosed {
 		t.Fatalf("Records after close: %v", err)
 	}
 }

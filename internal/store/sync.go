@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 
 	"rationality/internal/identity"
 )
@@ -43,101 +41,91 @@ func (s *Store) do(fn func()) error {
 }
 
 // RecordInfo is one manifest line: the newest stamp a store holds for a
-// key and the checksum of the verdict content at that stamp. The sum is
-// what keeps anti-entropy quiescent under stamp churn — compaction
-// re-ranks retained records with fresh stamps, and without a content
-// check every re-rank would look like new data to every peer, making
-// converged replicas re-transfer their whole hot sets forever.
+// key, the checksum of the verdict content at that stamp, and whether a
+// quorum certificate rides the record. The sum is what keeps anti-entropy
+// quiescent under stamp churn — compaction re-ranks retained records with
+// fresh stamps, and without a content check every re-rank would look like
+// new data to every peer, making converged replicas re-transfer their
+// whole hot sets forever. The certified bit feeds the merge rule
+// (supersedes).
 type RecordInfo struct {
-	Stamp uint64
-	Sum   uint32
+	Stamp     uint64
+	Sum       uint32
+	Certified bool
 }
 
-// Manifest returns a snapshot of the store's on-disk index: the newest
-// stamp and content sum per live key. It is the "what I have" half of an
-// anti-entropy exchange — a peer answers it with the records this store
-// is missing.
-func (s *Store) Manifest() (map[identity.Hash]RecordInfo, error) {
+// supersedes is the merge rule, the one place that decides whether an
+// incoming version of a key replaces the current one — Delta asks it
+// whether a record is worth sending, Ingest whether to apply it. While
+// both versions carry the same verdict polarity, a certified record
+// outranks an uncertified one whatever the stamps: stamps are per-store
+// counters, and a member that co-signed a verdict holds the bare record
+// at a stamp of its own that says nothing about the certificate issued
+// elsewhere afterwards. Otherwise the newer stamp wins. (Delta sees only
+// the peer's manifest line, which has no polarity, and passes true: a
+// certificate the receiver then finds contradicts its copy's polarity
+// falls back to stamps there.)
+func supersedes(inStamp uint64, inCertified bool, curStamp uint64, curCertified, samePolarity bool) bool {
+	if samePolarity && inCertified != curCertified {
+		return inCertified
+	}
+	return inStamp > curStamp
+}
+
+// Manifest returns a snapshot of the store's on-disk index restricted to
+// scope (nil: all of it): the newest stamp, content sum and certified bit
+// per live key. It is the "what I have" half of an anti-entropy exchange —
+// a peer answers it with the records this store is missing.
+func (s *Store) Manifest(scope Scope) (map[identity.Hash]RecordInfo, error) {
+	if err := scope.Check(); err != nil {
+		return nil, err
+	}
 	var m map[identity.Hash]RecordInfo
 	err := s.do(func() {
-		m = make(map[identity.Hash]RecordInfo, len(s.index))
-		for k, e := range s.index {
-			m[k] = RecordInfo{Stamp: e.stamp, Sum: e.sum}
+		n := s.index.len()
+		if scope != nil {
+			n = 0 // a scoped manifest is a sliver; let it grow
 		}
+		m = make(map[identity.Hash]RecordInfo, n)
+		s.index.each(scope, func(l located) {
+			m[l.key] = RecordInfo{Stamp: l.stamp, Sum: l.sum, Certified: l.certified}
+		})
 	})
 	return m, err
 }
 
-// Delta returns this store's live records that the given manifest is
-// missing — or holds both an older stamp and different content for —
-// ordered oldest stamp first. A peer whose copy has an older stamp but
-// the same content sum needs nothing: the stamp gap is compaction
-// re-ranking, not data, and sending it would only bounce identical
-// verdicts between replicas forever. The verdict bodies are read back
-// off the segment files (the in-memory index holds only stamps and
-// sums), so a delta costs one log scan — anti-entropy cadence, not
-// hot-path cadence. The tail is synced first: a record handed to a peer
-// must not be one a local crash could still lose.
-func (s *Store) Delta(have map[identity.Hash]RecordInfo) ([]Record, error) {
-	var out []Record
-	var scanErr error
+// Delta returns, as a wire blob plus a record count, this store's live
+// records inside scope (nil: everywhere) that the given manifest is
+// missing, or holds different content for in a version this store's
+// supersedes — ordered oldest stamp first. A peer whose copy has an older
+// stamp but the same content sum needs nothing: the stamp gap is
+// compaction re-ranking, not data, and sending it would only bounce
+// identical verdicts between replicas forever. The index is bucketed and
+// knows where every live frame sits, so the cost is a walk over the
+// in-scope buckets' index lines plus one checked read per record shipped
+// (readFrames) — the blob is the segments' own bytes, never decoded or
+// re-encoded here.
+func (s *Store) Delta(have map[identity.Hash]RecordInfo, scope Scope) ([]byte, int, error) {
+	if err := scope.Check(); err != nil {
+		return nil, 0, err
+	}
+	var framed []byte
+	var n int
+	var readErr error
 	err := s.do(func() {
-		need := make(map[identity.Hash]bool)
-		for key, e := range s.index {
-			peer, ok := have[key]
-			if !ok || (peer.Stamp < e.stamp && peer.Sum != e.sum) {
-				need[key] = true
+		var want []located
+		s.index.each(scope, func(l located) {
+			peer, ok := have[l.key]
+			if !ok || (peer.Sum != l.sum && supersedes(l.stamp, l.certified, peer.Stamp, peer.Certified, true)) {
+				want = append(want, l)
 			}
-		}
-		if len(need) > 0 {
-			out, scanErr = s.liveRecords(need)
-		}
+		})
+		framed, n, readErr = s.readFrames(want)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, scanErr
-}
-
-// liveRecords reads the live copies of the wanted keys (nil: every live
-// key) back off the segment files, oldest stamp first — the index holds
-// only stamps and sums, so the verdict bodies cost one scan of snapshot +
-// tail, keeping the copy whose stamp is the index entry's and skipping
-// superseded ones. The tail is synced first, so nothing the scan returns
-// is a record a local crash could still lose. Runs on the flusher
-// goroutine.
-func (s *Store) liveRecords(want map[identity.Hash]bool) ([]Record, error) {
-	s.syncTail()
-	if s.flushErr != nil {
-		return nil, s.flushErr
-	}
-	n := len(want)
-	if want == nil {
-		n = len(s.index)
-	}
-	out := make([]Record, 0, n)
-	at := make(map[identity.Hash]int, n) // key -> position in out
-	absorb := func(r *Record) {
-		if want != nil && !want[r.Key] {
-			return // the common case on a small delta: one small-map miss
-		}
-		if cur, ok := s.index[r.Key]; !ok || r.Stamp != cur.stamp {
-			return // superseded or unknown: garbage
-		}
-		if i, dup := at[r.Key]; dup {
-			out[i] = *r // the tail's equal-stamp duplicate of a snapshot record
-			return
-		}
-		at[r.Key] = len(out)
-		out = append(out, *r)
-	}
-	for _, name := range []string{snapshotName, tailName} {
-		if err := replayFile(filepath.Join(s.dir, name), absorb, nil); err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
-	return out, nil
+	return framed, n, readErr
 }
 
 // Refutation is ingest-time evidence of a lying voucher: an incoming
@@ -157,8 +145,11 @@ type Refutation struct {
 }
 
 // Ingest merges records pulled from a peer into the log: per key the
-// newest stamp wins, stale offers are skipped, and applied records keep
-// the peer's stamp so repeated exchanges converge on identical histories.
+// merge rule (supersedes) decides, stale offers are skipped, and applied
+// records keep the peer's stamp so repeated exchanges converge on
+// identical histories — except a certificate that wins against a newer
+// local stamp, which is re-stamped here so recovery's newest-stamp-wins
+// replay keeps it.
 // Under a MaxLive bound, *new* keys are declined once the live set is at
 // the bound — absorbing them would only hand the next compaction more
 // history to retire, an ingest-retire ping-pong that would otherwise
@@ -186,7 +177,7 @@ func (s *Store) Ingest(recs []Record) ([]Record, []Refutation, error) {
 	err := s.do(func() {
 		for i := range recs {
 			r := &recs[i]
-			cur, exists := s.index[r.Key]
+			cur, exists := s.index.get(r.Key)
 			if exists && s.opts.Origin != "" && cur.origin == s.opts.Origin &&
 				cur.accepted != r.Verdict.Accepted {
 				// Contradicts our own locally verified verdict: refuse it
@@ -194,8 +185,13 @@ func (s *Store) Ingest(recs []Record) ([]Record, []Refutation, error) {
 				refuted = append(refuted, Refutation{Record: *r, LocalAccepted: cur.accepted})
 				continue
 			}
-			if exists && cur.stamp >= r.Stamp {
-				continue // local copy is as new or newer: skip
+			if exists {
+				if !supersedes(r.Stamp, len(r.Cert) > 0, cur.stamp, cur.certified, cur.accepted == r.Verdict.Accepted) {
+					continue // the local copy stands
+				}
+				if r.Stamp <= cur.stamp {
+					r.Stamp = s.nextStamp // a certificate outranking a newer bare copy
+				}
 			}
 			if !exists && s.opts.MaxLive > 0 && s.live.Load() >= uint64(s.opts.MaxLive) {
 				continue // at the retention bound: don't absorb history just to retire it

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -13,35 +14,48 @@ import (
 // framing the wire uses, so the test covers the full round trip.
 func pull(t *testing.T, dst, src *Store) []Record {
 	t.Helper()
-	have, err := dst.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := src.Delta(have)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed, err := EncodeRecords(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeRecords(framed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded, delta) {
-		t.Fatalf("wire framing not lossless: sent %+v, received %+v", delta, decoded)
-	}
-	applied, _, err := dst.Ingest(decoded)
+	applied, _, err := dst.Ingest(deltaOf(t, src, manifestOf(t, dst)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return applied
 }
 
+// decodeFrames decodes a blob Delta or Records read off the segments and
+// checks the claim that lets them skip the codec: the bytes on disk are
+// the bytes EncodeRecords would produce for the same records.
+func decodeFrames(t *testing.T, framed []byte, n int) []Record {
+	t.Helper()
+	recs, err := DecodeRecords(framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n {
+		t.Fatalf("blob frames %d records, count says %d", len(recs), n)
+	}
+	again, err := EncodeRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, framed) {
+		t.Fatal("frames read off disk differ from EncodeRecords of the same records")
+	}
+	return recs
+}
+
+// deltaOf is src's complete-scope delta against a manifest, decoded.
+func deltaOf(t *testing.T, src *Store, have map[identity.Hash]RecordInfo) []Record {
+	t.Helper()
+	framed, n, err := src.Delta(have, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeFrames(t, framed, n)
+}
+
 func manifestOf(t *testing.T, s *Store) map[identity.Hash]RecordInfo {
 	t.Helper()
-	m, err := s.Manifest()
+	m, err := s.Manifest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +191,7 @@ func TestDeltaSkipsRestampedIdenticalContent(t *testing.T) {
 	if _, _, err := b.Ingest([]Record{{Key: key, Stamp: 9, Verdict: testVerdict(7)}}); err != nil {
 		t.Fatal(err)
 	}
-	delta, err := b.Delta(manifestOf(t, a))
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := deltaOf(t, b, manifestOf(t, a))
 	if len(delta) != 0 {
 		t.Fatalf("re-stamped identical content produced a delta: %+v", delta)
 	}
@@ -188,10 +199,7 @@ func TestDeltaSkipsRestampedIdenticalContent(t *testing.T) {
 	if _, _, err := b.Ingest([]Record{{Key: key, Stamp: 10, Verdict: testVerdict(8)}}); err != nil {
 		t.Fatal(err)
 	}
-	delta, err = b.Delta(manifestOf(t, a))
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta = deltaOf(t, b, manifestOf(t, a))
 	if len(delta) != 1 || delta[0].Stamp != 10 {
 		t.Fatalf("changed content not offered: %+v", delta)
 	}
@@ -269,10 +277,10 @@ func TestSyncAPIAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Manifest(); !errors.Is(err, ErrClosed) {
+	if _, err := s.Manifest(nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Manifest after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := s.Delta(nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := s.Delta(nil, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delta after Close: err = %v, want ErrClosed", err)
 	}
 	if _, _, err := s.Ingest(nil); !errors.Is(err, ErrClosed) {

@@ -131,18 +131,7 @@ func TestOriginSurvivesIngestAndDelta(t *testing.T) {
 	if len(applied) != 1 {
 		t.Fatalf("applied %d records, want 1", len(applied))
 	}
-	delta, err := s.Delta(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed, err := EncodeRecords(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeRecords(framed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decoded := deltaOf(t, s, nil)
 	if len(decoded) != 1 || decoded[0].Origin != peer {
 		t.Fatalf("origin lost across disk+wire: %+v", decoded)
 	}

@@ -192,7 +192,8 @@ type (
 // Service-layer wire message types (alongside the classic "verify" and
 // "formats" which the service also answers). MsgSyncOffer/MsgSyncDelta
 // are the anti-entropy pair: a verifier offers its verdict-log manifest
-// and receives the CRC-framed records it is missing.
+// — complete, or scoped to the key-space buckets a fingerprint probe found
+// differing — and receives the CRC-framed records it is missing.
 const (
 	MsgVerifyBatch  = service.MsgVerifyBatch
 	MsgServiceStats = service.MsgServiceStats
@@ -529,14 +530,16 @@ type (
 	// consecutive failures, remaining backoff, attempts, failures, records
 	// moved and skip counts by reason.
 	GossipPeerStats = gossip.PeerStats
-	// GossipRequest opens a push-pull exchange on the wire: the
-	// initiator's store fingerprint plus optional rumor records.
+	// GossipRequest opens a replication exchange on the wire: the
+	// initiator's per-bucket store fingerprints plus optional rumor records.
 	GossipRequest = service.GossipRequest
-	// GossipSummaryResponse answers a gossip open or push with the
-	// responder's fingerprint and how many carried records it accepted.
+	// GossipSummaryResponse answers a gossip open or push: which buckets'
+	// fingerprints differ (open only; none means in sync) and how many
+	// carried records the responder accepted.
 	GossipSummaryResponse = service.GossipSummaryResponse
 	// GossipExchangeResponse answers a gossip-pull: the signed delta for
-	// the initiator's manifest plus the responder's own manifest.
+	// the initiator's manifest plus the responder's own manifest over the
+	// same scope.
 	GossipExchangeResponse = service.GossipExchangeResponse
 	// GossipPushRequest completes an exchange: the responder's echoed
 	// manifest and the signed delta answering it.
