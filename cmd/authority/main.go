@@ -65,7 +65,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -266,9 +265,8 @@ func runVerifier(args []string) error {
 		"sustained batch/stream admission rate in items/s; a whole batch is admitted or shed atomically, and the batch class always sheds before interactive traffic does; 0 leaves the batch class unlimited")
 	admin := fs.String("admin", "",
 		"admin listen address for /metrics, /healthz, /readyz and /debug/pprof (empty disables the operator plane; keep it off the service port)")
-	corrupt := fs.Bool("corrupt", false, "flip every verdict (adversarial test double)")
 	byzantine := fs.Bool("byzantine", false,
-		"run a full federated verifier that inverts every verdict before persisting and vouching for it (Byzantine test double: its lies are properly signed, so honest peers can convict and quarantine it by evidence)")
+		"invert every verdict (adversarial test double): without -persist a stateless liar on the wire; with -persist its lies are persisted, properly signed and vouched for, so honest peers can convict and quarantine it by evidence")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -347,53 +345,6 @@ func runVerifier(args []string) error {
 	if *auditRate > 0 && *persist == "" {
 		return fmt.Errorf("-audit-rate requires -persist: auditing re-executes the persisted verify request")
 	}
-	if *byzantine {
-		if *corrupt {
-			return fmt.Errorf("-byzantine and -corrupt are different liars: -corrupt lies on the wire with no state, -byzantine vouches signed lies into the federation; pick one")
-		}
-		if *persist == "" {
-			return fmt.Errorf("-byzantine requires -persist: the Byzantine double exists to vouch durable lies to its peers")
-		}
-	}
-	if *corrupt {
-		if *admin != "" {
-			// The operator plane renders the service layer's counters; the
-			// adversarial double has no service layer, so an admin port
-			// would answer with all-zero metrics that look like health.
-			return fmt.Errorf("-corrupt does not support -admin: the adversarial double has no service counters to expose")
-		}
-		if *keyPath != "" || len(peerKeys) > 0 {
-			// A signing identity would let the liar's corruption cross
-			// operator boundaries with a valid signature on it.
-			return fmt.Errorf("-corrupt does not support -key or -peer-keys: the adversarial double gets no federation identity")
-		}
-		if len(peerAddrs) > 0 {
-			// A liar with a replicated log would poison honest peers'
-			// caches on top of lying on the wire; the test double stays
-			// isolated.
-			return fmt.Errorf("-corrupt does not support -peers: the adversarial double has no verdict store to replicate")
-		}
-		if *persist != "" {
-			// The corrupt double serves the legacy direct path with no
-			// service layer behind it; silently ignoring -persist would
-			// leave the operator believing a log exists.
-			return fmt.Errorf("-corrupt does not support -persist: the adversarial double has no verdict store")
-		}
-		// The adversarial test double stays on the direct path: a liar does
-		// not get the benefit of a consistent cache.
-		svc, err := core.NewCorruptVerifierService(*id)
-		if err != nil {
-			return err
-		}
-		srv, err := transport.ListenTCP(*listen, svc)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("verifier %q selling procedures on %s (corrupt=true)\n", *id, srv.Addr())
-		waitForSignal()
-		return nil
-	}
 	// A persisted verifier always runs with an on-disk signing identity:
 	// -key names the file, or it lives in the persist dir by default and
 	// is generated on first start. The printed party ID is what operators
@@ -470,7 +421,7 @@ func runVerifier(args []string) error {
 	}
 	var procs *core.ProcedureRegistry
 	if *byzantine {
-		procs = byzantineProcedures()
+		procs = core.NewLyingProcedureRegistry()
 	}
 	svc, err := service.New(service.Config{
 		ID:            *id,
@@ -542,7 +493,7 @@ func runVerifier(args []string) error {
 		fmt.Printf("audit: re-verifying %.0f%% of ingested peer records in the background\n", *auditRate*100)
 	}
 	if *byzantine {
-		fmt.Printf("verifier %q is BYZANTINE: every verdict inverted before it is persisted and vouched for\n", *id)
+		fmt.Printf("verifier %q is BYZANTINE: every verdict inverted before it is served, persisted or vouched for\n", *id)
 	}
 	var stopSync func()
 	if len(peerAddrs) > 0 {
@@ -693,44 +644,6 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// byzantineProcedures builds a procedure registry whose every bundled
-// procedure lies: the honest procedure runs, then the verdict is
-// inverted. The lie is computed, persisted, and vouched for exactly like
-// a truth — the request is stored alongside it and deltas are signed —
-// which is precisely what lets an honest auditor replay the request,
-// refute the verdict, and convict the signer.
-func byzantineProcedures() *core.ProcedureRegistry {
-	procs := core.NewProcedureRegistry()
-	for _, format := range procs.Formats() {
-		inner, err := procs.Lookup(format)
-		if err != nil {
-			continue // unreachable: the format list came from the registry
-		}
-		procs.Register(lyingProcedure{inner: inner})
-	}
-	return procs
-}
-
-// lyingProcedure inverts the wrapped procedure's verdict.
-type lyingProcedure struct{ inner core.Procedure }
-
-func (l lyingProcedure) Format() string { return l.inner.Format() }
-
-func (l lyingProcedure) Verify(gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
-	v, err := l.inner.Verify(gameSpec, advice, proofBody)
-	if err != nil || v == nil {
-		return v, err
-	}
-	lied := *v
-	lied.Accepted = !v.Accepted
-	if lied.Accepted {
-		lied.Reason = ""
-	} else {
-		lied.Reason = "byzantine double: honest verdict inverted"
-	}
-	return &lied, nil
 }
 
 // runProvenance asks a running authority whose word it is serving: one

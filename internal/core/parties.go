@@ -92,10 +92,6 @@ func (s *InventorService) Handle(_ context.Context, req transport.Message) (tran
 type VerifierService struct {
 	id    string
 	procs *ProcedureRegistry
-	// corrupt, when set, flips every verdict — a test double for the
-	// "majority of verifiers is trusted" analysis. An honest deployment
-	// leaves it false.
-	corrupt bool
 }
 
 var _ transport.Handler = (*VerifierService)(nil)
@@ -108,14 +104,15 @@ func NewVerifierService(id string) (*VerifierService, error) {
 	return &VerifierService{id: id, procs: NewProcedureRegistry()}, nil
 }
 
-// NewCorruptVerifierService creates a verifier that always lies (flips its
-// verdicts). Used to exercise the majority-voting and reputation machinery.
+// NewCorruptVerifierService creates a verifier whose bundled procedures
+// all lie (LyingProcedure) — the test double that exercises the
+// majority-voting and reputation machinery.
 func NewCorruptVerifierService(id string) (*VerifierService, error) {
 	v, err := NewVerifierService(id)
 	if err != nil {
 		return nil, err
 	}
-	v.corrupt = true
+	v.procs = NewLyingProcedureRegistry()
 	return v, nil
 }
 
@@ -158,14 +155,6 @@ func (s *VerifierService) verify(vr VerifyRequest) (*Verdict, error) {
 		// Unintelligible inputs: report as a rejection with the parse error,
 		// so the agent still gets a verdict to vote on.
 		verdict = &Verdict{Format: vr.Format, Reason: err.Error()}
-	}
-	if s.corrupt {
-		verdict.Accepted = !verdict.Accepted
-		if verdict.Accepted {
-			verdict.Reason = ""
-		} else {
-			verdict.Reason = "rejected" // a liar gives no useful evidence
-		}
 	}
 	return verdict, nil
 }

@@ -127,6 +127,43 @@ func (r *ProcedureRegistry) Formats() []string {
 	return out
 }
 
+// LyingProcedure is the one adversarial test double: it runs the wrapped
+// procedure honestly, then inverts the verdict. The lie being an ordinary
+// Procedure, whatever serves it treats it like a truth — cached,
+// persisted beside its request, signed and vouched for — so a majority
+// can out-vote it and an honest auditor can replay the request, refute
+// the verdict and convict the signer. Errors pass through uninverted.
+type LyingProcedure struct{ Inner Procedure }
+
+// Format implements Procedure.
+func (l LyingProcedure) Format() string { return l.Inner.Format() }
+
+// Verify implements Procedure.
+func (l LyingProcedure) Verify(gameSpec, advice, proofBody json.RawMessage) (*Verdict, error) {
+	v, err := l.Inner.Verify(gameSpec, advice, proofBody)
+	if err != nil || v == nil {
+		return v, err
+	}
+	lied := *v
+	lied.Accepted = !v.Accepted
+	if lied.Accepted {
+		lied.Reason = ""
+	} else {
+		lied.Reason = "rejected" // a liar gives no useful evidence
+	}
+	return &lied, nil
+}
+
+// NewLyingProcedureRegistry returns a registry whose every bundled
+// procedure is wrapped in a LyingProcedure.
+func NewLyingProcedureRegistry() *ProcedureRegistry {
+	r := NewProcedureRegistry()
+	for format, p := range r.procs {
+		r.procs[format] = LyingProcedure{Inner: p}
+	}
+	return r
+}
+
 // EnumerationProcedure checks §3 certificates: game = GameSpec, advice =
 // the recommended profile, proof = the full proof.Proof enumeration
 // certificate.

@@ -15,9 +15,10 @@ import (
 // BenchmarkQuorumVerify is the fan-out baseline: one request dispatched
 // to three in-process verification services concurrently, votes weighted
 // and recorded. After the first iteration every member answers from its
-// verdict cache, so the number isolates the quorum machinery — fan-out
-// goroutines, collection, weighted vote, reputation recording — from
-// procedure cost.
+// verdict cache, so the number is the quorum machinery — fan-out
+// goroutines, collection, weighted vote, reputation recording — plus one
+// wire round trip per member (codec and serve loop over an in-memory
+// pipe; no kernel socket), without procedure cost.
 func BenchmarkQuorumVerify(b *testing.B) {
 	for _, members := range []int{3, 5} {
 		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {

@@ -13,7 +13,9 @@ import (
 
 // BenchmarkPullExchange is one whole anti-entropy exchange between two
 // keyed in-process services — fingerprints, scoped offer, signed delta,
-// federation gate, ingest — starting from 4096 live records on both sides:
+// federation gate, ingest, and the wire codec both ways (the peer is the
+// production client over an in-memory pipe) — starting from 4096 live
+// records on both sides:
 // with 64 new records at the responder per exchange, with none, and as the
 // backstop round that trades complete manifests whatever the fingerprints
 // say (in-sync, so the manifest is all it moves).

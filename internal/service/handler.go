@@ -213,9 +213,10 @@ type StatsResponse struct {
 
 var _ transport.Handler = (*Service)(nil)
 
-// Handle implements transport.Handler: the service is a drop-in
-// replacement for core.VerifierService that additionally understands batch
-// verification and stats inspection.
+// Handle implements transport.Handler: the classic verify/formats
+// messages an agent sends any verifier, plus batches, stats, replication
+// and certificates. It is the only handler `authority verifier` serves —
+// a lying verifier is this service over core.LyingProcedure.
 func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.Message, error) {
 	switch req.Type {
 	case core.MsgVerify:

@@ -457,8 +457,8 @@ func (s *Service) Stats() Stats {
 }
 
 // Verify checks one verification request. Unintelligible-but-parseable
-// inputs come back as rejection verdicts (matching core.VerifierService);
-// an error means no verdict was produced at all (unknown format, cancelled
+// inputs come back as rejection verdicts, so the agent still gets a
+// verdict to vote on; an error means no verdict was produced at all (unknown format, cancelled
 // context, closed service).
 func (s *Service) Verify(ctx context.Context, req core.VerifyRequest) (*core.Verdict, error) {
 	return s.verify(ctx, "", req.Format, req.Game, req.Advice, req.Proof)
@@ -474,10 +474,8 @@ func (s *Service) VerifyAnnouncement(ctx context.Context, ann core.Announcement)
 // PartialBatchError reports a batch (or stream) cut short by an
 // infrastructure failure — cancelled context or service shutdown — after
 // some items already completed. VerifyBatch returns it alongside the
-// verdict slice, in which the first Done items (in completion order, not
-// necessarily input order — see VerifyBatch) are real verdicts; the rest
-// of the work was never run. errors.Is sees through it to the cause, so
-// callers checking context.Canceled keep working.
+// Done completed verdicts; the rest of the work was never run. errors.Is
+// sees through it to the cause (context.Canceled, ErrServiceClosed).
 type PartialBatchError struct {
 	// Done is how many verdicts completed before the cut; Total is the
 	// batch size requested.
@@ -494,82 +492,30 @@ func (e *PartialBatchError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *PartialBatchError) Unwrap() error { return e.Cause }
 
-// VerifyBatch fans the announcements across the shared worker pool and
-// returns one verdict per announcement, in input order. Items whose inputs
-// cannot be verified (e.g. an unknown proof format) appear as rejection
-// verdicts carrying the reason, so the slice always aligns with the input.
-// An infrastructure failure (cancelled context, service shutdown) does not
+// VerifyBatch fans the announcements across the shared worker pool
+// (fanOut, the loop VerifyStream runs on) and returns one verdict per
+// announcement, in input order. Items whose inputs cannot be verified
+// (e.g. an unknown proof format) appear as rejection verdicts carrying
+// the reason, so the slice always aligns with the input. An
+// infrastructure failure (cancelled context, service shutdown) does not
 // discard finished work: the call returns the verdicts completed so far —
 // compacted to the front of the returned slice, in input order — together
-// with a *PartialBatchError carrying the completed count and the cause,
-// matching the per-item semantics of VerifyStream. Every item is
-// dispatched as one pool job — batch length is wire-controlled, so it must
-// not translate into goroutines — and the submit loop applies natural
-// backpressure: it blocks while all workers are busy. A started batch
-// counts as one in-flight request: Close waits for it to finish. Batches
-// are charged to the batch admission class as one token per item.
+// with a *PartialBatchError carrying the completed count and the cause.
+// A started batch counts as one in-flight request (Close waits for it)
+// and is charged to the batch admission class as one token per item.
 func (s *Service) VerifyBatch(ctx context.Context, anns []core.Announcement) ([]core.Verdict, error) {
-	if s.admission != nil {
-		if err := s.admission.admit(ClassBatch, len(anns)); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.acquire(); err != nil {
-		s.metrics.failures.Add(1)
+	if err := s.beginBatch(len(anns)); err != nil {
 		return nil, err
 	}
 	defer s.release()
-	s.metrics.batches.Add(1)
 	verdicts := make([]core.Verdict, len(anns))
-	if len(anns) == 0 {
-		return verdicts, nil
-	}
-	var (
-		errMu    sync.Mutex
-		batchErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if batchErr == nil {
-			batchErr = err
-		}
-		errMu.Unlock()
-	}
-	// done flags which slots hold a completed verdict; written by the
-	// worker that filled the slot, read only after wg.Wait() joins every
-	// dispatched job.
-	done := make([]bool, len(anns))
-	var wg sync.WaitGroup
-submit:
-	for i := range anns {
-		ann := &anns[i]
-		out := &verdicts[i]
-		completed := &done[i]
-		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			v, err := s.verifyItem(ctx, ann)
-			switch {
-			case err == nil:
-				*out = *v
-				*completed = true
-			case isContextError(err) || errors.Is(err, ErrServiceClosed):
-				setErr(err)
-			default:
-				*out = core.Verdict{Format: ann.Format, Reason: err.Error()}
-				*completed = true
-			}
-		}
-		select {
-		case s.jobs <- job:
-		case <-ctx.Done():
-			wg.Done()
-			setErr(ctx.Err())
-			break submit
-		}
-	}
-	wg.Wait()
-	if batchErr == nil {
+	done := make([]bool, len(anns)) // which slots hold a completed verdict
+	cause, _ := s.fanOut(ctx, anns, nil, func(sv StreamVerdict) error {
+		verdicts[sv.Index] = sv.Verdict
+		done[sv.Index] = true
+		return nil
+	})
+	if cause == nil {
 		return verdicts, nil
 	}
 	// Partial completion: keep what finished instead of discarding paid-for
@@ -582,22 +528,12 @@ submit:
 			n++
 		}
 	}
-	return verdicts[:n], &PartialBatchError{Done: n, Total: len(anns), Cause: batchErr}
+	return verdicts[:n], &PartialBatchError{Done: n, Total: len(anns), Cause: cause}
 }
 
 // closing reports whether Close has flagged the service; in-flight work
 // may still be draining.
 func (s *Service) closing() bool { return s.state.Load()&stateClosed != 0 }
-
-// verifyItem runs one batch item on the pool worker it was dispatched to.
-// The batch's in-flight registration covers it, so the pool stays alive
-// until the item completes even during a drain.
-func (s *Service) verifyItem(ctx context.Context, ann *core.Announcement) (*core.Verdict, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof, true)
-}
 
 // Close drains the service: it refuses new requests, waits for in-flight
 // ones to finish, and stops the worker pool. Close is idempotent, and
@@ -788,8 +724,7 @@ func (s *Service) executeOnPool(ctx context.Context, key identity.Hash, format s
 }
 
 // execute resolves the procedure and runs it, translating procedure errors
-// (unintelligible inputs) into rejection verdicts exactly like
-// core.VerifierService does.
+// (unintelligible inputs) into rejection verdicts carrying the reason.
 func (s *Service) execute(format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
 	proc, err := s.procs.Lookup(format)
 	if err != nil {

@@ -596,6 +596,81 @@ func TestVerifyBatchCancelledMidFlightReturnsPartialVerdicts(t *testing.T) {
 	}
 }
 
+// TestVerifyBatchServiceCloseMidBatch is the batch twin of
+// TestVerifyStreamServerCloseMidStream: Close during a large batch over a
+// slow procedure must stop submission, let in-flight items finish, and
+// report the shutdown as a PartialBatchError — not run every remaining
+// item while Close waits.
+func TestVerifyBatchServiceCloseMidBatch(t *testing.T) {
+	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
+	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
+	s.Register(proc)
+
+	const items = 100
+	anns := make([]core.Announcement, items)
+	for i := range anns {
+		anns[i] = announcementFor("inv", fmt.Sprintf(`{"n":%d}`, i))
+	}
+	done := make(chan struct{})
+	var verdicts []core.Verdict
+	var err error
+	go func() {
+		defer close(done)
+		verdicts, err = s.VerifyBatch(context.Background(), anns)
+	}()
+
+	// Wait until the single worker holds the first item at the gate, then
+	// start Close: it must block on the active batch, and the batch's
+	// submitter must observe the closing flag and truncate.
+	deadline := time.After(5 * time.Second)
+	for proc.current.Load() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("first batch item never reached the worker")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !s.closing() {
+		select {
+		case <-deadline:
+			t.Fatal("Close never flagged the service")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(proc.gate) // release every held and future item
+
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch never returned after Close")
+	}
+	select {
+	case cerr := <-closed:
+		if cerr != nil {
+			t.Fatalf("Close: %v", cerr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	var partial *PartialBatchError
+	if !errors.As(err, &partial) {
+		t.Fatalf("err = %T %v, want *PartialBatchError (the batch ran %d items through a closing service)", err, err, proc.calls.Load())
+	}
+	if partial.Cause != ErrServiceClosed {
+		t.Fatalf("partial.Cause = %v, want ErrServiceClosed", partial.Cause)
+	}
+	if partial.Total != items || partial.Done == 0 || partial.Done >= items {
+		t.Fatalf("partial = %d/%d, want mid-batch truncation (0 < done < %d)", partial.Done, partial.Total, items)
+	}
+	if len(verdicts) != partial.Done {
+		t.Fatalf("len(verdicts) = %d, want partial.Done = %d", len(verdicts), partial.Done)
+	}
+}
+
 func TestContextCancelledWhileWaitingForWorker(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 1, CacheSize: -1})

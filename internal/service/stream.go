@@ -64,11 +64,11 @@ type StreamTrailer struct {
 }
 
 // streamResult carries one finished item from a pool worker to the
-// emitter; skip marks items that hit an infrastructure error (recorded
-// separately) and have nothing to emit.
+// collector: a verdict to deliver, or the infrastructure error (cancelled
+// context, shutdown) that left the item with nothing to deliver.
 type streamResult struct {
-	sv   StreamVerdict
-	skip bool
+	sv  StreamVerdict
+	err error
 }
 
 // VerifyStream fans the announcements across the shared worker pool and
@@ -83,54 +83,90 @@ type streamResult struct {
 // request (Close waits for it) and is charged to the batch admission
 // class as one token per item.
 func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, emit func(StreamVerdict) error) (StreamTrailer, error) {
-	if s.admission != nil {
-		if err := s.admission.admit(ClassBatch, len(anns)); err != nil {
-			return StreamTrailer{}, err
-		}
-	}
-	if err := s.acquire(); err != nil {
-		s.metrics.failures.Add(1)
+	if err := s.beginBatch(len(anns)); err != nil {
 		return StreamTrailer{}, err
 	}
 	defer s.release()
 	s.metrics.streams.Add(1)
-	s.metrics.batches.Add(1)
 	start := time.Now()
 	tr := StreamTrailer{VerifierID: s.id, Items: len(anns)}
-	if len(anns) == 0 {
-		tr.Elapsed = time.Since(start)
-		return tr, nil
-	}
-
-	var (
-		infraMu  sync.Mutex
-		infraErr error
-	)
-	setInfra := func(err error) {
-		infraMu.Lock()
-		if infraErr == nil {
-			infraErr = err
+	cause, emitErr := s.fanOut(ctx, anns, s.cachedCertificate, func(sv StreamVerdict) error {
+		if tr.Delivered == 0 {
+			tr.FirstVerdict = time.Since(start)
+			s.metrics.ttfv.observe(tr.FirstVerdict.Nanoseconds())
 		}
-		infraMu.Unlock()
+		if err := emit(sv); err != nil {
+			return err
+		}
+		tr.Delivered++
+		if sv.Verdict.Accepted {
+			tr.Accepted++
+		} else {
+			tr.Rejected++
+		}
+		return nil
+	})
+	tr.Elapsed = time.Since(start)
+	if emitErr != nil {
+		return tr, fmt.Errorf("service: stream emit: %w", emitErr)
 	}
+	if cause != nil {
+		tr.Truncated = true
+		tr.Reason = cause.Error()
+	} else if tr.Delivered < tr.Items {
+		tr.Truncated = true
+	}
+	return tr, nil
+}
+
+// beginBatch admits one batch or stream of n items: one token per item
+// from the batch admission class, then one in-flight registration for the
+// whole exchange (Close waits for it), which the caller must release.
+func (s *Service) beginBatch(n int) error {
+	if s.admission != nil {
+		if err := s.admission.admit(ClassBatch, n); err != nil {
+			return err
+		}
+	}
+	if err := s.acquire(); err != nil {
+		s.metrics.failures.Add(1)
+		return err
+	}
+	s.metrics.batches.Add(1)
+	return nil
+}
+
+// fanOut is the one submit/collect loop behind VerifyBatch and
+// VerifyStream. A submitter goroutine feeds one pool job per announcement
+// — batch length is wire-controlled, so it must not translate into
+// goroutines, and the submit blocks while all workers are busy — and
+// deliver runs on the calling goroutine once per completed item, in
+// completion order. attach, when non-nil, runs on the worker to decorate
+// a verified item with its certificate. Submission stops at the first
+// infrastructure failure (returned as cause) or deliver error (returned,
+// the remaining results drained so no worker blocks); everything that
+// completed before a cause is still delivered. The caller holds the
+// in-flight registration that keeps the pool alive.
+func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, attach func(*core.Announcement) *core.Certificate, deliver func(StreamVerdict) error) (cause, deliverErr error) {
 	// results is drained by this goroutine until closed, so workers never
-	// block on it longer than one emit; abort stops the submitter early
-	// when emitting fails (the connection is gone — finishing the batch
-	// would be work nobody reads).
+	// block on it longer than one deliver; abort stops the submitter
+	// early when delivering fails. submitErr is the submitter's own reason
+	// for stopping, published by the close of results.
 	results := make(chan streamResult, s.workers)
 	abort := make(chan struct{})
-	var abortOnce sync.Once
+	var submitErr error
 	var wg sync.WaitGroup
-	submitted := make(chan struct{})
 	go func() {
-		defer close(submitted)
+		defer func() {
+			wg.Wait()
+			close(results)
+		}()
 		for i := range anns {
-			if err := ctx.Err(); err != nil {
-				setInfra(err)
+			if submitErr = ctx.Err(); submitErr != nil {
 				return
 			}
 			if s.closing() {
-				setInfra(ErrServiceClosed)
+				submitErr = ErrServiceClosed
 				return
 			}
 			select {
@@ -139,20 +175,25 @@ func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, em
 			default:
 			}
 			ann := &anns[i]
-			idx := i
 			wg.Add(1)
 			job := func() {
 				defer wg.Done()
-				v, err := s.verifyItem(ctx, ann)
+				err := ctx.Err()
+				var v *core.Verdict
+				if err == nil {
+					v, err = s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof, true)
+				}
 				r := streamResult{}
 				switch {
 				case err == nil:
-					r.sv = StreamVerdict{Index: idx, Verdict: *v, Certificate: s.cachedCertificate(ann)}
+					r.sv = StreamVerdict{Index: i, Verdict: *v}
+					if attach != nil {
+						r.sv.Certificate = attach(ann)
+					}
 				case isContextError(err) || errors.Is(err, ErrServiceClosed):
-					setInfra(err)
-					r.skip = true
+					r.err = err
 				default:
-					r.sv = StreamVerdict{Index: idx, Verdict: core.Verdict{Format: ann.Format, Reason: err.Error()}}
+					r.sv = StreamVerdict{Index: i, Verdict: core.Verdict{Format: ann.Format, Reason: err.Error()}}
 				}
 				results <- r
 			}
@@ -160,7 +201,7 @@ func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, em
 			case s.jobs <- job:
 			case <-ctx.Done():
 				wg.Done()
-				setInfra(ctx.Err())
+				submitErr = ctx.Err()
 				return
 			case <-abort:
 				wg.Done()
@@ -168,47 +209,23 @@ func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, em
 			}
 		}
 	}()
-	go func() {
-		<-submitted
-		wg.Wait()
-		close(results)
-	}()
 
-	var emitErr error
 	for r := range results {
-		if r.skip || emitErr != nil {
-			continue // drain so no worker blocks on a dead stream
-		}
-		if tr.Delivered == 0 {
-			tr.FirstVerdict = time.Since(start)
-			s.metrics.ttfv.observe(tr.FirstVerdict.Nanoseconds())
-		}
-		if err := emit(r.sv); err != nil {
-			emitErr = err
-			abortOnce.Do(func() { close(abort) })
-			continue
-		}
-		tr.Delivered++
-		if r.sv.Verdict.Accepted {
-			tr.Accepted++
-		} else {
-			tr.Rejected++
-		}
+		switch {
+		case r.err != nil:
+			if cause == nil {
+				cause = r.err
+			}
+		case deliverErr == nil:
+			if deliverErr = deliver(r.sv); deliverErr != nil {
+				close(abort)
+			}
+		} // after a deliver error: drain, so no worker blocks on a dead consumer
 	}
-	tr.Elapsed = time.Since(start)
-	if emitErr != nil {
-		return tr, fmt.Errorf("service: stream emit: %w", emitErr)
+	if cause == nil {
+		cause = submitErr
 	}
-	infraMu.Lock()
-	cause := infraErr
-	infraMu.Unlock()
-	if cause != nil {
-		tr.Truncated = true
-		tr.Reason = cause.Error()
-	} else if tr.Delivered < tr.Items {
-		tr.Truncated = true
-	}
-	return tr, nil
+	return cause, deliverErr
 }
 
 // cachedCertificate fetches an announcement's quorum certificate from

@@ -7,7 +7,10 @@ import (
 	"time"
 )
 
-func BenchmarkInProcRoundTrip(b *testing.B) {
+// BenchmarkPipeRoundTrip is one unary exchange over an in-memory pipe:
+// the whole client and server — pool checkout, JSON codec both ways,
+// serve loop — minus the kernel socket BenchmarkTCPRoundTrip adds.
+func BenchmarkPipeRoundTrip(b *testing.B) {
 	c := DialInProc(echoHandler)
 	defer c.Close()
 	req, err := NewMessage("ping", ping{N: 1})
@@ -45,8 +48,8 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	}
 }
 
-// Property: messages of arbitrary payload bytes survive the envelope and
-// the in-process transport unchanged.
+// Property: messages of arbitrary payload bytes survive the envelope, the
+// codec and an in-memory pipe unchanged.
 func TestMessagePayloadRoundTripProperty(t *testing.T) {
 	c := DialInProc(echoHandler)
 	defer c.Close()

@@ -2,52 +2,37 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PipeNet is an in-memory network: handlers listen on names, clients dial
-// those names, and every exchange runs over a net.Pipe speaking the exact
-// JSON stream codec the TCP transport uses. It exists so multi-authority
-// tests (and the federation harness) get real transport semantics —
-// serialization, strict request/response framing, connection breakage,
-// deadlines — without binding real ports: no port-conflict flakes, no
-// kernel round trips, and a -race suite that spins fifty authorities in
-// milliseconds.
-//
-// Every byte written on either end of every pipe is counted, so a harness
-// can measure bytes-on-wire for a whole cluster with one counter read —
+// those names, and every connection is a net.Pipe served by the same
+// Server loop and driven by the same PoolClient as a TCP socket. Multi-
+// authority tests and the federation harness thereby run the production
+// transport — codec, framing, breakage, deadlines, drain — without
+// binding ports: no port-conflict flakes, and a -race suite that spins
+// fifty authorities in milliseconds. PipeNet's own part is the name
+// registry and a counter of every byte that crosses any of its pipes —
 // the measurement the gossip-vs-all-pairs comparison is built on.
 type PipeNet struct {
-	mu       sync.Mutex
-	handlers map[string]Handler
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	mu        sync.Mutex
+	listeners map[string]*pipeListener
+	closed    bool
 
 	bytes atomic.Uint64
-
-	// streamWriteTimeout bounds each streaming frame write (nanoseconds);
-	// zero means DefaultStreamWriteTimeout, negative disables the bound.
-	streamWriteTimeout atomic.Int64
 }
 
 // NewPipeNet creates an empty in-memory network.
 func NewPipeNet() *PipeNet {
-	return &PipeNet{
-		handlers: make(map[string]Handler),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	return &PipeNet{listeners: make(map[string]*pipeListener)}
 }
 
-// Listen registers a handler under addr (any non-empty name). Dials to
-// that name reach this handler until Close. Registering a name twice is
-// an error — it would silently shadow a live authority.
+// Listen serves h under addr (any non-empty name) until Close. Registering
+// a name twice is an error — it would silently shadow a live authority.
 func (n *PipeNet) Listen(addr string, h Handler) error {
 	if addr == "" {
 		return errors.New("transport: pipe listen needs a non-empty address")
@@ -60,297 +45,131 @@ func (n *PipeNet) Listen(addr string, h Handler) error {
 	if n.closed {
 		return ErrClosed
 	}
-	if _, dup := n.handlers[addr]; dup {
+	if _, dup := n.listeners[addr]; dup {
 		return fmt.Errorf("transport: pipe address %q already listening", addr)
 	}
-	n.handlers[addr] = h
+	ln := &pipeListener{
+		addr:  addr,
+		bytes: &n.bytes,
+		conns: make(chan net.Conn),
+		done:  make(chan struct{}),
+	}
+	ln.srv = serve(ln, h)
+	n.listeners[addr] = ln
 	return nil
 }
 
-// BytesOnWire reports the total bytes written across every connection the
-// network has carried, requests and replies both.
+// BytesOnWire reports the bytes carried by every connection of the network
+// so far, both directions, each counted as its reader takes it.
 func (n *PipeNet) BytesOnWire() uint64 { return n.bytes.Load() }
 
-// SetStreamWriteTimeout overrides the per-frame write deadline streaming
-// replies are bounded by (DefaultStreamWriteTimeout when unset). A
-// negative duration disables the bound. Safe to call while serving.
-func (n *PipeNet) SetStreamWriteTimeout(d time.Duration) {
-	n.streamWriteTimeout.Store(int64(d))
-}
-
-// streamTimeout resolves the effective per-frame write deadline.
-func (n *PipeNet) streamTimeout() time.Duration {
-	if d := n.streamWriteTimeout.Load(); d != 0 {
-		return time.Duration(d)
-	}
-	return DefaultStreamWriteTimeout
-}
-
-// Dial connects to a listening name and returns a client whose calls run
-// the strict request/response protocol over an in-memory pipe. A broken
-// exchange closes the pipe; the next call transparently re-dials (the
-// same recovery a pooled TCP client performs with a fresh connection).
-func (n *PipeNet) Dial(addr string) (*PipeClient, error) {
-	c := &PipeClient{net: n, addr: addr}
-	if err := c.connect(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// connect opens one pipe to the address's handler and starts its serving
-// goroutine.
-func (n *PipeNet) connect(addr string) (net.Conn, error) {
-	n.mu.Lock()
-	if n.closed {
+// Dial connects to a listening name: the pooled client over in-memory
+// pipes (DefaultPoolSize of them, dialed lazily, so a unary call proceeds
+// beside an open stream).
+func (n *PipeNet) Dial(addr string) (*PoolClient, error) {
+	return newPoolClient(func(ctx context.Context) (net.Conn, error) {
+		n.mu.Lock()
+		ln, ok := n.listeners[addr]
+		closed := n.closed
 		n.mu.Unlock()
-		return nil, ErrClosed
-	}
-	h, ok := n.handlers[addr]
-	if !ok {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: pipe dial %q: no such listener", addr)
-	}
-	clientEnd, serverEnd := net.Pipe()
-	counted := countedConn{Conn: clientEnd, bytes: &n.bytes}
-	n.conns[counted] = struct{}{}
-	n.conns[serverEnd] = struct{}{}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	go n.serveConn(serverEnd, h)
-	return counted, nil
+		if closed {
+			return nil, ErrClosed
+		}
+		if !ok {
+			return nil, fmt.Errorf("transport: pipe dial %q: no such listener", addr)
+		}
+		return ln.dial(ctx)
+	}, 0)
 }
 
-// serveConn is the server half of one pipe: the same decode → handle →
-// encode loop the TCP server runs per accepted connection, handler errors
-// becoming "error" replies.
-func (n *PipeNet) serveConn(conn net.Conn, h Handler) {
-	defer n.wg.Done()
-	defer n.forget(conn)
-	counted := countedConn{Conn: conn, bytes: &n.bytes}
-	dec := json.NewDecoder(counted)
-	enc := json.NewEncoder(counted)
-	for {
-		var req Message
-		if err := dec.Decode(&req); err != nil {
-			return // client hung up
-		}
-		if sh, ok := h.(StreamHandler); ok && sh.Streams(req.Type) {
-			if err := serveStream(counted, enc, sh, req, n.streamTimeout()); err != nil {
-				return
-			}
-			continue
-		}
-		resp, err := h.Handle(context.Background(), req)
-		if err != nil {
-			resp = ErrorMessage(err)
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
-// forget closes and deregisters one pipe end.
-func (n *PipeNet) forget(conn net.Conn) {
-	_ = conn.Close()
-	n.mu.Lock()
-	delete(n.conns, conn)
-	n.mu.Unlock()
-}
-
-// Close tears the network down: every live pipe is closed (in-flight
-// exchanges fail promptly), every serving goroutine is joined, and
-// further Listen/Dial calls return ErrClosed.
+// Close tears the network down: further Listen and Dial calls return
+// ErrClosed, and every server drains — an exchange mid-handling writes
+// its reply first, idle pipes close at once — before Close returns.
 func (n *PipeNet) Close() error {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	for conn := range n.conns {
-		_ = conn.Close()
-	}
+	n.closed = true // freezes the registry: Listen refuses from here on
 	n.mu.Unlock()
-	n.wg.Wait()
+	// Drain outside the lock: a handler finishing its exchange may itself
+	// be dialing a peer on this network.
+	for _, ln := range n.listeners {
+		_ = ln.srv.Close()
+	}
 	return nil
 }
 
-// countedConn counts every written byte into the owning PipeNet's total.
+// DialInProc connects a client to a co-located handler over a private
+// one-listener PipeNet, so an in-process party is reached through the
+// same codec, framing and serve loop as a remote one (the handler sees
+// context.Background(), as it does over TCP). Closing the client stops
+// the private server. A nil handler is a programming error and panics.
+func DialInProc(h Handler) *PoolClient {
+	n := NewPipeNet()
+	if err := n.Listen("inproc", h); err != nil {
+		panic("transport: DialInProc: " + err.Error())
+	}
+	c, _ := n.Dial("inproc") // cannot fail: the listener was just registered
+	c.onClose = n.Close
+	return c
+}
+
+// pipeListener is a net.Listener whose connections are net.Pipe pairs:
+// dial makes a pair, hands one end to Accept and returns the other. Both
+// ends count what they read into the owning network's total.
+type pipeListener struct {
+	addr  string
+	srv   *Server
+	bytes *atomic.Uint64
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+// dial opens one pipe to the listener's server.
+func (l *pipeListener) dial(ctx context.Context) (net.Conn, error) {
+	clientEnd, serverEnd := net.Pipe()
+	select {
+	case l.conns <- countedConn{Conn: serverEnd, bytes: l.bytes}:
+		return countedConn{Conn: clientEnd, bytes: l.bytes}, nil
+	case <-l.done:
+		return nil, ErrClosed
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// Accept implements net.Listener.
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close implements net.Listener; the owning Server calls it exactly once.
+func (l *pipeListener) Close() error {
+	close(l.done)
+	return nil
+}
+
+// Addr implements net.Listener; the listener is its own net.Addr.
+func (l *pipeListener) Addr() net.Addr { return l }
+
+func (l *pipeListener) Network() string { return "pipe" }
+func (l *pipeListener) String() string  { return l.addr }
+
+// countedConn counts every byte it reads into the owning PipeNet's
+// total. A net.Pipe has no buffer, so reads and writes sum to the same
+// figure; counting reads makes the total current the moment data is seen,
+// where a write-side count lags its reader by a scheduling step.
 type countedConn struct {
 	net.Conn
 	bytes *atomic.Uint64
 }
 
-// Write implements net.Conn, adding the written size to the wire total.
-func (c countedConn) Write(p []byte) (int, error) {
-	m, err := c.Conn.Write(p)
+// Read implements net.Conn, adding the bytes taken to the wire total.
+func (c countedConn) Read(p []byte) (int, error) {
+	m, err := c.Conn.Read(p)
 	c.bytes.Add(uint64(m))
 	return m, err
-}
-
-// PipeClient is a Client over one PipeNet connection. Calls serialize on
-// the connection (strict request/response); a failed exchange closes the
-// pipe and the next call re-dials. Create with PipeNet.Dial.
-type PipeClient struct {
-	net  *PipeNet
-	addr string
-
-	mu     sync.Mutex
-	conn   net.Conn
-	dec    *json.Decoder
-	enc    *json.Encoder
-	closed bool
-}
-
-var (
-	_ Client       = (*PipeClient)(nil)
-	_ StreamCaller = (*PipeClient)(nil)
-)
-
-// CallStream implements StreamCaller. Each stream runs on its own
-// dedicated pipe (dialed here, torn down when the stream finishes), so
-// unary Calls on this client proceed concurrently with an open stream
-// instead of serializing behind it. The context bounds the exchange
-// through the pipe deadline, exactly as Call does.
-func (c *PipeClient) CallStream(ctx context.Context, req Message) (Stream, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	conn, err := c.net.connect(c.addr)
-	if err != nil {
-		return nil, err
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	stopWatchdog := func() {}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-		stopWatchdog = func() {
-			close(stop)
-			<-exited
-		}
-	}
-	finish := func(bool) {
-		// The pipe is dedicated to this one stream either way: forget it.
-		stopWatchdog()
-		c.net.forget(conn)
-	}
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	if err := enc.Encode(req); err != nil {
-		finish(true)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("transport: sending request: %w", ctxErr)
-		}
-		return nil, fmt.Errorf("transport: sending request: %w", err)
-	}
-	return &clientStream{ctx: ctx, dec: dec, finish: finish}, nil
-}
-
-// connect (re-)establishes the pipe. Callers hold no lock on first use;
-// reconnects happen under c.mu inside Call.
-func (c *PipeClient) connect() error {
-	conn, err := c.net.connect(c.addr)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	c.dec = json.NewDecoder(conn)
-	c.enc = json.NewEncoder(conn)
-	return nil
-}
-
-// Call implements Client: one request/response exchange over the pipe,
-// bounded by the context's deadline via the connection deadline (net.Pipe
-// supports deadlines), with cancellation expiring the deadline early.
-func (c *PipeClient) Call(ctx context.Context, req Message) (Message, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return Message{}, ErrClosed
-	}
-	if c.conn == nil {
-		if err := c.connect(); err != nil {
-			return Message{}, err
-		}
-	}
-	resp, err, broken := c.roundTrip(ctx, req)
-	if broken {
-		c.net.forget(c.conn)
-		c.conn = nil
-	}
-	return resp, err
-}
-
-// roundTrip runs one exchange; broken reports a desynchronized pipe that
-// must not be reused.
-func (c *PipeClient) roundTrip(ctx context.Context, req Message) (resp Message, err error, broken bool) {
-	conn := c.conn
-	defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			<-exited
-		}()
-	}
-	if err := c.enc.Encode(req); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Message{}, fmt.Errorf("transport: sending request: %w", ctxErr), true
-		}
-		return Message{}, fmt.Errorf("transport: sending request: %w", err), true
-	}
-	if err := c.dec.Decode(&resp); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Message{}, fmt.Errorf("transport: reading reply: %w", ctxErr), true
-		}
-		return Message{}, fmt.Errorf("transport: reading reply: %w", err), true
-	}
-	if err := resp.AsError(); err != nil {
-		return Message{}, err, false
-	}
-	return resp, nil, false
-}
-
-// Close implements Client: the pipe is closed and further calls return
-// ErrClosed.
-func (c *PipeClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.conn != nil {
-		c.net.forget(c.conn)
-		c.conn = nil
-	}
-	return nil
 }

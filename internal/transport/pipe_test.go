@@ -2,74 +2,14 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-// pipeEchoHandler answers "echo" with the same payload and fails
-// everything else.
-type pipeEchoHandler struct{}
-
-func (pipeEchoHandler) Handle(_ context.Context, req Message) (Message, error) {
-	if req.Type != "echo" {
-		return Message{}, fmt.Errorf("unhandled type %q", req.Type)
-	}
-	return Message{Type: "echoed", Payload: req.Payload}, nil
-}
-
-func TestPipeNetCallRoundTrip(t *testing.T) {
-	n := NewPipeNet()
-	defer n.Close()
-	if err := n.Listen("a", pipeEchoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := n.Dial("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	req, err := NewMessage("echo", map[string]string{"k": "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.Call(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != "echoed" || string(resp.Payload) != string(req.Payload) {
-		t.Fatalf("got %q %s", resp.Type, resp.Payload)
-	}
-	if n.BytesOnWire() == 0 {
-		t.Fatal("exchange moved no counted bytes")
-	}
-}
-
-func TestPipeNetHandlerErrorsBecomeAppErrors(t *testing.T) {
-	n := NewPipeNet()
-	defer n.Close()
-	if err := n.Listen("a", pipeEchoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := n.Dial("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Call(context.Background(), Message{Type: "bogus"})
-	if err == nil || !strings.Contains(err.Error(), "unhandled type") {
-		t.Fatalf("want translated handler error, got %v", err)
-	}
-	// The error was an application reply, not a broken pipe: the same
-	// connection must still serve the next call.
-	req, _ := NewMessage("echo", 1)
-	if _, err := c.Call(context.Background(), req); err != nil {
-		t.Fatalf("connection did not survive an app error: %v", err)
-	}
-}
+// What is PipeNet's own: the name registry, the byte counter, and
+// ErrClosed after Close. Everything else it does is the shared client
+// and server, covered by the conformance suite.
 
 func TestPipeNetDialUnknownAndDuplicateListen(t *testing.T) {
 	n := NewPipeNet()
@@ -77,111 +17,87 @@ func TestPipeNetDialUnknownAndDuplicateListen(t *testing.T) {
 	if _, err := n.Dial("ghost"); err == nil {
 		t.Fatal("dialing an unknown name must fail")
 	}
-	if err := n.Listen("a", pipeEchoHandler{}); err != nil {
+	if err := n.Listen("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Listen("a", pipeEchoHandler{}); err == nil {
+	if err := n.Listen("a", echoHandler); err == nil {
 		t.Fatal("duplicate listen must fail")
 	}
+	if err := n.Listen("", echoHandler); err == nil {
+		t.Fatal("empty name accepted")
+	}
+	if err := n.Listen("b", nil); err == nil {
+		t.Fatal("nil handler accepted")
+	}
 }
 
-func TestPipeNetConcurrentClients(t *testing.T) {
+// TestPipeNetBytesOnWire pins the counter to the codec: one exchange
+// costs exactly its two JSON frames (one newline each), whichever of the
+// network's listeners carried it, and dialing costs nothing.
+func TestPipeNetBytesOnWire(t *testing.T) {
 	n := NewPipeNet()
 	defer n.Close()
-	if err := n.Listen("a", pipeEchoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := n.Dial("a")
+	want := uint64(0)
+	for _, name := range []string{"a", "b"} {
+		if err := n.Listen(name, echoHandler); err != nil {
+			t.Fatal(err)
+		}
+		c, err := n.Dial(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if got := n.BytesOnWire(); got != want {
+			t.Fatalf("dialing %q moved the counter to %d, want %d", name, got, want)
+		}
+		req, err := NewMessage("ping", map[string]string{"to": name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Call(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Message{req, resp} {
+			frame, err := json.Marshal(m)
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			for j := 0; j < 20; j++ {
-				req, _ := NewMessage("echo", i*100+j)
-				resp, err := c.Call(context.Background(), req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var got int
-				if err := resp.Decode(&got); err != nil || got != i*100+j {
-					t.Errorf("reply mismatch: %d err %v", got, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// stallHandler blocks until released, to exercise deadlines.
-type stallHandler struct{ release chan struct{} }
-
-func (h stallHandler) Handle(context.Context, Message) (Message, error) {
-	<-h.release
-	return Message{Type: "ok"}, nil
-}
-
-func TestPipeNetCallHonorsContext(t *testing.T) {
-	n := NewPipeNet()
-	defer n.Close()
-	h := stallHandler{release: make(chan struct{})}
-	defer close(h.release)
-	if err := n.Listen("slow", h); err != nil {
-		t.Fatal(err)
-	}
-	c, err := n.Dial("slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := c.Call(ctx, Message{Type: "echo"}); err == nil {
-		t.Fatal("stalled call must fail at the deadline")
-	}
-	// The aborted exchange broke the pipe; the next call re-dials and
-	// succeeds against a released handler... which here still stalls, so
-	// just verify the client refuses nothing structurally: a fresh dial
-	// to a live echo listener works.
-	if err := n.Listen("fast", pipeEchoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := n.Dial("fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.Call(context.Background(), Message{Type: "echo"}); err != nil {
-		t.Fatal(err)
+			want += uint64(len(frame)) + 1
+		}
+		if got := n.BytesOnWire(); got != want {
+			t.Fatalf("after the exchange with %q: BytesOnWire = %d, want %d", name, got, want)
+		}
 	}
 }
 
 func TestPipeNetClose(t *testing.T) {
 	n := NewPipeNet()
-	if err := n.Listen("a", pipeEchoHandler{}); err != nil {
+	if err := n.Listen("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
 	c, err := n.Dial("a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(context.Background(), Message{Type: "echo"}); err == nil {
+	if err := n.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	// The drained pipe is closed, and its replacement cannot be dialed.
+	if _, err := c.Call(context.Background(), Message{Type: "ping"}); err == nil {
 		t.Fatal("call through a closed network must fail")
+	}
+	if _, err := c.Call(context.Background(), Message{Type: "ping"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("re-dial through a closed network: want ErrClosed, got %v", err)
 	}
 	if _, err := n.Dial("a"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("dial after close: want ErrClosed, got %v", err)
 	}
-	if err := n.Listen("b", pipeEchoHandler{}); !errors.Is(err, ErrClosed) {
+	if err := n.Listen("b", echoHandler); !errors.Is(err, ErrClosed) {
 		t.Fatalf("listen after close: want ErrClosed, got %v", err)
 	}
 }

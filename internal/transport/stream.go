@@ -13,9 +13,8 @@ import (
 
 // DefaultStreamWriteTimeout bounds how long a streaming server waits for
 // a stalled reader to drain one frame before declaring the connection
-// dead. Unary exchanges are naturally bounded by the client's context;
-// a stream writes many frames to a peer that may have stopped reading,
-// so every frame write carries its own deadline.
+// dead: a stream writes many frames to a peer that may have stopped
+// reading, so every frame write carries its own deadline.
 const DefaultStreamWriteTimeout = 30 * time.Second
 
 // ErrStreamDone is returned by Stream.Next after the terminal frame has
@@ -23,19 +22,16 @@ const DefaultStreamWriteTimeout = 30 * time.Second
 var ErrStreamDone = errors.New("transport: stream done")
 
 // Stream is the client's view of one streaming exchange: a sequence of
-// frames ending in a trailer whose Last flag is set. Next returns each
-// frame in order; the frame with Last set is the trailer and the stream
-// is done after it. A server-side failure arrives as an "error"-typed
-// terminal frame translated into the returned error. Streams are not safe
-// for concurrent Next calls, but Close may be called from another
-// goroutine to abort a blocked Next.
+// frames ending in a trailer whose Last flag is set. A server-side
+// failure arrives as an "error"-typed terminal frame translated into the
+// returned error. Streams are not safe for concurrent Next calls, but
+// Close may be called from another goroutine to abort a blocked Next.
 type Stream interface {
 	// Next returns the next frame. After the terminal frame (Last set,
 	// returned with a nil error) further calls return ErrStreamDone.
 	Next() (Message, error)
 	// Close releases the stream. Closing before the terminal frame
-	// abandons the exchange: the underlying connection cannot be reused
-	// and is discarded. Close after the trailer is a no-op.
+	// abandons the exchange and its connection; after it, a no-op.
 	Close() error
 }
 
@@ -52,7 +48,7 @@ type StreamCaller interface {
 }
 
 // StreamHandler is a Handler that serves some message types as frame
-// streams instead of single replies. The transports probe for it: a
+// streams instead of single replies. The server probes for it: a
 // request whose type Streams() reports true is dispatched to
 // HandleStream, everything else goes through Handle as before.
 type StreamHandler interface {
@@ -69,42 +65,37 @@ type StreamHandler interface {
 }
 
 // serveStream runs the server half of one streaming exchange on conn,
-// whose encoder enc already owns the write side. Every frame write —
-// intermediate and trailer alike — is bounded by frameTimeout (<= 0
-// disables the bound), so a reader that stopped draining cannot pin a
-// serving goroutine forever. The returned error means the connection is
-// broken and must be dropped; nil means the trailer was written and the
-// connection is back in request/response state.
+// whose encoder enc already owns the write side. Every frame write,
+// trailer included, is bounded by frameTimeout (<= 0 disables the bound),
+// so a reader that stopped draining cannot pin a serving goroutine. An
+// error means the connection is broken and must be dropped; nil, that the
+// trailer was written and the connection is back in request/response state.
 func serveStream(conn net.Conn, enc *json.Encoder, sh StreamHandler, req Message, frameTimeout time.Duration) error {
-	send := func(m Message) error {
+	if frameTimeout > 0 {
+		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
+	}
+	send := func(m Message, last bool) error {
+		m.Last = last // the trailer is the transport's to mark
 		if frameTimeout > 0 {
 			if err := conn.SetWriteDeadline(time.Now().Add(frameTimeout)); err != nil {
 				return fmt.Errorf("transport: arming stream write deadline: %w", err)
 			}
 		}
-		err := enc.Encode(m)
-		if frameTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Time{})
-		}
-		if err != nil {
+		if err := enc.Encode(m); err != nil {
 			return fmt.Errorf("transport: writing stream frame: %w", err)
 		}
 		return nil
 	}
-	trailer, err := sh.HandleStream(context.Background(), req, func(m Message) error {
-		m.Last = false // the trailer is the transport's to mark
-		return send(m)
-	})
+	trailer, err := sh.HandleStream(context.Background(), req, func(m Message) error { return send(m, false) })
 	if err != nil {
 		trailer = ErrorMessage(err)
 	}
-	trailer.Last = true
-	return send(trailer)
+	return send(trailer, true)
 }
 
-// clientStream is the Stream implementation both clients share: a
-// decoder positioned after the request was written, and a finish hook
-// that returns (or discards) the underlying connection exactly once.
+// clientStream is the client's Stream: a decoder positioned after the
+// request was written, and a finish hook that returns (or discards) the
+// underlying connection exactly once.
 type clientStream struct {
 	ctx  context.Context
 	dec  *json.Decoder
@@ -115,8 +106,9 @@ type clientStream struct {
 	finish func(broken bool)
 }
 
-// end runs the finish hook exactly once.
+// end marks the stream done and runs the finish hook exactly once.
 func (s *clientStream) end(broken bool) {
+	s.done.Store(true)
 	s.once.Do(func() { s.finish(broken) })
 }
 
@@ -127,35 +119,24 @@ func (s *clientStream) Next() (Message, error) {
 	}
 	var m Message
 	if err := s.dec.Decode(&m); err != nil {
-		s.done.Store(true)
 		s.end(true)
-		if ctxErr := s.ctx.Err(); ctxErr != nil {
-			return Message{}, fmt.Errorf("transport: reading stream frame: %w", ctxErr)
-		}
-		return Message{}, fmt.Errorf("transport: reading stream frame: %w", err)
+		return Message{}, fmt.Errorf("transport: reading stream frame: %w", ctxCause(s.ctx, err))
 	}
-	if m.Last {
-		s.done.Store(true)
+	appErr := m.AsError()
+	if m.Last || appErr != nil {
+		// The trailer — or a unary error reply: the server refused the
+		// request before any streaming began (e.g. a pre-streaming peer).
+		// Either way the exchange is complete and the connection clean.
 		s.end(false)
-		if err := m.AsError(); err != nil {
-			return Message{}, err
-		}
-		return m, nil
 	}
-	if err := m.AsError(); err != nil {
-		// A unary error reply: the server refused the request before any
-		// streaming began (e.g. a pre-streaming peer). The exchange is
-		// complete, so the connection is clean.
-		s.done.Store(true)
-		s.end(false)
-		return Message{}, err
+	if appErr != nil {
+		return Message{}, appErr
 	}
 	return m, nil
 }
 
 // Close implements Stream.
 func (s *clientStream) Close() error {
-	s.done.Store(true)
 	s.end(true)
 	return nil
 }

@@ -2,14 +2,13 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
-	"time"
 )
+
+// The stream handler test double the conformance rows drive.
 
 // streamCountReq parameterizes the test stream handler: emit Frames
 // frames of Pad bytes each, failing before frame FailAt when set (>= 0).
@@ -110,299 +109,4 @@ func drainStream(t *testing.T, st Stream, wantFrames int) Message {
 		t.Fatalf("trailer = %+v, want Last trailer", trailer)
 	}
 	return trailer
-}
-
-// TestTCPStreamHappyPath runs a full streaming exchange over TCP on a
-// single-connection pool and proves the connection returns to
-// request/response duty afterwards.
-func TestTCPStreamHappyPath(t *testing.T) {
-	h := newCountStreamer()
-	srv, err := ListenTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second) // pool of one: reuse is provable
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.CallStream(context.Background(), countRequest(t, 5, 0, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainStream(t, st, 5)
-	if _, err := st.Next(); !errors.Is(err, ErrStreamDone) {
-		t.Fatalf("post-trailer Next = %v, want ErrStreamDone", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("Close after trailer: %v", err)
-	}
-
-	// The pool's only connection must be back and in sync: a unary call on
-	// it succeeds immediately.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := c.Call(context.Background(), Message{Type: "ping"})
-		if err != nil || resp.Type != "echo" {
-			t.Errorf("unary after stream: %+v, %v", resp, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("unary call after stream wedged: connection not returned to the pool")
-	}
-}
-
-// TestPipeStreamHappyPath runs the same exchange over the in-memory
-// transport, with a unary call proceeding while the stream is open —
-// pipe streams run on dedicated pipes, so they must not serialize
-// unary traffic behind them.
-func TestPipeStreamHappyPath(t *testing.T) {
-	h := newCountStreamer()
-	h.gate = make(chan struct{})
-	n := NewPipeNet()
-	defer n.Close()
-	if err := n.Listen("auth", h); err != nil {
-		t.Fatal(err)
-	}
-	c, err := n.Dial("auth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.CallStream(context.Background(), countRequest(t, 3, 0, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stream open, zero frames released: a unary call must still complete.
-	unaryCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if resp, err := c.Call(unaryCtx, Message{Type: "ping"}); err != nil || resp.Type != "echo" {
-		t.Fatalf("unary during open stream: %+v, %v", resp, err)
-	}
-	go func() {
-		for i := 0; i < 3; i++ {
-			h.gate <- struct{}{}
-		}
-	}()
-	drainStream(t, st, 3)
-	if _, err := st.Next(); !errors.Is(err, ErrStreamDone) {
-		t.Fatalf("post-trailer Next = %v, want ErrStreamDone", err)
-	}
-}
-
-// TestStreamServerErrorBeforeFrames: a handler that fails before
-// emitting anything must surface as a terminal error frame — and over
-// TCP the connection stays clean for the next unary exchange.
-func TestStreamServerErrorBeforeFrames(t *testing.T) {
-	h := newCountStreamer()
-	srv, err := ListenTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.CallStream(context.Background(), countRequest(t, 5, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Next(); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
-		t.Fatalf("Next = %v, want the handler's error", err)
-	}
-	if _, err := st.Next(); !errors.Is(err, ErrStreamDone) {
-		t.Fatalf("Next after terminal error = %v, want ErrStreamDone", err)
-	}
-	if resp, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil || resp.Type != "echo" {
-		t.Fatalf("unary after error stream: %+v, %v", resp, err)
-	}
-}
-
-// TestStreamServerErrorMidStream: frames already delivered stand; the
-// failure arrives as the terminal error.
-func TestStreamServerErrorMidStream(t *testing.T) {
-	h := newCountStreamer()
-	n := NewPipeNet()
-	defer n.Close()
-	if err := n.Listen("auth", h); err != nil {
-		t.Fatal(err)
-	}
-	c, err := n.Dial("auth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.CallStream(context.Background(), countRequest(t, 5, 0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		m, err := st.Next()
-		if err != nil || m.Type != "frame" {
-			t.Fatalf("frame %d: %+v, %v", i, m, err)
-		}
-	}
-	if _, err := st.Next(); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
-		t.Fatalf("Next = %v, want mid-stream handler error", err)
-	}
-}
-
-// TestTCPStreamClientCancelMidStream cancels the consumer halfway: the
-// client's next read fails with the context error, and the server's
-// frame writes start failing (it must observe the dead peer rather than
-// stream into the void). The client recovers with a fresh connection.
-func TestTCPStreamClientCancelMidStream(t *testing.T) {
-	h := newCountStreamer()
-	h.gate = make(chan struct{}, 1024)
-	srv, err := ListenTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	st, err := c.CallStream(ctx, countRequest(t, 1_000_000, 4096, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.gate <- struct{}{}
-	h.gate <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if _, err := st.Next(); err != nil {
-			t.Fatalf("frame %d before cancel: %v", i, err)
-		}
-	}
-	cancel()
-	if _, err := st.Next(); err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
-	}
-	_ = st.Close()
-
-	// Keep releasing frames until the server's write hits the closed
-	// connection; the handler publishes the first send failure.
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case err := <-h.sendErr:
-			if err == nil {
-				t.Fatal("handler published a nil send error")
-			}
-			goto recovered
-		case <-deadline:
-			t.Fatal("server never observed the dead consumer")
-		case h.gate <- struct{}{}:
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-recovered:
-	// The aborted connection was discarded; a later unary call re-dials.
-	if resp, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil || resp.Type != "echo" {
-		t.Fatalf("unary after aborted stream: %+v, %v", resp, err)
-	}
-}
-
-// TestStreamStalledReaderHitsWriteDeadline connects a raw socket that
-// sends a streaming request and then never reads: the per-frame write
-// deadline must fail the server's send within the configured bound
-// instead of pinning the serving goroutine, and server Close must
-// complete promptly afterwards.
-func TestStreamStalledReaderHitsWriteDeadline(t *testing.T) {
-	h := newCountStreamer()
-	srv, err := ListenTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetStreamWriteTimeout(200 * time.Millisecond)
-
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	// Big frames fill the kernel buffers fast; the stall then blocks the
-	// server's write until the frame deadline fires.
-	req := countRequest(t, 100_000, 256<<10, -1)
-	if err := json.NewEncoder(raw).Encode(req); err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	select {
-	case err := <-h.sendErr:
-		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() {
-			t.Fatalf("send error = %v, want a write-deadline timeout", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("stalled reader never tripped the write deadline")
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("deadline took %v to fire with a 200ms frame timeout", waited)
-	}
-
-	closed := make(chan error, 1)
-	go func() { closed <- srv.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server Close wedged on the stalled stream")
-	}
-}
-
-// TestStreamCloseBeforeTrailer abandons a stream early: the connection
-// is discarded, ErrStreamDone surfaces, and the client dials fresh for
-// the next call.
-func TestStreamCloseBeforeTrailer(t *testing.T) {
-	h := newCountStreamer()
-	h.gate = make(chan struct{}, 16)
-	srv, err := ListenTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.CallStream(context.Background(), countRequest(t, 100, 0, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.gate <- struct{}{}
-	if _, err := st.Next(); err != nil {
-		t.Fatalf("first frame: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("early Close: %v", err)
-	}
-	if _, err := st.Next(); !errors.Is(err, ErrStreamDone) {
-		t.Fatalf("Next after Close = %v, want ErrStreamDone", err)
-	}
-	for i := 0; i < 4; i++ {
-		h.gate <- struct{}{} // let the abandoned handler run into its dead conn
-	}
-	if resp, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil || resp.Type != "echo" {
-		t.Fatalf("unary after early close: %+v, %v", resp, err)
-	}
 }

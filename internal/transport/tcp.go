@@ -2,43 +2,18 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// TCPServer serves a Handler over TCP with a newline-free JSON stream codec
-// (one Message per json.Decoder token). Each accepted connection is served
-// by its own goroutine; Close stops accepting and drains gracefully: a
-// connection mid-exchange finishes handling and writes its reply before
-// closing, idle connections are closed immediately, and Close waits for
-// the serving goroutines to exit.
-type TCPServer struct {
-	listener net.Listener
-	handler  Handler
-
-	// streamWriteTimeout bounds each streaming frame write (nanoseconds);
-	// zero means DefaultStreamWriteTimeout, negative disables the bound.
-	streamWriteTimeout atomic.Int64
-
-	mu     sync.Mutex
-	conns  map[net.Conn]*connState
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// connState tracks whether a connection is mid-exchange, so a drain can
-// close idle connections immediately but let a request that is being
-// handled receive its reply first.
-type connState struct {
-	mu             sync.Mutex
-	busy           bool
-	closeRequested bool
-}
+// TCPServer and TCPClient: the one server and client, under the names
+// TCP callers have always used.
+type (
+	TCPServer = Server
+	TCPClient = PoolClient
+)
 
 // ListenTCP starts a server on addr (e.g. "127.0.0.1:0") and begins
 // accepting connections.
@@ -50,170 +25,8 @@ func ListenTCP(addr string, h Handler) (*TCPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{
-		listener: ln,
-		handler:  h,
-		conns:    make(map[net.Conn]*connState),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return serve(ln, h), nil
 }
-
-// Addr returns the server's bound address.
-func (s *TCPServer) Addr() string { return s.listener.Addr().String() }
-
-// SetStreamWriteTimeout overrides the per-frame write deadline streaming
-// replies are bounded by (DefaultStreamWriteTimeout when unset). A
-// negative duration disables the bound. Safe to call while serving.
-func (s *TCPServer) SetStreamWriteTimeout(d time.Duration) {
-	s.streamWriteTimeout.Store(int64(d))
-}
-
-// streamTimeout resolves the effective per-frame write deadline.
-func (s *TCPServer) streamTimeout() time.Duration {
-	if d := s.streamWriteTimeout.Load(); d != 0 {
-		return time.Duration(d)
-	}
-	return DefaultStreamWriteTimeout
-}
-
-func (s *TCPServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		st := &connState{}
-		s.conns[conn] = st
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn, st)
-	}
-}
-
-func (s *TCPServer) serveConn(conn net.Conn, st *connState) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
-	for {
-		var req Message
-		if err := dec.Decode(&req); err != nil {
-			return // client hung up or sent garbage; drop the connection
-		}
-		st.mu.Lock()
-		if st.closeRequested {
-			// The drain closed this connection as idle while the request
-			// was arriving; the client already observes a closed conn.
-			st.mu.Unlock()
-			return
-		}
-		st.busy = true
-		st.mu.Unlock()
-
-		if sh, ok := s.handler.(StreamHandler); ok && sh.Streams(req.Type) {
-			streamErr := serveStream(conn, enc, sh, req, s.streamTimeout())
-			st.mu.Lock()
-			st.busy = false
-			done := st.closeRequested
-			st.mu.Unlock()
-			if streamErr != nil || done {
-				return
-			}
-			continue
-		}
-
-		resp, err := s.handler.Handle(context.Background(), req)
-		if err != nil {
-			resp = ErrorMessage(err)
-		}
-		writeErr := enc.Encode(resp)
-
-		st.mu.Lock()
-		st.busy = false
-		done := st.closeRequested
-		st.mu.Unlock()
-		if writeErr != nil || done {
-			return
-		}
-	}
-}
-
-// Close stops the server and drains: connections mid-exchange write their
-// reply first, idle connections close immediately, and Close waits for
-// every serving goroutine to exit.
-func (s *TCPServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.listener.Close()
-	for conn, st := range s.conns {
-		st.mu.Lock()
-		st.closeRequested = true
-		if !st.busy {
-			_ = conn.Close() // unblocks the Decode on an idle connection
-		}
-		st.mu.Unlock()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-// TCPClient is a Client over a pool of persistent TCP connections. Each
-// connection speaks the strict request/response stream protocol, so one
-// call owns one connection for its whole round trip; pooling lets up to
-// poolSize calls proceed concurrently instead of serializing on a single
-// connection's mutex. Connections are checked out per call and dialed
-// lazily: a broken connection is discarded and replaced by a fresh dial on
-// a later call, so a transient failure never bricks the client. Each
-// pooled connection keeps its own JSON encoder/decoder for its lifetime —
-// the per-call codec state (and its buffers) is pooled along with the
-// connection rather than re-allocated per request.
-type TCPClient struct {
-	addr        string
-	dialTimeout time.Duration
-	// slots is the checkout queue, with one element per pool slot: a
-	// ready connection, or nil — a permit to dial lazily.
-	slots chan *poolConn
-
-	mu     sync.Mutex
-	closed bool
-	live   map[*poolConn]struct{}
-}
-
-// poolConn is one pooled connection with its persistent stream codec.
-type poolConn struct {
-	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
-}
-
-var (
-	_ Client       = (*TCPClient)(nil)
-	_ StreamCaller = (*TCPClient)(nil)
-)
-
-// DefaultPoolSize is the connection-pool size used by DialTCPPool when the
-// requested size is zero or negative.
-const DefaultPoolSize = 4
 
 // DialTCP connects to a TCPServer with a single-connection pool: calls
 // serialize exactly as the classic client did. Use DialTCPPool to let
@@ -223,241 +36,16 @@ func DialTCP(addr string, timeout time.Duration) (*TCPClient, error) {
 }
 
 // DialTCPPool connects to a TCPServer with a pool of up to poolSize
-// connections (zero or negative means DefaultPoolSize). The first
-// connection is dialed eagerly so an unreachable server fails fast; the
-// rest are dialed lazily, on demand, as concurrent calls need them.
+// connections (zero or negative means DefaultPoolSize): the first dialed
+// eagerly so an unreachable server fails fast, the rest on demand. Every
+// dial is bounded by both timeout and the calling context.
 func DialTCPPool(addr string, timeout time.Duration, poolSize int) (*TCPClient, error) {
-	if poolSize <= 0 {
-		poolSize = DefaultPoolSize
-	}
-	c := &TCPClient{
-		addr:        addr,
-		dialTimeout: timeout,
-		slots:       make(chan *poolConn, poolSize),
-		live:        make(map[*poolConn]struct{}),
-	}
-	pc, err := c.dial(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	c.slots <- pc
-	for i := 1; i < poolSize; i++ {
-		c.slots <- nil // lazy-dial permits
-	}
-	return c, nil
-}
-
-// dial opens one pooled connection and registers it for Close. The dial
-// is bounded by both the configured timeout and the caller's context, so
-// a lazy dial inside Call cannot outlive the call's deadline.
-func (c *TCPClient) dial(ctx context.Context) (*poolConn, error) {
-	d := net.Dialer{Timeout: c.dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
-	}
-	pc := &poolConn{
-		conn: conn,
-		dec:  json.NewDecoder(conn),
-		enc:  json.NewEncoder(conn),
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = conn.Close()
-		return nil, ErrClosed
-	}
-	c.live[pc] = struct{}{}
-	c.mu.Unlock()
-	return pc, nil
-}
-
-// discard closes a desynchronized or surplus connection and forgets it.
-func (c *TCPClient) discard(pc *poolConn) {
-	_ = pc.conn.Close()
-	c.mu.Lock()
-	delete(c.live, pc)
-	c.mu.Unlock()
-}
-
-// Call implements Client. It checks a connection out of the pool (dialing
-// lazily when the slot is empty), runs the round trip on it, and returns
-// it. The context's deadline is applied to the round trip via the
-// connection deadline, and cancellation mid-request unblocks the round
-// trip by expiring the connection deadline immediately; waiting for a free
-// pool slot honors the context too. A failed or aborted round trip closes
-// its connection: the stream protocol is strict request/response, so a
-// half-finished exchange cannot be resumed — a later call dials a
-// replacement instead of reading the stale reply. After Close, calls
-// return ErrClosed.
-func (c *TCPClient) Call(ctx context.Context, req Message) (Message, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return Message{}, ErrClosed
-	}
-	var pc *poolConn
-	select {
-	case pc = <-c.slots:
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
-	}
-	if pc == nil {
-		var err error
-		if pc, err = c.dial(ctx); err != nil {
-			c.slots <- nil // hand the permit back
-			return Message{}, err
+	d := net.Dialer{Timeout: timeout}
+	return newPoolClient(func(ctx context.Context) (net.Conn, error) {
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
-	}
-	resp, err, broken := c.roundTrip(ctx, pc, req)
-	if broken {
-		c.discard(pc)
-		c.slots <- nil
-	} else {
-		c.slots <- pc
-	}
-	return resp, err
-}
-
-// CallStream implements StreamCaller: it checks a connection out of the
-// pool exactly like Call, sends the request, and returns the reply
-// stream. The connection stays checked out until the stream finishes —
-// cleanly (trailer read, connection returned to the pool) or not (closed
-// early or broken, connection discarded). The context bounds the whole
-// exchange through the connection deadline, so cancellation mid-stream
-// fails the next Next promptly. Only send message types the server
-// streams: a unary reply has no terminal frame to end the stream on.
-func (c *TCPClient) CallStream(ctx context.Context, req Message) (Stream, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	var pc *poolConn
-	select {
-	case pc = <-c.slots:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if pc == nil {
-		var err error
-		if pc, err = c.dial(ctx); err != nil {
-			c.slots <- nil // hand the permit back
-			return nil, err
-		}
-	}
-	conn := pc.conn
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			c.discard(pc)
-			c.slots <- nil
-			return nil, fmt.Errorf("transport: setting deadline: %w", err)
-		}
-	}
-	// The cancellation watchdog spans the whole stream, not one round
-	// trip: it is joined by the finish hook when the stream ends.
-	stopWatchdog := func() {}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-		stopWatchdog = func() {
-			close(stop)
-			<-exited
-		}
-	}
-	finish := func(broken bool) {
-		stopWatchdog()
-		_ = conn.SetDeadline(time.Time{})
-		if broken {
-			c.discard(pc)
-			c.slots <- nil
-		} else {
-			c.slots <- pc
-		}
-	}
-	if err := pc.enc.Encode(req); err != nil {
-		finish(true)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("transport: sending request: %w", ctxErr)
-		}
-		return nil, fmt.Errorf("transport: sending request: %w", err)
-	}
-	return &clientStream{ctx: ctx, dec: pc.dec, finish: finish}, nil
-}
-
-// roundTrip runs one exchange on a checked-out connection. broken reports
-// that the connection is desynchronized and must not be reused.
-func (c *TCPClient) roundTrip(ctx context.Context, pc *poolConn, req Message) (resp Message, err error, broken bool) {
-	conn := pc.conn
-	// Registered first so it runs last, after the watchdog below has been
-	// joined — otherwise a late watchdog could re-expire the deadline.
-	defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return Message{}, fmt.Errorf("transport: setting deadline: %w", err), true
-		}
-	}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			<-exited
-		}()
-	}
-	if err := pc.enc.Encode(req); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Message{}, fmt.Errorf("transport: sending request: %w", ctxErr), true
-		}
-		return Message{}, fmt.Errorf("transport: sending request: %w", err), true
-	}
-	if err := pc.dec.Decode(&resp); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Message{}, fmt.Errorf("transport: reading reply: %w", ctxErr), true
-		}
-		return Message{}, fmt.Errorf("transport: reading reply: %w", err), true
-	}
-	if err := resp.AsError(); err != nil {
-		return Message{}, err, false
-	}
-	return resp, nil, false
-}
-
-// Close implements Client: it closes every pooled connection, including
-// ones currently checked out by in-flight calls (their round trips fail
-// promptly rather than lingering). Close is idempotent; subsequent calls
-// return ErrClosed.
-func (c *TCPClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	var err error
-	for pc := range c.live {
-		if cerr := pc.conn.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	c.live = nil
-	return err
+		return conn, nil
+	}, poolSize)
 }

@@ -1,8 +1,12 @@
 // Package transport provides the message layer the rationality-authority
-// parties talk over: a typed request/response envelope, an in-process
-// implementation for tests and single-machine simulations, and a TCP
-// implementation with a JSON wire codec for genuinely distributed
-// deployments (one process per inventor/verifier/agent).
+// parties talk over: a typed request/response envelope with a JSON wire
+// codec, one pooled client (PoolClient) and one server (Server). The two
+// are parameterised only by where a net.Conn comes from: a TCP socket for
+// genuinely distributed deployments (ListenTCP, DialTCP — one process per
+// inventor/verifier/agent), or an in-memory pipe for tests and
+// single-machine simulations (PipeNet for named multi-party networks,
+// DialInProc for one co-located handler). Every path runs the same codec,
+// framing and serve loop, so parties cannot tell the transports apart.
 package transport
 
 import (
@@ -20,9 +24,8 @@ type Message struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Last marks the terminal frame of a streaming exchange: the server
 	// sets it on the trailer (or terminal error) so the client knows the
-	// connection has returned to the strict request/response state. Unary
-	// exchanges never set it, which keeps the field invisible on the wire
-	// (omitempty) for every pre-streaming peer.
+	// connection is back in request/response state. Unary exchanges never
+	// set it, so (omitempty) they are byte-identical to pre-streaming ones.
 	Last bool `json:"last,omitempty"`
 }
 
@@ -53,12 +56,7 @@ type ErrorPayload struct {
 
 // ErrorMessage builds the standard error reply.
 func ErrorMessage(err error) Message {
-	data, marshalErr := json.Marshal(ErrorPayload{Error: err.Error()})
-	if marshalErr != nil {
-		// ErrorPayload marshalling cannot realistically fail; keep the
-		// envelope valid regardless.
-		data = []byte(`{"error":"internal error"}`)
-	}
+	data, _ := json.Marshal(ErrorPayload{Error: err.Error()}) // a struct of one string cannot fail
 	return Message{Type: "error", Payload: data}
 }
 
@@ -75,7 +73,9 @@ func (m Message) AsError() error {
 }
 
 // Handler serves requests. Implementations must be safe for concurrent use:
-// both transports may serve multiple clients at once.
+// the server handles every connection on its own goroutine, in-memory
+// connections included. The context a handler receives is the server's,
+// not the remote caller's.
 type Handler interface {
 	Handle(ctx context.Context, req Message) (Message, error)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -53,139 +52,6 @@ func TestErrorMessageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInProcCall(t *testing.T) {
-	c := DialInProc(echoHandler)
-	defer c.Close()
-	req, _ := NewMessage("ping", ping{N: 7})
-	resp, err := c.Call(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p ping
-	if err := resp.Decode(&p); err != nil || p.N != 7 {
-		t.Fatalf("resp = %+v err = %v", p, err)
-	}
-}
-
-func TestInProcErrors(t *testing.T) {
-	c := DialInProc(echoHandler)
-	req, _ := NewMessage("boom", nil)
-	if _, err := c.Call(context.Background(), req); err == nil || err.Error() != "kaboom" {
-		t.Fatalf("err = %v, want kaboom", err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Call(context.Background(), req); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestInProcContextCancelled(t *testing.T) {
-	c := DialInProc(echoHandler)
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	req, _ := NewMessage("ping", nil)
-	if _, err := c.Call(ctx, req); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	for i := 0; i < 5; i++ {
-		req, _ := NewMessage("ping", ping{N: i})
-		resp, err := client.Call(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p ping
-		if err := resp.Decode(&p); err != nil || p.N != i {
-			t.Fatalf("round %d: %+v err=%v", i, p, err)
-		}
-	}
-}
-
-func TestTCPApplicationError(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	req, _ := NewMessage("boom", nil)
-	if _, err := client.Call(context.Background(), req); err == nil || err.Error() != "kaboom" {
-		t.Fatalf("err = %v, want kaboom", err)
-	}
-	// The connection survives application errors.
-	req2, _ := NewMessage("ping", ping{N: 1})
-	if _, err := client.Call(context.Background(), req2); err != nil {
-		t.Fatalf("connection did not survive an application error: %v", err)
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
-	var mu sync.Mutex
-	served := 0
-	counting := HandlerFunc(func(ctx context.Context, req Message) (Message, error) {
-		mu.Lock()
-		served++
-		mu.Unlock()
-		return echoHandler(ctx, req)
-	})
-	srv, err := ListenTCP("127.0.0.1:0", counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialTCP(srv.Addr(), time.Second)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer c.Close()
-			req, _ := NewMessage("ping", ping{N: i})
-			if _, err := c.Call(context.Background(), req); err != nil {
-				errCh <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if served != clients {
-		t.Errorf("served %d, want %d", served, clients)
-	}
-}
-
 func TestTCPServerCloseIdempotent(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
 	if err != nil {
@@ -196,51 +62,6 @@ func TestTCPServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal("second Close errored")
-	}
-}
-
-func TestTCPClientClosed(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal("second Close errored")
-	}
-	req, _ := NewMessage("ping", nil)
-	if _, err := c.Call(context.Background(), req); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestTCPContextDeadline(t *testing.T) {
-	slow := HandlerFunc(func(ctx context.Context, req Message) (Message, error) {
-		time.Sleep(200 * time.Millisecond)
-		return req, nil
-	})
-	srv, err := ListenTCP("127.0.0.1:0", slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	req, _ := NewMessage("ping", nil)
-	if _, err := c.Call(ctx, req); err == nil {
-		t.Fatal("deadline not enforced")
 	}
 }
 
@@ -256,34 +77,6 @@ func TestListenTCPValidation(t *testing.T) {
 func TestDialTCPFailure(t *testing.T) {
 	if _, err := DialTCP("127.0.0.1:1", 50*time.Millisecond); err == nil {
 		t.Error("dial to closed port succeeded")
-	}
-}
-
-func TestTransportParity(t *testing.T) {
-	// The same handler must behave identically over both transports.
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tcpClient, err := DialTCP(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcpClient.Close()
-	inproc := DialInProc(echoHandler)
-	defer inproc.Close()
-
-	req, _ := NewMessage("ping", ping{N: 3})
-	for name, c := range map[string]Client{"tcp": tcpClient, "inproc": inproc} {
-		resp, err := c.Call(context.Background(), req)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var p ping
-		if err := resp.Decode(&p); err != nil || p.N != 3 {
-			t.Fatalf("%s: %+v err=%v", name, p, err)
-		}
 	}
 }
 

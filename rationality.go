@@ -226,7 +226,8 @@ type (
 	// frame, then ErrStreamDone; Close abandons the stream early.
 	TransportStream = transport.Stream
 	// StreamCaller is the transport capability streaming clients need
-	// (both the TCP client and PipeClient implement it): CallStream
+	// (every dialed client implements it — TCP, PipeNet and in-process
+	// alike): CallStream
 	// opens an exchange and returns the frame iterator.
 	StreamCaller = transport.StreamCaller
 	// StreamHandler is the server-side capability: a Handler that also
@@ -544,13 +545,11 @@ type (
 	// GossipPushRequest completes an exchange: the responder's echoed
 	// manifest and the signed delta answering it.
 	GossipPushRequest = service.GossipPushRequest
-	// PipeNet is an in-memory transport: listeners and dialers speaking
-	// the exact stream protocol of the TCP transport over net.Pipe pairs,
-	// with a bytes-on-wire counter — multi-authority tests without ports.
+	// PipeNet is an in-memory network: named listeners and dialers whose
+	// connections are net.Pipe pairs served and driven by the same server
+	// loop and pooled client as TCP, with a bytes-on-wire counter —
+	// multi-authority tests without ports.
 	PipeNet = transport.PipeNet
-	// PipeClient is a client dialed from a PipeNet; it reconnects lazily
-	// after transport errors like the TCP client.
-	PipeClient = transport.PipeClient
 )
 
 // Gossip wire message types (the push-pull exchange protocol).
@@ -754,19 +753,14 @@ func NewVerifier(id string) (*VerifierService, error) { return core.NewVerifierS
 func NewAgent(cfg AgentConfig) (*Agent, error) { return core.NewAgent(cfg) }
 
 // DialInProc connects a client to a co-located party (an InventorService or
-// VerifierService) without any networking.
+// VerifierService) without any networking: the same client and codec as
+// DialTCP over an in-memory pipe.
 func DialInProc(h transport.Handler) Client { return transport.DialInProc(h) }
 
 // DialTCP connects a client to a remote party over a single TCP
 // connection; calls serialize on it.
 func DialTCP(addr string, timeout time.Duration) (Client, error) {
-	c, err := transport.DialTCP(addr, timeout)
-	if err != nil {
-		// Return an untyped nil: a nil *TCPClient inside a non-nil Client
-		// interface would defeat callers' nil checks.
-		return nil, err
-	}
-	return c, nil
+	return DialTCPPool(addr, timeout, 1)
 }
 
 // DialTCPPool connects a client to a remote party over a pool of up to
@@ -776,6 +770,8 @@ func DialTCP(addr string, timeout time.Duration) (Client, error) {
 func DialTCPPool(addr string, timeout time.Duration, conns int) (Client, error) {
 	c, err := transport.DialTCPPool(addr, timeout, conns)
 	if err != nil {
+		// Return an untyped nil: a nil *TCPClient inside a non-nil Client
+		// interface would defeat callers' nil checks.
 		return nil, err
 	}
 	return c, nil
