@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -42,11 +41,7 @@ func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignRes
 		return CoSignResponse{}, err
 	}
 	key := identity.DigestBytes([]byte(req.Format), req.Game, req.Advice, req.Proof)
-	verdictJSON, err := json.Marshal(v)
-	if err != nil {
-		return CoSignResponse{}, err
-	}
-	sig := s.fed.key.Sign(identity.CertificateDigest(key, verdictJSON))
+	sig := s.fed.key.Sign(identity.CertificateDigest(key, v.AppendJSON(nil)))
 	s.metrics.certsCosigned.Add(1)
 	return CoSignResponse{
 		VerifierID: s.id,

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,6 +26,12 @@ func FuzzStreamWireJSON(f *testing.F) {
 	f.Add([]byte(`{"type":"stream-trailer","payload":{"verifierId":"v","items":2,"delivered":1,"truncated":true,"reason":"closed"},"last":true}`))
 	f.Add([]byte(`{"type":"verify-batch","payload":{"announcements":[]}}`))
 	f.Add([]byte(`{"type":"batch-verdicts","payload":{"partial":true,"done":1,"total":2,"error":"context canceled"}}`))
+	// Batches the single-pass scanner declines to json.Unmarshal: a signed
+	// item, an escaped key, a repeated key, a case-folded key.
+	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"inventorId":"a","format":"f/v1","game":{},"advice":{},"signature":"c2ln"}]}}`))
+	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"inventorId":"a","f\u006frmat":"f/v1","game":{},"advice":{}}]}}`))
+	f.Add([]byte(`{"type":"verify-batch","payload":{"announcements":[{"format":"f/v1","format":"g/v1","game":{},"game":[],"advice":{}}]}}`))
+	f.Add([]byte(`{"type":"verify-batch","payload":{"Announcements":[{"inventorId":"a"}],"announcements":[]}}`))
 	f.Add([]byte(`{"payload":{"index":-1}}`))
 	f.Add([]byte{0x00})
 	// Malformed scoped offers: a 3-byte bitmap (24 buckets is no width), a
@@ -57,8 +64,16 @@ func FuzzStreamWireJSON(f *testing.F) {
 			}
 		}
 		var br BatchVerifyRequest
-		if err := m.Decode(&br); err == nil {
+		err := m.Decode(&br)
+		if err == nil {
 			reencode(br)
+		}
+		// The batch decoder's two paths cannot be told apart: what the
+		// scanner accepts is what json.Unmarshal decodes, and what it
+		// declines is json.Unmarshal's to accept or refuse.
+		anns, scanErr := decodeBatch(m)
+		if (scanErr == nil) != (err == nil) || (err == nil && !reflect.DeepEqual(anns, br.Announcements)) {
+			t.Fatalf("decodeBatch = %+v, %v; json.Unmarshal = %+v, %v (payload %q)", anns, scanErr, br.Announcements, err, m.Payload)
 		}
 		var sv StreamVerdict
 		if err := m.Decode(&sv); err == nil {

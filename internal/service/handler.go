@@ -213,6 +213,26 @@ type StatsResponse struct {
 
 var _ transport.Handler = (*Service)(nil)
 
+// replyBufferSize is the initial capacity of an append-encoded reply:
+// a catalog verdict with its details is 100–200 bytes, so the common
+// reply is one allocation.
+const replyBufferSize = 256
+
+// decodeBatch decodes a verify-batch / verify-stream payload: by the
+// single-pass scanner when the payload has the plain shape (the member
+// name is BatchVerifyRequest's JSON tag), by json.Unmarshal otherwise —
+// which is also what reports a malformed payload.
+func decodeBatch(req transport.Message) ([]core.Announcement, error) {
+	if anns, ok := core.ScanAnnouncements(req.Payload, "announcements"); ok {
+		return anns, nil
+	}
+	var br BatchVerifyRequest
+	if err := req.Decode(&br); err != nil {
+		return nil, err
+	}
+	return br.Announcements, nil
+}
+
 // Handle implements transport.Handler: the classic verify/formats
 // messages an agent sends any verifier, plus batches, stats, replication
 // and certificates. It is the only handler `authority verifier` serves —
@@ -220,26 +240,29 @@ var _ transport.Handler = (*Service)(nil)
 func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.Message, error) {
 	switch req.Type {
 	case core.MsgVerify:
-		var vr core.VerifyRequest
-		if err := req.Decode(&vr); err != nil {
-			return transport.Message{}, err
+		vr, ok := core.ScanVerifyRequest(req.Payload)
+		if !ok {
+			if err := req.Decode(&vr); err != nil {
+				return transport.Message{}, err
+			}
 		}
 		verdict, err := s.Verify(ctx, vr)
 		if err != nil {
 			return transport.Message{}, err
 		}
-		return transport.NewMessage("verdict", core.VerifyResponse{VerifierID: s.id, Verdict: *verdict})
+		resp := core.VerifyResponse{VerifierID: s.id, Verdict: *verdict}
+		return transport.Message{Type: "verdict", Payload: resp.AppendJSON(make([]byte, 0, replyBufferSize))}, nil
 	case core.MsgFormats:
 		return transport.NewMessage("formats", core.FormatsResponse{
 			VerifierID: s.id,
 			Formats:    s.Formats(),
 		})
 	case MsgVerifyBatch:
-		var br BatchVerifyRequest
-		if err := req.Decode(&br); err != nil {
+		anns, err := decodeBatch(req)
+		if err != nil {
 			return transport.Message{}, err
 		}
-		verdicts, err := s.VerifyBatch(ctx, br.Announcements)
+		verdicts, err := s.VerifyBatch(ctx, anns)
 		var partial *PartialBatchError
 		if err != nil && !errors.As(err, &partial) {
 			return transport.Message{}, err
@@ -257,11 +280,15 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 	case MsgServiceStats:
 		return transport.NewMessage("stats", StatsResponse{VerifierID: s.id, Stats: s.Stats()})
 	case MsgCoSign:
-		var cr CoSignRequest
-		if err := req.Decode(&cr); err != nil {
-			return transport.Message{}, err
+		vr, ok := core.ScanWrappedVerifyRequest(req.Payload, "request")
+		if !ok {
+			var cr CoSignRequest
+			if err := req.Decode(&cr); err != nil {
+				return transport.Message{}, err
+			}
+			vr = cr.Request
 		}
-		resp, err := s.CoSign(ctx, cr.Request)
+		resp, err := s.CoSign(ctx, vr)
 		if err != nil {
 			return transport.Message{}, err
 		}

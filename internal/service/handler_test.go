@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"rationality/internal/core"
@@ -172,5 +175,97 @@ func TestAgentConsultsServiceBackedVerifier(t *testing.T) {
 	}
 	if !res.Accepted || len(res.Verdicts) != 3 {
 		t.Fatalf("consultation = %+v", res)
+	}
+}
+
+// TestHandlerVerifyScanAndDeclineAgree: the verify payload is decoded by
+// the single-pass scanner when it has the plain shape and by
+// json.Unmarshal when it does not, and a caller cannot tell which — the
+// same request spelled either way gets the same reply bytes, which are
+// json.Marshal's — while a payload json.Unmarshal refuses is still an
+// error reply, invalid JSON inside a raw member included.
+func TestHandlerVerifyScanAndDeclineAgree(t *testing.T) {
+	s := newTestService(t, Config{ID: "svc-scan"})
+	client := transport.DialInProc(s)
+	ann := pdAnnouncement(t)
+	plain, err := transport.NewMessage(core.MsgVerify, core.VerifyRequest{
+		Format: ann.Format, Game: ann.Game, Advice: ann.Advice, Proof: ann.Proof,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := core.ScanVerifyRequest(plain.Payload); !ok {
+		t.Fatal("the plain request is not on the scanner's path")
+	}
+	want, err := client.Call(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vr core.VerifyResponse
+	if err := want.Decode(&vr); err != nil || !vr.Verdict.Accepted {
+		t.Fatalf("plain reply = %+v, %v", vr, err)
+	}
+	if marshalled, _ := json.Marshal(vr); !bytes.Equal(want.Payload, marshalled) {
+		t.Fatalf("reply bytes are not json.Marshal's:\n got  %s\n want %s", want.Payload, marshalled)
+	}
+
+	body := string(plain.Payload[1:]) // the members, after the opening brace
+	for name, payload := range map[string]string{
+		"unknown key":     `{"extra":[1,{"a":null}],` + body,
+		"signature":       `{"signature":"c2ln",` + body,
+		"case-folded key": strings.Replace(string(plain.Payload), `"format"`, `"FORMAT"`, 1),
+		"escaped key":     strings.Replace(string(plain.Payload), `"format"`, `"f\u006frmat"`, 1),
+		"duplicate key":   `{"format":"shadowed/v0",` + body,
+		"whitespace":      " {\n\t" + body + "\n",
+	} {
+		if _, ok := core.ScanVerifyRequest([]byte(payload)); ok && name != "whitespace" {
+			t.Fatalf("%s: on the scanner's path, expected a decline", name)
+		}
+		got, err := client.Call(context.Background(), transport.Message{Type: core.MsgVerify, Payload: []byte(payload)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("%s: reply %s, want %s", name, got.Payload, want.Payload)
+		}
+	}
+
+	for name, payload := range map[string]string{
+		"invalid JSON in a raw member": `{"format":"` + ann.Format + `","game":{"players":01},"advice":{}}`,
+		"control byte in a raw member": "{\"format\":\"" + ann.Format + "\",\"game\":\"a\x01b\",\"advice\":{}}",
+		"truncated":                    string(plain.Payload[:len(plain.Payload)/2]),
+		"not an object":                `[1,2,3]`,
+		"empty":                        ``,
+	} {
+		_, err := client.Call(context.Background(), transport.Message{Type: core.MsgVerify, Payload: []byte(payload)})
+		if err == nil || !strings.Contains(err.Error(), "decoding") {
+			t.Fatalf("%s: err = %v, want the payload decoding error as an error reply", name, err)
+		}
+	}
+	// The connection survived every error reply.
+	if _, err := client.Call(context.Background(), plain); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamVerdictAppendJSONMatchesMarshal: a stream frame's payload is
+// json.Marshal's bytes, with and without a certificate.
+func TestStreamVerdictAppendJSONMatchesMarshal(t *testing.T) {
+	for _, sv := range []StreamVerdict{
+		{},
+		{Index: 999, Verdict: core.Verdict{Accepted: true, Format: "f/v1", Details: map[string]string{"b": "<2>", "a": "1"}}},
+		{Index: -1, Verdict: core.Verdict{Format: "f/v1", Reason: "payoff \"mismatch\" & more"}},
+		{Index: 7, Verdict: core.Verdict{Accepted: true, Format: "f/v1"}, Certificate: &core.Certificate{
+			Key: "ab12", Verdict: core.Verdict{Accepted: true, Format: "f/v1"}, Panel: []byte{0x03}, Sigs: [][]byte{[]byte("s0"), []byte("s1")},
+		}},
+	} {
+		want, err := json.Marshal(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sv.appendJSON(nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("appendJSON = %s, %v\n want %s", got, err, want)
+		}
 	}
 }

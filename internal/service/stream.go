@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -40,6 +42,25 @@ type StreamVerdict struct {
 	// Certificate is the cached quorum certificate for this verdict, if
 	// any (certificate-if-cached: the stream never waits on a panel).
 	Certificate *core.Certificate `json:"certificate,omitempty"`
+}
+
+// appendJSON appends the frame payload exactly as json.Marshal encodes
+// it: the index and the verdict by the append encoder, a certificate —
+// the rare case — through json.Marshal.
+func (sv *StreamVerdict) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(sv.Index), 10)
+	dst = append(dst, `,"verdict":`...)
+	dst = sv.Verdict.AppendJSON(dst)
+	if sv.Certificate != nil {
+		cert, err := json.Marshal(sv.Certificate)
+		if err != nil {
+			return nil, fmt.Errorf("service: encoding stream certificate: %w", err)
+		}
+		dst = append(dst, `,"certificate":`...)
+		dst = append(dst, cert...)
+	}
+	return append(dst, '}'), nil
 }
 
 // StreamTrailer terminates a verify-stream reply with the aggregate view
@@ -256,16 +277,19 @@ func (s *Service) HandleStream(ctx context.Context, req transport.Message, send 
 	if req.Type != MsgVerifyStream {
 		return transport.Message{}, fmt.Errorf("service: cannot stream %q", req.Type)
 	}
-	var br BatchVerifyRequest
-	if err := req.Decode(&br); err != nil {
+	// The whole batch is decoded before the first item is submitted: a
+	// submitter that decodes between submits is slower than the workers,
+	// which then park and unpark per item.
+	anns, err := decodeBatch(req)
+	if err != nil {
 		return transport.Message{}, err
 	}
-	trailer, err := s.VerifyStream(ctx, br.Announcements, func(sv StreamVerdict) error {
-		m, err := transport.NewMessage(MsgStreamVerdict, sv)
+	trailer, err := s.VerifyStream(ctx, anns, func(sv StreamVerdict) error {
+		payload, err := sv.appendJSON(make([]byte, 0, replyBufferSize))
 		if err != nil {
 			return err
 		}
-		return send(m)
+		return send(transport.Message{Type: MsgStreamVerdict, Payload: payload})
 	})
 	if err != nil {
 		return transport.Message{}, err

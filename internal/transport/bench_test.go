@@ -2,13 +2,42 @@ package transport
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// BenchmarkFrameRoundTrip is the codec's share of a hot verify: a 229-byte
+// request and a 163-byte reply (the sizes bench/ measures on hot-verify)
+// over a PipeNet, so the figure is frame encode + decode both ways, pool
+// checkout and the serve loop, with no kernel socket in it. The payloads
+// are JSON strings so the same benchmark runs on a JSON-envelope parent.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	jsonString := func(n int) []byte { return []byte(`"` + strings.Repeat("x", n-2) + `"`) }
+	reply := Message{Type: "verdict", Payload: jsonString(163)}
+	n := NewPipeNet()
+	defer n.Close()
+	if err := n.Listen("auth", HandlerFunc(func(context.Context, Message) (Message, error) { return reply, nil })); err != nil {
+		b.Fatal(err)
+	}
+	c, err := n.Dial("auth")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := Message{Type: "verify", Payload: jsonString(229)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipeRoundTrip is one unary exchange over an in-memory pipe:
-// the whole client and server — pool checkout, JSON codec both ways,
+// the whole client and server — pool checkout, frame codec both ways,
 // serve loop — minus the kernel socket BenchmarkTCPRoundTrip adds.
 func BenchmarkPipeRoundTrip(b *testing.B) {
 	c := DialInProc(echoHandler)

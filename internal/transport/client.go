@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -18,8 +17,8 @@ import (
 // trip; pooling lets up to poolSize calls proceed concurrently.
 // Connections are dialed lazily, and a broken one is discarded and
 // re-dialed by a later call, so a transient failure never bricks the
-// client. Each connection keeps its JSON encoder and
-// decoder (and their buffers) for its lifetime.
+// client. Each connection keeps its frame reader and writer (and their
+// buffers) for its lifetime.
 type PoolClient struct {
 	dial func(ctx context.Context) (net.Conn, error)
 	// slots is the checkout queue, with one element per pool slot: a
@@ -33,11 +32,11 @@ type PoolClient struct {
 	live   map[*poolConn]struct{}
 }
 
-// poolConn is one pooled connection with its persistent stream codec.
+// poolConn is one pooled connection with its persistent frame codec.
 type poolConn struct {
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	r    *frameReader
+	w    frameWriter
 }
 
 // DefaultPoolSize is the pool size used when none (<= 0) is requested.
@@ -73,11 +72,7 @@ func (c *PoolClient) connect(ctx context.Context) (*poolConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := &poolConn{
-		conn: conn,
-		dec:  json.NewDecoder(conn),
-		enc:  json.NewEncoder(conn),
-	}
+	pc := &poolConn{conn: conn, r: newFrameReader(conn), w: frameWriter{w: conn}}
 	c.mu.Lock()
 	if c.closed.Load() {
 		c.mu.Unlock()
@@ -133,7 +128,7 @@ func ctxCause(ctx context.Context, err error) error {
 
 // open begins one exchange: it checks a connection out (waiting for a
 // free slot honors ctx; an empty slot is dialed), binds it to ctx and
-// writes the request. The caller reads the reply from pc.dec, then
+// writes the request. The caller reads the reply from pc.r, then
 // calls done exactly once: done(false) returns the connection to the
 // pool, done(true) discards it — a half-finished exchange cannot be
 // resumed, so a later call dials afresh rather than read a stale reply.
@@ -164,8 +159,10 @@ func (c *PoolClient) open(ctx context.Context, req Message) (pc *poolConn, done 
 			c.slots <- pc
 		}
 	}
-	if err := pc.enc.Encode(req); err != nil {
-		done(true)
+	if err := pc.w.write(req); err != nil {
+		// A request that fits no frame was refused before a byte left:
+		// the connection is still in sync.
+		done(!errors.Is(err, ErrFrameTooLarge))
 		return nil, nil, fmt.Errorf("transport: sending request: %w", ctxCause(ctx, err))
 	}
 	return pc, done, nil
@@ -180,8 +177,8 @@ func (c *PoolClient) Call(ctx context.Context, req Message) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	var resp Message
-	if err := pc.dec.Decode(&resp); err != nil {
+	resp, err := pc.r.read()
+	if err != nil {
 		done(true)
 		return Message{}, fmt.Errorf("transport: reading reply: %w", ctxCause(ctx, err))
 	}
@@ -203,7 +200,7 @@ func (c *PoolClient) CallStream(ctx context.Context, req Message) (Stream, error
 	if err != nil {
 		return nil, err
 	}
-	return &clientStream{ctx: ctx, dec: pc.dec, finish: done}, nil
+	return &clientStream{ctx: ctx, r: pc.r, finish: done}, nil
 }
 
 // Close implements Client: it closes every connection, checked-out ones

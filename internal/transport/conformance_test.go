@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,13 +19,23 @@ import (
 // over all three, so "parties cannot tell the transports apart" is a
 // tested property rather than three hand-kept copies of each test.
 
-// rig is one served handler: how to reach it, and the server-side
-// controls the transport exposes (nil where it exposes none — DialInProc
-// owns its server privately, so rows that need a control skip there).
+// rig is one served handler: how to reach it — through the client, or as
+// a raw peer holding the bare connection — and the server-side controls.
 type rig struct {
 	dial             func() (*PoolClient, error)
+	rawDial          func() (net.Conn, error)
 	closeServer      func() error
 	setStreamTimeout func(time.Duration)
+}
+
+// pipeRig is the rig of one PipeNet listener.
+func pipeRig(n *PipeNet, addr string) *rig {
+	return &rig{
+		dial:             func() (*PoolClient, error) { return n.Dial(addr) },
+		rawDial:          func() (net.Conn, error) { return n.listeners[addr].dial(context.Background()) },
+		closeServer:      n.Close,
+		setStreamTimeout: func(d time.Duration) { n.listeners[addr].srv.SetStreamWriteTimeout(d) },
+	}
 }
 
 // client dials the rig, failing the test on error and closing the client
@@ -54,6 +66,7 @@ var transports = []struct {
 		t.Cleanup(func() { _ = srv.Close() })
 		return &rig{
 			dial:             func() (*PoolClient, error) { return DialTCP(srv.Addr(), time.Second) },
+			rawDial:          func() (net.Conn, error) { return net.Dial("tcp", srv.Addr()) },
 			closeServer:      srv.Close,
 			setStreamTimeout: srv.SetStreamWriteTimeout,
 		}
@@ -64,14 +77,23 @@ var transports = []struct {
 		if err := n.Listen("auth", h); err != nil {
 			t.Fatal(err)
 		}
-		return &rig{
-			dial:             func() (*PoolClient, error) { return n.Dial("auth") },
-			closeServer:      n.Close,
-			setStreamTimeout: func(d time.Duration) { n.listeners["auth"].srv.SetStreamWriteTimeout(d) },
-		}
+		return pipeRig(n, "auth")
 	}},
 	{"inproc", func(t *testing.T, h Handler) *rig {
-		return &rig{dial: func() (*PoolClient, error) { return DialInProc(h), nil }}
+		// The controls are those of the first client's private server;
+		// every further client is a DialInProc of its own, server and all.
+		c, n := dialInProc(h)
+		t.Cleanup(func() { _ = c.Close() })
+		var first atomic.Pointer[PoolClient]
+		first.Store(c)
+		r := pipeRig(n, inProcAddr)
+		r.dial = func() (*PoolClient, error) {
+			if c := first.Swap(nil); c != nil {
+				return c, nil
+			}
+			return DialInProc(h), nil
+		}
+		return r
 	}},
 }
 
@@ -126,6 +148,23 @@ func expectEcho(t *testing.T, c Client, n int) {
 	var p ping
 	if err := resp.Decode(&p); err != nil || resp.Type != "echo" || p.N != n {
 		t.Fatalf("echo %d: got %q %+v err=%v", n, resp.Type, p, err)
+	}
+}
+
+// expectServerCloses closes the rig's server and fails the test if the
+// drain is still waiting five seconds later: the stalled-reader rows end
+// here, because a write nobody bounds pins Close along with its goroutine.
+func expectServerCloses(t *testing.T, r *rig) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- r.closeServer() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("server Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server Close wedged behind a reply nobody reads")
 	}
 }
 
@@ -397,9 +436,6 @@ var conformanceRows = []struct {
 	{"StalledReaderHitsFrameWriteDeadline", func(t *testing.T, start func(*testing.T, Handler) *rig) {
 		h := newCountStreamer()
 		r := start(t, h)
-		if r.setStreamTimeout == nil {
-			t.Skip("the transport exposes no server handle to set the frame timeout on")
-		}
 		r.setStreamTimeout(200 * time.Millisecond)
 		// A consumer that opens a stream and never reads: big frames fill
 		// whatever buffering the connection has (none, on a pipe), then
@@ -424,25 +460,152 @@ var conformanceRows = []struct {
 		if waited := time.Since(began); waited > 10*time.Second {
 			t.Fatalf("deadline took %v to fire with a 200ms frame timeout", waited)
 		}
-		closed := make(chan error, 1)
-		go func() { closed <- r.closeServer() }()
-		select {
-		case err := <-closed:
-			if err != nil {
-				t.Fatalf("server Close: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("server Close wedged on the stalled stream")
+		expectServerCloses(t, r)
+	}},
+
+	{"StalledReaderHitsUnaryWriteDeadline", func(t *testing.T, start func(*testing.T, Handler) *rig) {
+		// One request whose reply outgrows any socket buffer, from a raw
+		// peer that never reads: the reply write must fail at its
+		// deadline, or the serving goroutine — and a draining Close behind
+		// it — is pinned for as long as the peer cares to stay connected.
+		reply := Message{Type: "big", Payload: make([]byte, 16<<20)}
+		handled := make(chan struct{})
+		r := start(t, HandlerFunc(func(context.Context, Message) (Message, error) {
+			close(handled)
+			return reply, nil
+		}))
+		r.setStreamTimeout(200 * time.Millisecond)
+		raw, err := r.rawDial()
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer raw.Close()
+		frame, err := appendFrame(nil, mustPing(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+		expectServerCloses(t, r)
+	}},
+
+	{"DisabledWriteBoundClearsArmedDeadline", func(t *testing.T, start func(*testing.T, Handler) *rig) {
+		// A reply arms the deadline; switching the bound off must take
+		// that deadline with it, or the same connection's next reply,
+		// written after it passed, fails on a bound nobody set.
+		r := start(t, echoHandler)
+		r.setStreamTimeout(50 * time.Millisecond)
+		raw, err := r.rawDial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
+		replies := newFrameReader(raw)
+		echo := func(n int) {
+			t.Helper()
+			frame, err := appendFrame(nil, mustPing(t, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(frame); err != nil {
+				t.Fatalf("echo %d: %v", n, err)
+			}
+			if resp, err := replies.read(); err != nil || resp.Type != "echo" {
+				t.Fatalf("echo %d: got %q, err=%v", n, resp.Type, err)
+			}
+		}
+		echo(1)
+		r.setStreamTimeout(-1)
+		echo(2) // the write that clears it
+		time.Sleep(150 * time.Millisecond)
+		echo(3)
+	}},
+
+	{"MalformedFrameDropsConnection", func(t *testing.T, start func(*testing.T, Handler) *rig) {
+		header := func(version, flags, typeLen byte, payloadLen uint32) []byte {
+			prefix := binary.BigEndian.AppendUint32([]byte{version, flags, typeLen}, payloadLen)
+			return append(prefix, make([]byte, frameTraceLen)...)
+		}
+		traced := header(frameVersion, 0, 4, 0)
+		traced[frameHeaderLen-1] = 1
+		good, err := appendFrame(nil, mustPing(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name string
+			sent []byte
+			// cut: the peer hangs up after sending, mid-frame. Otherwise it
+			// stays connected and must see the server hang up on it.
+			cut bool
+		}{
+			{"WrongVersionByte", append(header(2, 0, 4, 0), "ping"...), false},
+			{"OldClientJSON", []byte(`{"type":"verify"}` + "\n"), false},
+			{"ReservedFlagBits", append(header(frameVersion, 0x80, 4, 0), "ping"...), false},
+			{"PayloadLenOverCap", append(header(frameVersion, 0, 4, MaxFramePayload+1), "ping"...), false},
+			{"PayloadLen4GiB", append(header(frameVersion, 0, 4, 0xFFFFFFFF), "ping"...), false},
+			{"TraceSlotNotZero", append(traced, "ping"...), false},
+			{"TypeLenOverrunsWhatWasSent", append(header(frameVersion, 0, 200, 0), "ping"...), true},
+			{"HeaderCutMidWay", good[:frameHeaderLen-3], true},
+			{"PayloadCutMidWay", good[:len(good)-2], true},
+		}
+		r := start(t, echoHandler)
+		healthy := r.client(t)
+		for i, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				raw, err := r.rawDial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer raw.Close()
+				if _, err := raw.Write(tc.sent); err != nil {
+					t.Fatal(err)
+				}
+				if tc.cut {
+					_ = raw.Close()
+				} else {
+					_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+					if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+						t.Fatalf("read %d bytes, err=%v: want the connection dropped without a reply", n, err)
+					}
+				}
+				// Neither the server nor a client beside the bad peer noticed.
+				expectEcho(t, healthy, i)
+			})
+		}
+	}},
+
+	{"OversizeReplyBecomesAppError", func(t *testing.T, start func(*testing.T, Handler) *rig) {
+		// A reply no frame can carry is refused before a byte is written,
+		// so the caller is told why and the connection survives.
+		huge := make([]byte, MaxFramePayload+1)
+		c := start(t, HandlerFunc(func(ctx context.Context, req Message) (Message, error) {
+			if req.Type == "huge" {
+				return Message{Type: "huge", Payload: huge}, nil
+			}
+			return echoHandler(ctx, req)
+		})).client(t)
+		if _, err := c.Call(context.Background(), Message{Type: "huge"}); err == nil || !strings.Contains(err.Error(), ErrFrameTooLarge.Error()) {
+			t.Fatalf("err = %v, want the frame-limit refusal as an application error", err)
+		}
+		if _, err := c.Call(context.Background(), Message{Type: "huge", Payload: huge}); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("oversize request: err = %v, want ErrFrameTooLarge", err)
+		}
+		// Neither refusal cost a connection: a pool with lazy permits left
+		// has dialed one per call, and nothing was discarded.
+		if n, want := liveConns(c), min(2, cap(c.slots)); n != want {
+			t.Fatalf("%d live connections after two refused frames, want %d", n, want)
+		}
+		expectEcho(t, c, 1)
 	}},
 
 	{"ServerCloseDrainsInFlightExchange", func(t *testing.T, start func(*testing.T, Handler) *rig) {
 		h := newGatedHandler()
 		r := start(t, h)
 		t.Cleanup(h.open)
-		if r.closeServer == nil {
-			t.Skip("the transport exposes no server handle to close")
-		}
 		c := r.client(t)
 		type result struct {
 			resp Message

@@ -103,13 +103,23 @@ func (n *PipeNet) Close() error {
 // context.Background(), as it does over TCP). Closing the client stops
 // the private server. A nil handler is a programming error and panics.
 func DialInProc(h Handler) *PoolClient {
+	c, _ := dialInProc(h)
+	return c
+}
+
+// inProcAddr is the one name a DialInProc network listens on.
+const inProcAddr = "inproc"
+
+// dialInProc is DialInProc, also returning the private network (the
+// conformance suite reaches the server's controls through it).
+func dialInProc(h Handler) (*PoolClient, *PipeNet) {
 	n := NewPipeNet()
-	if err := n.Listen("inproc", h); err != nil {
+	if err := n.Listen(inProcAddr, h); err != nil {
 		panic("transport: DialInProc: " + err.Error())
 	}
-	c, _ := n.Dial("inproc") // cannot fail: the listener was just registered
+	c, _ := n.Dial(inProcAddr) // cannot fail: the listener was just registered
 	c.onClose = n.Close
-	return c
+	return c, n
 }
 
 // pipeListener is a net.Listener whose connections are net.Pipe pairs:

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -32,8 +31,10 @@ func TestPipeNetDialUnknownAndDuplicateListen(t *testing.T) {
 }
 
 // TestPipeNetBytesOnWire pins the counter to the codec: one exchange
-// costs exactly its two JSON frames (one newline each), whichever of the
-// network's listeners carried it, and dialing costs nothing.
+// costs exactly its two frames — the fixed header (seven bytes of
+// version, flags and lengths, sixteen of reserved trace slot), the type,
+// the payload, nothing between frames — whichever of the network's
+// listeners carried it, and dialing costs nothing.
 func TestPipeNetBytesOnWire(t *testing.T) {
 	n := NewPipeNet()
 	defer n.Close()
@@ -59,11 +60,7 @@ func TestPipeNetBytesOnWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []Message{req, resp} {
-			frame, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want += uint64(len(frame)) + 1
+			want += uint64(7 + 16 + len(m.Type) + len(m.Payload))
 		}
 		if got := n.BytesOnWire(); got != want {
 			t.Fatalf("after the exchange with %q: BytesOnWire = %d, want %d", name, got, want)

@@ -2,19 +2,18 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// DefaultStreamWriteTimeout bounds how long a streaming server waits for
-// a stalled reader to drain one frame before declaring the connection
-// dead: a stream writes many frames to a peer that may have stopped
-// reading, so every frame write carries its own deadline.
+// DefaultStreamWriteTimeout bounds how long a server waits for a stalled
+// reader to drain one reply frame before declaring the connection dead:
+// a stream writes many frames to a peer that may have stopped reading,
+// and a single unary reply can outgrow the socket buffers, so every
+// reply write carries its own deadline.
 const DefaultStreamWriteTimeout = 30 * time.Second
 
 // ErrStreamDone is returned by Stream.Next after the terminal frame has
@@ -64,41 +63,30 @@ type StreamHandler interface {
 	HandleStream(ctx context.Context, req Message, send func(Message) error) (Message, error)
 }
 
-// serveStream runs the server half of one streaming exchange on conn,
-// whose encoder enc already owns the write side. Every frame write,
-// trailer included, is bounded by frameTimeout (<= 0 disables the bound),
-// so a reader that stopped draining cannot pin a serving goroutine. An
-// error means the connection is broken and must be dropped; nil, that the
-// trailer was written and the connection is back in request/response state.
-func serveStream(conn net.Conn, enc *json.Encoder, sh StreamHandler, req Message, frameTimeout time.Duration) error {
-	if frameTimeout > 0 {
-		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
-	}
-	send := func(m Message, last bool) error {
-		m.Last = last // the trailer is the transport's to mark
-		if frameTimeout > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(frameTimeout)); err != nil {
-				return fmt.Errorf("transport: arming stream write deadline: %w", err)
-			}
-		}
-		if err := enc.Encode(m); err != nil {
-			return fmt.Errorf("transport: writing stream frame: %w", err)
-		}
-		return nil
-	}
-	trailer, err := sh.HandleStream(context.Background(), req, func(m Message) error { return send(m, false) })
+// serveStream runs the server half of one streaming exchange through the
+// connection's reply writer, which bounds every frame write, trailer
+// included, so a reader that stopped draining cannot pin a serving
+// goroutine. An error means the connection is broken and must be dropped;
+// nil, that the trailer was written and the connection is back in
+// request/response state.
+func serveStream(w *replyWriter, sh StreamHandler, req Message) error {
+	trailer, err := sh.HandleStream(context.Background(), req, func(m Message) error {
+		m.Last = false // the trailer is the transport's to mark
+		return w.write(m)
+	})
 	if err != nil {
 		trailer = ErrorMessage(err)
 	}
-	return send(trailer, true)
+	trailer.Last = true
+	return w.finish(trailer)
 }
 
-// clientStream is the client's Stream: a decoder positioned after the
-// request was written, and a finish hook that returns (or discards) the
-// underlying connection exactly once.
+// clientStream is the client's Stream: a frame reader positioned after
+// the request was written, and a finish hook that returns (or discards)
+// the underlying connection exactly once.
 type clientStream struct {
 	ctx  context.Context
-	dec  *json.Decoder
+	r    *frameReader
 	done atomic.Bool
 	once sync.Once
 	// finish releases the connection; broken means the exchange did not
@@ -117,8 +105,8 @@ func (s *clientStream) Next() (Message, error) {
 	if s.done.Load() {
 		return Message{}, ErrStreamDone
 	}
-	var m Message
-	if err := s.dec.Decode(&m); err != nil {
+	m, err := s.r.read()
+	if err != nil {
 		s.end(true)
 		return Message{}, fmt.Errorf("transport: reading stream frame: %w", ctxCause(s.ctx, err))
 	}

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -32,44 +35,46 @@ func TestDialTCPConnectionRefused(t *testing.T) {
 	}
 }
 
+// TestTCPMalformedFrameDropsConnection sprays seeded binary garbage at a
+// kernel socket (the conformance suite's MalformedFrameDropsConnection
+// row covers each named malformation on every transport): whatever the
+// bytes, the server drops that connection without a reply and keeps
+// serving everyone else.
 func TestTCPMalformedFrameDropsConnection(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	// A raw client sends bytes that are not a JSON Message frame.
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := raw.Write([]byte("!!! this is not json !!!")); err != nil {
-		t.Fatal(err)
-	}
-	// The server must drop the connection rather than hang or crash: the
-	// next read observes EOF (or a reset), never a reply frame.
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if n, err := raw.Read(buf); err == nil {
-		t.Fatalf("server replied %d bytes to a malformed frame, want dropped connection", n)
-	}
-
-	// The listener survives: a well-formed client still gets service.
 	c, err := DialTCP(srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	req, _ := NewMessage("ping", ping{N: 7})
-	resp, err := c.Call(context.Background(), req)
-	if err != nil {
-		t.Fatalf("healthy client failed after a malformed peer: %v", err)
-	}
-	var p ping
-	if err := resp.Decode(&p); err != nil || p.N != 7 {
-		t.Fatalf("echo after malformed peer: %+v err=%v", p, err)
+
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 32; i++ {
+		garbage := make([]byte, frameHeaderLen+rng.Intn(512)) // a shorter one would just be waited on
+		rng.Read(garbage)
+		if garbage[0] == frameVersion {
+			garbage[0] = 0xfe // a frame-shaped prefix would make the server wait for more
+		}
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		// The server must drop the connection rather than hang or crash:
+		// the next read observes EOF (or a reset), never a reply frame.
+		_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("spray %d (% x...): read %d bytes, err=%v: want a dropped connection", i, garbage[:min(8, len(garbage))], n, err)
+		}
+		_ = raw.Close()
+		// The listener survives: a well-formed client still gets service.
+		expectEcho(t, c, i)
 	}
 }
 
@@ -121,7 +126,13 @@ func TestTCPConcurrentClientsWithMisbehavingPeers(t *testing.T) {
 				errCh <- err
 				return
 			}
-			_, _ = raw.Write([]byte("garbage\x00\x01"))
+			// Alternately not a frame at all and a frame header promising
+			// a payload that never comes.
+			garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01, 0xff, 0xfe}
+			if j%2 == 1 {
+				garbage = []byte{frameVersion, 0, 4, 0, 0, 0x10, 0, 'p', 'i'}
+			}
+			_, _ = raw.Write(garbage)
 			_ = raw.Close()
 		}
 	}()

@@ -1,12 +1,14 @@
 // Package transport provides the message layer the rationality-authority
-// parties talk over: a typed request/response envelope with a JSON wire
-// codec, one pooled client (PoolClient) and one server (Server). The two
-// are parameterised only by where a net.Conn comes from: a TCP socket for
-// genuinely distributed deployments (ListenTCP, DialTCP — one process per
-// inventor/verifier/agent), or an in-memory pipe for tests and
-// single-machine simulations (PipeNet for named multi-party networks,
-// DialInProc for one co-located handler). Every path runs the same codec,
-// framing and serve loop, so parties cannot tell the transports apart.
+// parties talk over: a typed request/response envelope carried in
+// length-prefixed binary frames (frame.go: seven header bytes, the type,
+// then the payload bytes untouched), one pooled client (PoolClient) and
+// one server (Server). The two are parameterised only by where a net.Conn
+// comes from: a TCP socket for genuinely distributed deployments
+// (ListenTCP, DialTCP — one process per inventor/verifier/agent), or an
+// in-memory pipe for tests and single-machine simulations (PipeNet for
+// named multi-party networks, DialInProc for one co-located handler).
+// Every path runs the same codec, framing and serve loop, so parties
+// cannot tell the transports apart.
 package transport
 
 import (
@@ -18,14 +20,16 @@ import (
 
 // Message is the envelope every party exchanges: a type tag and a JSON
 // payload. Keeping the payload raw lets the transport stay ignorant of the
-// game-theoretic types above it.
+// game-theoretic types above it: on the wire the payload is opaque bytes
+// the transport neither scans nor validates. The JSON tags serve callers
+// that log or pipe a Message as JSON; the wire does not use them.
 type Message struct {
 	Type    string          `json:"type"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Last marks the terminal frame of a streaming exchange: the server
 	// sets it on the trailer (or terminal error) so the client knows the
 	// connection is back in request/response state. Unary exchanges never
-	// set it, so (omitempty) they are byte-identical to pre-streaming ones.
+	// set it.
 	Last bool `json:"last,omitempty"`
 }
 
