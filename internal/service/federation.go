@@ -191,8 +191,8 @@ func (f *federation) snapshot() *FederationStats {
 }
 
 // offerDigest is the canonical content address of a sync-offer: the
-// requester's ID, every manifest entry (key, stamp, sum, certified bit) in
-// key order, and the scope bitmap the offer speaks for. The responder
+// requester's ID, every manifest entry (key, stamp, sum, certified and
+// rejected bits) in key order, and the scope bitmap the offer speaks for. The responder
 // computes it over the offer as received and signs it into the delta; the
 // requester computes it over the offer it sent and verifies — so a delta
 // is cryptographically bound to exactly one offer over exactly one scope,
@@ -212,11 +212,14 @@ func offerDigest(offer *SyncOfferRequest) identity.Hash {
 		buf = append(buf, e.Key...)
 		buf = binary.BigEndian.AppendUint64(buf, e.Stamp)
 		buf = binary.BigEndian.AppendUint32(buf, e.Sum)
+		var bits byte
 		if e.Cert {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			bits |= 1
 		}
+		if e.Rej {
+			bits |= 2
+		}
+		buf = append(buf, bits)
 	}
-	return identity.DigestBytes([]byte("rationality/sync-offer/v3"), []byte(offer.VerifierID), buf, offer.Scope)
+	return identity.DigestBytes([]byte("rationality/sync-offer/v4"), []byte(offer.VerifierID), buf, offer.Scope)
 }

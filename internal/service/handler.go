@@ -130,20 +130,24 @@ type ProvenanceResponse struct {
 // SyncEntry is one manifest line in a sync-offer: a 32-byte verdict-log
 // key (identity.Hash), the newest stamp the requester holds for it, the
 // checksum of the verdict content at that stamp (so a peer whose copy
-// differs only in stamp — compaction re-ranking — sends nothing), and
+// differs only in stamp — compaction re-ranking — sends nothing),
 // whether the requester's copy carries a quorum certificate (a certified
-// copy is never superseded by a bare one, whatever the stamps).
+// copy is never replaced by a bare one, whatever the stamps), and the
+// verdict's polarity — sent on rejected verdicts only, so the common line
+// costs nothing — which lets the responder run the requester's merge
+// exactly (store.Delta) instead of assuming the two copies agree.
 type SyncEntry struct {
 	Key   []byte `json:"key"`
 	Stamp uint64 `json:"stamp"`
 	Sum   uint32 `json:"sum"`
 	Cert  bool   `json:"cert,omitempty"`
+	Rej   bool   `json:"rej,omitempty"`
 }
 
 // SyncOfferRequest is a verifier's "what I have" half of an anti-entropy
 // exchange: the peer answers with every live record, inside the offer's
 // scope, whose key is absent from these entries or held there in a
-// version the peer's copy supersedes.
+// version the requester's merge would replace with the peer's copy.
 type SyncOfferRequest struct {
 	VerifierID string      `json:"verifierId"`
 	Have       []SyncEntry `json:"have"`

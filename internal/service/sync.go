@@ -57,14 +57,15 @@ func (s *Service) syncOffer(scope store.Scope) (SyncOfferRequest, error) {
 			Stamp: info.Stamp,
 			Sum:   info.Sum,
 			Cert:  info.Certified,
+			Rej:   info.Rejected,
 		})
 	}
 	return offer, nil
 }
 
 // ServeSyncOffer answers a peer's sync-offer with the framed records this
-// service's log holds, inside the offer's scope, that the peer's manifest
-// lacks or holds a superseded version of (store.Delta). An offer with no
+// service's log holds, inside the offer's scope, that the peer's merge
+// would take over what its manifest lists (store.Delta). An offer with no
 // scope is a complete manifest and is answered over the whole log. A keyed
 // service signs the delta — over the canonical digest of the offer it
 // answers (scope included), the framed records, and its own party ID — so
@@ -88,7 +89,7 @@ func (s *Service) ServeSyncOffer(offer SyncOfferRequest) (SyncDeltaResponse, err
 		if !scope.Contains(key) {
 			return SyncDeltaResponse{}, fmt.Errorf("service: sync-offer lists key %s outside its own scope", key)
 		}
-		have[key] = store.RecordInfo{Stamp: e.Stamp, Sum: e.Sum, Certified: e.Cert}
+		have[key] = store.RecordInfo{Stamp: e.Stamp, Sum: e.Sum, Certified: e.Cert, Rejected: e.Rej}
 	}
 	framed, count, err := s.store.Delta(have, scope)
 	if err != nil {
@@ -245,15 +246,14 @@ func (f *federation) admit(offer *SyncOfferRequest, delta *SyncDeltaResponse) er
 	return nil
 }
 
-// Ingest merges records pulled from a peer into the durable log
-// (newest-stamp-wins, bounded by the store's retention — see
-// store.Ingest) and installs every applied verdict into the sharded
+// Ingest merges records pulled from a peer into the durable log (the
+// store's one merge rule, bounded by its retention — see store.Ingest) and installs every applied verdict into the sharded
 // cache at *cold* recency: replicated history fills spare capacity and
 // serves as hits, but a bulk delta can never evict the node's live
 // working set. Ingested verdicts never touch the hit/miss counters —
 // they are replication, not traffic — and are counted in Stats.Ingested
-// instead. Returns how many records were applied; stale offers that lost
-// the stamp comparison are skipped silently. A store write error is
+// instead. Returns how many records were applied; offers the merge kept
+// the standing record over are skipped silently. A store write error is
 // returned after the records that did apply are installed, so a partial
 // merge is still served.
 //

@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"rationality/internal/core"
 	"rationality/internal/gossip"
@@ -344,5 +346,118 @@ func TestCertificateReplicatesToMemberWhoseClockIsAhead(t *testing.T) {
 	}
 	if _, found, _ := a.Certificate(key); !found {
 		t.Fatal("a lost its certificate")
+	}
+}
+
+// certifiedOn verifies ann on s and then stores a certificate for it the
+// way cert-put does — with no request in hand — and returns the key.
+func certifiedOn(t *testing.T, s *Service, ann core.Announcement) identity.Hash {
+	t.Helper()
+	if _, err := s.VerifyAnnouncement(context.Background(), ann); err != nil {
+		t.Fatal(err)
+	}
+	key := identity.DigestBytes([]byte(ann.Format), ann.Game, ann.Advice, ann.Proof)
+	if err := s.StoreCertificate(&core.Certificate{
+		Key: key.String(), Verdict: core.Verdict{Accepted: true, Format: ann.Format},
+		Panel: []byte{0x07}, Sigs: [][]byte{[]byte("a"), []byte("b"), []byte("c")},
+	}); err != nil { // no panel keyset: stored unverified
+		t.Fatal(err)
+	}
+	return key
+}
+
+// A record that gains a certificate keeps its request column (the store's
+// merge carries it into the certified frame), so a peer that ingests the
+// certified record can still re-run it: at AuditRate 1 it is audited.
+func TestCertifiedRecordIsAuditedOnAPeer(t *testing.T) {
+	keyA, keyB := testKeyPair(t), testKeyPair(t)
+	a := newKeyedService(t, "a", keyA)
+	b := newTestService(t, Config{ID: "b", PersistPath: t.TempDir(), Key: keyB, PeerKeys: []identity.PartyID{keyA.ID()}, AuditRate: 1})
+	b.Register(&countingProc{format: "counting/v1", accept: true})
+	key := certifiedOn(t, a, announcementFor("inv", `{"certified":"audited"}`))
+
+	if n, err := signedPull(t, b, a); err != nil || n != 1 {
+		t.Fatalf("b pulled %d records from a (%v), want the certified one", n, err)
+	}
+	if _, found, err := b.Certificate(key); err != nil || !found {
+		t.Fatalf("b does not serve the certificate it pulled (found=%v, %v)", found, err)
+	}
+	waitFor(t, 2*time.Second, "the certified record to be audited", func() bool { return b.Stats().Audits >= 1 })
+	if got := b.Stats().AuditRefutations; got != 0 {
+		t.Fatalf("the honest certified record was refuted %d times", got)
+	}
+}
+
+// A cache miss on an already-certified key re-verifies and re-appends the
+// bare verdict. The log must keep the certificate: on an authority with no
+// peers nothing could bring it back.
+func TestCacheMissKeepsLoggedCertificate(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Config{ID: "a", PersistPath: dir, CacheSize: 2, CacheShards: 1})
+	proc := &countingProc{format: "counting/v1", accept: true}
+	s.Register(proc)
+	ann := announcementFor("inv", `{"certified":"evicted"}`)
+	key := certifiedOn(t, s, ann)
+	verifyDistinct(t, s, "evicting", 4)
+	ran := proc.calls.Load()
+	if _, err := s.VerifyAnnouncement(context.Background(), ann); err != nil {
+		t.Fatal(err)
+	}
+	if proc.calls.Load() != ran+1 {
+		t.Fatal("test premise: the certified key was still cached")
+	}
+	if got := manifestOfService(t, s)[key]; !got.Certified {
+		t.Fatalf("after the miss the log holds %+v: the certificate is gone", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, recs, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, r := range recs {
+		if r.Key == key && len(r.Cert) != 0 && len(r.Request) != 0 {
+			return
+		}
+	}
+	t.Fatalf("reopened log: %+v; want the key's record with its certificate and its request", recs)
+}
+
+// The manifest line carries the verdict's polarity — only when rejected,
+// so the common line costs nothing on the wire — and the offer's digest
+// covers it: a delta signed for one polarity answers no other offer.
+func TestSyncEntryCarriesPolarity(t *testing.T) {
+	s := newTestService(t, Config{ID: "a", PersistPath: t.TempDir()})
+	s.Register(&countingProc{format: "counting/v1", accept: true})
+	s.Register(&countingProc{format: "refusing/v1", accept: false})
+	ctx := context.Background()
+	rejected := announcementFor("inv", `{"polarity":"no"}`)
+	rejected.Format = "refusing/v1"
+	for _, ann := range []core.Announcement{announcementFor("inv", `{"polarity":"yes"}`), rejected} {
+		if _, err := s.VerifyAnnouncement(ctx, ann); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offer, err := s.SyncOffer()
+	if err != nil || len(offer.Have) != 2 {
+		t.Fatalf("offer = %+v, %v", offer, err)
+	}
+	rejKey := identity.DigestBytes([]byte(rejected.Format), rejected.Game, rejected.Advice, rejected.Proof)
+	for i, e := range offer.Have {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isRej := identity.Hash(e.Key) == rejKey; e.Rej != isRej || bytes.Contains(line, []byte(`"rej"`)) != isRej {
+			t.Fatalf("manifest line %s for a verdict with rejected=%v", line, isRej)
+		}
+		before := offerDigest(&offer)
+		offer.Have[i].Rej = !e.Rej
+		if offerDigest(&offer) == before {
+			t.Fatalf("flipping line %d's polarity leaves the offer digest unchanged", i)
+		}
+		offer.Have[i].Rej = e.Rej
 	}
 }

@@ -2,11 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -17,26 +13,6 @@ import (
 func testRequest(i int) []byte {
 	req, _ := json.Marshal(map[string]any{"format": "test/v1", "game": json.RawMessage(strconv.Itoa(i))})
 	return req
-}
-
-// appendRecordV2 frames one record in the pre-audit v2 layout (origin
-// column, no request column) — exactly what a PR-5-era store wrote. It
-// exists only in tests: production code writes v3 only.
-func appendRecordV2(t *testing.T, buf []byte, r *Record) []byte {
-	t.Helper()
-	body, err := json.Marshal(&r.Verdict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 0, minPayloadV2+len(r.Origin)+len(body))
-	payload = append(payload, r.Key[:]...)
-	payload = binary.BigEndian.AppendUint64(payload, r.Stamp)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(r.Origin)))
-	payload = append(payload, r.Origin...)
-	payload = append(payload, body...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
 }
 
 // The request column round-trips: through the tail, through recovery,
@@ -81,74 +57,6 @@ func TestRequestColumnRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("delta lost the record")
-	}
-}
-
-// A v2 store (origin column, no request column) upgrades on open exactly
-// like v1 did: records come back with their origins and empty requests,
-// the store is rewritten as v3, and new appends carry requests.
-func TestOpenUpgradesV2Log(t *testing.T) {
-	dir := t.TempDir()
-	const peer = identity.PartyID("bb22")
-	var tail []byte
-	tail = append(tail, 'R', 'V', 'L', 'S', segmentV2)
-	tail = appendRecordV2(t, tail, &Record{Key: testKey(0), Stamp: 1, Origin: peer, Verdict: testVerdict(0)})
-	tail = appendRecordV2(t, tail, &Record{Key: testKey(1), Stamp: 2, Verdict: testVerdict(1)})
-	if err := os.WriteFile(filepath.Join(dir, tailName), tail, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, recs, err := Open(dir, Options{Origin: "aa11"})
-	if err != nil {
-		t.Fatalf("v2 log must open under v3 code: %v", err)
-	}
-	defer s.Close()
-	if len(recs) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(recs))
-	}
-	for _, r := range recs {
-		if r.Request != nil {
-			t.Errorf("migrated v2 record %x claims a request; nobody recorded its inputs", r.Key[:4])
-		}
-	}
-	if recs[0].Origin != peer {
-		t.Errorf("migrated record lost its origin: %q", recs[0].Origin)
-	}
-	// The upgrade rewrote the store: the tail now has the v3 header.
-	head := make([]byte, segmentHeaderLen)
-	f, err := os.Open(filepath.Join(dir, tailName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(head, segmentHeader) {
-		t.Errorf("upgraded tail header = %v, want v3 %v", head, segmentHeader)
-	}
-	if s.Stats().Compactions != 1 {
-		t.Errorf("upgrade should count as one compaction, got %d", s.Stats().Compactions)
-	}
-
-	// And the upgraded store keeps working with the request column.
-	if !s.Append(testKey(2), testVerdict(2), testRequest(2)) {
-		t.Fatal("append refused after upgrade")
-	}
-	waitFor(t, "post-upgrade append", func() bool { return s.Stats().Persisted >= 1 })
-}
-
-// A wire delta in the v2 layout (from a not-yet-upgraded peer) still
-// decodes; the records just carry no requests.
-func TestDecodeRecordsV2Compat(t *testing.T) {
-	blob := []byte{'R', 'V', 'L', 'S', segmentV2}
-	blob = appendRecordV2(t, blob, &Record{Key: testKey(3), Stamp: 7, Origin: "cc33", Verdict: testVerdict(3)})
-	recs, err := DecodeRecords(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Origin != "cc33" || recs[0].Request != nil || recs[0].Stamp != 7 {
-		t.Fatalf("v2 wire decode: %+v", recs)
 	}
 }
 

@@ -2,37 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// appendRecordV3 frames one record in the pre-certificate v3 layout
-// (origin + request columns, no cert column) — exactly what a PR-7-era
-// store wrote. It exists only in tests: production code writes v4 only.
-func appendRecordV3(t *testing.T, buf []byte, r *Record) []byte {
-	t.Helper()
-	body, err := json.Marshal(&r.Verdict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := len(buf)
-	buf = append(buf, make([]byte, headerLen)...)
-	buf = append(buf, r.Key[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, r.Stamp)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Origin)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Request)))
-	buf = append(buf, r.Origin...)
-	buf = append(buf, r.Request...)
-	buf = append(buf, body...)
-	payload := buf[start+headerLen:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	return buf
-}
 
 // TestCertifiedRecordRoundTrip persists a record with a certificate
 // column and replays it across a restart: the certificate must survive
@@ -71,58 +42,6 @@ func TestCertifiedRecordRoundTrip(t *testing.T) {
 	}
 	if got := byKey[testKey(1)].Cert; got != nil {
 		t.Fatalf("uncertified record grew a cert column: %q", got)
-	}
-}
-
-// TestV3SegmentUpgrade commits a v3-era log (origin + request, no cert
-// column) and opens it: records must replay with empty certificates, the
-// store must rewrite itself to v4 (counted as a compaction), and the new
-// tail must carry the v4 header.
-func TestV3SegmentUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	tail := []byte{'R', 'V', 'L', 'S', segmentV3}
-	tail = appendRecordV3(t, tail, &Record{Key: testKey(0), Stamp: 1, Origin: "aa11", Request: testRequest(0), Verdict: testVerdict(0)})
-	tail = appendRecordV3(t, tail, &Record{Key: testKey(1), Stamp: 2, Verdict: testVerdict(1)})
-	if err := os.WriteFile(filepath.Join(dir, tailName), tail, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, records, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 2 {
-		t.Fatalf("replayed %d records from the v3 log, want 2", len(records))
-	}
-	if records[0].Origin != "aa11" || records[0].Request == nil {
-		t.Fatalf("v3 columns lost in upgrade: %+v", records[0])
-	}
-	if records[0].Cert != nil || records[1].Cert != nil {
-		t.Fatal("v3 records must replay uncertified")
-	}
-	if got := s.Stats().Compactions; got != 1 {
-		t.Fatalf("upgrade rewrite counted %d compactions, want 1", got)
-	}
-	// A certificate now persists in the upgraded store...
-	cert := []byte(`{"key":"cd"}`)
-	if !s.AppendCertified(testKey(2), testVerdict(2), nil, cert) {
-		t.Fatal("append after upgrade refused")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ...and the tail header is v4.
-	head := make([]byte, segmentHeaderLen)
-	f, err := os.Open(filepath.Join(dir, tailName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	if head[4] != segmentV4 {
-		t.Fatalf("upgraded tail header version = %d, want %d", head[4], segmentV4)
 	}
 }
 

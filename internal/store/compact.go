@@ -16,11 +16,11 @@ import (
 // write) and keeps the invariant that at every instant the union of
 // snapshot + tail on disk contains every synced record's newest version:
 //
-//  1. Replay snapshot + tail from disk into the live set (the in-memory
-//     index has only stamps and locations; the verdicts come back off the
-//     disk, so compaction memory is O(live), not O(log)). This is the one
-//     whole-log read left: hot records are re-stamped below, which changes
-//     their frames, so the rewrite decodes and re-encodes.
+//  1. Replay snapshot + tail from disk into the live set, as Open does
+//     (recover.go): the in-memory index has only stamps and locations; the
+//     verdicts come back off the disk, so compaction memory is O(live),
+//     not O(log). Hot records are re-stamped below, which changes their
+//     frames, so the rewrite decodes and re-encodes.
 //  2. Write the live records, stamps preserved, into verdicts.snap.tmp,
 //     pointing each index line at its frame's new home; fsync it.
 //  3. Rename over verdicts.snap (atomic on POSIX) and fsync the
@@ -28,29 +28,33 @@ import (
 //  4. Truncate the tail to zero and fsync it.
 //
 // A crash between 3 and 4 leaves tail records that duplicate snapshot
-// records with equal stamps; recovery's newest-stamp-wins replay makes
-// that harmless. A crash before 3 leaves the old snapshot + full tail —
+// records with equal stamps; replay's tie rule makes that harmless. A crash before 3 leaves the old snapshot + full tail —
 // exactly the pre-compaction state. Appends queued while compaction runs
 // wait in the bounded channel (or are dropped and counted when it
 // overflows); verification itself never waits.
 func (s *Store) compact() {
+	// The tail is synced first, so nothing the rewrite holds is a record a
+	// local crash could still lose.
+	s.syncTail()
 	if s.flushErr != nil {
 		return
 	}
-	recs, err := s.liveRecords()
+	rp, err := replay(s.dir)
 	if err != nil {
 		s.flushErr = err
 		return
 	}
-	live := make(map[identity.Hash]*Record, len(recs))
-	for i := range recs {
-		live[recs[i].Key] = &recs[i]
+	// A frame is live only if it is the one the index points at, and the
+	// scan stops at a damaged frame, so a line can be left without one.
+	// Drop such lines: a line with no frame would fail every delta that
+	// wants it, while a missing key is simply re-pulled from a peer.
+	live := rp.live
+	for key, r := range live {
+		if cur, ok := s.index.get(key); !ok || cur.stamp != r.Stamp {
+			delete(live, key)
+		}
 	}
 	if len(live) < s.index.len() {
-		// The scan stops at a damaged frame, so records behind one are
-		// gone from the rewrite. Drop their index lines with them: a line
-		// with no frame would fail every delta that wants it, while a
-		// missing key is simply re-pulled from a peer.
 		var lost []identity.Hash
 		s.index.each(nil, func(l located) {
 			if live[l.key] == nil {
@@ -87,8 +91,8 @@ func (s *Store) compact() {
 // record serves both retirement and re-stamping — the hook is a foreign
 // lookup (the service's cache probe) the flusher shouldn't pay twice
 // per compaction.
-func (s *Store) partitionRetained(live map[identity.Hash]*Record) (cold, hot []*Record) {
-	cold = make([]*Record, 0, len(live))
+func (s *Store) partitionRetained(live map[identity.Hash]*recovered) (cold, hot []*recovered) {
+	cold = make([]*recovered, 0, len(live))
 	for _, r := range live {
 		if s.opts.Retain != nil && s.opts.Retain(r.Key) {
 			hot = append(hot, r)
@@ -96,7 +100,7 @@ func (s *Store) partitionRetained(live map[identity.Hash]*Record) (cold, hot []*
 			cold = append(cold, r)
 		}
 	}
-	byStamp := func(rs []*Record) {
+	byStamp := func(rs []*recovered) {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].Stamp < rs[j].Stamp })
 	}
 	byStamp(cold)
@@ -114,7 +118,7 @@ func (s *Store) partitionRetained(live map[identity.Hash]*Record) (cold, hot []*
 // survives retirement as long as it stays hot. With MaxLive equal to
 // the owner's cache capacity the hot set always fits the bound, so a
 // retained record is in practice never retired.
-func (s *Store) retireOldest(live map[identity.Hash]*Record, cold, hot []*Record) uint64 {
+func (s *Store) retireOldest(live map[identity.Hash]*recovered, cold, hot []*recovered) uint64 {
 	if s.opts.MaxLive <= 0 || len(live) <= s.opts.MaxLive {
 		return 0
 	}
@@ -134,10 +138,10 @@ func (s *Store) retireOldest(live map[identity.Hash]*Record, cold, hot []*Record
 // ordering that recovery and retirement rely on would rank the most
 // valuable records as the most expendable; after each compaction the
 // stamps again mean "least valuable first". The tail may still hold the
-// old-stamp duplicates — newest-wins replay collapses them onto the
-// re-stamped snapshot copy. The index learns the new stamps when
+// old-stamp duplicates — replay collapses them onto the re-stamped
+// snapshot copy. The index learns the new stamps when
 // writeSnapshot installs the rewritten records' lines.
-func (s *Store) refreshRetained(live map[identity.Hash]*Record, hot []*Record) {
+func (s *Store) refreshRetained(live map[identity.Hash]*recovered, hot []*recovered) {
 	for _, r := range hot {
 		if _, survived := live[r.Key]; !survived {
 			continue // retired above: nothing to re-rank
@@ -155,7 +159,7 @@ func (s *Store) refreshRetained(live map[identity.Hash]*Record, hot []*Record) {
 // fails outright), so a half-moved index is never read. Writes go through
 // one buffered writer — a large live set must not become one syscall per
 // record on the flusher goroutine, which has appends queueing behind it.
-func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
+func (s *Store) writeSnapshot(live map[identity.Hash]*recovered) error {
 	tmpPath := filepath.Join(s.dir, snapshotName+".tmp")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -169,7 +173,7 @@ func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 	buf := s.buf[:0]
 	off := int64(segmentHeaderLen)
 	for _, r := range live {
-		if buf, _, err = appendRecord(buf[:0], r); err != nil {
+		if buf, _, err = appendRecord(buf[:0], &r.Record); err != nil {
 			return err
 		}
 		if _, err := w.Write(buf); err != nil {
@@ -203,36 +207,4 @@ func (s *Store) writeSnapshot(live map[identity.Hash]*Record) error {
 		return err
 	}
 	return s.openSnapshot()
-}
-
-// liveRecords reads every live record back off the segment files, oldest
-// stamp first: one scan of snapshot + tail, keeping the copy whose stamp is
-// the index entry's and skipping superseded ones. The tail is synced first,
-// so nothing the scan returns is a record a local crash could still lose.
-// Compaction is its only caller — deltas read single frames (readFrames).
-func (s *Store) liveRecords() ([]Record, error) {
-	s.syncTail()
-	if s.flushErr != nil {
-		return nil, s.flushErr
-	}
-	out := make([]Record, 0, s.index.len())
-	at := make(map[identity.Hash]int, s.index.len()) // key -> position in out
-	absorb := func(r *Record, _ int64, _ int) {
-		if cur, ok := s.index.get(r.Key); !ok || r.Stamp != cur.stamp {
-			return // superseded or unknown: garbage
-		}
-		if i, dup := at[r.Key]; dup {
-			out[i] = *r // the tail's equal-stamp duplicate of a snapshot record
-			return
-		}
-		at[r.Key] = len(out)
-		out = append(out, *r)
-	}
-	for _, name := range []string{snapshotName, tailName} {
-		if err := replayFile(filepath.Join(s.dir, name), absorb, nil); err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
-	return out, nil
 }

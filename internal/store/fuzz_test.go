@@ -13,8 +13,10 @@ import (
 func FuzzDecodeRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("RVLS\x04"))
-	f.Add([]byte("RVLS\x02\x00\x00\x00\x00"))
 	f.Add([]byte("RVLS\x7f"))
+	f.Add(hugeLengthBlob)
+	// A headerless blob — the first layout's wire form — must be refused.
+	f.Add([]byte("\x00\x00\x00\x2a\x00\x00\x00\x00headerless"))
 	f.Add([]byte("not a sync frame at all"))
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {

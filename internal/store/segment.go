@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -33,26 +33,17 @@ import (
 //	          olen   origin  identity.PartyID of the vouching authority
 //	                         (hex Ed25519 public key; empty = unattributed)
 //	          qlen   request (JSON-encoded core.VerifyRequest — the inputs
-//	                         the verdict was computed from; empty = the
-//	                         record predates v3 and cannot be re-audited)
+//	                         the verdict was computed from; empty = nobody
+//	                         recorded them and the record cannot be audited)
 //	          clen   cert    (JSON-encoded core.Certificate — the aggregate
 //	                         quorum certificate vouching for the verdict;
 //	                         empty = uncertified)
 //	          rest   verdict (JSON-encoded core.Verdict)
 //
-// Version 1 segments — everything written before the federation change —
-// have no header and no origin column: the payload is key, stamp, verdict.
-// A reader distinguishes the formats by the magic: v1 could never start
-// with "RVLS" because a record's first four bytes are a big-endian length
-// far below 0x52564c53. Version 2 added the header and the origin column;
-// version 3 added the request column (what lets any authority re-run the
-// verification procedure for any record it holds — the audit loop's raw
-// material); version 4 adds the certificate column, which makes aggregate
-// quorum certificates first-class records that warm-start, compact and
-// replicate exactly like the verdicts they certify. v1, v2 and v3
-// segments are read transparently (missing columns come back empty) and
-// upgraded to v4 the first time the store opens them; v4 is the only
-// format ever written.
+// This is the only layout the store reads or writes, on disk and on the
+// wire. A segment or blob that does not open with these five bytes is
+// refused with errVersion and its file left untouched — guessing at another
+// layout's record boundaries could only truncate someone's history.
 //
 // The CRC covers the whole payload (key, stamp, origin, request, cert and
 // verdict), so a flipped bit anywhere in a record is detected; the length
@@ -63,20 +54,9 @@ import (
 // on amd64/arm64, so framing costs no measurable CPU next to the syscall.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Segment format versions. segmentV1 is the legacy headerless layout (no
-// origin column); segmentV2 added the header and origin; segmentV3 added
-// the request column; segmentV4 — the current layout — adds the
-// certificate column.
-const (
-	segmentV1 = 1
-	segmentV2 = 2
-	segmentV3 = 3
-	segmentV4 = 4
-)
-
 // segmentHeader is the five-byte prefix of every written segment (and of
-// every wire-framed delta): the magic plus the current version.
-var segmentHeader = []byte{'R', 'V', 'L', 'S', segmentV4}
+// every wire-framed delta): the magic plus the one version there is.
+var segmentHeader = []byte{'R', 'V', 'L', 'S', 4}
 
 const (
 	// segmentHeaderLen is the length of the per-file version header.
@@ -87,19 +67,10 @@ const (
 	keyLen = len(identity.Hash{})
 	// stampLen is the monotonic stamp length inside the payload.
 	stampLen = 8
-	// originLenLen is the origin length prefix inside a v2+ payload.
-	originLenLen = 2
-	// requestLenLen is the request length prefix inside a v3+ payload.
-	requestLenLen = 4
-	// certLenLen is the certificate length prefix inside a v4 payload.
-	certLenLen = 4
-	// minPayloadV1 / minPayloadV2 / minPayloadV3 / minPayloadV4 bound the
-	// smallest well-formed payload per format version, so the frame reader
-	// can reject a length field before allocating.
-	minPayloadV1 = keyLen + stampLen
-	minPayloadV2 = keyLen + stampLen + originLenLen
-	minPayloadV3 = keyLen + stampLen + originLenLen + requestLenLen
-	minPayloadV4 = keyLen + stampLen + originLenLen + requestLenLen + certLenLen
+	// minPayload is the smallest well-formed payload — key, stamp and the
+	// origin (2), request (4) and certificate (4) length prefixes — so the
+	// frame reader can reject a length field before allocating.
+	minPayload = keyLen + stampLen + 2 + 4 + 4
 	// maxOrigin bounds the origin column. A party ID is 64 bytes of hex;
 	// anything much longer is corruption, not an identity.
 	maxOrigin = 256
@@ -111,15 +82,14 @@ const (
 )
 
 // Record is one persisted verdict: the cache key, the monotonic append
-// stamp (larger = written later; recovery keeps the largest per key), the
+// stamp (larger = written later; replay keeps the largest per key), the
 // identity of the authority that vouched for the record's entry into this
 // log (the local authority for fresh verdicts, the signing peer for
-// ingested ones; empty on unkeyed deployments and legacy v1 records), the
-// request the verdict was computed from (JSON core.VerifyRequest; empty
-// on records that predate the v3 format — those cannot be re-audited),
-// the aggregate quorum certificate vouching for the verdict (JSON
-// core.Certificate; empty on uncertified records and everything that
-// predates the v4 format), and the verdict itself.
+// ingested ones; empty on unkeyed deployments), the request the verdict
+// was computed from (JSON core.VerifyRequest; a record without one cannot
+// be re-audited), the aggregate quorum certificate vouching for the
+// verdict (JSON core.Certificate; empty on uncertified records), and the
+// verdict itself.
 type Record struct {
 	Key     identity.Hash
 	Stamp   uint64
@@ -143,75 +113,73 @@ type loc struct {
 	seg uint8
 }
 
-// idxEntry is one on-disk index line: the newest stamp a key holds, the
-// checksum of the verdict content at that stamp, the record's origin, the
-// verdict's polarity, whether a quorum certificate rides the record, and
-// where the frame sits on disk. The sum lets the anti-entropy manifest
-// distinguish "peer has newer content" from "peer merely re-stamped
-// identical content" (compaction's warmth re-ranking does the latter on
-// every pass), so stamp churn never causes a re-transfer. The origin
-// feeds the Provenance summary without a disk scan; the polarity lets
-// Ingest refute an incoming record that contradicts a locally verified
-// one without re-reading the log; the certified bit is what the merge
-// rule (supersedes) ranks above stamps. The location — filled by recovery
-// replay and by every append, rewritten by every snapshot — is what lets
-// Delta and Records read exactly the frames they ship instead of scanning
-// the log for them.
+// idxEntry is one index line, the standing record of a key as the store
+// keeps it in memory. Stamp, polarity and the two column bits are what
+// merge ranks an incoming version of the key by without re-reading the
+// log; the content sum lets a delta tell "newer content" from "merely
+// re-stamped" (compaction's warmth re-ranking does the latter on every
+// pass); the origin also feeds the Provenance summary without a disk scan.
+// The location — filled by replay and by every append, rewritten by every
+// snapshot — is what lets Delta, Records and the merge's carry-forward
+// read exactly the frames they want instead of scanning the log for them.
 type idxEntry struct {
 	stamp  uint64
 	origin identity.PartyID
 	loc
-	sum       uint32
-	accepted  bool
-	certified bool
+	sum        uint32
+	accepted   bool
+	certified  bool
+	hasRequest bool
 }
 
 // entryFor is the index line of a record about to sit at at, given its
 // content sum.
 func entryFor(r *Record, sum uint32, at loc) idxEntry {
 	return idxEntry{
-		stamp: r.Stamp, sum: sum, origin: r.Origin,
-		accepted: r.Verdict.Accepted, certified: len(r.Cert) > 0, loc: at,
+		stamp: r.Stamp, sum: sum, origin: r.Origin, loc: at,
+		accepted: r.Verdict.Accepted, certified: len(r.Cert) > 0, hasRequest: len(r.Request) > 0,
 	}
 }
 
-// recordSum is the content checksum the index and sync manifests carry:
-// CRC32C over the canonical JSON encoding of the verdict extended with
-// the certificate bytes — the exact bytes appendRecord frames, so every
-// replica computes the same sum for the same content regardless of which
-// one first persisted it or which authority's provenance it carries (the
-// origin column is deliberately excluded: replicas converge on content,
-// not on custody chains). Including the certificate means a record that
-// gains a quorum certificate reads as new content to anti-entropy and
-// gossip, so certificates propagate even where the bare verdict already
-// converged.
-func recordSum(r *Record) uint32 {
-	body, err := json.Marshal(&r.Verdict)
-	if err != nil {
-		return 0 // unencodable: writeStamped will refuse it anyway
-	}
-	sum := crc32.Checksum(body, crcTable)
-	if len(r.Cert) > 0 {
-		sum = crc32.Update(sum, crcTable, r.Cert)
-	}
-	return sum
+// contentSum is the content checksum the index and sync manifests carry:
+// CRC32C over the framed verdict bytes extended with the certificate bytes,
+// taken where those bytes already exist — appendRecord on write, readRecord
+// on read — so every replica computes the same sum for the same content
+// regardless of which one first persisted it or which authority's
+// provenance it carries (the origin column is deliberately excluded:
+// replicas converge on content, not on custody chains). Including the
+// certificate means a record that gains a quorum certificate reads as new
+// content to anti-entropy and gossip, so certificates propagate even where
+// the bare verdict already converged.
+func contentSum(body, cert []byte) uint32 {
+	return crc32.Update(crc32.Checksum(body, crcTable), crcTable, cert)
 }
 
-// appendRecord encodes a record onto buf in the v4 layout and returns the
-// extended slice plus the record's content checksum (computed here, where
-// the verdict bytes already exist, so the index never pays a second
-// marshal). The frame is assembled in memory first so the file write is a
-// single contiguous append — the closest a userspace writer gets to
-// atomicity.
+// appendRecord encodes a record onto buf and returns the extended slice
+// plus the record's content checksum. The frame is assembled in memory
+// first so the file write is a single contiguous append — the closest a
+// userspace writer gets to atomicity.
 func appendRecord(buf []byte, r *Record) ([]byte, uint32, error) {
 	body, err := json.Marshal(&r.Verdict)
+	if err == nil && bytes.Contains(body, []byte(`\ufffd`)) {
+		// encoding/json writes a byte that is not UTF-8 as this escape but
+		// decodes it to the rune itself, which re-marshals as three raw
+		// bytes: a reader (reopen, a replica's Ingest) would sum different
+		// bytes than this writer. One decode → encode round trip reaches
+		// the fixed point, so the stored bytes — and the sum — are a
+		// function of the verdict.
+		var v core.Verdict
+		if err = json.Unmarshal(body, &v); err == nil {
+			body, err = json.Marshal(&v)
+		}
+	}
 	if err != nil {
 		return buf, 0, fmt.Errorf("store: encoding verdict: %w", err)
 	}
 	if len(r.Origin) > maxOrigin {
 		return buf, 0, fmt.Errorf("store: origin of %d bytes exceeds the %d-byte bound", len(r.Origin), maxOrigin)
 	}
-	payloadLen := minPayloadV4 + len(r.Origin) + len(r.Request) + len(r.Cert) + len(body)
+	payloadLen := minPayload + len(r.Origin) + len(r.Request) + len(r.Cert) + len(body)
 	if payloadLen > maxPayload {
 		return buf, 0, fmt.Errorf("store: record of %d bytes exceeds the %d-byte bound", payloadLen, maxPayload)
 	}
@@ -229,11 +197,7 @@ func appendRecord(buf []byte, r *Record) ([]byte, uint32, error) {
 	payload := buf[start+headerLen:]
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	sum := crc32.Checksum(body, crcTable)
-	if len(r.Cert) > 0 {
-		sum = crc32.Update(sum, crcTable, r.Cert)
-	}
-	return buf, sum, nil
+	return buf, contentSum(body, r.Cert), nil
 }
 
 // errTorn reports a frame that cannot be trusted: a short read, a length
@@ -241,131 +205,94 @@ func appendRecord(buf []byte, r *Record) ([]byte, uint32, error) {
 // valid prefix rather than a fatal store error.
 var errTorn = errors.New("store: torn or corrupt record")
 
-// errVersion reports a segment or wire blob whose header names a format
-// version this code does not speak — refusing it outright beats guessing
-// at an unknown layout's record boundaries.
+// errVersion reports a segment or wire blob that does not open with the
+// segment header — an older layout, a newer one, or not a segment at all.
 var errVersion = errors.New("store: unsupported segment version")
 
-// sniffVersion peeks at the reader's first bytes and consumes the segment
-// header when one is present, returning the format version to read
-// records with. A stream that does not start with the magic is a legacy
-// v1 segment and is left unconsumed; a stream with the magic but an
-// unknown version is refused.
-func sniffVersion(br *bufio.Reader) (int, error) {
-	head, err := br.Peek(segmentHeaderLen)
-	if err != nil {
-		// Shorter than a header: whatever it is (empty file, torn v1
-		// record), the v1 record reader gives the right answer.
-		return segmentV1, nil
+// checkHeader vets the first bytes of a segment or wire blob. A prefix
+// shorter than the header that the header starts with is a header torn by
+// a crash (errTorn: nothing was ever written behind it); anything else
+// that is not the header is errVersion.
+func checkHeader(head []byte) error {
+	switch {
+	case bytes.Equal(head, segmentHeader):
+		return nil
+	case len(head) < segmentHeaderLen && bytes.HasPrefix(segmentHeader, head):
+		return errTorn
 	}
-	if string(head[:4]) != string(segmentHeader[:4]) {
-		return segmentV1, nil
-	}
-	if head[4] != segmentV2 && head[4] != segmentV3 && head[4] != segmentV4 {
-		return 0, fmt.Errorf("%w: %d", errVersion, head[4])
-	}
-	br.Discard(segmentHeaderLen)
-	return int(head[4]), nil
+	return fmt.Errorf("%w: it opens with %q, not %q", errVersion, head, segmentHeader)
 }
 
-// readRecord decodes the next record from r using the given format
-// version and returns its framed size in bytes. It returns io.EOF at a
-// clean segment end, errTorn when the next frame is short, over-long or
-// fails its checksum, and any other error verbatim (a real I/O failure).
-func readRecord(r io.Reader, rec *Record, version int) (int, error) {
+// readRecord decodes the next record from r — whose Request and Cert then
+// alias one fresh payload buffer — and returns its framed size in bytes
+// and its content sum. limit is the longest payload the source can hold:
+// a length prefix beyond it is refused before anything is allocated on its
+// say-so. It returns io.EOF at a clean segment end, errTorn when the next
+// frame is short, over-long, fails its checksum or does not hold what its
+// length prefixes claim, and any other error verbatim (a real I/O failure).
+func readRecord(r io.Reader, rec *Record, limit int) (int, uint32, error) {
 	var header [headerLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if err == io.EOF {
-			return 0, io.EOF // clean end: no partial header
+			return 0, 0, io.EOF // clean end: no partial header
 		}
 		if err == io.ErrUnexpectedEOF {
-			return 0, errTorn // header itself is torn
+			return 0, 0, errTorn // header itself is torn
 		}
-		return 0, err
-	}
-	minPayload := minPayloadV1
-	switch {
-	case version >= segmentV4:
-		minPayload = minPayloadV4
-	case version >= segmentV3:
-		minPayload = minPayloadV3
-	case version >= segmentV2:
-		minPayload = minPayloadV2
+		return 0, 0, err
 	}
 	length := int(binary.BigEndian.Uint32(header[:4]))
-	if length < minPayload || length > maxPayload {
-		return 0, errTorn
+	if length < minPayload || length > min(limit, maxPayload) {
+		return 0, 0, errTorn
 	}
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, errTorn // payload shorter than its header promised
+			return 0, 0, errTorn // payload shorter than its header promised
 		}
-		return 0, err
+		return 0, 0, err
 	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:8]) {
-		return 0, errTorn
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:]) {
+		return 0, 0, errTorn
 	}
-	copy(rec.Key[:], payload[:keyLen])
-	rec.Stamp = binary.BigEndian.Uint64(payload[keyLen : keyLen+stampLen])
-	body := payload[minPayloadV1:]
-	rec.Origin = ""
-	rec.Request = nil
-	rec.Cert = nil
-	switch {
-	case version >= segmentV4:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : keyLen+stampLen+originLenLen]))
-		qlen := int(binary.BigEndian.Uint32(payload[keyLen+stampLen+originLenLen : minPayloadV3]))
-		clen := int(binary.BigEndian.Uint32(payload[minPayloadV3:minPayloadV4]))
-		if olen > maxOrigin || qlen > maxPayload || clen > maxPayload ||
-			minPayloadV4+olen+qlen+clen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV4 : minPayloadV4+olen])
-		if qlen > 0 {
-			rec.Request = json.RawMessage(payload[minPayloadV4+olen : minPayloadV4+olen+qlen])
-		}
-		if clen > 0 {
-			rec.Cert = payload[minPayloadV4+olen+qlen : minPayloadV4+olen+qlen+clen]
-		}
-		body = payload[minPayloadV4+olen+qlen+clen:]
-	case version >= segmentV3:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : keyLen+stampLen+originLenLen]))
-		qlen := int(binary.BigEndian.Uint32(payload[keyLen+stampLen+originLenLen : minPayloadV3]))
-		if olen > maxOrigin || qlen > maxPayload || minPayloadV3+olen+qlen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV3 : minPayloadV3+olen])
-		if qlen > 0 {
-			rec.Request = json.RawMessage(payload[minPayloadV3+olen : minPayloadV3+olen+qlen])
-		}
-		body = payload[minPayloadV3+olen+qlen:]
-	case version >= segmentV2:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : minPayloadV2]))
-		if olen > maxOrigin || minPayloadV2+olen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV2 : minPayloadV2+olen])
-		body = payload[minPayloadV2+olen:]
+	copy(rec.Key[:], payload)
+	rec.Stamp = binary.BigEndian.Uint64(payload[keyLen:])
+	lens := payload[keyLen+stampLen : minPayload]
+	olen := int(binary.BigEndian.Uint16(lens))
+	qlen := int(binary.BigEndian.Uint32(lens[2:]))
+	clen := int(binary.BigEndian.Uint32(lens[6:]))
+	if olen > maxOrigin || qlen > maxPayload || clen > maxPayload ||
+		minPayload+olen+qlen+clen > length {
+		return 0, 0, errTorn
 	}
+	cols := payload[minPayload:]
+	rec.Origin = identity.PartyID(cols[:olen])
+	rec.Request, rec.Cert = nil, nil
+	if qlen > 0 {
+		rec.Request = json.RawMessage(cols[olen : olen+qlen])
+	}
+	if clen > 0 {
+		rec.Cert = cols[olen+qlen : olen+qlen+clen]
+	}
+	body := cols[olen+qlen+clen:]
 	rec.Verdict = core.Verdict{}
 	if err := json.Unmarshal(body, &rec.Verdict); err != nil {
 		// The CRC passed, so these bytes are what the writer wrote — a
 		// writer bug, not a torn write. Treat it like corruption anyway:
 		// salvage stops here rather than guessing at the next frame.
-		return 0, errTorn
+		return 0, 0, errTorn
 	}
-	return headerLen + int(length), nil
+	return headerLen + length, contentSum(body, rec.Cert), nil
 }
 
 // checkFrame verifies that frame — bytes read back from a location the
-// index recorded — is the intact v4 frame of the record the index says it
+// index recorded — is the intact frame of the record the index says it
 // is: the length prefix spans exactly the frame, the CRC holds, and the
 // payload opens with the expected key and stamp. The last two catch what
 // a CRC alone cannot: a stale location pointing at some other record's
 // perfectly valid frame.
 func checkFrame(frame []byte, key identity.Hash, stamp uint64) error {
-	if len(frame) < headerLen+minPayloadV4 ||
+	if len(frame) < headerLen+minPayload ||
 		int(binary.BigEndian.Uint32(frame[:4])) != len(frame)-headerLen {
 		return errTorn
 	}

@@ -13,16 +13,18 @@
 //     the channel is full the record is dropped (and counted) rather
 //     than ever applying backpressure to verification.
 //   - A single flusher goroutine owns the tail file. It drains the
-//     channel, frames records (length prefix + CRC32C, see segment.go),
-//     appends them, and fsyncs every SyncEvery records — plus once more
+//     channel, merges each record with the one its key already holds
+//     (merge.go), frames it (length prefix + CRC32C, see segment.go),
+//     appends it, and fsyncs every SyncEvery records — plus once more
 //     whenever the queue drains — so durability amortizes the sync cost
 //     across a burst without leaving a quiet service's records unsynced.
 //   - Compaction runs on the same goroutine: once superseded records
 //     (same key re-appended after a cache eviction, or duplicates left
 //     by an earlier crash) exceed CompactAt, the live set is rewritten
 //     into a snapshot segment — built as a temp file, fsynced, then
-//     atomically renamed — and the tail is truncated. Recovery replays
-//     snapshot + tail, newest stamp per key winning.
+//     atomically renamed — and the tail is truncated. Recovery and
+//     compaction read the files through one replay (recover.go): snapshot
+//     then tail, highest stamp per key winning.
 //   - Recovery salvages a torn tail: the replay keeps the longest valid
 //     prefix (every record independently CRC-checked) and truncates the
 //     rest, so a crash mid-append costs at most the unsynced suffix,
@@ -123,8 +125,8 @@ type Stats struct {
 	// Dropped means the disk is the problem, not the load.
 	Failed uint64 `json:"failed"`
 	// Ingested counts records absorbed from peers via Ingest (anti-entropy)
-	// since Open — applied records only, not stale offers that lost the
-	// newest-stamp-wins comparison.
+	// since Open — applied records only, not offers the merge rule kept
+	// the standing record over.
 	Ingested uint64 `json:"ingested"`
 	// Compactions counts snapshot rewrites since Open; CompactedRecords
 	// the records they eliminated — superseded duplicates plus, under a
@@ -157,7 +159,7 @@ type Store struct {
 	once  sync.Once
 
 	// Flusher-owned state (no locking: single goroutine).
-	index     index    // key -> newest on-disk stamp, content sum, frame location
+	index     index    // key -> the standing record's merge line and frame location
 	snap      *os.File // read handle on the current snapshot; nil before the first one
 	tailSize  int64    // the tail's length: where the next frame lands
 	nextStamp uint64
@@ -183,11 +185,12 @@ type Store struct {
 // recovered live records, oldest first, for cache pre-population. The
 // returned store is ready for Append: its flusher goroutine is running.
 //
-// Recovery replays the snapshot segment then the tail, keeping the
-// newest-stamped record per key. A torn final record — the signature of a
-// crash mid-append — is detected by its CRC and discarded along with
-// everything after it; the tail is truncated back to the longest valid
-// prefix so appends resume from a trusted boundary.
+// Recovery is one replay (recover.go) of the snapshot segment then the
+// tail. A torn final record — the signature of a crash mid-append — is
+// detected by its CRC and discarded along with everything after it; the
+// tail is truncated back to the longest valid prefix so appends resume from
+// a trusted boundary. A segment in any other layout fails Open with the
+// version error and keeps every byte.
 func Open(dir string, opts Options) (*Store, []Record, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
@@ -209,7 +212,11 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := recoverDir(dir)
+	rp, err := replay(dir)
+	if err == nil && rp.tailValid < rp.tailSize {
+		// Only a tail replay recognised as a segment is ever cut.
+		err = os.Truncate(filepath.Join(dir, tailName), rp.tailValid)
+	}
 	if err != nil {
 		unlock()
 		return nil, nil, err
@@ -228,63 +235,28 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 		cmds:      make(chan func()),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
-		nextStamp: rec.maxStamp + 1,
+		tailSize:  rp.tailValid,
+		nextStamp: rp.maxStamp + 1,
 	}
-	for key, r := range rec.live {
-		s.index.put(key, entryFor(&r.Record, recordSum(&r.Record), r.loc))
+	for key, r := range rp.live {
+		s.index.put(key, entryFor(&r.Record, r.sum, r.loc))
 	}
-	live := uint64(len(rec.live))
+	live := uint64(len(rp.live))
 	s.replayed.Store(live)
 	s.live.Store(live)
-	s.garbage.Store(rec.total - live)
-	s.salvaged.Store(uint64(rec.salvaged))
-	if err := s.upgradeSegments(rec); err != nil {
+	s.garbage.Store(rp.total - live)
+	s.salvaged.Store(uint64(rp.tailSize - rp.tailValid))
+	err = s.openSnapshot()
+	if err == nil && s.tailSize == 0 {
+		err = s.writeTailHeader() // brand new, or salvaged to empty
+	}
+	if err != nil {
 		s.closeFiles()
 		unlock()
 		return nil, nil, err
 	}
-	records := rec.liveRecords()
 	go s.flusher()
-	return s, records, nil
-}
-
-// upgradeSegments brings the on-disk format to the current segment
-// version before the flusher starts. A store whose segments replayed as
-// legacy (v1, v2 or v3) is rewritten wholesale — the live set goes into a
-// fresh v4 snapshot, the tail is truncated and given the version header —
-// so v4 is the only format ever appended to and the origin, request and
-// certificate columns exist for every future record (the migrated history
-// keeps whatever columns it had: v1 records stay unattributed, pre-v3
-// records stay unauditable, pre-v4 records stay uncertified — no one
-// recorded what was never there). The rewrite is a compaction in all but
-// trigger, and is counted as one. A store already at v4 only has its tail
-// header written when the tail is brand new or was salvaged to empty, and
-// its existing snapshot opened for frame reads.
-func (s *Store) upgradeSegments(rec *recovery) error {
-	if rec.upgrade {
-		live := make(map[identity.Hash]*Record, len(rec.live))
-		for key, r := range rec.live {
-			live[key] = &r.Record
-		}
-		if err := s.writeSnapshot(live); err != nil {
-			return fmt.Errorf("store: upgrading legacy segments: %w", err)
-		}
-		if err := s.tail.Truncate(0); err != nil {
-			return fmt.Errorf("store: truncating legacy tail: %w", err)
-		}
-		s.compactions.Add(1)
-		s.compacted.Add(s.garbage.Swap(0))
-	} else if err := s.openSnapshot(); err != nil {
-		return err
-	}
-	info, err := s.tail.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat tail: %w", err)
-	}
-	if s.tailSize = info.Size(); s.tailSize != 0 {
-		return nil // existing tail: header already on disk
-	}
-	return s.writeTailHeader()
+	return s, rp.records(), nil
 }
 
 // writeTailHeader starts an empty tail with the segment version header and
@@ -416,7 +388,7 @@ func (s *Store) flusher() {
 			for {
 				select {
 				case r := <-s.queue:
-					s.writeRecord(&r)
+					s.commit(&r, true)
 				default:
 					s.syncTail()
 					return
@@ -455,12 +427,12 @@ func (s *Store) drainPending() {
 	}
 }
 
-// handleRecord writes one record and then enforces the maintenance
+// handleRecord commits one local record and then enforces the maintenance
 // cadences. Both checks run after every record — not just when the queue
 // goes idle — so sustained traffic cannot starve the SyncEvery durability
 // contract or defer compaction forever.
 func (s *Store) handleRecord(r *Record) {
-	s.writeRecord(r)
+	s.commit(r, true)
 	if s.sinceSync >= s.opts.SyncEvery {
 		s.syncTail()
 	}
@@ -479,59 +451,9 @@ func (s *Store) maybeCompact() {
 	}
 }
 
-// writeRecord stamps, frames and appends one record, updating the on-disk
-// index and the live/garbage accounting. After a fatal I/O error the
-// store stops writing — every further record counts as Failed, so the
-// operator-visible signal distinguishes a dead disk from queue overflow —
-// rather than spinning on a device that already refused a write.
-func (s *Store) writeRecord(r *Record) {
-	if s.flushErr != nil {
-		s.failed.Add(1)
-		return
-	}
-	r.Stamp = s.nextStamp
-	s.nextStamp++
-	r.Origin = s.opts.Origin // local append: this authority vouches
-	s.writeStamped(r)
-}
-
-// writeStamped frames and appends a record that already carries its stamp.
-// Local appends arrive via writeRecord with a fresh stamp; anti-entropy
-// ingestion keeps the peer's stamp so replicas converge on identical
-// (key, stamp) histories, and the local clock jumps past it to keep
-// stamps monotonic across the merged history.
-func (s *Store) writeStamped(r *Record) {
-	if s.flushErr != nil {
-		s.failed.Add(1)
-		return
-	}
-	if r.Stamp >= s.nextStamp {
-		s.nextStamp = r.Stamp + 1
-	}
-	buf, sum, err := appendRecord(s.buf[:0], r)
-	if err != nil {
-		s.failed.Add(1) // unencodable verdict: skip the record
-		return
-	}
-	s.buf = buf[:0]
-	if _, err := s.tail.Write(buf); err != nil {
-		s.flushErr = fmt.Errorf("store: appending record: %w", err)
-		s.failed.Add(1)
-		return
-	}
-	if s.index.put(r.Key, entryFor(r, sum, loc{seg: segTail, n: int32(len(buf)), off: s.tailSize})) {
-		s.garbage.Add(1)
-	} else {
-		s.live.Add(1)
-	}
-	s.tailSize += int64(len(buf))
-	s.persisted.Add(1)
-	s.sinceSync++
-}
-
 // Provenance summarizes the live set by vouching authority: how many
 // on-disk records each origin party ID accounts for (the empty ID groups
-// unattributed records — unkeyed deployments and migrated v1 history).
+// unattributed records — unkeyed deployments and unsigned transfers).
 // It runs as a flusher command at anti-entropy cadence, so the counts are
 // exact with respect to every accepted Append, never racing the writer.
 func (s *Store) Provenance() (map[identity.PartyID]uint64, error) {

@@ -110,7 +110,7 @@ func TestLatestWinsAcrossRestarts(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 live / 1 garbage", st)
 	}
 
-	// Second life supersedes the key again; the third must see only the
+	// Second life overwrites the key again; the third must see only the
 	// newest verdict, proving stamps continue across restarts.
 	s2, recs := mustOpen(t, dir, Options{})
 	if len(recs) != 1 || !reflect.DeepEqual(recs[0].Verdict, testVerdict(2)) {

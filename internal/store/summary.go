@@ -152,24 +152,33 @@ func (s *Store) readFrames(want []located) ([]byte, int, error) {
 	buf := make([]byte, segmentHeaderLen, size)
 	copy(buf, segmentHeader)
 	for i := range want {
-		w := &want[i]
-		f, name := s.tail, tailName
-		if w.seg == segSnap {
-			f, name = s.snap, snapshotName
+		frame := buf[len(buf) : len(buf)+int(want[i].n)]
+		if err := s.readFrame(&want[i], frame); err != nil {
+			return nil, 0, err
 		}
-		frame := buf[len(buf) : len(buf)+int(w.n)]
-		if f == nil {
-			return nil, 0, fmt.Errorf("store: live record %s is indexed in a missing %s", w.key, name)
-		}
-		if _, err := f.ReadAt(frame, w.off); err != nil {
-			return nil, 0, fmt.Errorf("store: reading live record %s at %s+%d: %w", w.key, name, w.off, err)
-		}
-		if err := checkFrame(frame, w.key, w.stamp); err != nil {
-			return nil, 0, fmt.Errorf("store: live record %s at %s+%d: %w", w.key, name, w.off, err)
-		}
-		buf = buf[:len(buf)+int(w.n)]
+		buf = buf[:len(buf)+len(frame)]
 	}
 	return buf, len(want), nil
+}
+
+// readFrame reads one live frame into frame (which must be w.n long) from
+// the location its index line records, and checks it: length, CRC, key and
+// stamp (checkFrame). Runs on the flusher goroutine.
+func (s *Store) readFrame(w *located, frame []byte) error {
+	f, name := s.tail, tailName
+	if w.seg == segSnap {
+		f, name = s.snap, snapshotName
+	}
+	if f == nil {
+		return fmt.Errorf("store: live record %s is indexed in a missing %s", w.key, name)
+	}
+	if _, err := f.ReadAt(frame, w.off); err != nil {
+		return fmt.Errorf("store: reading live record %s at %s+%d: %w", w.key, name, w.off, err)
+	}
+	if err := checkFrame(frame, w.key, w.stamp); err != nil {
+		return fmt.Errorf("store: live record %s at %s+%d: %w", w.key, name, w.off, err)
+	}
+	return nil
 }
 
 // Records returns the live copies of the requested keys as a wire blob

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 
 	"rationality/internal/identity"
 )
@@ -40,42 +38,24 @@ func (s *Store) do(fn func()) error {
 	}
 }
 
-// RecordInfo is one manifest line: the newest stamp a store holds for a
-// key, the checksum of the verdict content at that stamp, and whether a
-// quorum certificate rides the record. The sum is what keeps anti-entropy
-// quiescent under stamp churn — compaction re-ranks retained records with
-// fresh stamps, and without a content check every re-rank would look like
-// new data to every peer, making converged replicas re-transfer their
-// whole hot sets forever. The certified bit feeds the merge rule
-// (supersedes).
+// RecordInfo is one manifest line: what a peer's merge needs of a standing
+// record to decide whether its own copy would replace it. The sum is what
+// keeps anti-entropy quiescent under stamp churn — compaction re-ranks
+// retained records with fresh stamps, and without a content check every
+// re-rank would look like new data to every peer, making converged replicas
+// re-transfer their whole hot sets forever. Polarity is carried as Rejected
+// so the zero value is the common case.
 type RecordInfo struct {
 	Stamp     uint64
 	Sum       uint32
 	Certified bool
-}
-
-// supersedes is the merge rule, the one place that decides whether an
-// incoming version of a key replaces the current one — Delta asks it
-// whether a record is worth sending, Ingest whether to apply it. While
-// both versions carry the same verdict polarity, a certified record
-// outranks an uncertified one whatever the stamps: stamps are per-store
-// counters, and a member that co-signed a verdict holds the bare record
-// at a stamp of its own that says nothing about the certificate issued
-// elsewhere afterwards. Otherwise the newer stamp wins. (Delta sees only
-// the peer's manifest line, which has no polarity, and passes true: a
-// certificate the receiver then finds contradicts its copy's polarity
-// falls back to stamps there.)
-func supersedes(inStamp uint64, inCertified bool, curStamp uint64, curCertified, samePolarity bool) bool {
-	if samePolarity && inCertified != curCertified {
-		return inCertified
-	}
-	return inStamp > curStamp
+	Rejected  bool
 }
 
 // Manifest returns a snapshot of the store's on-disk index restricted to
-// scope (nil: all of it): the newest stamp, content sum and certified bit
-// per live key. It is the "what I have" half of an anti-entropy exchange —
-// a peer answers it with the records this store is missing.
+// scope (nil: all of it): one RecordInfo per live key. It is the "what I
+// have" half of an anti-entropy exchange — a peer answers it with the
+// records this store is missing.
 func (s *Store) Manifest(scope Scope) (map[identity.Hash]RecordInfo, error) {
 	if err := scope.Check(); err != nil {
 		return nil, err
@@ -88,23 +68,25 @@ func (s *Store) Manifest(scope Scope) (map[identity.Hash]RecordInfo, error) {
 		}
 		m = make(map[identity.Hash]RecordInfo, n)
 		s.index.each(scope, func(l located) {
-			m[l.key] = RecordInfo{Stamp: l.stamp, Sum: l.sum, Certified: l.certified}
+			m[l.key] = RecordInfo{Stamp: l.stamp, Sum: l.sum, Certified: l.certified, Rejected: !l.accepted}
 		})
 	})
 	return m, err
 }
 
 // Delta returns, as a wire blob plus a record count, this store's live
-// records inside scope (nil: everywhere) that the given manifest is
-// missing, or holds different content for in a version this store's
-// supersedes — ordered oldest stamp first. A peer whose copy has an older
-// stamp but the same content sum needs nothing: the stamp gap is
-// compaction re-ranking, not data, and sending it would only bounce
-// identical verdicts between replicas forever. The index is bucketed and
-// knows where every live frame sits, so the cost is a walk over the
-// in-scope buckets' index lines plus one checked read per record shipped
-// (readFrames) — the blob is the segments' own bytes, never decoded or
-// re-encoded here.
+// records inside scope (nil: everywhere) whose content the given manifest
+// lacks and that the peer's merge would take over what it holds — the same
+// merge, asked from the sending side — ordered oldest stamp first. Equal
+// content at another stamp never ships: the gap is compaction re-ranking,
+// not data, and would bounce whole hot sets between converged replicas
+// after every compaction, forever. The manifest cannot say
+// which verdicts the peer proved itself, so a newer-stamped contradiction
+// of one ships and is refuted there: that is how a lie gets charged. The
+// index is bucketed and knows where every live frame sits, so the cost is
+// a walk over the in-scope buckets' index lines plus one checked read per
+// record shipped (readFrames) — the blob is the segments' own bytes, never
+// decoded or re-encoded here.
 func (s *Store) Delta(have map[identity.Hash]RecordInfo, scope Scope) ([]byte, int, error) {
 	if err := scope.Check(); err != nil {
 		return nil, 0, err
@@ -115,8 +97,9 @@ func (s *Store) Delta(have map[identity.Hash]RecordInfo, scope Scope) ([]byte, i
 	err := s.do(func() {
 		var want []located
 		s.index.each(scope, func(l located) {
-			peer, ok := have[l.key]
-			if !ok || (peer.Sum != l.sum && supersedes(l.stamp, l.certified, peer.Stamp, peer.Certified, true)) {
+			peer, held := have[l.key]
+			standing := idxEntry{stamp: peer.Stamp, accepted: !peer.Rejected, certified: peer.Certified}
+			if !(held && peer.Sum == l.sum) && merge(standing, held, l.idxEntry, "", false).write {
 				want = append(want, l)
 			}
 		})
@@ -130,9 +113,7 @@ func (s *Store) Delta(have map[identity.Hash]RecordInfo, scope Scope) ([]byte, i
 
 // Refutation is ingest-time evidence of a lying voucher: an incoming
 // record whose verdict polarity contradicts the verdict this store's own
-// authority computed and vouched for locally. The record was refused —
-// deterministic procedures make local execution ground truth, so
-// newest-stamp-wins must not let a peer's stamp overwrite it — and the
+// authority computed and vouched for locally. merge refused it, and the
 // contradiction is returned to the owner, who charges the record's
 // provenance through the trust layer.
 type Refutation struct {
@@ -144,29 +125,21 @@ type Refutation struct {
 	LocalAccepted bool
 }
 
-// Ingest merges records pulled from a peer into the log: per key the
-// merge rule (supersedes) decides, stale offers are skipped, and applied
-// records keep the peer's stamp so repeated exchanges converge on
-// identical histories — except a certificate that wins against a newer
-// local stamp, which is re-stamped here so recovery's newest-stamp-wins
-// replay keeps it.
+// Ingest merges records pulled from a peer into the log, each through the
+// store's one writer (commit, merge.go). Records the merge keeps the
+// standing one over are skipped; records that contradict a verdict this
+// store's own authority (Options.Origin) verified locally come back as
+// Refutations so the owner can charge the peer that vouched for them.
 // Under a MaxLive bound, *new* keys are declined once the live set is at
 // the bound — absorbing them would only hand the next compaction more
 // history to retire, an ingest-retire ping-pong that would otherwise
 // repeat every sync round — while updates to keys the store already
 // holds always land.
 //
-// One class of records is refused regardless of stamp: a record whose
-// verdict polarity contradicts a verdict this store's own authority
-// (Options.Origin) verified locally. Verification procedures are
-// deterministic, so the local execution is ground truth and the incoming
-// record is evidence of a lying voucher, not newer data. Such records
-// come back as Refutations so the owner can charge the peer that vouched
-// for them.
-//
-// It returns the records actually applied (stamp order preserved from
-// the input), which the owner should install in its caches, the
-// refutations, and surfaces the store's fatal write error when one is
+// It returns the records actually applied, as written (joined with the
+// standing record's request where they lacked one, re-stamped where merge
+// said so) in input order, which the owner should install in its caches,
+// the refutations, and surfaces the store's fatal write error when one is
 // set: a dead disk must fail the pull loudly, not silently no-op it
 // forever. The applied suffix is synced before Ingest returns — a merged
 // record is durable, not parked in the flusher queue.
@@ -177,27 +150,13 @@ func (s *Store) Ingest(recs []Record) ([]Record, []Refutation, error) {
 	err := s.do(func() {
 		for i := range recs {
 			r := &recs[i]
-			cur, exists := s.index.get(r.Key)
-			if exists && s.opts.Origin != "" && cur.origin == s.opts.Origin &&
-				cur.accepted != r.Verdict.Accepted {
-				// Contradicts our own locally verified verdict: refuse it
-				// whatever its stamp, and report the lie.
-				refuted = append(refuted, Refutation{Record: *r, LocalAccepted: cur.accepted})
-				continue
-			}
-			if exists {
-				if !supersedes(r.Stamp, len(r.Cert) > 0, cur.stamp, cur.certified, cur.accepted == r.Verdict.Accepted) {
-					continue // the local copy stands
-				}
-				if r.Stamp <= cur.stamp {
-					r.Stamp = s.nextStamp // a certificate outranking a newer bare copy
-				}
-			}
-			if !exists && s.opts.MaxLive > 0 && s.live.Load() >= uint64(s.opts.MaxLive) {
+			if _, held := s.index.get(r.Key); !held && s.opts.MaxLive > 0 && s.live.Load() >= uint64(s.opts.MaxLive) {
 				continue // at the retention bound: don't absorb history just to retire it
 			}
-			s.writeStamped(r)
-			if s.flushErr == nil {
+			switch d, cur := s.commit(r, false); {
+			case d.refute:
+				refuted = append(refuted, Refutation{Record: *r, LocalAccepted: cur.accepted})
+			case d.write:
 				applied = append(applied, *r)
 				s.ingested.Add(1)
 			}
@@ -218,9 +177,7 @@ func (s *Store) Ingest(recs []Record) ([]Record, []Refutation, error) {
 // layout (version header, then length prefix + CRC32C per record — see
 // segment.go), so a sync delta enjoys the same per-record integrity check
 // as the log itself and the receiver can reject a corrupted transfer
-// record-by-record. The leading header makes the blob self-describing:
-// DecodeRecords on the far side knows which payload layout it is parsing
-// without out-of-band agreement.
+// record-by-record.
 func EncodeRecords(recs []Record) ([]byte, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -236,33 +193,28 @@ func EncodeRecords(recs []Record) ([]byte, error) {
 }
 
 // DecodeRecords parses a framed blob produced by EncodeRecords, verifying
-// every record's checksum. A blob without the version header is read as
-// the legacy v1 layout (a pre-federation peer's delta: records come back
-// with no Origin), a v2-headed blob as the pre-audit layout (no Request
-// column), and a v3-headed blob as the pre-certificate layout (no Cert
-// column), so an upgraded verifier keeps pulling successfully from
-// not-yet-upgraded peers during a rolling upgrade. Compatibility is
-// one-directional: an older DecodeRecords cannot parse a newer header,
-// so old requesters pulling from an upgraded responder fail with a
-// corruption error until they upgrade too — upgrade the pullers first.
-// Unlike segment recovery — which salvages the valid prefix of a torn
-// tail — a short or corrupt wire delta is an error: nothing was crashed
-// here, so damage means a bad peer or transport.
+// every record's checksum. A blob that does not open with the segment
+// header is refused (errVersion). The blob is untrusted — it is whatever a
+// peer sent — so a frame whose length prefix claims more than the blob has
+// left is refused before anything is allocated for it; each record owns a
+// copy of its payload, never the caller's buffer. Unlike segment recovery
+// — which salvages the valid prefix of a torn tail — a short or corrupt
+// wire delta is an error: nothing was crashed here, so damage means a bad
+// peer or transport.
 func DecodeRecords(data []byte) ([]Record, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	version, err := sniffVersion(br)
-	if err != nil {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	if err := checkHeader(data[:min(len(data), segmentHeaderLen)]); err != nil {
 		return nil, fmt.Errorf("store: sync delta: %w", err)
 	}
 	var out []Record
-	for {
+	for r := bytes.NewReader(data[segmentHeaderLen:]); r.Len() > 0; {
 		var rec Record
-		if _, err := readRecord(br, &rec, version); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
+		if _, _, err := readRecord(r, &rec, r.Len()-headerLen); err != nil {
 			return nil, fmt.Errorf("store: corrupt sync delta after %d records: %w", len(out), err)
 		}
 		out = append(out, rec)
 	}
+	return out, nil
 }

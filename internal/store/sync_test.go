@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rationality/internal/identity"
@@ -267,6 +268,77 @@ func TestDecodeRecordsRejectsCorruption(t *testing.T) {
 	recs, err := DecodeRecords(nil)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty delta: recs=%v err=%v, want none/nil", recs, err)
+	}
+}
+
+// TestOriginSurvivesIngestAndDelta: provenance rides the wire framing and
+// the disk round trip — a record ingested with a peer's origin is re-read
+// off disk with it intact when served onward in a delta.
+func TestOriginSurvivesIngestAndDelta(t *testing.T) {
+	s, _ := mustOpen(t, t.TempDir(), Options{})
+	const peer = identity.PartyID("bb22")
+	in := []Record{{Key: testKey(1), Stamp: 7, Origin: peer, Verdict: testVerdict(1)}}
+	applied, _, err := s.Ingest(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(applied) != 1 {
+		t.Fatalf("applied %d records, want 1", len(applied))
+	}
+	decoded := deltaOf(t, s, nil)
+	if len(decoded) != 1 || decoded[0].Origin != peer {
+		t.Fatalf("origin lost across disk+wire: %+v", decoded)
+	}
+	if !reflect.DeepEqual(decoded[0].Verdict, testVerdict(1)) {
+		t.Fatalf("verdict mangled: %+v", decoded[0].Verdict)
+	}
+}
+
+// TestDecodeRecordsUnknownVersion: a header claiming a future format is
+// refused outright instead of mis-parsed.
+func TestDecodeRecordsUnknownVersion(t *testing.T) {
+	blob := []byte{'R', 'V', 'L', 'S', 99, 0, 0, 0, 0}
+	if _, err := DecodeRecords(blob); !errors.Is(err, errVersion) {
+		t.Fatalf("unknown segment version: err = %v, want the version error", err)
+	}
+}
+
+// hugeLengthBlob is a 13-byte blob whose one frame claims a 16 MiB payload.
+var hugeLengthBlob = []byte("RVLS\x04\x01\x00\x00\x00\x00\x00\x00\x00")
+
+// The wire decoder's refusals, one row each. A sync blob is whatever a peer
+// sent, so no row may cost more memory than the blob itself justifies: a
+// length prefix is checked against the bytes that remain before anything
+// is allocated on its say-so.
+func TestDecodeRecordsRefusals(t *testing.T) {
+	good, err := EncodeRecords([]Record{{Key: testKey(0), Stamp: 1, Verdict: testVerdict(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		blob []byte
+		want error
+	}{
+		"length prefix claims 16 MiB of a 13-byte blob": {hugeLengthBlob, errTorn},
+		"headerless (first layout) blob":                {good[segmentHeaderLen:], errVersion},
+		"older headed layout":                           {append([]byte("RVLS\x02"), good[segmentHeaderLen:]...), errVersion},
+		"torn header":                                   {[]byte("RVL"), errTorn},
+		"frame header cut short":                        {good[:segmentHeaderLen+5], errTorn},
+		"payload shorter than the smallest record":      {[]byte("RVLS\x04\x00\x00\x00\x04\x00\x00\x00\x00abcd"), errTorn},
+		"trailing garbage after a good record":          {append(append([]byte(nil), good...), 0xde, 0xad), errTorn},
+	} {
+		var recs []Record
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, err = DecodeRecords(tc.blob)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) || recs != nil {
+			t.Errorf("%s: %d records, err %v; want none and %v", name, len(recs), err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: refusing a %d-byte blob allocated %d bytes", name, len(tc.blob), grew)
+		}
 	}
 }
 
