@@ -7,6 +7,74 @@ import (
 	"rationality/internal/identity"
 )
 
+// The shape the service compacts at: MaxLive = 4096 (its cache capacity)
+// and a compaction per 1024 fresh verdicts beyond it.
+const (
+	compactLive  = 4096
+	compactFresh = 1024
+)
+
+// compactStore opens a store holding compactLive records in its snapshot
+// and compactFresh more in the tail, each with a kilobyte request, whose
+// Retain hook vouches for about half the keys. CompactAt is out of reach,
+// so compaction runs only when the caller asks (runCompact); fill appends
+// the records [from, to) and waits until they are on disk.
+func compactStore(tb testing.TB) (s *Store, fill func(from, to int)) {
+	tb.Helper()
+	s, _, err := Open(tb.TempDir(), Options{
+		MaxLive: compactLive, CompactAt: 1 << 30, QueueSize: compactLive,
+		Retain: func(k identity.Hash) bool { return k[0]&1 == 0 },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = s.Close() })
+	request := append(testRequest(0), bytes.Repeat([]byte(" "), 1024)...)
+	fill = func(from, to int) {
+		for i := from; i < to; i++ {
+			if !s.Append(testKey(i), testVerdict(i), request) {
+				tb.Fatal("append refused")
+			}
+		}
+		if _, err := s.Summary(); err != nil { // drained
+			tb.Fatal(err)
+		}
+	}
+	fill(0, compactLive)
+	runCompact(tb, s)
+	fill(compactLive, compactLive+compactFresh)
+	return s, fill
+}
+
+// runCompact runs one compaction on the flusher goroutine and checks that
+// it left the store healthy at the retention bound.
+func runCompact(tb testing.TB, s *Store) {
+	tb.Helper()
+	var err error
+	if doErr := s.do(func() { s.compact(); err = s.flushErr }); doErr != nil || err != nil {
+		tb.Fatalf("compaction: %v %v", doErr, err)
+	}
+	if st := s.Stats(); st.LiveRecords != compactLive {
+		tb.Fatalf("after compaction: %+v", st)
+	}
+}
+
+// BenchmarkCompact is one compaction at the service's shape: 5120 live
+// records, 1024 of them retired, the Retain-vouched survivors re-stamped.
+// The tail is refilled outside the timer between iterations.
+func BenchmarkCompact(b *testing.B) {
+	s, fill := compactStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runCompact(b, s)
+		b.StopTimer()
+		next := compactLive + (i+1)*compactFresh
+		fill(next, next+compactFresh)
+		b.StartTimer()
+	}
+}
+
 // benchStore opens a store of n live records with kilobyte request bodies,
 // the first half compacted into the snapshot and the rest in the tail, and
 // returns it with its complete manifest.

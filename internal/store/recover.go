@@ -79,9 +79,10 @@ type replayed struct {
 // snapshot's rename and the tail's truncation leaves the tail duplicating
 // snapshot records at equal stamps). A stamp fold is enough because merge
 // never lets a frame reach the disk at a stamp that is not above the
-// standing one's. Open builds the index from the result and compaction the
-// next snapshot. A torn snapshot is read up to its valid prefix (tail
-// records are newer than any snapshot loss); neither file is modified here.
+// standing one's. Open builds the index from the result; compaction moves
+// frames the index points at and never reads the files whole. A torn
+// snapshot is read up to its valid prefix (tail records are newer than any
+// snapshot loss); neither file is modified here.
 func replay(dir string) (*replayed, error) {
 	rp := &replayed{live: make(map[identity.Hash]*recovered)}
 	for seg, name := range [...]string{segSnap: snapshotName, segTail: tailName} {

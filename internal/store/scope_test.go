@@ -276,8 +276,9 @@ func TestFingerprintWidthAndValidation(t *testing.T) {
 
 // One flipped byte in a live frame on disk: Delta and Records fail loudly
 // and serve nothing — not the damaged record, not its intact neighbours.
-// The next compaction drops what it can no longer read from the index, and
-// the store serves what is left.
+// The next compaction drops the damaged record from the index and keeps
+// every intact one, those written behind it included, and the store serves
+// them — after a reopen too.
 func TestDeltaFailsLoudlyOnCorruptLiveFrame(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{CompactAt: 4})
@@ -324,19 +325,36 @@ func TestDeltaFailsLoudlyOnCorruptLiveFrame(t *testing.T) {
 		t.Fatalf("delta around the damage served %d records, want %d", len(got), n-1)
 	}
 
-	// Compaction's scan stops at the damage, so the victim and everything
-	// written behind it — the re-appends that trigger the compaction
-	// included — are gone from disk, and leave the index with them.
+	// Compaction copies each live frame from where the index points: the
+	// victim's fails its check and leaves, the frames behind it — the
+	// re-appends that trigger the compaction included — stay.
 	for i := 0; i < 4; i++ {
 		s.Append(testKey(0), testVerdict(10+i), nil)
 	}
 	settle(t, s)
-	if st := s.Stats(); st.Compactions != 1 || st.LiveRecords != 2 {
+	if st := s.Stats(); st.Compactions != 1 || st.LiveRecords != n-1 {
 		t.Fatalf("after compacting around the damage: %+v", st)
 	}
+	want := []identity.Hash{testKey(1), testKey(2), testKey(4), testKey(5), testKey(0)}
 	got := deltaOf(t, s, nil)
-	if len(got) != 2 || got[0].Key != testKey(1) || got[1].Key != testKey(2) {
-		t.Fatalf("store serves%s after compaction, want the two live records ahead of the damage", keysOf(got))
+	var keys []identity.Hash
+	for _, r := range got {
+		keys = append(keys, r.Key)
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("store serves%s after compaction, want every live record but the damaged one, oldest first", keysOf(got))
+	}
+	if !reflect.DeepEqual(got[len(got)-1].Verdict, testVerdict(13)) {
+		t.Fatalf("the re-appended key serves %+v, want its newest verdict", got[len(got)-1].Verdict)
 	}
 	checkFingerprints(t, s, "after compacting around the damage")
+	checkReplayIsIndex(t, s, "after compacting around the damage")
+	man := manifestOf(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, recs := mustOpen(t, dir, Options{})
+	if len(recs) != len(want) || !reflect.DeepEqual(manifestOf(t, s2), man) {
+		t.Fatalf("reopen recovered %d records and manifest %v, want the %d the store served: %v", len(recs), manifestOf(t, s2), len(want), man)
+	}
 }

@@ -156,48 +156,46 @@ func contentSum(body, cert []byte) uint32 {
 }
 
 // appendRecord encodes a record onto buf and returns the extended slice
-// plus the record's content checksum. The frame is assembled in memory
-// first so the file write is a single contiguous append — the closest a
-// userspace writer gets to atomicity.
+// plus the record's content checksum; on error buf comes back as it was.
+// The frame is assembled in memory first so the file write is a single
+// contiguous append — the closest a userspace writer gets to atomicity.
+// The verdict goes through its append encoder, byte for byte what
+// json.Marshal writes.
 func appendRecord(buf []byte, r *Record) ([]byte, uint32, error) {
-	body, err := json.Marshal(&r.Verdict)
-	if err == nil && bytes.Contains(body, []byte(`\ufffd`)) {
-		// encoding/json writes a byte that is not UTF-8 as this escape but
-		// decodes it to the rune itself, which re-marshals as three raw
-		// bytes: a reader (reopen, a replica's Ingest) would sum different
-		// bytes than this writer. One decode → encode round trip reaches
-		// the fixed point, so the stored bytes — and the sum — are a
-		// function of the verdict.
-		var v core.Verdict
-		if err = json.Unmarshal(body, &v); err == nil {
-			body, err = json.Marshal(&v)
-		}
-	}
-	if err != nil {
-		return buf, 0, fmt.Errorf("store: encoding verdict: %w", err)
-	}
 	if len(r.Origin) > maxOrigin {
 		return buf, 0, fmt.Errorf("store: origin of %d bytes exceeds the %d-byte bound", len(r.Origin), maxOrigin)
 	}
-	payloadLen := minPayload + len(r.Origin) + len(r.Request) + len(r.Cert) + len(body)
-	if payloadLen > maxPayload {
-		return buf, 0, fmt.Errorf("store: record of %d bytes exceeds the %d-byte bound", payloadLen, maxPayload)
-	}
 	start := len(buf)
-	buf = append(buf, make([]byte, headerLen)...)
-	buf = append(buf, r.Key[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, r.Stamp)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Origin)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Request)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Cert)))
-	buf = append(buf, r.Origin...)
-	buf = append(buf, r.Request...)
-	buf = append(buf, r.Cert...)
-	buf = append(buf, body...)
-	payload := buf[start+headerLen:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	return buf, contentSum(body, r.Cert), nil
+	out := append(buf, make([]byte, headerLen)...)
+	out = append(out, r.Key[:]...)
+	out = binary.BigEndian.AppendUint64(out, r.Stamp)
+	out = binary.BigEndian.AppendUint16(out, uint16(len(r.Origin)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Request)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Cert)))
+	out = append(out, r.Origin...)
+	out = append(out, r.Request...)
+	out = append(out, r.Cert...)
+	bodyAt := len(out)
+	out = r.Verdict.AppendJSON(out)
+	if bytes.Contains(out[bodyAt:], []byte(`\ufffd`)) {
+		// A byte that is not UTF-8 is written as this escape but decodes to
+		// the rune itself, which re-encodes as three raw bytes: a reader
+		// (reopen, a replica's Ingest) would sum different bytes than this
+		// writer. One decode → encode round trip reaches the fixed point,
+		// so the stored bytes — and the sum — are a function of the verdict.
+		var v core.Verdict
+		if err := json.Unmarshal(out[bodyAt:], &v); err != nil {
+			return buf, 0, fmt.Errorf("store: encoding verdict: %w", err)
+		}
+		out = v.AppendJSON(out[:bodyAt])
+	}
+	payload := out[start+headerLen:]
+	if len(payload) > maxPayload {
+		return buf, 0, fmt.Errorf("store: record of %d bytes exceeds the %d-byte bound", len(payload), maxPayload)
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[start+4:], crc32.Checksum(payload, crcTable))
+	return out, contentSum(out[bodyAt:], r.Cert), nil
 }
 
 // errTorn reports a frame that cannot be trusted: a short read, a length

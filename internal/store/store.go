@@ -22,9 +22,10 @@
 //     (same key re-appended after a cache eviction, or duplicates left
 //     by an earlier crash) exceed CompactAt, the live set is rewritten
 //     into a snapshot segment — built as a temp file, fsynced, then
-//     atomically renamed — and the tail is truncated. Recovery and
-//     compaction read the files through one replay (recover.go): snapshot
-//     then tail, highest stamp per key winning.
+//     atomically renamed — and the tail is truncated. The rewrite copies
+//     each live frame byte for byte from where the index points; only
+//     recovery reads the files whole, through one replay (recover.go):
+//     snapshot then tail, highest stamp per key winning.
 //   - Recovery salvages a torn tail: the replay keeps the longest valid
 //     prefix (every record independently CRC-checked) and truncates the
 //     rest, so a crash mid-append costs at most the unsynced suffix,

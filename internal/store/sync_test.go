@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rationality/internal/identity"
@@ -338,6 +339,22 @@ func TestDecodeRecordsRefusals(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 			t.Errorf("%s: refusing a %d-byte blob allocated %d bytes", name, len(tc.blob), grew)
+		}
+	}
+}
+
+// The encoder's refusals: a record past a column bound is refused whole,
+// and the buffer it was to extend comes back as it was.
+func TestAppendRecordRefusals(t *testing.T) {
+	for name, rec := range map[string]Record{
+		"origin past its bound":    {Origin: identity.PartyID(strings.Repeat("a", maxOrigin+1))},
+		"payload past its bound":   {Request: make([]byte, maxPayload)},
+		"verdict past the payload": {Request: make([]byte, maxPayload-minPayload-8), Verdict: testVerdict(0)},
+	} {
+		buf := []byte("RVLS\x04")
+		out, _, err := appendRecord(buf, &rec)
+		if err == nil || !bytes.Equal(out, buf) {
+			t.Errorf("%s: appended %d bytes, err %v; want a refusal and the buffer as it was", name, len(out)-len(buf), err)
 		}
 	}
 }
