@@ -1,6 +1,7 @@
 package rationality
 
-// One benchmark per paper artifact (see EXPERIMENTS.md):
+// One benchmark per paper artifact (the E-numbers index the experiments
+// table in cmd/experiments/main.go):
 //
 //	BenchmarkFig7PerM          E1  Fig. 7 — one full iteration (greedy +
 //	                               inventor) per link count
@@ -34,6 +35,9 @@ import (
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
 	"rationality/internal/proof"
+	"rationality/internal/reputation"
+	"rationality/internal/service"
+	"rationality/internal/transport"
 )
 
 // E1 — Fig. 7: cost of one simulation iteration per link count.
@@ -317,29 +321,32 @@ func BenchmarkAblationStatistics(b *testing.B) {
 
 // The end-to-end framework round trip, for the README's performance note.
 func BenchmarkConsultationRoundTrip(b *testing.B) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), MaxNash)
+	ann, err := core.AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inventor, err := NewInventor(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		b.Fatal(err)
 	}
-	verifiers := map[string]Client{}
+	// Caching off: every round runs the procedure, as a lone agent's
+	// consultation of a fresh announcement would.
+	verifiers := map[string]transport.Client{}
 	for _, id := range []string{"v1", "v2", "v3"} {
-		vs, err := NewVerifier(id)
+		vs, err := service.New(service.Config{ID: id, CacheSize: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		verifiers[id] = DialInProc(vs)
+		defer vs.Close()
+		verifiers[id] = transport.DialInProc(vs)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent, err := NewAgent(AgentConfig{
+		agent, err := core.NewAgent(core.AgentConfig{
 			Name:      "bench",
-			Inventor:  DialInProc(inventor),
+			Inventor:  transport.DialInProc(inventor),
 			Verifiers: verifiers,
-			Registry:  NewReputationRegistry(),
+			Registry:  reputation.NewRegistry(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -361,9 +368,9 @@ func BenchmarkConsultationRoundTrip(b *testing.B) {
 // repeated announcement for the cached path. The cached numbers should sit
 // well below cold: a hit skips the procedure entirely.
 
-func serviceEnumAnnouncements(b *testing.B, n int) []Announcement {
+func serviceEnumAnnouncements(b *testing.B, n int) []core.Announcement {
 	b.Helper()
-	anns := make([]Announcement, n)
+	anns := make([]core.Announcement, n)
 	for i := range anns {
 		g, err := game.New(fmt.Sprintf("pd-%d", i), []int{2, 2})
 		if err != nil {
@@ -373,7 +380,7 @@ func serviceEnumAnnouncements(b *testing.B, n int) []Announcement {
 		g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
 		g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
 		g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
-		ann, err := AnnounceEnumeration("bench-inventor", g, MaxNash)
+		ann, err := core.AnnounceEnumeration("bench-inventor", g, proof.MaxNash)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,15 +389,15 @@ func serviceEnumAnnouncements(b *testing.B, n int) []Announcement {
 	return anns
 }
 
-func serviceP1Announcements(b *testing.B, n int) []Announcement {
+func serviceP1Announcements(b *testing.B, n int) []core.Announcement {
 	b.Helper()
-	g := NewBimatrixFromInts(
+	g := bimatrix.FromInts(
 		[][]int64{{1, -1}, {-1, 1}},
 		[][]int64{{-1, 1}, {1, -1}},
 	)
-	anns := make([]Announcement, n)
+	anns := make([]core.Announcement, n)
 	for i := range anns {
-		ann, err := AnnounceP1("bench-inventor", fmt.Sprintf("mp-%d", i), g)
+		ann, err := core.AnnounceP1("bench-inventor", fmt.Sprintf("mp-%d", i), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -404,7 +411,7 @@ func BenchmarkServiceVerification(b *testing.B) {
 	const distinct = 64
 	kinds := []struct {
 		name string
-		anns []Announcement
+		anns []core.Announcement
 	}{
 		{"enumeration", serviceEnumAnnouncements(b, distinct)},
 		{"p1", serviceP1Announcements(b, distinct)},
@@ -412,7 +419,7 @@ func BenchmarkServiceVerification(b *testing.B) {
 	for _, k := range kinds {
 		// Cold: caching disabled, every verification runs the procedure.
 		b.Run("cold/"+k.name, func(b *testing.B) {
-			svc, err := NewVerificationService(ServiceConfig{ID: "bench", CacheSize: -1})
+			svc, err := service.New(service.Config{ID: "bench", CacheSize: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -426,7 +433,7 @@ func BenchmarkServiceVerification(b *testing.B) {
 		})
 		// Cached: one warmed entry served repeatedly.
 		b.Run("cached/"+k.name, func(b *testing.B) {
-			svc, err := NewVerificationService(ServiceConfig{ID: "bench"})
+			svc, err := service.New(service.Config{ID: "bench"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -444,7 +451,7 @@ func BenchmarkServiceVerification(b *testing.B) {
 		// Batched: all 64 distinct announcements fanned across the pool in
 		// one call; caching disabled so every item costs a real verification.
 		b.Run("batch/"+k.name, func(b *testing.B) {
-			svc, err := NewVerificationService(ServiceConfig{ID: "bench", CacheSize: -1})
+			svc, err := service.New(service.Config{ID: "bench", CacheSize: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -486,8 +493,8 @@ func (nopProcedure) Verify(_, _, _ json.RawMessage) (*core.Verdict, error) {
 		Details: map[string]string{"kind": "nop"}}, nil
 }
 
-func nopAnnouncement(n uint64) Announcement {
-	return Announcement{
+func nopAnnouncement(n uint64) core.Announcement {
+	return core.Announcement{
 		InventorID: "bench-inventor",
 		Format:     "bench-nop/v1",
 		Game:       json.RawMessage(fmt.Sprintf(`{"n":%d}`, n)),
@@ -497,7 +504,7 @@ func nopAnnouncement(n uint64) Announcement {
 
 // benchParallelProcs runs fn under b.RunParallel at several GOMAXPROCS
 // settings, restoring the previous value afterwards.
-func benchParallelProcs(b *testing.B, setup func(b *testing.B) (*VerificationService, func(pb *testing.PB))) {
+func benchParallelProcs(b *testing.B, setup func(b *testing.B) (*service.Service, func(pb *testing.PB))) {
 	for _, procs := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(procs)
@@ -519,8 +526,8 @@ func benchParallelProcs(b *testing.B, setup func(b *testing.B) (*VerificationSer
 // multicore separation on real multicore hardware.
 func BenchmarkServiceCached(b *testing.B) {
 	ctx := context.Background()
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench"})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -547,8 +554,8 @@ func BenchmarkServiceCached(b *testing.B) {
 // non-persistent cached benchmark within noise.
 func BenchmarkServiceCachedPersist(b *testing.B) {
 	ctx := context.Background()
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench", PersistPath: b.TempDir()})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench", PersistPath: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -575,8 +582,8 @@ func BenchmarkServiceCachedPersist(b *testing.B) {
 func BenchmarkServiceMissPersist(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench", CacheSize: 1024, PersistPath: b.TempDir()})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024, PersistPath: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -598,8 +605,8 @@ func BenchmarkServiceMissPersist(b *testing.B) {
 func BenchmarkServiceMissHeavy(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench", CacheSize: 1024})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -621,8 +628,8 @@ func BenchmarkServiceMissHeavy(b *testing.B) {
 func BenchmarkServiceMixed(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench", CacheSize: 1024})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -652,13 +659,13 @@ func BenchmarkServiceMixed(b *testing.B) {
 func BenchmarkServiceBatched(b *testing.B) {
 	ctx := context.Background()
 	const batchLen = 16
-	benchParallelProcs(b, func(b *testing.B) (*VerificationService, func(pb *testing.PB)) {
-		svc, err := NewVerificationService(ServiceConfig{ID: "bench"})
+	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
+		svc, err := service.New(service.Config{ID: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
 		svc.Register(nopProcedure{})
-		anns := make([]Announcement, batchLen)
+		anns := make([]core.Announcement, batchLen)
 		for i := range anns {
 			anns[i] = nopAnnouncement(uint64(i))
 		}

@@ -1,5 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see EXPERIMENTS.md for the experiment index E1–E9):
+// evaluation. The experiment index E1–E12 is the experiments table below
+// (`experiments -run list` prints it):
 //
 //	experiments -run all           # everything (fig7 uses the coarse axis)
 //	experiments -run fig7          # E1: the Fig. 7 sweep

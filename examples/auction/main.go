@@ -12,9 +12,12 @@ import (
 	"fmt"
 	"os"
 
-	"rationality"
+	"rationality/internal/core"
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
+	"rationality/internal/reputation"
+	"rationality/internal/service"
+	"rationality/internal/transport"
 )
 
 func main() {
@@ -26,7 +29,7 @@ func main() {
 
 func run() error {
 	// The paper's numbers: n = 3 firms, k = 2 quorum, c/v = 3/8 (v=8, c=3).
-	g, err := rationality.NewParticipationGame(3, 2, rationality.I(8), rationality.I(3))
+	g, err := participation.New(3, 2, numeric.I(8), numeric.I(3))
 	if err != nil {
 		return err
 	}
@@ -34,30 +37,31 @@ func run() error {
 		g.N(), g.K(), g.V().RatString(), g.C().RatString())
 
 	// Offline: the inventor announces the equilibrium probability.
-	ann, err := rationality.AnnounceParticipation("auction-house", "entry-game", g, rationality.LowBranch)
+	ann, err := core.AnnounceParticipation("auction-house", "entry-game", g, participation.LowBranch)
 	if err != nil {
 		return err
 	}
-	inventor, err := rationality.NewInventor(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		return err
 	}
-	verifiers := map[string]rationality.Client{}
+	verifiers := map[string]transport.Client{}
 	for _, id := range []string{"v1", "v2", "v3"} {
-		vs, err := rationality.NewVerifier(id)
+		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
 			return err
 		}
-		verifiers[id] = rationality.DialInProc(vs)
+		defer vs.Close()
+		verifiers[id] = transport.DialInProc(vs)
 	}
-	registry := rationality.NewReputationRegistry()
+	registry := reputation.NewRegistry()
 
 	// Each firm is an agent; all of them verify the same advice and can
 	// cross-check they were given the same p (symmetric game, §5).
 	for _, firm := range []string{"firm-a", "firm-b", "firm-c"} {
-		agent, err := rationality.NewAgent(rationality.AgentConfig{
+		agent, err := core.NewAgent(core.AgentConfig{
 			Name:      firm,
-			Inventor:  rationality.DialInProc(inventor),
+			Inventor:  transport.DialInProc(inventor),
 			Verifiers: verifiers,
 			Registry:  registry,
 		})
@@ -74,7 +78,7 @@ func run() error {
 	}
 
 	// Online: firms decide in sequence; the inventor advises the last mover.
-	p := rationality.MustRat("1/4")
+	p := numeric.MustRat("1/4")
 	honest, err := g.AnalyzeOnline(p, false)
 	if err != nil {
 		return err
@@ -83,8 +87,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	bound := numeric.Div(numeric.Mul(g.V(), rationality.I(5)), rationality.I(24)) // 5v/24
-	offline := g.GainAbstain(p)                                                   // v/16
+	bound := numeric.Div(numeric.Mul(g.V(), numeric.I(5)), numeric.I(24)) // 5v/24
+	offline := g.GainAbstain(p)                                           // v/16
 	fmt.Println("\nonline participation (early movers play p = 1/4):")
 	fmt.Printf("  last mover expected gain, honest advice:  %s\n", honest.LastMoverGain.RatString())
 	fmt.Printf("  last mover expected gain, flipped advice: %s  <- false advice causes a loss\n",

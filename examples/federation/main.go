@@ -13,7 +13,13 @@ import (
 	"os"
 	"path/filepath"
 
-	"rationality"
+	"rationality/internal/core"
+	"rationality/internal/game"
+	"rationality/internal/identity"
+	"rationality/internal/numeric"
+	"rationality/internal/proof"
+	"rationality/internal/service"
+	"rationality/internal/transport"
 )
 
 func main() {
@@ -26,15 +32,15 @@ func main() {
 // newAuthority starts a persisted, keyed verification service whose
 // signing identity lives in a keyfile under dir — exactly what
 // `authority verifier -persist dir` does.
-func newAuthority(id, dir string, peers ...rationality.PartyID) (*rationality.VerificationService, *rationality.KeyPair, error) {
-	key, created, err := rationality.LoadOrCreateKeyFile(filepath.Join(dir, "identity.key"))
+func newAuthority(id, dir string, peers ...identity.PartyID) (*service.Service, *identity.KeyPair, error) {
+	key, created, err := identity.LoadOrCreateKeyFile(filepath.Join(dir, "identity.key"))
 	if err != nil {
 		return nil, nil, err
 	}
 	if created {
 		fmt.Printf("%s: created signing identity %s…\n", id, key.ID()[:16])
 	}
-	svc, err := rationality.NewVerificationService(rationality.ServiceConfig{
+	svc, err := service.New(service.Config{
 		ID:          id,
 		PersistPath: dir,
 		Key:         key,
@@ -56,11 +62,11 @@ func run() error {
 	// Key exchange happens before the services start: each operator runs
 	// keygen (here: LoadOrCreateKeyFile), publishes its party ID, and
 	// allowlists the other's. The private keys never leave their dirs.
-	alphaKey, _, err := rationality.LoadOrCreateKeyFile(filepath.Join(base, "alpha", "identity.key"))
+	alphaKey, _, err := identity.LoadOrCreateKeyFile(filepath.Join(base, "alpha", "identity.key"))
 	if err != nil {
 		return err
 	}
-	betaKey, _, err := rationality.LoadOrCreateKeyFile(filepath.Join(base, "beta", "identity.key"))
+	betaKey, _, err := identity.LoadOrCreateKeyFile(filepath.Join(base, "beta", "identity.key"))
 	if err != nil {
 		return err
 	}
@@ -80,15 +86,15 @@ func run() error {
 
 	// Alpha verifies an announcement; the verdict is persisted under
 	// alpha's own identity.
-	g, err := rationality.NewGame("prisoners-dilemma", []int{2, 2})
+	g, err := game.New("prisoners-dilemma", []int{2, 2})
 	if err != nil {
 		return err
 	}
-	g.SetPayoffs(rationality.Profile{0, 0}, rationality.I(3), rationality.I(3))
-	g.SetPayoffs(rationality.Profile{0, 1}, rationality.I(0), rationality.I(5))
-	g.SetPayoffs(rationality.Profile{1, 0}, rationality.I(5), rationality.I(0))
-	g.SetPayoffs(rationality.Profile{1, 1}, rationality.I(1), rationality.I(1))
-	ann, err := rationality.AnnounceEnumeration("acme-games", g, rationality.MaxNash)
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
+	ann, err := core.AnnounceEnumeration("acme-games", g, proof.MaxNash)
 	if err != nil {
 		return err
 	}
@@ -101,14 +107,14 @@ func run() error {
 	// One signed pull round: beta offers its (empty) manifest, alpha
 	// answers with a delta signed by its key, beta's gate verifies the
 	// signature against the allowlist and ingests.
-	applied, _, err := beta.PullFrom(context.Background(), rationality.DialInProc(alpha))
+	applied, _, err := beta.PullFrom(context.Background(), transport.DialInProc(alpha))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("beta pulls from alpha: %d record(s) applied\n", applied)
 
 	// Provenance: beta's copy names alpha as the authority that vouched.
-	for _, svc := range []*rationality.VerificationService{alpha, beta} {
+	for _, svc := range []*service.Service{alpha, beta} {
 		prov, err := svc.Provenance()
 		if err != nil {
 			return err
@@ -135,15 +141,15 @@ func run() error {
 		return err
 	}
 	defer rogue.Close()
-	g.SetPayoffs(rationality.Profile{1, 1}, rationality.I(2), rationality.I(2))
-	rogueAnn, err := rationality.AnnounceEnumeration("acme-games", g, rationality.MaxNash)
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(2), numeric.I(2))
+	rogueAnn, err := core.AnnounceEnumeration("acme-games", g, proof.MaxNash)
 	if err != nil {
 		return err
 	}
 	if _, err := rogue.VerifyAnnouncement(context.Background(), rogueAnn); err != nil {
 		return err
 	}
-	if _, _, err := beta.PullFrom(context.Background(), rationality.DialInProc(rogue)); err != nil {
+	if _, _, err := beta.PullFrom(context.Background(), transport.DialInProc(rogue)); err != nil {
 		fmt.Printf("beta rejects rogue's delta: %v\n", err)
 	} else {
 		return fmt.Errorf("rogue delta was ingested — the allowlist gate failed")
@@ -155,7 +161,7 @@ func run() error {
 }
 
 // short truncates a party ID for display.
-func short(id rationality.PartyID) string {
+func short(id identity.PartyID) string {
 	if len(id) > 16 {
 		return string(id)[:16]
 	}

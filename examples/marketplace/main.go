@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"os"
 
-	"rationality"
 	"rationality/internal/core"
 	"rationality/internal/game"
+	"rationality/internal/identity"
 	"rationality/internal/proof"
+	"rationality/internal/reputation"
+	"rationality/internal/service"
 	"rationality/internal/transport"
 )
 
@@ -27,22 +29,24 @@ func main() {
 }
 
 func run() error {
-	registry := rationality.NewReputationRegistry()
+	registry := reputation.NewRegistry()
 
-	// The verifier pool: three honest, one corrupt.
-	verifierClients := map[string]rationality.Client{}
-	for _, id := range []string{"veritas", "checkers", "proofly"} {
-		vs, err := rationality.NewVerifier(id)
+	// The verifier pool: three honest, one corrupt. The corrupt one is the
+	// same service over lying procedures — what `authority verifier
+	// -byzantine` runs.
+	verifierClients := map[string]transport.Client{}
+	for _, id := range []string{"veritas", "checkers", "proofly", "shady-checks"} {
+		cfg := service.Config{ID: id}
+		if id == "shady-checks" {
+			cfg.Procedures = core.NewLyingProcedureRegistry()
+		}
+		vs, err := service.New(cfg)
 		if err != nil {
 			return err
 		}
-		verifierClients[id] = rationality.DialInProc(vs)
+		defer vs.Close()
+		verifierClients[id] = transport.DialInProc(vs)
 	}
-	corrupt, err := core.NewCorruptVerifierService("shady-checks")
-	if err != nil {
-		return err
-	}
-	verifierClients["shady-checks"] = transport.DialInProc(corrupt)
 
 	// The inventor population: two honest, one forger, each with a signing
 	// identity.
@@ -57,16 +61,16 @@ func run() error {
 	}
 
 	pd := game.PrisonersDilemma()
-	keys := map[string]*rationality.KeyPair{}
+	keys := map[string]*identity.KeyPair{}
 	ids := map[string]string{}
-	services := map[string]*rationality.InventorService{}
+	services := map[string]*core.InventorService{}
 	for _, inv := range population {
-		k, err := rationality.NewKeyPair()
+		k, err := identity.NewKeyPair()
 		if err != nil {
 			return err
 		}
 		keys[inv.name] = k
-		var ann rationality.Announcement
+		var ann core.Announcement
 		if inv.honest {
 			ann, err = core.AnnounceEnumeration(inv.name, pd, proof.MaxNash)
 		} else {
@@ -75,12 +79,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		signed, err := rationality.SignAnnouncement(k, ann)
+		signed, err := core.SignAnnouncement(k, ann)
 		if err != nil {
 			return err
 		}
 		ids[inv.name] = signed.InventorID
-		svc, err := rationality.NewInventor(signed)
+		svc, err := core.NewInventorService(signed)
 		if err != nil {
 			return err
 		}
@@ -91,9 +95,9 @@ func run() error {
 	const threshold = 0.3
 	for round := 1; round <= rounds; round++ {
 		inv := population[(round-1)%len(population)]
-		agent, err := rationality.NewAgent(rationality.AgentConfig{
+		agent, err := core.NewAgent(core.AgentConfig{
 			Name:                       fmt.Sprintf("agent-%d", round),
-			Inventor:                   rationality.DialInProc(services[inv.name]),
+			Inventor:                   transport.DialInProc(services[inv.name]),
 			Verifiers:                  verifierClients,
 			Registry:                   registry,
 			Threshold:                  threshold,

@@ -14,7 +14,12 @@ import (
 	"os"
 	"strings"
 
-	"rationality"
+	"rationality/internal/core"
+	"rationality/internal/game"
+	"rationality/internal/numeric"
+	"rationality/internal/obs"
+	"rationality/internal/proof"
+	"rationality/internal/service"
 )
 
 func main() {
@@ -28,15 +33,15 @@ func run() error {
 	// The readiness latch declares the startup gates up front; the admin
 	// server answers probes from the first moment, honestly reporting 503
 	// until every gate marks.
-	ready := rationality.NewReadiness(rationality.GateWarmStart)
+	ready := obs.NewReadiness(obs.GateWarmStart)
 
-	svc, err := rationality.NewVerificationService(rationality.ServiceConfig{ID: "monitored"})
+	svc, err := service.New(service.Config{ID: "monitored"})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
 
-	admin, err := rationality.NewAdminServer(rationality.AdminServerConfig{
+	admin, err := obs.NewServer(obs.ServerConfig{
 		Addr:      "127.0.0.1:0",
 		ID:        "monitored",
 		Stats:     svc.Stats,
@@ -58,7 +63,7 @@ func run() error {
 		return fmt.Errorf("expected 503 before warm-start, got %d", code)
 	}
 
-	ready.Mark(rationality.GateWarmStart)
+	ready.Mark(obs.GateWarmStart)
 	if code, _, err = get(admin.Addr(), "/readyz"); err != nil {
 		return err
 	}
@@ -75,15 +80,15 @@ func run() error {
 
 	// Drive some traffic so the scrape has counters to show: the second
 	// and third verifications are cache hits.
-	g, err := rationality.NewGame("prisoners-dilemma", []int{2, 2})
+	g, err := game.New("prisoners-dilemma", []int{2, 2})
 	if err != nil {
 		return err
 	}
-	g.SetPayoffs(rationality.Profile{0, 0}, rationality.I(3), rationality.I(3))
-	g.SetPayoffs(rationality.Profile{0, 1}, rationality.I(0), rationality.I(5))
-	g.SetPayoffs(rationality.Profile{1, 0}, rationality.I(5), rationality.I(0))
-	g.SetPayoffs(rationality.Profile{1, 1}, rationality.I(1), rationality.I(1))
-	ann, err := rationality.AnnounceEnumeration("inventor", g, rationality.MaxNash)
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
+	ann, err := core.AnnounceEnumeration("inventor", g, proof.MaxNash)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 	mathrand "math/rand"
 	"os"
 
-	"rationality"
+	"rationality/internal/bimatrix"
 	"rationality/internal/interactive"
 )
 
@@ -26,13 +26,13 @@ func main() {
 
 func run() error {
 	// The paper's Fig. 5 game.
-	g := rationality.NewBimatrixFromInts(
+	g := bimatrix.FromInts(
 		[][]int64{{1, 1}, {0, 2}},
 		[][]int64{{1, 1}, {1, 0}},
 	)
 
 	// Inventor side: the hard computation.
-	advice, eq, err := rationality.BuildP1Advice(g)
+	advice, eq, err := interactive.BuildP1Advice(g)
 	if err != nil {
 		return err
 	}
@@ -41,7 +41,7 @@ func run() error {
 
 	// P1: both supports are revealed; each agent recovers the equilibrium by
 	// solving the Fig. 3 linear system. Communication is n+m bits.
-	recovered, err := rationality.VerifyP1(g, advice)
+	recovered, err := interactive.VerifyP1(g, advice)
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	report, err := rationality.VerifyP2(g, rationality.RowAgent, prover, rationality.P2Config{
+	report, err := interactive.VerifyP2(g, interactive.RowAgent, prover, interactive.P2Config{
 		Rng: mathrand.New(mathrand.NewSource(2026)),
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func run() error {
 	// A prover that tries to adapt its membership answers after seeing the
 	// queries is caught by the commitments.
 	liar := &interactive.EquivocatingProver{HonestProver: prover}
-	if _, err := rationality.VerifyP2(g, rationality.RowAgent, liar, rationality.P2Config{
+	if _, err := interactive.VerifyP2(g, interactive.RowAgent, liar, interactive.P2Config{
 		Rng: mathrand.New(mathrand.NewSource(7)),
 	}); err != nil {
 		fmt.Println("equivocating prover rejected:", err)

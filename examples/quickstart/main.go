@@ -10,9 +10,13 @@ import (
 	"fmt"
 	"os"
 
-	"rationality"
 	"rationality/internal/core"
 	"rationality/internal/game"
+	"rationality/internal/numeric"
+	"rationality/internal/proof"
+	"rationality/internal/reputation"
+	"rationality/internal/service"
+	"rationality/internal/transport"
 )
 
 func main() {
@@ -24,41 +28,43 @@ func main() {
 
 func run() error {
 	// The game: Prisoner's Dilemma. Payoffs are exact rationals.
-	g, err := rationality.NewGame("prisoners-dilemma", []int{2, 2})
+	g, err := game.New("prisoners-dilemma", []int{2, 2})
 	if err != nil {
 		return err
 	}
-	g.SetPayoffs(rationality.Profile{0, 0}, rationality.I(3), rationality.I(3))
-	g.SetPayoffs(rationality.Profile{0, 1}, rationality.I(0), rationality.I(5))
-	g.SetPayoffs(rationality.Profile{1, 0}, rationality.I(5), rationality.I(0))
-	g.SetPayoffs(rationality.Profile{1, 1}, rationality.I(1), rationality.I(1))
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
 
 	// The honest inventor: compute the maximal equilibrium and prove it.
-	ann, err := rationality.AnnounceEnumeration("acme-games", g, rationality.MaxNash)
+	ann, err := core.AnnounceEnumeration("acme-games", g, proof.MaxNash)
 	if err != nil {
 		return err
 	}
 	fmt.Println("inventor announces", g.Name(), "with advice + proof, format", ann.Format)
 
-	// Three independent verifiers sell their checking procedures.
-	verifiers := map[string]rationality.Client{}
+	// Three independent verifiers sell their checking procedures: each is
+	// the verification service `authority verifier` runs, dialed in process.
+	verifiers := map[string]transport.Client{}
 	for _, id := range []string{"verify-corp", "proofs-r-us", "checkmate-ltd"} {
-		vs, err := rationality.NewVerifier(id)
+		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
 			return err
 		}
-		verifiers[id] = rationality.DialInProc(vs)
+		defer vs.Close()
+		verifiers[id] = transport.DialInProc(vs)
 	}
 
 	// The agent consults, verifies, and only then acts.
-	registry := rationality.NewReputationRegistry()
-	inventor, err := rationality.NewInventor(ann)
+	registry := reputation.NewRegistry()
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		return err
 	}
-	agent, err := rationality.NewAgent(rationality.AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "jane",
-		Inventor:  rationality.DialInProc(inventor),
+		Inventor:  transport.DialInProc(inventor),
 		Verifiers: verifiers,
 		Registry:  registry,
 	})
@@ -80,13 +86,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	shadyInventor, err := rationality.NewInventor(forged)
+	shadyInventor, err := core.NewInventorService(forged)
 	if err != nil {
 		return err
 	}
-	shadyAgent, err := rationality.NewAgent(rationality.AgentConfig{
+	shadyAgent, err := core.NewAgent(core.AgentConfig{
 		Name:      "joe",
-		Inventor:  rationality.DialInProc(shadyInventor),
+		Inventor:  transport.DialInProc(shadyInventor),
 		Verifiers: verifiers,
 		Registry:  registry,
 	})

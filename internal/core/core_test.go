@@ -2,349 +2,11 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
-	"time"
 
-	"rationality/internal/bimatrix"
-	"rationality/internal/game"
-	"rationality/internal/numeric"
-	"rationality/internal/participation"
-	"rationality/internal/proof"
 	"rationality/internal/reputation"
 	"rationality/internal/transport"
 )
-
-func newTestAgent(t *testing.T, ann Announcement, verifierIDs []string, corrupt map[string]bool) (*Agent, *reputation.Registry) {
-	t.Helper()
-	inventor, err := NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifiers := make(map[string]transport.Client, len(verifierIDs))
-	for _, id := range verifierIDs {
-		var vs *VerifierService
-		if corrupt[id] {
-			vs, err = NewCorruptVerifierService(id)
-		} else {
-			vs, err = NewVerifierService(id)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifiers[id] = transport.DialInProc(vs)
-	}
-	registry := reputation.NewRegistry()
-	agent, err := NewAgent(AgentConfig{
-		Name:      "agent-under-test",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return agent, registry
-}
-
-func TestEndToEndEnumerationHonest(t *testing.T) {
-	ann, err := AnnounceEnumeration("honest-inventor", game.PrisonersDilemma(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatal("honest announcement rejected")
-	}
-	if len(res.Verdicts) != 3 {
-		t.Fatalf("verdicts = %d", len(res.Verdicts))
-	}
-	for id, v := range res.Verdicts {
-		if !v.Accepted {
-			t.Errorf("%s rejected: %s", id, v.Reason)
-		}
-	}
-	// All verifiers agreed with the majority: reputations rise.
-	if registry.Reputation("v1") <= 0.5 {
-		t.Error("agreeing verifier should gain reputation")
-	}
-	// The inventor was not reported.
-	for _, e := range registry.Events() {
-		if e.Party == "honest-inventor" {
-			t.Error("honest inventor was reported")
-		}
-	}
-}
-
-func TestEndToEndEnumerationForged(t *testing.T) {
-	ann, err := AnnounceEnumerationForged("evil-inventor", game.PrisonersDilemma(), game.Profile{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("forged announcement accepted")
-	}
-	// The inventor must have been reported with evidence.
-	found := false
-	for _, e := range registry.Events() {
-		if e.Party == "evil-inventor" && e.Kind == reputation.Misbehaved {
-			found = true
-			if !strings.Contains(e.Details, "rejected") {
-				t.Errorf("weak evidence: %q", e.Details)
-			}
-		}
-	}
-	if !found {
-		t.Error("forging inventor was not reported")
-	}
-	if registry.Reputation("evil-inventor") >= 0.5 {
-		t.Error("forging inventor kept its reputation")
-	}
-}
-
-func TestEndToEndCorruptMinorityOutvoted(t *testing.T) {
-	ann, err := AnnounceEnumeration("honest-inventor", game.BattleOfSexes(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "liar"},
-		map[string]bool{"liar": true})
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatal("corrupt minority overturned an honest proof")
-	}
-	if registry.Reputation("liar") >= 0.5 {
-		t.Error("lying verifier should lose reputation")
-	}
-	if registry.Reputation("v1") <= 0.5 {
-		t.Error("honest verifier should gain reputation")
-	}
-}
-
-func TestEndToEndP1(t *testing.T) {
-	g := bimatrix.FromInts(
-		[][]int64{{1, -1}, {-1, 1}},
-		[][]int64{{-1, 1}, {1, -1}},
-	)
-	ann, err := AnnounceP1("inventor", "matching-pennies", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest P1 announcement rejected: %+v", res.Verdicts)
-	}
-	v := res.Verdicts["v1"]
-	if v.Details["lambdaRow"] != "0" || v.Details["lambdaCol"] != "0" {
-		t.Errorf("recovered values = %v", v.Details)
-	}
-	if v.Details["bitsOnWire"] != "4" {
-		t.Errorf("bitsOnWire = %s, want 4", v.Details["bitsOnWire"])
-	}
-}
-
-func TestEndToEndP1Forged(t *testing.T) {
-	g := bimatrix.FromInts(
-		[][]int64{{1, -1}, {-1, 1}},
-		[][]int64{{-1, 1}, {1, -1}},
-	)
-	ann := AnnounceP1Forged("evil", "mp", g, []int{0}, []int{0})
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("forged P1 supports accepted")
-	}
-}
-
-func TestEndToEndParticipation(t *testing.T) {
-	g := participation.MustNew(3, 2, numeric.I(8), numeric.I(3))
-	ann, err := AnnounceParticipation("inventor", "auction", g, participation.LowBranch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest participation advice rejected: %+v", res.Verdicts)
-	}
-	v := res.Verdicts["v2"]
-	if v.Details["p"] != "1/4" {
-		t.Errorf("advised p = %s, want 1/4", v.Details["p"])
-	}
-	if v.Details["expectedGain"] != "1/2" {
-		t.Errorf("expected gain = %s, want v/16 = 1/2", v.Details["expectedGain"])
-	}
-}
-
-func TestEndToEndParticipationForged(t *testing.T) {
-	g := participation.MustNew(3, 2, numeric.I(8), numeric.I(3))
-	ann := AnnounceParticipationForged("evil", "auction", g, "1/3")
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("forged participation advice accepted")
-	}
-	if registry.Reputation("evil") >= 0.5 {
-		t.Error("forging inventor kept its reputation")
-	}
-}
-
-func TestEndToEndNAgent(t *testing.T) {
-	g := game.ThreeAgentMajority()
-	uniform := make(game.MixedProfile, 3)
-	for i := range uniform {
-		v := numeric.NewVec(2)
-		v.SetAt(0, numeric.R(1, 2))
-		v.SetAt(1, numeric.R(1, 2))
-		uniform[i] = v
-	}
-	ann, err := AnnounceNAgent("inventor", g, uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest n-agent advice rejected: %+v", res.Verdicts)
-	}
-	if res.Verdicts["v1"].Details["value[0]"] != "3/4" {
-		t.Errorf("value[0] = %s, want 3/4", res.Verdicts["v1"].Details["value[0]"])
-	}
-}
-
-func TestAgentOverTCP(t *testing.T) {
-	// The same end-to-end flow with every party on its own TCP endpoint.
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inventorSvc, err := NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inventorSrv, err := transport.ListenTCP("127.0.0.1:0", inventorSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inventorSrv.Close()
-
-	verifierIDs := []string{"v1", "v2", "v3"}
-	clients := make(map[string]transport.Client, len(verifierIDs))
-	for _, id := range verifierIDs {
-		vs, err := NewVerifierService(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := transport.ListenTCP("127.0.0.1:0", vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := transport.DialTCP(srv.Addr(), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[id] = c
-	}
-
-	inventorClient, err := transport.DialTCP(inventorSrv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inventorClient.Close()
-
-	agent, err := NewAgent(AgentConfig{
-		Name:      "tcp-agent",
-		Inventor:  inventorClient,
-		Verifiers: clients,
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := agent.Consult(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatal("TCP consultation rejected an honest announcement")
-	}
-}
-
-func TestVerifierFormatsEndpoint(t *testing.T) {
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := transport.DialInProc(vs)
-	req, _ := transport.NewMessage(MsgFormats, struct{}{})
-	resp, err := c.Call(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fr FormatsResponse
-	if err := resp.Decode(&fr); err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Formats) != 7 {
-		t.Errorf("formats = %v", fr.Formats)
-	}
-}
-
-func TestVerifierRejectsUnknownMessage(t *testing.T) {
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := transport.DialInProc(vs)
-	req, _ := transport.NewMessage("dance", struct{}{})
-	if _, err := c.Call(context.Background(), req); err == nil {
-		t.Error("unknown message type accepted")
-	}
-}
-
-func TestVerifierRejectsUnknownFormat(t *testing.T) {
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := transport.DialInProc(vs)
-	req, _ := transport.NewMessage(MsgVerify, VerifyRequest{Format: "hieroglyphs/v0"})
-	if _, err := c.Call(context.Background(), req); err == nil {
-		t.Error("unknown format accepted")
-	}
-}
 
 func TestNewAgentValidation(t *testing.T) {
 	reg := reputation.NewRegistry()
@@ -372,112 +34,5 @@ func TestNewInventorServiceValidation(t *testing.T) {
 	}
 	if _, err := NewInventorService(Announcement{InventorID: "i"}); err == nil {
 		t.Error("announcement without game accepted")
-	}
-	if _, err := NewVerifierService(""); err == nil {
-		t.Error("empty verifier ID accepted")
-	}
-}
-
-func TestAgentThresholdFiltersVerifiers(t *testing.T) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inventorSvc, err := NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := NewVerifierService("shunned")
-	if err != nil {
-		t.Fatal(err)
-	}
-	registry := reputation.NewRegistry()
-	// Destroy the verifier's reputation first.
-	for i := 0; i < 10; i++ {
-		registry.ReportAgreement("shunned", false)
-	}
-	agent, err := NewAgent(AgentConfig{
-		Name:      "picky",
-		Inventor:  transport.DialInProc(inventorSvc),
-		Verifiers: map[string]transport.Client{"shunned": transport.DialInProc(vs)},
-		Registry:  registry,
-		Threshold: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Consult(context.Background()); err == nil {
-		t.Error("consultation should fail with no trusted verifiers")
-	}
-}
-
-// TestAgentConsultWeightedLiarOutvoted pins Consult to the weighted vote:
-// two liars with wrecked reputations outnumber one trusted verifier, but
-// earned trust outweighs head count — the same reputation.WeightedVote
-// (and tie-breaking) the quorum client uses. A raw-count majority would
-// decide both cases the liars' way.
-func TestAgentConsultWeightedLiarOutvoted(t *testing.T) {
-	cases := []struct {
-		name         string
-		forged       bool
-		wantAccepted bool
-	}{
-		{name: "honest announcement survives a lying majority", forged: false, wantAccepted: true},
-		{name: "forged announcement caught despite a lying majority", forged: true, wantAccepted: false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var ann Announcement
-			var err error
-			if tc.forged {
-				ann, err = AnnounceEnumerationForged("shady-inventor", game.PrisonersDilemma(), game.Profile{0, 0})
-			} else {
-				ann, err = AnnounceEnumeration("honest-inventor", game.PrisonersDilemma(), proof.MaxNash)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			agent, registry := newTestAgent(t, ann,
-				[]string{"trusted", "liar-1", "liar-2"},
-				map[string]bool{"liar-1": true, "liar-2": true})
-			// Earned history: the trusted verifier has agreed 4 times
-			// (reputation 5/6), each liar has dissented 4 times (1/6
-			// apiece — 1/3 combined, so even together they cannot outweigh
-			// the trusted voice).
-			for i := 0; i < 4; i++ {
-				registry.ReportAgreement("trusted", true)
-				registry.ReportAgreement("liar-1", false)
-				registry.ReportAgreement("liar-2", false)
-			}
-			liarBefore := registry.Reputation("liar-1")
-
-			res, err := agent.Consult(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Accepted != tc.wantAccepted {
-				t.Fatalf("Accepted = %v, want %v (the liars' head count must not decide)",
-					res.Accepted, tc.wantAccepted)
-			}
-			// The vote moved reputations: liars decayed further, trust grew.
-			if after := registry.Reputation("liar-1"); after >= liarBefore {
-				t.Errorf("liar reputation %f -> %f; dissent must decay it", liarBefore, after)
-			}
-			if registry.Reputation("trusted") <= 5.0/6.0 {
-				t.Error("trusted verifier's agreement did not raise its reputation")
-			}
-			if tc.forged {
-				// The weighted rejection also reports the inventor.
-				found := false
-				for _, e := range registry.Events() {
-					if e.Party == "shady-inventor" && e.Kind == reputation.Misbehaved {
-						found = true
-					}
-				}
-				if !found {
-					t.Error("rejected inventor was not reported")
-				}
-			}
-		})
 	}
 }

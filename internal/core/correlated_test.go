@@ -1,61 +1,10 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"rationality/internal/game"
 )
-
-func TestEndToEndCorrelated(t *testing.T) {
-	// Chicken: the welfare-optimal correlated equilibrium beats every Nash
-	// equilibrium; the agents verify the device's distribution before
-	// obeying.
-	g := game.NewBimatrix("chicken",
-		[][]int64{{6, 2}, {7, 0}},
-		[][]int64{{6, 7}, {2, 0}},
-	)
-	ann, err := AnnounceCorrelated("device", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest correlated advice rejected: %+v", res.Verdicts)
-	}
-	v := res.Verdicts["v1"]
-	if v.Details["value[0]"] == "" || v.Details["value[1]"] == "" {
-		t.Errorf("missing values: %v", v.Details)
-	}
-}
-
-func TestEndToEndCorrelatedForged(t *testing.T) {
-	g := game.PrisonersDilemma()
-	// A point mass on mutual cooperation violates obedience.
-	ann := Announcement{
-		InventorID: "evil-device",
-		Format:     FormatCorrelated,
-		Game:       mustJSON(SpecFromGame(g)),
-		Advice: mustJSON(CorrelatedAdviceSpec{Entries: []CorrelatedEntry{
-			{Profile: game.Profile{0, 0}, Prob: "1"},
-		}}),
-	}
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("forged correlated advice accepted")
-	}
-	if registry.Reputation("evil-device") >= 0.5 {
-		t.Error("forging device kept its reputation")
-	}
-}
 
 func TestCorrelatedProcedureMalformedInputs(t *testing.T) {
 	proc := CorrelatedProcedure{}

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
+	"rationality/internal/core"
 	"rationality/internal/game"
 	"rationality/internal/proof"
 	"rationality/internal/reputation"
@@ -17,11 +18,11 @@ import (
 // verifier's reputation decays with each outvoted lie until the agent stops
 // consulting it entirely, after which its reputation stops moving.
 func TestReputationEvolutionExcludesCorruptVerifier(t *testing.T) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
+	ann, err := core.AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventorSvc, err := NewInventorService(ann)
+	inventorSvc, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,20 +30,12 @@ func TestReputationEvolutionExcludesCorruptVerifier(t *testing.T) {
 	registry := reputation.NewRegistry()
 	verifiers := map[string]transport.Client{}
 	for _, id := range []string{"h1", "h2", "h3"} {
-		vs, err := NewVerifierService(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifiers[id] = transport.DialInProc(vs)
+		verifiers[id] = transport.DialInProc(newVerifier(t, id, false))
 	}
-	corrupt, err := NewCorruptVerifierService("liar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifiers["liar"] = transport.DialInProc(corrupt)
+	verifiers["liar"] = transport.DialInProc(newVerifier(t, "liar", true))
 
 	const threshold = 0.3
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "round-agent",
 		Inventor:  transport.DialInProc(inventorSvc),
 		Verifiers: verifiers,

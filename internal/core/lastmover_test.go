@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"encoding/json"
 	"testing"
 
 	"rationality/internal/numeric"
@@ -11,55 +9,6 @@ import (
 
 func paperParticipation() *participation.Game {
 	return participation.MustNew(3, 2, numeric.I(8), numeric.I(3))
-}
-
-func TestEndToEndLastMover(t *testing.T) {
-	ann, err := AnnounceLastMover("auction-house", "entry-game", paperParticipation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest decision table rejected: %+v", res.Verdicts)
-	}
-	v := res.Verdicts["v1"]
-	// The verified gains: count 0 → 0; count 1 → v−c = 5; count 2 → v = 8.
-	if v.Details["gain[count=0]"] != "0" || v.Details["gain[count=1]"] != "5" || v.Details["gain[count=2]"] != "8" {
-		t.Errorf("gains = %v", v.Details)
-	}
-	// The advice table itself: abstain, participate, abstain.
-	var spec LastMoverAdviceSpec
-	if err := json.Unmarshal(ann.Advice, &spec); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, true, false}
-	for i, w := range want {
-		if spec.Decisions[i] != w {
-			t.Errorf("decision[%d] = %v, want %v", i, spec.Decisions[i], w)
-		}
-	}
-}
-
-func TestEndToEndLastMoverFlipped(t *testing.T) {
-	ann, err := AnnounceLastMoverFlipped("shady-house", "entry-game", paperParticipation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, registry := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("flipped decision table accepted")
-	}
-	if registry.Reputation("shady-house") >= 0.5 {
-		t.Error("flipping inventor kept its reputation")
-	}
 }
 
 func TestLastMoverProcedureMalformed(t *testing.T) {
@@ -79,32 +28,5 @@ func TestLastMoverProcedureMalformed(t *testing.T) {
 	}
 	if verdict.Accepted {
 		t.Error("short decision table accepted")
-	}
-}
-
-func TestLastMoverGeneralQuorum(t *testing.T) {
-	// k = 3 of n = 5: participate exactly when count == k−1 = 2.
-	g := participation.MustNew(5, 3, numeric.I(8), numeric.I(3))
-	ann, err := AnnounceLastMover("inv", "g", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spec LastMoverAdviceSpec
-	if err := json.Unmarshal(ann.Advice, &spec); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, false, true, false, false}
-	for i, w := range want {
-		if spec.Decisions[i] != w {
-			t.Errorf("decision[count=%d] = %v, want %v", i, spec.Decisions[i], w)
-		}
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("general-k table rejected: %+v", res.Verdicts)
 	}
 }

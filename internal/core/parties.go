@@ -87,78 +87,6 @@ func (s *InventorService) Handle(_ context.Context, req transport.Message) (tran
 	}
 }
 
-// VerifierService serves verification requests using a procedure registry —
-// the paper's trustable seller of verification procedures.
-type VerifierService struct {
-	id    string
-	procs *ProcedureRegistry
-}
-
-var _ transport.Handler = (*VerifierService)(nil)
-
-// NewVerifierService creates an honest verifier with the bundled procedures.
-func NewVerifierService(id string) (*VerifierService, error) {
-	if id == "" {
-		return nil, fmt.Errorf("core: verifier needs an ID")
-	}
-	return &VerifierService{id: id, procs: NewProcedureRegistry()}, nil
-}
-
-// NewCorruptVerifierService creates a verifier whose bundled procedures
-// all lie (LyingProcedure) — the test double that exercises the
-// majority-voting and reputation machinery.
-func NewCorruptVerifierService(id string) (*VerifierService, error) {
-	v, err := NewVerifierService(id)
-	if err != nil {
-		return nil, err
-	}
-	v.procs = NewLyingProcedureRegistry()
-	return v, nil
-}
-
-// ID returns the verifier's identifier.
-func (s *VerifierService) ID() string { return s.id }
-
-// Register adds a custom procedure to this verifier.
-func (s *VerifierService) Register(p Procedure) { s.procs.Register(p) }
-
-// Handle implements transport.Handler.
-func (s *VerifierService) Handle(_ context.Context, req transport.Message) (transport.Message, error) {
-	switch req.Type {
-	case MsgVerify:
-		var vr VerifyRequest
-		if err := req.Decode(&vr); err != nil {
-			return transport.Message{}, err
-		}
-		verdict, err := s.verify(vr)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		return transport.NewMessage("verdict", VerifyResponse{VerifierID: s.id, Verdict: *verdict})
-	case MsgFormats:
-		return transport.NewMessage("formats", FormatsResponse{
-			VerifierID: s.id,
-			Formats:    s.procs.Formats(),
-		})
-	default:
-		return transport.Message{}, fmt.Errorf("core: verifier cannot handle %q", req.Type)
-	}
-}
-
-func (s *VerifierService) verify(vr VerifyRequest) (*Verdict, error) {
-	proc, err := s.procs.Lookup(vr.Format)
-	if err != nil {
-		return nil, err
-	}
-	verdict, err := proc.Verify(vr.Game, vr.Advice, vr.Proof)
-	if err != nil {
-		// Unintelligible inputs: report as a rejection with the parse error,
-		// so the agent still gets a verdict to vote on.
-		verdict = &Verdict{Format: vr.Format, Reason: err.Error()}
-	}
-	return verdict, nil
-}
-
 // Agent is the counselee: it consults the (untrusted) inventor, has the
 // advice checked by its trusted verifiers, applies majority voting, updates
 // reputations, and only then adopts the advice.

@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
 	"testing"
 
+	"rationality/internal/core"
 	"rationality/internal/game"
 	"rationality/internal/proof"
 	"rationality/internal/reputation"
@@ -23,24 +24,20 @@ func (brokenClient) Call(context.Context, transport.Message) (transport.Message,
 func (brokenClient) Close() error { return nil }
 
 func TestConsultSurvivesAbstainingVerifier(t *testing.T) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
+	ann, err := core.AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := NewInventorService(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifiers := map[string]transport.Client{"dead": brokenClient{}}
 	for _, id := range []string{"v1", "v2", "v3"} {
-		vs, err := NewVerifierService(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifiers[id] = transport.DialInProc(vs)
+		verifiers[id] = transport.DialInProc(newVerifier(t, id, false))
 	}
 	registry := reputation.NewRegistry()
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "resilient",
 		Inventor:  transport.DialInProc(inventor),
 		Verifiers: verifiers,
@@ -66,15 +63,15 @@ func TestConsultSurvivesAbstainingVerifier(t *testing.T) {
 }
 
 func TestConsultFailsWhenAllVerifiersDead(t *testing.T) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
+	ann, err := core.AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := NewInventorService(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "stranded",
 		Inventor:  transport.DialInProc(inventor),
 		Verifiers: map[string]transport.Client{"dead1": brokenClient{}, "dead2": brokenClient{}},
@@ -89,23 +86,17 @@ func TestConsultFailsWhenAllVerifiersDead(t *testing.T) {
 }
 
 func TestConsultTieIsAnError(t *testing.T) {
-	ann, err := AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
+	ann, err := core.AnnounceEnumeration("inventor", game.PrisonersDilemma(), proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := NewInventorService(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest, err := NewVerifierService("honest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt, err := NewCorruptVerifierService("corrupt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := NewAgent(AgentConfig{
+	honest := newVerifier(t, "honest", false)
+	corrupt := newVerifier(t, "corrupt", true)
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:     "torn",
 		Inventor: transport.DialInProc(inventor),
 		Verifiers: map[string]transport.Client{
@@ -123,11 +114,8 @@ func TestConsultTieIsAnError(t *testing.T) {
 }
 
 func TestConsultDeadInventor(t *testing.T) {
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := NewAgent(AgentConfig{
+	vs := newVerifier(t, "v", false)
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "orphan",
 		Inventor:  brokenClient{},
 		Verifiers: map[string]transport.Client{"v": transport.DialInProc(vs)},
@@ -153,14 +141,14 @@ func TestLargeProofOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := Announcement{
+	ann := core.Announcement{
 		InventorID: "big-inventor",
-		Format:     FormatEnumeration,
-		Game:       mustJSON(SpecFromGame(g)),
-		Advice:     mustJSON(pf.Advised),
+		Format:     core.FormatEnumeration,
+		Game:       marshal(t, core.SpecFromGame(g)),
+		Advice:     marshal(t, pf.Advised),
 		Proof:      proofBody,
 	}
-	inventorSvc, err := NewInventorService(ann)
+	inventorSvc, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +157,7 @@ func TestLargeProofOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vsrv, err := transport.ListenTCP("127.0.0.1:0", vs)
+	vsrv, err := transport.ListenTCP("127.0.0.1:0", newVerifier(t, "v", false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +174,7 @@ func TestLargeProofOverTCP(t *testing.T) {
 	}
 	defer verifierClient.Close()
 
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "big-agent",
 		Inventor:  inventorClient,
 		Verifiers: map[string]transport.Client{"v": verifierClient},

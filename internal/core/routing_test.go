@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 )
@@ -13,47 +12,6 @@ func routingSpec() LinksRoutingSpec {
 		Remaining:     2,
 		ObservedTotal: 60,
 		ObservedCount: 3,
-	}
-}
-
-func TestEndToEndLinksRouting(t *testing.T) {
-	ann, err := AnnounceLinksRouting("operator", routingSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("honest routing advice rejected: %+v", res.Verdicts)
-	}
-	v := res.Verdicts["v1"]
-	if v.Details["recomputedLink"] == "" || v.Details["greedyLink"] == "" {
-		t.Errorf("missing details: %v", v.Details)
-	}
-}
-
-func TestLinksRoutingForgedAdviceRejected(t *testing.T) {
-	ann, err := AnnounceLinksRouting("operator", routingSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var honest LinksRoutingAdviceSpec
-	if err := json.Unmarshal(ann.Advice, &honest); err != nil {
-		t.Fatal(err)
-	}
-	// Point the advice at a different link.
-	forgedLink := (honest.Link + 1) % 3
-	ann.Advice = mustJSON(LinksRoutingAdviceSpec{Link: forgedLink})
-	agent, _ := newTestAgent(t, ann, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("forged routing advice accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,8 +8,6 @@ import (
 	"rationality/internal/game"
 	"rationality/internal/identity"
 	"rationality/internal/proof"
-	"rationality/internal/reputation"
-	"rationality/internal/transport"
 )
 
 func signedTestAnnouncement(t *testing.T, seed int64) (Announcement, *identity.KeyPair) {
@@ -68,82 +65,5 @@ func TestSignatureDetectsTampering(t *testing.T) {
 				t.Fatal("tampered announcement accepted")
 			}
 		})
-	}
-}
-
-func TestAgentAcceptsSignedAnnouncement(t *testing.T) {
-	signed, _ := signedTestAnnouncement(t, 3)
-	agent, _ := newTestAgent(t, signed, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatal("signed honest announcement rejected")
-	}
-}
-
-func TestAgentRejectsTamperedSignedAnnouncement(t *testing.T) {
-	signed, _ := signedTestAnnouncement(t, 4)
-	signed.Advice = mustJSON(game.Profile{0, 0})
-	agent, _ := newTestAgent(t, signed, []string{"v1", "v2", "v3"}, nil)
-	if _, err := agent.Consult(context.Background()); err == nil {
-		t.Fatal("tampered signed announcement consulted successfully")
-	}
-}
-
-func TestAgentCanRequireSignatures(t *testing.T) {
-	unsigned, err := AnnounceEnumeration("anon", game.PrisonersDilemma(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inventor, err := NewInventorService(unsigned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := NewVerifierService("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := NewAgent(AgentConfig{
-		Name:                       "strict",
-		Inventor:                   transport.DialInProc(inventor),
-		Verifiers:                  map[string]transport.Client{"v": transport.DialInProc(vs)},
-		Registry:                   reputation.NewRegistry(),
-		RequireSignedAnnouncements: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Consult(context.Background()); !errors.Is(err, ErrUnsignedAnnouncement) {
-		t.Fatalf("err = %v, want ErrUnsignedAnnouncement", err)
-	}
-}
-
-// A forging inventor that SIGNS its forgery is still caught by the
-// verifiers, and the misbehaviour report is now bound to its key.
-func TestSignedForgeryStillCaughtAndAttributed(t *testing.T) {
-	k, err := identity.NewKeyPairFrom(rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged, err := AnnounceEnumerationForged("x", game.PrisonersDilemma(), game.Profile{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	signed, err := SignAnnouncement(k, forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, registry := newTestAgent(t, signed, []string{"v1", "v2", "v3"}, nil)
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("signed forgery accepted")
-	}
-	if registry.Reputation(string(k.ID())) >= 0.5 {
-		t.Error("forger's key-bound reputation did not drop")
 	}
 }

@@ -5,7 +5,9 @@
 // general-purpose verification procedures v()) — together with the wire
 // protocol they speak and the registry of verification procedures covering
 // each of the paper's proof formats (§3 enumeration proofs, §4 P1 supports
-// and n-agent generalization, §5 participation advice).
+// and n-agent generalization, §5 participation advice). The inventor and
+// the agent live here; the verifier party is the server in internal/service,
+// which runs these procedures behind the same protocol.
 package core
 
 import (

@@ -16,7 +16,7 @@ type Fig7Point struct {
 	// useful context for small m, where both strategies often coincide).
 	TiePct float64
 	// MeanGreedy and MeanInventor are the mean makespans, for the shape
-	// comparison in EXPERIMENTS.md.
+	// comparison `experiments -run fig7` prints (E1 in cmd/experiments).
 	MeanGreedy   float64
 	MeanInventor float64
 }

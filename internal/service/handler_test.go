@@ -13,9 +13,9 @@ import (
 	"rationality/internal/transport"
 )
 
-// TestHandlerDropInForVerifierService: the classic agent protocol
-// ("verify", "formats") must work unchanged against the service, over the
-// in-process transport.
+// TestHandlerVerifyAndFormats: the classic agent protocol ("verify",
+// "formats") works against the service over the in-process transport, and
+// "formats" advertises every bundled procedure.
 func TestHandlerVerifyAndFormats(t *testing.T) {
 	s := newTestService(t, Config{ID: "svc-1"})
 	client := transport.DialInProc(s)
@@ -51,8 +51,8 @@ func TestHandlerVerifyAndFormats(t *testing.T) {
 	if err := resp.Decode(&fr); err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Formats) == 0 {
-		t.Fatal("no formats advertised")
+	if want := core.NewProcedureRegistry().Formats(); len(fr.Formats) != len(want) {
+		t.Fatalf("formats = %v, want the %d bundled ones %v", fr.Formats, len(want), want)
 	}
 }
 
@@ -149,7 +149,8 @@ func TestHandlerUnknownTypeAndMalformedPayload(t *testing.T) {
 }
 
 // TestAgentConsultsServiceBackedVerifier runs the full Fig. 1 consultation
-// with the new service standing in for core.VerifierService.
+// against three services: the service is the verifier party an agent
+// consults.
 func TestAgentConsultsServiceBackedVerifier(t *testing.T) {
 	ann := pdAnnouncement(t)
 	inventor, err := core.NewInventorService(ann)

@@ -417,6 +417,16 @@ func TestReputationRecording(t *testing.T) {
 	if got := rep.Score("shady"); got.Disagreements != 1 {
 		t.Fatalf("cached repeats re-recorded: score = %+v", got)
 	}
+	// Batched repeats are hits too: one agreement per fresh verdict.
+	if _, err := s.VerifyBatch(context.Background(), []core.Announcement{honest, honest, honest}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Score(honest.InventorID); got.Agreements != 1 {
+		t.Fatalf("batched repeats re-recorded: honest score = %+v", got)
+	}
+	if st := s.Stats(); st.Requests != 10 || st.CacheHits != 8 {
+		t.Fatalf("stats = %+v, want 10 requests with 8 cache hits", st)
+	}
 	if got := len(rep.Events()); got != events {
 		t.Fatalf("cached repeats grew the audit log: %d -> %d", events, got)
 	}

@@ -2,48 +2,64 @@ package rationality
 
 import (
 	"context"
+	cryptorand "crypto/rand"
 	"math/rand"
 	"testing"
+
+	"rationality/internal/bimatrix"
+	"rationality/internal/congestion"
+	"rationality/internal/core"
+	"rationality/internal/game"
+	"rationality/internal/identity"
+	"rationality/internal/interactive"
+	"rationality/internal/links"
+	"rationality/internal/numeric"
+	"rationality/internal/participation"
+	"rationality/internal/proof"
+	"rationality/internal/reputation"
+	"rationality/internal/service"
+	"rationality/internal/transport"
 )
 
-// These tests exercise the library strictly through the public facade, the
-// way a downstream user would.
+// These tests compose the internal packages the way the examples do: one
+// flow per part of the paper, end to end. Their TestFacade names date from
+// the root package's former re-export layer, which they used to call.
 
 func TestFacadeRationals(t *testing.T) {
-	if R(3, 8).RatString() != "3/8" || I(4).RatString() != "4" || MustRat("1/4").RatString() != "1/4" {
+	if numeric.R(3, 8).RatString() != "3/8" || numeric.I(4).RatString() != "4" || numeric.MustRat("1/4").RatString() != "1/4" {
 		t.Fatal("rational helpers misbehave")
 	}
 }
 
 func TestFacadeEnumerationFlow(t *testing.T) {
-	g, err := NewGame("pd", []int{2, 2})
+	g, err := game.New("pd", []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetPayoffs(Profile{0, 0}, I(3), I(3))
-	g.SetPayoffs(Profile{0, 1}, I(0), I(5))
-	g.SetPayoffs(Profile{1, 0}, I(5), I(0))
-	g.SetPayoffs(Profile{1, 1}, I(1), I(1))
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
 
-	p, err := BuildNashProof(g, Profile{1, 1}, MaxNash)
+	p, err := proof.Build(g, game.Profile{1, 1}, proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckNashProof(g, p); err != nil {
+	if err := proof.Check(g, p); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFacadeP1AndP2(t *testing.T) {
-	g := NewBimatrixFromInts(
+	g := bimatrix.FromInts(
 		[][]int64{{1, -1}, {-1, 1}},
 		[][]int64{{-1, 1}, {1, -1}},
 	)
-	advice, eq, err := BuildP1Advice(g)
+	advice, eq, err := interactive.BuildP1Advice(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := VerifyP1(g, advice)
+	got, err := interactive.VerifyP1(g, advice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +67,11 @@ func TestFacadeP1AndP2(t *testing.T) {
 		t.Errorf("λ1 = %s", got.LambdaRow.RatString())
 	}
 
-	prover, err := NewHonestP2Prover(g, eq)
+	prover, err := interactive.NewHonestProver(g, eq, cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := VerifyP2(g, RowAgent, prover, P2Config{Rng: rand.New(rand.NewSource(1))})
+	report, err := interactive.VerifyP2(g, interactive.RowAgent, prover, interactive.P2Config{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,31 +81,23 @@ func TestFacadeP1AndP2(t *testing.T) {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	pg, err := NewParticipationGame(3, 2, I(8), I(3))
+	pg, err := participation.New(3, 2, numeric.I(8), numeric.I(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann, err := AnnounceParticipation("inventor", "auction", pg, LowBranch)
+	ann, err := core.AnnounceParticipation("inventor", "auction", pg, participation.LowBranch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := NewInventor(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifiers := map[string]Client{}
-	for _, id := range []string{"v1", "v2", "v3"} {
-		vs, err := NewVerifier(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifiers[id] = DialInProc(vs)
-	}
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "jane",
-		Inventor:  DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  NewReputationRegistry(),
+		Inventor:  transport.DialInProc(inventor),
+		Verifiers: threeVerifiers(t),
+		Registry:  reputation.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +112,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeFig7(t *testing.T) {
-	pt, err := SimulateFig7Point(20, Fig7Config{Agents: 100, MaxLoad: 100, Iterations: 5, Seed: 3})
+	pt, err := links.SimulatePoint(20, links.Fig7Config{Agents: 100, MaxLoad: 100, Iterations: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,48 +122,40 @@ func TestFacadeFig7(t *testing.T) {
 }
 
 func TestFacadeSignedCorrelatedFlow(t *testing.T) {
-	g, err := NewGame("chicken", []int{2, 2})
+	g, err := game.New("chicken", []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetPayoffs(Profile{0, 0}, I(6), I(6))
-	g.SetPayoffs(Profile{0, 1}, I(2), I(7))
-	g.SetPayoffs(Profile{1, 0}, I(7), I(2))
-	g.SetPayoffs(Profile{1, 1}, I(0), I(0))
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(6), numeric.I(6))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(2), numeric.I(7))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(7), numeric.I(2))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(0), numeric.I(0))
 
-	ann, err := AnnounceCorrelated("device", g)
+	ann, err := core.AnnounceCorrelated("device", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewKeyPair()
+	k, err := identity.NewKeyPair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed, err := SignAnnouncement(k, ann)
+	signed, err := core.SignAnnouncement(k, ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAnnouncementSignature(signed); err != nil {
+	if err := core.VerifyAnnouncementSignature(signed); err != nil {
 		t.Fatal(err)
 	}
 
-	inventor, err := NewInventor(signed)
+	inventor, err := core.NewInventorService(signed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifiers := map[string]Client{}
-	for _, id := range []string{"v1", "v2", "v3"} {
-		vs, err := NewVerifier(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifiers[id] = DialInProc(vs)
-	}
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:                       "careful",
-		Inventor:                   DialInProc(inventor),
-		Verifiers:                  verifiers,
-		Registry:                   NewReputationRegistry(),
+		Inventor:                   transport.DialInProc(inventor),
+		Verifiers:                  threeVerifiers(t),
+		Registry:                   reputation.NewRegistry(),
 		RequireSignedAnnouncements: true,
 	})
 	if err != nil {
@@ -171,33 +171,33 @@ func TestFacadeSignedCorrelatedFlow(t *testing.T) {
 }
 
 func TestFacadeLastMover(t *testing.T) {
-	g, err := NewParticipationGame(3, 2, I(8), I(3))
+	g, err := participation.New(3, 2, numeric.I(8), numeric.I(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann, err := AnnounceLastMover("auction-house", "entry", g)
+	ann, err := core.AnnounceLastMover("auction-house", "entry", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ann.Format != FormatLastMover {
+	if ann.Format != core.FormatLastMover {
 		t.Errorf("format = %s", ann.Format)
 	}
 }
 
 func TestFacadeDominanceAndCorrelated(t *testing.T) {
-	g, err := NewGame("pd", []int{2, 2})
+	g, err := game.New("pd", []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetPayoffs(Profile{0, 0}, I(3), I(3))
-	g.SetPayoffs(Profile{0, 1}, I(0), I(5))
-	g.SetPayoffs(Profile{1, 0}, I(5), I(0))
-	g.SetPayoffs(Profile{1, 1}, I(1), I(1))
-	p, ok := g.DominantEquilibrium(StrictDominance)
-	if !ok || !p.Equal(Profile{1, 1}) {
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
+	p, ok := g.DominantEquilibrium(game.Strict)
+	if !ok || !p.Equal(game.Profile{1, 1}) {
 		t.Fatalf("dominant equilibrium = %v ok=%v", p, ok)
 	}
-	var d *CorrelatedDistribution
+	var d *game.CorrelatedDistribution
 	d, err = g.SolveCorrelatedEquilibrium()
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestFacadeDominanceAndCorrelated(t *testing.T) {
 }
 
 func TestFacadeCongestion(t *testing.T) {
-	net, err := NewCongestionNetwork(2)
+	net, err := congestion.NewNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestFacadeCongestion(t *testing.T) {
 
 func TestFacadeVerificationService(t *testing.T) {
 	g := prisonersDilemmaGame(t)
-	ann, err := AnnounceEnumeration("acme", g, MaxNash)
+	ann, err := core.AnnounceEnumeration("acme", g, proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := NewReputationRegistry()
-	svc, err := NewVerificationService(ServiceConfig{ID: "svc", Reputation: registry})
+	registry := reputation.NewRegistry()
+	svc, err := service.New(service.Config{ID: "svc", Reputation: registry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFacadeVerificationService(t *testing.T) {
 	if _, err := svc.VerifyAnnouncement(context.Background(), ann); err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := svc.VerifyBatch(context.Background(), []Announcement{ann, ann, ann})
+	verdicts, err := svc.VerifyBatch(context.Background(), []core.Announcement{ann, ann, ann})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +254,14 @@ func TestFacadeVerificationService(t *testing.T) {
 	}
 
 	// The service is a drop-in transport handler for the classic agent flow.
-	inventor, err := NewInventor(ann)
+	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := NewAgent(AgentConfig{
+	agent, err := core.NewAgent(core.AgentConfig{
 		Name:      "jane",
-		Inventor:  DialInProc(inventor),
-		Verifiers: map[string]Client{"svc": DialInProc(svc)},
+		Inventor:  transport.DialInProc(inventor),
+		Verifiers: map[string]transport.Client{"svc": transport.DialInProc(svc)},
 		Registry:  registry,
 	})
 	if err != nil {
@@ -277,20 +277,36 @@ func TestFacadeVerificationService(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.VerifyBatch(context.Background(), nil); err != ErrServiceClosed {
+	if _, err := svc.VerifyBatch(context.Background(), nil); err != service.ErrServiceClosed {
 		t.Fatalf("post-close err = %v, want ErrServiceClosed", err)
 	}
 }
 
-func prisonersDilemmaGame(t *testing.T) *Game {
+// threeVerifiers starts three verification services, closed when the test
+// ends, and dials each in process.
+func threeVerifiers(t *testing.T) map[string]transport.Client {
 	t.Helper()
-	g, err := NewGame("pd", []int{2, 2})
+	verifiers := map[string]transport.Client{}
+	for _, id := range []string{"v1", "v2", "v3"} {
+		vs, err := service.New(service.Config{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = vs.Close() })
+		verifiers[id] = transport.DialInProc(vs)
+	}
+	return verifiers
+}
+
+func prisonersDilemmaGame(t *testing.T) *game.Game {
+	t.Helper()
+	g, err := game.New("pd", []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetPayoffs(Profile{0, 0}, I(3), I(3))
-	g.SetPayoffs(Profile{0, 1}, I(0), I(5))
-	g.SetPayoffs(Profile{1, 0}, I(5), I(0))
-	g.SetPayoffs(Profile{1, 1}, I(1), I(1))
+	g.SetPayoffs(game.Profile{0, 0}, numeric.I(3), numeric.I(3))
+	g.SetPayoffs(game.Profile{0, 1}, numeric.I(0), numeric.I(5))
+	g.SetPayoffs(game.Profile{1, 0}, numeric.I(5), numeric.I(0))
+	g.SetPayoffs(game.Profile{1, 1}, numeric.I(1), numeric.I(1))
 	return g
 }
