@@ -35,6 +35,7 @@ import (
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -325,33 +326,20 @@ func BenchmarkConsultationRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		b.Fatal(err)
-	}
 	// Caching off: every round runs the procedure, as a lone agent's
 	// consultation of a fresh announcement would.
-	verifiers := map[string]transport.Client{}
+	var members []quorum.Member
 	for _, id := range []string{"v1", "v2", "v3"} {
 		vs, err := service.New(service.Config{ID: id, CacheSize: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer vs.Close()
-		verifiers[id] = transport.DialInProc(vs)
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent, err := core.NewAgent(core.AgentConfig{
-			Name:      "bench",
-			Inventor:  transport.DialInProc(inventor),
-			Verifiers: verifiers,
-			Registry:  reputation.NewRegistry(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := agent.Consult(context.Background())
+		res, err := consult(b, ann, members, reputation.NewRegistry())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func runCertIssue(args []string) error {
 	if err != nil {
 		return err
 	}
-	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns, true)
+	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns)
 	defer func() {
 		for _, d := range dialed {
 			_ = d.client.Close()

@@ -9,8 +9,9 @@
 //	# terminal 2: an inventor announcing a built-in demo game on :7100
 //	authority inventor -game pd -listen 127.0.0.1:7100
 //
-//	# terminal 3: an agent consulting both
-//	authority agent -inventor 127.0.0.1:7100 -verifiers verify-corp=127.0.0.1:7101
+//	# terminal 3: an agent consulting both — the panel (here of one)
+//	# verifies the inventor's announcement before the agent acts on it
+//	authority quorum -inventor 127.0.0.1:7100 -verifiers verify-corp=127.0.0.1:7101
 //
 //	# batch-verify 100 copies of a demo announcement in one round trip
 //	authority batch -verifier 127.0.0.1:7101 -game pd -count 100
@@ -104,8 +105,6 @@ func main() {
 		err = runInventor(os.Args[2:])
 	case "verifier":
 		err = runVerifier(os.Args[2:])
-	case "agent":
-		err = runAgent(os.Args[2:])
 	case "batch":
 		err = runBatch(os.Args[2:])
 	case "quorum":
@@ -133,7 +132,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: authority <inventor|verifier|agent|batch|quorum|cert|keygen|stats|provenance> [flags]
+	fmt.Fprintln(os.Stderr, `usage: authority <inventor|verifier|batch|quorum|cert|keygen|stats|provenance> [flags]
 
   authority inventor -game <pd|mp|auction|pd-forged> -listen <addr> [-id <name>]
   authority verifier -id <name> -listen <addr> [-workers n] [-cache-size n] [-cache-shards n]
@@ -144,7 +143,6 @@ func usage() {
                      [-fanout n] [-rumor-ttl n]
                      [-admission-interactive rate] [-admission-batch rate]
   authority keygen -key <file>                (create or load a signing identity; print its party ID)
-  authority agent -inventor <addr> -verifiers <id=addr,id=addr,...> [-name <name>] [-conns n]
   authority batch -verifier <addr> -game <pd|mp|auction|pd-forged> [-count n] [-conns n] [-stream]
   authority quorum -verifiers <id=addr,id=addr,...> [-inventor <addr> | -game <name>]
                    [-call-timeout d] [-threshold x] [-conns n]
@@ -566,13 +564,12 @@ type dialedVerifier struct {
 }
 
 // dialVerifiers parses a comma-separated id=addr list and dials each
-// address with a pooled TCP client. A malformed pair is always an error;
-// what a failed dial means depends on the caller: with skipUnreachable
-// the member is reported on stderr and omitted — the quorum treats it
-// exactly like a member that stops answering mid-panel (an abstainer) —
-// otherwise the first failure aborts. The caller owns closing the
-// returned clients, including on error.
-func dialVerifiers(list string, timeout time.Duration, conns int, skipUnreachable bool) ([]dialedVerifier, error) {
+// address with a pooled TCP client. A malformed pair is an error; a member
+// that cannot be dialed is reported on stderr and omitted — the panel
+// treats it exactly like a member that stops answering mid-run (an
+// abstainer). The caller owns closing the returned clients, including on
+// error.
+func dialVerifiers(list string, timeout time.Duration, conns int) ([]dialedVerifier, error) {
 	var out []dialedVerifier
 	for _, pair := range strings.Split(list, ",") {
 		id, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
@@ -581,11 +578,8 @@ func dialVerifiers(list string, timeout time.Duration, conns int, skipUnreachabl
 		}
 		c, err := transport.DialTCPPool(addr, timeout, conns)
 		if err != nil {
-			if skipUnreachable {
-				fmt.Fprintf(os.Stderr, "quorum: verifier %s unreachable, treating as abstained: %v\n", id, err)
-				continue
-			}
-			return out, fmt.Errorf("dialing verifier %s: %w", id, err)
+			fmt.Fprintf(os.Stderr, "quorum: verifier %s unreachable, treating as abstained: %v\n", id, err)
+			continue
 		}
 		out = append(out, dialedVerifier{id: id, client: c})
 	}
@@ -722,17 +716,10 @@ func runQuorum(args []string) error {
 			return err
 		}
 		defer inv.Close()
-		req, err := transport.NewMessage(core.MsgAnnounce, struct{}{})
-		if err != nil {
-			return err
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		resp, err := inv.Call(ctx, req)
+		ann, err = core.FetchAnnouncement(ctx, inv)
 		cancel()
 		if err != nil {
-			return fmt.Errorf("consulting the inventor: %w", err)
-		}
-		if err := resp.Decode(&ann); err != nil {
 			return err
 		}
 	} else {
@@ -745,7 +732,7 @@ func runQuorum(args []string) error {
 	// A panel member that is down at dial time abstains — exactly like
 	// one that stops answering mid-run — instead of scuttling the whole
 	// decision: fault tolerance is the point of consulting a quorum.
-	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns, true)
+	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns)
 	defer func() {
 		for _, d := range dialed {
 			_ = d.client.Close()
@@ -1005,74 +992,6 @@ func watchStats(fetch func() (service.StatsResponse, error), prev service.StatsR
 		prev, prevAt = cur, now
 		rows++
 	}
-}
-
-func runAgent(args []string) error {
-	fs := flag.NewFlagSet("agent", flag.ExitOnError)
-	inventorAddr := fs.String("inventor", "127.0.0.1:7100", "inventor address")
-	verifierList := fs.String("verifiers", "", "comma-separated id=addr pairs")
-	name := fs.String("name", "agent", "agent name")
-	conns := fs.Int("conns", 1, "connection-pool size per verifier client")
-	timeout := fs.Duration("timeout", 10*time.Second, "consultation timeout")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *verifierList == "" {
-		return fmt.Errorf("agent needs -verifiers id=addr[,id=addr...]")
-	}
-
-	inventorClient, err := transport.DialTCP(*inventorAddr, *timeout)
-	if err != nil {
-		return err
-	}
-	defer inventorClient.Close()
-
-	dialed, err := dialVerifiers(*verifierList, *timeout, *conns, false)
-	defer func() {
-		for _, d := range dialed {
-			_ = d.client.Close()
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	verifiers := make(map[string]transport.Client, len(dialed))
-	for _, d := range dialed {
-		verifiers[d.id] = d.client
-	}
-
-	registry := reputation.NewRegistry()
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      *name,
-		Inventor:  inventorClient,
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	res, err := agent.Consult(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("consultation of %s: advice accepted=%v\n", res.Announcement.InventorID, res.Accepted)
-	for id, v := range res.Verdicts {
-		status := "accepted"
-		if !v.Accepted {
-			status = "REJECTED: " + v.Reason
-		}
-		fmt.Printf("  %-14s %s\n", id, status)
-		for k, val := range v.Details {
-			fmt.Printf("      %s = %s\n", k, val)
-		}
-	}
-	if !res.Accepted {
-		fmt.Printf("inventor reported; reputation now %.2f\n",
-			registry.Reputation(res.Announcement.InventorID))
-	}
-	return nil
 }
 
 func waitForSignal() {

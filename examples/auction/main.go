@@ -15,6 +15,7 @@ import (
 	"rationality/internal/core"
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -45,36 +46,34 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	verifiers := map[string]transport.Client{}
+	var members []quorum.Member
 	for _, id := range []string{"v1", "v2", "v3"} {
 		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
 			return err
 		}
 		defer vs.Close()
-		verifiers[id] = transport.DialInProc(vs)
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
 	}
-	registry := reputation.NewRegistry()
+	panel, err := quorum.New(quorum.Config{Members: members, Registry: reputation.NewRegistry()})
+	if err != nil {
+		return err
+	}
 
 	// Each firm is an agent; all of them verify the same advice and can
 	// cross-check they were given the same p (symmetric game, §5).
+	ctx := context.Background()
 	for _, firm := range []string{"firm-a", "firm-b", "firm-c"} {
-		agent, err := core.NewAgent(core.AgentConfig{
-			Name:      firm,
-			Inventor:  transport.DialInProc(inventor),
-			Verifiers: verifiers,
-			Registry:  registry,
-		})
+		announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(inventor))
 		if err != nil {
 			return err
 		}
-		res, err := agent.Consult(context.Background())
+		res, err := panel.VerifyAnnouncement(ctx, announced)
 		if err != nil {
 			return err
 		}
-		anyVerdict := res.Verdicts["v1"]
 		fmt.Printf("%s: accepted=%v p=%s expected gain=%s (= v/16)\n",
-			firm, res.Accepted, anyVerdict.Details["p"], anyVerdict.Details["expectedGain"])
+			firm, res.Accepted, res.Verdict.Details["p"], res.Verdict.Details["expectedGain"])
 	}
 
 	// Online: firms decide in sequence; the inventor advises the last mover.

@@ -16,6 +16,7 @@ import (
 	"rationality/internal/game"
 	"rationality/internal/identity"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -34,7 +35,7 @@ func run() error {
 	// The verifier pool: three honest, one corrupt. The corrupt one is the
 	// same service over lying procedures — what `authority verifier
 	// -byzantine` runs.
-	verifierClients := map[string]transport.Client{}
+	var members []quorum.Member
 	for _, id := range []string{"veritas", "checkers", "proofly", "shady-checks"} {
 		cfg := service.Config{ID: id}
 		if id == "shady-checks" {
@@ -45,7 +46,12 @@ func run() error {
 			return err
 		}
 		defer vs.Close()
-		verifierClients[id] = transport.DialInProc(vs)
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
+	}
+	const threshold = 0.3
+	panel, err := quorum.New(quorum.Config{Members: members, Registry: registry, Threshold: threshold})
+	if err != nil {
+		return err
 	}
 
 	// The inventor population: two honest, one forger, each with a signing
@@ -92,30 +98,28 @@ func run() error {
 	}
 
 	const rounds = 6
-	const threshold = 0.3
+	ctx := context.Background()
 	for round := 1; round <= rounds; round++ {
 		inv := population[(round-1)%len(population)]
-		agent, err := core.NewAgent(core.AgentConfig{
-			Name:                       fmt.Sprintf("agent-%d", round),
-			Inventor:                   transport.DialInProc(services[inv.name]),
-			Verifiers:                  verifierClients,
-			Registry:                   registry,
-			Threshold:                  threshold,
-			RequireSignedAnnouncements: true,
-		})
+		announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(services[inv.name]))
 		if err != nil {
 			return err
 		}
-		res, err := agent.Consult(context.Background())
+		// Every announcement here is signed: the panel checks the signature
+		// before any verifier is asked, so a rejection is charged to the
+		// key that signed the forgery.
+		res, err := panel.VerifyAnnouncement(ctx, announced)
 		if err != nil {
 			return err
 		}
 		liarConsulted := "excluded"
-		if _, ok := res.Verdicts["shady-checks"]; ok {
-			liarConsulted = "consulted"
+		for _, v := range res.Votes {
+			if v.VerifierID == "shady-checks" {
+				liarConsulted = "consulted"
+			}
 		}
 		fmt.Printf("round %d: %-13s accepted=%-5v verifiers=%d shady-checks %s\n",
-			round, inv.name, res.Accepted, len(res.Verdicts), liarConsulted)
+			round, inv.name, res.Accepted, len(res.Votes), liarConsulted)
 	}
 
 	fmt.Println("\nfinal reputations:")

@@ -1,8 +1,8 @@
 // Command quickstart walks the whole rationality-authority loop on a tiny
 // game: an inventor announces the Prisoner's Dilemma with a provably optimal
-// advice, three verifiers check the §3 enumeration certificate, and the
-// agent adopts the advice only after the majority accepts. A second round
-// shows a forging inventor being caught and reported.
+// advice, a panel of three verifiers checks the §3 enumeration certificate,
+// and the agent adopts the advice only after the majority accepts. A second
+// round shows a forging inventor being caught and reported.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"rationality/internal/game"
 	"rationality/internal/numeric"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -46,60 +47,39 @@ func run() error {
 
 	// Three independent verifiers sell their checking procedures: each is
 	// the verification service `authority verifier` runs, dialed in process.
-	verifiers := map[string]transport.Client{}
+	var members []quorum.Member
 	for _, id := range []string{"verify-corp", "proofs-r-us", "checkmate-ltd"} {
 		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
 			return err
 		}
 		defer vs.Close()
-		verifiers[id] = transport.DialInProc(vs)
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
+	}
+	registry := reputation.NewRegistry()
+	panel, err := quorum.New(quorum.Config{Members: members, Registry: registry})
+	if err != nil {
+		return err
 	}
 
-	// The agent consults, verifies, and only then acts.
-	registry := reputation.NewRegistry()
-	inventor, err := core.NewInventorService(ann)
+	// The agent fetches the announcement, has the panel verify it, and
+	// only then acts.
+	res, err := consult(ann, panel)
 	if err != nil {
 		return err
 	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "jane",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("majority verdict: accepted=%v (%d verifiers)\n", res.Accepted, len(res.Verdicts))
-	for id, v := range res.Verdicts {
-		fmt.Printf("  %-14s accepted=%v steps=%s\n", id, v.Accepted, v.Details["steps"])
+	fmt.Printf("majority verdict: accepted=%v (%d verifiers)\n", res.Accepted, len(res.Votes))
+	for _, v := range res.Votes {
+		fmt.Printf("  %-14s accepted=%v steps=%s\n", v.VerifierID, v.Verdict.Accepted, v.Verdict.Details["steps"])
 	}
 
 	// Round two: a forging inventor advises mutual cooperation, which is NOT
-	// an equilibrium. The verifiers catch it; the agent reports the forger.
+	// an equilibrium. The verifiers catch it; the panel reports the forger.
 	forged, err := core.AnnounceEnumerationForged("shady-games", g, game.Profile{0, 0})
 	if err != nil {
 		return err
 	}
-	shadyInventor, err := core.NewInventorService(forged)
-	if err != nil {
-		return err
-	}
-	shadyAgent, err := core.NewAgent(core.AgentConfig{
-		Name:      "joe",
-		Inventor:  transport.DialInProc(shadyInventor),
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		return err
-	}
-	res2, err := shadyAgent.Consult(context.Background())
+	res2, err := consult(forged, panel)
 	if err != nil {
 		return err
 	}
@@ -111,4 +91,19 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// consult is the agent's side of Fig. 1: an inventor serves ann, the agent
+// fetches it and has the panel vote on it.
+func consult(ann core.Announcement, panel *quorum.Client) (*quorum.Result, error) {
+	inventor, err := core.NewInventorService(ann)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(inventor))
+	if err != nil {
+		return nil, err
+	}
+	return panel.VerifyAnnouncement(ctx, announced)
 }

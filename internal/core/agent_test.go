@@ -7,7 +7,6 @@ package core_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -27,7 +27,7 @@ import (
 
 // newVerifier starts a verification service — honest, or over the lying
 // procedures `authority verifier -byzantine` serves — and closes it when
-// the test ends. Its Reputation stays nil: only the agent moves
+// the test ends. Its Reputation stays nil: only the agent's panel moves
 // reputations.
 func newVerifier(t testing.TB, id string, lying bool) *service.Service {
 	t.Helper()
@@ -43,27 +43,50 @@ func newVerifier(t testing.TB, id string, lying bool) *service.Service {
 	return s
 }
 
-func newTestAgent(t *testing.T, ann core.Announcement, verifierIDs []string, corrupt map[string]bool) (*core.Agent, *reputation.Registry) {
+// testAgent is the agent's end of Fig. 1: it fetches the inventor's
+// announcement and has its verifier panel vote on it.
+type testAgent struct {
+	inventor transport.Client
+	panel    *quorum.Client
+}
+
+func (a testAgent) Consult(ctx context.Context) (*quorum.Result, error) {
+	ann, err := core.FetchAnnouncement(ctx, a.inventor)
+	if err != nil {
+		return nil, err
+	}
+	return a.panel.VerifyAnnouncement(ctx, ann)
+}
+
+// newAgent builds a testAgent whose panel records its votes in registry
+// and consults only members at or above threshold.
+func newAgent(t testing.TB, inventor transport.Client, members []quorum.Member, registry *reputation.Registry, threshold float64) testAgent {
+	t.Helper()
+	panel, err := quorum.New(quorum.Config{Members: members, Registry: registry, Threshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testAgent{inventor: inventor, panel: panel}
+}
+
+// inventorClient serves ann from an in-process inventor.
+func inventorClient(t testing.TB, ann core.Announcement) transport.Client {
 	t.Helper()
 	inventor, err := core.NewInventorService(ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifiers := make(map[string]transport.Client, len(verifierIDs))
+	return transport.DialInProc(inventor)
+}
+
+func newTestAgent(t *testing.T, ann core.Announcement, verifierIDs []string, corrupt map[string]bool) (testAgent, *reputation.Registry) {
+	t.Helper()
+	members := make([]quorum.Member, 0, len(verifierIDs))
 	for _, id := range verifierIDs {
-		verifiers[id] = transport.DialInProc(newVerifier(t, id, corrupt[id]))
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(newVerifier(t, id, corrupt[id]))})
 	}
 	registry := reputation.NewRegistry()
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "agent-under-test",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return agent, registry
+	return newAgent(t, inventorClient(t, ann), members, registry, 0), registry
 }
 
 func marshal(t testing.TB, v any) json.RawMessage {
@@ -88,12 +111,12 @@ func TestEndToEndEnumerationHonest(t *testing.T) {
 	if !res.Accepted {
 		t.Fatal("honest announcement rejected")
 	}
-	if len(res.Verdicts) != 3 {
-		t.Fatalf("verdicts = %d", len(res.Verdicts))
+	if len(res.Votes) != 3 {
+		t.Fatalf("votes = %d", len(res.Votes))
 	}
-	for id, v := range res.Verdicts {
-		if !v.Accepted {
-			t.Errorf("%s rejected: %s", id, v.Reason)
+	for _, v := range res.Votes {
+		if !v.Verdict.Accepted {
+			t.Errorf("%s rejected: %s", v.VerifierID, v.Verdict.Reason)
 		}
 	}
 	// All verifiers agreed with the majority: reputations rise.
@@ -176,9 +199,9 @@ func TestEndToEndP1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest P1 announcement rejected: %+v", res.Verdicts)
+		t.Fatalf("honest P1 announcement rejected: %+v", res.Votes)
 	}
-	v := res.Verdicts["v1"]
+	v := res.Verdict
 	if v.Details["lambdaRow"] != "0" || v.Details["lambdaCol"] != "0" {
 		t.Errorf("recovered values = %v", v.Details)
 	}
@@ -215,9 +238,9 @@ func TestEndToEndParticipation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest participation advice rejected: %+v", res.Verdicts)
+		t.Fatalf("honest participation advice rejected: %+v", res.Votes)
 	}
-	v := res.Verdicts["v2"]
+	v := res.Verdict
 	if v.Details["p"] != "1/4" {
 		t.Errorf("advised p = %s, want 1/4", v.Details["p"])
 	}
@@ -261,10 +284,10 @@ func TestEndToEndNAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest n-agent advice rejected: %+v", res.Verdicts)
+		t.Fatalf("honest n-agent advice rejected: %+v", res.Votes)
 	}
-	if res.Verdicts["v1"].Details["value[0]"] != "3/4" {
-		t.Errorf("value[0] = %s, want 3/4", res.Verdicts["v1"].Details["value[0]"])
+	if res.Verdict.Details["value[0]"] != "3/4" {
+		t.Errorf("value[0] = %s, want 3/4", res.Verdict.Details["value[0]"])
 	}
 }
 
@@ -286,9 +309,9 @@ func TestEndToEndCorrelated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest correlated advice rejected: %+v", res.Verdicts)
+		t.Fatalf("honest correlated advice rejected: %+v", res.Votes)
 	}
-	v := res.Verdicts["v1"]
+	v := res.Verdict
 	if v.Details["value[0]"] == "" || v.Details["value[1]"] == "" {
 		t.Errorf("missing values: %v", v.Details)
 	}
@@ -330,9 +353,9 @@ func TestEndToEndLastMover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest decision table rejected: %+v", res.Verdicts)
+		t.Fatalf("honest decision table rejected: %+v", res.Votes)
 	}
-	v := res.Verdicts["v1"]
+	v := res.Verdict
 	// The verified gains: count 0 → 0; count 1 → v−c = 5; count 2 → v = 8.
 	if v.Details["gain[count=0]"] != "0" || v.Details["gain[count=1]"] != "5" || v.Details["gain[count=2]"] != "8" {
 		t.Errorf("gains = %v", v.Details)
@@ -392,7 +415,7 @@ func TestLastMoverGeneralQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("general-k table rejected: %+v", res.Verdicts)
+		t.Fatalf("general-k table rejected: %+v", res.Votes)
 	}
 }
 
@@ -418,9 +441,9 @@ func TestEndToEndLinksRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("honest routing advice rejected: %+v", res.Verdicts)
+		t.Fatalf("honest routing advice rejected: %+v", res.Votes)
 	}
-	v := res.Verdicts["v1"]
+	v := res.Verdict
 	if v.Details["recomputedLink"] == "" || v.Details["greedyLink"] == "" {
 		t.Errorf("missing details: %v", v.Details)
 	}
@@ -462,7 +485,7 @@ func TestAgentOverTCP(t *testing.T) {
 	defer inventorSrv.Close()
 
 	verifierIDs := []string{"v1", "v2", "v3"}
-	clients := make(map[string]transport.Client, len(verifierIDs))
+	members := make([]quorum.Member, 0, len(verifierIDs))
 	for _, id := range verifierIDs {
 		srv, err := transport.ListenTCP("127.0.0.1:0", newVerifier(t, id, false))
 		if err != nil {
@@ -474,24 +497,16 @@ func TestAgentOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		clients[id] = c
+		members = append(members, quorum.Member{ID: id, Client: c})
 	}
 
-	inventorClient, err := transport.DialTCP(inventorSrv.Addr(), time.Second)
+	inventorTCP, err := transport.DialTCP(inventorSrv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inventorClient.Close()
+	defer inventorTCP.Close()
 
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "tcp-agent",
-		Inventor:  inventorClient,
-		Verifiers: clients,
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorTCP, members, reputation.NewRegistry(), 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	res, err := agent.Consult(ctx)
@@ -508,35 +523,23 @@ func TestAgentThresholdFiltersVerifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventorSvc, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
 	registry := reputation.NewRegistry()
 	// Destroy the verifier's reputation first.
 	for i := 0; i < 10; i++ {
 		registry.ReportAgreement("shunned", false)
 	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "picky",
-		Inventor:  transport.DialInProc(inventorSvc),
-		Verifiers: map[string]transport.Client{"shunned": transport.DialInProc(newVerifier(t, "shunned", false))},
-		Registry:  registry,
-		Threshold: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorClient(t, ann),
+		[]quorum.Member{{ID: "shunned", Client: transport.DialInProc(newVerifier(t, "shunned", false))}},
+		registry, 0.5)
 	if _, err := agent.Consult(context.Background()); err == nil {
 		t.Error("consultation should fail with no trusted verifiers")
 	}
 }
 
-// TestAgentConsultWeightedLiarOutvoted pins Consult to the weighted vote:
-// two liars with wrecked reputations outnumber one trusted verifier, but
-// earned trust outweighs head count — the same reputation.WeightedVote
-// (and tie-breaking) the quorum client uses. A raw-count majority would
-// decide both cases the liars' way.
+// TestAgentConsultWeightedLiarOutvoted pins the consultation to the
+// weighted vote: two liars with wrecked reputations outnumber one trusted
+// verifier, but earned trust outweighs head count. A raw-count majority
+// would decide both cases the liars' way.
 func TestAgentConsultWeightedLiarOutvoted(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -639,30 +642,6 @@ func TestAgentRejectsTamperedSignedAnnouncement(t *testing.T) {
 	agent, _ := newTestAgent(t, signed, []string{"v1", "v2", "v3"}, nil)
 	if _, err := agent.Consult(context.Background()); err == nil {
 		t.Fatal("tampered signed announcement consulted successfully")
-	}
-}
-
-func TestAgentCanRequireSignatures(t *testing.T) {
-	unsigned, err := core.AnnounceEnumeration("anon", game.PrisonersDilemma(), proof.MaxNash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inventor, err := core.NewInventorService(unsigned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:                       "strict",
-		Inventor:                   transport.DialInProc(inventor),
-		Verifiers:                  map[string]transport.Client{"v": transport.DialInProc(newVerifier(t, "v", false))},
-		Registry:                   reputation.NewRegistry(),
-		RequireSignedAnnouncements: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Consult(context.Background()); !errors.Is(err, core.ErrUnsignedAnnouncement) {
-		t.Fatalf("err = %v, want ErrUnsignedAnnouncement", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"rationality/internal/core"
 	"rationality/internal/game"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/transport"
 )
@@ -22,29 +23,15 @@ func TestReputationEvolutionExcludesCorruptVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventorSvc, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	registry := reputation.NewRegistry()
-	verifiers := map[string]transport.Client{}
-	for _, id := range []string{"h1", "h2", "h3"} {
-		verifiers[id] = transport.DialInProc(newVerifier(t, id, false))
+	var members []quorum.Member
+	for _, id := range []string{"h1", "h2", "h3", "liar"} {
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(newVerifier(t, id, id == "liar"))})
 	}
-	verifiers["liar"] = transport.DialInProc(newVerifier(t, "liar", true))
 
 	const threshold = 0.3
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "round-agent",
-		Inventor:  transport.DialInProc(inventorSvc),
-		Verifiers: verifiers,
-		Registry:  registry,
-		Threshold: threshold,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorClient(t, ann), members, registry, threshold)
 
 	excludedAt := -1
 	for round := 0; round < 20; round++ {
@@ -55,7 +42,11 @@ func TestReputationEvolutionExcludesCorruptVerifier(t *testing.T) {
 		if !res.Accepted {
 			t.Fatalf("round %d: honest announcement rejected", round)
 		}
-		if _, consulted := res.Verdicts["liar"]; !consulted && excludedAt < 0 {
+		consulted := false
+		for _, v := range res.Votes {
+			consulted = consulted || v.VerifierID == "liar"
+		}
+		if !consulted && excludedAt < 0 {
 			excludedAt = round
 		}
 	}
@@ -87,7 +78,7 @@ func TestReputationNeverPunishesHonestMajority(t *testing.T) {
 	registry := reputation.NewRegistry()
 	for round := 0; round < 50; round++ {
 		// Three honest verdicts, one lie.
-		if _, err := registry.MajorityVote(map[string]bool{
+		if _, err := registry.WeightedVote(map[string]bool{
 			"h1": true, "h2": true, "h3": true, "liar": false,
 		}); err != nil {
 			t.Fatal(err)

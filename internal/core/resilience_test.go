@@ -8,6 +8,7 @@ import (
 	"rationality/internal/core"
 	"rationality/internal/game"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/transport"
 )
@@ -28,24 +29,12 @@ func TestConsultSurvivesAbstainingVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifiers := map[string]transport.Client{"dead": brokenClient{}}
+	members := []quorum.Member{{ID: "dead", Client: brokenClient{}}}
 	for _, id := range []string{"v1", "v2", "v3"} {
-		verifiers[id] = transport.DialInProc(newVerifier(t, id, false))
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(newVerifier(t, id, false))})
 	}
 	registry := reputation.NewRegistry()
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "resilient",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  registry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorClient(t, ann), members, registry, 0)
 	res, err := agent.Consult(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +42,8 @@ func TestConsultSurvivesAbstainingVerifier(t *testing.T) {
 	if !res.Accepted {
 		t.Fatal("three healthy verifiers should carry the vote")
 	}
-	if len(res.Verdicts) != 3 {
-		t.Fatalf("verdicts = %d, want 3 (dead verifier abstains)", len(res.Verdicts))
+	if len(res.Votes) != 3 {
+		t.Fatalf("votes = %d, want 3 (dead verifier abstains)", len(res.Votes))
 	}
 	// Abstaining must not move the dead verifier's reputation.
 	if registry.Reputation("dead") != 0.5 {
@@ -67,19 +56,9 @@ func TestConsultFailsWhenAllVerifiersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "stranded",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: map[string]transport.Client{"dead1": brokenClient{}, "dead2": brokenClient{}},
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorClient(t, ann),
+		[]quorum.Member{{ID: "dead1", Client: brokenClient{}}, {ID: "dead2", Client: brokenClient{}}},
+		reputation.NewRegistry(), 0)
 	if _, err := agent.Consult(context.Background()); err == nil {
 		t.Fatal("consultation succeeded with no live verifiers")
 	}
@@ -90,40 +69,19 @@ func TestConsultTieIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest := newVerifier(t, "honest", false)
-	corrupt := newVerifier(t, "corrupt", true)
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:     "torn",
-		Inventor: transport.DialInProc(inventor),
-		Verifiers: map[string]transport.Client{
-			"honest":  transport.DialInProc(honest),
-			"corrupt": transport.DialInProc(corrupt),
-		},
-		Registry: reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorClient(t, ann), []quorum.Member{
+		{ID: "honest", Client: transport.DialInProc(newVerifier(t, "honest", false))},
+		{ID: "corrupt", Client: transport.DialInProc(newVerifier(t, "corrupt", true))},
+	}, reputation.NewRegistry(), 0)
 	if _, err := agent.Consult(context.Background()); !errors.Is(err, reputation.ErrTie) {
 		t.Fatalf("err = %v, want a tie", err)
 	}
 }
 
 func TestConsultDeadInventor(t *testing.T) {
-	vs := newVerifier(t, "v", false)
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "orphan",
-		Inventor:  brokenClient{},
-		Verifiers: map[string]transport.Client{"v": transport.DialInProc(vs)},
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, brokenClient{},
+		[]quorum.Member{{ID: "v", Client: transport.DialInProc(newVerifier(t, "v", false))}},
+		reputation.NewRegistry(), 0)
 	if _, err := agent.Consult(context.Background()); err == nil {
 		t.Fatal("consultation succeeded with a dead inventor")
 	}
@@ -163,31 +121,23 @@ func TestLargeProofOverTCP(t *testing.T) {
 	}
 	defer vsrv.Close()
 
-	inventorClient, err := transport.DialTCP(srv.Addr(), 0)
+	inventorTCP, err := transport.DialTCP(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inventorClient.Close()
+	defer inventorTCP.Close()
 	verifierClient, err := transport.DialTCP(vsrv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer verifierClient.Close()
 
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "big-agent",
-		Inventor:  inventorClient,
-		Verifiers: map[string]transport.Client{"v": verifierClient},
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := newAgent(t, inventorTCP, []quorum.Member{{ID: "v", Client: verifierClient}}, reputation.NewRegistry(), 0)
 	res, err := agent.Consult(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
-		t.Fatalf("large honest proof rejected: %+v", res.Verdicts)
+		t.Fatalf("large honest proof rejected: %+v", res.Votes)
 	}
 }

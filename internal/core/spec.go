@@ -6,8 +6,10 @@
 // protocol they speak and the registry of verification procedures covering
 // each of the paper's proof formats (§3 enumeration proofs, §4 P1 supports
 // and n-agent generalization, §5 participation advice). The inventor and
-// the agent live here; the verifier party is the server in internal/service,
-// which runs these procedures behind the same protocol.
+// the agent's fetch of its announcement live here; the verifier party is
+// the server in internal/service, which runs these procedures behind the
+// same protocol, and the agent's consultation of a verifier panel is
+// internal/quorum.
 package core
 
 import (

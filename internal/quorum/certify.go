@@ -123,11 +123,8 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 	answers := make(chan *service.CoSignResponse, len(c.members))
 	for _, m := range c.members {
 		go func(m Member) {
-			resp, err := c.ask(ctx, m, msg)
-			if err != nil {
-				answers <- nil
-				return
-			}
+			// A member that fails answers nil: an abstention.
+			resp, _ := call[service.CoSignResponse](ctx, c.timeout, m, msg)
 			answers <- resp
 		}(m)
 	}
@@ -203,22 +200,4 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 		return nil, fmt.Errorf("quorum: assembled certificate failed self-verification: %w", err)
 	}
 	return cert, nil
-}
-
-// ask runs one member's cosign consultation under the per-member timeout.
-func (c *Certifier) ask(ctx context.Context, m Member, msg transport.Message) (*service.CoSignResponse, error) {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	resp, err := m.Client.Call(ctx, msg)
-	if err != nil {
-		return nil, err
-	}
-	var cr service.CoSignResponse
-	if err := resp.Decode(&cr); err != nil {
-		return nil, err
-	}
-	return &cr, nil
 }

@@ -16,9 +16,10 @@
 // stands — the audit trail an agent (or an operator deciding whom to stop
 // paying) acts on.
 //
-// The package also carries the anti-entropy client (sync.go): quorum
-// members converge on shared verdict history by pulling, from each peer,
-// the durable-log records they are missing.
+// The package holds the two panel clients: Client, the live panel an
+// agent consults on an inventor's announcement (Fig. 1 with the single
+// trusted verifier replaced by the panel), and Certifier, which collects
+// the panel's co-signatures into a self-proving core.Certificate.
 package quorum
 
 import (
@@ -157,15 +158,15 @@ func (q *Client) Verify(ctx context.Context, req core.VerifyRequest) (*Result, e
 	}
 
 	type answer struct {
-		id      string
-		verdict *core.Verdict
-		err     error
+		id   string
+		resp *core.VerifyResponse
+		err  error
 	}
 	answers := make(chan answer, len(consulted))
 	for _, m := range consulted {
 		go func(m Member) {
-			v, err := q.ask(ctx, m, msg)
-			answers <- answer{id: m.ID, verdict: v, err: err}
+			resp, err := call[core.VerifyResponse](ctx, q.timeout, m, msg)
+			answers <- answer{id: m.ID, resp: resp, err: err}
 		}(m)
 	}
 
@@ -191,8 +192,8 @@ func (q *Client) Verify(ctx context.Context, req core.VerifyRequest) (*Result, e
 			}
 			continue
 		}
-		verdicts[a.id] = *a.verdict
-		votes[a.id] = a.verdict.Accepted
+		verdicts[a.id] = a.resp.Verdict
+		votes[a.id] = a.resp.Verdict.Accepted
 	}
 	sort.Strings(abstained)
 	if len(votes) == 0 {
@@ -209,8 +210,17 @@ func (q *Client) Verify(ctx context.Context, req core.VerifyRequest) (*Result, e
 // VerifyAnnouncement is Verify for an inventor's announcement: the quorum
 // checks the proof, and a rejection is additionally reported against the
 // inventor — the full Fig. 1 accountability loop with the single trusted
-// verifier replaced by the panel.
+// verifier replaced by the panel. A signed announcement's signature is
+// checked first, and one that does not verify is refused before any member
+// is consulted: only a signature-verified identity may be charged, so
+// nobody can frame a party by naming its key on a forgery. An unsigned
+// announcement's InventorID is taken as given.
 func (q *Client) VerifyAnnouncement(ctx context.Context, ann core.Announcement) (*Result, error) {
+	if len(ann.Signature) > 0 {
+		if err := core.VerifyAnnouncementSignature(ann); err != nil {
+			return nil, fmt.Errorf("quorum: refusing the announcement: %w", err)
+		}
+	}
 	res, err := q.Verify(ctx, core.VerifyRequest{
 		Format: ann.Format,
 		Game:   ann.Game,
@@ -242,22 +252,24 @@ func (q *Client) consultable() []Member {
 	return out
 }
 
-// ask runs one member's consultation under the per-member timeout.
-func (q *Client) ask(ctx context.Context, m Member, msg transport.Message) (*core.Verdict, error) {
-	if q.timeout > 0 {
+// call runs one member's consultation under the per-member timeout (none
+// when timeout is negative; the caller's context still applies) and
+// decodes the member's reply into a T.
+func call[T any](ctx context.Context, timeout time.Duration, m Member, msg transport.Message) (*T, error) {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, q.timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	resp, err := m.Client.Call(ctx, msg)
 	if err != nil {
 		return nil, err
 	}
-	var vr core.VerifyResponse
-	if err := resp.Decode(&vr); err != nil {
+	var out T
+	if err := resp.Decode(&out); err != nil {
 		return nil, err
 	}
-	return &vr.Verdict, nil
+	return &out, nil
 }
 
 // assemble builds the Result once the registry has recorded the vote:

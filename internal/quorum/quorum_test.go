@@ -9,6 +9,7 @@ import (
 
 	"rationality/internal/core"
 	"rationality/internal/game"
+	"rationality/internal/identity"
 	"rationality/internal/proof"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
@@ -321,6 +322,72 @@ func TestQuorumThresholdExcludesDecayedMember(t *testing.T) {
 		t.Fatalf("votes = %d, dissents = %d; want 2 votes, 0 dissents (liar excluded)",
 			len(res.Votes), res.Dissents)
 	}
+}
+
+// A signature is checked before the panel is consulted: a forgery naming
+// someone else's key with a signature that does not verify is refused, no
+// member votes, and nobody — the named party least of all — is charged.
+// Only a signature-verified identity may be charged: a correctly signed
+// forgery is still voted down and charged to its signer.
+func TestVerifyAnnouncementRefusesBadSignature(t *testing.T) {
+	newPanel := func(t *testing.T) (*Client, *reputation.Registry) {
+		registry := reputation.NewRegistry()
+		q, err := New(Config{
+			Members: []Member{
+				{ID: "verify-a", Client: transport.DialInProc(newPersistedService(t, "verify-a"))},
+				{ID: "verify-b", Client: transport.DialInProc(newPersistedService(t, "verify-b"))},
+				{ID: "liar", Client: transport.DialInProc(flipHandler{inner: newPersistedService(t, "liar")})},
+			},
+			Registry: registry,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, registry
+	}
+	key, err := identity.NewKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	party := string(key.ID())
+
+	t.Run("garbage signature naming a victim", func(t *testing.T) {
+		q, registry := newPanel(t)
+		framed := forgedAnnouncement(t)
+		framed.InventorID = party
+		framed.Signature = []byte("garbage")
+		res, err := q.VerifyAnnouncement(context.Background(), framed)
+		if err == nil {
+			t.Error("an announcement whose signature does not verify was not refused")
+		}
+		if res != nil && len(res.Votes) != 0 {
+			t.Errorf("%d members voted on it", len(res.Votes))
+		}
+		if got := registry.Reputation(party); got != 0.5 {
+			t.Errorf("victim's reputation moved to %.3f on a forgery naming it", got)
+		}
+		if events := registry.Events(); len(events) != 0 {
+			t.Errorf("refused announcement recorded %d events: %+v", len(events), events)
+		}
+	})
+
+	t.Run("signed forgery charged to its signer", func(t *testing.T) {
+		q, registry := newPanel(t)
+		signed, err := core.SignAnnouncement(key, forgedAnnouncement(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.VerifyAnnouncement(context.Background(), signed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted || len(res.Votes) != 3 {
+			t.Fatalf("result = %+v, want a rejection on 3 votes", res)
+		}
+		if got := registry.Reputation(party); got >= 0.5 {
+			t.Errorf("signer's reputation %.3f, want < 0.5", got)
+		}
+	})
 }
 
 func TestNewValidation(t *testing.T) {

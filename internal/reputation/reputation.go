@@ -9,7 +9,8 @@
 // actions".
 //
 // This package provides exactly that: a concurrent-safe registry of
-// reputation scores, majority voting across verifier verdicts with
+// reputation scores, reputation-weighted majority voting across verifier
+// verdicts (WeightedVote) with
 // automatic agreement-based score updates, and an append-only audit log of
 // misbehaviour reports.
 package reputation
@@ -201,11 +202,11 @@ func (r *Registry) Parties() []string {
 	return out
 }
 
-// ErrNoVerdicts is returned by MajorityVote when no verdicts are supplied.
+// ErrNoVerdicts is returned by WeightedVote when no verdicts are supplied.
 var ErrNoVerdicts = errors.New("reputation: no verdicts to vote on")
 
-// ErrTie is returned by MajorityVote and WeightedVote when neither the
-// vote counts nor the voters' aggregate reputations separate the sides.
+// ErrTie is returned by WeightedVote when neither the voters' aggregate
+// reputations nor the vote counts separate the sides.
 var ErrTie = errors.New("reputation: verdicts tied; no majority")
 
 // voters returns the parties of a verdict map in sorted order. Both the
@@ -245,31 +246,6 @@ func (r *Registry) record(verdicts map[string]bool, outcome bool) {
 	for _, party := range voters(verdicts) {
 		r.ReportAgreement(party, verdicts[party] == outcome)
 	}
-}
-
-// MajorityVote aggregates per-verifier accept/reject verdicts: the majority
-// outcome wins and each verifier's reputation is updated by agreement with
-// it. An even split is broken by the voters' aggregate current reputations
-// — the side backed by more earned trust wins, so even-sized quorums
-// degrade gracefully instead of erroring — and only when the reputations
-// tie too is nothing updated and ErrTie returned: the agent should consult
-// more verifiers.
-func (r *Registry) MajorityVote(verdicts map[string]bool) (bool, error) {
-	if len(verdicts) == 0 {
-		return false, ErrNoVerdicts
-	}
-	accepts, rejects, acceptW, rejectW := r.tally(verdicts)
-	var outcome bool
-	switch {
-	case accepts != rejects:
-		outcome = accepts > rejects
-	case acceptW != rejectW:
-		outcome = acceptW > rejectW
-	default:
-		return false, ErrTie
-	}
-	r.record(verdicts, outcome)
-	return outcome, nil
 }
 
 // WeightedVote aggregates verdicts with each vote weighted by the voter's

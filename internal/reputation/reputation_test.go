@@ -73,7 +73,7 @@ func TestEventsAreCopied(t *testing.T) {
 
 func TestMajorityVoteAccepts(t *testing.T) {
 	r := NewRegistryWithClock(fixedClock())
-	outcome, err := r.MajorityVote(map[string]bool{"v1": true, "v2": true, "v3": false})
+	outcome, err := r.WeightedVote(map[string]bool{"v1": true, "v2": true, "v3": false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMajorityVoteAccepts(t *testing.T) {
 
 func TestMajorityVoteRejects(t *testing.T) {
 	r := NewRegistryWithClock(fixedClock())
-	outcome, err := r.MajorityVote(map[string]bool{"v1": false, "v2": false, "v3": true})
+	outcome, err := r.WeightedVote(map[string]bool{"v1": false, "v2": false, "v3": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,10 @@ func TestMajorityVoteRejects(t *testing.T) {
 
 func TestMajorityVoteEdgeCases(t *testing.T) {
 	r := NewRegistryWithClock(fixedClock())
-	if _, err := r.MajorityVote(nil); !errors.Is(err, ErrNoVerdicts) {
+	if _, err := r.WeightedVote(nil); !errors.Is(err, ErrNoVerdicts) {
 		t.Errorf("err = %v, want ErrNoVerdicts", err)
 	}
-	if _, err := r.MajorityVote(map[string]bool{"a": true, "b": false}); !errors.Is(err, ErrTie) {
+	if _, err := r.WeightedVote(map[string]bool{"a": true, "b": false}); !errors.Is(err, ErrTie) {
 		t.Errorf("err = %v, want ErrTie", err)
 	}
 	// Ties must not move reputations.
@@ -132,47 +132,41 @@ func TestVoteTieBreaking(t *testing.T) {
 		name     string
 		seeds    map[string]seed
 		verdicts map[string]bool
-		majority func(t *testing.T, outcome bool, err error)
 		weighted func(t *testing.T, outcome bool, err error)
 	}{
 		{
 			name:     "odd quorum: counts decide both votes",
 			verdicts: map[string]bool{"a": true, "b": true, "c": false},
-			majority: wantOutcome(true),
 			weighted: wantOutcome(true),
 		},
 		{
 			name:     "even split, equal weights: ErrTie from both",
 			verdicts: map[string]bool{"a": true, "b": false},
-			majority: wantTie(),
 			weighted: wantTie(),
 		},
 		{
 			name:     "even split, heavier accepter: weight breaks the count tie",
 			seeds:    map[string]seed{"trusted": {agree: 8}},
 			verdicts: map[string]bool{"trusted": true, "fresh": false},
-			majority: wantOutcome(true),
 			weighted: wantOutcome(true),
 		},
 		{
 			name:     "even split, heavier rejecter: weight tie-break goes the other way",
 			seeds:    map[string]seed{"trusted": {agree: 8}},
 			verdicts: map[string]bool{"trusted": false, "fresh": true},
-			majority: wantOutcome(false),
 			weighted: wantOutcome(false),
 		},
 		{
 			name: "count majority of discredited voters: weighted vote flips it",
 			// Two liars (rep 1/12 each, sum ~0.17) outnumber one proven
-			// verifier (rep 11/12): MajorityVote follows the count,
-			// WeightedVote follows the earned trust.
+			// verifier (rep 11/12): the vote follows the earned trust, not
+			// the count.
 			seeds: map[string]seed{
 				"liar1": {disagree: 10},
 				"liar2": {disagree: 10},
 				"solid": {agree: 10},
 			},
 			verdicts: map[string]bool{"liar1": false, "liar2": false, "solid": true},
-			majority: wantOutcome(false),
 			weighted: wantOutcome(true),
 		},
 		{
@@ -189,33 +183,22 @@ func TestVoteTieBreaking(t *testing.T) {
 				"a1": true, "a2": true, "a3": true, "a4": true,
 				"r1": false, "r2": false,
 			},
-			majority: wantOutcome(true),
 			weighted: wantOutcome(true),
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, vote := range []string{"majority", "weighted"} {
-				r := NewRegistryWithClock(fixedClock())
-				for party, s := range tc.seeds {
-					seedScore(r, party, s.agree, s.disagree)
-				}
-				var outcome bool
-				var err error
-				check := tc.majority
-				if vote == "weighted" {
-					outcome, err = r.WeightedVote(tc.verdicts)
-					check = tc.weighted
-				} else {
-					outcome, err = r.MajorityVote(tc.verdicts)
-				}
-				t.Run(vote, func(t *testing.T) { check(t, outcome, err) })
-				if err != nil {
-					// A tie must not move any voter's reputation.
-					for party := range tc.verdicts {
-						if _, seeded := tc.seeds[party]; !seeded && r.Reputation(party) != 0.5 {
-							t.Errorf("%s vote: tie moved %s to %f", vote, party, r.Reputation(party))
-						}
+			r := NewRegistryWithClock(fixedClock())
+			for party, s := range tc.seeds {
+				seedScore(r, party, s.agree, s.disagree)
+			}
+			outcome, err := r.WeightedVote(tc.verdicts)
+			t.Run("weighted", func(t *testing.T) { tc.weighted(t, outcome, err) })
+			if err != nil {
+				// A tie must not move any voter's reputation.
+				for party := range tc.verdicts {
+					if _, seeded := tc.seeds[party]; !seeded && r.Reputation(party) != 0.5 {
+						t.Errorf("tie moved %s to %f", party, r.Reputation(party))
 					}
 				}
 			}
@@ -248,7 +231,7 @@ func wantTie() func(*testing.T, bool, error) {
 func TestVoteTieBreakRecordsAgreement(t *testing.T) {
 	r := NewRegistryWithClock(fixedClock())
 	seedScore(r, "trusted", 8, 0)
-	if _, err := r.MajorityVote(map[string]bool{"trusted": true, "fresh": false}); err != nil {
+	if _, err := r.WeightedVote(map[string]bool{"trusted": true, "fresh": false}); err != nil {
 		t.Fatal(err)
 	}
 	if s := r.Score("trusted"); s.Agreements != 9 {
@@ -293,7 +276,7 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				r.ReportAgreement("p", i%2 == 0)
 				_ = r.Reputation("p")
-				_, _ = r.MajorityVote(map[string]bool{"a": true, "b": true, "c": false})
+				_, _ = r.WeightedVote(map[string]bool{"a": true, "b": true, "c": false})
 			}
 		}(i)
 	}
@@ -316,7 +299,7 @@ func TestEventKindString(t *testing.T) {
 func TestReputationConvergence(t *testing.T) {
 	r := NewRegistryWithClock(fixedClock())
 	for i := 0; i < 50; i++ {
-		if _, err := r.MajorityVote(map[string]bool{"h1": true, "h2": true, "liar": false}); err != nil {
+		if _, err := r.WeightedVote(map[string]bool{"h1": true, "h2": true, "liar": false}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -148,37 +148,6 @@ func TestHandlerUnknownTypeAndMalformedPayload(t *testing.T) {
 	}
 }
 
-// TestAgentConsultsServiceBackedVerifier runs the full Fig. 1 consultation
-// against three services: the service is the verifier party an agent
-// consults.
-func TestAgentConsultsServiceBackedVerifier(t *testing.T) {
-	ann := pdAnnouncement(t)
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifiers := make(map[string]transport.Client)
-	for _, id := range []string{"v1", "v2", "v3"} {
-		verifiers[id] = transport.DialInProc(newTestService(t, Config{ID: id}))
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "jane",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: verifiers,
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := agent.Consult(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted || len(res.Verdicts) != 3 {
-		t.Fatalf("consultation = %+v", res)
-	}
-}
-
 // TestHandlerVerifyScanAndDeclineAgree: the verify payload is decoded by
 // the single-pass scanner when it has the plain shape and by
 // json.Unmarshal when it does not, and a caller cannot tell which — the

@@ -16,6 +16,7 @@ import (
 	"rationality/internal/numeric"
 	"rationality/internal/participation"
 	"rationality/internal/proof"
+	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
 	"rationality/internal/transport"
@@ -89,20 +90,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "jane",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: threeVerifiers(t),
-		Registry:  reputation.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := agent.Consult(context.Background())
+	res, err := consult(t, ann, threeVerifiers(t), reputation.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +135,7 @@ func TestFacadeSignedCorrelatedFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inventor, err := core.NewInventorService(signed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:                       "careful",
-		Inventor:                   transport.DialInProc(inventor),
-		Verifiers:                  threeVerifiers(t),
-		Registry:                   reputation.NewRegistry(),
-		RequireSignedAnnouncements: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := agent.Consult(context.Background())
+	res, err := consult(t, signed, threeVerifiers(t), reputation.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,21 +227,8 @@ func TestFacadeVerificationService(t *testing.T) {
 		t.Fatalf("acme score = %+v, want exactly 1 agreement", registry.Score("acme"))
 	}
 
-	// The service is a drop-in transport handler for the classic agent flow.
-	inventor, err := core.NewInventorService(ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := core.NewAgent(core.AgentConfig{
-		Name:      "jane",
-		Inventor:  transport.DialInProc(inventor),
-		Verifiers: map[string]transport.Client{"svc": transport.DialInProc(svc)},
-		Registry:  registry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := agent.Consult(context.Background())
+	// The service is a drop-in transport handler for the agent's panel.
+	res, err := consult(t, ann, []quorum.Member{{ID: "svc", Client: transport.DialInProc(svc)}}, registry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,20 +243,40 @@ func TestFacadeVerificationService(t *testing.T) {
 	}
 }
 
-// threeVerifiers starts three verification services, closed when the test
-// ends, and dials each in process.
-func threeVerifiers(t *testing.T) map[string]transport.Client {
+// consult runs the agent's side of Fig. 1: an in-process inventor serves
+// ann, and the agent fetches it and has a panel of members vote on it.
+func consult(t testing.TB, ann core.Announcement, members []quorum.Member, registry *reputation.Registry) (*quorum.Result, error) {
 	t.Helper()
-	verifiers := map[string]transport.Client{}
+	inventor, err := core.NewInventorService(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panel, err := quorum.New(quorum.Config{Members: members, Registry: registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(inventor))
+	if err != nil {
+		return nil, err
+	}
+	return panel.VerifyAnnouncement(ctx, announced)
+}
+
+// threeVerifiers starts three verification services, closed when the test
+// ends, and dials each in process as a panel member.
+func threeVerifiers(t testing.TB) []quorum.Member {
+	t.Helper()
+	var members []quorum.Member
 	for _, id := range []string{"v1", "v2", "v3"} {
 		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = vs.Close() })
-		verifiers[id] = transport.DialInProc(vs)
+		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
 	}
-	return verifiers
+	return members
 }
 
 func prisonersDilemmaGame(t *testing.T) *game.Game {
