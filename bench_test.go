@@ -446,14 +446,12 @@ func BenchmarkServiceVerification(b *testing.B) {
 			defer svc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				verdicts, err := svc.VerifyBatch(ctx, k.anns)
+				tr, err := svc.VerifyStream(ctx, k.anns, discardVerdict)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, v := range verdicts {
-					if !v.Accepted {
-						b.Fatalf("rejected: %s", v.Reason)
-					}
+				if tr.Accepted != distinct {
+					b.Fatalf("trailer = %+v, want all %d accepted", tr, distinct)
 				}
 			}
 			b.ReportMetric(float64(b.N*distinct)/b.Elapsed().Seconds(), "verifications/s")
@@ -468,8 +466,8 @@ func BenchmarkServiceVerification(b *testing.B) {
 // dispatch machinery. Each benchmark runs at GOMAXPROCS 1, 4 and 8 so the
 // scaling (or the lack of it, under a single global mutex) is visible in
 // one table. Hit-heavy models a popular announcement, miss-heavy a stream
-// of fresh content, mixed a 90/10 blend, and batched the verify-batch
-// wire path.
+// of fresh content, mixed a 90/10 blend, and batched the verify-stream
+// path.
 
 // nopProcedure accepts every input without doing any work.
 type nopProcedure struct{}
@@ -642,8 +640,12 @@ func BenchmarkServiceMixed(b *testing.B) {
 	})
 }
 
-// BenchmarkServiceBatched fans 16-item batches of warmed announcements
-// through the service concurrently: the verify-batch hot path.
+// discardVerdict is a VerifyStream emit for benchmarks that read only
+// the trailer.
+func discardVerdict(service.StreamVerdict) error { return nil }
+
+// BenchmarkServiceBatched fans 16-item streams of warmed announcements
+// through the service concurrently: the verify-stream hot path.
 func BenchmarkServiceBatched(b *testing.B) {
 	ctx := context.Background()
 	const batchLen = 16
@@ -657,12 +659,12 @@ func BenchmarkServiceBatched(b *testing.B) {
 		for i := range anns {
 			anns[i] = nopAnnouncement(uint64(i))
 		}
-		if _, err := svc.VerifyBatch(ctx, anns); err != nil {
+		if _, err := svc.VerifyStream(ctx, anns, discardVerdict); err != nil {
 			b.Fatal(err)
 		}
 		return svc, func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := svc.VerifyBatch(ctx, anns); err != nil {
+				if _, err := svc.VerifyStream(ctx, anns, discardVerdict); err != nil {
 					b.Error(err)
 					return
 				}

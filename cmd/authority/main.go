@@ -13,7 +13,8 @@
 //	# verifies the inventor's announcement before the agent acts on it
 //	authority quorum -inventor 127.0.0.1:7100 -verifiers verify-corp=127.0.0.1:7101
 //
-//	# batch-verify 100 copies of a demo announcement in one round trip
+//	# batch-verify 100 copies of a demo announcement over one
+//	# verify-stream exchange: each verdict arrives as its worker finishes
 //	authority batch -verifier 127.0.0.1:7101 -game pd -count 100
 //
 //	# inspect the verifier's live service counters
@@ -50,9 +51,9 @@
 //
 // The verifier serves through internal/service: a bounded worker pool
 // (-workers), a content-addressed verdict cache with singleflight
-// deduplication (-cache-size; negative disables caching), the batch
-// protocol ("verify-batch") and a stats endpoint ("service-stats"). With
-// -persist it keeps a durable verdict log and warm-starts from it: a
+// deduplication (-cache-size; negative disables caching), the streamed
+// batch exchange ("verify-stream") and a stats endpoint ("service-stats").
+// With -persist it keeps a durable verdict log and warm-starts from it: a
 // restarted verifier serves every previously verified announcement as a
 // cache hit without re-running any procedure (-sync-every tunes the
 // fsync cadence). On SIGINT/SIGTERM it drains gracefully — in-flight
@@ -143,7 +144,7 @@ func usage() {
                      [-fanout n] [-rumor-ttl n]
                      [-admission-interactive rate] [-admission-batch rate]
   authority keygen -key <file>                (create or load a signing identity; print its party ID)
-  authority batch -verifier <addr> -game <pd|mp|auction|pd-forged> [-count n] [-conns n] [-stream]
+  authority batch -verifier <addr> -game <pd|mp|auction|pd-forged> [-count n] [-conns n]
   authority quorum -verifiers <id=addr,id=addr,...> [-inventor <addr> | -game <name>]
                    [-call-timeout d] [-threshold x] [-conns n]
   authority cert issue -verifiers <id=addr,...> -keyset <hexkey,...> [-game <name>] [-threshold n]
@@ -502,7 +503,7 @@ func runVerifier(args []string) error {
 		if jitter == 0 {
 			jitter = -1
 		}
-		g, err := svc.StartGossiper(service.GossiperConfig{
+		g, err := svc.StartGossiper(gossip.Config{
 			Peers:      peerAddrs,
 			Fanout:     *fanout,
 			Interval:   *syncInterval,
@@ -821,21 +822,22 @@ func validateSyncEvery(n int) error {
 }
 
 // runBatch submits count copies of a built-in announcement as one
-// verify-batch request — a load probe for the service layer. With
-// -stream the batch goes through the verify-stream exchange instead:
-// verdicts arrive one frame at a time as workers finish, and the probe
-// reports the time-to-first-verdict next to the total.
+// verify-stream exchange — a load probe for the service layer. Verdicts
+// arrive one frame at a time as workers finish: the first-verdict line
+// prints the moment frame zero lands (the number streaming exists to
+// flatten), the trailer line sums up the exchange.
 func runBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	verifierAddr := fs.String("verifier", "127.0.0.1:7101", "verifier address")
 	gameName := fs.String("game", "pd", "built-in game: pd, mp, auction, pd-forged")
-	count := fs.Int("count", 10, "announcements per batch")
+	count := fs.Int("count", 10, "announcements per batch (at least 1)")
 	conns := fs.Int("conns", 1, "client connection-pool size")
 	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
-	stream := fs.Bool("stream", false,
-		"use the verify-stream exchange: one verdict frame per item as workers finish, so the first verdict lands after one verification instead of after the whole batch")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *count < 1 {
+		return fmt.Errorf("-count must be at least 1, got %d", *count)
 	}
 	ann, err := buildAnnouncement(*gameName, "")
 	if err != nil {
@@ -850,55 +852,14 @@ func runBatch(args []string) error {
 		return err
 	}
 	defer client.Close()
-	if *stream {
-		return runBatchStream(client, anns, *timeout)
-	}
-	req, err := transport.NewMessage(service.MsgVerifyBatch, service.BatchVerifyRequest{Announcements: anns})
-	if err != nil {
-		return err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	start := time.Now()
-	resp, err := client.Call(ctx, req)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	var br service.BatchVerifyResponse
-	if err := resp.Decode(&br); err != nil {
-		return err
-	}
-	accepted := 0
-	for _, v := range br.Verdicts {
-		if v.Accepted {
-			accepted++
-		}
-	}
-	fmt.Printf("batch of %d to %s: accepted=%d rejected=%d in %s\n",
-		len(br.Verdicts), br.VerifierID, accepted, len(br.Verdicts)-accepted, elapsed)
-	if br.Partial {
-		fmt.Printf("batch partial: done=%d of %d (%s)\n", br.Done, br.Total, br.Error)
-	}
-	return nil
-}
-
-// runBatchStream drives one verify-stream exchange and reports its
-// latency shape: the first-verdict line prints the moment frame zero
-// lands (the number streaming exists to flatten), the trailer line sums
-// up the exchange.
-func runBatchStream(client *transport.TCPClient, anns []core.Announcement, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	start := time.Now()
-	accepted, delivered := 0, 0
-	tr, err := service.StreamVerify(ctx, client, anns, func(sv service.StreamVerdict) error {
-		if delivered == 0 {
+	first := true
+	tr, err := service.StreamVerify(ctx, client, anns, func(service.StreamVerdict) error {
+		if first {
 			fmt.Printf("stream: first verdict after %s\n", time.Since(start))
-		}
-		delivered++
-		if sv.Verdict.Accepted {
-			accepted++
+			first = false
 		}
 		return nil
 	})

@@ -373,7 +373,7 @@ func ScanWrappedVerifyRequest(data []byte, key string) (vr VerifyRequest, ok boo
 }
 
 // ScanAnnouncements decodes {key: [<announcement>, ...]} — the shape of
-// a verify-batch or verify-stream payload — under ScanVerifyRequest's
+// a verify-stream payload — under ScanVerifyRequest's
 // contract; one item outside it declines the whole batch.
 func ScanAnnouncements(data []byte, key string) (anns []Announcement, ok bool) {
 	s := scanner{data: data}

@@ -277,7 +277,7 @@ func FuzzVerifyRequestScan(f *testing.F) {
 }
 
 // FuzzBatchScan is FuzzVerifyRequestScan for the announcement array of a
-// verify-batch / verify-stream payload.
+// verify-stream payload.
 func FuzzBatchScan(f *testing.F) {
 	for _, doc := range batchSeeds() {
 		f.Add([]byte(doc))

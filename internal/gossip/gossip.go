@@ -51,14 +51,15 @@ const (
 	// DefaultBackoffMax caps the per-peer exponential backoff.
 	DefaultBackoffMax = 5 * time.Minute
 	// DefaultBreakerThreshold is the consecutive-failure count that opens
-	// a peer's circuit.
+	// a peer's circuit. It is fixed: no Config field overrides it.
 	DefaultBreakerThreshold = 3
 )
 
 // Peer breaker states, as reported in PeerStats.State: healthy (last
 // attempt succeeded), degraded (failing, backing off) and open (the
-// breaker tripped at BreakerThreshold consecutive failures — the next due
-// attempt is a half-open probe, and one success closes the circuit).
+// breaker tripped at DefaultBreakerThreshold consecutive failures — the
+// next due attempt is a half-open probe, and one success closes the
+// circuit).
 const (
 	Healthy  = "healthy"
 	Degraded = "degraded"
@@ -117,9 +118,6 @@ type Config struct {
 	// raised to Interval if smaller. A manually stepped engine (Interval
 	// zero) has no cadence to back off against and retries every round.
 	BackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit; zero means DefaultBreakerThreshold.
-	BreakerThreshold int
 	// RumorTTL is how many successful exchanges each rumor rides; zero
 	// means DefaultRumorTTL.
 	RumorTTL int
@@ -135,7 +133,8 @@ type Config struct {
 	Seed int64
 	// Dial opens a client to a peer address. Required.
 	Dial func(addr string) (transport.Client, error)
-	// Exchange runs one push-pull exchange. Required.
+	// Exchange runs one push-pull exchange. Required. Service.StartGossiper
+	// supplies it (and Permitted) and refuses a Config that sets either.
 	Exchange ExchangeFunc
 	// Permitted, when non-nil, vets a peer's proven signing identity
 	// before selection: a false answer (e.g. quarantined by the trust
@@ -242,9 +241,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.BackoffMax < cfg.Interval {
 		cfg.BackoffMax = cfg.Interval
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -519,7 +515,7 @@ func (e *Engine) noteFailure(p *peerState, client transport.Client) {
 	window := e.backoffLocked(p.failures)
 	p.next = time.Now().Add(window)
 	opened := false
-	if p.failures >= e.cfg.BreakerThreshold {
+	if p.failures >= DefaultBreakerThreshold {
 		opened = p.state != Open
 		p.state = Open
 	} else {

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"rationality/internal/core"
+	"rationality/internal/gossip"
 	"rationality/internal/identity"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
@@ -202,7 +203,7 @@ func (c *Cluster) startNode(dir string, i int, key *identity.KeyPair, ids []iden
 	logf := func(format string, args ...any) {
 		cfg.Logf("[%s] "+format, append([]any{addr}, args...)...)
 	}
-	g, err := svc.StartGossiper(service.GossiperConfig{
+	g, err := svc.StartGossiper(gossip.Config{
 		Peers:            peers,
 		Fanout:           cfg.Fanout,
 		RumorTTL:         cfg.RumorTTL,

@@ -149,38 +149,3 @@ func ParseHash(s string) (Hash, error) {
 	}
 	return Hash(raw), nil
 }
-
-// Envelope is a signed payload: the binding a reputation report can carry as
-// evidence.
-type Envelope struct {
-	// Signer is the self-certifying identity that sealed the envelope.
-	Signer PartyID `json:"signer"`
-	// Payload is the signed message body.
-	Payload []byte `json:"payload"`
-	// Signature is the Ed25519 signature of Payload under Signer's key.
-	Signature []byte `json:"signature"`
-}
-
-// Seal signs the payload into an envelope.
-func Seal(k *KeyPair, payload []byte) *Envelope {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	return &Envelope{
-		Signer:    k.ID(),
-		Payload:   cp,
-		Signature: k.Sign(cp),
-	}
-}
-
-// Open verifies the envelope and returns its payload.
-func (e *Envelope) Open() ([]byte, error) {
-	if e == nil {
-		return nil, ErrBadSignature
-	}
-	if err := Verify(e.Signer, e.Payload, e.Signature); err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(e.Payload))
-	copy(cp, e.Payload)
-	return cp, nil
-}

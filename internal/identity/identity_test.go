@@ -1,11 +1,9 @@
 package identity
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func testKey(t *testing.T, seed int64) *KeyPair {
@@ -60,72 +58,6 @@ func TestIDsAreDistinct(t *testing.T) {
 	}
 	if testKey(t, 7).ID() != testKey(t, 7).ID() {
 		t.Fatal("same seed should give the same ID")
-	}
-}
-
-func TestEnvelopeSealOpen(t *testing.T) {
-	k := testKey(t, 8)
-	payload := []byte(`{"format":"participation/v1","p":"1/4"}`)
-	env := Seal(k, payload)
-	if env.Signer != k.ID() {
-		t.Error("wrong signer recorded")
-	}
-	got, err := env.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("payload mangled")
-	}
-}
-
-func TestEnvelopeDoesNotAliasCallerBuffer(t *testing.T) {
-	k := testKey(t, 9)
-	payload := []byte("original")
-	env := Seal(k, payload)
-	payload[0] = 'X'
-	if _, err := env.Open(); err != nil {
-		t.Fatal("mutating the caller's buffer invalidated the envelope")
-	}
-	got, _ := env.Open()
-	got[0] = 'Y'
-	if again, _ := env.Open(); again[0] == 'Y' {
-		t.Fatal("Open leaked internal state")
-	}
-}
-
-func TestEnvelopeRejectsTampering(t *testing.T) {
-	k := testKey(t, 10)
-	env := Seal(k, []byte("truthful advice"))
-	env.Payload[0] ^= 1
-	if _, err := env.Open(); !errors.Is(err, ErrBadSignature) {
-		t.Fatal("tampered envelope accepted")
-	}
-	var nilEnv *Envelope
-	if _, err := nilEnv.Open(); !errors.Is(err, ErrBadSignature) {
-		t.Fatal("nil envelope accepted")
-	}
-}
-
-// Property: Seal/Open round-trips arbitrary payloads; any single-byte flip
-// in the payload is detected.
-func TestEnvelopeProperty(t *testing.T) {
-	k := testKey(t, 11)
-	f := func(payload []byte, flip uint8) bool {
-		env := Seal(k, payload)
-		got, err := env.Open()
-		if err != nil || !bytes.Equal(got, payload) {
-			return false
-		}
-		if len(payload) == 0 {
-			return true
-		}
-		env.Payload[int(flip)%len(env.Payload)] ^= 0x01
-		_, err = env.Open()
-		return errors.Is(err, ErrBadSignature)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -109,13 +109,6 @@ func (r *Readiness) Pending() []string {
 	return out
 }
 
-// Gates returns every declared gate name in declaration order.
-func (r *Readiness) Gates() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // snapshot returns the gate states without holding the lock during
 // rendering.
 func (r *Readiness) snapshot() (gates []string, done map[string]bool) {

@@ -121,7 +121,6 @@ func WriteMetrics(w io.Writer, verifierID string, st service.Stats) error {
 
 	// Request-path counters.
 	p.counter("rationality_requests_total", "Admitted single verifications (batch items included); cache hits + misses always equal this.", st.Requests)
-	p.counter("rationality_batches_total", "VerifyBatch calls.", st.Batches)
 	p.counter("rationality_cache_hits_total", "Requests answered from the verdict cache.", st.CacheHits)
 	p.counter("rationality_cache_misses_total", "Requests that missed the verdict cache.", st.CacheMisses)
 	p.counter("rationality_deduplicated_total", "Requests that shared a concurrent identical verification (singleflight followers).", st.Deduplicated)

@@ -45,7 +45,6 @@ func fixtureStats() service.Stats {
 	}
 	return service.Stats{
 		Requests:          120,
-		Batches:           3,
 		CacheHits:         90,
 		CacheMisses:       30,
 		Deduplicated:      7,

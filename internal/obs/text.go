@@ -14,8 +14,8 @@ import (
 // report ends with. The format is stable — the README's operator guides
 // and the CI smoke grep these lines — so changes here are API changes.
 func WriteText(w io.Writer, st service.Stats) {
-	fmt.Fprintf(w, "requests=%d batches=%d hits=%d misses=%d deduped=%d ingested=%d deltasServed=%d syncRounds=%d\n",
-		st.Requests, st.Batches, st.CacheHits, st.CacheMisses, st.Deduplicated,
+	fmt.Fprintf(w, "requests=%d hits=%d misses=%d deduped=%d ingested=%d deltasServed=%d syncRounds=%d\n",
+		st.Requests, st.CacheHits, st.CacheMisses, st.Deduplicated,
 		st.Ingested, st.DeltasServed, st.SyncRounds)
 	fmt.Fprintf(w, "accepted=%d rejected=%d failures=%d peakInFlight=%d cacheEntries=%d workers=%d\n",
 		st.Accepted, st.Rejected, st.Failures, st.PeakInFlight, st.CacheEntries, st.Workers)

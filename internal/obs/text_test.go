@@ -19,7 +19,7 @@ func TestWriteTextStableLines(t *testing.T) {
 	WriteText(&buf, fixtureStats())
 	out := buf.String()
 	for _, want := range []string{
-		"requests=120 batches=3 hits=90 misses=30 deduped=7 ingested=12 deltasServed=4 syncRounds=9",
+		"requests=120 hits=90 misses=30 deduped=7 ingested=12 deltasServed=4 syncRounds=9",
 		"accepted=100 rejected=18 failures=2 peakInFlight=8 cacheEntries=5 workers=4",
 		"cache: 4 shards, per-shard entries [2 1 0 2]",
 		"persistence: persisted=30 replayed=5 ingested=12 dropped=1 failed=0 live=35 garbage=3",

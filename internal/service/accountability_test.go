@@ -221,7 +221,7 @@ func TestByzantineFederationConvergesOverFlakyLink(t *testing.T) {
 		}
 	}
 	var byzDials atomic.Uint64
-	g, err := a.StartGossiper(GossiperConfig{
+	g, err := a.StartGossiper(gossip.Config{
 		Peers:      []string{"byz", "honest-b"},
 		Interval:   5 * time.Millisecond,
 		BackoffMax: 40 * time.Millisecond,
@@ -310,7 +310,7 @@ func TestDeadPeerBacksOffAndIsNeverCharged(t *testing.T) {
 	pol := newTrustPolicy(t, dir)
 	a := newTestService(t, Config{ID: "a", PersistPath: dir, Trust: pol})
 	var dials atomic.Uint64
-	g, err := a.StartGossiper(GossiperConfig{
+	g, err := a.StartGossiper(gossip.Config{
 		Peers:      []string{"dead"},
 		Interval:   2 * time.Millisecond,
 		BackoffMax: 100 * time.Millisecond,
@@ -378,7 +378,7 @@ func TestForgedQuarantinedSignerClaimIsAPeerFailure(t *testing.T) {
 			VerifierID: "forger", Signer: keyZ.ID(), Signature: make([]byte, 64),
 		})
 	})
-	g, err := a.StartGossiper(GossiperConfig{
+	g, err := a.StartGossiper(gossip.Config{
 		Peers:      []string{"forger"},
 		Interval:   2 * time.Millisecond,
 		BackoffMax: 100 * time.Millisecond,

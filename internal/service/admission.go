@@ -23,8 +23,8 @@ const (
 	// VerifyAnnouncement calls. When its own budget is empty it borrows
 	// from the batch budget, so bulk capacity is sacrificed first.
 	ClassInteractive Class = "interactive"
-	// ClassBatch is the throughput tier: VerifyBatch and VerifyStream.
-	// A whole batch is admitted or shed atomically — charging a partial
+	// ClassBatch is the throughput tier: VerifyStream, whose batch of
+	// announcements is charged one token per item. A whole batch is admitted or shed atomically — charging a partial
 	// batch would let oversized batches starve the bucket while still
 	// failing.
 	ClassBatch Class = "batch"

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -29,26 +28,26 @@ func TestAdmissionShedsWholeBatchOverBurst(t *testing.T) {
 	for i := range over {
 		over[i] = annNumbered("slow/v1", i)
 	}
-	_, err := s.VerifyBatch(context.Background(), over)
-	if !errors.Is(err, ErrAdmissionRejected) {
-		t.Fatalf("oversized batch err = %v, want ErrAdmissionRejected", err)
-	}
-	if !strings.HasPrefix(err.Error(), "admission rejected: batch class saturated") {
-		t.Fatalf("err = %q, want the greppable 'admission rejected: batch class saturated' prefix", err)
-	}
-	// The stream path shares the batch class.
-	if _, err := s.VerifyStream(context.Background(), over, func(StreamVerdict) error { return nil }); !errors.Is(err, ErrAdmissionRejected) {
-		t.Fatalf("oversized stream err = %v, want ErrAdmissionRejected", err)
+	// Twice: a shed stream spends no tokens, so the second is judged
+	// against the same full bucket.
+	for range 2 {
+		_, _, err := streamAll(context.Background(), s, over)
+		if !errors.Is(err, ErrAdmissionRejected) {
+			t.Fatalf("oversized stream err = %v, want ErrAdmissionRejected", err)
+		}
+		if !strings.HasPrefix(err.Error(), "admission rejected: batch class saturated") {
+			t.Fatalf("err = %q, want the greppable 'admission rejected: batch class saturated' prefix", err)
+		}
 	}
 
 	// A batch within the burst is admitted whole.
 	within := over[:5]
-	verdicts, err := s.VerifyBatch(context.Background(), within)
+	_, tr, err := streamAll(context.Background(), s, within)
 	if err != nil {
-		t.Fatalf("within-burst batch: %v", err)
+		t.Fatalf("within-burst stream: %v", err)
 	}
-	if len(verdicts) != 5 {
-		t.Fatalf("got %d verdicts, want 5", len(verdicts))
+	if tr.Delivered != 5 || tr.Truncated {
+		t.Fatalf("trailer = %+v, want all 5 delivered", tr)
 	}
 
 	st := s.Stats()
@@ -84,7 +83,7 @@ func TestAdmissionInteractiveBorrowsFromBatchFirst(t *testing.T) {
 	}
 	// The batch budget is now exhausted by the borrowing: a batch sheds
 	// even though no batch ever ran — batch-first shedding is structural.
-	_, err := s.VerifyBatch(context.Background(), []core.Announcement{annNumbered("slow/v1", 100)})
+	_, _, err := streamAll(context.Background(), s, []core.Announcement{annNumbered("slow/v1", 100)})
 	if !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("batch err = %v, want ErrAdmissionRejected after interactive borrowing", err)
 	}
@@ -137,7 +136,7 @@ func TestAdmissionErrorsDoNotDisturbVerdictCounters(t *testing.T) {
 		anns[i] = annNumbered("slow/v1", i)
 	}
 	for i := 0; i < 4; i++ {
-		_, _ = s.VerifyBatch(context.Background(), anns)
+		_, _, _ = streamAll(context.Background(), s, anns)
 	}
 	st := s.Stats()
 	if st.Requests != 0 || st.Accepted != 0 || st.Rejected != 0 || st.Failures != 0 {
@@ -146,7 +145,7 @@ func TestAdmissionErrorsDoNotDisturbVerdictCounters(t *testing.T) {
 	if st.Admission.Batch.Shed != 4 || st.Admission.Batch.ShedItems != 32 {
 		t.Fatalf("batch counters = %+v, want shed=4 shedItems=32", st.Admission.Batch)
 	}
-	if fmt.Sprintf("%d", st.Batches) != "0" {
-		t.Fatalf("Batches = %d, want 0 (a shed batch never started)", st.Batches)
+	if st.Streams != 0 {
+		t.Fatalf("Streams = %d, want 0 (a shed stream never started)", st.Streams)
 	}
 }

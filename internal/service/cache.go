@@ -150,15 +150,6 @@ func (c *verdictCache) Put(key identity.Hash, v core.Verdict) {
 	c.put(key, v, nil, false)
 }
 
-// PutCold stores a verdict at the oldest possible recency instead of the
-// freshest: on an over-full stripe the cold entries are themselves the
-// first evicted, so bulk insertion (anti-entropy ingest) fills spare
-// capacity without displacing the shard's live working set. A later Get
-// promotes a cold entry to normal recency like any other hit.
-func (c *verdictCache) PutCold(key identity.Hash, v core.Verdict) {
-	c.put(key, v, nil, true)
-}
-
 // PutCertified stores a verdict together with its encoded quorum
 // certificate, at cold or normal recency. The certificate bytes are
 // copied into the entry, so the caller's slice stays its own.

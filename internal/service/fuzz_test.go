@@ -13,7 +13,7 @@ import (
 // FuzzStreamWireJSON fuzzes the verify-stream wire surface end to end:
 // arbitrary bytes are decoded as a transport envelope and then as each
 // payload the streaming exchange carries (BatchVerifyRequest in,
-// StreamVerdict / StreamTrailer / BatchVerifyResponse out). Every decoded
+// StreamVerdict / StreamTrailer out). Every decoded
 // value must re-marshal — a server must never be able to produce, nor a
 // client be wedged by, a frame the codec cannot round-trip. Replication
 // messages go one step further, into the handler of a store-backed
@@ -24,14 +24,14 @@ func FuzzStreamWireJSON(f *testing.F) {
 	f.Add([]byte(`{"type":"stream-verdict","payload":{"index":3,"verdict":{"accepted":true,"format":"f/v1"}}}`))
 	f.Add([]byte(`{"type":"stream-verdict","payload":{"index":0,"verdict":{"accepted":false},"certificate":{"key":"00","sigs":[]}}}`))
 	f.Add([]byte(`{"type":"stream-trailer","payload":{"verifierId":"v","items":2,"delivered":1,"truncated":true,"reason":"closed"},"last":true}`))
-	f.Add([]byte(`{"type":"verify-batch","payload":{"announcements":[]}}`))
-	f.Add([]byte(`{"type":"batch-verdicts","payload":{"partial":true,"done":1,"total":2,"error":"context canceled"}}`))
+	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[]}}`))
+	f.Add([]byte(`{"type":"stream-trailer","payload":{"verifierId":"v","items":2,"delivered":1,"accepted":1,"truncated":true,"reason":"context canceled","elapsed":1500,"firstVerdict":700},"last":true}`))
 	// Batches the single-pass scanner declines to json.Unmarshal: a signed
 	// item, an escaped key, a repeated key, a case-folded key.
 	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"inventorId":"a","format":"f/v1","game":{},"advice":{},"signature":"c2ln"}]}}`))
 	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"inventorId":"a","f\u006frmat":"f/v1","game":{},"advice":{}}]}}`))
-	f.Add([]byte(`{"type":"verify-batch","payload":{"announcements":[{"format":"f/v1","format":"g/v1","game":{},"game":[],"advice":{}}]}}`))
-	f.Add([]byte(`{"type":"verify-batch","payload":{"Announcements":[{"inventorId":"a"}],"announcements":[]}}`))
+	f.Add([]byte(`{"type":"verify-stream","payload":{"announcements":[{"format":"f/v1","format":"g/v1","game":{},"game":[],"advice":{}}]}}`))
+	f.Add([]byte(`{"type":"verify-stream","payload":{"Announcements":[{"inventorId":"a"}],"announcements":[]}}`))
 	f.Add([]byte(`{"payload":{"index":-1}}`))
 	f.Add([]byte{0x00})
 	// Malformed scoped offers: a 3-byte bitmap (24 buckets is no width), a
@@ -82,10 +82,6 @@ func FuzzStreamWireJSON(f *testing.F) {
 		var tr StreamTrailer
 		if err := m.Decode(&tr); err == nil {
 			reencode(tr)
-		}
-		var resp BatchVerifyResponse
-		if err := m.Decode(&resp); err == nil {
-			reencode(resp)
 		}
 	})
 }

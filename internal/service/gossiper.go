@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"rationality/internal/gossip"
 	"rationality/internal/identity"
@@ -111,48 +110,6 @@ type GossipPushRequest struct {
 	Delta SyncDeltaResponse `json:"delta"`
 }
 
-// GossiperConfig configures a service's replication loop. The zero value
-// of every knob defers to the gossip engine's defaults.
-type GossiperConfig struct {
-	// Peers are the partner addresses. Required, non-empty.
-	Peers []string
-	// Fanout is how many peers each round exchanges with (default
-	// gossip.DefaultFanout, capped at len(Peers)). Covering every peer
-	// selects the pull exchange; fewer selects push-pull with rumors.
-	Fanout int
-	// Interval is the round cadence; zero means manual stepping via
-	// Gossiper.Round (harnesses, tests).
-	Interval time.Duration
-	// Jitter randomizes the cadence and backoff windows (0 = default
-	// ±20%, negative = off).
-	Jitter float64
-	// BackoffMax caps the per-peer exponential backoff between failed
-	// exchanges (default gossip.DefaultBackoffMax); BreakerThreshold is
-	// the consecutive-failure count that opens a peer's circuit (default
-	// gossip.DefaultBreakerThreshold).
-	BackoffMax       time.Duration
-	BreakerThreshold int
-	// RumorTTL is how many successful exchanges a fresh verdict rides
-	// eagerly (default gossip.DefaultRumorTTL).
-	RumorTTL int
-	// AntiEntropyEvery forces a full reconciliation every Nth round
-	// (default gossip.DefaultAntiEntropyEvery; negative disables).
-	AntiEntropyEvery int
-	// Timeout bounds one exchange (default gossip.DefaultTimeout).
-	Timeout time.Duration
-	// Seed seeds peer selection and jitter; zero draws from the clock.
-	// The resolved value is logged and reported in Stats().Gossip.Seed,
-	// so any run replays from its log line.
-	Seed int64
-	// Dial opens a client to a peer address. Required.
-	Dial func(addr string) (transport.Client, error)
-	// Logf, when non-nil, receives the engine's log lines.
-	Logf func(format string, args ...any)
-	// OnRound, when non-nil, observes each round with whether at least
-	// one exchange succeeded — the readiness-gate hook.
-	OnRound func(exchanged bool)
-}
-
 // Gossiper is one service's replication loop: the engine picks partners,
 // paces rounds and backs off from failing peers; the service supplies the
 // exchange (signed deltas through the federation gate). Create with
@@ -165,49 +122,44 @@ type Gossiper struct {
 }
 
 // StartGossiper attaches the replication loop to the service and
-// registers it in Stats().Gossip. With cfg.Interval set the round loop
-// starts immediately (one catch-up round, then the jittered cadence);
-// with Interval zero the Gossiper is manually stepped (Round), which is
-// how harnesses drive lockstep convergence measurements. Every completed
-// round counts into Stats().SyncRounds. Requires a durable store
-// (replication is of the log) and at most one Gossiper per service.
-func (s *Service) StartGossiper(cfg GossiperConfig) (*Gossiper, error) {
+// registers it in Stats().Gossip. cfg configures the gossip engine; the
+// service supplies Exchange (the pull or push-pull exchange) and
+// Permitted (the trust policy's veto), so a caller that sets either is
+// refused. With cfg.Interval set the round loop starts immediately (one
+// catch-up round, then the jittered cadence); with Interval zero the
+// Gossiper is manually stepped (Round), which is how harnesses drive
+// lockstep convergence measurements. Every completed round counts into
+// Stats().SyncRounds before cfg.OnRound, if set, observes it. Requires a
+// durable store (replication is of the log) and at most one Gossiper per
+// service.
+func (s *Service) StartGossiper(cfg gossip.Config) (*Gossiper, error) {
 	if s.store == nil {
 		return nil, ErrNoStore
+	}
+	if cfg.Exchange != nil || cfg.Permitted != nil {
+		return nil, errors.New("service: the gossiper supplies Exchange and Permitted itself")
 	}
 	if s.gossiper.Load() != nil {
 		return nil, errors.New("service: gossiper already started")
 	}
 	g := &Gossiper{}
-	e, err := gossip.New(gossip.Config{
-		Peers:            cfg.Peers,
-		Fanout:           cfg.Fanout,
-		Interval:         cfg.Interval,
-		Jitter:           cfg.Jitter,
-		BackoffMax:       cfg.BackoffMax,
-		BreakerThreshold: cfg.BreakerThreshold,
-		RumorTTL:         cfg.RumorTTL,
-		AntiEntropyEvery: cfg.AntiEntropyEvery,
-		Timeout:          cfg.Timeout,
-		Seed:             cfg.Seed,
-		Dial:             cfg.Dial,
-		Exchange: func(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
-			if g.rumors {
-				return s.gossipExchange(ctx, peer, req)
-			}
-			return s.pullExchange(ctx, peer, req)
-		},
-		Permitted: func(p identity.PartyID) bool {
-			return s.trust == nil || s.trust.Allowed(string(p))
-		},
-		Logf: cfg.Logf,
-		OnRound: func(exchanged bool) {
-			s.NoteSyncRound()
-			if cfg.OnRound != nil {
-				cfg.OnRound(exchanged)
-			}
-		},
-	})
+	cfg.Exchange = func(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
+		if g.rumors {
+			return s.gossipExchange(ctx, peer, req)
+		}
+		return s.pullExchange(ctx, peer, req)
+	}
+	cfg.Permitted = func(p identity.PartyID) bool {
+		return s.trust == nil || s.trust.Allowed(string(p))
+	}
+	onRound := cfg.OnRound
+	cfg.OnRound = func(exchanged bool) {
+		s.NoteSyncRound()
+		if onRound != nil {
+			onRound(exchanged)
+		}
+	}
+	e, err := gossip.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func newGossipCluster(t *testing.T, n, fanout int) *gossipCluster {
 			}
 		}
 		// No forced-full backstop rounds: the tests count in-sync probes.
-		g, err := node.svc.StartGossiper(GossiperConfig{
+		g, err := node.svc.StartGossiper(gossip.Config{
 			Peers: peers, Fanout: fanout, AntiEntropyEvery: -1, Seed: int64(i + 1), Dial: dial, Logf: t.Logf,
 		})
 		if err != nil {
@@ -302,16 +302,31 @@ func TestExchangeSelectedByFanoutVersusPeers(t *testing.T) {
 	}
 }
 
-// StartGossiper validates its preconditions: a store is required and at
-// most one gossiper may attach per service.
+// StartGossiper validates its preconditions: a store is required, the
+// exchange and the trust veto are the service's own, and at most one
+// gossiper may attach per service.
 func TestStartGossiperValidation(t *testing.T) {
 	bare := newTestService(t, Config{})
 	dial := func(string) (transport.Client, error) { return nil, fmt.Errorf("never dialed") }
-	if _, err := bare.StartGossiper(GossiperConfig{Peers: []string{"x"}, Dial: dial}); err != ErrNoStore {
+	if _, err := bare.StartGossiper(gossip.Config{Peers: []string{"x"}, Dial: dial}); err != ErrNoStore {
 		t.Fatalf("gossiper without a store: %v", err)
 	}
+	stored := newTestService(t, Config{PersistPath: t.TempDir()})
+	for name, cfg := range map[string]gossip.Config{
+		"Exchange": {Peers: []string{"x"}, Dial: dial, Exchange: func(context.Context, transport.Client, gossip.Request) (gossip.Result, error) {
+			return gossip.Result{}, nil
+		}},
+		"Permitted": {Peers: []string{"x"}, Dial: dial, Permitted: func(identity.PartyID) bool { return true }},
+	} {
+		if _, err := stored.StartGossiper(cfg); err == nil {
+			t.Fatalf("a caller-set %s must be refused", name)
+		}
+	}
+	if stored.Stats().Gossip != nil {
+		t.Fatal("a refused gossiper was attached")
+	}
 	c := newGossipCluster(t, 2, 0)
-	if _, err := c.nodes[0].svc.StartGossiper(GossiperConfig{Peers: []string{"node-1"}, Dial: dial}); err == nil {
+	if _, err := c.nodes[0].svc.StartGossiper(gossip.Config{Peers: []string{"node-1"}, Dial: dial}); err == nil {
 		t.Fatal("second gossiper must be refused")
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"rationality/internal/core"
@@ -14,9 +13,6 @@ import (
 // Wire message types added by the service layer, alongside the classic
 // core.MsgVerify / core.MsgFormats which the service also answers.
 const (
-	// MsgVerifyBatch: agent → service. Payload BatchVerifyRequest; reply
-	// "batch-verdicts" with BatchVerifyResponse.
-	MsgVerifyBatch = "verify-batch"
 	// MsgServiceStats: operator → service. Empty payload; reply "stats"
 	// with StatsResponse.
 	MsgServiceStats = "service-stats"
@@ -186,27 +182,11 @@ type SyncDeltaResponse struct {
 	Signature []byte           `json:"signature,omitempty"`
 }
 
-// BatchVerifyRequest asks the service to verify a slice of announcements.
-// Carrying full announcements (not bare verify requests) lets the service
+// BatchVerifyRequest is the verify-stream payload: the announcements to
+// verify. Carrying full announcements (not bare verify requests) lets the service
 // record every verdict against the responsible inventor.
 type BatchVerifyRequest struct {
 	Announcements []core.Announcement `json:"announcements"`
-}
-
-// BatchVerifyResponse returns one verdict per announcement, in order.
-// A batch interrupted mid-flight (cancellation, shutdown) still returns
-// the verdicts that completed: Partial is set, Verdicts holds the Done
-// completed verdicts, and Error names the cause — matching the streaming
-// exchange's keep-what-finished semantics.
-type BatchVerifyResponse struct {
-	VerifierID string         `json:"verifierId"`
-	Verdicts   []core.Verdict `json:"verdicts"`
-	// Partial reports a truncated batch: only Done of Total items
-	// completed before the interruption named by Error.
-	Partial bool   `json:"partial,omitempty"`
-	Done    int    `json:"done,omitempty"`
-	Total   int    `json:"total,omitempty"`
-	Error   string `json:"error,omitempty"`
 }
 
 // StatsResponse is the service's operational snapshot on the wire.
@@ -222,7 +202,7 @@ var _ transport.Handler = (*Service)(nil)
 // reply is one allocation.
 const replyBufferSize = 256
 
-// decodeBatch decodes a verify-batch / verify-stream payload: by the
+// decodeBatch decodes a verify-stream payload: by the
 // single-pass scanner when the payload has the plain shape (the member
 // name is BatchVerifyRequest's JSON tag), by json.Unmarshal otherwise —
 // which is also what reports a malformed payload.
@@ -238,9 +218,10 @@ func decodeBatch(req transport.Message) ([]core.Announcement, error) {
 }
 
 // Handle implements transport.Handler: the classic verify/formats
-// messages an agent sends any verifier, plus batches, stats, replication
-// and certificates. It is the only handler `authority verifier` serves —
-// a lying verifier is this service over core.LyingProcedure.
+// messages an agent sends any verifier, plus stats, replication and
+// certificates; a batch is the verify-stream exchange (HandleStream). It
+// is the only handler `authority verifier` serves — a lying verifier is
+// this service over core.LyingProcedure.
 func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.Message, error) {
 	switch req.Type {
 	case core.MsgVerify:
@@ -261,26 +242,6 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 			VerifierID: s.id,
 			Formats:    s.Formats(),
 		})
-	case MsgVerifyBatch:
-		anns, err := decodeBatch(req)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		verdicts, err := s.VerifyBatch(ctx, anns)
-		var partial *PartialBatchError
-		if err != nil && !errors.As(err, &partial) {
-			return transport.Message{}, err
-		}
-		resp := BatchVerifyResponse{VerifierID: s.id, Verdicts: verdicts}
-		if partial != nil {
-			// Completed work crosses the wire even when the batch was cut
-			// short; the client decides what a partial batch is worth.
-			resp.Partial = true
-			resp.Done = partial.Done
-			resp.Total = partial.Total
-			resp.Error = partial.Cause.Error()
-		}
-		return transport.NewMessage("batch-verdicts", resp)
 	case MsgServiceStats:
 		return transport.NewMessage("stats", StatsResponse{VerifierID: s.id, Stats: s.Stats()})
 	case MsgCoSign:

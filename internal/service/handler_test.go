@@ -79,9 +79,28 @@ func TestHandlerBatchAndStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := transport.NewMessage(MsgVerifyBatch, BatchVerifyRequest{
-		Announcements: []core.Announcement{honest, forged},
+	verdicts := make([]core.Verdict, 2)
+	tr, err := StreamVerify(context.Background(), client, []core.Announcement{honest, forged}, func(sv StreamVerdict) error {
+		verdicts[sv.Index] = sv.Verdict
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.VerifierID != "svc-tcp" || tr.Delivered != 2 || tr.Accepted != 1 || tr.Rejected != 1 {
+		t.Fatalf("stream trailer = %+v", tr)
+	}
+	if !verdicts[0].Accepted || verdicts[1].Accepted {
+		t.Fatalf("streamed verdicts = %+v", verdicts)
+	}
+
+	// A second stream repeating the honest announcement: the first one has
+	// fully completed (its trailer arrived), so this is a definite hit.
+	if _, err := StreamVerify(context.Background(), client, []core.Announcement{honest}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := transport.NewMessage(MsgServiceStats, struct{}{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,46 +108,15 @@ func TestHandlerBatchAndStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Type != "batch-verdicts" {
-		t.Fatalf("reply type = %q", resp.Type)
-	}
-	var br BatchVerifyResponse
-	if err := resp.Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Verdicts) != 2 || !br.Verdicts[0].Accepted || br.Verdicts[1].Accepted {
-		t.Fatalf("batch verdicts = %+v", br.Verdicts)
-	}
-
-	// A second batch repeating the honest announcement: the first batch has
-	// fully completed (strict request/response), so this is a definite hit.
-	req, err = transport.NewMessage(MsgVerifyBatch, BatchVerifyRequest{
-		Announcements: []core.Announcement{honest},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = client.Call(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-
-	req, err = transport.NewMessage(MsgServiceStats, struct{}{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = client.Call(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sr StatsResponse
 	if err := resp.Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.VerifierID != "svc-tcp" || sr.Stats.Requests != 3 || sr.Stats.Batches != 2 {
+	if sr.VerifierID != "svc-tcp" || sr.Stats.Requests != 3 || sr.Stats.Streams != 2 {
 		t.Fatalf("stats reply = %+v", sr)
 	}
 	if sr.Stats.CacheHits != 1 {
-		t.Fatalf("cache counters = %+v, want exactly 1 hit from the repeat batch", sr.Stats)
+		t.Fatalf("cache counters = %+v, want exactly 1 hit from the repeat stream", sr.Stats)
 	}
 	if rep.Score("shady").Disagreements != 1 {
 		t.Fatal("forger not reported over the wire path")
@@ -139,11 +127,21 @@ func TestHandlerUnknownTypeAndMalformedPayload(t *testing.T) {
 	s := newTestService(t, Config{ID: "svc-err"})
 	client := transport.DialInProc(s)
 
-	if _, err := client.Call(context.Background(), transport.Message{Type: "bogus"}); err == nil {
-		t.Fatal("unknown message type succeeded")
+	// verify-batch is no message of this service: a batch is a verify-stream.
+	payload := []byte(`{"announcements": []}`)
+	for _, typ := range []string{"bogus", "verify-batch"} {
+		_, err := client.Call(context.Background(), transport.Message{Type: typ, Payload: payload})
+		if err == nil || !strings.Contains(err.Error(), "cannot handle") {
+			t.Fatalf("%s: err = %v, want a cannot-handle error", typ, err)
+		}
 	}
-	malformed := transport.Message{Type: MsgVerifyBatch, Payload: []byte(`{"announcements": 42}`)}
-	if _, err := client.Call(context.Background(), malformed); err == nil {
+	malformed := transport.Message{Type: MsgVerifyStream, Payload: []byte(`{"announcements": 42}`)}
+	st, err := client.CallStream(context.Background(), malformed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Next(); err == nil {
 		t.Fatal("malformed batch payload succeeded")
 	}
 }

@@ -24,7 +24,6 @@ const latencyBuckets = 40
 // latency) that almost always exit on their first iteration.
 type metrics struct {
 	requests     atomic.Uint64
-	batches      atomic.Uint64
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 	deduplicated atomic.Uint64
@@ -182,8 +181,6 @@ type Stats struct {
 	// included). Refused requests (after Close) count only as Failures,
 	// so CacheHits + CacheMisses == Requests always holds.
 	Requests uint64 `json:"requests"`
-	// Batches counts VerifyBatch calls.
-	Batches uint64 `json:"batches"`
 	// CacheHits / CacheMisses partition requests by verdict-cache outcome.
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
@@ -288,7 +285,6 @@ func (m *metrics) snapshot(shardLens []int, shardCount, workers int) Stats {
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	s := Stats{
 		Requests:          m.requests.Load(),
-		Batches:           m.batches.Load(),
 		CacheHits:         hits,
 		CacheMisses:       misses,
 		Deduplicated:      m.deduplicated.Load(),

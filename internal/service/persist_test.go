@@ -153,8 +153,8 @@ func TestServiceWarmStartRealProof(t *testing.T) {
 	}
 }
 
-// TestServiceBatchVerdictsPersist: VerifyBatch items flow through the
-// same persistence path as single verifications.
+// TestServiceBatchVerdictsPersist: streamed items flow through the same
+// persistence path as single verifications.
 func TestServiceBatchVerdictsPersist(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -166,7 +166,7 @@ func TestServiceBatchVerdictsPersist(t *testing.T) {
 	for i := range anns {
 		anns[i] = announcementFor("inv", fmt.Sprintf(`{"b":%d}`, i))
 	}
-	if _, err := svc1.VerifyBatch(ctx, anns); err != nil {
+	if _, _, err := streamAll(ctx, svc1, anns); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc1.Close(); err != nil {
@@ -176,9 +176,12 @@ func TestServiceBatchVerdictsPersist(t *testing.T) {
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir})
 	svc2.Register(proc2)
-	verdicts, err := svc2.VerifyBatch(ctx, anns)
+	verdicts, tr, err := streamAll(ctx, svc2, anns)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tr.Delivered != n {
+		t.Fatalf("trailer = %+v, want all %d delivered", tr, n)
 	}
 	for i, v := range verdicts {
 		if !v.Accepted {

@@ -30,9 +30,10 @@
 //     store at all.
 //
 // The service implements transport.Handler, understands the classic
-// "verify" and "formats" messages plus the new "verify-batch" and
-// "service-stats" ones, and drains gracefully on Close: in-flight requests
-// finish, new ones are refused with ErrServiceClosed.
+// "verify" and "formats" messages plus "service-stats", the replication
+// and certificate messages and the "verify-stream" batch exchange
+// (transport.StreamHandler), and drains gracefully on Close: in-flight
+// requests finish, new ones are refused with ErrServiceClosed.
 package service
 
 import (
@@ -137,11 +138,11 @@ type Config struct {
 	// Seed seeds the service's internal randomness — today the audit
 	// sampler. Zero draws from the clock; setting it makes a run's
 	// sampling decisions reproducible (the replication loop takes its
-	// own seed in GossiperConfig).
+	// own seed in gossip.Config).
 	Seed int64
 	// Admission configures the two-tier admission controller: interactive
-	// requests (Verify/VerifyAnnouncement) and batch requests
-	// (VerifyBatch/VerifyStream) draw from per-class token buckets, and
+	// requests (Verify/VerifyAnnouncement) and streams (VerifyStream)
+	// draw from per-class token buckets, and
 	// the interactive tier borrows from the batch budget under pressure,
 	// so batch traffic is shed strictly first. The zero value disables
 	// admission control (every request admitted, Stats.Admission nil).
@@ -469,66 +470,6 @@ func (s *Service) Verify(ctx context.Context, req core.VerifyRequest) (*core.Ver
 // inventor: acceptance as agreement, rejection as a misbehaviour report.
 func (s *Service) VerifyAnnouncement(ctx context.Context, ann core.Announcement) (*core.Verdict, error) {
 	return s.verify(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof)
-}
-
-// PartialBatchError reports a batch (or stream) cut short by an
-// infrastructure failure — cancelled context or service shutdown — after
-// some items already completed. VerifyBatch returns it alongside the
-// Done completed verdicts; the rest of the work was never run. errors.Is
-// sees through it to the cause (context.Canceled, ErrServiceClosed).
-type PartialBatchError struct {
-	// Done is how many verdicts completed before the cut; Total is the
-	// batch size requested.
-	Done, Total int
-	// Cause is the infrastructure error that stopped the batch.
-	Cause error
-}
-
-// Error implements error.
-func (e *PartialBatchError) Error() string {
-	return fmt.Sprintf("service: batch interrupted after %d/%d verdicts: %v", e.Done, e.Total, e.Cause)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *PartialBatchError) Unwrap() error { return e.Cause }
-
-// VerifyBatch fans the announcements across the shared worker pool
-// (fanOut, the loop VerifyStream runs on) and returns one verdict per
-// announcement, in input order. Items whose inputs cannot be verified
-// (e.g. an unknown proof format) appear as rejection verdicts carrying
-// the reason, so the slice always aligns with the input. An
-// infrastructure failure (cancelled context, service shutdown) does not
-// discard finished work: the call returns the verdicts completed so far —
-// compacted to the front of the returned slice, in input order — together
-// with a *PartialBatchError carrying the completed count and the cause.
-// A started batch counts as one in-flight request (Close waits for it)
-// and is charged to the batch admission class as one token per item.
-func (s *Service) VerifyBatch(ctx context.Context, anns []core.Announcement) ([]core.Verdict, error) {
-	if err := s.beginBatch(len(anns)); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	verdicts := make([]core.Verdict, len(anns))
-	done := make([]bool, len(anns)) // which slots hold a completed verdict
-	cause, _ := s.fanOut(ctx, anns, nil, func(sv StreamVerdict) error {
-		verdicts[sv.Index] = sv.Verdict
-		done[sv.Index] = true
-		return nil
-	})
-	if cause == nil {
-		return verdicts, nil
-	}
-	// Partial completion: keep what finished instead of discarding paid-for
-	// work. Compact the completed verdicts to the front (input order is
-	// preserved among them) and report how many there are.
-	n := 0
-	for i := range verdicts {
-		if done[i] {
-			verdicts[n] = verdicts[i]
-			n++
-		}
-	}
-	return verdicts[:n], &PartialBatchError{Done: n, Total: len(anns), Cause: cause}
 }
 
 // closing reports whether Close has flagged the service; in-flight work

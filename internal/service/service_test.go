@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -358,6 +357,17 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// streamAll runs one VerifyStream and places each streamed verdict at
+// its input index, for tests that read the batch in input order.
+func streamAll(ctx context.Context, s *Service, anns []core.Announcement) ([]core.Verdict, StreamTrailer, error) {
+	verdicts := make([]core.Verdict, len(anns))
+	tr, err := s.VerifyStream(ctx, anns, func(sv StreamVerdict) error {
+		verdicts[sv.Index] = sv.Verdict
+		return nil
+	})
+	return verdicts, tr, err
+}
+
 func TestVerifyBatchOrderAndAggregation(t *testing.T) {
 	s := newTestService(t, Config{})
 	honest := pdAnnouncement(t)
@@ -368,12 +378,21 @@ func TestVerifyBatchOrderAndAggregation(t *testing.T) {
 	unknown := core.Announcement{InventorID: "x", Format: "no-such/v1",
 		Game: json.RawMessage(`{}`), Advice: json.RawMessage(`{}`)}
 
-	verdicts, err := s.VerifyBatch(context.Background(), []core.Announcement{honest, forged, unknown, honest})
+	anns := []core.Announcement{honest, forged, unknown, honest}
+	verdicts := make([]core.Verdict, len(anns))
+	delivered := make([]int, len(anns))
+	tr, err := s.VerifyStream(context.Background(), anns, func(sv StreamVerdict) error {
+		delivered[sv.Index]++
+		verdicts[sv.Index] = sv.Verdict
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(verdicts) != 4 {
-		t.Fatalf("got %d verdicts, want 4", len(verdicts))
+	for i, n := range delivered {
+		if n != 1 {
+			t.Fatalf("index %d delivered %d times, want once", i, n)
+		}
 	}
 	if !verdicts[0].Accepted || !verdicts[3].Accepted {
 		t.Fatalf("honest items rejected: %+v", verdicts)
@@ -384,8 +403,11 @@ func TestVerifyBatchOrderAndAggregation(t *testing.T) {
 	if verdicts[2].Accepted || verdicts[2].Reason == "" {
 		t.Fatalf("unknown-format item should be a reasoned rejection, got %+v", verdicts[2])
 	}
-	if got := s.Stats().Batches; got != 1 {
-		t.Fatalf("Batches = %d, want 1", got)
+	if tr.Items != 4 || tr.Delivered != 4 || tr.Accepted != 2 || tr.Rejected != 2 || tr.Truncated {
+		t.Fatalf("trailer = %+v, want 4 delivered: 2 accepted, 2 rejected", tr)
+	}
+	if got := s.Stats().Streams; got != 1 {
+		t.Fatalf("Streams = %d, want 1", got)
 	}
 }
 
@@ -397,7 +419,7 @@ func TestReputationRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.VerifyBatch(context.Background(), []core.Announcement{honest, forged}); err != nil {
+	if _, _, err := streamAll(context.Background(), s, []core.Announcement{honest, forged}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Score(honest.InventorID); got.Agreements != 1 || got.Disagreements != 0 {
@@ -418,7 +440,7 @@ func TestReputationRecording(t *testing.T) {
 		t.Fatalf("cached repeats re-recorded: score = %+v", got)
 	}
 	// Batched repeats are hits too: one agreement per fresh verdict.
-	if _, err := s.VerifyBatch(context.Background(), []core.Announcement{honest, honest, honest}); err != nil {
+	if _, _, err := streamAll(context.Background(), s, []core.Announcement{honest, honest, honest}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Score(honest.InventorID); got.Agreements != 1 {
@@ -488,8 +510,8 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := s.VerifyAnnouncement(context.Background(), announcementFor("inv", `{"n":2}`)); err != ErrServiceClosed {
 		t.Fatalf("post-close request: err = %v, want ErrServiceClosed", err)
 	}
-	if _, err := s.VerifyBatch(context.Background(), nil); err != ErrServiceClosed {
-		t.Fatalf("post-close batch: err = %v, want ErrServiceClosed", err)
+	if _, _, err := streamAll(context.Background(), s, nil); err != ErrServiceClosed {
+		t.Fatalf("post-close stream: err = %v, want ErrServiceClosed", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -521,163 +543,26 @@ func TestVerifyBatchCancelledKeepsCompletedVerdicts(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// A pre-cancelled context interrupts the batch before any item runs:
-	// the error is a PartialBatchError reporting zero completed verdicts,
-	// still errors.Is-matching context.Canceled — cancellation must not
-	// surface as per-item rejection verdicts that look like failed proofs.
-	verdicts, err := s.VerifyBatch(ctx, []core.Announcement{
+	// A pre-cancelled context interrupts the stream before any item runs:
+	// the trailer reports the truncation with the cancellation as its
+	// reason and zero delivered verdicts — cancellation must not surface
+	// as per-item rejection verdicts that look like failed proofs.
+	frames := 0
+	tr, err := s.VerifyStream(ctx, []core.Announcement{
 		announcementFor("inv", `{"n":1}`),
 		announcementFor("inv", `{"n":2}`),
+	}, func(StreamVerdict) error {
+		frames++
+		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled via errors.Is", err)
+	if err != nil {
+		t.Fatalf("VerifyStream: %v (cancellation truncates, it does not error)", err)
 	}
-	var partial *PartialBatchError
-	if !errors.As(err, &partial) {
-		t.Fatalf("err = %T %v, want *PartialBatchError", err, err)
+	if !tr.Truncated || tr.Reason != context.Canceled.Error() {
+		t.Fatalf("trailer = %+v, want truncation by %q", tr, context.Canceled)
 	}
-	if partial.Done != 0 || partial.Total != 2 {
-		t.Fatalf("partial = %d/%d, want 0/2", partial.Done, partial.Total)
-	}
-	if len(verdicts) != 0 {
-		t.Fatalf("verdicts = %d, want 0 (nothing ran before the cancel)", len(verdicts))
-	}
-}
-
-func TestVerifyBatchCancelledMidFlightReturnsPartialVerdicts(t *testing.T) {
-	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
-	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
-	s.Register(proc)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	const items = 4
-	anns := make([]core.Announcement, items)
-	for i := range anns {
-		anns[i] = announcementFor("inv", fmt.Sprintf(`{"n":%d}`, i))
-	}
-	// Let exactly one item through, then cancel while the single worker
-	// holds the next item at the gate and the submit loop is blocked
-	// dispatching the one after: completed work must survive the cancel.
-	done := make(chan struct{})
-	var verdicts []core.Verdict
-	var err error
-	go func() {
-		defer close(done)
-		verdicts, err = s.VerifyBatch(ctx, anns)
-	}()
-	proc.gate <- struct{}{} // releases the first item once it reaches the gate
-	deadline := time.After(5 * time.Second)
-	for proc.calls.Load() < 2 {
-		select {
-		case <-deadline:
-			t.Fatal("second batch item never reached the worker")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cancel()
-	close(proc.gate) // release the in-flight item; the rest never ran
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled batch never returned")
-	}
-
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled via errors.Is", err)
-	}
-	var partial *PartialBatchError
-	if !errors.As(err, &partial) {
-		t.Fatalf("err = %T %v, want *PartialBatchError", err, err)
-	}
-	if partial.Total != items {
-		t.Fatalf("partial.Total = %d, want %d", partial.Total, items)
-	}
-	if partial.Done == 0 || partial.Done >= items {
-		t.Fatalf("partial.Done = %d, want mid-batch truncation (0 < done < %d)", partial.Done, items)
-	}
-	if len(verdicts) != partial.Done {
-		t.Fatalf("len(verdicts) = %d, want partial.Done = %d", len(verdicts), partial.Done)
-	}
-	for i, v := range verdicts {
-		if !v.Accepted {
-			t.Fatalf("verdict %d not accepted: %+v", i, v)
-		}
-	}
-}
-
-// TestVerifyBatchServiceCloseMidBatch is the batch twin of
-// TestVerifyStreamServerCloseMidStream: Close during a large batch over a
-// slow procedure must stop submission, let in-flight items finish, and
-// report the shutdown as a PartialBatchError — not run every remaining
-// item while Close waits.
-func TestVerifyBatchServiceCloseMidBatch(t *testing.T) {
-	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
-	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
-	s.Register(proc)
-
-	const items = 100
-	anns := make([]core.Announcement, items)
-	for i := range anns {
-		anns[i] = announcementFor("inv", fmt.Sprintf(`{"n":%d}`, i))
-	}
-	done := make(chan struct{})
-	var verdicts []core.Verdict
-	var err error
-	go func() {
-		defer close(done)
-		verdicts, err = s.VerifyBatch(context.Background(), anns)
-	}()
-
-	// Wait until the single worker holds the first item at the gate, then
-	// start Close: it must block on the active batch, and the batch's
-	// submitter must observe the closing flag and truncate.
-	deadline := time.After(5 * time.Second)
-	for proc.current.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("first batch item never reached the worker")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	for !s.closing() {
-		select {
-		case <-deadline:
-			t.Fatal("Close never flagged the service")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	close(proc.gate) // release every held and future item
-
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch never returned after Close")
-	}
-	select {
-	case cerr := <-closed:
-		if cerr != nil {
-			t.Fatalf("Close: %v", cerr)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close never returned")
-	}
-	var partial *PartialBatchError
-	if !errors.As(err, &partial) {
-		t.Fatalf("err = %T %v, want *PartialBatchError (the batch ran %d items through a closing service)", err, err, proc.calls.Load())
-	}
-	if partial.Cause != ErrServiceClosed {
-		t.Fatalf("partial.Cause = %v, want ErrServiceClosed", partial.Cause)
-	}
-	if partial.Total != items || partial.Done == 0 || partial.Done >= items {
-		t.Fatalf("partial = %d/%d, want mid-batch truncation (0 < done < %d)", partial.Done, partial.Total, items)
-	}
-	if len(verdicts) != partial.Done {
-		t.Fatalf("len(verdicts) = %d, want partial.Done = %d", len(verdicts), partial.Done)
+	if tr.Items != 2 || tr.Delivered != 0 || frames != 0 {
+		t.Fatalf("trailer = %+v with %d frames, want 0 of 2 (nothing ran before the cancel)", tr, frames)
 	}
 }
 
@@ -738,7 +623,7 @@ func TestStatsLatencyAndInFlight(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad exercises every path at once under the race
-// detector: cached repeats, distinct contents, batches and stats readers.
+// detector: cached repeats, distinct contents, streams and stats readers.
 func TestConcurrentMixedLoad(t *testing.T) {
 	rep := reputation.NewRegistry()
 	s := newTestService(t, Config{Workers: 4, CacheSize: 8, Reputation: rep})
@@ -760,7 +645,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := s.VerifyBatch(context.Background(), []core.Announcement{honest, forged}); err != nil {
+					if _, _, err := streamAll(context.Background(), s, []core.Announcement{honest, forged}); err != nil {
 						t.Error(err)
 					}
 				case 2:

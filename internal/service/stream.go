@@ -153,12 +153,10 @@ func (s *Service) beginBatch(n int) error {
 		s.metrics.failures.Add(1)
 		return err
 	}
-	s.metrics.batches.Add(1)
 	return nil
 }
 
-// fanOut is the one submit/collect loop behind VerifyBatch and
-// VerifyStream. A submitter goroutine feeds one pool job per announcement
+// fanOut is VerifyStream's submit/collect loop. A submitter goroutine feeds one pool job per announcement
 // — batch length is wire-controlled, so it must not translate into
 // goroutines, and the submit blocks while all workers are busy — and
 // deliver runs on the calling goroutine once per completed item, in

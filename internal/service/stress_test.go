@@ -14,7 +14,7 @@ import (
 
 // TestStressShardedHotPath hammers the sharded cache, the lock-free
 // metrics and the pool-routed batch path from many goroutines at once —
-// Verify, VerifyBatch, Stats and a mid-flight Close — over a cache small
+// Verify, VerifyStream, Stats and a mid-flight Close — over a cache small
 // enough to evict constantly, then audits counter coherence. Run under
 // -race (CI does) this doubles as the data-race proof for the lock-free
 // hot path.
@@ -58,8 +58,8 @@ func TestStressShardedHotPath(t *testing.T) {
 						announcementFor("inv", fmt.Sprintf(`{"n":%d}`, (n+1)%distinct)),
 						announcementFor("inv", fmt.Sprintf(`{"n":%d}`, (n+2)%distinct)),
 					}
-					if _, err := s.VerifyBatch(ctx, batch); err != nil && !errors.Is(err, ErrServiceClosed) {
-						t.Errorf("batch: %v", err)
+					if _, _, err := streamAll(ctx, s, batch); err != nil && !errors.Is(err, ErrServiceClosed) {
+						t.Errorf("stream: %v", err)
 					}
 				case 3:
 					st := s.Stats()

@@ -204,18 +204,16 @@ func TestFacadeVerificationService(t *testing.T) {
 	}
 	defer svc.Close()
 
-	// Warm the cache first so the batch's repeats are deterministic hits.
+	// Warm the cache first so the stream's repeats are deterministic hits.
 	if _, err := svc.VerifyAnnouncement(context.Background(), ann); err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := svc.VerifyBatch(context.Background(), []core.Announcement{ann, ann, ann})
+	tr, err := svc.VerifyStream(context.Background(), []core.Announcement{ann, ann, ann}, func(service.StreamVerdict) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range verdicts {
-		if !v.Accepted {
-			t.Fatalf("rejected: %s", v.Reason)
-		}
+	if tr.Delivered != 3 || tr.Accepted != 3 {
+		t.Fatalf("trailer = %+v, want 3 accepted", tr)
 	}
 	st := svc.Stats()
 	if st.Requests != 4 || st.CacheHits != 3 {
@@ -238,7 +236,7 @@ func TestFacadeVerificationService(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.VerifyBatch(context.Background(), nil); err != service.ErrServiceClosed {
+	if _, err := svc.VerifyStream(context.Background(), nil, nil); err != service.ErrServiceClosed {
 		t.Fatalf("post-close err = %v, want ErrServiceClosed", err)
 	}
 }
