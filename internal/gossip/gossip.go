@@ -7,7 +7,9 @@
 // O(log n) rounds with high probability (the standard epidemic analysis;
 // see Aspnes's distributed-systems notes in PAPERS.md) at k·n exchanges
 // per round; with fan-out covering every peer the same loop is the
-// classic all-pairs pass.
+// classic all-pairs pass. Beside the rounds, Push sends a just-written
+// record to the peers at once; the rounds stay the anti-entropy backstop
+// that delivers whatever a push did not.
 //
 // The engine is deliberately policy-free: it owns round cadence, peer
 // selection, per-peer failure handling (exponential backoff and a
@@ -75,6 +77,9 @@ type Request struct {
 	// Full forces the complete manifest exchange (the anti-entropy
 	// backstop round).
 	Full bool
+	// Push asks for the Rumors' records alone, sent at once outside any
+	// round (see Engine.Push); the result's Sent is what the peer applied.
+	Push bool
 }
 
 // Result is one completed exchange as the injected callback reports it.
@@ -160,6 +165,10 @@ type peerState struct {
 	failures int
 	next     time.Time
 
+	// pending holds keys to push once the in-flight push (pushing) is done.
+	pending []identity.Hash
+	pushing bool
+
 	attempts          uint64
 	failed            uint64
 	sent              uint64
@@ -180,6 +189,7 @@ type Engine struct {
 	roundMu sync.Mutex
 	mu      sync.Mutex
 	rng     *rand.Rand
+	pushRng *rand.Rand // push targets: apart from rng, so rounds replay unchanged
 	peers   []*peerState
 	board   map[identity.Hash]int // rumor key -> remaining TTL
 	rounds  uint64
@@ -193,6 +203,7 @@ type Engine struct {
 
 	ctx     context.Context
 	cancel  context.CancelFunc
+	pushes  sync.WaitGroup // pushTo goroutines, joined by Stop
 	exited  chan struct{}
 	start   sync.Once
 	stop    sync.Once
@@ -251,13 +262,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		cfg:    cfg,
-		seed:   seed,
-		rng:    rand.New(rand.NewSource(seed)),
-		board:  make(map[identity.Hash]int),
-		ctx:    ctx,
-		cancel: cancel,
-		exited: make(chan struct{}),
+		cfg:     cfg,
+		seed:    seed,
+		rng:     rand.New(rand.NewSource(seed)),
+		pushRng: rand.New(rand.NewSource(^seed)),
+		board:   make(map[identity.Hash]int),
+		ctx:     ctx,
+		cancel:  cancel,
+		exited:  make(chan struct{}),
 	}
 	for _, addr := range cfg.Peers {
 		e.peers = append(e.peers, &peerState{addr: addr, state: Healthy})
@@ -301,18 +313,81 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// Stop halts the loop, cancels any in-flight exchange, and closes the
-// peer clients. Safe to call more than once, and valid for manually
+// Push sends key's record to peers at once instead of waiting for a
+// round: to every peer that is permitted, not backing off and already
+// holds an open client, or past the fanout to Fanout of them drawn at
+// random. Each peer has at most one push in flight; keys pushed meanwhile
+// batch into the next one when it returns. A failed push drops its keys
+// to the periodic round and moves neither backoff nor breaker. Safe from
+// any goroutine; a no-op once Stop has begun.
+func (e *Engine) Push(key identity.Hash) {
+	now := time.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ctx.Err() != nil {
+		return
+	}
+	var targets []*peerState
+	for _, p := range e.peers {
+		if p.client != nil && !now.Before(p.next) && !e.vetoed(p.signer) {
+			targets = append(targets, p)
+		}
+	}
+	if len(targets) > e.cfg.Fanout {
+		e.pushRng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+		targets = targets[:e.cfg.Fanout]
+	}
+	for _, p := range targets {
+		p.pending = append(p.pending, key)
+		if !p.pushing {
+			p.pushing = true
+			e.pushes.Add(1)
+			go e.pushTo(p)
+		}
+	}
+}
+
+// pushTo sends one peer its pending keys, one push at a time, until none
+// are left (or the peer lost its client, or Stop began).
+func (e *Engine) pushTo(p *peerState) {
+	defer e.pushes.Done()
+	for {
+		e.mu.Lock()
+		keys, client := p.pending, p.client
+		p.pending = nil
+		if len(keys) == 0 || client == nil || e.ctx.Err() != nil {
+			p.pushing = false
+			e.mu.Unlock()
+			return
+		}
+		e.mu.Unlock()
+		ctx, cancel := context.WithTimeout(e.ctx, e.cfg.Timeout)
+		res, err := e.cfg.Exchange(ctx, client, Request{Rumors: keys, Push: true})
+		cancel()
+		if err == nil {
+			e.mu.Lock()
+			p.sent += uint64(res.Sent)
+			e.sent += uint64(res.Sent)
+			e.mu.Unlock()
+		}
+	}
+}
+
+// Stop halts the loop, cancels any in-flight exchange or push, and closes
+// the peer clients. Safe to call more than once, and valid for manually
 // stepped engines too (it releases the clients Round dialed).
 func (e *Engine) Stop() {
 	e.stop.Do(func() {
 		e.cancel()
+		// Push starts goroutines under e.mu only while e.ctx is live, so
+		// once this lock is taken none can start and Wait is safe.
 		e.mu.Lock()
 		looping := e.looping
 		e.mu.Unlock()
 		if looping {
 			<-e.exited
 		}
+		e.pushes.Wait()
 		// Serialize with any in-flight manual Round, then release clients.
 		e.roundMu.Lock()
 		defer e.roundMu.Unlock()

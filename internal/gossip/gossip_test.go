@@ -40,6 +40,7 @@ type fakeExchange struct {
 	addr   string
 	rumors int
 	full   bool
+	push   bool
 }
 
 func newFakeFabric() *fakeFabric {
@@ -60,7 +61,7 @@ func (f *fakeFabric) dial(addr string) (transport.Client, error) {
 func (f *fakeFabric) exchange(_ context.Context, peer transport.Client, req Request) (Result, error) {
 	addr := peer.(*fakeClient).addr
 	f.mu.Lock()
-	f.exchanges = append(f.exchanges, fakeExchange{addr: addr, rumors: len(req.Rumors), full: req.Full})
+	f.exchanges = append(f.exchanges, fakeExchange{addr: addr, rumors: len(req.Rumors), full: req.Full, push: req.Push})
 	failNow := f.fail[addr]
 	res := f.results[addr]
 	if s, ok := f.signers[addr]; ok {
@@ -80,9 +81,24 @@ func (f *fakeFabric) exchange(_ context.Context, peer transport.Client, req Requ
 func (f *fakeFabric) partnerLog() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, len(f.exchanges))
-	for i, e := range f.exchanges {
-		out[i] = e.addr
+	var out []string
+	for _, e := range f.exchanges {
+		if !e.push {
+			out = append(out, e.addr)
+		}
+	}
+	return out
+}
+
+// pushLog returns the push exchanges, in call order.
+func (f *fakeFabric) pushLog() []fakeExchange {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []fakeExchange
+	for _, e := range f.exchanges {
+		if e.push {
+			out = append(out, e)
+		}
 	}
 	return out
 }

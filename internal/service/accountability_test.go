@@ -410,10 +410,24 @@ func TestForgedQuarantinedSignerClaimIsAPeerFailure(t *testing.T) {
 
 // A certificate must not outlive the verdict it signs: when the audit
 // refutes and repairs a certified lying record, the liar's certificate
-// goes with the lie instead of being served beside the correction.
+// goes with the lie instead of being served beside the correction. The
+// repair is pushed to the honest peer at once, with no round run after
+// the one that opened the client; the records it merely ingested are not.
 func TestAuditRepairDropsRefutedCertificate(t *testing.T) {
 	a := newTestService(t, Config{ID: "honest", PersistPath: t.TempDir(), AuditRate: 1})
 	a.Register(&countingProc{format: "counting/v1", accept: true})
+	peer := newTestService(t, Config{ID: "peer", PersistPath: t.TempDir()})
+	g, err := a.StartGossiper(gossip.Config{
+		Peers: []string{"peer"}, Seed: 1, Logf: t.Logf,
+		Dial: func(string) (transport.Client, error) { return transport.DialInProc(peer), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	if err := g.Round(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	certified := func(ann core.Announcement, accepted bool) store.Record {
 		t.Helper()
@@ -454,6 +468,19 @@ func TestAuditRepairDropsRefutedCertificate(t *testing.T) {
 	a.cache.Put(truth.Key, truth.Verdict)
 	if _, found, err := a.Certificate(truth.Key); err != nil || !found {
 		t.Fatalf("confirmed record lost its certificate: found=%v err=%v", found, err)
+	}
+
+	waitFor(t, 5*time.Second, "the repair pushed to the peer", func() bool {
+		_, held := manifestOfService(t, peer)[lie.Key]
+		return held
+	})
+	g.Stop()
+	m := manifestOfService(t, peer)
+	if got := m[lie.Key]; got.Rejected || got.Certified || len(m) != 1 {
+		t.Fatalf("peer holds %+v, want the uncertified accepting repair alone", m)
+	}
+	if r := g.Stats().Rounds; r != 1 {
+		t.Fatalf("%d rounds ran, want only the one that opened the client", r)
 	}
 }
 

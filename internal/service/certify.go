@@ -55,11 +55,14 @@ func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignRes
 // StoreCertificate admits one assembled quorum certificate: verified
 // offline against the panel keyset when Config.PanelKeys is set (failures
 // are counted and surface with the "certificate rejected:" prefix),
-// persisted as a certified record in the durable log, and installed in
-// the verdict cache so Certificate serves it without touching the store —
-// or the panel. The certificate then travels anti-entropy and gossip like
-// any other record content: peers that already hold the bare verdict pull
-// the certified copy because the record's content sum covers it.
+// persisted as a certified record in the durable log — a certificate the
+// log does not accept (closed, or its queue full) is refused, not
+// acknowledged — and installed in the verdict cache so Certificate serves
+// it without touching the store, or the panel. An attached gossiper then
+// pushes the certified record to its peers at once (Engine.Push), so a
+// replica serves it one round trip later; the rounds remain the backstop,
+// where peers that hold the bare verdict pull the certified copy because
+// the record's content sum covers it.
 func (s *Service) StoreCertificate(c *core.Certificate) error {
 	if c == nil {
 		s.metrics.certsRejected.Add(1)
@@ -84,13 +87,13 @@ func (s *Service) StoreCertificate(c *core.Certificate) error {
 		return err
 	}
 	defer s.release()
-	s.cache.PutCertified(key, c.Verdict, encoded, false)
-	if s.store != nil {
-		s.store.AppendCertified(key, c.Verdict, nil, encoded)
-		// A fresh certificate is news worth rumoring: eager push beats
-		// waiting for a fingerprint mismatch to surface it.
-		s.noteRumor(key)
+	if s.store != nil && !s.store.AppendCertified(key, c.Verdict, nil, encoded) {
+		// Acknowledging it would promise a certificate no restart or
+		// replica will ever hold.
+		return fmt.Errorf("service: certificate %s not persisted: the verdict log is closed or its queue is full", key)
 	}
+	s.cache.PutCertified(key, c.Verdict, encoded, false)
+	s.announce(key)
 	s.metrics.certsStored.Add(1)
 	return nil
 }

@@ -32,7 +32,14 @@ import (
 // Every Nth round (the engine's anti-entropy backstop) reconciles over
 // complete manifests instead, whatever the fingerprints say.
 //
-// Every record that moves — pull delta, rumor push, push delta — enters
+// A record that exists only on this authority's word — a stored quorum
+// certificate, an audit repair — does not wait for a round: the engine
+// pushes it at once (Engine.Push), as a "gossip-push" carrying a signed
+// delta bound to the empty offer, to every permitted peer with an open
+// client (past the fanout, to fanout of them). A lost push costs only
+// latency: the rounds above still reconcile whatever it did not deliver.
+//
+// Every record that moves — pull delta, rumor, push delta — enters
 // the receiving authority through IngestDelta, the signed federation
 // gate: allowlist, Ed25519 transfer signatures, trust quarantine,
 // refutation charging and audit sampling all apply unchanged. The loop
@@ -54,9 +61,10 @@ const (
 	MsgGossipPull = "gossip-pull"
 	// MsgGossipExchange is the reply type to a gossip-pull.
 	MsgGossipExchange = "gossip-exchange"
-	// MsgGossipPush completes the exchange: payload GossipPushRequest (the
-	// responder's echoed manifest and the signed delta answering it);
-	// reply "gossip-summary".
+	// MsgGossipPush completes a push-pull exchange: payload
+	// GossipPushRequest (the responder's echoed manifest and the signed
+	// delta answering it); reply "gossip-summary". A push on write sends
+	// it alone, with the empty offer.
 	MsgGossipPush = "gossip-push"
 )
 
@@ -101,10 +109,11 @@ type GossipExchangeResponse struct {
 }
 
 // GossipPushRequest is the push half: the responder's manifest (echoed
-// back to it) and the initiator's signed delta answering it. The echo is
+// back to it) and the initiator's signed delta answering it, or — for a
+// push on write — the empty offer and a delta bound to it. The echo is
 // safe to trust blind: the delta signature binds to the echoed offer's
 // digest, and a fabricated offer can at worst make the receiver re-ingest
-// records it already holds — newest-stamp-wins makes that a no-op.
+// records it already holds, which store.merge's table keeps as they stand.
 type GossipPushRequest struct {
 	Offer SyncOfferRequest  `json:"offer"`
 	Delta SyncDeltaResponse `json:"delta"`
@@ -144,7 +153,10 @@ func (s *Service) StartGossiper(cfg gossip.Config) (*Gossiper, error) {
 	}
 	g := &Gossiper{}
 	cfg.Exchange = func(ctx context.Context, peer transport.Client, req gossip.Request) (gossip.Result, error) {
-		if g.rumors {
+		switch {
+		case req.Push:
+			return s.pushExchange(ctx, peer, req.Rumors)
+		case g.rumors:
 			return s.gossipExchange(ctx, peer, req)
 		}
 		return s.pullExchange(ctx, peer, req)
@@ -202,13 +214,24 @@ func (g *Gossiper) Seed() int64 { return g.engine.Seed() }
 
 // noteRumor marks a key hot on an attached push-pull gossiper: the next
 // rounds push its record eagerly instead of waiting for a fingerprint
-// mismatch. Called for fresh local verdicts, applied foreign records
-// (so an update keeps spreading epidemically) and audit repairs (so a
-// correction outruns the lie it replaces).
+// mismatch. Called for fresh local verdicts and applied foreign records
+// (so an update keeps spreading epidemically), and through announce.
 func (s *Service) noteRumor(key identity.Hash) {
 	if g := s.gossiper.Load(); g != nil && g.rumors {
 		g.engine.AddRumor(key)
 	}
+}
+
+// announce spreads a record that exists only on this authority's word —
+// a stored certificate, or an audit repair that must outrun the lie it
+// replaces: pushed to the peers at once (Engine.Push), and rumored. Fresh
+// verdicts and ingested records are only rumored: every panel member
+// recomputes the former, and the latter arrived by replication.
+func (s *Service) announce(key identity.Hash) {
+	if g := s.gossiper.Load(); g != nil {
+		g.engine.Push(key)
+	}
+	s.noteRumor(key)
 }
 
 // rumorDelta packages the hot records as a signed delta bound to the
@@ -338,32 +361,50 @@ func (s *Service) gossipExchange(ctx context.Context, peer transport.Client, req
 	}
 
 	// ...then push what this store has that the peer lacks.
-	push, err := s.ServeSyncOffer(ex.Have)
-	if err != nil {
+	delta, err := s.ServeSyncOffer(ex.Have)
+	if err != nil || delta.Count == 0 {
 		return res, err
 	}
-	if push.Count == 0 {
-		return res, nil
-	}
-	pushMsg, err := transport.NewMessage(MsgGossipPush, GossipPushRequest{Offer: ex.Have, Delta: push})
-	if err != nil {
+	err = push(ctx, peer, GossipPushRequest{Offer: ex.Have, Delta: delta}, &res)
+	return res, err
+}
+
+// pushExchange is the ExchangeFunc for a push on write (gossip.Request's
+// Push): the records under keys go to the peer at once as one
+// "gossip-push" of a signed delta bound to the empty offer, which the
+// peer's federation gate takes like any other delta.
+func (s *Service) pushExchange(ctx context.Context, peer transport.Client, keys []identity.Hash) (gossip.Result, error) {
+	var res gossip.Result
+	delta, err := s.rumorDelta(keys)
+	if err != nil || delta == nil {
 		return res, err
 	}
-	res.BytesSent += uint64(len(pushMsg.Payload))
-	resp, err = peer.Call(ctx, pushMsg)
+	err = push(ctx, peer, GossipPushRequest{Delta: *delta}, &res)
+	return res, err
+}
+
+// push sends one "gossip-push" and folds the payload bytes and the
+// records the peer's gate applied into res.
+func push(ctx context.Context, peer transport.Client, pr GossipPushRequest, res *gossip.Result) error {
+	msg, err := transport.NewMessage(MsgGossipPush, pr)
 	if err != nil {
-		return res, fmt.Errorf("service: gossip push: %w", err)
+		return err
+	}
+	res.BytesSent += uint64(len(msg.Payload))
+	resp, err := peer.Call(ctx, msg)
+	if err != nil {
+		return fmt.Errorf("service: gossip push: %w", err)
 	}
 	if resp.Type != MsgGossipSummary {
-		return res, fmt.Errorf("service: peer answered gossip-push with %q, want %q", resp.Type, MsgGossipSummary)
+		return fmt.Errorf("service: peer answered gossip-push with %q, want %q", resp.Type, MsgGossipSummary)
 	}
 	var pushed GossipSummaryResponse
 	if err := resp.Decode(&pushed); err != nil {
-		return res, err
+		return err
 	}
 	res.BytesReceived += uint64(len(resp.Payload))
 	res.Sent += pushed.Applied
-	return res, nil
+	return nil
 }
 
 // serveGossip answers a gossip open: any rumor records go through the

@@ -752,11 +752,8 @@ func (s *Service) auditRecord(r *store.Record) {
 			r.Key[:4], r.Origin, r.Verdict.Accepted, v.Accepted))
 	}
 	s.cache.Put(r.Key, *v)
-	if s.store != nil {
-		s.store.Append(r.Key, *v, r.Request)
-		// Rumor the repair so the correction races ahead of the lie it
-		// replaces on the gossip paths that spread it.
-		s.noteRumor(r.Key)
+	if s.store != nil && s.store.Append(r.Key, *v, r.Request) {
+		s.announce(r.Key)
 	}
 	s.metrics.auditRefutations.Add(1)
 }
