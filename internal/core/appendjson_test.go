@@ -34,18 +34,29 @@ var adversarialStrings = []string{
 	"h\u00e9llo w\u00f6rld \u2713 \U0001F600", "\xff", "a\xc3", "\xe2\x80", "\xed\xa0\x80", "\xf0\x9f\x98", "ok\xc0\xafok", "\ufffd",
 }
 
-func TestVerdictAppendJSONMatchesMarshal(t *testing.T) {
+// catalogVerdicts is the verdict each catalog announcement earns — an
+// acceptance with its details, or a rejection with its reason.
+func catalogVerdicts(tb testing.TB) []Verdict {
+	tb.Helper()
 	reg := NewProcedureRegistry()
-	for _, a := range catalogAnnouncements(t) {
+	var out []Verdict
+	for _, a := range catalogAnnouncements(tb) {
 		proc, err := reg.Lookup(a.Format)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		v, err := proc.Verify(a.Game, a.Advice, a.Proof)
 		if err != nil {
 			v = &Verdict{Format: a.Format, Reason: err.Error()}
 		}
-		checkVerdictEncoding(t, *v)
+		out = append(out, *v)
+	}
+	return out
+}
+
+func TestVerdictAppendJSONMatchesMarshal(t *testing.T) {
+	for _, v := range catalogVerdicts(t) {
+		checkVerdictEncoding(t, v)
 	}
 	checkVerdictEncoding(t, Verdict{})
 	checkVerdictEncoding(t, Verdict{Accepted: true, Format: "f/v1", Details: map[string]string{}})

@@ -6,14 +6,15 @@ import (
 )
 
 // The hot wire payloads — a verify request, the request inside a cosign,
-// the announcement array of a batch — are decoded by one validating
-// single-pass scanner instead of encoding/json's validate-then-reflect
-// double pass. The contract is narrow on purpose: a Scan function accepts
-// only a document json.Unmarshal would decode to the identical struct,
-// and returns ok=false for everything else — an unknown, repeated,
-// escaped or differently-cased key, a signature, a string that is not
-// plain ASCII, anything malformed — so the caller falls back to
-// json.Unmarshal and behaviour on every input is unchanged. Raw members
+// the announcement array of a batch — and the verdict in every record the
+// store replays are decoded by one validating single-pass scanner instead
+// of encoding/json's validate-then-reflect double pass. The contract is
+// narrow on purpose: a Scan function accepts only a document
+// json.Unmarshal would decode to the identical struct, and returns
+// ok=false for everything else — an unknown, repeated, escaped or
+// differently-cased key, a signature, a string that is not plain ASCII,
+// anything malformed — so the caller falls back to json.Unmarshal and
+// behaviour on every input is unchanged. Raw members
 // (Game, Advice, Proof) alias the input buffer: the caller must not
 // reuse it while the decoded value is alive.
 
@@ -93,6 +94,13 @@ func (s *scanner) str() (body []byte, plain, ok bool) {
 		}
 	}
 	return nil, false, false
+}
+
+// plainStr consumes the string under the cursor and returns its bytes,
+// declining one that str does not report plain.
+func (s *scanner) plainStr() (body []byte, ok bool) {
+	body, plain, ok := s.str()
+	return body, ok && plain
 }
 
 func isHex4(b []byte) bool {
@@ -292,8 +300,8 @@ func (s *scanner) announcement(depth int, a *Announcement, allowed uint8) bool {
 		case memProof:
 			return s.raw(depth+1, &a.Proof)
 		}
-		body, plain, ok := s.str()
-		if !ok || !plain {
+		body, ok := s.plainStr()
+		if !ok {
 			return false
 		}
 		if mem == memFormat {
@@ -388,4 +396,72 @@ func ScanAnnouncements(data []byte, key string) (anns []Announcement, ok bool) {
 		return nil, false
 	}
 	return anns, true
+}
+
+// The members of a Verdict the scanner decodes.
+const (
+	memAccepted = 1 << iota
+	memVerdictFormat
+	memReason
+	memDetails
+)
+
+// ScanVerdict decodes a verdict — the body of every verdict-log record —
+// under ScanVerifyRequest's contract: accepted is a bare true or false,
+// format and reason plain strings, details an object of plain strings
+// with no repeated key, and anything else (null members included)
+// declines. An empty details object decodes to an empty non-nil map, as
+// json.Unmarshal gives.
+func ScanVerdict(data []byte) (v Verdict, ok bool) {
+	s := scanner{data: data}
+	var seen uint8
+	ok = s.object(1, func(key []byte) bool {
+		var mem uint8
+		switch string(key) {
+		case "accepted":
+			mem = memAccepted
+		case "format":
+			mem = memVerdictFormat
+		case "reason":
+			mem = memReason
+		case "details":
+			mem = memDetails
+		}
+		if mem == 0 || mem&seen != 0 {
+			return false
+		}
+		seen |= mem
+		switch mem {
+		case memAccepted:
+			v.Accepted = s.literal("true")
+			return v.Accepted || s.literal("false")
+		case memDetails:
+			v.Details = map[string]string{}
+			return s.object(2, func(k []byte) bool {
+				if _, dup := v.Details[string(k)]; dup {
+					return false
+				}
+				val, ok := s.plainStr()
+				if !ok {
+					return false
+				}
+				v.Details[string(k)] = string(val)
+				return true
+			})
+		}
+		body, ok := s.plainStr()
+		if !ok {
+			return false
+		}
+		if mem == memVerdictFormat {
+			v.Format = internFormat(body)
+		} else {
+			v.Reason = string(body)
+		}
+		return true
+	})
+	if !ok || !s.end() {
+		return Verdict{}, false
+	}
+	return v, true
 }

@@ -286,9 +286,151 @@ func FuzzBatchScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkBatchScan(t, data) })
 }
 
+// checkVerdictScan is ScanVerdict's contract on one input: accepting
+// means json.Unmarshal accepts and decodes the identical verdict, and
+// declining returns the zero verdict.
+func checkVerdictScan(t *testing.T, data []byte) (accepted bool) {
+	t.Helper()
+	got, ok := ScanVerdict(data)
+	if !ok {
+		if !reflect.DeepEqual(got, Verdict{}) {
+			t.Fatalf("declined %q but returned %+v", data, got)
+		}
+		return false
+	}
+	if !json.Valid(data) {
+		t.Fatalf("accepted %q, which json.Valid rejects", data)
+	}
+	var want Verdict
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("accepted %q, which json.Unmarshal refuses: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan of %q\n got  %+v\n want %+v", data, got, want)
+	}
+	return true
+}
+
+// verdictScanSeeds are the verdict shapes worth naming: the canonical
+// encodings the store writes, and each reason to decline.
+var verdictScanSeeds = []struct {
+	name   string
+	doc    string
+	accept bool
+}{
+	{"accepted", `{"accepted":true,"format":"p1-supports/v1"}`, true},
+	{"accepted-details", `{"accepted":true,"format":"p1-supports/v1","details":{"lambdaCol":"0","x":"(1/2, 1/2)"}}`, true},
+	{"rejected-reason", `{"accepted":false,"format":"f/v1","reason":"proof certifies [1 1] but the advice is [0 0]"}`, true},
+	{"rejected-reason-details", `{"accepted":false,"format":"f/v1","reason":"no","details":{"mode":"max-nash","steps":"4"}}`, true},
+	{"empty-details", `{"accepted":true,"format":"f/v1","details":{}}`, true},
+	{"empty-strings", `{"accepted":false,"format":"","reason":"","details":{"":""}}`, true},
+	{"member-order", `{"details":{"a":"1"},"reason":"r","format":"f/v1","accepted":true}`, true},
+	{"whitespace", " {\n\t\"accepted\" : false ,\r\n \"details\" : { \"a\" : \"1\" , \"b\" : \"2\" } } \n", true},
+	{"empty-object", `{}`, true},
+	{"escaped-reason", `{"accepted":false,"format":"f/v1","reason":"advice \"participate\""}`, false},
+	{"html-escaped-reason", `{"accepted":false,"format":"f/v1","reason":"1 \u003e 0"}`, false},
+	{"non-ascii-reason", `{"accepted":false,"format":"f/v1","reason":"λ = -1"}`, false},
+	{"escaped-format", `{"accepted":true,"format":"f\/v1"}`, false},
+	{"escaped-details-value", `{"accepted":true,"details":{"a":"\t"}}`, false},
+	{"escaped-details-key", `{"accepted":true,"details":{"\u0061":"1"}}`, false},
+	{"non-ascii-details-key", `{"accepted":true,"details":{"é":"1"}}`, false},
+	{"case-folded-key", `{"Accepted":true,"format":"f/v1"}`, false},
+	{"escaped-key", `{"\u0061ccepted":true}`, false},
+	{"repeated-key", `{"accepted":true,"accepted":false}`, false},
+	{"repeated-format", `{"format":"a","accepted":true,"format":"b"}`, false},
+	{"repeated-details", `{"details":{"a":"1"},"details":{"b":"2"}}`, false},
+	{"repeated-details-key", `{"accepted":true,"details":{"a":"1","a":"2"}}`, false},
+	{"null-details", `{"accepted":true,"format":"f/v1","details":null}`, false},
+	{"null-accepted", `{"accepted":null}`, false},
+	{"null-format", `{"format":null}`, false},
+	{"null-details-value", `{"details":{"a":null}}`, false},
+	{"number-accepted", `{"accepted":1,"format":"f/v1"}`, false},
+	{"string-accepted", `{"accepted":"true","format":"f/v1"}`, false},
+	{"number-details-value", `{"details":{"a":1}}`, false},
+	{"array-details", `{"details":[]}`, false},
+	{"unknown-key", `{"accepted":true,"format":"f/v1","extra":1}`, false},
+	{"truncated-literal", `{"accepted":tru}`, false},
+	{"overlong-literal", `{"accepted":truex}`, false},
+	{"trailing-bytes", `{"accepted":true,"format":"f/v1"} x`, false},
+	{"trailing-brace", `{"accepted":true}}`, false},
+	{"trailing-comma", `{"accepted":true,}`, false},
+	{"unterminated", `{"accepted":true,"details":{"a":"1"`, false},
+	{"null-document", `null`, false},
+	{"array-document", `[]`, false},
+	{"empty", ``, false},
+}
+
+// plainJSON reports whether every string in an encoded verdict is plain
+// ASCII without escapes: the documents the scanner exists to take.
+func plainJSON(data []byte) bool {
+	for _, c := range data {
+		if c == '\\' || c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+func TestScanVerdict(t *testing.T) {
+	accepted := 0
+	for _, tc := range verdictScanSeeds {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkVerdictScan(t, []byte(tc.doc)); got != tc.accept {
+				t.Fatalf("accepted = %v, want %v", got, tc.accept)
+			}
+		})
+		if tc.accept {
+			accepted++
+		}
+	}
+	// The store writes verdicts with AppendJSON: every such encoding whose
+	// strings are plain must take the fast path, or a scanner that
+	// declines everything would pass the contract checks and lose the gain.
+	var encoded [][]byte
+	for _, v := range catalogVerdicts(t) {
+		encoded = append(encoded, v.AppendJSON(nil))
+	}
+	for _, s := range adversarialStrings {
+		encoded = append(encoded,
+			(&Verdict{Format: s, Reason: s}).AppendJSON(nil),
+			(&Verdict{Accepted: true, Format: "f/v1", Details: map[string]string{s: s, "k": s}}).AppendJSON(nil))
+	}
+	for _, data := range encoded {
+		if got, want := checkVerdictScan(t, data), plainJSON(data); got != want {
+			t.Fatalf("%s: accepted = %v, want %v", data, got, want)
+		}
+		if plainJSON(data) {
+			accepted++
+		}
+	}
+	if accepted < 20 {
+		t.Fatalf("only %d verdicts accepted: the table no longer exercises the accept path", accepted)
+	}
+	if v, ok := ScanVerdict([]byte(`{"accepted":true,"details":{}}`)); !ok || v.Details == nil {
+		t.Fatalf("empty details = %#v, %v: want an empty non-nil map, as json.Unmarshal gives", v.Details, ok)
+	}
+}
+
+// FuzzVerdictScan is the differential check of ScanVerdict against
+// encoding/json: accept ⇒ json.Unmarshal accepts and decodes a DeepEqual
+// verdict; nothing json.Valid rejects is ever accepted.
+func FuzzVerdictScan(f *testing.F) {
+	for _, tc := range verdictScanSeeds {
+		f.Add([]byte(tc.doc))
+	}
+	for _, s := range adversarialStrings {
+		f.Add((&Verdict{Accepted: true, Format: s, Reason: s, Details: map[string]string{s: s}}).AppendJSON(nil))
+	}
+	for _, v := range catalogVerdicts(f) {
+		f.Add(v.AppendJSON(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkVerdictScan(t, data) })
+}
+
 var (
 	sinkVerifyRequest VerifyRequest
 	sinkAnnouncements []Announcement
+	sinkVerdict       Verdict
 )
 
 // benchRequest is the catalog's P1 request: 229 bytes on the wire is the
@@ -325,6 +467,39 @@ func BenchmarkScanVerifyRequest(b *testing.B) {
 				b.Fatal(err)
 			}
 			sinkVerifyRequest = vr
+		}
+	})
+}
+
+// BenchmarkScanVerdict decodes the catalog's accepted P1 verdict, the
+// body of a verdict-log record: the per-record work of a store replay.
+func BenchmarkScanVerdict(b *testing.B) {
+	var data []byte
+	for _, v := range catalogVerdicts(b) {
+		if v.Format == FormatP1 && v.Accepted {
+			data = v.AppendJSON(nil)
+		}
+	}
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			v, ok := ScanVerdict(data)
+			if !ok {
+				b.Fatal("declined")
+			}
+			sinkVerdict = v
+		}
+	})
+	b.Run("json.Unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			var v Verdict
+			if err := json.Unmarshal(data, &v); err != nil {
+				b.Fatal(err)
+			}
+			sinkVerdict = v
 		}
 	})
 }

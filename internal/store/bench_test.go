@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"rationality/internal/core"
 	"rationality/internal/identity"
 )
 
@@ -153,4 +156,50 @@ func BenchmarkDelta(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOpen is a warm start at the service's shape: 5 000 live
+// records with kilobyte requests and catalog-like verdicts, every tenth
+// with a reason that needs escaping (the verdict decode's fallback).
+// Only Open is timed; it reports ms/op beside allocs/op.
+func BenchmarkOpen(b *testing.B) {
+	const n = 5000
+	dir := b.TempDir()
+	s, _, err := Open(dir, Options{QueueSize: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	request := append(testRequest(0), bytes.Repeat([]byte(" "), 1024)...)
+	for i := 0; i < n; i++ {
+		v := core.Verdict{Accepted: true, Format: core.FormatP1, Details: map[string]string{
+			"bitsOnWire": "4", "lambdaCol": "0", "lambdaRow": "0", "x": "(1/2, 1/2)", "y": fmt.Sprintf("(%d/2, 1/2)", i),
+		}}
+		switch {
+		case i%10 == 0:
+			v = core.Verdict{Format: core.FormatLastMover, Reason: fmt.Sprintf(`advice "participate" is not a best reply with %d prior participants`, i)}
+		case i%2 == 0:
+			v = core.Verdict{Format: core.FormatP1, Reason: fmt.Sprintf("proof certifies [1 %d] but the advice is [0 0]", i),
+				Details: map[string]string{"bitsOnWire": "4"}}
+		}
+		if !s.Append(testKey(i), v, request) {
+			b.Fatal("append refused")
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, recs, err := Open(dir, Options{})
+		if err != nil || len(recs) != n {
+			b.Fatalf("open: %d records, %v", len(recs), err)
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/op")
 }

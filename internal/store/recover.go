@@ -2,11 +2,12 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"rationality/internal/identity"
 )
@@ -119,12 +120,17 @@ func replay(dir string) (*replayed, error) {
 }
 
 // records flattens the live set, ordered by stamp (oldest first), so cache
-// pre-population replays verdicts in write order.
+// pre-population replays verdicts in write order. It sorts pointers and
+// copies each record once, into its final place.
 func (rp *replayed) records() []Record {
-	out := make([]Record, 0, len(rp.live))
+	live := make([]*recovered, 0, len(rp.live))
 	for _, rec := range rp.live {
-		out = append(out, rec.Record)
+		live = append(live, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+	slices.SortFunc(live, func(a, b *recovered) int { return cmp.Compare(a.Stamp, b.Stamp) })
+	out := make([]Record, len(live))
+	for i, rec := range live {
+		out[i] = rec.Record
+	}
 	return out
 }

@@ -1,9 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rationality/internal/core"
@@ -27,6 +32,19 @@ func buildTail(t *testing.T, n int) (data []byte, sizes []int) {
 		sizes = append(sizes, len(data)-before)
 	}
 	return data, sizes
+}
+
+// withVerdictBody returns a copy of one record frame with its verdict
+// column replaced by body and its length and CRC recomputed, so the frame
+// checks pass and only the verdict decode can refuse it.
+func withVerdictBody(frame []byte, body string) []byte {
+	lens := frame[headerLen+keyLen+stampLen:]
+	bodyAt := headerLen + minPayload + int(binary.BigEndian.Uint16(lens)) +
+		int(binary.BigEndian.Uint32(lens[2:])) + int(binary.BigEndian.Uint32(lens[6:]))
+	out := append(slices.Clip(frame[:bodyAt]), body...)
+	binary.BigEndian.PutUint32(out, uint32(len(out)-headerLen))
+	binary.BigEndian.PutUint32(out[4:], crc32.Checksum(out[headerLen:], crcTable))
+	return out
 }
 
 // TestCrashRecoveryTable is the torn-write salvage table: each case
@@ -90,6 +108,19 @@ func TestCrashRecoveryTable(t *testing.T) {
 				off := sizes[0] + sizes[1] + sizes[2] - 1
 				data[off] ^= 0xff
 				return data
+			},
+			wantRecords: 2,
+			wantSalvage: true,
+		},
+		{
+			name: "verdict that is not JSON under a valid CRC",
+			corrupt: func(data []byte, sizes []int) []byte {
+				// Every frame check passes on the third record; only its
+				// verdict decode refuses it, and salvage stops there as at
+				// a torn frame.
+				off := segmentHeaderLen + sizes[0] + sizes[1]
+				bad := withVerdictBody(data[off:off+sizes[2]], `{"accepted":tru}`)
+				return slices.Concat(data[:off], bad, data[off+sizes[2]:])
 			},
 			wantRecords: 2,
 			wantSalvage: true,
@@ -231,5 +262,78 @@ func TestStampsResumePastSalvage(t *testing.T) {
 		if r.Key == testKey(0) && !reflect.DeepEqual(r.Verdict, testVerdict(8)) {
 			t.Fatalf("superseding verdict lost: %+v", r.Verdict)
 		}
+	}
+}
+
+// TestDecodeRecordsRefusesNonJSONVerdict: on the wire, the frame the
+// crash table salvages around is an error, not a shorter delta.
+func TestDecodeRecordsRefusesNonJSONVerdict(t *testing.T) {
+	blob, err := EncodeRecords([]Record{{Key: testKey(1), Stamp: 1, Verdict: testVerdict(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeRecords(blob); err != nil {
+		t.Fatalf("intact delta: %v", err)
+	}
+	bad := append(slices.Clip(blob[:segmentHeaderLen]), withVerdictBody(blob[segmentHeaderLen:], `{"accepted":tru}`)...)
+	if recs, err := DecodeRecords(bad); err == nil {
+		t.Fatalf("a delta whose verdict is not JSON decoded to %+v", recs)
+	}
+}
+
+// TestEscapedVerdictsRoundTrip: verdicts whose strings need escaping —
+// quotes, the HTML-unsafe <>&, non-ASCII, invalid UTF-8 — reopen as
+// json.Unmarshal decodes their encoding, beside plain ones.
+func TestEscapedVerdictsRoundTrip(t *testing.T) {
+	verdicts := []core.Verdict{
+		{Accepted: true, Format: "test/v1", Details: map[string]string{"plain": "1"}},
+		{Format: "test/v1", Reason: `advice "participate" is not a best reply`},
+		{Format: "test/v1", Reason: "1 > -1 & 0 < 1", Details: map[string]string{"<k>": "a&b"}},
+		{Format: "test/v1", Reason: "λ = -1", Details: map[string]string{"é": "ü"}},
+		{Format: "test/v1", Reason: "bad \xff byte", Details: map[string]string{"k\xc3": "\xed\xa0\x80"}},
+		{Accepted: true, Format: "tab\tnew\nline", Details: map[string]string{}},
+	}
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	for i, v := range verdicts {
+		if !s.Append(testKey(i), v, nil) {
+			t.Fatal("append refused")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := mustOpen(t, dir, Options{})
+	if len(recs) != len(verdicts) {
+		t.Fatalf("reopened %d records, want %d", len(recs), len(verdicts))
+	}
+	for i, v := range verdicts {
+		var want core.Verdict
+		if err := json.Unmarshal(v.AppendJSON(nil), &want); err != nil {
+			t.Fatal(err)
+		}
+		j := slices.IndexFunc(recs, func(r Record) bool { return r.Key == testKey(i) })
+		if j < 0 || !reflect.DeepEqual(recs[j].Verdict, want) {
+			t.Fatalf("verdict %d did not round-trip: want %+v, records %+v", i, want, recs)
+		}
+	}
+}
+
+// TestDecodedColumnsDoNotOverlap: a decoded record's Request and Cert
+// share one payload buffer, but appending to the Request must not write
+// into the certificate bytes behind it.
+func TestDecodedColumnsDoNotOverlap(t *testing.T) {
+	cert := []byte(`{"certificate":"bytes"}`)
+	blob, err := EncodeRecords([]Record{{Key: testKey(1), Stamp: 1, Request: testRequest(1), Cert: cert, Verdict: testVerdict(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodeRecords(blob)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("decode: %d records, %v", len(recs), err)
+	}
+	_ = append(recs[0].Request, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	if !bytes.Equal(recs[0].Cert, cert) {
+		t.Fatalf("appending to the request overwrote the certificate: %q", recs[0].Cert)
 	}
 }
