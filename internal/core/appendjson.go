@@ -45,12 +45,14 @@ func (v *Verdict) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// AppendJSON appends the response exactly as json.Marshal encodes it.
-func (r *VerifyResponse) AppendJSON(dst []byte) []byte {
+// AppendVerifyResponse appends the VerifyResponse of verifierID over
+// verdict exactly as json.Marshal encodes it, given the verdict already
+// encoded by AppendJSON: the bytes are spliced in, not re-encoded.
+func AppendVerifyResponse(dst []byte, verifierID string, verdict []byte) []byte {
 	dst = append(dst, `{"verifierId":`...)
-	dst = appendJSONString(dst, r.VerifierID)
+	dst = appendJSONString(dst, verifierID)
 	dst = append(dst, `,"verdict":`...)
-	dst = r.Verdict.AppendJSON(dst)
+	dst = append(dst, verdict...)
 	return append(dst, '}')
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // checkVerdictEncoding: the append encoder's bytes are json.Marshal's,
-// for the verdict alone and inside a VerifyResponse, and appending to a
+// for the verdict alone and spliced into a VerifyResponse, and appending to a
 // non-empty buffer only appends.
 func checkVerdictEncoding(t *testing.T, v Verdict) {
 	t.Helper()
@@ -19,8 +19,8 @@ func checkVerdictEncoding(t *testing.T, v Verdict) {
 		t.Fatalf("AppendJSON onto a prefix = %s", got)
 	}
 	resp := VerifyResponse{VerifierID: v.Reason, Verdict: v}
-	if got, want := resp.AppendJSON(nil), mustMarshal(t, resp); !bytes.Equal(got, want) {
-		t.Fatalf("VerifyResponse.AppendJSON\n got  %s\n want %s", got, want)
+	if got, want := AppendVerifyResponse(nil, v.Reason, v.AppendJSON(nil)), mustMarshal(t, resp); !bytes.Equal(got, want) {
+		t.Fatalf("AppendVerifyResponse\n got  %s\n want %s", got, want)
 	}
 }
 
@@ -95,8 +95,10 @@ func BenchmarkVerdictAppendJSON(b *testing.B) {
 	}}
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
+		var verdict []byte
 		for i := 0; i < b.N; i++ {
-			sinkBytes = resp.AppendJSON(make([]byte, 0, 256))
+			verdict = resp.Verdict.AppendJSON(verdict[:0])
+			sinkBytes = AppendVerifyResponse(make([]byte, 0, 256), resp.VerifierID, verdict)
 		}
 	})
 	b.Run("json.Marshal", func(b *testing.B) {

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"unicode/utf8"
 )
 
 // The hot wire payloads — a verify request, the request inside a cosign,
-// the announcement array of a batch — and the verdict in every record the
-// store replays are decoded by one validating single-pass scanner instead
-// of encoding/json's validate-then-reflect double pass. The contract is
+// the announcement array of a batch — and a verdict an in-process caller
+// or a sync delta reads are decoded by one validating single-pass scanner
+// instead of encoding/json's validate-then-reflect double pass. (Replay
+// does not decode at all: CanonicalVerdict, at the end of this file,
+// checks a stored verdict's bytes in place.) The contract is
 // narrow on purpose: a Scan function accepts only a document
 // json.Unmarshal would decode to the identical struct, and returns
 // ok=false for everything else — an unknown, repeated, escaped or
@@ -406,8 +409,8 @@ const (
 	memDetails
 )
 
-// ScanVerdict decodes a verdict — the body of every verdict-log record —
-// under ScanVerifyRequest's contract: accepted is a bare true or false,
+// ScanVerdict decodes a verdict — the body of every verdict-log record and
+// every cache entry — under ScanVerifyRequest's contract: accepted is a bare true or false,
 // format and reason plain strings, details an object of plain strings
 // with no repeated key, and anything else (null members included)
 // declines. An empty details object decodes to an empty non-nil map, as
@@ -465,3 +468,145 @@ func ScanVerdict(data []byte) (v Verdict, ok bool) {
 	}
 	return v, true
 }
+
+// CanonicalVerdict reports whether data is byte for byte what AppendJSON
+// writes for the verdict data decodes to, and that verdict's polarity —
+// without decoding it and without allocating. That holds when the members
+// come in AppendJSON's order (accepted, format, then reason only when
+// non-empty, then details only when non-empty) with no whitespace,
+// details keys strictly increase, and every string is in AppendJSON's
+// escaping: a byte that encodes as itself appears raw (valid UTF-8 other
+// than U+2028 and U+2029 included), and every other byte appears as the
+// one escape AppendJSON writes for it. A details key with an escape is
+// declined rather than compared decoded, as is everything else:
+// ok=false means "decode it" (ScanVerdict, then json.Unmarshal) — the
+// bytes may still be a verdict, just not in the canonical spelling. Its
+// accepts are a subset of ScanVerdict's fallback chain's, so replacing
+// a decode by this check never changes which inputs are valid.
+func CanonicalVerdict(data []byte) (accepted, ok bool) {
+	const (
+		acceptedTrue  = `{"accepted":true,"format":`
+		acceptedFalse = `{"accepted":false,"format":`
+	)
+	var i int
+	switch {
+	case bytes.HasPrefix(data, []byte(acceptedTrue)):
+		accepted, i = true, len(acceptedTrue)
+	case bytes.HasPrefix(data, []byte(acceptedFalse)):
+		i = len(acceptedFalse)
+	default:
+		return false, false
+	}
+	i, _, ok = canonicalString(data, i)
+	if !ok {
+		return false, false
+	}
+	if bytes.HasPrefix(data[i:], []byte(`,"reason":`)) {
+		start := i + len(`,"reason":`)
+		if i, _, ok = canonicalString(data, start); !ok || i == start+2 {
+			return false, false // an empty reason is omitted, never written
+		}
+	}
+	if bytes.HasPrefix(data[i:], []byte(`,"details":`)) {
+		i += len(`,"details":`)
+		var prev []byte
+		for sep := byte('{'); at(data, i, sep); sep = ',' {
+			keyAt := i + 1
+			var escaped bool
+			if i, escaped, ok = canonicalString(data, keyAt); !ok || escaped || !at(data, i, ':') {
+				return false, false
+			}
+			key := data[keyAt+1 : i-1]
+			if prev != nil && bytes.Compare(prev, key) >= 0 {
+				return false, false // details keys are written sorted, once each
+			}
+			prev = key
+			if i, _, ok = canonicalString(data, i+1); !ok {
+				return false, false
+			}
+		}
+		if prev == nil || !at(data, i, '}') {
+			return false, false // an empty details object is omitted, never written
+		}
+		i++
+	}
+	if i != len(data)-1 || data[i] != '}' {
+		return false, false
+	}
+	return accepted, true
+}
+
+// at reports whether data[i] is c.
+func at(data []byte, i int, c byte) bool { return i < len(data) && data[i] == c }
+
+// selfEncoding marks the ASCII bytes appendJSONString writes as
+// themselves: printable, DEL included, less the quote, the backslash and
+// the HTML-unsafe <, > and &.
+var selfEncoding = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
+// canonicalString checks that the string starting at data[i] is spelled
+// as appendJSONString spells the string it decodes to, and returns the
+// index just past its closing quote and whether it holds an escape.
+func canonicalString(data []byte, i int) (end int, escaped, ok bool) {
+	if !at(data, i, '"') {
+		return 0, false, false
+	}
+	for i++; i < len(data); {
+		c := data[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case selfEncoding[c]:
+				i++
+			case c == '"':
+				return i + 1, escaped, true
+			case c == '\\':
+				n := canonicalEscape(data[i:])
+				if n == 0 {
+					return 0, false, false
+				}
+				escaped = true
+				i += n
+			default:
+				return 0, false, false // a byte appendJSONString escapes
+			}
+			continue
+		}
+		r, size := utf8.DecodeRune(data[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return 0, false, false
+		}
+		i += size
+	}
+	return 0, false, false
+}
+
+// canonicalEscape returns the length of the escape opening esc when it is
+// the one appendJSONString writes for the byte or rune it stands for, and
+// 0 otherwise.
+func canonicalEscape(esc []byte) int {
+	switch {
+	case len(esc) >= 2 && bytes.IndexByte([]byte(`"\bfnrt`), esc[1]) >= 0:
+		return 2
+	case len(esc) < 6 || esc[1] != 'u':
+		return 0
+	}
+	u := esc[2:6]
+	switch string(u) {
+	case "2028", "2029", "003c", "003e", "0026":
+		return 6
+	case "0008", "0009", "000a", "000c", "000d":
+		return 0 // written by its short name
+	}
+	// The other control bytes: \u00XX in lower-case hex.
+	if u[0] == '0' && u[1] == '0' && (u[2] == '0' || u[2] == '1') && isLowerHex(u[3]) {
+		return 6
+	}
+	return 0
+}
+
+func isLowerHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' }

@@ -427,6 +427,141 @@ func FuzzVerdictScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkVerdictScan(t, data) })
 }
 
+// checkVerdictCanonical is CanonicalVerdict's contract against
+// encoding/json: an accept decodes under json.Unmarshal to a verdict of
+// the reported polarity whose AppendJSON is the input byte for byte, and
+// nothing json.Valid rejects is accepted.
+func checkVerdictCanonical(t *testing.T, data []byte) (accepted bool) {
+	t.Helper()
+	polarity, ok := CanonicalVerdict(data)
+	if !ok {
+		return false
+	}
+	if !json.Valid(data) {
+		t.Fatalf("CanonicalVerdict accepted invalid JSON %q", data)
+	}
+	var v Verdict
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatalf("CanonicalVerdict accepted %q, json.Unmarshal refuses it: %v", data, err)
+	}
+	if got := v.AppendJSON(nil); !bytes.Equal(got, data) {
+		t.Fatalf("CanonicalVerdict accepted %q, which re-encodes as %q", data, got)
+	}
+	if polarity != v.Accepted {
+		t.Fatalf("CanonicalVerdict reports accepted=%v for %q", polarity, data)
+	}
+	return true
+}
+
+// canonicalSeeds are canonical verdicts and a non-canonical spelling of
+// each kind the check must decline: the decode path re-encodes those.
+var canonicalSeeds = []struct {
+	name, doc string
+	accept    bool
+}{
+	{"minimal", `{"accepted":false,"format":""}`, true},
+	{"accepted", `{"accepted":true,"format":"f/v1"}`, true},
+	{"reason", `{"accepted":false,"format":"f/v1","reason":"no"}`, true},
+	{"details", `{"accepted":true,"format":"f/v1","details":{"a":"1","b":"<2>"}}`, false},
+	{"html-escaped-details", `{"accepted":true,"format":"f/v1","details":{"a":"1","b":"\u003c2\u003e"}}`, true},
+	{"escaped-reason", `{"accepted":false,"format":"f/v1","reason":"advice \"participate\" \\ \n\t\u0000\u001f"}`, true},
+	{"non-ascii", `{"accepted":false,"format":"f/v1","reason":"λ = -1 \u2028 �","details":{"é":"ü"}}`, true},
+	{"del", "{\"accepted\":false,\"format\":\"\x7f\"}", true},
+	{"reordered", `{"format":"f/v1","accepted":true}`, false},
+	{"details-before-reason", `{"accepted":false,"format":"f/v1","details":{"a":"1"},"reason":"no"}`, false},
+	{"space-after-colon", `{"accepted": true,"format":"f/v1"}`, false},
+	{"space-before-brace", `{"accepted":true,"format":"f/v1" }`, false},
+	{"newline-trailer", "{\"accepted\":true,\"format\":\"f/v1\"}\n", false},
+	{"unsorted-details", `{"accepted":true,"format":"f/v1","details":{"b":"1","a":"2"}}`, false},
+	{"repeated-details-key", `{"accepted":true,"format":"f/v1","details":{"a":"1","a":"2"}}`, false},
+	{"escaped-details-key", `{"accepted":true,"format":"f/v1","details":{"\u003ck":"1"}}`, false},
+	{"empty-details", `{"accepted":true,"format":"f/v1","details":{}}`, false},
+	{"empty-reason", `{"accepted":false,"format":"f/v1","reason":""}`, false},
+	{"missing-format", `{"accepted":true}`, false},
+	{"raw-lt", `{"accepted":false,"format":"f/v1","reason":"1 < 2"}`, false},
+	{"raw-amp", `{"accepted":false,"format":"f&v1"}`, false},
+	{"raw-control", "{\"accepted\":false,\"format\":\"a\tb\"}", false},
+	{"raw-line-separator", "{\"accepted\":false,\"format\":\"a\u2028b\"}", false},
+	{"invalid-utf8", "{\"accepted\":false,\"format\":\"a\xffb\"}", false},
+	{"escaped-replacement", `{"accepted":false,"format":"\ufffd"}`, false},
+	{"escaped-slash", `{"accepted":true,"format":"f\/v1"}`, false},
+	{"escaped-letter", `{"accepted":true,"format":"\u0066/v1"}`, false},
+	{"upper-hex-escape", `{"accepted":true,"format":"\u003C"}`, false},
+	{"long-form-tab", `{"accepted":true,"format":"\u0009"}`, false},
+	{"surrogate-escape", `{"accepted":true,"format":"\ud83d\ude00"}`, false},
+	{"truncated-literal", `{"accepted":tru}`, false},
+	{"unterminated", `{"accepted":true,"format":"f/v1"`, false},
+	{"trailing-brace", `{"accepted":true,"format":"f/v1"}}`, false},
+	{"empty", ``, false},
+}
+
+func TestCanonicalVerdict(t *testing.T) {
+	for _, tc := range canonicalSeeds {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkVerdictCanonical(t, []byte(tc.doc)); got != tc.accept {
+				t.Fatalf("%s: accepted = %v, want %v", tc.doc, got, tc.accept)
+			}
+		})
+	}
+	// The guard: the store and the cache hold AppendJSON output, so every
+	// catalog verdict must pass — a check that declined everything would
+	// keep the contract above and lose the whole gain.
+	for _, v := range catalogVerdicts(t) {
+		if data := v.AppendJSON(nil); !checkVerdictCanonical(t, data) {
+			t.Fatalf("catalog verdict %s declined", data)
+		}
+	}
+	// AppendJSON of any decoded verdict is canonical unless a details key
+	// needs an escape; one encoding of invalid UTF-8 (\ufffd) is not a
+	// decoded verdict's and must be declined.
+	for _, s := range adversarialStrings {
+		for _, v := range []Verdict{{Format: s, Reason: s}, {Accepted: true, Format: "f/v1", Details: map[string]string{"k": s}}} {
+			data := v.AppendJSON(nil)
+			var decoded Verdict
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			fixed := decoded.AppendJSON(nil)
+			if got, want := checkVerdictCanonical(t, data), bytes.Equal(fixed, data); got != want {
+				t.Fatalf("%q: accepted = %v, want %v", data, got, want)
+			}
+			if !checkVerdictCanonical(t, fixed) {
+				t.Fatalf("%q: the re-encoded fixed point was declined", fixed)
+			}
+		}
+	}
+}
+
+func TestCanonicalVerdictDoesNotAllocate(t *testing.T) {
+	data := (&Verdict{Format: "f/v1", Reason: `advice "participate" <λ>`, Details: map[string]string{"a": "1", "b": "2"}}).AppendJSON(nil)
+	if n := testing.AllocsPerRun(100, func() { CanonicalVerdict(data) }); n != 0 {
+		t.Fatalf("CanonicalVerdict allocates %v times per call", n)
+	}
+}
+
+// FuzzVerdictCanonical is the differential check of CanonicalVerdict
+// against encoding/json: accept ⇒ json.Unmarshal accepts, AppendJSON of
+// the decoded verdict reproduces the input byte for byte and the
+// polarity matches; nothing json.Valid rejects is ever accepted.
+func FuzzVerdictCanonical(f *testing.F) {
+	for _, tc := range canonicalSeeds {
+		f.Add([]byte(tc.doc))
+	}
+	for _, tc := range verdictScanSeeds {
+		f.Add([]byte(tc.doc))
+	}
+	for _, s := range adversarialStrings {
+		f.Add((&Verdict{Accepted: true, Format: s, Reason: s, Details: map[string]string{"k": s, s: s}}).AppendJSON(nil))
+	}
+	for _, v := range catalogVerdicts(f) {
+		data := v.AppendJSON(nil)
+		f.Add(data)
+		f.Add(bytes.Replace(data, []byte(`":`), []byte(`": `), 1))
+		f.Add(bytes.Replace(data, []byte(`\u003c`), []byte(`<`), 1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkVerdictCanonical(t, data) })
+}
+
 var (
 	sinkVerifyRequest VerifyRequest
 	sinkAnnouncements []Announcement

@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
+	"rationality/internal/core"
 	"rationality/internal/gossip"
 	"rationality/internal/identity"
+	"rationality/internal/store"
 	"rationality/internal/transport"
 )
 
@@ -80,4 +85,53 @@ func BenchmarkPullExchange(b *testing.B) {
 			exchange(true, 0)
 		}
 	})
+}
+
+// BenchmarkWarmStart is a restart at the service layer: New over a
+// 5 000-record log of BenchmarkOpen's shape (kilobyte requests,
+// catalog-like verdicts, every tenth with a reason that needs escaping)
+// into a cache with room for all of it, then Close. It reports ms/op
+// beside allocs/op.
+func BenchmarkWarmStart(b *testing.B) {
+	const n = 5000
+	dir := b.TempDir()
+	st, _, err := store.Open(dir, store.Options{QueueSize: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	request := append([]byte(`{"format":"p1/v1","game":{"n":0},"advice":[0,1],"proof":"p"}`), bytes.Repeat([]byte(" "), 1024)...)
+	for i := 0; i < n; i++ {
+		v := core.Verdict{Accepted: true, Format: core.FormatP1, Details: map[string]string{
+			"bitsOnWire": "4", "lambdaCol": "0", "lambdaRow": "0", "x": "(1/2, 1/2)", "y": fmt.Sprintf("(%d/2, 1/2)", i),
+		}}
+		switch {
+		case i%10 == 0:
+			v = core.Verdict{Format: core.FormatLastMover, Reason: fmt.Sprintf(`advice "participate" is not a best reply with %d prior participants`, i)}
+		case i%2 == 0:
+			v = core.Verdict{Format: core.FormatP1, Reason: fmt.Sprintf("proof certifies [1 %d] but the advice is [0 0]", i),
+				Details: map[string]string{"bitsOnWire": "4"}}
+		}
+		if !st.Append(identity.DigestBytes([]byte(strconv.Itoa(i))), v, request) {
+			b.Fatal("append refused")
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{ID: "warm", PersistPath: dir, CacheSize: 2 * n}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if s.replayed != n {
+			b.Fatalf("replayed %d of %d records", s.replayed, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/op")
 }

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -28,10 +31,10 @@ const DefaultCacheShards = 16
 // The hot path is read-mostly, so each shard splits its synchronization:
 //
 //   - Get takes NO lock at all. The entry map is a sync.Map (lock-free
-//     loads on its read-only fast path), the recency touch is one atomic
-//     store of a ticket from the shard's atomic clock, and the
-//     caller-facing deep copy happens on the caller's stack. A cache hit
-//     therefore performs zero mutex acquisitions.
+//     loads on its read-only fast path) and the recency touch is one
+//     atomic store of a ticket from the shard's atomic clock. Entries are
+//     immutable bytes, so Get hands out the entry itself: a cache hit
+//     performs zero mutex acquisitions and copies nothing.
 //   - Put serializes structural changes (insert, replace, evict) on a
 //     per-shard mutex, so only concurrent writers to the same stripe
 //     contend.
@@ -72,22 +75,44 @@ type agedKey struct {
 	stamp uint64
 }
 
+// cacheEntry is one cached verdict as the wire carries it. Every field but
+// stamp is immutable once the entry is published, so readers share the
+// entry itself — the bytes go into a reply as they are.
 type cacheEntry struct {
-	// verdict is immutable once stored: Put installs a private deep copy
-	// inside a fresh entry and never mutates it, so Get may alias it
-	// lock-free and defer the caller-facing copy to the caller's stack.
-	verdict core.Verdict
+	// verdict is the verdict's canonical JSON, core.Verdict.AppendJSON's
+	// output: what a verify reply or a stream frame splices in, and what
+	// a co-signature's digest covers.
+	verdict []byte
 	// cert is the encoded quorum certificate over this verdict (empty for
-	// uncertified entries). Like verdict it is immutable once the entry is
-	// published: installs copy the bytes into a fresh entry, and a plain
-	// Put that replaces a certified entry with a verdict of the same
-	// polarity carries the certificate forward into its replacement —
-	// re-verifying an announcement must not make the authority forget the
-	// panel's co-signatures over it, but a certificate must not outlive
-	// the verdict it signs.
-	cert []byte
+	// uncertified entries). A plain Put that replaces a certified entry
+	// with a verdict of the same polarity carries the certificate forward
+	// into its replacement — re-verifying an announcement must not make
+	// the authority forget the panel's co-signatures over it, but a
+	// certificate must not outlive the verdict it signs.
+	cert     []byte
+	accepted bool
 	// stamp is the recency ticket: larger = more recently used.
 	stamp atomic.Uint64
+}
+
+// newEntry encodes a verdict into an unpublished entry: the one encode a
+// verdict gets on its way into the cache.
+func newEntry(v *core.Verdict) *cacheEntry {
+	var scratch [replyBufferSize]byte
+	return &cacheEntry{verdict: bytes.Clone(v.AppendJSON(scratch[:0])), accepted: v.Accepted}
+}
+
+// decode returns the entry's verdict as a value of the caller's own: the
+// one decode an in-process caller pays, by the scanner where the verdict
+// is plain and json.Unmarshal otherwise.
+func (e *cacheEntry) decode() (*core.Verdict, error) {
+	v, ok := core.ScanVerdict(e.verdict)
+	if !ok {
+		if err := json.Unmarshal(e.verdict, &v); err != nil {
+			return nil, fmt.Errorf("service: decoding cached verdict: %w", err)
+		}
+	}
+	return &v, nil
 }
 
 // newVerdictCache returns a cache bounded to capacity entries striped over
@@ -125,10 +150,10 @@ func (c *verdictCache) shardFor(key identity.Hash) *cacheShard {
 	return &c.shards[key.Prefix64()&c.mask]
 }
 
-// Get returns a copy of the cached verdict, if present. Lock-free: one
-// sync.Map load, one recency stamp, and a deep copy on the caller's
-// stack — the stored entry itself is immutable.
-func (c *verdictCache) Get(key identity.Hash) (*core.Verdict, bool) {
+// Get returns the cached entry, if present. Lock-free: one sync.Map
+// load and one recency stamp; the entry is immutable, so nothing is
+// copied.
+func (c *verdictCache) Get(key identity.Hash) (*cacheEntry, bool) {
 	if len(c.shards) == 0 {
 		return nil, false
 	}
@@ -139,22 +164,29 @@ func (c *verdictCache) Get(key identity.Hash) (*core.Verdict, bool) {
 	}
 	e := v.(*cacheEntry)
 	e.stamp.Store(sh.clock.Add(1))
-	out := e.verdict.Clone()
-	return &out, true
+	return e, true
 }
 
-// Put stores a verdict, evicting the shard's least-recently-stamped entry
-// when the stripe is full. The deep copy is taken before the lock; the
-// shard lock covers only the map insert and any eviction scan.
-func (c *verdictCache) Put(key identity.Hash, v core.Verdict) {
-	c.put(key, v, nil, false)
+// Put encodes a verdict and stores it, evicting the shard's
+// least-recently-stamped entries when the stripe is full, and returns the
+// entry — published unless caching is disabled — so the caller replies
+// from the same bytes. The encode happens before the lock; the shard lock
+// covers only the map insert and any eviction scan.
+func (c *verdictCache) Put(key identity.Hash, v core.Verdict) *cacheEntry {
+	e := newEntry(&v)
+	c.put(key, e, false)
+	return e
 }
 
 // PutCertified stores a verdict together with its encoded quorum
 // certificate, at cold or normal recency. The certificate bytes are
 // copied into the entry, so the caller's slice stays its own.
 func (c *verdictCache) PutCertified(key identity.Hash, v core.Verdict, cert []byte, cold bool) {
-	c.put(key, v, cert, cold)
+	e := newEntry(&v)
+	if len(cert) > 0 {
+		e.cert = bytes.Clone(cert)
+	}
+	c.put(key, e, cold)
 }
 
 // Cert returns a copy of the cached certificate for a key, if the key is
@@ -177,13 +209,11 @@ func (c *verdictCache) Cert(key identity.Hash) ([]byte, bool) {
 	return append([]byte(nil), e.cert...), true
 }
 
-func (c *verdictCache) put(key identity.Hash, v core.Verdict, cert []byte, cold bool) {
+// put publishes an unpublished entry under key; the cache owns it from
+// here on and never mutates it again.
+func (c *verdictCache) put(key identity.Hash, e *cacheEntry, cold bool) {
 	if len(c.shards) == 0 {
 		return
-	}
-	e := &cacheEntry{verdict: v.Clone()}
-	if len(cert) > 0 {
-		e.cert = append([]byte(nil), cert...)
 	}
 	sh := c.shardFor(key)
 	if !cold {
@@ -201,7 +231,7 @@ func (c *verdictCache) put(key identity.Hash, v core.Verdict, cert []byte, cold 
 		// correction would vouch for the lie. The entry is unpublished
 		// here, so the write races nothing; the shard lock orders it
 		// against other installs for the key.
-		if old, ok := sh.entries.Load(key); ok && old.(*cacheEntry).verdict.Accepted == v.Accepted {
+		if old, ok := sh.entries.Load(key); ok && old.(*cacheEntry).accepted == e.accepted {
 			e.cert = old.(*cacheEntry).cert
 		}
 	}

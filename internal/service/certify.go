@@ -26,8 +26,8 @@ import (
 var ErrNoSigningKey = errors.New("service: co-signing requires a signing identity (Config.Key)")
 
 // CoSign verifies one request through the normal cached/singleflight path
-// and signs the canonical certificate digest over the resulting verdict
-// with this authority's key. The returned response carries everything a
+// and signs the canonical certificate digest over the resulting verdict —
+// over the cached verdict bytes themselves — with this authority's key. The returned response carries everything a
 // certificate coordinator needs: the signer's party ID, the
 // content-addressed verdict key, the verdict itself, and the signature.
 // The verdict is this authority's own (cache hits included) — co-signing
@@ -36,12 +36,16 @@ func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignRes
 	if s.fed == nil || s.fed.key == nil {
 		return CoSignResponse{}, ErrNoSigningKey
 	}
-	v, err := s.Verify(ctx, req)
+	e, err := s.verify(ctx, "", req.Format, req.Game, req.Advice, req.Proof)
+	if err != nil {
+		return CoSignResponse{}, err
+	}
+	v, err := e.decode()
 	if err != nil {
 		return CoSignResponse{}, err
 	}
 	key := identity.DigestBytes([]byte(req.Format), req.Game, req.Advice, req.Proof)
-	sig := s.fed.key.Sign(identity.CertificateDigest(key, v.AppendJSON(nil)))
+	sig := s.fed.key.Sign(identity.CertificateDigest(key, e.verdict))
 	s.metrics.certsCosigned.Add(1)
 	return CoSignResponse{
 		VerifierID: s.id,

@@ -197,9 +197,9 @@ type StatsResponse struct {
 
 var _ transport.Handler = (*Service)(nil)
 
-// replyBufferSize is the initial capacity of an append-encoded reply:
-// a catalog verdict with its details is 100–200 bytes, so the common
-// reply is one allocation.
+// replyBufferSize is the initial capacity of an append-encoded reply and
+// of the scratch a verdict is encoded in: a catalog verdict with its
+// details is 100–200 bytes, so the common reply is one allocation.
 const replyBufferSize = 256
 
 // decodeBatch decodes a verify-stream payload: by the
@@ -231,12 +231,14 @@ func (s *Service) Handle(ctx context.Context, req transport.Message) (transport.
 				return transport.Message{}, err
 			}
 		}
-		verdict, err := s.Verify(ctx, vr)
+		e, err := s.verify(ctx, "", vr.Format, vr.Game, vr.Advice, vr.Proof)
 		if err != nil {
 			return transport.Message{}, err
 		}
-		resp := core.VerifyResponse{VerifierID: s.id, Verdict: *verdict}
-		return transport.Message{Type: "verdict", Payload: resp.AppendJSON(make([]byte, 0, replyBufferSize))}, nil
+		// The reply splices the cached verdict bytes: a hit neither
+		// decodes nor re-encodes the verdict.
+		payload := core.AppendVerifyResponse(make([]byte, 0, replyBufferSize), s.id, e.verdict)
+		return transport.Message{Type: "verdict", Payload: payload}, nil
 	case core.MsgFormats:
 		return transport.NewMessage("formats", core.FormatsResponse{
 			VerifierID: s.id,

@@ -216,8 +216,9 @@ func TestHandlerVerifyScanAndDeclineAgree(t *testing.T) {
 	}
 }
 
-// TestStreamVerdictAppendJSONMatchesMarshal: a stream frame's payload is
-// json.Marshal's bytes, with and without a certificate.
+// TestStreamVerdictAppendJSONMatchesMarshal: a stream frame's payload —
+// the verdict's AppendJSON bytes spliced in — is json.Marshal's bytes,
+// with and without a certificate.
 func TestStreamVerdictAppendJSONMatchesMarshal(t *testing.T) {
 	for _, sv := range []StreamVerdict{
 		{},
@@ -231,9 +232,9 @@ func TestStreamVerdictAppendJSONMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sv.appendJSON(nil)
+		got, err := appendStreamVerdict(nil, sv.Index, sv.Verdict.AppendJSON(nil), sv.Certificate)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("appendJSON = %s, %v\n want %s", got, err, want)
+			t.Fatalf("appendStreamVerdict = %s, %v\n want %s", got, err, want)
 		}
 	}
 }

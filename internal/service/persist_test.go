@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"rationality/internal/core"
+	"rationality/internal/identity"
+	"rationality/internal/transport"
 )
 
 // TestServiceWarmStartRestart is the restart acceptance test: a service
@@ -294,5 +299,134 @@ func TestWarmStartTrimsToCacheCapacity(t *testing.T) {
 	}
 	if got := proc2.calls.Load(); got != 0 {
 		t.Fatalf("newest verdict was not warm after capacity-trimmed replay (%d procedure runs)", got)
+	}
+}
+
+// scriptedProc answers each game with the verdict scripted for it.
+type scriptedProc struct {
+	verdicts map[string]core.Verdict
+	calls    atomic.Int64
+}
+
+func (p *scriptedProc) Format() string { return "scripted/v1" }
+
+func (p *scriptedProc) Verify(game, _, _ json.RawMessage) (*core.Verdict, error) {
+	p.calls.Add(1)
+	v := p.verdicts[string(game)]
+	return &v, nil
+}
+
+// wireReplies verifies every announcement over the wire, once unary and
+// once as one verify-stream, and returns the raw payloads: the verdict
+// replies and the stream frames, both by announcement index.
+func wireReplies(t *testing.T, s *Service, anns []core.Announcement) (unary, frames [][]byte) {
+	t.Helper()
+	ctx := context.Background()
+	c := transport.DialInProc(s)
+	defer c.Close()
+	unary = make([][]byte, len(anns))
+	for i, ann := range anns {
+		req, err := transport.NewMessage(core.MsgVerify, core.VerifyRequest{Format: ann.Format, Game: ann.Game, Advice: ann.Advice})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Call(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unary[i] = resp.Payload
+	}
+	req, err := transport.NewMessage(MsgVerifyStream, BatchVerifyRequest{Announcements: anns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.CallStream(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	frames = make([][]byte, len(anns))
+	for {
+		m, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == MsgStreamTrailer {
+			return unary, frames
+		}
+		var sv StreamVerdict
+		if err := m.Decode(&sv); err != nil {
+			t.Fatal(err)
+		}
+		frames[sv.Index] = m.Payload
+	}
+}
+
+// TestRestartRepliesAreByteIdentical: after a restart every unary verify
+// reply and every verify-stream frame — each a cache hit installed from
+// the replayed log's bytes — is byte for byte the one the authority sent
+// before it, for verdicts whose strings need escapes, non-ASCII and <>&,
+// with empty and absent details, a details key the log's canonical check
+// declines, and a certified record whose frame carries its certificate.
+func TestRestartRepliesAreByteIdentical(t *testing.T) {
+	scripted := []core.Verdict{
+		{Accepted: true, Format: "scripted/v1", Details: map[string]string{"x": "(1/2, 1/2)", "lambda": "0"}},
+		{Format: "scripted/v1", Reason: `advice "participate" is not a best reply \ here`},
+		{Format: "scripted/v1", Reason: "λ = -1 ≠ μ, naïve ☃ \U0001F600"},
+		{Format: "scripted/v1", Reason: "1 < 2 && 3 > 2", Details: map[string]string{"v": "<a&b>"}},
+		{Format: "scripted/v1", Reason: "escaped key", Details: map[string]string{"<k>": "1", "k": "2"}},
+		{Accepted: true, Format: "scripted/v1", Details: map[string]string{}},
+		{Accepted: true, Format: "scripted/v1"},
+		{Format: "scripted/v1", Reason: "tab\tnewline\n separator\u2028 del\x7f"},
+		{Accepted: true, Format: "scripted/v1", Reason: "certified", Details: map[string]string{"k": "v"}},
+	}
+	proc := &scriptedProc{verdicts: map[string]core.Verdict{}}
+	anns := make([]core.Announcement, len(scripted))
+	for i, v := range scripted {
+		game := fmt.Sprintf(`{"script":%d}`, i)
+		proc.verdicts[game] = v
+		anns[i] = core.Announcement{InventorID: "inv", Format: "scripted/v1", Game: json.RawMessage(game), Advice: json.RawMessage(`{}`)}
+	}
+	dir := t.TempDir()
+	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
+	svc1.Register(proc)
+	fresh, _ := wireReplies(t, svc1, anns) // every one a miss
+	certified := anns[len(anns)-1]
+	key := identity.DigestBytes([]byte(certified.Format), certified.Game, certified.Advice, certified.Proof)
+	if err := svc1.StoreCertificate(&core.Certificate{
+		Key: key.String(), Verdict: scripted[len(scripted)-1], Panel: []byte{0x01}, Sigs: [][]byte{[]byte("sig")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	unary, frames := wireReplies(t, svc1, anns) // every one a hit
+	for i := range anns {
+		if !bytes.Equal(unary[i], fresh[i]) {
+			t.Fatalf("verdict %d: the hit replied %s, the miss %s", i, unary[i], fresh[i])
+		}
+	}
+	if !bytes.Contains(frames[len(anns)-1], []byte(`"certificate":`)) {
+		t.Fatalf("the certified item streamed without its certificate: %s", frames[len(anns)-1])
+	}
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ran := proc.calls.Load()
+	svc2 := newTestService(t, Config{PersistPath: dir})
+	svc2.Register(proc)
+	if got := svc2.Stats().Persistence.Replayed; got != uint64(len(anns)) {
+		t.Fatalf("replayed %d verdicts, want %d", got, len(anns))
+	}
+	unary2, frames2 := wireReplies(t, svc2, anns)
+	for i := range anns {
+		if !bytes.Equal(unary2[i], unary[i]) {
+			t.Errorf("verdict %d after restart:\n reply %s\n  was  %s", i, unary2[i], unary[i])
+		}
+		if !bytes.Equal(frames2[i], frames[i]) {
+			t.Errorf("verdict %d after restart:\n frame %s\n  was  %s", i, frames2[i], frames[i])
+		}
+	}
+	if st := svc2.Stats(); st.CacheMisses != 0 || proc.calls.Load() != ran {
+		t.Fatalf("after restart: %d misses, %d procedure runs; want every reply a hit", st.CacheMisses, proc.calls.Load()-ran)
 	}
 }

@@ -316,7 +316,7 @@ func New(cfg Config) (*Service, error) {
 		// verdict's append stamp never refreshes (hits bypass the
 		// store), so residency, not stamp age, is what marks the
 		// records worth carrying across restarts.
-		vs, records, err := store.Open(cfg.PersistPath, store.Options{
+		vs, live, err := store.Open(cfg.PersistPath, store.Options{
 			SyncEvery: cfg.SyncEvery,
 			MaxLive:   cacheSize,
 			Retain:    s.cache.Contains,
@@ -333,14 +333,20 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: opening verdict store: %w", err)
 		}
-		if len(records) > cacheSize {
-			records = records[len(records)-cacheSize:]
+		if len(live) > cacheSize {
+			live = live[len(live)-cacheSize:]
 		}
-		for i := range records {
-			// Certified verdicts replay with their certificate: a restarted
-			// authority serves quorum certificates as cache hits, same as
-			// plain verdicts.
-			s.cache.PutCertified(records[i].Key, records[i].Verdict, records[i].Cert, false)
+		// The store hands back canonical verdict bytes and the cache
+		// holds exactly those: replay installs them as they are — no
+		// decode, no encode, one allocation for every entry — and
+		// certified verdicts replay with their certificate, so a
+		// restarted authority serves quorum certificates as cache hits,
+		// same as plain verdicts.
+		entries := make([]cacheEntry, len(live))
+		for i := range live {
+			e := &entries[i]
+			e.verdict, e.cert, e.accepted = live[i].Verdict, live[i].Cert, live[i].Accepted
+			s.cache.put(live[i].Key, e, false)
 		}
 		s.store = vs
 		// Count what survived, not what was offered: capacity splits
@@ -462,14 +468,22 @@ func (s *Service) Stats() Stats {
 // verdict to vote on; an error means no verdict was produced at all (unknown format, cancelled
 // context, closed service).
 func (s *Service) Verify(ctx context.Context, req core.VerifyRequest) (*core.Verdict, error) {
-	return s.verify(ctx, "", req.Format, req.Game, req.Advice, req.Proof)
+	e, err := s.verify(ctx, "", req.Format, req.Game, req.Advice, req.Proof)
+	if err != nil {
+		return nil, err
+	}
+	return e.decode()
 }
 
 // VerifyAnnouncement checks an inventor's announcement and, when the
 // service carries a reputation registry, records the verdict against the
 // inventor: acceptance as agreement, rejection as a misbehaviour report.
 func (s *Service) VerifyAnnouncement(ctx context.Context, ann core.Announcement) (*core.Verdict, error) {
-	return s.verify(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof)
+	e, err := s.verify(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof)
+	if err != nil {
+		return nil, err
+	}
+	return e.decode()
 }
 
 // closing reports whether Close has flagged the service; in-flight work
@@ -538,8 +552,9 @@ func (s *Service) release() {
 }
 
 // verify is the single-request path: drain registration, then
-// verifyRegistered.
-func (s *Service) verify(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
+// verifyRegistered. It returns the cache entry — the verdict's canonical
+// bytes — which the wire reply splices and in-process callers decode.
+func (s *Service) verify(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, error) {
 	if s.admission != nil {
 		// Admission refusals happen before the request is counted at all:
 		// Requests (and the hit/miss partition under it) keeps meaning
@@ -560,28 +575,27 @@ func (s *Service) verify(ctx context.Context, inventorID, format string, gameSpe
 }
 
 // verifyRegistered does cache lookup, then a singleflight execution, then
-// reputation recording. The caller must already hold an in-flight
-// registration (directly or through a batch), which keeps the worker pool
-// alive until the request completes even during a drain. onPool says the
-// caller is itself a pool worker: execution then happens inline (the pool
-// bound is already held) and any singleflight wait drains the execution
-// queue, so a leader queued behind pool-occupying followers cannot
-// deadlock.
+// reputation recording, and returns the verdict's cache entry. The caller
+// must already hold an in-flight registration (directly or through a
+// stream), which keeps the worker pool alive until the request completes
+// even during a drain. onPool says the caller is itself a pool worker:
+// execution then happens inline (the pool bound is already held) and any
+// singleflight wait drains the execution queue, so a leader queued behind
+// pool-occupying followers cannot deadlock.
 //
-// A cache hit takes no mutex at all: metrics and admission are atomic,
-// the shard read path is lock-free (sync.Map load plus an atomic recency
-// stamp), and the single verdict copy happens on this goroutine's stack.
-func (s *Service) verifyRegistered(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage, onPool bool) (*core.Verdict, error) {
+// A cache hit takes no mutex and copies nothing: metrics and admission
+// are atomic, the shard read path is lock-free (sync.Map load plus an
+// atomic recency stamp), and the entry it finds is immutable — the
+// caller splices its bytes or decodes its own copy.
+func (s *Service) verifyRegistered(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage, onPool bool) (*cacheEntry, error) {
 	start := s.metrics.begin()
 	defer s.metrics.end(start)
 
 	key := identity.DigestBytes([]byte(format), gameSpec, advice, proofBody)
-	if v, ok := s.cache.Get(key); ok {
-		// v is already this caller's private copy, made outside the
-		// shard lock; hand it out directly.
+	if e, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		s.countVerdict(v)
-		return v, nil
+		s.countVerdict(e.accepted)
+		return e, nil
 	}
 	s.metrics.cacheMisses.Add(1)
 
@@ -589,11 +603,16 @@ func (s *Service) verifyRegistered(ctx context.Context, inventorID, format strin
 	if onPool {
 		steal = s.execs
 	}
-	v, shared, err := s.flight.Do(ctx, key, func() (*core.Verdict, error) {
+	// fresh is the leader's own verdict, read only for its reputation
+	// record; followers share the entry.
+	var fresh *core.Verdict
+	e, shared, err := s.flight.Do(ctx, key, func() (e *cacheEntry, err error) {
 		if onPool {
-			return s.executeInline(key, format, gameSpec, advice, proofBody)
+			e, fresh, err = s.executeInline(key, format, gameSpec, advice, proofBody)
+		} else {
+			e, fresh, err = s.executeOnPool(ctx, key, format, gameSpec, advice, proofBody)
 		}
-		return s.executeOnPool(ctx, key, format, gameSpec, advice, proofBody)
+		return e, err
 	}, steal)
 	if err != nil {
 		s.metrics.failures.Add(1)
@@ -602,66 +621,66 @@ func (s *Service) verifyRegistered(ctx context.Context, inventorID, format strin
 	if shared {
 		s.metrics.deduplicated.Add(1)
 	}
-	// Copy before handing out: singleflight followers share the leader's
-	// verdict, and Verdict carries a mutable Details map.
-	out := v.Clone()
-	s.countVerdict(&out)
+	s.countVerdict(e.accepted)
 	// Reputation is recorded once per fresh verification — cached repeats
 	// and singleflight followers do not re-record, so flooding a verifier
 	// with one announcement cannot inflate (or deflate) an inventor's
 	// standing or grow the audit log.
 	if !shared {
-		s.recordReputation(inventorID, &out)
+		s.recordReputation(inventorID, fresh)
 	}
-	return &out, nil
+	return e, nil
 }
 
 // executeInline runs one verification on the calling goroutine and caches
-// the verdict. Only pool workers call it directly: the pool's concurrency
-// bound is already held, so dispatching to the pool again would waste a
-// queue round trip and risk deadlock.
-func (s *Service) executeInline(key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
+// the verdict, returning its entry and the verdict itself. Only pool
+// workers call it directly: the pool's concurrency bound is already held,
+// so dispatching to the pool again would waste a queue round trip and
+// risk deadlock.
+func (s *Service) executeInline(key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, *core.Verdict, error) {
 	v, err := s.execute(format, gameSpec, advice, proofBody)
-	if err == nil {
-		s.cache.Put(key, *v)
-		if s.store != nil {
-			// Durability is asynchronous: one non-blocking channel send
-			// hands the fresh verdict to the store's flusher. A full
-			// queue drops the record (restart warmth is best-effort) —
-			// the verification path never waits on a disk. The request
-			// rides along so any future auditor (here or on a peer) can
-			// re-run the verification from the log alone.
-			req, _ := json.Marshal(core.VerifyRequest{
-				Format: format, Game: gameSpec, Advice: advice, Proof: proofBody,
-			})
-			s.store.Append(key, *v, req)
-			// A fresh verdict is exactly what rumor-mongering exists for:
-			// push it through the next gossip exchanges instead of waiting
-			// for a fingerprint mismatch to surface it.
-			s.noteRumor(key)
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	return v, err
+	e := s.cache.Put(key, *v)
+	if s.store != nil {
+		// Durability is asynchronous: one non-blocking channel send
+		// hands the fresh verdict to the store's flusher. A full
+		// queue drops the record (restart warmth is best-effort) —
+		// the verification path never waits on a disk. The request
+		// rides along so any future auditor (here or on a peer) can
+		// re-run the verification from the log alone.
+		req, _ := json.Marshal(core.VerifyRequest{
+			Format: format, Game: gameSpec, Advice: advice, Proof: proofBody,
+		})
+		s.store.Append(key, *v, req)
+		// A fresh verdict is exactly what rumor-mongering exists for:
+		// push it through the next gossip exchanges instead of waiting
+		// for a fingerprint mismatch to surface it.
+		s.noteRumor(key)
+	}
+	return e, v, nil
 }
 
 // executeOnPool runs one verification on a pool worker. Once the job is
 // enqueued it always runs to completion (singleflight followers depend on
 // the result); the context only guards the wait for a free worker.
-func (s *Service) executeOnPool(ctx context.Context, key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
+func (s *Service) executeOnPool(ctx context.Context, key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, *core.Verdict, error) {
+	var e *cacheEntry
 	var v *core.Verdict
 	var err error
 	done := make(chan struct{})
 	job := func() {
 		defer close(done)
-		v, err = s.executeInline(key, format, gameSpec, advice, proofBody)
+		e, v, err = s.executeInline(key, format, gameSpec, advice, proofBody)
 	}
 	select {
 	case s.execs <- job:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	<-done
-	return v, err
+	return e, v, err
 }
 
 // execute resolves the procedure and runs it, translating procedure errors
@@ -680,8 +699,8 @@ func (s *Service) execute(format string, gameSpec, advice, proofBody json.RawMes
 
 // countVerdict updates the accepted/rejected counters for one delivered
 // verdict (fresh, shared, or cached).
-func (s *Service) countVerdict(v *core.Verdict) {
-	if v.Accepted {
+func (s *Service) countVerdict(accepted bool) {
+	if accepted {
 		s.metrics.accepted.Add(1)
 	} else {
 		s.metrics.rejected.Add(1)

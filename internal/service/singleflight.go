@@ -5,13 +5,13 @@ import (
 	"errors"
 	"sync"
 
-	"rationality/internal/core"
 	"rationality/internal/identity"
 )
 
 // flightGroup deduplicates concurrent verifications of the same content
 // address: the first caller (the leader) runs the procedure, every
-// concurrent duplicate waits for and shares the leader's verdict. A
+// concurrent duplicate waits for and shares the leader's cache entry —
+// immutable bytes, so sharing needs no copy. A
 // minimal re-implementation of golang.org/x/sync/singleflight, kept local
 // so the module stays dependency-free, keyed by the raw digest.
 type flightGroup struct {
@@ -20,9 +20,9 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done    chan struct{}
-	verdict *core.Verdict
-	err     error
+	done  chan struct{}
+	entry *cacheEntry
+	err   error
 }
 
 func newFlightGroup() *flightGroup {
@@ -46,7 +46,7 @@ func newFlightGroup() *flightGroup {
 // stolen job cannot nest another steal and the follower's stack stays
 // bounded regardless of load. Callers not on the pool pass nil — receiving
 // from a nil channel blocks forever, turning the steal case into a no-op.
-func (g *flightGroup) Do(ctx context.Context, key identity.Hash, fn func() (*core.Verdict, error), steal <-chan func()) (*core.Verdict, bool, error) {
+func (g *flightGroup) Do(ctx context.Context, key identity.Hash, fn func() (*cacheEntry, error), steal <-chan func()) (*cacheEntry, bool, error) {
 	for {
 		g.mu.Lock()
 		if c, ok := g.calls[key]; ok {
@@ -72,19 +72,19 @@ func (g *flightGroup) Do(ctx context.Context, key identity.Hash, fn func() (*cor
 			if isContextError(c.err) && ctx.Err() == nil {
 				continue // the leader gave up on its own ctx, not ours
 			}
-			return c.verdict, true, c.err
+			return c.entry, true, c.err
 		}
 		c := &flightCall{done: make(chan struct{})}
 		g.calls[key] = c
 		g.mu.Unlock()
 
-		c.verdict, c.err = fn()
+		c.entry, c.err = fn()
 		close(c.done)
 
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
-		return c.verdict, false, c.err
+		return c.entry, false, c.err
 	}
 }
 

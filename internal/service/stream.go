@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rationality/internal/core"
-	"rationality/internal/identity"
 	"rationality/internal/transport"
 )
 
@@ -44,21 +43,22 @@ type StreamVerdict struct {
 	Certificate *core.Certificate `json:"certificate,omitempty"`
 }
 
-// appendJSON appends the frame payload exactly as json.Marshal encodes
-// it: the index and the verdict by the append encoder, a certificate —
-// the rare case — through json.Marshal.
-func (sv *StreamVerdict) appendJSON(dst []byte) ([]byte, error) {
+// appendStreamVerdict appends a StreamVerdict frame payload exactly as
+// json.Marshal encodes it, given the verdict as AppendJSON encodes it: the
+// index by strconv, the verdict bytes spliced in as they are, a
+// certificate — the rare case — through json.Marshal.
+func appendStreamVerdict(dst []byte, index int, verdict []byte, cert *core.Certificate) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(sv.Index), 10)
+	dst = strconv.AppendInt(dst, int64(index), 10)
 	dst = append(dst, `,"verdict":`...)
-	dst = sv.Verdict.AppendJSON(dst)
-	if sv.Certificate != nil {
-		cert, err := json.Marshal(sv.Certificate)
+	dst = append(dst, verdict...)
+	if cert != nil {
+		raw, err := json.Marshal(cert)
 		if err != nil {
 			return nil, fmt.Errorf("service: encoding stream certificate: %w", err)
 		}
 		dst = append(dst, `,"certificate":`...)
-		dst = append(dst, cert...)
+		dst = append(dst, raw...)
 	}
 	return append(dst, '}'), nil
 }
@@ -85,11 +85,13 @@ type StreamTrailer struct {
 }
 
 // streamResult carries one finished item from a pool worker to the
-// collector: a verdict to deliver, or the infrastructure error (cancelled
-// context, shutdown) that left the item with nothing to deliver.
+// collector: the input's index and the entry to deliver, or the
+// infrastructure error (cancelled context, shutdown) that left the item
+// with nothing to deliver.
 type streamResult struct {
-	sv  StreamVerdict
-	err error
+	index int
+	entry *cacheEntry
+	err   error
 }
 
 // VerifyStream fans the announcements across the shared worker pool and
@@ -102,8 +104,21 @@ type streamResult struct {
 // items are still emitted and the returned trailer reports Truncated
 // with the cause in Reason. The whole stream counts as one in-flight
 // request (Close waits for it) and is charged to the batch admission
-// class as one token per item.
+// class as one token per item. Each item's verdict is decoded for emit,
+// beside its cached quorum certificate, if any.
 func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, emit func(StreamVerdict) error) (StreamTrailer, error) {
+	return s.stream(ctx, anns, func(index int, e *cacheEntry) error {
+		v, err := e.decode()
+		if err != nil {
+			return err
+		}
+		return emit(StreamVerdict{Index: index, Verdict: *v, Certificate: e.certificate()})
+	})
+}
+
+// stream is VerifyStream over cache entries: emit gets each item's index
+// and entry, whose bytes the wire frame splices.
+func (s *Service) stream(ctx context.Context, anns []core.Announcement, emit func(int, *cacheEntry) error) (StreamTrailer, error) {
 	if err := s.beginBatch(len(anns)); err != nil {
 		return StreamTrailer{}, err
 	}
@@ -111,16 +126,16 @@ func (s *Service) VerifyStream(ctx context.Context, anns []core.Announcement, em
 	s.metrics.streams.Add(1)
 	start := time.Now()
 	tr := StreamTrailer{VerifierID: s.id, Items: len(anns)}
-	cause, emitErr := s.fanOut(ctx, anns, s.cachedCertificate, func(sv StreamVerdict) error {
+	cause, emitErr := s.fanOut(ctx, anns, func(index int, e *cacheEntry) error {
 		if tr.Delivered == 0 {
 			tr.FirstVerdict = time.Since(start)
 			s.metrics.ttfv.observe(tr.FirstVerdict.Nanoseconds())
 		}
-		if err := emit(sv); err != nil {
+		if err := emit(index, e); err != nil {
 			return err
 		}
 		tr.Delivered++
-		if sv.Verdict.Accepted {
+		if e.accepted {
 			tr.Accepted++
 		} else {
 			tr.Rejected++
@@ -156,17 +171,20 @@ func (s *Service) beginBatch(n int) error {
 	return nil
 }
 
-// fanOut is VerifyStream's submit/collect loop. A submitter goroutine feeds one pool job per announcement
-// — batch length is wire-controlled, so it must not translate into
-// goroutines, and the submit blocks while all workers are busy — and
-// deliver runs on the calling goroutine once per completed item, in
-// completion order. attach, when non-nil, runs on the worker to decorate
-// a verified item with its certificate. Submission stops at the first
-// infrastructure failure (returned as cause) or deliver error (returned,
-// the remaining results drained so no worker blocks); everything that
-// completed before a cause is still delivered. The caller holds the
-// in-flight registration that keeps the pool alive.
-func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, attach func(*core.Announcement) *core.Certificate, deliver func(StreamVerdict) error) (cause, deliverErr error) {
+// fanOut is VerifyStream's submit/collect loop. A submitter goroutine
+// feeds one pool job per announcement — batch length is wire-controlled,
+// so it must not translate into goroutines, and the submit blocks while
+// all workers are busy — and deliver runs on the calling goroutine once
+// per completed item, in completion order, with the item's index and
+// cache entry: the certificate, when the entry carries one, rides along
+// (the stream never waits on a panel). An item whose verification failed
+// outright (an unknown format) is delivered as a rejection naming the
+// error. Submission stops at the first infrastructure failure (returned
+// as cause) or deliver error (returned, the remaining results drained so
+// no worker blocks); everything that completed before a cause is still
+// delivered. The caller holds the in-flight registration that keeps the
+// pool alive.
+func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, deliver func(int, *cacheEntry) error) (cause, deliverErr error) {
 	// results is drained by this goroutine until closed, so workers never
 	// block on it longer than one deliver; abort stops the submitter
 	// early when delivering fails. submitErr is the submitter's own reason
@@ -198,21 +216,14 @@ func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, attach f
 			job := func() {
 				defer wg.Done()
 				err := ctx.Err()
-				var v *core.Verdict
+				r := streamResult{index: i}
 				if err == nil {
-					v, err = s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof, true)
+					r.entry, err = s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof, true)
 				}
-				r := streamResult{}
-				switch {
-				case err == nil:
-					r.sv = StreamVerdict{Index: i, Verdict: *v}
-					if attach != nil {
-						r.sv.Certificate = attach(ann)
-					}
-				case isContextError(err) || errors.Is(err, ErrServiceClosed):
+				if isContextError(err) || errors.Is(err, ErrServiceClosed) {
 					r.err = err
-				default:
-					r.sv = StreamVerdict{Index: i, Verdict: core.Verdict{Format: ann.Format, Reason: err.Error()}}
+				} else if err != nil {
+					r.entry = newEntry(&core.Verdict{Format: ann.Format, Reason: err.Error()})
 				}
 				results <- r
 			}
@@ -236,7 +247,7 @@ func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, attach f
 				cause = r.err
 			}
 		case deliverErr == nil:
-			if deliverErr = deliver(r.sv); deliverErr != nil {
+			if deliverErr = deliver(r.index, r.entry); deliverErr != nil {
 				close(abort)
 			}
 		} // after a deliver error: drain, so no worker blocks on a dead consumer
@@ -247,16 +258,14 @@ func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, attach f
 	return cause, deliverErr
 }
 
-// cachedCertificate fetches an announcement's quorum certificate from
-// the verdict cache, if one is attached; best-effort — a certificate
-// that fails to decode is simply omitted from the stream frame.
-func (s *Service) cachedCertificate(ann *core.Announcement) *core.Certificate {
-	key := identity.DigestBytes([]byte(ann.Format), ann.Game, ann.Advice, ann.Proof)
-	raw, ok := s.cache.Cert(key)
-	if !ok {
+// certificate decodes the entry's quorum certificate, if it carries one;
+// best-effort — a certificate that fails to decode is simply omitted
+// from the stream frame.
+func (e *cacheEntry) certificate() *core.Certificate {
+	if len(e.cert) == 0 {
 		return nil
 	}
-	cert, err := core.DecodeCertificate(raw)
+	cert, err := core.DecodeCertificate(e.cert)
 	if err != nil {
 		return nil
 	}
@@ -268,9 +277,10 @@ func (s *Service) cachedCertificate(ann *core.Announcement) *core.Certificate {
 func (s *Service) Streams(msgType string) bool { return msgType == MsgVerifyStream }
 
 // HandleStream implements transport.StreamHandler for MsgVerifyStream:
-// it decodes the batch, runs VerifyStream with each verdict sent as one
-// MsgStreamVerdict frame, and returns the MsgStreamTrailer frame the
-// transport marks terminal.
+// it decodes the batch, runs the stream with each verdict sent as one
+// MsgStreamVerdict frame — its cached bytes spliced in, never decoded or
+// re-encoded — and returns the MsgStreamTrailer frame the transport marks
+// terminal.
 func (s *Service) HandleStream(ctx context.Context, req transport.Message, send func(transport.Message) error) (transport.Message, error) {
 	if req.Type != MsgVerifyStream {
 		return transport.Message{}, fmt.Errorf("service: cannot stream %q", req.Type)
@@ -282,8 +292,8 @@ func (s *Service) HandleStream(ctx context.Context, req transport.Message, send 
 	if err != nil {
 		return transport.Message{}, err
 	}
-	trailer, err := s.VerifyStream(ctx, anns, func(sv StreamVerdict) error {
-		payload, err := sv.appendJSON(make([]byte, 0, replyBufferSize))
+	trailer, err := s.stream(ctx, anns, func(index int, e *cacheEntry) error {
+		payload, err := appendStreamVerdict(make([]byte, 0, replyBufferSize), index, e.verdict, e.certificate())
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -412,13 +413,23 @@ func TestCacheMissKeepsLoggedCertificate(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, recs, err := store.Open(dir, store.Options{})
+	st, live, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	blob, _, err := st.Records([]identity.Hash{key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.DecodeRecords(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range recs {
-		if r.Key == key && len(r.Cert) != 0 && len(r.Request) != 0 {
+		if r.Key == key && len(r.Cert) != 0 && len(r.Request) != 0 && slices.ContainsFunc(live, func(l store.Live) bool {
+			return l.Key == key && bytes.Equal(l.Cert, r.Cert)
+		}) {
 			return
 		}
 	}

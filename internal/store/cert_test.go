@@ -33,7 +33,7 @@ func TestCertifiedRecordRoundTrip(t *testing.T) {
 	if len(records) != 2 {
 		t.Fatalf("replayed %d records, want 2", len(records))
 	}
-	byKey := map[[32]byte]Record{}
+	byKey := map[[32]byte]Live{}
 	for _, r := range records {
 		byKey[r.Key] = r
 	}

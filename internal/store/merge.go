@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 
 	"rationality/internal/identity"
@@ -153,7 +152,7 @@ func (s *Store) readStanding(key identity.Hash, e idxEntry) (Record, error) {
 	frame := make([]byte, e.n)
 	err := s.readFrame(&located{key, e}, frame)
 	if err == nil {
-		_, _, err = readRecord(bytes.NewReader(frame), &rec, len(frame))
+		_, err = decodeRecord(frame, &rec)
 	}
 	return rec, err
 }

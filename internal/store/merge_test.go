@@ -126,11 +126,11 @@ func indexLines(t *testing.T, s *Store) map[identity.Hash]idxEntry {
 // the live index.
 func checkReplayIsIndex(t *testing.T, s *Store, what string) {
 	t.Helper()
-	var rp *replayed
+	var replayedIx index
 	var err error
 	idx := make(map[identity.Hash]idxEntry)
 	if doErr := s.do(func() {
-		rp, err = replay(s.dir)
+		_, err = replay(s.dir, &replayedIx)
 		s.index.each(nil, func(l located) { idx[l.key] = l.idxEntry })
 	}); doErr != nil {
 		t.Fatal(doErr)
@@ -138,13 +138,16 @@ func checkReplayIsIndex(t *testing.T, s *Store, what string) {
 	if err != nil {
 		t.Fatalf("%s: replay: %v", what, err)
 	}
-	if len(rp.live) != len(idx) {
-		t.Fatalf("%s: replay finds %d keys, the index holds %d", what, len(rp.live), len(idx))
+	if replayedIx.len() != len(idx) {
+		t.Fatalf("%s: replay finds %d keys, the index holds %d", what, replayedIx.len(), len(idx))
 	}
-	for key, r := range rp.live {
-		if want := entryFor(&r.Record, r.sum, r.loc); idx[key] != want {
-			t.Fatalf("%s: key %x: replay reads %+v, the index says %+v", what, key[:3], want, idx[key])
+	replayedIx.each(nil, func(l located) {
+		if idx[l.key] != l.idxEntry {
+			t.Fatalf("%s: key %x: replay reads %+v, the index says %+v", what, l.key[:3], l.idxEntry, idx[l.key])
 		}
+	})
+	if replayedIx.fp != s.index.fp {
+		t.Fatalf("%s: replay folds other bucket fingerprints than the index keeps", what)
 	}
 }
 
@@ -692,12 +695,12 @@ func TestReplaySegmentHeader(t *testing.T) {
 		"foreign bytes":  {[]byte("hello, world"), 0, true},
 		"foreign short":  {[]byte("hi"), 0, true},
 	} {
-		valid, err := replaySegment(bytes.NewReader(tc.data), func(*Record, uint32, int64, int) {})
+		_, valid, err := replaySegment(bytes.NewReader(tc.data), int64(len(tc.data)), func(frame, int64, bool, []byte) {})
 		if errors.Is(err, errVersion) != tc.version || (err != nil && !tc.version) || valid != tc.valid {
 			t.Errorf("%s: valid %d err %v, want valid %d version error %v", name, valid, err, tc.valid, tc.version)
 		}
 	}
-	if _, err := replaySegment(io.MultiReader(bytes.NewReader(full), errReader{}), func(*Record, uint32, int64, int) {}); err == nil || errors.Is(err, errVersion) {
+	if _, _, err := replaySegment(io.MultiReader(bytes.NewReader(full), errReader{}), int64(len(full))+1, func(frame, int64, bool, []byte) {}); err == nil || errors.Is(err, errVersion) {
 		t.Errorf("an I/O failure mid-segment came back as %v", err)
 	}
 }

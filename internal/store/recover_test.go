@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -126,6 +127,21 @@ func TestCrashRecoveryTable(t *testing.T) {
 			wantSalvage: true,
 		},
 		{
+			name: "verdict in another spelling under a valid CRC",
+			corrupt: func(data []byte, sizes []int) []byte {
+				// The third record's verdict, members reordered and spaced:
+				// it is still that verdict, so it replays — as the canonical
+				// bytes — and so does every frame behind it.
+				off := segmentHeaderLen + sizes[0] + sizes[1]
+				v := testVerdict(2)
+				body := fmt.Sprintf(`{ "details": {"i": %q}, "reason": %q, "format": %q, "accepted": %v }`,
+					v.Details["i"], v.Reason, v.Format, v.Accepted)
+				respelled := withVerdictBody(data[off:off+sizes[2]], body)
+				return slices.Concat(data[:off], respelled, data[off+sizes[2]:])
+			},
+			wantRecords: n,
+		},
+		{
 			name: "garbage appended after valid records",
 			corrupt: func(data []byte, _ []int) []byte {
 				return append(data, []byte{0xde, 0xad, 0xbe, 0xef, 0x01}...)
@@ -174,8 +190,9 @@ func TestCrashRecoveryTable(t *testing.T) {
 				if want == -1 {
 					t.Fatalf("recovered a key that was never written: %x", r.Key)
 				}
-				if !reflect.DeepEqual(r.Verdict, testVerdict(want)) {
-					t.Fatalf("verdict %d corrupted in recovery: %+v", want, r.Verdict)
+				v := testVerdict(want)
+				if !bytes.Equal(r.Verdict, v.AppendJSON(nil)) || r.Accepted != v.Accepted {
+					t.Fatalf("verdict %d corrupted in recovery: %s accepted=%v", want, r.Verdict, r.Accepted)
 				}
 			}
 			// The salvaged tail must be a trusted append point: new
@@ -258,9 +275,10 @@ func TestStampsResumePastSalvage(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("recovered %d records, want 4", len(recs))
 	}
+	want := testVerdict(8)
 	for _, r := range recs {
-		if r.Key == testKey(0) && !reflect.DeepEqual(r.Verdict, testVerdict(8)) {
-			t.Fatalf("superseding verdict lost: %+v", r.Verdict)
+		if r.Key == testKey(0) && !bytes.Equal(r.Verdict, want.AppendJSON(nil)) {
+			t.Fatalf("superseding verdict lost: %s", r.Verdict)
 		}
 	}
 }

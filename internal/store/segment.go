@@ -143,8 +143,8 @@ func entryFor(r *Record, sum uint32, at loc) idxEntry {
 
 // contentSum is the content checksum the index and sync manifests carry:
 // CRC32C over the framed verdict bytes extended with the certificate bytes,
-// taken where those bytes already exist — appendRecord on write, readRecord
-// on read — so every replica computes the same sum for the same content
+// taken where those bytes already exist — appendRecord on write, replay on
+// read — so every replica computes the same sum for the same content
 // regardless of which one first persisted it or which authority's
 // provenance it carries (the origin column is deliberately excluded:
 // replicas converge on content, not on custody chains). Including the
@@ -221,77 +221,109 @@ func checkHeader(head []byte) error {
 	return fmt.Errorf("%w: it opens with %q, not %q", errVersion, head, segmentHeader)
 }
 
-// readRecord decodes the next record from r — whose Request and Cert then
-// alias one fresh payload buffer — and returns its framed size in bytes
-// and its content sum. The verdict is decoded by core.ScanVerdict, with
-// json.Unmarshal as the fallback where the scanner declines (a string with
-// an escape or a non-ASCII byte), so every input decodes as under
-// json.Unmarshal alone, in less time: BenchmarkOpen's 5 000 records open
-// in 21.7 ms instead of 37.8 ms on a 2-vCPU Xeon. limit is the longest
-// payload the source can hold: a length prefix beyond it is refused
-// before anything is allocated on its say-so. It returns io.EOF at a clean segment end, errTorn when the next
-// frame is short, over-long, fails its checksum or does not hold what its
-// length prefixes claim, and any other error verbatim (a real I/O failure).
-func readRecord(r io.Reader, rec *Record, limit int) (int, uint32, error) {
-	var header [headerLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, io.EOF // clean end: no partial header
-		}
-		if err == io.ErrUnexpectedEOF {
-			return 0, 0, errTorn // header itself is torn
-		}
-		return 0, 0, err
+// frame is one record frame split into its columns; every slice aliases
+// the bytes the frame was parsed from, capacity clipped so an append to
+// one column cannot overwrite the next.
+type frame struct {
+	key                            identity.Hash
+	stamp                          uint64
+	origin, request, cert, verdict []byte
+	// n is the framed length: header plus payload.
+	n int
+}
+
+// parseFrame checks the frame at the head of b and splits it. It returns
+// io.EOF when b is empty (a clean segment end) and errTorn when the frame
+// is short, its length prefix is out of bounds or runs past b, it fails
+// its checksum, or it does not hold what its column lengths claim. A
+// length prefix is checked against what b holds before anything is read
+// on its say-so.
+func parseFrame(b []byte) (f frame, err error) {
+	if len(b) == 0 {
+		return f, io.EOF
 	}
-	length := int(binary.BigEndian.Uint32(header[:4]))
-	if length < minPayload || length > min(limit, maxPayload) {
-		return 0, 0, errTorn
+	if len(b) < headerLen {
+		return f, errTorn
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, errTorn // payload shorter than its header promised
-		}
-		return 0, 0, err
+	length := int(binary.BigEndian.Uint32(b))
+	if length < minPayload || length > min(len(b)-headerLen, maxPayload) {
+		return f, errTorn
 	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:]) {
-		return 0, 0, errTorn
+	payload := b[headerLen : headerLen+length]
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(b[4:]) || !f.split(payload) {
+		return f, errTorn
 	}
-	copy(rec.Key[:], payload)
-	rec.Stamp = binary.BigEndian.Uint64(payload[keyLen:])
+	f.n = headerLen + length
+	return f, nil
+}
+
+// split fills f's columns from a checksummed payload and reports whether
+// its length prefixes fit inside it.
+func (f *frame) split(payload []byte) bool {
+	copy(f.key[:], payload)
+	f.stamp = binary.BigEndian.Uint64(payload[keyLen:])
 	lens := payload[keyLen+stampLen : minPayload]
 	olen := int(binary.BigEndian.Uint16(lens))
 	qlen := int(binary.BigEndian.Uint32(lens[2:]))
 	clen := int(binary.BigEndian.Uint32(lens[6:]))
 	if olen > maxOrigin || qlen > maxPayload || clen > maxPayload ||
-		minPayload+olen+qlen+clen > length {
-		return 0, 0, errTorn
+		minPayload+olen+qlen+clen > len(payload) {
+		return false
 	}
 	cols := payload[minPayload:]
-	rec.Origin = identity.PartyID(cols[:olen])
-	rec.Request, rec.Cert = nil, nil
-	// Both columns alias the payload with their capacity clipped, so an
-	// append to one cannot overwrite the bytes behind it.
 	q, c := olen+qlen, olen+qlen+clen
-	if qlen > 0 {
-		rec.Request = json.RawMessage(cols[olen:q:q])
+	f.origin, f.request, f.cert, f.verdict = cols[:olen:olen], cols[olen:q:q], cols[q:c:c], cols[c:]
+	return true
+}
+
+// decodeRecord decodes the frame at the head of b into rec and returns
+// its framed length. rec owns a fresh copy of the payload — Request and
+// Cert alias it — never b. The verdict is decoded by core.ScanVerdict,
+// with json.Unmarshal as the fallback where the scanner declines (a
+// string with an escape or a non-ASCII byte), so every input decodes as
+// under json.Unmarshal alone. Errors are parseFrame's, plus errTorn for a
+// verdict json.Unmarshal refuses.
+func decodeRecord(b []byte, rec *Record) (int, error) {
+	f, err := parseFrame(b)
+	if err != nil {
+		return 0, err
 	}
-	if clen > 0 {
-		rec.Cert = cols[q:c:c]
-	}
-	body := cols[c:]
-	v, ok := core.ScanVerdict(body)
+	f.split(bytes.Clone(b[headerLen:f.n]))
+	v, ok := core.ScanVerdict(f.verdict)
 	if !ok {
-		if err := json.Unmarshal(body, &v); err != nil {
+		if err := json.Unmarshal(f.verdict, &v); err != nil {
 			// The CRC passed, so these bytes are what the writer wrote — a
 			// writer bug, not a torn write. Treat it like corruption
 			// anyway: salvage stops here rather than guessing at the next
 			// frame.
-			return 0, 0, errTorn
+			return 0, errTorn
 		}
 	}
-	rec.Verdict = v
-	return headerLen + length, contentSum(body, rec.Cert), nil
+	*rec = Record{Key: f.key, Stamp: f.stamp, Origin: identity.PartyID(f.origin), Verdict: v}
+	if len(f.request) > 0 {
+		rec.Request = json.RawMessage(f.request)
+	}
+	if len(f.cert) > 0 {
+		rec.Cert = f.cert
+	}
+	return f.n, nil
+}
+
+// canonicalVerdict vets a stored verdict without decoding it where it can:
+// ok when the bytes are a verdict, with its polarity and canon — nil when
+// the bytes already are what core.Verdict.AppendJSON writes for the
+// verdict they hold (core.CanonicalVerdict), and otherwise that
+// re-encoding, reached through the decode path decodeRecord takes. A
+// verdict json.Unmarshal refuses is not ok, just as in decodeRecord.
+func canonicalVerdict(body []byte) (accepted bool, canon []byte, ok bool) {
+	if accepted, ok := core.CanonicalVerdict(body); ok {
+		return accepted, nil, true
+	}
+	v, ok := core.ScanVerdict(body)
+	if !ok && json.Unmarshal(body, &v) != nil {
+		return false, nil, false
+	}
+	return v.Accepted, v.AppendJSON(nil), true
 }
 
 // checkFrame verifies that frame — bytes read back from a location the

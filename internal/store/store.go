@@ -33,7 +33,8 @@
 //
 // The store knows nothing about the service; it persists (key, verdict)
 // pairs keyed by identity.Hash — the same content address the verdict
-// cache uses — and hands them back at Open.
+// cache uses — and hands them back at Open as the canonical verdict bytes
+// the cache holds, never decoded on the way.
 package store
 
 import (
@@ -183,16 +184,18 @@ type Store struct {
 }
 
 // Open recovers the store at dir (creating it if needed) and returns the
-// recovered live records, oldest first, for cache pre-population. The
+// live set, oldest stamp first, for cache pre-population: each record's
+// key, canonical verdict bytes, polarity and certificate (Live). The
 // returned store is ready for Append: its flusher goroutine is running.
 //
 // Recovery is one replay (recover.go) of the snapshot segment then the
-// tail. A torn final record — the signature of a crash mid-append — is
-// detected by its CRC and discarded along with everything after it; the
-// tail is truncated back to the longest valid prefix so appends resume from
-// a trusted boundary. A segment in any other layout fails Open with the
-// version error and keeps every byte.
-func Open(dir string, opts Options) (*Store, []Record, error) {
+// tail, folded straight into the index. A torn final record — the
+// signature of a crash mid-append — is detected by its CRC and discarded
+// along with everything after it; the tail is truncated back to the
+// longest valid prefix so appends resume from a trusted boundary. A
+// segment in any other layout fails Open with the version error and keeps
+// every byte.
+func Open(dir string, opts Options) (*Store, []Live, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
 	}
@@ -213,7 +216,16 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rp, err := replay(dir)
+	s := &Store{
+		dir:    dir,
+		opts:   opts,
+		unlock: unlock,
+		queue:  make(chan Record, opts.QueueSize),
+		cmds:   make(chan func()),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	rp, err := replay(dir, &s.index)
 	if err == nil && rp.tailValid < rp.tailSize {
 		// Only a tail replay recognised as a segment is ever cut.
 		err = os.Truncate(filepath.Join(dir, tailName), rp.tailValid)
@@ -222,27 +234,13 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 		unlock()
 		return nil, nil, err
 	}
-	tail, err := os.OpenFile(filepath.Join(dir, tailName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	s.tail, err = os.OpenFile(filepath.Join(dir, tailName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		unlock()
 		return nil, nil, fmt.Errorf("store: opening tail: %w", err)
 	}
-	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		tail:      tail,
-		unlock:    unlock,
-		queue:     make(chan Record, opts.QueueSize),
-		cmds:      make(chan func()),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		tailSize:  rp.tailValid,
-		nextStamp: rp.maxStamp + 1,
-	}
-	for key, r := range rp.live {
-		s.index.put(key, entryFor(&r.Record, r.sum, r.loc))
-	}
-	live := uint64(len(rp.live))
+	s.tailSize, s.nextStamp = rp.tailValid, rp.maxStamp+1
+	live := uint64(s.index.len())
 	s.replayed.Store(live)
 	s.live.Store(live)
 	s.garbage.Store(rp.total - live)
@@ -256,8 +254,9 @@ func Open(dir string, opts Options) (*Store, []Record, error) {
 		unlock()
 		return nil, nil, err
 	}
+	recs := rp.live(&s.index)
 	go s.flusher()
-	return s, rp.records(), nil
+	return s, recs, nil
 }
 
 // writeTailHeader starts an empty tail with the segment version header and

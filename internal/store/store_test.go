@@ -41,14 +41,57 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// mustOpen opens the store at dir and returns its live set as full
+// records, in Open's order, so a test can assert on every column; each
+// Live line is first checked against the record the store serves for its
+// key (liveRecords).
 func mustOpen(t *testing.T, dir string, opts Options) (*Store, []Record) {
 	t.Helper()
-	s, recs, err := Open(dir, opts)
+	s, live, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	return s, recs
+	return s, liveRecords(t, s, live)
+}
+
+// liveRecords reads the records behind Open's live set back through
+// Records and checks that each Live line is its record's: the verdict's
+// canonical bytes (AppendJSON of the decoded verdict), its polarity and
+// its certificate column.
+func liveRecords(t *testing.T, s *Store, live []Live) []Record {
+	t.Helper()
+	keys := make([]identity.Hash, len(live))
+	for i := range live {
+		keys[i] = live[i].Key
+	}
+	blob, n, err := s.Records(keys)
+	if err != nil || n != len(live) {
+		t.Fatalf("reading back %d live records: %d, %v", len(live), n, err)
+	}
+	decoded, err := DecodeRecords(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[identity.Hash]Record, len(decoded))
+	for _, r := range decoded {
+		byKey[r.Key] = r
+	}
+	recs := make([]Record, len(live))
+	for i, l := range live {
+		r, ok := byKey[l.Key]
+		if !ok {
+			t.Fatalf("live key %x has no record", l.Key[:4])
+		}
+		if want := r.Verdict.AppendJSON(nil); !bytes.Equal(l.Verdict, want) || l.Accepted != r.Verdict.Accepted {
+			t.Fatalf("live key %x: verdict %s accepted=%v, its record holds %s", l.Key[:4], l.Verdict, l.Accepted, want)
+		}
+		if !bytes.Equal(l.Cert, r.Cert) || (l.Cert == nil) != (r.Cert == nil) {
+			t.Fatalf("live key %x: certificate %q, its record holds %q", l.Key[:4], l.Cert, r.Cert)
+		}
+		recs[i] = r
+	}
+	return recs
 }
 
 func TestOpenEmptyDirAndRoundTrip(t *testing.T) {

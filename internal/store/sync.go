@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -209,12 +208,14 @@ func DecodeRecords(data []byte) ([]Record, error) {
 		return nil, fmt.Errorf("store: sync delta: %w", err)
 	}
 	var out []Record
-	for r := bytes.NewReader(data[segmentHeaderLen:]); r.Len() > 0; {
+	for off := segmentHeaderLen; off < len(data); {
 		var rec Record
-		if _, _, err := readRecord(r, &rec, r.Len()-headerLen); err != nil {
+		n, err := decodeRecord(data[off:], &rec)
+		if err != nil {
 			return nil, fmt.Errorf("store: corrupt sync delta after %d records: %w", len(out), err)
 		}
 		out = append(out, rec)
+		off += n
 	}
 	return out, nil
 }

@@ -15,8 +15,8 @@ import (
 // The version byte is what lets a reader refuse a peer speaking anything
 // else on its first byte (a JSON peer opens with '{'); bit 0 of flags is
 // Message.Last and every other bit must be zero. trace is the slot
-// ROADMAP item 4 will carry a request's trace ID in; until then it must
-// be all zero. The payload is opaque to the transport: its bytes reach
+// ROADMAP item 8(b) will carry a request's trace ID in; until then it
+// must be all zero. The payload is opaque to the transport: its bytes reach
 // the handler exactly as sent, unscanned.
 const (
 	frameVersion = 1
