@@ -55,7 +55,7 @@ func runCert(args []string) error {
 // bitmap's index space, so it must match what every other party uses.
 func parseKeyset(list string) ([]identity.PartyID, error) {
 	var out []identity.PartyID
-	for _, raw := range splitNonEmpty(list) {
+	for _, raw := range splitNonEmpty[string](list) {
 		id, err := identity.ParsePartyID(raw)
 		if err != nil {
 			return nil, fmt.Errorf("-keyset: %w", err)
@@ -94,21 +94,10 @@ func runCertIssue(args []string) error {
 	if err != nil {
 		return err
 	}
-	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns)
-	defer func() {
-		for _, d := range dialed {
-			_ = d.client.Close()
-		}
-	}()
+	members, err := dialVerifiers(*verifierList, *callTimeout, *conns)
+	defer closeMembers(members)
 	if err != nil {
 		return err
-	}
-	if len(dialed) == 0 {
-		return fmt.Errorf("no panel member reachable")
-	}
-	members := make([]quorum.Member, 0, len(dialed))
-	for _, d := range dialed {
-		members = append(members, quorum.Member{ID: d.id, Client: d.client})
 	}
 	certifier, err := quorum.NewCertifier(quorum.CertifierConfig{
 		Members:     members,
@@ -151,17 +140,9 @@ func runCertIssue(args []string) error {
 			return err
 		}
 		defer client.Close()
-		req, err := transport.NewMessage(service.MsgCertPut, service.CertPutRequest{Certificate: *cert})
-		if err != nil {
-			return err
-		}
-		resp, err := client.Call(ctx, req)
-		if err != nil {
-			return fmt.Errorf("submitting certificate to %s: %w", *storeAddr, err)
-		}
 		var receipt service.CertPutResponse
-		if err := resp.Decode(&receipt); err != nil {
-			return err
+		if err := call(client, *timeout, service.MsgCertPut, service.CertPutRequest{Certificate: *cert}, &receipt); err != nil {
+			return fmt.Errorf("submitting certificate to %s: %w", *storeAddr, err)
 		}
 		fmt.Printf("certificate stored at %q\n", receipt.VerifierID)
 	}
@@ -198,18 +179,8 @@ func loadCert(certPath, verifierAddr, keyHex string, timeout time.Duration) (*co
 			return nil, err
 		}
 		defer client.Close()
-		req, err := transport.NewMessage(service.MsgCertGet, service.CertGetRequest{Key: keyHex})
-		if err != nil {
-			return nil, err
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		resp, err := client.Call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
 		var cr service.CertGetResponse
-		if err := resp.Decode(&cr); err != nil {
+		if err := call(client, timeout, service.MsgCertGet, service.CertGetRequest{Key: keyHex}, &cr); err != nil {
 			return nil, err
 		}
 		if !cr.Found || cr.Certificate == nil {

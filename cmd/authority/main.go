@@ -49,15 +49,13 @@
 //	authority verifier -id a -listen 127.0.0.1:7101 -persist ./a \
 //	    -peers 127.0.0.1:7102 -peer-keys <b's party-id>
 //
-// The verifier serves through internal/service: a bounded worker pool
-// (-workers), a content-addressed verdict cache with singleflight
-// deduplication (-cache-size; negative disables caching), the streamed
-// batch exchange ("verify-stream") and a stats endpoint ("service-stats").
-// With -persist it keeps a durable verdict log and warm-starts from it: a
-// restarted verifier serves every previously verified announcement as a
-// cache hit without re-running any procedure (-sync-every tunes the
-// fsync cadence). On SIGINT/SIGTERM it drains gracefully — in-flight
-// verifications finish — and prints the final service counters.
+// The verifier is internal/node behind a flag set: the authority the
+// gossip harness and the examples start in-process. It serves through
+// internal/service (worker pool, verdict cache, "verify-stream",
+// "service-stats"); with -persist it warm-starts from its durable verdict
+// log, serving every verdict it ever reached as a cache hit. On
+// SIGINT/SIGTERM it drains — in-flight verifications finish — and prints
+// the final service counters.
 //
 // Built-in demo games: pd (Prisoner's Dilemma, §3 enumeration proof),
 // mp (Matching Pennies, §4 P1 supports), auction (the §5 participation game
@@ -67,22 +65,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"rationality/internal/bimatrix"
 	"rationality/internal/core"
 	"rationality/internal/game"
-	"rationality/internal/gossip"
 	"rationality/internal/identity"
+	"rationality/internal/node"
 	"rationality/internal/numeric"
 	"rationality/internal/obs"
 	"rationality/internal/participation"
@@ -90,9 +85,7 @@ import (
 	"rationality/internal/quorum"
 	"rationality/internal/reputation"
 	"rationality/internal/service"
-	"rationality/internal/store"
 	"rationality/internal/transport"
-	"rationality/internal/trust"
 )
 
 func main() {
@@ -217,361 +210,102 @@ func buildAnnouncement(gameName, id string) (core.Announcement, error) {
 	}
 }
 
-func runVerifier(args []string) error {
-	fs := flag.NewFlagSet("verifier", flag.ExitOnError)
-	id := fs.String("id", "verifier-1", "verifier identifier")
-	listen := fs.String("listen", "127.0.0.1:7101", "listen address")
-	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache-size", service.DefaultCacheSize,
+// parseVerifier parses the verifier's command line into a node.Config,
+// which node.Start validates: every flag binds a field, the three comma
+// lists are split after parsing. The flag set comes back too, for tests.
+func parseVerifier(args []string) (*flag.FlagSet, node.Config, error) {
+	fs, c := flag.NewFlagSet("verifier", flag.ExitOnError), node.Defaults()
+	var peers, peerKeys, panelKeys string
+	fs.StringVar(&c.ID, "id", c.ID, "verifier identifier")
+	fs.StringVar(&c.Listen, "listen", c.Listen, "listen address")
+	fs.IntVar(&c.Workers, "workers", c.Workers, "worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&c.CacheSize, "cache-size", c.CacheSize,
 		"verdict-cache entries (negative disables caching)")
-	cacheShards := fs.Int("cache-shards", service.DefaultCacheShards,
+	fs.IntVar(&c.CacheShards, "cache-shards", c.CacheShards,
 		"verdict-cache stripes (must be a power of two)")
-	persist := fs.String("persist", "",
+	fs.StringVar(&c.Persist, "persist", c.Persist,
 		"directory for the durable verdict store (empty disables persistence)")
-	syncEvery := fs.Int("sync-every", store.DefaultSyncEvery,
+	fs.IntVar(&c.SyncEvery, "sync-every", c.SyncEvery,
 		"fsync the verdict log every n records (1 = sync every verdict)")
-	peers := fs.String("peers", "",
+	fs.StringVar(&peers, "peers", "",
 		"comma-separated peer verifier addresses to replicate verdict history with (requires -persist)")
-	syncInterval := fs.Duration("sync-interval", 30*time.Second,
+	fs.DurationVar(&c.SyncInterval, "sync-interval", c.SyncInterval,
 		"replication round cadence against -peers")
-	syncTimeout := fs.Duration("sync-timeout", time.Minute,
+	fs.DurationVar(&c.SyncTimeout, "sync-timeout", c.SyncTimeout,
 		"bound on one dial+exchange (independent of the cadence, so a short -sync-interval cannot make a large catch-up delta time out forever)")
-	syncBackoffMax := fs.Duration("sync-backoff-max", gossip.DefaultBackoffMax,
+	fs.DurationVar(&c.SyncBackoffMax, "sync-backoff-max", c.SyncBackoffMax,
 		"cap on the per-peer exponential backoff between failed exchanges (a dead peer costs one dial per window, not one per tick)")
-	syncJitter := fs.Float64("sync-jitter", gossip.DefaultJitter,
+	fs.Float64Var(&c.SyncJitter, "sync-jitter", c.SyncJitter,
 		"fraction by which the round cadence and backoff windows are randomized, so a fleet restarted together does not exchange in lockstep (0 disables)")
-	fanout := fs.Int("fanout", gossip.DefaultFanout,
+	fs.IntVar(&c.Fanout, "fanout", c.Fanout,
 		"partners contacted per round (capped at the peer count): while it covers every peer each exchange is a signed pull; with more peers than fanout rounds are epidemic push-pull gossip, so a federation of n converges in O(log n) rounds at O(n·fanout) exchanges instead of O(n²)")
-	rumorTTL := fs.Int("rumor-ttl", gossip.DefaultRumorTTL,
+	fs.IntVar(&c.RumorTTL, "rumor-ttl", c.RumorTTL,
 		"how many successful exchanges a fresh verdict is pushed eagerly before relying on anti-entropy (push-pull rounds only)")
-	auditRate := fs.Float64("audit-rate", 0,
+	fs.Float64Var(&c.AuditRate, "audit-rate", c.AuditRate,
 		"fraction of ingested peer records re-verified locally in the background (0 disables, 1 audits everything; a refuted record charges the vouching peer and is repaired; requires -persist)")
-	quarThreshold := fs.Float64("quarantine-threshold", trust.DefaultThreshold,
+	fs.Float64Var(&c.QuarantineThreshold, "quarantine-threshold", c.QuarantineThreshold,
 		"reputation below which a vouching peer is quarantined: its deltas are counted but refused and the sync loop stops dialing it (requires -persist)")
-	probation := fs.Duration("probation", trust.DefaultProbation,
+	fs.DurationVar(&c.Probation, "probation", c.Probation,
 		"how long a quarantine lasts before the peer is allowed a probationary re-entry")
-	keyPath := fs.String("key", "",
+	fs.StringVar(&c.Key, "key", c.Key,
 		"Ed25519 signing-identity keyfile; auto-generated at <persist>/identity.key when -persist is set and this is empty")
-	peerKeysFlag := fs.String("peer-keys", "",
+	fs.StringVar(&peerKeys, "peer-keys", "",
 		"comma-separated hex public keys forming the federation allowlist: pulled sync-deltas must be signed by one of them (requires -persist; empty accepts any peer)")
-	panelKeysFlag := fs.String("panel-keys", "",
+	fs.StringVar(&panelKeys, "panel-keys", "",
 		"ordered comma-separated hex public keys of the certificate panel: submitted or replicated quorum certificates must verify against this keyset (order is the bitmap index space, so every party must use the same list; empty stores certificates unverified)")
-	certThreshold := fs.Int("cert-threshold", 0,
+	fs.IntVar(&c.CertThreshold, "cert-threshold", c.CertThreshold,
 		"minimum co-signatures a certificate needs to be accepted (0 = supermajority of -panel-keys)")
-	admissionInteractive := fs.Float64("admission-interactive", 0,
+	fs.Float64Var(&c.AdmissionInteractive, "admission-interactive", c.AdmissionInteractive,
 		"sustained interactive (single-verify) admission rate in verifications/s; burst defaults to 2x the rate; 0 leaves the interactive class unlimited (requires -admission-batch or itself >0 to enable the controller)")
-	admissionBatch := fs.Float64("admission-batch", 0,
+	fs.Float64Var(&c.AdmissionBatch, "admission-batch", c.AdmissionBatch,
 		"sustained batch/stream admission rate in items/s; a whole batch is admitted or shed atomically, and the batch class always sheds before interactive traffic does; 0 leaves the batch class unlimited")
-	admin := fs.String("admin", "",
+	fs.StringVar(&c.Admin, "admin", c.Admin,
 		"admin listen address for /metrics, /healthz, /readyz and /debug/pprof (empty disables the operator plane; keep it off the service port)")
-	byzantine := fs.Bool("byzantine", false,
+	fs.BoolVar(&c.Byzantine, "byzantine", c.Byzantine,
 		"invert every verdict (adversarial test double): without -persist a stateless liar on the wire; with -persist its lies are persisted, properly signed and vouched for, so honest peers can convict and quarantine it by evidence")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fs, c, err
 	}
-	peerAddrs := splitNonEmpty(*peers)
-	if *fanout < 1 {
-		return fmt.Errorf("-fanout must be at least 1, got %d", *fanout)
+	// Keys are parsed, and a malformed one refused, by service.New.
+	c.Peers = splitNonEmpty[string](peers)
+	c.PeerKeys, c.PanelKeys = splitNonEmpty[identity.PartyID](peerKeys), splitNonEmpty[identity.PartyID](panelKeys)
+	// A zero interval steps the loop by hand (Gossiper.Round), which only
+	// an embedder can do: from the command line it would never sync.
+	if len(c.Peers) > 0 && c.SyncInterval == 0 {
+		return fs, c, fmt.Errorf("-sync-interval must be positive, got %s", c.SyncInterval)
 	}
-	if *rumorTTL < 1 {
-		return fmt.Errorf("-rumor-ttl must be at least 1, got %d", *rumorTTL)
-	}
-	if len(peerAddrs) > 0 {
-		if *persist == "" {
-			// Replication is of the durable log; without one there is
-			// nothing to offer a peer and nowhere to keep what it sends.
-			return fmt.Errorf("-peers requires -persist: anti-entropy replicates the durable verdict log")
-		}
-		if *syncInterval <= 0 {
-			return fmt.Errorf("-sync-interval must be positive, got %s", *syncInterval)
-		}
-		if *syncTimeout <= 0 {
-			return fmt.Errorf("-sync-timeout must be positive, got %s", *syncTimeout)
-		}
-	}
-	if err := validateCacheShards(*cacheShards); err != nil {
-		return err
-	}
-	// The cache caps shards at its capacity (every stripe must hold at
-	// least one entry); honoring the "refused, not rounded" contract
-	// means saying so instead of silently running with fewer stripes
-	// than asked. Validate against the capacity the service will really
-	// use: 0 means the default, not "no cache".
-	effCacheSize := *cacheSize
-	if effCacheSize == 0 {
-		effCacheSize = service.DefaultCacheSize
-	}
-	if effCacheSize > 0 && *cacheShards > effCacheSize {
-		return fmt.Errorf("-cache-shards (%d) cannot exceed the cache capacity (%d entries): every stripe needs at least one entry", *cacheShards, effCacheSize)
-	}
-	if err := validateSyncEvery(*syncEvery); err != nil {
-		return err
-	}
-	peerKeys, err := parsePeerKeys(*peerKeysFlag)
-	if err != nil {
-		return err
-	}
-	var panelKeys []identity.PartyID
-	for _, raw := range splitNonEmpty(*panelKeysFlag) {
-		pk, err := identity.ParsePartyID(raw)
-		if err != nil {
-			return fmt.Errorf("-panel-keys: %w", err)
-		}
-		panelKeys = append(panelKeys, pk)
-	}
-	if *certThreshold != 0 && len(panelKeys) == 0 {
-		return fmt.Errorf("-cert-threshold requires -panel-keys: the threshold counts co-signatures against the panel keyset")
-	}
-	if len(peerKeys) > 0 && *persist == "" {
-		// The allowlist gates what anti-entropy may ingest into the
-		// durable log; without a log there is nothing to gate, and a
-		// configured-but-inert allowlist would read as security that
-		// is not there.
-		return fmt.Errorf("-peer-keys requires -persist: the allowlist gates ingestion into the durable verdict log")
-	}
-	if *keyPath != "" && *persist == "" {
-		return fmt.Errorf("-key requires -persist: the signing identity exists to vouch for durable verdict history")
-	}
-	if *auditRate < 0 || *auditRate > 1 {
-		return fmt.Errorf("-audit-rate must be in [0, 1], got %g", *auditRate)
-	}
-	if *admissionInteractive < 0 {
-		return fmt.Errorf("-admission-interactive must be >= 0, got %g", *admissionInteractive)
-	}
-	if *admissionBatch < 0 {
-		return fmt.Errorf("-admission-batch must be >= 0, got %g", *admissionBatch)
-	}
-	if *auditRate > 0 && *persist == "" {
-		return fmt.Errorf("-audit-rate requires -persist: auditing re-executes the persisted verify request")
-	}
-	// A persisted verifier always runs with an on-disk signing identity:
-	// -key names the file, or it lives in the persist dir by default and
-	// is generated on first start. The printed party ID is what operators
-	// hand to their peers' -peer-keys allowlists.
-	var key *identity.KeyPair
-	var keyCreated bool
-	keyFile := *keyPath
-	if keyFile == "" && *persist != "" {
-		keyFile = filepath.Join(*persist, "identity.key")
-	}
-	if keyFile != "" {
-		if key, keyCreated, err = identity.LoadOrCreateKeyFile(keyFile); err != nil {
-			return err
-		}
-	}
-	// The admin plane comes up before the service so liveness answers (and
-	// /readyz honestly reports 503) while a large warm-start replay is
-	// still running. Until service.New returns, the stats closure serves a
-	// zero-valued tree through the nil-guarded atomic pointer.
-	var live atomic.Pointer[service.Service]
-	var ready *obs.Readiness
-	var adminSrv *obs.Server
-	if *admin != "" {
-		gates := []string{obs.GateWarmStart}
-		if len(peerAddrs) > 0 {
-			// A peered verifier is not ready until it has completed one
-			// anti-entropy exchange: before that it may be missing verdict
-			// history its peers already hold.
-			gates = append(gates, obs.GateFirstSync)
-		}
-		ready = obs.NewReadiness(gates...)
-		if adminSrv, err = obs.NewServer(obs.ServerConfig{
-			Addr: *admin,
-			ID:   *id,
-			Stats: func() service.Stats {
-				if s := live.Load(); s != nil {
-					return s.Stats()
-				}
-				return service.Stats{}
-			},
-			Readiness: ready,
-		}); err != nil {
-			return err
-		}
-		defer adminSrv.Close()
-		fmt.Printf("admin: /metrics /healthz /readyz /debug/pprof on %s\n", adminSrv.Addr())
-	}
-	// The reputation registry is shared between the service (which charges
-	// refuted vouchers through it) and the trust policy (which watches it
-	// and quarantines); a persisted verifier always runs the policy, with
-	// its state file next to the verdict log so a quarantine survives
-	// restart.
-	registry := reputation.NewRegistry()
-	var pol *trust.Policy
-	if *persist != "" {
-		if pol, err = trust.New(trust.Config{
-			Registry:  registry,
-			Threshold: *quarThreshold,
-			Probation: *probation,
-			Path:      filepath.Join(*persist, "trust.json"),
-			OnChange: func(peer string, from, to trust.State, detail string) {
-				switch to {
-				case trust.Quarantined:
-					fmt.Printf("trust: peer %s quarantined: %s\n", peer, detail)
-				case trust.Probation:
-					fmt.Printf("trust: peer %s enters probation: %s\n", peer, detail)
-				case trust.Active:
-					fmt.Printf("trust: peer %s readmitted: %s\n", peer, detail)
-				}
-			},
-		}); err != nil {
-			return err
-		}
-	}
-	var procs *core.ProcedureRegistry
-	if *byzantine {
-		procs = core.NewLyingProcedureRegistry()
-	}
-	svc, err := service.New(service.Config{
-		ID:            *id,
-		Workers:       *workers,
-		CacheSize:     *cacheSize,
-		CacheShards:   *cacheShards,
-		Reputation:    registry,
-		Procedures:    procs,
-		PersistPath:   *persist,
-		SyncEvery:     *syncEvery,
-		Key:           key,
-		PeerKeys:      peerKeys,
-		PanelKeys:     panelKeys,
-		CertThreshold: *certThreshold,
-		Trust:         pol,
-		AuditRate:     *auditRate,
-		Admission: service.AdmissionConfig{
-			InteractiveRate: *admissionInteractive,
-			BatchRate:       *admissionBatch,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if adm := svc.Stats().Admission; adm != nil {
-		fmt.Printf("admission: interactive rate=%g/s burst=%d, batch rate=%g/s burst=%d (batch sheds first)\n",
-			adm.Interactive.Rate, adm.Interactive.Burst, adm.Batch.Rate, adm.Batch.Burst)
-	}
-	live.Store(svc)
-	if ready != nil {
-		// service.New returned, so any warm-start replay has finished and
-		// the cache is as warm as the log can make it.
-		ready.Mark(obs.GateWarmStart)
-	}
-	srv, err := transport.ListenTCP(*listen, svc)
-	if err != nil {
-		return err
-	}
-	st := svc.Stats()
-	fmt.Printf("verifier %q serving %d formats on %s (workers=%d cache=%d shards=%d)\n",
-		*id, len(svc.Formats()), srv.Addr(), st.Workers, *cacheSize, st.CacheShards)
-	if st.Persistence != nil {
-		fmt.Printf("persistence: %s (replayed %d verdicts, sync every %d, salvaged %d bytes)\n",
-			*persist, st.Persistence.Replayed, *syncEvery, st.Persistence.SalvagedBytes)
-	}
-	if key != nil {
-		verb := "loaded"
-		if keyCreated {
-			verb = "created"
-		}
-		fmt.Printf("federation: signing as %s (key %s, %s)\n", key.ID(), keyFile, verb)
-	}
-	if len(peerKeys) > 0 {
-		fmt.Printf("federation: allowlisting %d peer keys; unsigned or unknown-signer deltas will be rejected\n", len(peerKeys))
-	}
-	if len(panelKeys) > 0 {
-		thr := *certThreshold
-		if thr == 0 {
-			thr = core.SupermajorityThreshold(len(panelKeys))
-		}
-		fmt.Printf("certificates: verifying against a %d-member panel keyset (threshold %d)\n",
-			len(panelKeys), thr)
-	}
-	if pol != nil {
-		fmt.Printf("trust: quarantine below reputation %.2f, probation %s (state %s)\n",
-			*quarThreshold, *probation, filepath.Join(*persist, "trust.json"))
-	}
-	if *auditRate > 0 {
-		fmt.Printf("audit: re-verifying %.0f%% of ingested peer records in the background\n", *auditRate*100)
-	}
-	if *byzantine {
-		fmt.Printf("verifier %q is BYZANTINE: every verdict inverted before it is served, persisted or vouched for\n", *id)
-	}
-	var stopSync func()
-	if len(peerAddrs) > 0 {
-		fmt.Printf("replication: %d peers every %s\n", len(peerAddrs), *syncInterval)
-		// The engine's Jitter treats 0 as "use the default"; the flag's 0
-		// means "disable", which the engine spells as negative.
-		jitter := *syncJitter
-		if jitter == 0 {
-			jitter = -1
-		}
-		g, err := svc.StartGossiper(gossip.Config{
-			Peers:      peerAddrs,
-			Fanout:     *fanout,
-			Interval:   *syncInterval,
-			Jitter:     jitter,
-			BackoffMax: *syncBackoffMax,
-			RumorTTL:   *rumorTTL,
-			Timeout:    *syncTimeout,
-			Dial: func(addr string) (transport.Client, error) {
-				return transport.DialTCP(addr, *syncTimeout)
-			},
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-			OnRound: func(exchanged bool) {
-				// first-sync flips on the first round with at least one
-				// successful peer exchange; a round where every peer was
-				// unreachable or rejected proves nothing was caught up on.
-				if exchanged && ready != nil {
-					ready.Mark(obs.GateFirstSync)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		stopSync = g.Stop
-	}
-	waitForSignal()
-	// Graceful drain: stop accepting, let in-flight verifications finish,
-	// then report the service counters.
-	fmt.Println("draining...")
-	if stopSync != nil {
-		// The replication loop must stop before the service drains: an ingest
-		// racing the store teardown would just fail with ErrServiceClosed,
-		// but the shutdown log should not end on a spurious error line.
-		stopSync()
-	}
-	// The service must be closed even when the listener teardown fails:
-	// svc.Close is what drains and fsyncs the verdict store. And neither
-	// error may swallow the other or the final counters — they are the
-	// evidence of what was (or wasn't) lost.
-	srvErr := srv.Close()
-	svcErr := svc.Close()
-	// The admin plane goes last: it keeps answering scrapes through the
-	// drain, so the final counters are observable right up to exit. Close
-	// is idempotent, so the deferred close above stays harmless.
-	var adminErr error
-	if adminSrv != nil {
-		adminErr = adminSrv.Close()
-	}
-	printStats(svc.Stats())
-	return errors.Join(srvErr, svcErr, adminErr)
+	return fs, c, nil
 }
 
-// dialedVerifier is one entry of a parsed-and-dialed "-verifiers" list.
-type dialedVerifier struct {
-	id     string
-	client transport.Client
+// runVerifier serves one authority until SIGINT/SIGTERM, then drains it
+// and prints the final counters.
+func runVerifier(args []string) error {
+	_, cfg, err := parseVerifier(args)
+	if err != nil {
+		return err
+	}
+	cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	n, err := node.Start(cfg, node.TCP(cfg.SyncTimeout))
+	if err != nil {
+		return err
+	}
+	waitForSignal()
+	fmt.Println("draining...")
+	err = n.Close()
+	// The final counters print whatever Close returned: they are the
+	// evidence of what was (or wasn't) lost.
+	obs.WriteText(os.Stdout, n.Service.Stats())
+	return err
 }
 
 // dialVerifiers parses a comma-separated id=addr list and dials each
 // address with a pooled TCP client. A malformed pair is an error; a member
 // that cannot be dialed is reported on stderr and omitted — the panel
 // treats it exactly like a member that stops answering mid-run (an
-// abstainer). The caller owns closing the returned clients, including on
-// error.
-func dialVerifiers(list string, timeout time.Duration, conns int) ([]dialedVerifier, error) {
-	var out []dialedVerifier
+// abstainer) — and a panel with no member left is an error. The caller
+// owns closing the returned clients (closeMembers), including on error.
+func dialVerifiers(list string, timeout time.Duration, conns int) ([]quorum.Member, error) {
+	var out []quorum.Member
 	for _, pair := range strings.Split(list, ",") {
 		id, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
@@ -582,25 +316,19 @@ func dialVerifiers(list string, timeout time.Duration, conns int) ([]dialedVerif
 			fmt.Fprintf(os.Stderr, "quorum: verifier %s unreachable, treating as abstained: %v\n", id, err)
 			continue
 		}
-		out = append(out, dialedVerifier{id: id, client: c})
+		out = append(out, quorum.Member{ID: id, Client: c})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no panel member reachable")
 	}
 	return out, nil
 }
 
-// parsePeerKeys parses the -peer-keys allowlist: each element must be a
-// well-formed hex Ed25519 public key, refused loudly otherwise — a typo'd
-// key would otherwise just never match a signer, which looks exactly like
-// every peer misbehaving.
-func parsePeerKeys(list string) ([]identity.PartyID, error) {
-	var out []identity.PartyID
-	for _, raw := range splitNonEmpty(list) {
-		id, err := identity.ParsePartyID(raw)
-		if err != nil {
-			return nil, fmt.Errorf("-peer-keys: %w", err)
-		}
-		out = append(out, id)
+// closeMembers closes the clients dialVerifiers opened.
+func closeMembers(members []quorum.Member) {
+	for _, m := range members {
+		_ = m.Client.Close()
 	}
-	return out, nil
 }
 
 // runKeygen creates (or loads) a signing identity keyfile and prints its
@@ -630,15 +358,32 @@ func runKeygen(args []string) error {
 }
 
 // splitNonEmpty splits a comma-separated flag value, trimming whitespace
-// and dropping empty elements, so "-peers a, b," means [a b].
-func splitNonEmpty(s string) []string {
-	var out []string
+// and dropping empty elements, so "-peers a, b," means [a b]. T names what
+// the elements are: addresses, or party IDs.
+func splitNonEmpty[T ~string](s string) []T {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
+			out = append(out, T(part))
 		}
 	}
 	return out
+}
+
+// call sends one msgType request over client, bounded by timeout, and
+// decodes the reply into out.
+func call(client transport.Client, timeout time.Duration, msgType string, payload, out any) error {
+	req, err := transport.NewMessage(msgType, payload)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	resp, err := client.Call(ctx, req)
+	if err != nil {
+		return err
+	}
+	return resp.Decode(out)
 }
 
 // runProvenance asks a running authority whose word it is serving: one
@@ -656,18 +401,8 @@ func runProvenance(args []string) error {
 		return err
 	}
 	defer client.Close()
-	req, err := transport.NewMessage(service.MsgProvenance, struct{}{})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	resp, err := client.Call(ctx, req)
-	if err != nil {
-		return err
-	}
 	var pr service.ProvenanceResponse
-	if err := resp.Decode(&pr); err != nil {
+	if err := call(client, *timeout, service.MsgProvenance, struct{}{}, &pr); err != nil {
 		return err
 	}
 	signer := string(pr.Signer)
@@ -730,24 +465,12 @@ func runQuorum(args []string) error {
 		}
 	}
 
-	// A panel member that is down at dial time abstains — exactly like
-	// one that stops answering mid-run — instead of scuttling the whole
+	// A member down at dial time abstains instead of scuttling the whole
 	// decision: fault tolerance is the point of consulting a quorum.
-	dialed, err := dialVerifiers(*verifierList, *callTimeout, *conns)
-	defer func() {
-		for _, d := range dialed {
-			_ = d.client.Close()
-		}
-	}()
+	members, err := dialVerifiers(*verifierList, *callTimeout, *conns)
+	defer closeMembers(members)
 	if err != nil {
 		return err
-	}
-	if len(dialed) == 0 {
-		return fmt.Errorf("no panel member reachable")
-	}
-	members := make([]quorum.Member, 0, len(dialed))
-	for _, d := range dialed {
-		members = append(members, quorum.Member{ID: d.id, Client: d.client})
 	}
 
 	registry := reputation.NewRegistry()
@@ -786,37 +509,6 @@ func runQuorum(args []string) error {
 	if !res.Accepted {
 		fmt.Printf("inventor %q reported; reputation now %.3f\n",
 			ann.InventorID, registry.Reputation(ann.InventorID))
-	}
-	return nil
-}
-
-// printStats renders the counters on stdout through the shared renderer —
-// the same lines /metrics derives its families from, so the shutdown
-// report and the stats subcommand cannot drift from the scrape.
-func printStats(st service.Stats) {
-	obs.WriteText(os.Stdout, st)
-}
-
-// validateCacheShards rejects shard counts the operator probably fat-
-// fingered instead of silently rounding them: the cache's stripe selector
-// is a power-of-two mask, so any other value would quietly become a
-// different shard count than the one asked for.
-func validateCacheShards(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("-cache-shards must be a positive power of two, got %d", n)
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("-cache-shards must be a power of two (the stripe selector is a bit mask), got %d", n)
-	}
-	return nil
-}
-
-// validateSyncEvery rejects sync cadences that cannot mean anything: zero
-// would never sync and negative is nonsense; both almost certainly hide a
-// flag typo the operator should hear about before trusting durability.
-func validateSyncEvery(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("-sync-every must be at least 1 (fsync after every n-th record), got %d", n)
 	}
 	return nil
 }
@@ -895,17 +587,7 @@ func runStats(args []string) error {
 	defer client.Close()
 	fetch := func() (service.StatsResponse, error) {
 		var sr service.StatsResponse
-		req, err := transport.NewMessage(service.MsgServiceStats, struct{}{})
-		if err != nil {
-			return sr, err
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		resp, err := client.Call(ctx, req)
-		if err != nil {
-			return sr, err
-		}
-		err = resp.Decode(&sr)
+		err := call(client, *timeout, service.MsgServiceStats, struct{}{}, &sr)
 		return sr, err
 	}
 	sr, err := fetch()
@@ -914,7 +596,7 @@ func runStats(args []string) error {
 	}
 	fmt.Printf("verifier %q\n", sr.VerifierID)
 	if *watch <= 0 {
-		printStats(sr.Stats)
+		obs.WriteText(os.Stdout, sr.Stats)
 		return nil
 	}
 	return watchStats(fetch, sr, *watch)

@@ -18,9 +18,10 @@ import (
 
 // TestGodocFederationPackages audits every exported identifier of the
 // packages that form the operator-facing API
-// surface: internal/quorum, internal/identity and internal/obs. Operators
-// embed these directly (key management, quorum clients, the signed
-// anti-entropy digest, the admin plane), so each exported function,
+// surface: internal/quorum, internal/identity, internal/obs and
+// internal/node. Operators embed these directly (key management, quorum
+// clients, the signed anti-entropy digest, the admin plane, a whole
+// authority), so each exported function,
 // method, type, constant, variable and struct field must carry a doc
 // comment of its own or sit under a documented group/parent.
 func TestGodocFederationPackages(t *testing.T) {
@@ -28,6 +29,7 @@ func TestGodocFederationPackages(t *testing.T) {
 		filepath.Join("internal", "quorum"),
 		filepath.Join("internal", "identity"),
 		filepath.Join("internal", "obs"),
+		filepath.Join("internal", "node"),
 	} {
 		t.Run(dir, func(t *testing.T) {
 			auditPackageExports(t, dir)

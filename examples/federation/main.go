@@ -16,6 +16,7 @@ import (
 	"rationality/internal/core"
 	"rationality/internal/game"
 	"rationality/internal/identity"
+	"rationality/internal/node"
 	"rationality/internal/numeric"
 	"rationality/internal/proof"
 	"rationality/internal/service"
@@ -29,27 +30,14 @@ func main() {
 	}
 }
 
-// newAuthority starts a persisted, keyed verification service whose
-// signing identity lives in a keyfile under dir — exactly what
-// `authority verifier -persist dir` does.
-func newAuthority(id, dir string, peers ...identity.PartyID) (*service.Service, *identity.KeyPair, error) {
-	key, created, err := identity.LoadOrCreateKeyFile(filepath.Join(dir, "identity.key"))
-	if err != nil {
-		return nil, nil, err
-	}
-	if created {
-		fmt.Printf("%s: created signing identity %s…\n", id, key.ID()[:16])
-	}
-	svc, err := service.New(service.Config{
-		ID:          id,
-		PersistPath: dir,
-		Key:         key,
-		PeerKeys:    peers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, key, nil
+// newAuthority runs `authority verifier -id id -persist dir -peer-keys
+// peers` in-process: node.Start is the assembly behind that command, here
+// listening on the in-memory network as id. The signing identity is the
+// keyfile under dir, created on first start.
+func newAuthority(net *transport.PipeNet, id, dir string, peers ...identity.PartyID) (*node.Node, error) {
+	cfg := node.Defaults()
+	cfg.ID, cfg.Listen, cfg.Persist, cfg.PeerKeys = id, id, dir, peers
+	return node.Start(cfg, node.Pipe(net))
 }
 
 func run() error {
@@ -73,12 +61,14 @@ func run() error {
 	fmt.Printf("operator alpha publishes party-id %s…\n", alphaKey.ID()[:16])
 	fmt.Printf("operator beta  publishes party-id %s…\n", betaKey.ID()[:16])
 
-	alpha, _, err := newAuthority("alpha", filepath.Join(base, "alpha"), betaKey.ID())
+	net := transport.NewPipeNet()
+	defer net.Close()
+	alpha, err := newAuthority(net, "alpha", filepath.Join(base, "alpha"), betaKey.ID())
 	if err != nil {
 		return err
 	}
 	defer alpha.Close()
-	beta, _, err := newAuthority("beta", filepath.Join(base, "beta"), alphaKey.ID())
+	beta, err := newAuthority(net, "beta", filepath.Join(base, "beta"), alphaKey.ID())
 	if err != nil {
 		return err
 	}
@@ -98,7 +88,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	verdict, err := alpha.VerifyAnnouncement(context.Background(), ann)
+	verdict, err := alpha.Service.VerifyAnnouncement(context.Background(), ann)
 	if err != nil {
 		return err
 	}
@@ -107,14 +97,14 @@ func run() error {
 	// One signed pull round: beta offers its (empty) manifest, alpha
 	// answers with a delta signed by its key, beta's gate verifies the
 	// signature against the allowlist and ingests.
-	applied, _, err := beta.PullFrom(context.Background(), transport.DialInProc(alpha))
+	applied, _, err := beta.Service.PullFrom(context.Background(), transport.DialInProc(alpha.Service))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("beta pulls from alpha: %d record(s) applied\n", applied)
 
 	// Provenance: beta's copy names alpha as the authority that vouched.
-	for _, svc := range []*service.Service{alpha, beta} {
+	for _, svc := range []*service.Service{alpha.Service, beta.Service} {
 		prov, err := svc.Provenance()
 		if err != nil {
 			return err
@@ -136,25 +126,26 @@ func run() error {
 	// beta rejects it before ingest and counts the attempt. The rogue
 	// must hold something beta lacks — a peer whose log fingerprints
 	// match is in sync, and an exchange with it ends before any delta.
-	rogue, _, err := newAuthority("rogue", filepath.Join(base, "rogue"))
+	rogue, err := newAuthority(net, "rogue", filepath.Join(base, "rogue"))
 	if err != nil {
 		return err
 	}
 	defer rogue.Close()
+	fmt.Printf("rogue: created signing identity %s…\n", rogue.Key.ID()[:16])
 	g.SetPayoffs(game.Profile{1, 1}, numeric.I(2), numeric.I(2))
 	rogueAnn, err := core.AnnounceEnumeration("acme-games", g, proof.MaxNash)
 	if err != nil {
 		return err
 	}
-	if _, err := rogue.VerifyAnnouncement(context.Background(), rogueAnn); err != nil {
+	if _, err := rogue.Service.VerifyAnnouncement(context.Background(), rogueAnn); err != nil {
 		return err
 	}
-	if _, _, err := beta.PullFrom(context.Background(), transport.DialInProc(rogue)); err != nil {
+	if _, _, err := beta.Service.PullFrom(context.Background(), transport.DialInProc(rogue.Service)); err != nil {
 		fmt.Printf("beta rejects rogue's delta: %v\n", err)
 	} else {
 		return fmt.Errorf("rogue delta was ingested — the allowlist gate failed")
 	}
-	fed := beta.Stats().Federation
+	fed := beta.Service.Stats().Federation
 	fmt.Printf("beta federation counters: trustedPeers=%d rejectedUnknown=%d accepted-from-alpha=%d\n",
 		fed.TrustedPeers, fed.RejectedUnknown, fed.Peers[string(alphaKey.ID())].Records)
 	return nil

@@ -1,5 +1,6 @@
 // Package gossiptest is the in-process federation harness: it spins N
-// verification authorities over an in-memory transport (transport.PipeNet),
+// verification authorities — internal/node, the assembly behind
+// `authority verifier` — over an in-memory transport (transport.PipeNet),
 // each with its own signing key, durable store, full allowlist and a
 // manually stepped gossiper, then drives lockstep gossip rounds and
 // measures convergence. Tests use it to assert round budgets and
@@ -9,22 +10,19 @@
 package gossiptest
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"rationality/internal/core"
-	"rationality/internal/gossip"
 	"rationality/internal/identity"
-	"rationality/internal/reputation"
-	"rationality/internal/service"
+	"rationality/internal/node"
 	"rationality/internal/transport"
-	"rationality/internal/trust"
 )
 
 // ProcFormat is the proof format the harness procedure serves.
@@ -57,26 +55,19 @@ func (p *Proc) Verify(gameSpec, advice, proofBody json.RawMessage) (*core.Verdic
 type Config struct {
 	// N is the number of authorities. Required, >= 2.
 	N int
-	// Fanout, RumorTTL and AntiEntropyEvery pass through to each node's
-	// gossiper (zero = the engine defaults).
-	Fanout           int
-	RumorTTL         int
-	AntiEntropyEvery int
+	// Fanout is each node's -fanout (zero = the engine default).
+	Fanout int
 	// Seed makes the whole cluster reproducible: node keys aside (which
 	// are random but interchangeable), every peer selection and fault
 	// plan derives from it. Zero means 1.
 	Seed int64
-	// AuditRate is each node's Config.AuditRate (0 disables auditing);
-	// AuditRateFor, when non-nil, overrides it per node — e.g. a
-	// Byzantine node that never audits (it has nothing to learn from
-	// re-running its own lies).
-	AuditRate    float64
+	// AuditRateFor, when non-nil, is node i's -audit-rate (nil: no node
+	// audits) — e.g. a Byzantine node that never audits (it has nothing
+	// to learn from re-running its own lies).
 	AuditRateFor func(i int) float64
 	// Accept, when non-nil, sets node i's procedure polarity; nil means
 	// every node verifies honestly (accept).
 	Accept func(i int) bool
-	// Trust attaches a quarantine policy to every node.
-	Trust bool
 	// Chaos, when non-nil, wraps every dialed connection in a fault
 	// injector with these probabilities (the per-client seed derives from
 	// Seed and the dial sequence, so runs replay).
@@ -85,19 +76,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Node is one authority in the cluster.
+// Node is one authority in the cluster: the production assembly
+// (node.Start, persisted, keyed, trust policy on) with its place in the
+// cluster. Its Gossiper is manually stepped.
 type Node struct {
+	*node.Node
 	// Index is the node's position; Addr its PipeNet listen name; ID its
 	// signing identity.
 	Index int
 	Addr  string
 	ID    identity.PartyID
-	// Service is the node's verification authority; Gossiper its manually
-	// stepped gossip loop; Trust its quarantine policy (nil unless
-	// Config.Trust).
-	Service  *service.Service
-	Gossiper *service.Gossiper
-	Trust    *trust.Policy
 }
 
 // Cluster is a running in-process federation. Build with New, release
@@ -112,8 +100,8 @@ type Cluster struct {
 	chaosSeed atomic.Int64
 }
 
-// New builds and starts a cluster. dir hosts each node's durable store
-// and trust state (node-0, node-1, ...).
+// New builds and starts a cluster. dir hosts each node's persist
+// directory (node-0, node-1, ...).
 func New(dir string, cfg Config) (*Cluster, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("gossiptest: cluster needs N >= 2, got %d", cfg.N)
@@ -121,127 +109,80 @@ func New(dir string, cfg Config) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	c := &Cluster{Net: transport.NewPipeNet(), cfg: cfg}
-	keys := make([]*identity.KeyPair, cfg.N)
+	// Every node allowlists every other, so each key is on disk, where
+	// node.Start loads it, before the first node starts.
 	ids := make([]identity.PartyID, cfg.N)
-	for i := range keys {
-		k, err := identity.NewKeyPair()
+	for i := range ids {
+		k, _, err := identity.LoadOrCreateKeyFile(filepath.Join(dir, fmt.Sprintf("node-%d", i), "identity.key"))
 		if err != nil {
-			c.close()
-			return nil, err
+			return nil, errors.Join(err, c.Close())
 		}
-		keys[i] = k
 		ids[i] = k.ID()
 	}
-	for i := 0; i < cfg.N; i++ {
-		node, err := c.startNode(dir, i, keys[i], ids)
+	for i := range ids {
+		n, err := c.start(dir, i, ids)
 		if err != nil {
-			c.close()
-			return nil, err
+			return nil, errors.Join(err, c.Close())
 		}
-		c.Nodes = append(c.Nodes, node)
+		c.Nodes = append(c.Nodes, n)
 	}
 	return c, nil
 }
 
-// startNode builds authority i: service, listener, gossiper.
-func (c *Cluster) startNode(dir string, i int, key *identity.KeyPair, ids []identity.PartyID) (*Node, error) {
-	cfg := c.cfg
+// start configures authority i as `authority verifier -persist dir/node-i
+// -peers <every other node> -peer-keys <their keys>` would, but stepped.
+func (c *Cluster) start(dir string, i int, ids []identity.PartyID) (*Node, error) {
+	cfg, nc := c.cfg, node.Defaults()
 	addr := fmt.Sprintf("node-%d", i)
-	nodeDir := filepath.Join(dir, addr)
-	if err := os.MkdirAll(nodeDir, 0o755); err != nil {
-		return nil, err
-	}
-	allow := make([]identity.PartyID, 0, cfg.N-1)
-	peers := make([]string, 0, cfg.N-1)
+	nc.ID, nc.Listen, nc.Persist = addr, addr, filepath.Join(dir, addr)
+	nc.SyncInterval = 0 // Step drives every round
 	for j, id := range ids {
-		if j == i {
-			continue
-		}
-		allow = append(allow, id)
-		peers = append(peers, fmt.Sprintf("node-%d", j))
-	}
-	var pol *trust.Policy
-	if cfg.Trust {
-		var err error
-		pol, err = trust.New(trust.Config{
-			Registry: reputation.NewRegistry(),
-			Path:     filepath.Join(nodeDir, "trust.json"),
-		})
-		if err != nil {
-			return nil, err
+		if j != i {
+			nc.Peers = append(nc.Peers, fmt.Sprintf("node-%d", j))
+			nc.PeerKeys = append(nc.PeerKeys, id)
 		}
 	}
-	auditRate := cfg.AuditRate
+	if cfg.Fanout != 0 {
+		nc.Fanout = cfg.Fanout
+	}
 	if cfg.AuditRateFor != nil {
-		auditRate = cfg.AuditRateFor(i)
+		nc.AuditRate = cfg.AuditRateFor(i)
 	}
-	svc, err := service.New(service.Config{
-		ID:          addr,
-		PersistPath: filepath.Join(nodeDir, "store"),
-		Key:         key,
-		PeerKeys:    allow,
-		Trust:       pol,
-		AuditRate:   auditRate,
-		Seed:        cfg.Seed + int64(i),
-	})
+	nc.Procedures = core.NewProcedureRegistry()
+	nc.Procedures.Register(&Proc{Accept: cfg.Accept == nil || cfg.Accept(i)})
+	nc.Seed, nc.GossipSeed = cfg.Seed+int64(i), cfg.Seed*1000003+int64(i)
+	if cfg.Logf != nil {
+		nc.Logf = func(format string, args ...any) { cfg.Logf("[%s] "+format, append([]any{addr}, args...)...) }
+	}
+	n, err := node.Start(nc, node.Network{Listen: c.Net.Listen, Dial: c.dial})
 	if err != nil {
 		return nil, err
 	}
-	accept := true
-	if cfg.Accept != nil {
-		accept = cfg.Accept(i)
-	}
-	svc.Register(&Proc{Accept: accept})
-	if err := c.Net.Listen(addr, svc); err != nil {
-		_ = svc.Close()
-		return nil, err
-	}
-	logf := func(format string, args ...any) {
-		cfg.Logf("[%s] "+format, append([]any{addr}, args...)...)
-	}
-	g, err := svc.StartGossiper(gossip.Config{
-		Peers:            peers,
-		Fanout:           cfg.Fanout,
-		RumorTTL:         cfg.RumorTTL,
-		AntiEntropyEvery: cfg.AntiEntropyEvery,
-		Seed:             cfg.Seed*1000003 + int64(i),
-		Dial:             c.dialer(),
-		Logf:             logf,
-	})
-	if err != nil {
-		_ = svc.Close()
-		return nil, err
-	}
-	return &Node{Index: i, Addr: addr, ID: key.ID(), Service: svc, Gossiper: g, Trust: pol}, nil
+	return &Node{Node: n, Index: i, Addr: addr, ID: n.Key.ID()}, nil
 }
 
-// dialer opens pipe clients, wrapping each in a chaos injector when the
-// cluster is configured with one. Chaos seeds derive from the cluster
-// seed and the dial sequence number: lockstep stepping dials in a
-// deterministic order, so the whole fault schedule replays from Seed.
-func (c *Cluster) dialer() func(addr string) (transport.Client, error) {
-	return func(addr string) (transport.Client, error) {
-		client, err := c.Net.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		if c.cfg.Chaos == nil {
-			return client, nil
-		}
-		cc := *c.cfg.Chaos
-		cc.Seed = c.cfg.Seed*7919 + c.chaosSeed.Add(1)
-		return transport.Chaos(client, cc), nil
+// dial opens a pipe client, wrapped in a chaos injector when the cluster
+// is configured with one. Chaos seeds derive from the cluster seed and the
+// dial sequence number: lockstep stepping dials in a deterministic order,
+// so the whole fault schedule replays from Seed.
+func (c *Cluster) dial(addr string) (transport.Client, error) {
+	client, err := c.Net.Dial(addr)
+	if err != nil {
+		return nil, err
 	}
+	if c.cfg.Chaos == nil {
+		return client, nil
+	}
+	cc := *c.cfg.Chaos
+	cc.Seed = c.cfg.Seed*7919 + c.chaosSeed.Add(1)
+	return transport.Chaos(client, cc), nil
 }
 
 // Verify runs n verifications on one node, with payloads unique to tag —
 // n fresh verdicts in that node's log for gossip to spread.
-func (c *Cluster) Verify(node int, tag string, n int) error {
-	svc := c.Nodes[node].Service
+func (c *Cluster) Verify(at int, tag string, n int) error {
+	svc := c.Nodes[at].Service
 	for i := 0; i < n; i++ {
 		ann := core.Announcement{
 			InventorID: "harness-inventor",
@@ -250,7 +191,7 @@ func (c *Cluster) Verify(node int, tag string, n int) error {
 			Advice:     json.RawMessage(`{}`),
 		}
 		if _, err := svc.VerifyAnnouncement(context.Background(), ann); err != nil {
-			return fmt.Errorf("gossiptest: verify on node %d: %w", node, err)
+			return fmt.Errorf("gossiptest: verify on node %d: %w", at, err)
 		}
 	}
 	return nil
@@ -294,56 +235,44 @@ func (c *Cluster) manifest(i int) ([]manifestEntry, error) {
 // sets — is identical. This is the strong invariant: not just equal
 // fingerprints, byte-equal replica state.
 func (c *Cluster) Converged() (bool, error) {
-	all := make([]int, len(c.Nodes))
-	for i := range all {
-		all[i] = i
-	}
-	return c.ConvergedAmong(all)
+	report, err := c.DivergenceReport()
+	return report == "" && err == nil, err
 }
 
 // ConvergedAmong checks manifest identity over a subset of nodes — e.g.
 // the honest ones, when a Byzantine node keeps rewriting its own copy.
 func (c *Cluster) ConvergedAmong(nodes []int) (bool, error) {
-	if len(nodes) < 2 {
-		return true, nil
-	}
-	want, err := c.manifest(nodes[0])
-	if err != nil {
-		return false, err
-	}
-	for _, i := range nodes[1:] {
-		got, err := c.manifest(i)
-		if err != nil {
-			return false, err
-		}
-		if len(got) != len(want) {
-			return false, nil
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
+	report, err := c.divergence(nodes)
+	return report == "" && err == nil, err
 }
 
 // DivergenceReport names the first divergent node pair, for test failure
 // messages. Empty when converged.
 func (c *Cluster) DivergenceReport() (string, error) {
-	want, err := c.manifest(0)
+	all := make([]int, len(c.Nodes))
+	for i := range all {
+		all[i] = i
+	}
+	return c.divergence(all)
+}
+
+// divergence names the first of nodes whose manifest differs from
+// nodes[0]'s; empty when none does.
+func (c *Cluster) divergence(nodes []int) (string, error) {
+	if len(nodes) < 2 {
+		return "", nil
+	}
+	want, err := c.manifest(nodes[0])
 	if err != nil {
 		return "", err
 	}
-	wantJSON, _ := json.Marshal(want)
-	for i := 1; i < len(c.Nodes); i++ {
+	for _, i := range nodes[1:] {
 		got, err := c.manifest(i)
 		if err != nil {
 			return "", err
 		}
-		gotJSON, _ := json.Marshal(got)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			return fmt.Sprintf("node-0 holds %d records, node-%d holds %d", len(want), i, len(got)), nil
+		if !slices.Equal(got, want) {
+			return fmt.Sprintf("node-%d holds %d records, node-%d holds %d", nodes[0], len(want), i, len(got)), nil
 		}
 	}
 	return "", nil
@@ -411,22 +340,12 @@ func (c *Cluster) GossipStats() (rounds, exchanges, failures, inSync uint64) {
 	return
 }
 
-// Close stops every gossiper, closes every service and tears the network
-// down. The first error wins; teardown continues regardless.
-func (c *Cluster) Close() error { return c.close() }
-
-func (c *Cluster) close() error {
-	var first error
+// Close drains every node (node.Node.Close) and tears the network down.
+// Teardown continues past a failure; the errors are joined.
+func (c *Cluster) Close() error {
+	var errs []error
 	for _, n := range c.Nodes {
-		n.Gossiper.Stop()
+		errs = append(errs, n.Close())
 	}
-	if err := c.Net.Close(); err != nil && first == nil {
-		first = err
-	}
-	for _, n := range c.Nodes {
-		if err := n.Service.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return errors.Join(append(errs, c.Net.Close())...)
 }

@@ -96,7 +96,7 @@ func TestGossipConvergenceUnderChaos(t *testing.T) {
 // dialing and counts the skip.
 func TestGossipQuarantinedPeerNeverSelected(t *testing.T) {
 	c, err := gossiptest.New(t.TempDir(), gossiptest.Config{
-		N: 4, Fanout: 2, Seed: 11, Trust: true, Logf: t.Logf,
+		N: 4, Fanout: 2, Seed: 11, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestGossipQuarantinedPeerNeverSelected(t *testing.T) {
 func TestGossipByzantineLieRepairedThroughGossip(t *testing.T) {
 	const lies = 3
 	c, err := gossiptest.New(t.TempDir(), gossiptest.Config{
-		N: 4, Fanout: 2, Seed: 23, Trust: true,
+		N: 4, Fanout: 2, Seed: 23,
 		Accept: func(i int) bool { return i != 3 },
 		// Honest nodes audit everything; the liar audits nothing (re-running
 		// its own lying procedure would only "repair" truth back into lies).

@@ -51,7 +51,7 @@ func newGossipCluster(t *testing.T, n, fanout int) *gossipCluster {
 			c.mu.Unlock()
 			return svc.Handle(ctx, req)
 		})
-		if err := net.Listen(addr, record); err != nil {
+		if _, err := net.Listen(addr, record); err != nil {
 			t.Fatal(err)
 		}
 		c.nodes = append(c.nodes, &gossipNode{addr: addr, svc: svc})

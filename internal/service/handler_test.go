@@ -65,7 +65,7 @@ func TestHandlerBatchAndStatsOverWire(t *testing.T) {
 	s := newTestService(t, Config{ID: "svc-tcp", Reputation: rep})
 	net := transport.NewPipeNet()
 	defer net.Close()
-	if err := net.Listen("svc", s); err != nil {
+	if _, err := net.Listen("svc", s); err != nil {
 		t.Fatal(err)
 	}
 	client, err := net.Dial("svc")

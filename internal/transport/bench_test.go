@@ -18,7 +18,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	reply := Message{Type: "verdict", Payload: jsonString(163)}
 	n := NewPipeNet()
 	defer n.Close()
-	if err := n.Listen("auth", HandlerFunc(func(context.Context, Message) (Message, error) { return reply, nil })); err != nil {
+	if _, err := n.Listen("auth", HandlerFunc(func(context.Context, Message) (Message, error) { return reply, nil })); err != nil {
 		b.Fatal(err)
 	}
 	c, err := n.Dial("auth")

@@ -74,7 +74,7 @@ var transports = []struct {
 	{"pipenet", func(t *testing.T, h Handler) *rig {
 		n := NewPipeNet()
 		t.Cleanup(func() { _ = n.Close() })
-		if err := n.Listen("auth", h); err != nil {
+		if _, err := n.Listen("auth", h); err != nil {
 			t.Fatal(err)
 		}
 		return pipeRig(n, "auth")

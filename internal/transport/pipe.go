@@ -31,22 +31,23 @@ func NewPipeNet() *PipeNet {
 	return &PipeNet{listeners: make(map[string]*pipeListener)}
 }
 
-// Listen serves h under addr (any non-empty name) until Close. Registering
+// Listen serves h under addr (any non-empty name) until the returned
+// server or the network is closed, as ListenTCP serves a port. Registering
 // a name twice is an error — it would silently shadow a live authority.
-func (n *PipeNet) Listen(addr string, h Handler) error {
+func (n *PipeNet) Listen(addr string, h Handler) (*Server, error) {
 	if addr == "" {
-		return errors.New("transport: pipe listen needs a non-empty address")
+		return nil, errors.New("transport: pipe listen needs a non-empty address")
 	}
 	if h == nil {
-		return errors.New("transport: nil handler")
+		return nil, errors.New("transport: nil handler")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if _, dup := n.listeners[addr]; dup {
-		return fmt.Errorf("transport: pipe address %q already listening", addr)
+		return nil, fmt.Errorf("transport: pipe address %q already listening", addr)
 	}
 	ln := &pipeListener{
 		addr:  addr,
@@ -56,7 +57,7 @@ func (n *PipeNet) Listen(addr string, h Handler) error {
 	}
 	ln.srv = serve(ln, h)
 	n.listeners[addr] = ln
-	return nil
+	return ln.srv, nil
 }
 
 // BytesOnWire reports the bytes carried by every connection of the network
@@ -114,7 +115,7 @@ const inProcAddr = "inproc"
 // conformance suite reaches the server's controls through it).
 func dialInProc(h Handler) (*PoolClient, *PipeNet) {
 	n := NewPipeNet()
-	if err := n.Listen(inProcAddr, h); err != nil {
+	if _, err := n.Listen(inProcAddr, h); err != nil {
 		panic("transport: DialInProc: " + err.Error())
 	}
 	c, _ := n.Dial(inProcAddr) // cannot fail: the listener was just registered

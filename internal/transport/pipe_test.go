@@ -16,16 +16,16 @@ func TestPipeNetDialUnknownAndDuplicateListen(t *testing.T) {
 	if _, err := n.Dial("ghost"); err == nil {
 		t.Fatal("dialing an unknown name must fail")
 	}
-	if err := n.Listen("a", echoHandler); err != nil {
+	if _, err := n.Listen("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Listen("a", echoHandler); err == nil {
+	if _, err := n.Listen("a", echoHandler); err == nil {
 		t.Fatal("duplicate listen must fail")
 	}
-	if err := n.Listen("", echoHandler); err == nil {
+	if _, err := n.Listen("", echoHandler); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := n.Listen("b", nil); err == nil {
+	if _, err := n.Listen("b", nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestPipeNetBytesOnWire(t *testing.T) {
 	defer n.Close()
 	want := uint64(0)
 	for _, name := range []string{"a", "b"} {
-		if err := n.Listen(name, echoHandler); err != nil {
+		if _, err := n.Listen(name, echoHandler); err != nil {
 			t.Fatal(err)
 		}
 		c, err := n.Dial(name)
@@ -70,7 +70,7 @@ func TestPipeNetBytesOnWire(t *testing.T) {
 
 func TestPipeNetClose(t *testing.T) {
 	n := NewPipeNet()
-	if err := n.Listen("a", echoHandler); err != nil {
+	if _, err := n.Listen("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
 	c, err := n.Dial("a")
@@ -94,7 +94,7 @@ func TestPipeNetClose(t *testing.T) {
 	if _, err := n.Dial("a"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("dial after close: want ErrClosed, got %v", err)
 	}
-	if err := n.Listen("b", echoHandler); !errors.Is(err, ErrClosed) {
+	if _, err := n.Listen("b", echoHandler); !errors.Is(err, ErrClosed) {
 		t.Fatalf("listen after close: want ErrClosed, got %v", err)
 	}
 }
