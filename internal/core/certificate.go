@@ -67,17 +67,14 @@ func (c *Certificate) KeyHash() (identity.Hash, error) {
 
 // Digest computes the canonical byte string every co-signature must
 // verify against: the domain-tagged digest of the request key and the
-// verdict's canonical JSON encoding.
+// verdict's canonical JSON — Verdict.AppendJSON's bytes, the ones a
+// panel member's cache holds and signs.
 func (c *Certificate) Digest() ([]byte, error) {
 	key, err := c.KeyHash()
 	if err != nil {
 		return nil, err
 	}
-	verdictJSON, err := json.Marshal(c.Verdict)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding verdict: %v", ErrCertificateRejected, err)
-	}
-	return identity.CertificateDigest(key, verdictJSON), nil
+	return identity.CertificateDigest(key, c.Verdict.AppendJSON(nil)), nil
 }
 
 // CoSigners resolves the panel bitmap against the ordered keyset,

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,5 +185,148 @@ func TestSupermajorityThreshold(t *testing.T) {
 		if got := SupermajorityThreshold(tc.n); got != tc.want {
 			t.Errorf("SupermajorityThreshold(%d) = %d, want %d", tc.n, got, tc.want)
 		}
+	}
+}
+
+// pinnedKeyset is the panel that signed testdata/certificate-pd.json:
+// identity.NewKeyPairFrom over 32 bytes of 0x01, 0x02 and 0x03. The
+// certificate was minted by a build that still hashed json.Marshal's
+// spelling of the verdict, and certifies the prisoner's dilemma
+// enumeration announcement under the default threshold.
+var pinnedKeyset = []identity.PartyID{
+	"8a88e3dd7409f195fd52db2d3cba5d72ca6709bf1d94121bf3748801b40f6f5c",
+	"8139770ea87d175f56a35466c34c7ecccb8d8a91b4ee37a25df60f5b8fc9b394",
+	"ed4928c628d1c2c6eae90338905995612959273a5c63f93636c14614ac8737d1",
+}
+
+const pinnedDigest = "4b25dbb2bb1fea4c07db62e297769c271ee622d0c5d61a9dcb1e994d63ad6056"
+
+// TestPinnedCertificateVerifies holds today's digest to the bytes an
+// earlier build signed: a certificate already in a log or a client's
+// hands must keep verifying, so the digest may not move.
+func TestPinnedCertificateVerifies(t *testing.T) {
+	data, err := os.ReadFile("testdata/certificate-pd.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(data []byte) error {
+		c, err := DecodeCertificate(data)
+		if err != nil {
+			return err
+		}
+		if digest, err := c.Digest(); err != nil || hex.EncodeToString(digest) != pinnedDigest {
+			return fmt.Errorf("digest %x (%v), pinned %s", digest, err, pinnedDigest)
+		}
+		return c.Verify(pinnedKeyset, 0)
+	}
+	if err := check(data); err != nil {
+		t.Fatalf("pinned certificate: %v", err)
+	}
+	// The check is sharp to one byte of the verdict's details.
+	tampered := bytes.Replace(data, []byte(`"steps":"4"`), []byte(`"steps":"5"`), 1)
+	if bytes.Equal(tampered, data) {
+		t.Fatal("fixture has no steps detail to tamper with")
+	}
+	if check(tampered) == nil {
+		t.Fatal("a certificate with one details byte changed still checks out")
+	}
+}
+
+// certificateSpec is the acceptance rule written out plainly: the bitmap
+// names exactly one seat per signature, at least threshold seats (⌊2n/3⌋+1
+// when threshold ≤ 0), and every seat's key signed the digest.
+func certificateSpec(keyset []identity.PartyID, threshold int, seats []int, sigs [][]byte, digest []byte) bool {
+	if threshold <= 0 {
+		threshold = 2*len(keyset)/3 + 1
+	}
+	if len(seats) != len(sigs) || len(seats) < threshold {
+		return false
+	}
+	for i, seat := range seats {
+		if seat >= len(keyset) || identity.Verify(keyset[seat], digest, sigs[i]) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCertificateAcceptanceIsExhaustive compares Verify against
+// certificateSpec on every seat subset of panels of 1 to 7 keys: signed
+// honestly, with one signature over the wrong digest, with one by a
+// foreign key, and with a bitmap whose bit count does not match the
+// signatures — each under the default threshold and at the edge of the
+// subset's size.
+func TestCertificateAcceptanceIsExhaustive(t *testing.T) {
+	keys, ids := testPanel(t, 8) // seats 0..6, and a foreign key 7
+	foreign := keys[7]
+	v := Verdict{Accepted: true, Format: FormatP1, Details: map[string]string{"x": "(1/2, 1/2)"}}
+	key := identity.DigestBytes([]byte("request"))
+	verdictJSON, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := identity.CertificateDigest(key, verdictJSON)
+	good, wrongDigest, byForeign := make([][]byte, 7), make([][]byte, 7), foreign.Sign(digest)
+	for i := range good {
+		good[i], wrongDigest[i] = keys[i].Sign(digest), keys[i].Sign([]byte("another digest"))
+	}
+	// A variant is the seats the bitmap names and the signatures attached.
+	type variant struct {
+		seats []int
+		sigs  [][]byte
+	}
+	checked, accepted := 0, 0
+	for n := 1; n <= 7; n++ {
+		keyset := ids[:n]
+		for subset := 0; subset < 1<<n; subset++ {
+			var seats []int
+			for s := 0; s < n; s++ {
+				if subset&(1<<s) != 0 {
+					seats = append(seats, s)
+				}
+			}
+			honest := make([][]byte, len(seats))
+			for i, s := range seats {
+				honest[i] = good[s]
+			}
+			variants := []variant{{seats, honest}}
+			if len(seats) > 0 {
+				i := subset % len(seats) // the corrupted position walks the subset
+				for _, bad := range [][]byte{wrongDigest[seats[i]], byForeign} {
+					sigs := slices.Clone(honest)
+					sigs[i] = bad
+					variants = append(variants, variant{seats, sigs})
+				}
+				variants = append(variants, variant{seats, honest[1:]}) // a bit without its signature
+			}
+			if len(seats) < n {
+				variants = append(variants, variant{seats, append(slices.Clone(honest), good[0])}) // a signature without its bit
+			}
+			for _, vr := range variants {
+				c := &Certificate{Key: key.String(), Verdict: v, Panel: []byte{0}, Sigs: vr.sigs}
+				for _, s := range vr.seats {
+					c.Panel[0] |= 1 << s
+				}
+				// The default, and either side of the subset's own size.
+				for _, threshold := range []int{0, len(vr.seats), len(vr.seats) + 1} {
+					want := certificateSpec(keyset, threshold, vr.seats, vr.sigs, digest)
+					err := c.Verify(keyset, threshold)
+					if got := err == nil; got != want {
+						t.Fatalf("n=%d seats=%v sigs=%d threshold=%d: Verify says %v (%v), the rule says %v",
+							n, vr.seats, len(vr.sigs), threshold, got, err, want)
+					}
+					if err != nil && !errors.Is(err, ErrCertificateRejected) {
+						t.Fatalf("rejection without the documented root: %v", err)
+					}
+					checked++
+					if want {
+						accepted++
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 || accepted == checked {
+		t.Fatalf("%d of %d cases accepted: the sweep no longer splits", accepted, checked)
 	}
 }

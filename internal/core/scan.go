@@ -7,11 +7,12 @@ import (
 )
 
 // The hot wire payloads — a verify request, the request inside a cosign,
-// the announcement array of a batch — and a verdict an in-process caller
-// or a sync delta reads are decoded by one validating single-pass scanner
-// instead of encoding/json's validate-then-reflect double pass. (Replay
-// does not decode at all: CanonicalVerdict, at the end of this file,
-// checks a stored verdict's bytes in place.) The contract is
+// the announcement array of a batch — are decoded by one validating
+// single-pass scanner instead of encoding/json's validate-then-reflect
+// double pass. A verdict is never scanned: the hot paths splice its
+// bytes, replay checks them in place with CanonicalVerdict (at the end
+// of this file), and the other sites that want a value decode it with
+// json.Unmarshal. The contract is
 // narrow on purpose: a Scan function accepts only a document
 // json.Unmarshal would decode to the identical struct, and returns
 // ok=false for everything else — an unknown, repeated, escaped or
@@ -97,13 +98,6 @@ func (s *scanner) str() (body []byte, plain, ok bool) {
 		}
 	}
 	return nil, false, false
-}
-
-// plainStr consumes the string under the cursor and returns its bytes,
-// declining one that str does not report plain.
-func (s *scanner) plainStr() (body []byte, ok bool) {
-	body, plain, ok := s.str()
-	return body, ok && plain
 }
 
 func isHex4(b []byte) bool {
@@ -303,8 +297,8 @@ func (s *scanner) announcement(depth int, a *Announcement, allowed uint8) bool {
 		case memProof:
 			return s.raw(depth+1, &a.Proof)
 		}
-		body, ok := s.plainStr()
-		if !ok {
+		body, plain, ok := s.str()
+		if !ok || !plain {
 			return false
 		}
 		if mem == memFormat {
@@ -401,74 +395,6 @@ func ScanAnnouncements(data []byte, key string) (anns []Announcement, ok bool) {
 	return anns, true
 }
 
-// The members of a Verdict the scanner decodes.
-const (
-	memAccepted = 1 << iota
-	memVerdictFormat
-	memReason
-	memDetails
-)
-
-// ScanVerdict decodes a verdict — the body of every verdict-log record and
-// every cache entry — under ScanVerifyRequest's contract: accepted is a bare true or false,
-// format and reason plain strings, details an object of plain strings
-// with no repeated key, and anything else (null members included)
-// declines. An empty details object decodes to an empty non-nil map, as
-// json.Unmarshal gives.
-func ScanVerdict(data []byte) (v Verdict, ok bool) {
-	s := scanner{data: data}
-	var seen uint8
-	ok = s.object(1, func(key []byte) bool {
-		var mem uint8
-		switch string(key) {
-		case "accepted":
-			mem = memAccepted
-		case "format":
-			mem = memVerdictFormat
-		case "reason":
-			mem = memReason
-		case "details":
-			mem = memDetails
-		}
-		if mem == 0 || mem&seen != 0 {
-			return false
-		}
-		seen |= mem
-		switch mem {
-		case memAccepted:
-			v.Accepted = s.literal("true")
-			return v.Accepted || s.literal("false")
-		case memDetails:
-			v.Details = map[string]string{}
-			return s.object(2, func(k []byte) bool {
-				if _, dup := v.Details[string(k)]; dup {
-					return false
-				}
-				val, ok := s.plainStr()
-				if !ok {
-					return false
-				}
-				v.Details[string(k)] = string(val)
-				return true
-			})
-		}
-		body, ok := s.plainStr()
-		if !ok {
-			return false
-		}
-		if mem == memVerdictFormat {
-			v.Format = internFormat(body)
-		} else {
-			v.Reason = string(body)
-		}
-		return true
-	})
-	if !ok || !s.end() {
-		return Verdict{}, false
-	}
-	return v, true
-}
-
 // CanonicalVerdict reports whether data is byte for byte what AppendJSON
 // writes for the verdict data decodes to, and that verdict's polarity —
 // without decoding it and without allocating. That holds when the members
@@ -479,10 +405,10 @@ func ScanVerdict(data []byte) (v Verdict, ok bool) {
 // than U+2028 and U+2029 included), and every other byte appears as the
 // one escape AppendJSON writes for it. A details key with an escape is
 // declined rather than compared decoded, as is everything else:
-// ok=false means "decode it" (ScanVerdict, then json.Unmarshal) — the
-// bytes may still be a verdict, just not in the canonical spelling. Its
-// accepts are a subset of ScanVerdict's fallback chain's, so replacing
-// a decode by this check never changes which inputs are valid.
+// ok=false means "decode it" (json.Unmarshal) — the bytes may still be
+// a verdict, just not in the canonical spelling. Its accepts are a
+// subset of json.Unmarshal's, so replacing a decode by this check never
+// changes which inputs are valid.
 func CanonicalVerdict(data []byte) (accepted, ok bool) {
 	const (
 		acceptedTrue  = `{"accepted":true,"format":`

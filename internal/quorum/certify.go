@@ -2,7 +2,6 @@ package quorum
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -98,12 +97,6 @@ func NewCertifier(cfg CertifierConfig) (*Certifier, error) {
 // Threshold reports the co-signature count Certify requires.
 func (c *Certifier) Threshold() int { return c.threshold }
 
-// cosignature is one validated member answer, keyed into the panel.
-type cosignature struct {
-	slot int // index into the keyset
-	sig  []byte
-}
-
 // Certify fans the request out to every panel member concurrently,
 // validates each returned co-signature — the claimed signer must be in
 // the keyset, must not have signed already, and the signature must verify
@@ -111,8 +104,10 @@ type cosignature struct {
 // core.Certificate from the verdict that gathered at least Threshold
 // valid co-signatures. Members that fail, time out, answer with a signer
 // outside the keyset, or sign a digest that does not verify are simply
-// not in the certificate; if no verdict reaches the threshold, Certify
-// reports what fell short with an error wrapping ErrCertification.
+// not in the certificate; if no verdict reaches the threshold, or two
+// verdicts tie for the most co-signatures at or above it, Certify reports
+// what fell short or how the panel split with an error wrapping
+// ErrCertification.
 func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.Certificate, error) {
 	msg, err := transport.NewMessage(service.MsgCoSign, service.CoSignRequest{Request: req})
 	if err != nil {
@@ -147,10 +142,7 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 		if !ok {
 			continue // keyset mismatch: a signer the clients would not accept
 		}
-		verdictJSON, err := json.Marshal(resp.Verdict)
-		if err != nil {
-			continue
-		}
+		verdictJSON := resp.Verdict.AppendJSON(nil)
 		digest := identity.CertificateDigest(key, verdictJSON)
 		if identity.Verify(resp.Signer, digest, resp.Signature) != nil {
 			continue // signature over the wrong digest, or forged
@@ -168,15 +160,28 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 	}
 
 	var winner *tally
-	best := 0
+	best, tied := 0, 0
+	split := make([]int, 0, len(tallies))
 	for _, tl := range tallies {
-		if len(tl.sigs) > best {
-			winner, best = tl, len(tl.sigs)
+		n := len(tl.sigs)
+		split = append(split, n)
+		switch {
+		case n > best:
+			winner, best, tied = tl, n, 1
+		case n == best:
+			tied++
 		}
 	}
 	if winner == nil || best < c.threshold {
 		return nil, fmt.Errorf("%w: %d valid co-signatures over one verdict from a panel of %d, need %d",
 			ErrCertification, best, len(c.keyset), c.threshold)
+	}
+	if tied > 1 {
+		// Two verdicts that both clear the threshold: certifying either
+		// would let map order pick the panel's word.
+		sort.Sort(sort.Reverse(sort.IntSlice(split)))
+		return nil, fmt.Errorf("%w: the panel split %v co-signatures over %d verdicts, a tie at the top (need %d)",
+			ErrCertification, split, len(split), c.threshold)
 	}
 
 	slots := make([]int, 0, len(winner.sigs))

@@ -3,6 +3,7 @@ package quorum
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -164,6 +165,45 @@ func TestCertifyBelowThreshold(t *testing.T) {
 	_, err = certifier.Certify(context.Background(), verifyRequestOf(t, pdAnnouncement(t)))
 	if !errors.Is(err, ErrCertification) {
 		t.Fatalf("1-of-3 produced a certificate: %v", err)
+	}
+}
+
+// TestCertifyRefusesATiedSplit seats two honest and two lying members
+// under a threshold of 2: the true and the flipped verdict each gather
+// two co-signatures. Certifying either would let map order choose the
+// panel's word, so every call must fail and name the split.
+func TestCertifyRefusesATiedSplit(t *testing.T) {
+	members := make([]Member, 4)
+	keyset := make([]identity.PartyID, 4)
+	for i := range members {
+		key, err := identity.NewKeyPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := service.Config{ID: fmt.Sprintf("seat-%d", i), Key: key}
+		if i >= 2 {
+			cfg.Procedures = core.NewLyingProcedureRegistry()
+		}
+		svc, err := service.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = svc.Close() })
+		members[i], keyset[i] = Member{ID: cfg.ID, Client: transport.DialInProc(svc)}, key.ID()
+	}
+	certifier, err := NewCertifier(CertifierConfig{Members: members, Keyset: keyset, Threshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := verifyRequestOf(t, pdAnnouncement(t))
+	for i := 0; i < 20; i++ {
+		cert, err := certifier.Certify(context.Background(), req)
+		if !errors.Is(err, ErrCertification) {
+			t.Fatalf("call %d: a 2-2 split was certified as accepted=%v (err %v)", i, cert != nil && cert.Verdict.Accepted, err)
+		}
+		if !strings.Contains(err.Error(), "split [2 2]") {
+			t.Fatalf("call %d: the error does not name the split: %v", i, err)
+		}
 	}
 }
 

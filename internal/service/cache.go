@@ -103,14 +103,12 @@ func newEntry(v *core.Verdict) *cacheEntry {
 }
 
 // decode returns the entry's verdict as a value of the caller's own: the
-// one decode an in-process caller pays, by the scanner where the verdict
-// is plain and json.Unmarshal otherwise.
+// one decode an in-process caller or a co-signature pays. Verify replies
+// and stream frames splice the entry's bytes instead.
 func (e *cacheEntry) decode() (*core.Verdict, error) {
-	v, ok := core.ScanVerdict(e.verdict)
-	if !ok {
-		if err := json.Unmarshal(e.verdict, &v); err != nil {
-			return nil, fmt.Errorf("service: decoding cached verdict: %w", err)
-		}
+	var v core.Verdict
+	if err := json.Unmarshal(e.verdict, &v); err != nil {
+		return nil, fmt.Errorf("service: decoding cached verdict: %w", err)
 	}
 	return &v, nil
 }

@@ -278,26 +278,21 @@ func (f *frame) split(payload []byte) bool {
 
 // decodeRecord decodes the frame at the head of b into rec and returns
 // its framed length. rec owns a fresh copy of the payload — Request and
-// Cert alias it — never b. The verdict is decoded by core.ScanVerdict,
-// with json.Unmarshal as the fallback where the scanner declines (a
-// string with an escape or a non-ASCII byte), so every input decodes as
-// under json.Unmarshal alone. Errors are parseFrame's, plus errTorn for a
-// verdict json.Unmarshal refuses.
+// Cert alias it — never b. The verdict is decoded by json.Unmarshal;
+// only a wire delta and readStanding come here, never replay. Errors are
+// parseFrame's, plus errTorn for a verdict json.Unmarshal refuses.
 func decodeRecord(b []byte, rec *Record) (int, error) {
 	f, err := parseFrame(b)
 	if err != nil {
 		return 0, err
 	}
 	f.split(bytes.Clone(b[headerLen:f.n]))
-	v, ok := core.ScanVerdict(f.verdict)
-	if !ok {
-		if err := json.Unmarshal(f.verdict, &v); err != nil {
-			// The CRC passed, so these bytes are what the writer wrote — a
-			// writer bug, not a torn write. Treat it like corruption
-			// anyway: salvage stops here rather than guessing at the next
-			// frame.
-			return 0, errTorn
-		}
+	var v core.Verdict
+	if err := json.Unmarshal(f.verdict, &v); err != nil {
+		// The CRC passed, so these bytes are what the writer wrote — a
+		// writer bug, not a torn write. Treat it like corruption anyway:
+		// salvage stops here rather than guessing at the next frame.
+		return 0, errTorn
 	}
 	*rec = Record{Key: f.key, Stamp: f.stamp, Origin: identity.PartyID(f.origin), Verdict: v}
 	if len(f.request) > 0 {
@@ -313,14 +308,14 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 // ok when the bytes are a verdict, with its polarity and canon — nil when
 // the bytes already are what core.Verdict.AppendJSON writes for the
 // verdict they hold (core.CanonicalVerdict), and otherwise that
-// re-encoding, reached through the decode path decodeRecord takes. A
-// verdict json.Unmarshal refuses is not ok, just as in decodeRecord.
+// re-encoding of what json.Unmarshal decodes. A verdict json.Unmarshal
+// refuses is not ok, just as in decodeRecord.
 func canonicalVerdict(body []byte) (accepted bool, canon []byte, ok bool) {
 	if accepted, ok := core.CanonicalVerdict(body); ok {
 		return accepted, nil, true
 	}
-	v, ok := core.ScanVerdict(body)
-	if !ok && json.Unmarshal(body, &v) != nil {
+	var v core.Verdict
+	if json.Unmarshal(body, &v) != nil {
 		return false, nil, false
 	}
 	return v.Accepted, v.AppendJSON(nil), true
