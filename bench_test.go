@@ -479,6 +479,13 @@ func (nopProcedure) Verify(_, _, _ json.RawMessage) (*core.Verdict, error) {
 		Details: map[string]string{"kind": "nop"}}, nil
 }
 
+// nopProcedures is the built-in procedure registry plus nopProcedure.
+func nopProcedures() *core.ProcedureRegistry {
+	procs := core.NewProcedureRegistry()
+	procs.Register(nopProcedure{})
+	return procs
+}
+
 func nopAnnouncement(n uint64) core.Announcement {
 	return core.Announcement{
 		InventorID: "bench-inventor",
@@ -513,11 +520,10 @@ func benchParallelProcs(b *testing.B, setup func(b *testing.B) (*service.Service
 func BenchmarkServiceCached(b *testing.B) {
 	ctx := context.Background()
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench"})
+		svc, err := service.New(service.Config{ID: "bench", Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		ann := nopAnnouncement(0)
 		if _, err := svc.VerifyAnnouncement(ctx, ann); err != nil {
 			b.Fatal(err)
@@ -541,11 +547,10 @@ func BenchmarkServiceCached(b *testing.B) {
 func BenchmarkServiceCachedPersist(b *testing.B) {
 	ctx := context.Background()
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench", PersistPath: b.TempDir()})
+		svc, err := service.New(service.Config{ID: "bench", PersistPath: b.TempDir(), Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		ann := nopAnnouncement(0)
 		if _, err := svc.VerifyAnnouncement(ctx, ann); err != nil {
 			b.Fatal(err)
@@ -569,11 +574,10 @@ func BenchmarkServiceMissPersist(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024, PersistPath: b.TempDir()})
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024, PersistPath: b.TempDir(), Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		return svc, func(pb *testing.PB) {
 			for pb.Next() {
 				ann := nopAnnouncement(seq.Add(1))
@@ -592,11 +596,10 @@ func BenchmarkServiceMissHeavy(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024})
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024, Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		return svc, func(pb *testing.PB) {
 			for pb.Next() {
 				ann := nopAnnouncement(seq.Add(1))
@@ -615,11 +618,10 @@ func BenchmarkServiceMixed(b *testing.B) {
 	ctx := context.Background()
 	var seq atomic.Uint64
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024})
+		svc, err := service.New(service.Config{ID: "bench", CacheSize: 1024, Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		hot := nopAnnouncement(0)
 		if _, err := svc.VerifyAnnouncement(ctx, hot); err != nil {
 			b.Fatal(err)
@@ -650,11 +652,10 @@ func BenchmarkServiceBatched(b *testing.B) {
 	ctx := context.Background()
 	const batchLen = 16
 	benchParallelProcs(b, func(b *testing.B) (*service.Service, func(pb *testing.PB)) {
-		svc, err := service.New(service.Config{ID: "bench"})
+		svc, err := service.New(service.Config{ID: "bench", Procedures: nopProcedures()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc.Register(nopProcedure{})
 		anns := make([]core.Announcement, batchLen)
 		for i := range anns {
 			anns[i] = nopAnnouncement(uint64(i))

@@ -41,6 +41,14 @@
 //	footnote 3   internal/identity      Ed25519 identities and signed announcements
 //	             internal/numeric       exact rationals, linear algebra, LP
 //
+// Which test reproduces which artefact of the paper is recorded in the
+// paper-claim ledger (TestPaperClaims in claims_test.go): one row per
+// artefact, naming the package test, the functions it exercises and the
+// cmd/experiments ID (E1–E12) that prints its numbers. The test holds this
+// map and the experiment table to the ledger, and TestExportsAreReached
+// (reach_test.go) holds every exported function to being reached by a
+// program or named by a row.
+//
 // The verifier party runs as internal/service (the one verifier server, in
 // process or behind cmd/authority), with internal/transport, internal/store,
 // internal/quorum, internal/gossip, internal/trust and internal/obs around

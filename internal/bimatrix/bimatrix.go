@@ -57,12 +57,6 @@ func (g *Game) A() *numeric.Matrix { return g.a.Clone() }
 // B returns a copy of the column agent's payoff matrix.
 func (g *Game) B() *numeric.Matrix { return g.b.Clone() }
 
-// PayoffA returns A(i, j).
-func (g *Game) PayoffA(i, j int) *big.Rat { return g.a.At(i, j) }
-
-// PayoffB returns B(i, j).
-func (g *Game) PayoffB(i, j int) *big.Rat { return g.b.At(i, j) }
-
 // Profile is a mixed strategy profile: X over the rows, Y over the columns.
 type Profile struct {
 	X *numeric.Vec

@@ -47,13 +47,13 @@ func TestAccessors(t *testing.T) {
 	if g.Rows() != 2 || g.Cols() != 2 {
 		t.Fatalf("shape %dx%d", g.Rows(), g.Cols())
 	}
-	if g.PayoffA(1, 1).RatString() != "2" || g.PayoffB(1, 1).RatString() != "0" {
+	if g.A().At(1, 1).RatString() != "2" || g.B().At(1, 1).RatString() != "0" {
 		t.Error("payoff accessors wrong")
 	}
 	// A() returns a copy.
 	a := g.A()
 	a.SetAt(0, 0, numeric.I(99))
-	if g.PayoffA(0, 0).RatString() != "1" {
+	if g.A().At(0, 0).RatString() != "1" {
 		t.Error("A() leaked internal state")
 	}
 }
@@ -74,12 +74,12 @@ func TestRowColValues(t *testing.T) {
 	g := fig5()
 	// Against pure C (y = (1, 0)): row values are (1, 0).
 	y := numeric.VecOfInts(1, 0)
-	if got := g.RowValues(y); !got.Equal(numeric.VecOfInts(1, 0)) {
+	if got := g.RowValues(y); got.String() != "(1, 0)" {
 		t.Errorf("RowValues = %s", got)
 	}
 	// Against pure A (x = (1, 0)): column values are (1, 1).
 	x := numeric.VecOfInts(1, 0)
-	if got := g.ColValues(x); !got.Equal(numeric.VecOfInts(1, 1)) {
+	if got := g.ColValues(x); got.String() != "(1, 1)" {
 		t.Errorf("ColValues = %s", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestFindEquilibriumMatchingPennies(t *testing.T) {
 	}
 	half := numeric.R(1, 2)
 	want := numeric.VecOf(half, half)
-	if !e.X.Equal(want) || !e.Y.Equal(want) {
+	if e.X.String() != want.String() || e.Y.String() != want.String() {
 		t.Errorf("equilibrium = (%s, %s), want uniform", e.X, e.Y)
 	}
 	if e.LambdaRow.Sign() != 0 || e.LambdaCol.Sign() != 0 {
@@ -131,7 +131,7 @@ func TestFindEquilibriumPrisonersDilemma(t *testing.T) {
 	}
 	// Support enumeration visits small supports first, so the pure (D, D)
 	// equilibrium is found.
-	if !e.X.Equal(numeric.VecOfInts(0, 1)) || !e.Y.Equal(numeric.VecOfInts(0, 1)) {
+	if e.X.String() != "(0, 1)" || e.Y.String() != "(0, 1)" {
 		t.Errorf("equilibrium = (%s, %s), want pure (D, D)", e.X, e.Y)
 	}
 	if e.LambdaRow.RatString() != "1" || e.LambdaCol.RatString() != "1" {
@@ -216,7 +216,11 @@ func TestAllSupportEquilibriaBattleOfSexes(t *testing.T) {
 		[][]int64{{2, 0}, {0, 1}},
 		[][]int64{{1, 0}, {0, 2}},
 	)
-	all := g.AllSupportEquilibria()
+	var all []*Equilibrium
+	g.enumerateSupportEquilibria(func(e *Equilibrium) bool {
+		all = append(all, e)
+		return true
+	})
 	// BoS has two pure equilibria and one fully mixed one.
 	var pure, mixed int
 	for _, e := range all {
@@ -238,40 +242,9 @@ func TestAllSupportEquilibriaBattleOfSexes(t *testing.T) {
 	}
 }
 
-func TestZeroSumMatchingPennies(t *testing.T) {
-	sol, err := SolveZeroSum(numeric.MatrixOfInts([][]int64{{1, -1}, {-1, 1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Value.Sign() != 0 {
-		t.Errorf("value = %s, want 0", sol.Value.RatString())
-	}
-	half := numeric.R(1, 2)
-	if !sol.X.Equal(numeric.VecOf(half, half)) || !sol.Y.Equal(numeric.VecOf(half, half)) {
-		t.Errorf("strategies = (%s, %s)", sol.X, sol.Y)
-	}
-}
-
-func TestZeroSumDominantStrategy(t *testing.T) {
-	// Row 0 dominates: value is the min of row 0.
-	sol, err := SolveZeroSum(numeric.MatrixOfInts([][]int64{{4, 3}, {1, 2}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Value.RatString() != "3" {
-		t.Errorf("value = %s, want 3", sol.Value.RatString())
-	}
-}
-
-func TestZeroSumEmpty(t *testing.T) {
-	if _, err := SolveZeroSum(numeric.NewMatrix(0, 0)); err == nil {
-		t.Error("empty matrix accepted")
-	}
-}
-
 // Property: on random small games the support-enumeration solver always
 // finds a verified equilibrium (Nash's theorem), and the zero-sum value of
-// A equals the row payoff of an equilibrium of (A, −A).
+// A (by the maximin LP) equals the row payoff of an equilibrium of (A, −A).
 func TestSolverAlwaysFindsEquilibriumProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -303,13 +276,43 @@ func TestSolverAlwaysFindsEquilibriumProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: zero-sum game has no equilibrium", trial)
 		}
-		sol, err := SolveZeroSum(numeric.MatrixOfInts(a))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !numeric.Eq(ze.LambdaRow, sol.Value) {
+		value := maximinValue(t, a)
+		if !numeric.Eq(ze.LambdaRow, value) {
 			t.Fatalf("trial %d: equilibrium payoff %s != game value %s",
-				trial, ze.LambdaRow.RatString(), sol.Value.RatString())
+				trial, ze.LambdaRow.RatString(), value.RatString())
 		}
 	}
+}
+
+// maximinValue solves the row agent's side of the zero-sum game a by exact
+// LP — max v s.t. Σ_i x_i a(i,j) >= v for every column j, Σ x = 1, x >= 0,
+// with v = v⁺ − v⁻ — as an oracle independent of support enumeration.
+func maximinValue(t *testing.T, a [][]int64) *numeric.Rat {
+	t.Helper()
+	n, m := len(a), len(a[0])
+	lp := &numeric.LP{NumVars: n + 2, Objective: numeric.NewVec(n + 2)}
+	lp.Objective.SetAt(n, numeric.One())
+	lp.Objective.SetAt(n+1, numeric.I(-1))
+	for j := 0; j < m; j++ {
+		row := numeric.NewVec(n + 2)
+		for i := 0; i < n; i++ {
+			row.SetAt(i, numeric.I(a[i][j]))
+		}
+		row.SetAt(n, numeric.I(-1))
+		row.SetAt(n+1, numeric.One())
+		lp.AddGE(row, numeric.Zero())
+	}
+	sum := numeric.NewVec(n + 2)
+	for i := 0; i < n; i++ {
+		sum.SetAt(i, numeric.One())
+	}
+	lp.AddEQ(sum, numeric.One())
+	res, err := numeric.SolveLP(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != numeric.Optimal {
+		t.Fatalf("maximin LP status %v", res.Status)
+	}
+	return res.Objective
 }

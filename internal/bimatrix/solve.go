@@ -29,18 +29,6 @@ func (g *Game) FindEquilibrium() (*Equilibrium, error) {
 	return found, nil
 }
 
-// AllSupportEquilibria returns every equilibrium found by support
-// enumeration, one per support pair that admits one (degenerate games can
-// have continua; this returns one representative per support pair).
-func (g *Game) AllSupportEquilibria() []*Equilibrium {
-	var out []*Equilibrium
-	g.enumerateSupportEquilibria(func(e *Equilibrium) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}
-
 // enumerateSupportEquilibria invokes fn for each support pair admitting an
 // equilibrium until fn returns false.
 func (g *Game) enumerateSupportEquilibria(fn func(*Equilibrium) bool) {

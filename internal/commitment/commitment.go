@@ -16,7 +16,6 @@ package commitment
 
 import (
 	"bytes"
-	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
@@ -43,14 +42,9 @@ type Opening struct {
 // commitment.
 var ErrBadOpening = errors.New("commitment: opening does not match commitment")
 
-// Commit commits to value with fresh randomness from crypto/rand.
-func Commit(value []byte) (Commitment, *Opening, error) {
-	return CommitWithRand(value, rand.Reader)
-}
-
 // CommitWithRand commits to value drawing the salt from the given source.
 // Tests use a deterministic source; production callers should use
-// crypto/rand (via Commit).
+// crypto/rand.Reader.
 func CommitWithRand(value []byte, rng io.Reader) (Commitment, *Opening, error) {
 	salt := make([]byte, SaltSize)
 	if _, err := io.ReadFull(rng, salt); err != nil {
@@ -89,18 +83,6 @@ func digest(open *Opening) Commitment {
 // P2 prover commits to each support-membership bit separately so it can open
 // exactly the queried indices and nothing else.
 type BitVector []bool
-
-// Bytes encodes one bit per byte (0x00 / 0x01); the redundancy keeps
-// openings self-describing.
-func (b BitVector) Bytes() []byte {
-	out := make([]byte, len(b))
-	for i, v := range b {
-		if v {
-			out[i] = 1
-		}
-	}
-	return out
-}
 
 // CommitBits commits to each bit of b independently, returning parallel
 // slices of commitments and openings.

@@ -1,7 +1,7 @@
 package commitment
 
 import (
-	"bytes"
+	cryptorand "crypto/rand"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestCommitVerifyRoundTrip(t *testing.T) {
-	c, open, err := Commit([]byte("the column support is {2, 5}"))
+	c, open, err := CommitWithRand([]byte("the column support is {2, 5}"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestCommitVerifyRoundTrip(t *testing.T) {
 }
 
 func TestVerifyRejectsTamperedValue(t *testing.T) {
-	c, open, err := Commit([]byte("yes"))
+	c, open, err := CommitWithRand([]byte("yes"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestVerifyRejectsTamperedValue(t *testing.T) {
 }
 
 func TestVerifyRejectsTamperedSalt(t *testing.T) {
-	c, open, err := Commit([]byte("yes"))
+	c, open, err := CommitWithRand([]byte("yes"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestVerifyRejectsTamperedSalt(t *testing.T) {
 }
 
 func TestVerifyRejectsNilAndShortSalt(t *testing.T) {
-	c, open, err := Commit([]byte("x"))
+	c, open, err := CommitWithRand([]byte("x"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestVerifyRejectsNilAndShortSalt(t *testing.T) {
 
 func TestCommitmentsAreHiding(t *testing.T) {
 	// Same value, fresh salts → different commitments.
-	c1, _, err := Commit([]byte("bit"))
+	c1, _, err := CommitWithRand([]byte("bit"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _, err := Commit([]byte("bit"))
+	c2, _, err := CommitWithRand([]byte("bit"), cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCommitmentsAreHiding(t *testing.T) {
 
 func TestCommitDoesNotAliasValue(t *testing.T) {
 	v := []byte("secret")
-	c, open, err := Commit(v)
+	c, open, err := CommitWithRand(v, cryptorand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,6 @@ func TestCommitWithRandDeterministic(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Fatal("same seed should give same commitment")
-	}
-}
-
-func TestBitVectorBytes(t *testing.T) {
-	b := BitVector{true, false, true}
-	if !bytes.Equal(b.Bytes(), []byte{1, 0, 1}) {
-		t.Fatalf("Bytes = %v", b.Bytes())
 	}
 }
 

@@ -51,26 +51,6 @@ func (c *Config) Clone() *Config {
 	return cc
 }
 
-// Network returns the underlying network.
-func (c *Config) Network() *Network { return c.net }
-
-// NumAgents returns how many agents have joined.
-func (c *Config) NumAgents() int { return len(c.agents) }
-
-// Agent returns the record of agent i (joining order).
-func (c *Config) Agent(i int) AgentRecord {
-	a := c.agents[i]
-	return AgentRecord{
-		Source: a.Source,
-		Sink:   a.Sink,
-		Load:   numeric.Copy(a.Load),
-		Path:   append(Path(nil), a.Path...),
-	}
-}
-
-// EdgeLoad returns We, the total load on edge e.
-func (c *Config) EdgeLoad(e int) *big.Rat { return numeric.Copy(c.loads[e]) }
-
 // Join routes a new agent along path p with load w; the decision is
 // irrevocable (the paper's model). It returns the agent's index.
 func (c *Config) Join(src, sink int, w *big.Rat, p Path) (int, error) {
@@ -107,16 +87,6 @@ func (c *Config) PathDelay(p Path) *big.Rat {
 	return total
 }
 
-// PathDelayIfJoined returns the delay a new agent of load w would experience
-// on path p after joining: Σ_{e∈p} de(We + w).
-func (c *Config) PathDelayIfJoined(p Path, w *big.Rat) *big.Rat {
-	total := numeric.Zero()
-	for _, e := range p {
-		total = numeric.Add(total, c.net.Edge(e).Delay.Eval(numeric.Add(c.loads[e], w)))
-	}
-	return total
-}
-
 // AgentDelay returns λi(π), the delay agent i experiences under the current
 // configuration.
 func (c *Config) AgentDelay(i int) *big.Rat {
@@ -130,31 +100,6 @@ func (c *Config) TotalCongestion() *big.Rat {
 		total = numeric.Add(total, c.EdgeDelay(e))
 	}
 	return total
-}
-
-// RosenthalPotential computes Φ(π) = Σ_e Σ_{t=1}^{ne} de(t) for UNIT-load
-// configurations, where ne is the number of agents on edge e. Best-response
-// moves strictly decrease Φ, so unit-load congestion games always possess
-// pure equilibria. It returns an error when any agent's load is not 1.
-func (c *Config) RosenthalPotential() (*big.Rat, error) {
-	one := numeric.One()
-	counts := make([]int, c.net.NumEdges())
-	for _, a := range c.agents {
-		if a.Load.Cmp(one) != 0 {
-			return nil, fmt.Errorf("congestion: Rosenthal potential requires unit loads; agent has %s",
-				a.Load.RatString())
-		}
-		for _, e := range a.Path {
-			counts[e]++
-		}
-	}
-	total := numeric.Zero()
-	for e, ne := range counts {
-		for t := 1; t <= ne; t++ {
-			total = numeric.Add(total, c.net.Edge(e).Delay.Eval(numeric.I(int64(t))))
-		}
-	}
-	return total, nil
 }
 
 // Reroute moves agent i onto a different valid path, updating the loads.
@@ -176,39 +121,4 @@ func (c *Config) Reroute(i int, p Path) error {
 		c.loads[e].Add(c.loads[e], a.Load)
 	}
 	return nil
-}
-
-// BestResponsePath returns the path minimizing agent i's delay if it could
-// re-route now (its own load removed first), with the delay it would then
-// experience.
-func (c *Config) BestResponsePath(i int) (Path, *big.Rat, error) {
-	if i < 0 || i >= len(c.agents) {
-		return nil, nil, fmt.Errorf("congestion: agent %d out of range", i)
-	}
-	a := c.agents[i]
-	// Remove the agent's load, find the congestion-aware shortest path,
-	// restore.
-	for _, e := range a.Path {
-		c.loads[e].Sub(c.loads[e], a.Load)
-	}
-	p, d, err := ShortestPath(c, a.Source, a.Sink, a.Load)
-	for _, e := range a.Path {
-		c.loads[e].Add(c.loads[e], a.Load)
-	}
-	return p, d, err
-}
-
-// IsPureEquilibrium reports whether no agent can strictly reduce its delay
-// by unilaterally re-routing.
-func (c *Config) IsPureEquilibrium() (bool, error) {
-	for i := range c.agents {
-		_, best, err := c.BestResponsePath(i)
-		if err != nil {
-			return false, err
-		}
-		if numeric.Lt(best, c.AgentDelay(i)) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

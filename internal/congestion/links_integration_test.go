@@ -47,7 +47,7 @@ func TestGreedyMatchesLinksModel(t *testing.T) {
 		// edge for edge (both tie-break towards lower indices).
 		want := sys.Loads()
 		for j := 0; j < m; j++ {
-			got := res.Config.EdgeLoad(j)
+			got := res.Config.loads[j]
 			if !numeric.Eq(got, numeric.I(want[j])) {
 				t.Fatalf("trial %d: edge %d load %s, links model has %d",
 					trial, j, got.RatString(), want[j])

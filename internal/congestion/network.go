@@ -1,10 +1,9 @@
 // Package congestion implements the paper's §6 on-line network congestion
 // games: communication networks N = (V, E, (de)e∈E) with non-decreasing
 // per-edge delay functions, configurations of agent paths, per-agent delays
-// λi, total congestion Λ, congestion-aware shortest paths, Rosenthal's
-// potential for unit-load games, and the Fig. 6 diamond example showing why
-// a greedy best reply at arrival time need not remain a best reply when the
-// game ends.
+// λi, total congestion Λ, congestion-aware shortest paths, and the Fig. 6
+// diamond example showing why a greedy best reply at arrival time need not
+// remain a best reply when the game ends.
 package congestion
 
 import (
@@ -32,23 +31,9 @@ type LinearDelay struct {
 	B *big.Rat
 }
 
-// NewLinearDelay validates A, B >= 0 (required for monotone non-negative
-// delays).
-func NewLinearDelay(a, b *big.Rat) (*LinearDelay, error) {
-	if a.Sign() < 0 || b.Sign() < 0 {
-		return nil, fmt.Errorf("congestion: linear delay needs A, B >= 0")
-	}
-	return &LinearDelay{A: numeric.Copy(a), B: numeric.Copy(b)}, nil
-}
-
 // Identity returns the delay d(x) = x.
 func Identity() *LinearDelay {
 	return &LinearDelay{A: numeric.One(), B: numeric.Zero()}
-}
-
-// Constant returns the load-independent delay d(x) = b.
-func Constant(b *big.Rat) *LinearDelay {
-	return &LinearDelay{A: numeric.Zero(), B: numeric.Copy(b)}
 }
 
 // Eval implements DelayFunc.
@@ -66,17 +51,6 @@ func (d *LinearDelay) String() string {
 type MonomialDelay struct {
 	C      *big.Rat
 	Degree int
-}
-
-// NewMonomialDelay validates C >= 0 and Degree >= 1.
-func NewMonomialDelay(c *big.Rat, degree int) (*MonomialDelay, error) {
-	if c.Sign() < 0 {
-		return nil, fmt.Errorf("congestion: monomial delay needs C >= 0")
-	}
-	if degree < 1 {
-		return nil, fmt.Errorf("congestion: monomial degree must be >= 1")
-	}
-	return &MonomialDelay{C: numeric.Copy(c), Degree: degree}, nil
 }
 
 // Eval implements DelayFunc.
@@ -155,11 +129,6 @@ func (n *Network) NumEdges() int { return len(n.edges) }
 // Edge returns the edge with the given ID.
 func (n *Network) Edge(id int) Edge {
 	return n.edges[id]
-}
-
-// OutEdges returns the IDs of edges leaving node v.
-func (n *Network) OutEdges(v int) []int {
-	return append([]int(nil), n.out[v]...)
 }
 
 // Path is a sequence of edge IDs. ValidPath checks connectivity.

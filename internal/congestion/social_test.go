@@ -36,12 +36,8 @@ func TestMarginalCostAvoidsSteepEdges(t *testing.T) {
 	// marginal cost. Greedy (absolute delay) picks the cubic edge; the
 	// inventor (marginal Λ) picks the linear one.
 	net := MustNetwork(2)
-	cubic, err := NewMonomialDelay(numeric.One(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eCubic := net.MustAddEdge(0, 1, cubic)
-	eLinear := net.MustAddEdge(0, 1, Constant(numeric.I(30)))
+	eCubic := net.MustAddEdge(0, 1, &MonomialDelay{C: numeric.One(), Degree: 3})
+	eLinear := net.MustAddEdge(0, 1, &LinearDelay{A: numeric.Zero(), B: numeric.I(30)})
 
 	c := NewConfig(net)
 	if _, err := c.Join(0, 1, numeric.I(2), Path{eCubic}); err != nil {
@@ -72,11 +68,7 @@ func TestMarginalCostReducesTotalCongestion(t *testing.T) {
 	// total congestion Λ no worse than greedy's for the same arrivals.
 	build := func() *Network {
 		net := MustNetwork(2)
-		quad, err := NewMonomialDelay(numeric.One(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.MustAddEdge(0, 1, quad)
+		net.MustAddEdge(0, 1, &MonomialDelay{C: numeric.One(), Degree: 2})
 		net.MustAddEdge(0, 1, Identity())
 		return net
 	}

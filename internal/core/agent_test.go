@@ -7,6 +7,7 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -163,7 +164,7 @@ func TestEndToEndEnumerationForged(t *testing.T) {
 }
 
 func TestEndToEndCorruptMinorityOutvoted(t *testing.T) {
-	ann, err := core.AnnounceEnumeration("honest-inventor", game.BattleOfSexes(), proof.MaxNash)
+	ann, err := core.AnnounceEnumeration("honest-inventor", battleOfSexes(), proof.MaxNash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestEndToEndParticipationForged(t *testing.T) {
 }
 
 func TestEndToEndNAgent(t *testing.T) {
-	g := game.ThreeAgentMajority()
+	g := threeAgentMajority()
 	uniform := make(game.MixedProfile, 3)
 	for i := range uniform {
 		v := numeric.NewVec(2)
@@ -671,4 +672,27 @@ func TestSignedForgeryStillCaughtAndAttributed(t *testing.T) {
 	if registry.Reputation(string(k.ID())) >= 0.5 {
 		t.Error("forger's key-bound reputation did not drop")
 	}
+}
+
+// battleOfSexes has two ≤u-incomparable pure equilibria, [0 0] and [1 1].
+func battleOfSexes() *game.Game {
+	return game.NewBimatrix("battle-of-the-sexes",
+		[][]int64{{2, 0}, {0, 1}},
+		[][]int64{{1, 0}, {0, 2}},
+	)
+}
+
+// threeAgentMajority is a 3-agent, 2-strategy majority coordination game:
+// each agent gains 1 when it sides with the majority, else 0.
+func threeAgentMajority() *game.Game {
+	g, err := game.FromFunc("majority-3", []int{2, 2, 2}, func(i int, p game.Profile) *big.Rat {
+		if p[(i+1)%3] == p[i] || p[(i+2)%3] == p[i] {
+			return numeric.One()
+		}
+		return numeric.Zero()
+	})
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -41,7 +41,7 @@ func catalogAnnouncements(tb testing.TB) []Announcement {
 		must(AnnounceEnumerationForged("inv", game.PrisonersDilemma(), game.Profile{0, 0})),
 		must(AnnounceP1("inv", "matching-pennies", pennies)),
 		AnnounceP1Forged("inv", "matching-pennies", pennies, []int{0}, []int{0}),
-		must(AnnounceNAgent("inv", game.ThreeAgentMajority(), uniform)),
+		must(AnnounceNAgent("inv", threeAgentMajority(), uniform)),
 		must(AnnounceParticipation("inv", "auction", entry, participation.LowBranch)),
 		AnnounceParticipationForged("inv", "auction", entry, "1/7"),
 		must(AnnounceCorrelated("device", chicken)),

@@ -53,7 +53,7 @@ func TestSignatureDetectsTampering(t *testing.T) {
 	}{
 		{"advice swapped", func(a *Announcement) { a.Advice = mustJSON(game.Profile{0, 0}) }},
 		{"format swapped", func(a *Announcement) { a.Format = FormatP1 }},
-		{"game swapped", func(a *Announcement) { a.Game = mustJSON(SpecFromGame(game.BattleOfSexes())) }},
+		{"game swapped", func(a *Announcement) { a.Game = mustJSON(SpecFromGame(battleOfSexes())) }},
 		{"proof truncated", func(a *Announcement) { a.Proof = a.Proof[:len(a.Proof)-2] }},
 		{"identity swapped", func(a *Announcement) { a.InventorID = "someone-else" }},
 	}

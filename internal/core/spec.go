@@ -15,7 +15,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 
 	"rationality/internal/bimatrix"
 	"rationality/internal/game"
@@ -211,11 +210,6 @@ func (s VecSpec) ToVec() (*numeric.Vec, error) {
 		v.SetAt(i, x)
 	}
 	return v, nil
-}
-
-// RatSpec parses a single wire rational.
-func RatSpec(s string) (*big.Rat, error) {
-	return numeric.ParseRat(s)
 }
 
 // mustJSON marshals values that cannot fail (all wire types here); it keeps

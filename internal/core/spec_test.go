@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"testing"
 
 	"rationality/internal/bimatrix"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestGameSpecRoundTrip(t *testing.T) {
-	g := game.BattleOfSexes()
+	g := battleOfSexes()
 	spec := SpecFromGame(g)
 	back, err := spec.ToGame()
 	if err != nil {
@@ -19,13 +20,14 @@ func TestGameSpecRoundTrip(t *testing.T) {
 	if back.Name() != g.Name() || back.NumAgents() != g.NumAgents() {
 		t.Error("metadata lost")
 	}
-	for _, p := range g.Profiles() {
+	g.ForEachProfile(func(p game.Profile) bool {
 		for i := 0; i < g.NumAgents(); i++ {
 			if !numeric.Eq(back.Payoff(i, p), g.Payoff(i, p)) {
 				t.Fatalf("payoff mismatch at %v agent %d", p, i)
 			}
 		}
-	}
+		return true
+	})
 }
 
 func TestGameSpecValidation(t *testing.T) {
@@ -57,7 +59,7 @@ func TestBimatrixSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.A().Equal(g.A()) || !back.B().Equal(g.B()) {
+	if back.A().String() != g.A().String() || back.B().String() != g.B().String() {
 		t.Error("matrices lost in round trip")
 	}
 }
@@ -105,7 +107,7 @@ func TestVecSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(v) {
+	if back.String() != v.String() {
 		t.Error("vector round trip failed")
 	}
 	if _, err := (VecSpec{"bad"}).ToVec(); err == nil {
@@ -113,11 +115,25 @@ func TestVecSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRatSpec(t *testing.T) {
-	if _, err := RatSpec("3/8"); err != nil {
-		t.Error("valid rational rejected")
+// battleOfSexes has two ≤u-incomparable pure equilibria, [0 0] and [1 1].
+func battleOfSexes() *game.Game {
+	return game.NewBimatrix("battle-of-the-sexes",
+		[][]int64{{2, 0}, {0, 1}},
+		[][]int64{{1, 0}, {0, 2}},
+	)
+}
+
+// threeAgentMajority is a 3-agent, 2-strategy majority coordination game:
+// each agent gains 1 when it sides with the majority, else 0.
+func threeAgentMajority() *game.Game {
+	g, err := game.FromFunc("majority-3", []int{2, 2, 2}, func(i int, p game.Profile) *big.Rat {
+		if p[(i+1)%3] == p[i] || p[(i+2)%3] == p[i] {
+			return numeric.One()
+		}
+		return numeric.Zero()
+	})
+	if err != nil {
+		panic(err)
 	}
-	if _, err := RatSpec("nope"); err == nil {
-		t.Error("garbage accepted")
-	}
+	return g
 }

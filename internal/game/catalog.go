@@ -35,72 +35,6 @@ func PrisonersDilemma() *Game {
 	)
 }
 
-// MatchingPennies returns Matching Pennies, which has no pure Nash
-// equilibrium (its unique equilibrium is mixed at (1/2, 1/2)).
-func MatchingPennies() *Game {
-	return NewBimatrix("matching-pennies",
-		[][]int64{{1, -1}, {-1, 1}},
-		[][]int64{{-1, 1}, {1, -1}},
-	)
-}
-
-// BattleOfSexes returns Battle of the Sexes with two pure equilibria,
-// [0 0] and [1 1], which are ≤u-incomparable.
-func BattleOfSexes() *Game {
-	return NewBimatrix("battle-of-the-sexes",
-		[][]int64{{2, 0}, {0, 1}},
-		[][]int64{{1, 0}, {0, 2}},
-	)
-}
-
-// Coordination returns a pure coordination game with two equilibria where
-// [1 1] strictly ≥u-dominates [0 0]; only [1 1] is a maximal equilibrium.
-func Coordination() *Game {
-	return NewBimatrix("coordination",
-		[][]int64{{1, 0}, {0, 2}},
-		[][]int64{{1, 0}, {0, 2}},
-	)
-}
-
-// Fig5Game returns the bimatrix game of the paper's Fig. 5:
-//
-//	     C     D
-//	A  1,1   1,1
-//	B  0,1   2,0
-//
-// Used by Remark 2 to show that P2 does not reveal the column agent's
-// equilibrium: with S1 = {A}, any (qC, qD) with qC + qD = 1, qC <= 1/2 is a
-// Nash equilibrium with payoffs λ1 = λ2 = 1.
-func Fig5Game() *Game {
-	return NewBimatrix("fig5",
-		[][]int64{{1, 1}, {0, 2}},
-		[][]int64{{1, 1}, {1, 0}},
-	)
-}
-
-// ThreeAgentMajority returns a 3-agent, 2-strategy majority coordination
-// game: each agent gains 1 when it matches the majority choice, else 0.
-// Both unanimous profiles are equilibria.
-func ThreeAgentMajority() *Game {
-	u := func(agent int, p Profile) *big.Rat {
-		count := 0
-		for _, s := range p {
-			if s == p[agent] {
-				count++
-			}
-		}
-		if count >= 2 {
-			return numeric.One()
-		}
-		return numeric.Zero()
-	}
-	g, err := FromFunc("majority-3", []int{2, 2, 2}, u)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // RandomGame returns a game with the given strategy counts and payoffs drawn
 // uniformly from {0, 1, ..., maxPayoff} by the supplied source. It is used by
 // property tests and benchmarks; determinism comes from the caller's seed.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewCorrelatedDistributionValidation(t *testing.T) {
-	g := BattleOfSexes()
+	g := battleOfSexes()
 	if _, err := NewCorrelatedDistribution(g, map[string]*numeric.Rat{
 		"[0 0]": numeric.R(1, 2),
 	}); err == nil {
@@ -28,7 +28,7 @@ func TestNewCorrelatedDistributionValidation(t *testing.T) {
 }
 
 func TestBoSFairCorrelatedEquilibrium(t *testing.T) {
-	g := BattleOfSexes()
+	g := battleOfSexes()
 	// The classic device: flip a fair coin between the two pure equilibria.
 	d, err := NewCorrelatedDistribution(g, map[string]*numeric.Rat{
 		"[0 0]": numeric.R(1, 2),
@@ -66,7 +66,7 @@ func TestNonEquilibriumDistributionRejected(t *testing.T) {
 }
 
 func TestSolveCorrelatedEquilibriumBoS(t *testing.T) {
-	g := BattleOfSexes()
+	g := battleOfSexes()
 	d, err := g.SolveCorrelatedEquilibrium()
 	if err != nil {
 		t.Fatal(err)

@@ -171,14 +171,3 @@ func (g *Game) ForEachProfile(fn func(p Profile) bool) {
 		}
 	}
 }
-
-// Profiles returns every profile of the game in lexicographic order. The
-// slice is freshly allocated; with large games prefer ForEachProfile.
-func (g *Game) Profiles() []Profile {
-	out := make([]Profile, 0, g.numProfiles)
-	g.ForEachProfile(func(p Profile) bool {
-		out = append(out, p.Clone())
-		return true
-	})
-	return out
-}

@@ -110,7 +110,7 @@ func TestValidProfile(t *testing.T) {
 
 func TestProfilesEnumeration(t *testing.T) {
 	g := MustNew("g", []int{2, 3})
-	ps := g.Profiles()
+	ps := allProfiles(g)
 	if len(ps) != 6 {
 		t.Fatalf("len(Profiles) = %d", len(ps))
 	}
@@ -191,7 +191,7 @@ func TestRandomGameDeterministic(t *testing.T) {
 	r2 := rand.New(rand.NewSource(7))
 	g1 := RandomGame("r", []int{2, 2}, 10, r1.Int63n)
 	g2 := RandomGame("r", []int{2, 2}, 10, r2.Int63n)
-	for _, p := range g1.Profiles() {
+	for _, p := range allProfiles(g1) {
 		for i := 0; i < 2; i++ {
 			if !numeric.Eq(g1.Payoff(i, p), g2.Payoff(i, p)) {
 				t.Fatal("same seed produced different games")

@@ -25,21 +25,6 @@ func (g *Game) ValidMixed(mp MixedProfile) bool {
 	return true
 }
 
-// PureAsMixed lifts a pure profile to the equivalent degenerate mixed
-// profile.
-func (g *Game) PureAsMixed(p Profile) MixedProfile {
-	if !g.ValidProfile(p) {
-		panic("game: PureAsMixed on invalid profile")
-	}
-	mp := make(MixedProfile, g.NumAgents())
-	for i := range mp {
-		v := numeric.NewVec(g.NumStrategies(i))
-		v.SetAt(p[i], numeric.One())
-		mp[i] = v
-	}
-	return mp
-}
-
 // ExpectedPayoff returns agent i's expected utility under the mixed profile:
 // Σ_profiles Π_k mp[k](p[k]) · ui(p). The sum enumerates the full profile
 // space, so it is exponential in the number of agents — acceptable for the
@@ -89,22 +74,4 @@ func (g *Game) ExpectedPayoffPureDeviation(i, si int, mp MixedProfile) *big.Rat 
 	pure.SetAt(si, numeric.One())
 	dev[i] = pure
 	return g.expectedPayoff(i, dev)
-}
-
-// IsMixedNash reports whether mp is a mixed Nash equilibrium: no agent can
-// strictly gain by deviating to any pure strategy (which, by linearity of
-// expectation, covers all mixed deviations too).
-func (g *Game) IsMixedNash(mp MixedProfile) bool {
-	if !g.ValidMixed(mp) {
-		return false
-	}
-	for i := 0; i < g.NumAgents(); i++ {
-		base := g.expectedPayoff(i, mp)
-		for si := 0; si < g.NumStrategies(i); si++ {
-			if numeric.Gt(g.ExpectedPayoffPureDeviation(i, si, mp), base) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -20,7 +20,7 @@ func uniformMixed(g *Game) MixedProfile {
 }
 
 func TestValidMixed(t *testing.T) {
-	g := MatchingPennies()
+	g := matchingPennies()
 	if !g.ValidMixed(uniformMixed(g)) {
 		t.Error("uniform profile should be valid")
 	}
@@ -39,16 +39,16 @@ func TestValidMixed(t *testing.T) {
 
 func TestPureAsMixed(t *testing.T) {
 	g := PrisonersDilemma()
-	mp := g.PureAsMixed(Profile{1, 0})
-	if !mp[0].Equal(numeric.VecOfInts(0, 1)) || !mp[1].Equal(numeric.VecOfInts(1, 0)) {
-		t.Errorf("PureAsMixed = (%s, %s)", mp[0], mp[1])
+	mp := pureAsMixed(g, Profile{1, 0})
+	if mp[0].String() != "(0, 1)" || mp[1].String() != "(1, 0)" {
+		t.Errorf("pureAsMixed = (%s, %s)", mp[0], mp[1])
 	}
 }
 
 func TestExpectedPayoffMatchesPure(t *testing.T) {
 	g := PrisonersDilemma()
-	for _, p := range g.Profiles() {
-		mp := g.PureAsMixed(p)
+	for _, p := range allProfiles(g) {
+		mp := pureAsMixed(g, p)
 		for i := 0; i < g.NumAgents(); i++ {
 			if !numeric.Eq(g.ExpectedPayoff(i, mp), g.Payoff(i, p)) {
 				t.Fatalf("expected payoff of degenerate mix differs at %v agent %d", p, i)
@@ -58,7 +58,7 @@ func TestExpectedPayoffMatchesPure(t *testing.T) {
 }
 
 func TestExpectedPayoffUniformMatchingPennies(t *testing.T) {
-	g := MatchingPennies()
+	g := matchingPennies()
 	mp := uniformMixed(g)
 	for i := 0; i < 2; i++ {
 		if got := g.ExpectedPayoff(i, mp); got.Sign() != 0 {
@@ -68,20 +68,20 @@ func TestExpectedPayoffUniformMatchingPennies(t *testing.T) {
 }
 
 func TestIsMixedNashMatchingPennies(t *testing.T) {
-	g := MatchingPennies()
-	if !g.IsMixedNash(uniformMixed(g)) {
+	g := matchingPennies()
+	if !isMixedNash(g, uniformMixed(g)) {
 		t.Error("uniform profile is the MP equilibrium")
 	}
-	if g.IsMixedNash(g.PureAsMixed(Profile{0, 0})) {
+	if isMixedNash(g, pureAsMixed(g, Profile{0, 0})) {
 		t.Error("pure profile is not an MP equilibrium")
 	}
 }
 
 func TestIsMixedNashAgreesWithPure(t *testing.T) {
-	for _, g := range []*Game{PrisonersDilemma(), BattleOfSexes(), Coordination(), Fig5Game(), ThreeAgentMajority()} {
+	for _, g := range []*Game{PrisonersDilemma(), battleOfSexes(), coordination(), fig5Game(), threeAgentMajority()} {
 		g.ForEachProfile(func(p Profile) bool {
 			want := g.IsNash(p)
-			if got := g.IsMixedNash(g.PureAsMixed(p)); got != want {
+			if got := isMixedNash(g, pureAsMixed(g, p)); got != want {
 				t.Errorf("%s: IsMixedNash(pure %v) = %v, IsNash = %v", g.Name(), p, got, want)
 			}
 			return true
@@ -90,7 +90,7 @@ func TestIsMixedNashAgreesWithPure(t *testing.T) {
 }
 
 func TestExpectedPayoffPureDeviation(t *testing.T) {
-	g := MatchingPennies()
+	g := matchingPennies()
 	mp := uniformMixed(g)
 	// Against a uniform opponent every deviation still yields 0.
 	for si := 0; si < 2; si++ {
@@ -99,27 +99,27 @@ func TestExpectedPayoffPureDeviation(t *testing.T) {
 		}
 	}
 	// Against pure heads, matching (row plays heads) yields +1.
-	pure := g.PureAsMixed(Profile{0, 0})
+	pure := pureAsMixed(g, Profile{0, 0})
 	if got := g.ExpectedPayoffPureDeviation(0, 0, pure); got.RatString() != "1" {
 		t.Errorf("deviation payoff = %s, want 1", got.RatString())
 	}
 }
 
 func TestThreeAgentMixedEquilibrium(t *testing.T) {
-	g := ThreeAgentMajority()
+	g := threeAgentMajority()
 	// Unanimity as a degenerate mixed profile is an equilibrium.
-	if !g.IsMixedNash(g.PureAsMixed(Profile{0, 0, 0})) {
+	if !isMixedNash(g, pureAsMixed(g, Profile{0, 0, 0})) {
 		t.Error("unanimous pure profile should be a mixed equilibrium")
 	}
 	// The uniform profile is also an equilibrium of majority-matching by
 	// symmetry: every strategy yields the same expected payoff.
-	if !g.IsMixedNash(uniformMixed(g)) {
+	if !isMixedNash(g, uniformMixed(g)) {
 		t.Error("uniform profile should be an equilibrium by symmetry")
 	}
 }
 
 func TestExpectedPayoffPanicsOnInvalid(t *testing.T) {
-	g := MatchingPennies()
+	g := matchingPennies()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on invalid mixed profile")

@@ -124,25 +124,3 @@ func (g *Game) IsMinNash(p Profile) bool {
 	})
 	return !dominated
 }
-
-// BestResponses returns the set of agent i's best responses to the other
-// agents' strategies in p, as strategy indices in increasing order.
-func (g *Game) BestResponses(i int, p Profile) []int {
-	if !g.ValidProfile(p) {
-		panic("game: BestResponses on invalid profile")
-	}
-	best := g.Payoff(i, p.Change(i, 0))
-	var out []int
-	for si := 0; si < g.NumStrategies(i); si++ {
-		v := g.Payoff(i, p.Change(i, si))
-		switch v.Cmp(best) {
-		case 1:
-			best = v
-			out = out[:0]
-			out = append(out, si)
-		case 0:
-			out = append(out, si)
-		}
-	}
-	return out
-}

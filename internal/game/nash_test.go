@@ -24,13 +24,13 @@ func TestPrisonersDilemmaNash(t *testing.T) {
 }
 
 func TestMatchingPenniesHasNoPNE(t *testing.T) {
-	if got := MatchingPennies().AllNash(); len(got) != 0 {
+	if got := matchingPennies().AllNash(); len(got) != 0 {
 		t.Errorf("Matching Pennies has PNE %v", got)
 	}
 }
 
 func TestBattleOfSexesEquilibria(t *testing.T) {
-	g := BattleOfSexes()
+	g := battleOfSexes()
 	all := g.AllNash()
 	if len(all) != 2 {
 		t.Fatalf("AllNash = %v, want 2 equilibria", all)
@@ -51,7 +51,7 @@ func TestBattleOfSexesEquilibria(t *testing.T) {
 }
 
 func TestCoordinationMaximality(t *testing.T) {
-	g := Coordination()
+	g := coordination()
 	if !g.IsNash(Profile{0, 0}) || !g.IsNash(Profile{1, 1}) {
 		t.Fatal("both diagonal profiles should be equilibria")
 	}
@@ -70,7 +70,7 @@ func TestCoordinationMaximality(t *testing.T) {
 }
 
 func TestFig5GameEquilibrium(t *testing.T) {
-	g := Fig5Game()
+	g := fig5Game()
 	// (A, C) = [0 0] is a pure equilibrium with payoffs (1, 1).
 	if !g.IsNash(Profile{0, 0}) {
 		t.Error("(A, C) should be an equilibrium")
@@ -88,7 +88,7 @@ func TestFig5GameEquilibrium(t *testing.T) {
 }
 
 func TestThreeAgentMajority(t *testing.T) {
-	g := ThreeAgentMajority()
+	g := threeAgentMajority()
 	if !g.IsNash(Profile{0, 0, 0}) || !g.IsNash(Profile{1, 1, 1}) {
 		t.Error("unanimous profiles should be equilibria")
 	}
@@ -119,7 +119,7 @@ func TestFindDeviationWitness(t *testing.T) {
 }
 
 func TestLeU(t *testing.T) {
-	g := Coordination()
+	g := coordination()
 	if !g.LeU(Profile{0, 0}, Profile{1, 1}) {
 		t.Error("[0 0] ≤u [1 1] should hold")
 	}
@@ -128,29 +128,6 @@ func TestLeU(t *testing.T) {
 	}
 	if !g.LeU(Profile{0, 0}, Profile{0, 0}) {
 		t.Error("≤u must be reflexive")
-	}
-}
-
-func TestBestResponses(t *testing.T) {
-	g := PrisonersDilemma()
-	// Against cooperate, defect (1) is the unique best response for the row agent.
-	br := g.BestResponses(0, Profile{0, 0})
-	if len(br) != 1 || br[0] != 1 {
-		t.Errorf("BestResponses = %v, want [1]", br)
-	}
-	// In Fig. 5, against C both A and B give the row agent 1 and 0: best is A only.
-	br = Fig5Game().BestResponses(0, Profile{0, 0})
-	if len(br) != 1 || br[0] != 0 {
-		t.Errorf("Fig5 BestResponses = %v, want [0]", br)
-	}
-}
-
-func TestBestResponsesTies(t *testing.T) {
-	// A game where both strategies tie.
-	g := NewBimatrix("tie", [][]int64{{1, 0}, {1, 0}}, [][]int64{{0, 0}, {0, 0}})
-	br := g.BestResponses(0, Profile{0, 0})
-	if len(br) != 2 {
-		t.Errorf("BestResponses = %v, want both", br)
 	}
 }
 

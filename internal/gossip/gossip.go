@@ -282,9 +282,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Seed reports the resolved selection/jitter seed (the logged value).
-func (e *Engine) Seed() int64 { return e.seed }
-
 // AddRumor marks a key hot: its record is pushed eagerly on the next
 // RumorTTL successful exchanges. Safe from any goroutine; re-adding a
 // key refreshes its TTL.

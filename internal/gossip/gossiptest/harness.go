@@ -239,13 +239,6 @@ func (c *Cluster) Converged() (bool, error) {
 	return report == "" && err == nil, err
 }
 
-// ConvergedAmong checks manifest identity over a subset of nodes — e.g.
-// the honest ones, when a Byzantine node keeps rewriting its own copy.
-func (c *Cluster) ConvergedAmong(nodes []int) (bool, error) {
-	report, err := c.divergence(nodes)
-	return report == "" && err == nil, err
-}
-
 // DivergenceReport names the first divergent node pair, for test failure
 // messages. Empty when converged.
 func (c *Cluster) DivergenceReport() (string, error) {

@@ -2,6 +2,8 @@ package gossip_test
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -214,8 +216,7 @@ func TestGossipByzantineLieRepairedThroughGossip(t *testing.T) {
 	// the repairs back, but charging relays and quarantine timing make its
 	// copy's stamps a race, and the truth invariant is about honest state.
 	repaired := func() bool {
-		ok, err := c.ConvergedAmong([]int{0, 1, 2})
-		if err != nil || !ok {
+		if !sameManifests(c, []int{0, 1, 2}) {
 			return false
 		}
 		sums := manifestSums(t, c, 0)
@@ -266,4 +267,26 @@ func manifestSums(t *testing.T, c *gossiptest.Cluster, node int) map[string]uint
 		out[string(e.Key)] = e.Sum
 	}
 	return out
+}
+
+// sameManifests reports whether the given nodes hold identical manifests —
+// key, stamp and sum sets — as Cluster.Converged does for every node.
+func sameManifests(c *gossiptest.Cluster, nodes []int) bool {
+	var want map[string]string
+	for _, i := range nodes {
+		offer, err := c.Nodes[i].Service.SyncOffer()
+		if err != nil {
+			return false
+		}
+		got := make(map[string]string, len(offer.Have))
+		for _, e := range offer.Have {
+			got[string(e.Key)] = fmt.Sprint(e.Stamp, e.Sum)
+		}
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			return false
+		}
+	}
+	return true
 }

@@ -69,14 +69,6 @@ func Verify(id PartyID, message, sig []byte) error {
 	return nil
 }
 
-// Digest returns the hex SHA-256 content address of the given parts. Each
-// part is length-prefixed before hashing, so ("ab","c") and ("a","bc") hash
-// differently; the result is stable across processes and suitable as a cache
-// key or as the subject of a signed evidence record.
-func Digest(parts ...[]byte) string {
-	return DigestBytes(parts...).String()
-}
-
 // Hash is a raw 32-byte SHA-256 content address. It is comparable, so it
 // serves directly as a map key; hot paths (the verification service's
 // verdict cache) prefer it over the hex string because it needs no
@@ -95,9 +87,11 @@ var digestBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// DigestBytes returns the SHA-256 content address of the given parts with
-// the same length-prefixed framing as Digest: DigestBytes(p...).String()
-// == Digest(p...) for all inputs. Allocation-free on the steady state.
+// DigestBytes returns the SHA-256 content address of the given parts. Each
+// part is length-prefixed before hashing, so ("ab","c") and ("a","bc") hash
+// differently; the result is stable across processes and suitable as a cache
+// key or as the subject of a signed evidence record. Allocation-free on the
+// steady state.
 func DigestBytes(parts ...[]byte) Hash {
 	need := 0
 	for _, p := range parts {
@@ -129,7 +123,7 @@ func DigestBytes(parts ...[]byte) Hash {
 // maxPooledDigestBuf bounds the framing buffers digestBufPool retains.
 const maxPooledDigestBuf = 64 << 10
 
-// String returns the canonical hex encoding, identical to Digest's output.
+// String returns the canonical hex encoding.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
 // Prefix64 returns the hash's first 8 bytes as a big-endian integer.

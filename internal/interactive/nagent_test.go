@@ -1,6 +1,7 @@
 package interactive
 
 import (
+	"math/big"
 	"testing"
 
 	"rationality/internal/game"
@@ -21,7 +22,7 @@ func uniformProfile(g *game.Game) game.MixedProfile {
 }
 
 func TestNAgentHonestAdviceAccepted(t *testing.T) {
-	g := game.ThreeAgentMajority()
+	g := threeAgentMajority()
 	mp := uniformProfile(g)
 	advice, err := BuildNAgentAdvice(g, mp)
 	if err != nil {
@@ -46,7 +47,7 @@ func TestNAgentHonestAdviceAccepted(t *testing.T) {
 
 func TestNAgentPureEquilibriumAdvice(t *testing.T) {
 	g := game.PrisonersDilemma()
-	mp := g.PureAsMixed(game.Profile{1, 1})
+	mp := game.MixedProfile{numeric.VecOfInts(0, 1), numeric.VecOfInts(0, 1)}
 	advice, err := BuildNAgentAdvice(g, mp)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestNAgentPureEquilibriumAdvice(t *testing.T) {
 
 func TestNAgentRejectsNonEquilibrium(t *testing.T) {
 	g := game.PrisonersDilemma()
-	mp := g.PureAsMixed(game.Profile{0, 0}) // cooperate-cooperate: not an equilibrium
+	mp := game.MixedProfile{numeric.VecOfInts(1, 0), numeric.VecOfInts(1, 0)} // cooperate-cooperate: not an equilibrium
 	advice, err := BuildNAgentAdvice(g, mp)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestNAgentRejectsNonEquilibrium(t *testing.T) {
 }
 
 func TestNAgentRejectsMalformedAdvice(t *testing.T) {
-	g := game.ThreeAgentMajority()
+	g := threeAgentMajority()
 	mp := uniformProfile(g)
 	honest, err := BuildNAgentAdvice(g, mp)
 	if err != nil {
@@ -107,7 +108,7 @@ func TestNAgentRejectsMalformedAdvice(t *testing.T) {
 }
 
 func TestNAgentBuildRejectsInvalidProfile(t *testing.T) {
-	g := game.ThreeAgentMajority()
+	g := threeAgentMajority()
 	if _, err := BuildNAgentAdvice(g, game.MixedProfile{numeric.VecOfInts(1)}); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
@@ -116,7 +117,10 @@ func TestNAgentBuildRejectsInvalidProfile(t *testing.T) {
 func TestNAgentTwoAgentMatchesP1(t *testing.T) {
 	// The n-agent verifier specialized to 2 agents must agree with the
 	// bimatrix machinery on Matching Pennies.
-	g := game.MatchingPennies()
+	g := game.NewBimatrix("matching-pennies",
+		[][]int64{{1, -1}, {-1, 1}},
+		[][]int64{{-1, 1}, {1, -1}},
+	)
 	mp := uniformProfile(g)
 	advice, err := BuildNAgentAdvice(g, mp)
 	if err != nil {
@@ -129,4 +133,19 @@ func TestNAgentTwoAgentMatchesP1(t *testing.T) {
 	if values[0].Sign() != 0 || values[1].Sign() != 0 {
 		t.Errorf("values = (%s, %s), want (0, 0)", values[0], values[1])
 	}
+}
+
+// threeAgentMajority is a 3-agent, 2-strategy majority coordination game:
+// each agent gains 1 when it sides with the majority, else 0.
+func threeAgentMajority() *game.Game {
+	g, err := game.FromFunc("majority-3", []int{2, 2, 2}, func(i int, p game.Profile) *big.Rat {
+		if p[(i+1)%3] == p[i] || p[(i+2)%3] == p[i] {
+			return numeric.One()
+		}
+		return numeric.Zero()
+	})
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

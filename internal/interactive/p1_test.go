@@ -36,7 +36,7 @@ func TestP1RoundTripMatchingPennies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest advice rejected: %v", err)
 	}
-	if !got.X.Equal(eq.X) || !got.Y.Equal(eq.Y) {
+	if got.X.String() != eq.X.String() || got.Y.String() != eq.Y.String() {
 		t.Errorf("recovered (%s, %s), prover had (%s, %s)", got.X, got.Y, eq.X, eq.Y)
 	}
 	if got.LambdaRow.Sign() != 0 || got.LambdaCol.Sign() != 0 {
@@ -52,7 +52,7 @@ func TestP1RowVerifierRecoversColumnMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := numeric.R(1, 2)
-	if !y.Equal(numeric.VecOf(half, half)) {
+	if y.String() != numeric.VecOf(half, half).String() {
 		t.Errorf("y = %s, want uniform", y)
 	}
 	if lambda1.Sign() != 0 {

@@ -31,14 +31,6 @@ func (r Role) String() string {
 	}
 }
 
-// Other returns the opposite role.
-func (r Role) Other() Role {
-	if r == RowAgent {
-		return ColAgent
-	}
-	return RowAgent
-}
-
 // P2Offer is the prover's opening message of Fig. 4, addressed to one agent:
 // "just its support, its probabilities, and the values λ1, λ2" — nothing
 // about the other agent except binding commitments to the membership bits of

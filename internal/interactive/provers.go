@@ -96,12 +96,6 @@ func (p *HonestProver) OpenMembership(role Role, index int) (*commitment.Opening
 	return opens[index], nil
 }
 
-// P1ProverFunc adapts an equilibrium to the P1 exchange for tests and the
-// core framework: the prover's single message is the advice.
-func P1ProverFunc(g *bimatrix.Game, eq *bimatrix.Equilibrium) *P1Advice {
-	return AdviceFromEquilibrium(g, eq)
-}
-
 // The dishonest provers below model the adversaries the verifier must catch.
 
 // LyingLambdaProver behaves honestly except that it inflates the other

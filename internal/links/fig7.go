@@ -30,12 +30,6 @@ type Fig7Config struct {
 	Seed       int64
 }
 
-// DefaultFig7Config returns the paper's workload with a modest iteration
-// count per point.
-func DefaultFig7Config() Fig7Config {
-	return Fig7Config{Agents: 1000, MaxLoad: 1000, Iterations: 100, Seed: 1}
-}
-
 // SimulatePoint runs the experiment for one link count.
 func SimulatePoint(m int, cfg Fig7Config) (Fig7Point, error) {
 	if m < 1 {
@@ -75,19 +69,6 @@ func SimulatePoint(m int, cfg Fig7Config) (Fig7Point, error) {
 		MeanGreedy:   sumG / n,
 		MeanInventor: sumI / n,
 	}, nil
-}
-
-// SimulateSeries reproduces the full Fig. 7 sweep for the given link counts.
-func SimulateSeries(ms []int, cfg Fig7Config) ([]Fig7Point, error) {
-	out := make([]Fig7Point, 0, len(ms))
-	for _, m := range ms {
-		p, err := SimulatePoint(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // PaperLinkCounts returns the x-axis of Fig. 7: m = 2, ..., 500. The stride

@@ -95,13 +95,6 @@ func (s *System) Makespan() int64 {
 	return best
 }
 
-// Clone returns an independent copy.
-func (s *System) Clone() *System {
-	c := &System{loads: make([]int64, len(s.loads))}
-	copy(c.loads, s.loads)
-	return c
-}
-
 // Chooser selects a link for an arriving agent.
 type Chooser interface {
 	// Choose picks a link for an agent of load w given the current system

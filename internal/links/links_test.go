@@ -252,7 +252,7 @@ func TestSimulatePointShape(t *testing.T) {
 }
 
 func TestSimulatePointValidation(t *testing.T) {
-	if _, err := SimulatePoint(0, DefaultFig7Config()); err == nil {
+	if _, err := SimulatePoint(0, Fig7Config{Agents: 1000, MaxLoad: 1000, Iterations: 100, Seed: 1}); err == nil {
 		t.Error("zero links accepted")
 	}
 	if _, err := SimulatePoint(2, Fig7Config{}); err == nil {
@@ -262,12 +262,14 @@ func TestSimulatePointValidation(t *testing.T) {
 
 func TestSimulateSeriesAndPaperCounts(t *testing.T) {
 	cfg := Fig7Config{Agents: 100, MaxLoad: 100, Iterations: 5, Seed: 9}
-	pts, err := SimulateSeries([]int{2, 10, 20}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 || pts[1].Links != 10 {
-		t.Fatalf("series = %+v", pts)
+	for _, m := range []int{2, 10, 20} {
+		p, err := SimulatePoint(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Links != m {
+			t.Fatalf("point for m=%d = %+v", m, p)
+		}
 	}
 	ms := PaperLinkCounts(1)
 	if len(ms) != 499 || ms[0] != 2 || ms[len(ms)-1] != 500 {
@@ -279,15 +281,5 @@ func TestSimulateSeriesAndPaperCounts(t *testing.T) {
 	}
 	if got := PaperLinkCounts(0); len(got) != 499 {
 		t.Errorf("stride 0 should clamp to 1")
-	}
-}
-
-func TestSystemClone(t *testing.T) {
-	s := MustSystem(2)
-	s.Assign(0, 4)
-	c := s.Clone()
-	c.Assign(0, 1)
-	if s.Loads()[0] != 4 {
-		t.Error("Clone shares state")
 	}
 }

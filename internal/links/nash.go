@@ -10,29 +10,6 @@ import "fmt"
 // an equilibrium once later agents have arrived — greedy assignments are
 // often not Nash in hindsight, while LPT assignments always are.
 
-// RunDetailed plays the arrival sequence like Run but also returns the
-// per-agent link assignment.
-func RunDetailed(m int, loads []int64, c Chooser) (*System, []int, error) {
-	s, err := NewSystem(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	assignment := make([]int, len(loads))
-	var observedTotal int64
-	for i, w := range loads {
-		if w < 0 {
-			return nil, nil, fmt.Errorf("links: negative load at position %d", i)
-		}
-		observedTotal += w
-		link := c.Choose(s, w, len(loads)-i-1, observedTotal, i+1)
-		if err := s.Assign(link, w); err != nil {
-			return nil, nil, err
-		}
-		assignment[i] = link
-	}
-	return s, assignment, nil
-}
-
 // IsNashAssignment reports whether the assignment is a pure Nash
 // equilibrium of the offline game: no job strictly gains by moving.
 func IsNashAssignment(m int, loads []int64, assignment []int) (bool, error) {
@@ -60,66 +37,4 @@ func IsNashAssignment(m int, loads []int64, assignment []int) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// FindImprovingMove returns a job that can strictly reduce its completion
-// time and the link it should move to, or ok = false when the assignment is
-// a Nash equilibrium. It is the counterexample witness an auditor would
-// attach when reporting a claimed-Nash assignment as false.
-func FindImprovingMove(m int, loads []int64, assignment []int) (job, toLink int, ok bool) {
-	linkLoads := make([]int64, m)
-	for i, link := range assignment {
-		linkLoads[link] += loads[i]
-	}
-	for i, link := range assignment {
-		best := link
-		bestLoad := linkLoads[link]
-		for k := 0; k < m; k++ {
-			if k == link {
-				continue
-			}
-			if linkLoads[k]+loads[i] < bestLoad {
-				best = k
-				bestLoad = linkLoads[k] + loads[i]
-			}
-		}
-		if best != link {
-			return i, best, true
-		}
-	}
-	return 0, 0, false
-}
-
-// LPTAssignment computes the offline LPT assignment and returns it in the
-// ORIGINAL job order (so it can be checked against the same loads slice).
-// LPT assignments are always pure Nash equilibria of the offline game.
-func LPTAssignment(m int, loads []int64) (*System, []int, error) {
-	s, err := NewSystem(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
-	}
-	// Sort job indices by descending load; ties by original order for
-	// determinism.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && (loads[order[j]] > loads[order[j-1]] ||
-			(loads[order[j]] == loads[order[j-1]] && order[j] < order[j-1])); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	assignment := make([]int, len(loads))
-	for _, idx := range order {
-		if loads[idx] < 0 {
-			return nil, nil, fmt.Errorf("links: negative load")
-		}
-		link := s.LeastLoaded()
-		if err := s.Assign(link, loads[idx]); err != nil {
-			return nil, nil, err
-		}
-		assignment[idx] = link
-	}
-	return s, assignment, nil
 }

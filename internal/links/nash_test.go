@@ -1,7 +1,9 @@
 package links
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -24,10 +26,6 @@ func TestIsNashAssignmentBasics(t *testing.T) {
 	if ok {
 		t.Error("pile-up should not be Nash")
 	}
-	job, to, found := FindImprovingMove(2, []int64{3, 2, 2}, []int{0, 0, 0})
-	if !found || to != 1 {
-		t.Errorf("FindImprovingMove = (%d, %d, %v)", job, to, found)
-	}
 }
 
 func TestIsNashAssignmentValidation(t *testing.T) {
@@ -48,7 +46,7 @@ func TestGreedyAssignmentNotAlwaysNash(t *testing.T) {
 	// Loads 2, 2, 3 on 2 links: greedy gives L0 = {2, 3} = 5, L1 = {2}.
 	// The first job (load 2 on L0) improves by moving to L1 (2+2=4 < 5).
 	loads := []int64{2, 2, 3}
-	_, assignment, err := RunDetailed(2, loads, Greedy{})
+	_, assignment, err := runDetailed(2, loads, Greedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +66,7 @@ func TestLPTAssignmentIsNashProperty(t *testing.T) {
 		m := 2 + rng.Intn(4)
 		n := 1 + rng.Intn(20)
 		loads := UniformLoads(rng, n, 100)
-		sys, assignment, err := LPTAssignment(m, loads)
+		sys, assignment, err := lptAssignment(m, loads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,19 +75,17 @@ func TestLPTAssignmentIsNashProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !ok {
-			job, to, _ := FindImprovingMove(m, loads, assignment)
-			t.Fatalf("trial %d: LPT assignment not Nash; job %d moves to %d (loads %v, assignment %v)",
-				trial, job, to, loads, assignment)
+			t.Fatalf("trial %d: LPT assignment not Nash (loads %v, assignment %v)", trial, loads, assignment)
 		}
-		// Consistency: LPTAssignment's makespan equals LPTMakespan's.
+		// Consistency: lptAssignment's makespan equals LPTMakespan's.
 		if sys.Makespan() != LPTMakespan(m, loads) {
-			t.Fatalf("trial %d: LPTAssignment makespan %d != LPTMakespan %d",
+			t.Fatalf("trial %d: lptAssignment makespan %d != LPTMakespan %d",
 				trial, sys.Makespan(), LPTMakespan(m, loads))
 		}
 	}
 }
 
-// RunDetailed must agree with Run on the final loads for any chooser.
+// runDetailed must agree with Run on the final loads for any chooser.
 func TestRunDetailedConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	loads := UniformLoads(rng, 200, 1000)
@@ -98,13 +94,13 @@ func TestRunDetailedConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		detailed, assignment, err := RunDetailed(13, loads, c)
+		detailed, assignment, err := runDetailed(13, loads, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range plain.Loads() {
 			if plain.Loads()[i] != detailed.Loads()[i] {
-				t.Fatalf("%T: Run and RunDetailed diverge at link %d", c, i)
+				t.Fatalf("%T: Run and runDetailed diverge at link %d", c, i)
 			}
 		}
 		// The assignment must reproduce the loads.
@@ -118,7 +114,7 @@ func TestRunDetailedConsistency(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := RunDetailed(2, []int64{-1}, Greedy{}); err == nil {
+	if _, _, err := runDetailed(2, []int64{-1}, Greedy{}); err == nil {
 		t.Error("negative load accepted")
 	}
 }
@@ -134,7 +130,7 @@ func TestHindsightStabilityRates(t *testing.T) {
 		loads := UniformLoads(rng, 40, 100)
 		const m = 4
 		for name, c := range map[string]Chooser{"greedy": Greedy{}, "inventor": Inventor{}} {
-			_, assignment, err := RunDetailed(m, loads, c)
+			_, assignment, err := runDetailed(m, loads, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +142,7 @@ func TestHindsightStabilityRates(t *testing.T) {
 				nash[name]++
 			}
 		}
-		_, lptAssign, err := LPTAssignment(4, loads)
+		_, lptAssign, err := lptAssignment(4, loads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,4 +160,52 @@ func TestHindsightStabilityRates(t *testing.T) {
 	if nash["greedy"] == iters {
 		t.Error("greedy should not always be Nash in hindsight")
 	}
+}
+
+// runDetailed plays the arrival sequence like Run but also returns the
+// per-agent link assignment.
+func runDetailed(m int, loads []int64, c Chooser) (*System, []int, error) {
+	s, err := NewSystem(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	assignment := make([]int, len(loads))
+	var observedTotal int64
+	for i, w := range loads {
+		if w < 0 {
+			return nil, nil, fmt.Errorf("links: negative load at position %d", i)
+		}
+		observedTotal += w
+		link := c.Choose(s, w, len(loads)-i-1, observedTotal, i+1)
+		if err := s.Assign(link, w); err != nil {
+			return nil, nil, err
+		}
+		assignment[i] = link
+	}
+	return s, assignment, nil
+}
+
+// lptAssignment computes the offline LPT assignment (longest load first,
+// each onto the least-loaded link) and returns it in the original job
+// order, so it can be checked against the same loads slice.
+func lptAssignment(m int, loads []int64) (*System, []int, error) {
+	s, err := NewSystem(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	order := make([]int, len(loads))
+	for i := range order {
+		order[i] = i
+	}
+	// Descending load; ties by original order for determinism.
+	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
+	assignment := make([]int, len(loads))
+	for _, idx := range order {
+		link := s.LeastLoaded()
+		if err := s.Assign(link, loads[idx]); err != nil {
+			return nil, nil, err
+		}
+		assignment[idx] = link
+	}
+	return s, assignment, nil
 }

@@ -70,12 +70,6 @@ func Solve(a *Matrix, b *Vec) (*Solution, error) {
 	return &Solution{X: x, Unique: rank == cols, Rank: rank, FreeCols: freeCols}, nil
 }
 
-// Rank returns the rank of a.
-func Rank(a *Matrix) int {
-	work := a.Clone()
-	return len(gaussJordan(work, work.Cols()))
-}
-
 // gaussJordan reduces the first limit columns of m in place to reduced row
 // echelon form and returns the pivot column of each pivot row, in row order.
 // Columns at index >= limit (the augmented part) are carried along.

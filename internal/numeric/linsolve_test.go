@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSolveUniqueSystem(t *testing.T) {
@@ -18,7 +17,7 @@ func TestSolveUniqueSystem(t *testing.T) {
 	if !sol.Unique || sol.Rank != 2 {
 		t.Fatalf("unique=%v rank=%d", sol.Unique, sol.Rank)
 	}
-	if !sol.X.Equal(VecOfInts(2, 1)) {
+	if sol.X.String() != "(2, 1)" {
 		t.Fatalf("X = %s", sol.X)
 	}
 }
@@ -31,7 +30,7 @@ func TestSolveRationalSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.X.Equal(VecOf(R(1, 2), Zero())) {
+	if sol.X.String() != "(1/2, 0)" {
 		t.Fatalf("X = %s", sol.X)
 	}
 }
@@ -59,7 +58,7 @@ func TestSolveUnderdetermined(t *testing.T) {
 		t.Fatalf("rank=%d free=%v", sol.Rank, sol.FreeCols)
 	}
 	// The particular solution must still satisfy the system.
-	if got := a.MulVec(sol.X); !got.Equal(b) {
+	if got := a.MulVec(sol.X); got.String() != b.String() {
 		t.Fatalf("A·x = %s, want %s", got, b)
 	}
 }
@@ -72,7 +71,7 @@ func TestSolveOverdeterminedConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.X.Equal(VecOfInts(2, 3)) || !sol.Unique {
+	if sol.X.String() != "(2, 3)" || !sol.Unique {
 		t.Fatalf("X = %s unique=%v", sol.X, sol.Unique)
 	}
 }
@@ -82,25 +81,8 @@ func TestSolveZeroSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Unique || sol.Rank != 0 || !sol.X.IsZero() {
+	if sol.Unique || sol.Rank != 0 || sol.X.Support() != nil {
 		t.Fatalf("sol = %+v", sol)
-	}
-}
-
-func TestRank(t *testing.T) {
-	cases := []struct {
-		m    *Matrix
-		want int
-	}{
-		{MatrixOfInts([][]int64{{1, 2}, {2, 4}}), 1},
-		{MatrixOfInts([][]int64{{1, 0}, {0, 1}}), 2},
-		{NewMatrix(3, 3), 0},
-		{MatrixOfInts([][]int64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}), 2},
-	}
-	for i, c := range cases {
-		if got := Rank(c.m); got != c.want {
-			t.Errorf("case %d: Rank = %d, want %d", i, got, c.want)
-		}
 	}
 }
 
@@ -125,25 +107,11 @@ func TestSolveSatisfiesSystemProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: planted system reported inconsistent", trial)
 		}
-		if got := a.MulVec(sol.X); !got.Equal(b) {
+		if got := a.MulVec(sol.X); got.String() != b.String() {
 			t.Fatalf("trial %d: A·x != b", trial)
 		}
-		if sol.Unique && !sol.X.Equal(planted) {
+		if sol.Unique && sol.X.String() != planted.String() {
 			t.Fatalf("trial %d: unique solution differs from planted", trial)
 		}
-	}
-}
-
-// Property: rank is invariant under transposition for small random matrices.
-func TestRankTransposeInvariantProperty(t *testing.T) {
-	f := func(a, b, c, d, e, f2 int8) bool {
-		m := MatrixOfInts([][]int64{
-			{int64(a), int64(b), int64(c)},
-			{int64(d), int64(e), int64(f2)},
-		})
-		return Rank(m) == Rank(m.Transpose())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

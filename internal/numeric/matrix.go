@@ -42,24 +42,6 @@ func MatrixOfInts(rows [][]int64) *Matrix {
 	return m
 }
 
-// MatrixOfRats builds a matrix copying rational rows. All rows must have
-// equal length.
-func MatrixOfRats(rows [][]*big.Rat) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.cols {
-			panic("numeric: ragged matrix literal")
-		}
-		for j, x := range row {
-			m.elems[i*m.cols+j].Set(x)
-		}
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -86,48 +68,6 @@ func (m *Matrix) Clone() *Matrix {
 		c.elems[i].Set(e)
 	}
 	return c
-}
-
-// Equal reports whether m and n have the same shape and elements.
-func (m *Matrix) Equal(n *Matrix) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i := range m.elems {
-		if m.elems[i].Cmp(n.elems[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Row returns row i as a fresh vector.
-func (m *Matrix) Row(i int) *Vec {
-	v := NewVec(m.cols)
-	for j := 0; j < m.cols; j++ {
-		v.elems[j].Set(m.at(i, j))
-	}
-	return v
-}
-
-// Col returns column j as a fresh vector.
-func (m *Matrix) Col(j int) *Vec {
-	v := NewVec(m.rows)
-	for i := 0; i < m.rows; i++ {
-		v.elems[i].Set(m.at(i, j))
-	}
-	return v
-}
-
-// Transpose returns the transpose of m as a fresh matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.at(j, i).Set(m.at(i, j))
-		}
-	}
-	return t
 }
 
 // MulVec returns m·v as a fresh vector. It panics if v.Len() != m.Cols().
@@ -159,58 +99,6 @@ func (m *Matrix) VecMul(v *Vec) *Vec {
 		for i := 0; i < m.rows; i++ {
 			term.Mul(v.elems[i], m.at(i, j))
 			acc.Add(acc, term)
-		}
-	}
-	return out
-}
-
-// Mul returns m·n as a fresh matrix. It panics if m.Cols() != n.Rows().
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.cols != n.rows {
-		panic("numeric: matrix-matrix dimension mismatch")
-	}
-	out := NewMatrix(m.rows, n.cols)
-	term := new(big.Rat)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < n.cols; j++ {
-			acc := out.at(i, j)
-			for k := 0; k < m.cols; k++ {
-				term.Mul(m.at(i, k), n.at(k, j))
-				acc.Add(acc, term)
-			}
-		}
-	}
-	return out
-}
-
-// Scale returns k*m as a fresh matrix.
-func (m *Matrix) Scale(k *big.Rat) *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for i, e := range m.elems {
-		out.elems[i].Mul(e, k)
-	}
-	return out
-}
-
-// Add returns m+n as a fresh matrix. It panics on shape mismatch.
-func (m *Matrix) Add(n *Matrix) *Matrix {
-	if m.rows != n.rows || m.cols != n.cols {
-		panic("numeric: matrix shape mismatch")
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.elems {
-		out.elems[i].Add(m.elems[i], n.elems[i])
-	}
-	return out
-}
-
-// Submatrix returns the matrix restricted to the given row and column index
-// sets, in the given order.
-func (m *Matrix) Submatrix(rowIdx, colIdx []int) *Matrix {
-	out := NewMatrix(len(rowIdx), len(colIdx))
-	for i, r := range rowIdx {
-		for j, c := range colIdx {
-			out.at(i, j).Set(m.at(r, c))
 		}
 	}
 	return out

@@ -37,24 +37,10 @@ func TestMatrixIndexPanics(t *testing.T) {
 	NewMatrix(1, 1).At(1, 0)
 }
 
-func TestMatrixRowColTranspose(t *testing.T) {
-	m := MatrixOfInts([][]int64{{1, 2}, {3, 4}, {5, 6}})
-	if !m.Row(1).Equal(VecOfInts(3, 4)) {
-		t.Errorf("Row = %s", m.Row(1))
-	}
-	if !m.Col(0).Equal(VecOfInts(1, 3, 5)) {
-		t.Errorf("Col = %s", m.Col(0))
-	}
-	tr := m.Transpose()
-	if tr.Rows() != 2 || tr.Cols() != 3 || tr.At(0, 2).RatString() != "5" {
-		t.Errorf("Transpose = %s", tr)
-	}
-}
-
 func TestMatrixMulVec(t *testing.T) {
 	m := MatrixOfInts([][]int64{{1, 2}, {3, 4}})
 	got := m.MulVec(VecOfInts(5, 6))
-	if !got.Equal(VecOfInts(17, 39)) {
+	if got.String() != "(17, 39)" {
 		t.Errorf("MulVec = %s", got)
 	}
 }
@@ -62,38 +48,8 @@ func TestMatrixMulVec(t *testing.T) {
 func TestMatrixVecMul(t *testing.T) {
 	m := MatrixOfInts([][]int64{{1, 2}, {3, 4}})
 	got := m.VecMul(VecOfInts(5, 6))
-	if !got.Equal(VecOfInts(23, 34)) {
+	if got.String() != "(23, 34)" {
 		t.Errorf("VecMul = %s", got)
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a := MatrixOfInts([][]int64{{1, 2}, {3, 4}})
-	b := MatrixOfInts([][]int64{{0, 1}, {1, 0}})
-	got := a.Mul(b)
-	want := MatrixOfInts([][]int64{{2, 1}, {4, 3}})
-	if !got.Equal(want) {
-		t.Errorf("Mul =\n%s\nwant\n%s", got, want)
-	}
-}
-
-func TestMatrixAddScale(t *testing.T) {
-	a := MatrixOfInts([][]int64{{1, 2}})
-	b := MatrixOfInts([][]int64{{3, 4}})
-	if got := a.Add(b); !got.Equal(MatrixOfInts([][]int64{{4, 6}})) {
-		t.Errorf("Add = %s", got)
-	}
-	if got := a.Scale(I(3)); !got.Equal(MatrixOfInts([][]int64{{3, 6}})) {
-		t.Errorf("Scale = %s", got)
-	}
-}
-
-func TestMatrixSubmatrix(t *testing.T) {
-	m := MatrixOfInts([][]int64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	got := m.Submatrix([]int{0, 2}, []int{1, 2})
-	want := MatrixOfInts([][]int64{{2, 3}, {8, 9}})
-	if !got.Equal(want) {
-		t.Errorf("Submatrix = %s", got)
 	}
 }
 
@@ -106,13 +62,6 @@ func TestMatrixCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMatrixOfRats(t *testing.T) {
-	m := MatrixOfRats([][]*Rat{{R(1, 2), R(1, 3)}})
-	if m.At(0, 1).RatString() != "1/3" {
-		t.Fatalf("MatrixOfRats = %s", m)
-	}
-}
-
 func TestRaggedLiteralPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -122,25 +71,20 @@ func TestRaggedLiteralPanics(t *testing.T) {
 	MatrixOfInts([][]int64{{1, 2}, {3}})
 }
 
-// (A·B)ᵀ = Bᵀ·Aᵀ on random 2x2 integer matrices.
-func TestTransposeOfProductProperty(t *testing.T) {
-	f := func(a, b, c, d, e, f2, g, h int8) bool {
-		m := MatrixOfInts([][]int64{{int64(a), int64(b)}, {int64(c), int64(d)}})
-		n := MatrixOfInts([][]int64{{int64(e), int64(f2)}, {int64(g), int64(h)}})
-		return m.Mul(n).Transpose().Equal(n.Transpose().Mul(m.Transpose()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // MulVec distributes over vector addition.
 func TestMulVecDistributesProperty(t *testing.T) {
 	f := func(a, b, c, d, x1, x2, y1, y2 int8) bool {
 		m := MatrixOfInts([][]int64{{int64(a), int64(b)}, {int64(c), int64(d)}})
 		x := VecOfInts(int64(x1), int64(x2))
 		y := VecOfInts(int64(y1), int64(y2))
-		return m.MulVec(x.Add(y)).Equal(m.MulVec(x).Add(m.MulVec(y)))
+		sum := m.MulVec(VecOfInts(int64(x1)+int64(y1), int64(x2)+int64(y2)))
+		mx, my := m.MulVec(x), m.MulVec(y)
+		for i := 0; i < 2; i++ {
+			if !Eq(sum.At(i), Add(mx.At(i), my.At(i))) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -60,22 +60,6 @@ func Div(a, b *big.Rat) *big.Rat {
 // Neg returns -a without mutating the operand.
 func Neg(a *big.Rat) *big.Rat { return new(big.Rat).Neg(a) }
 
-// Min returns a fresh copy of the smaller of a and b.
-func Min(a, b *big.Rat) *big.Rat {
-	if a.Cmp(b) <= 0 {
-		return Copy(a)
-	}
-	return Copy(b)
-}
-
-// Max returns a fresh copy of the larger of a and b.
-func Max(a, b *big.Rat) *big.Rat {
-	if a.Cmp(b) >= 0 {
-		return Copy(a)
-	}
-	return Copy(b)
-}
-
 // Abs returns |a| as a fresh value.
 func Abs(a *big.Rat) *big.Rat { return new(big.Rat).Abs(a) }
 
@@ -88,20 +72,8 @@ func Le(a, b *big.Rat) bool { return a.Cmp(b) <= 0 }
 // Lt reports whether a < b.
 func Lt(a, b *big.Rat) bool { return a.Cmp(b) < 0 }
 
-// Ge reports whether a >= b.
-func Ge(a, b *big.Rat) bool { return a.Cmp(b) >= 0 }
-
 // Gt reports whether a > b.
 func Gt(a, b *big.Rat) bool { return a.Cmp(b) > 0 }
-
-// Sum returns the sum of xs as a fresh value.
-func Sum(xs ...*big.Rat) *big.Rat {
-	total := new(big.Rat)
-	for _, x := range xs {
-		total.Add(total, x)
-	}
-	return total
-}
 
 // Pow returns x^k for k >= 0 as a fresh value. It panics on negative k.
 func Pow(x *big.Rat, k int) *big.Rat {

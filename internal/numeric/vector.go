@@ -60,48 +60,6 @@ func (v *Vec) Clone() *Vec {
 	return c
 }
 
-// Equal reports whether v and w have the same dimension and elements.
-func (v *Vec) Equal(w *Vec) bool {
-	if v.Len() != w.Len() {
-		return false
-	}
-	for i := range v.elems {
-		if v.elems[i].Cmp(w.elems[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Add returns v+w as a fresh vector. It panics on dimension mismatch.
-func (v *Vec) Add(w *Vec) *Vec {
-	v.checkDim(w)
-	out := NewVec(v.Len())
-	for i := range v.elems {
-		out.elems[i].Add(v.elems[i], w.elems[i])
-	}
-	return out
-}
-
-// Sub returns v-w as a fresh vector. It panics on dimension mismatch.
-func (v *Vec) Sub(w *Vec) *Vec {
-	v.checkDim(w)
-	out := NewVec(v.Len())
-	for i := range v.elems {
-		out.elems[i].Sub(v.elems[i], w.elems[i])
-	}
-	return out
-}
-
-// Scale returns k*v as a fresh vector.
-func (v *Vec) Scale(k *big.Rat) *Vec {
-	out := NewVec(v.Len())
-	for i := range v.elems {
-		out.elems[i].Mul(v.elems[i], k)
-	}
-	return out
-}
-
 // Dot returns the inner product of v and w. It panics on dimension mismatch.
 func (v *Vec) Dot(w *Vec) *big.Rat {
 	v.checkDim(w)
@@ -121,16 +79,6 @@ func (v *Vec) Sum() *big.Rat {
 		total.Add(total, e)
 	}
 	return total
-}
-
-// IsZero reports whether every element of v is zero.
-func (v *Vec) IsZero() bool {
-	for _, e := range v.elems {
-		if e.Sign() != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // IsStochastic reports whether v is a probability vector: all elements in

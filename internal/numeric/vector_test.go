@@ -7,7 +7,7 @@ import (
 
 func TestNewVecIsZero(t *testing.T) {
 	v := NewVec(4)
-	if v.Len() != 4 || !v.IsZero() {
+	if v.Len() != 4 || v.String() != "(0, 0, 0, 0)" {
 		t.Fatalf("NewVec(4) = %s", v)
 	}
 }
@@ -37,20 +37,6 @@ func TestVecSetAtCopies(t *testing.T) {
 	x.SetInt64(7)
 	if v.At(0).RatString() != "1/3" {
 		t.Fatal("SetAt aliased its argument")
-	}
-}
-
-func TestVecAddSubScale(t *testing.T) {
-	v := VecOfInts(1, 2, 3)
-	w := VecOfInts(4, 5, 6)
-	if got := v.Add(w); !got.Equal(VecOfInts(5, 7, 9)) {
-		t.Errorf("Add = %s", got)
-	}
-	if got := w.Sub(v); !got.Equal(VecOfInts(3, 3, 3)) {
-		t.Errorf("Sub = %s", got)
-	}
-	if got := v.Scale(I(2)); !got.Equal(VecOfInts(2, 4, 6)) {
-		t.Errorf("Scale = %s", got)
 	}
 }
 
@@ -120,17 +106,6 @@ func TestVecDotCommutesProperty(t *testing.T) {
 		v := VecOfInts(int64(a), int64(b))
 		w := VecOfInts(int64(c), int64(d))
 		return Eq(v.Dot(w), w.Dot(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVecAddCommutesProperty(t *testing.T) {
-	f := func(a, b, c, d int16) bool {
-		v := VecOfInts(int64(a), int64(b))
-		w := VecOfInts(int64(c), int64(d))
-		return v.Add(w).Equal(w.Add(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package proof
 
 import (
 	"errors"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func TestBuildRejectsFalseClaim(t *testing.T) {
 }
 
 func TestBuildRejectsDominatedAdvice(t *testing.T) {
-	g := game.Coordination()
+	g := coordination()
 	// [0 0] is an equilibrium but dominated by [1 1]: MaxNash must fail.
 	if _, err := Build(g, game.Profile{0, 0}, MaxNash); err == nil {
 		t.Fatal("Build certified a dominated equilibrium as maximal")
@@ -64,7 +65,7 @@ func TestBuildRejectsDominatedAdvice(t *testing.T) {
 }
 
 func TestBattleOfSexesIncomparabilityWitness(t *testing.T) {
-	g := game.BattleOfSexes()
+	g := battleOfSexes()
 	p := mustBuild(t, g, game.Profile{0, 0}, MaxNash)
 	if err := Check(g, p); err != nil {
 		t.Fatalf("Check: %v", err)
@@ -75,7 +76,7 @@ func TestBattleOfSexesIncomparabilityWitness(t *testing.T) {
 }
 
 func TestMinNashProof(t *testing.T) {
-	g := game.Coordination()
+	g := coordination()
 	p := mustBuild(t, g, game.Profile{0, 0}, MinNash)
 	if err := Check(g, p); err != nil {
 		t.Fatalf("Check: %v", err)
@@ -91,7 +92,7 @@ func TestMinNashProof(t *testing.T) {
 
 func TestBuildBestAdvice(t *testing.T) {
 	for _, mode := range []Mode{MaxNash, MinNash, AnyNash} {
-		g := game.BattleOfSexes()
+		g := battleOfSexes()
 		p, err := BuildBestAdvice(g, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -100,7 +101,7 @@ func TestBuildBestAdvice(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 	}
-	if _, err := BuildBestAdvice(game.MatchingPennies(), MaxNash); !errors.Is(err, ErrNoEquilibrium) {
+	if _, err := BuildBestAdvice(matchingPennies(), MaxNash); !errors.Is(err, ErrNoEquilibrium) {
 		t.Fatalf("err = %v, want ErrNoEquilibrium", err)
 	}
 }
@@ -121,7 +122,7 @@ func TestCheckRejectsNilAndBadMode(t *testing.T) {
 // right step.
 func TestCheckRejectsForgeries(t *testing.T) {
 	build := func() (*game.Game, *Proof) {
-		g := game.BattleOfSexes()
+		g := battleOfSexes()
 		p, err := Build(g, game.Profile{0, 0}, MaxNash)
 		if err != nil {
 			panic(err)
@@ -229,7 +230,7 @@ func TestCheckRejectsForgeries(t *testing.T) {
 }
 
 func TestProofRoundTripJSON(t *testing.T) {
-	g := game.BattleOfSexes()
+	g := battleOfSexes()
 	p := mustBuild(t, g, game.Profile{1, 1}, MaxNash)
 	data, err := p.Marshal()
 	if err != nil {
@@ -258,7 +259,7 @@ func TestCheckErrorMessage(t *testing.T) {
 }
 
 func TestThreeAgentProof(t *testing.T) {
-	g := game.ThreeAgentMajority()
+	g := threeAgentMajority()
 	p, err := BuildBestAdvice(g, MaxNash)
 	if err != nil {
 		t.Fatal(err)
@@ -341,3 +342,42 @@ func gainHelperCoverage(t *testing.T) {
 }
 
 func TestGainHelper(t *testing.T) { gainHelperCoverage(t) }
+
+// matchingPennies has no pure Nash equilibrium.
+func matchingPennies() *game.Game {
+	return game.NewBimatrix("matching-pennies",
+		[][]int64{{1, -1}, {-1, 1}},
+		[][]int64{{-1, 1}, {1, -1}},
+	)
+}
+
+// battleOfSexes has two ≤u-incomparable pure equilibria, [0 0] and [1 1].
+func battleOfSexes() *game.Game {
+	return game.NewBimatrix("battle-of-the-sexes",
+		[][]int64{{2, 0}, {0, 1}},
+		[][]int64{{1, 0}, {0, 2}},
+	)
+}
+
+// coordination has two equilibria; [1 1] strictly ≥u-dominates [0 0].
+func coordination() *game.Game {
+	return game.NewBimatrix("coordination",
+		[][]int64{{1, 0}, {0, 2}},
+		[][]int64{{1, 0}, {0, 2}},
+	)
+}
+
+// threeAgentMajority is a 3-agent, 2-strategy majority coordination game:
+// each agent gains 1 when it sides with the majority, else 0.
+func threeAgentMajority() *game.Game {
+	g, err := game.FromFunc("majority-3", []int{2, 2, 2}, func(i int, p game.Profile) *big.Rat {
+		if p[(i+1)%3] == p[i] || p[(i+2)%3] == p[i] {
+			return numeric.One()
+		}
+		return numeric.Zero()
+	})
+	if err != nil {
+		panic(err)
+	}
+	return g
+}

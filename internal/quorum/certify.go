@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -124,12 +125,14 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 		}(m)
 	}
 
-	// Group validated co-signatures by canonical verdict JSON: members
-	// must co-sign the *same* verdict, and the digest each one signed is
-	// bound to its own verdict bytes, so grouping by those bytes keeps
-	// signature and verdict consistent by construction.
+	// Group validated co-signatures by the verdict bytes each member sent:
+	// members must co-sign the *same* verdict, and the digest each one
+	// signed is bound to its own verdict bytes, so grouping by those bytes
+	// keeps signature and verdict consistent by construction. Only the
+	// canonical spelling (AppendJSON's) counts, since that is what a
+	// certificate's digest is checked against.
 	type tally struct {
-		verdict core.Verdict
+		verdict []byte
 		sigs    map[int][]byte // keyset slot -> signature (dedupes signers)
 	}
 	tallies := make(map[string]*tally)
@@ -142,15 +145,17 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 		if !ok {
 			continue // keyset mismatch: a signer the clients would not accept
 		}
-		verdictJSON := resp.Verdict.AppendJSON(nil)
-		digest := identity.CertificateDigest(key, verdictJSON)
+		if _, canonical := core.CanonicalVerdict(resp.Verdict); !canonical {
+			continue // not AppendJSON's spelling: no certificate could carry it
+		}
+		digest := identity.CertificateDigest(key, resp.Verdict)
 		if identity.Verify(resp.Signer, digest, resp.Signature) != nil {
 			continue // signature over the wrong digest, or forged
 		}
-		tl := tallies[string(verdictJSON)]
+		tl := tallies[string(resp.Verdict)]
 		if tl == nil {
 			tl = &tally{verdict: resp.Verdict, sigs: make(map[int][]byte)}
-			tallies[string(verdictJSON)] = tl
+			tallies[string(resp.Verdict)] = tl
 		}
 		// A duplicate signer keeps its first valid signature: one panel
 		// member is one bitmap bit, however often it answers.
@@ -189,9 +194,13 @@ func (c *Certifier) Certify(ctx context.Context, req core.VerifyRequest) (*core.
 		slots = append(slots, slot)
 	}
 	sort.Ints(slots)
+	var verdict core.Verdict
+	if err := json.Unmarshal(winner.verdict, &verdict); err != nil {
+		return nil, fmt.Errorf("quorum: decoding the certified verdict: %w", err)
+	}
 	cert := &core.Certificate{
 		Key:     key.String(),
-		Verdict: winner.verdict,
+		Verdict: verdict,
 		Panel:   make([]byte, (len(c.keyset)+7)/8),
 		Sigs:    make([][]byte, 0, len(slots)),
 	}

@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -385,5 +386,75 @@ func TestIngestStripsBadCertificate(t *testing.T) {
 	}
 	if got := sink.Stats().CertsRejected; got != 1 {
 		t.Fatalf("certsRejected = %d, want 1", got)
+	}
+}
+
+// paddedVerdictHandler relays cosign responses with the verdict respelled
+// — a space after its opening brace, the same JSON value — and signed
+// under key over exactly those bytes: a valid signature over a spelling no
+// certificate can carry, since a certificate's digest is checked against
+// AppendJSON's bytes.
+type paddedVerdictHandler struct {
+	inner transport.Handler
+	key   *identity.KeyPair
+}
+
+func (p paddedVerdictHandler) Handle(ctx context.Context, req transport.Message) (transport.Message, error) {
+	resp, err := p.inner.Handle(ctx, req)
+	if err != nil || req.Type != service.MsgCoSign {
+		return resp, err
+	}
+	var cr service.CoSignResponse
+	if err := resp.Decode(&cr); err != nil {
+		return transport.Message{}, err
+	}
+	key, err := identity.ParseHash(cr.Key)
+	if err != nil {
+		return transport.Message{}, err
+	}
+	padded := append([]byte("{ "), cr.Verdict[1:]...)
+	sig := p.key.Sign(identity.CertificateDigest(key, padded))
+	// Spelled by hand: json.Marshal would compact the padding away.
+	fields := make([][]byte, 4)
+	for i, v := range []any{"padded", p.key.ID(), cr.Key, sig} {
+		if fields[i], err = json.Marshal(v); err != nil {
+			return transport.Message{}, err
+		}
+	}
+	payload := fmt.Sprintf(`{"verifierId":%s,"signer":%s,"key":%s,"verdict":%s,"signature":%s}`,
+		fields[0], fields[1], fields[2], padded, fields[3])
+	return transport.Message{Type: service.MsgCoSigned, Payload: json.RawMessage(payload)}, nil
+}
+
+// TestCertifyLeavesOutNonCanonicalVerdicts: two members answer with a
+// whitespace-padded spelling of the verdict and valid signatures over it.
+// The coordinator groups by the bytes it received, so counted they would
+// tie the two honest members; they are left out instead, and the
+// certificate carries exactly the honest pair.
+func TestCertifyLeavesOutNonCanonicalVerdicts(t *testing.T) {
+	services, keyset, _ := certPanel(t, 2)
+	members := []Member{
+		{ID: "honest-a", Client: transport.DialInProc(services[0])},
+		{ID: "honest-b", Client: transport.DialInProc(services[1])},
+	}
+	for i := range services {
+		key, err := identity.NewKeyPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyset = append(keyset, key.ID())
+		members = append(members, Member{ID: fmt.Sprintf("padded-%d", i),
+			Client: transport.DialInProc(paddedVerdictHandler{inner: services[i], key: key})})
+	}
+	certifier, err := NewCertifier(CertifierConfig{Members: members, Keyset: keyset, Threshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := certifier.Certify(context.Background(), verifyRequestOf(t, pdAnnouncement(t)))
+	if err != nil {
+		t.Fatalf("the honest pair was not certified: %v", err)
+	}
+	if len(cert.Panel) != 1 || cert.Panel[0] != 0b0011 || len(cert.Sigs) != 2 {
+		t.Fatalf("certificate signers %08b (%d signatures), want exactly the honest pair 00000011", cert.Panel, len(cert.Sigs))
 	}
 }

@@ -48,7 +48,7 @@ func TestQuorumChargesUnresponsiveMember(t *testing.T) {
 			t.Fatalf("round %d abstained = %v, want [stalled]", i, res.Abstained)
 		}
 	}
-	if got := registry.Score("stalled").Unresponsive; got != rounds {
+	if got := reported(registry, "stalled", reputation.Unresponsive); got != rounds {
 		t.Fatalf("Unresponsive count = %d, want %d", got, rounds)
 	}
 	// The decay is bounded: past the cap the reputation floors at 0.2 —
@@ -102,7 +102,7 @@ func TestQuorumChargesChaosDelayedMember(t *testing.T) {
 	if len(res.Abstained) != 1 || res.Abstained[0] != "flaky" {
 		t.Fatalf("abstained = %v, want [flaky]", res.Abstained)
 	}
-	if got := registry.Score("flaky").Unresponsive; got != 1 {
+	if got := reported(registry, "flaky", reputation.Unresponsive); got != 1 {
 		t.Fatalf("Unresponsive count = %d, want 1", got)
 	}
 }
@@ -124,7 +124,18 @@ func TestQuorumCallerCancelChargesNobody(t *testing.T) {
 	if _, err := q.VerifyAnnouncement(ctx, pdAnnouncement(t)); !errors.Is(err, ErrAllAbstained) {
 		t.Fatalf("err = %v, want ErrAllAbstained", err)
 	}
-	if got := registry.Score("stalled").Unresponsive; got != 0 {
+	if got := reported(registry, "stalled", reputation.Unresponsive); got != 0 {
 		t.Fatalf("caller cancel charged the member %d times; silence under a dead caller proves nothing", got)
 	}
+}
+
+// reported counts the reputation events of kind logged against party.
+func reported(r *reputation.Registry, party string, kind reputation.EventKind) int {
+	n := 0
+	for _, e := range r.Events() {
+		if e.Party == party && e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

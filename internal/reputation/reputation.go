@@ -122,13 +122,6 @@ func (r *Registry) Reputation(party string) float64 {
 	return r.scores[party].Reputation()
 }
 
-// Score returns the raw score of a party.
-func (r *Registry) Score(party string) Score {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.scores[party]
-}
-
 // Trusted reports whether the party's reputation meets the threshold.
 func (r *Registry) Trusted(party string, threshold float64) bool {
 	return r.Reputation(party) >= threshold
@@ -181,25 +174,6 @@ func (r *Registry) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.log...)
-}
-
-// Parties returns the known party identifiers sorted by descending
-// reputation (then lexicographically for determinism).
-func (r *Registry) Parties() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.scores))
-	for p := range r.scores {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := r.scores[out[i]].Reputation(), r.scores[out[j]].Reputation()
-		if ri != rj {
-			return ri > rj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // ErrNoVerdicts is returned by WeightedVote when no verdicts are supplied.

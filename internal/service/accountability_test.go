@@ -51,7 +51,7 @@ func newTrustPolicy(t *testing.T, dir string) *trust.Policy {
 func newLyingService(t *testing.T, id string, key *identity.KeyPair) *Service {
 	t.Helper()
 	s := newTestService(t, Config{ID: id, PersistPath: t.TempDir(), Key: key})
-	s.Register(&countingProc{format: "counting/v1", accept: false})
+	s.register(&countingProc{format: "counting/v1", accept: false})
 	return s
 }
 
@@ -87,7 +87,7 @@ func TestAuditRefutationQuarantinesLyingPeer(t *testing.T) {
 		PeerKeys: []identity.PartyID{keyZ.ID()},
 		Trust:    pol, AuditRate: 1,
 	})
-	a.Register(&countingProc{format: "counting/v1", accept: true})
+	a.register(&countingProc{format: "counting/v1", accept: true})
 
 	applied, err := signedPull(t, a, z)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestByzantineFederationConvergesOverFlakyLink(t *testing.T) {
 		PeerKeys: []identity.PartyID{keyB.ID(), keyZ.ID()},
 		Trust:    pol, AuditRate: 1,
 	})
-	a.Register(&countingProc{format: "counting/v1", accept: true})
+	a.register(&countingProc{format: "counting/v1", accept: true})
 
 	// The link to the honest peer is flaky: a fresh fault sequence per
 	// (re-)dial, ~30% of calls dropped. The byzantine link is clean — its
@@ -415,7 +415,7 @@ func TestForgedQuarantinedSignerClaimIsAPeerFailure(t *testing.T) {
 // the one that opened the client; the records it merely ingested are not.
 func TestAuditRepairDropsRefutedCertificate(t *testing.T) {
 	a := newTestService(t, Config{ID: "honest", PersistPath: t.TempDir(), AuditRate: 1})
-	a.Register(&countingProc{format: "counting/v1", accept: true})
+	a.register(&countingProc{format: "counting/v1", accept: true})
 	peer := newTestService(t, Config{ID: "peer", PersistPath: t.TempDir()})
 	g, err := a.StartGossiper(gossip.Config{
 		Peers: []string{"peer"}, Seed: 1, Logf: t.Logf,
@@ -504,7 +504,7 @@ func TestIngestRefutationChargesVouchingPeer(t *testing.T) {
 		PeerKeys: []identity.PartyID{keyZ.ID()},
 		Trust:    pol,
 	})
-	a.Register(&countingProc{format: "counting/v1", accept: true})
+	a.register(&countingProc{format: "counting/v1", accept: true})
 	verifyPayloads(t, a, "clash", 1) // same announcement, honest verdict
 
 	applied, err := signedPull(t, a, z)

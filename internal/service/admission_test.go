@@ -22,7 +22,7 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 func TestAdmissionShedsWholeBatchOverBurst(t *testing.T) {
 	s := newTestService(t, Config{Admission: AdmissionConfig{BatchRate: 1, BatchBurst: 10}})
 	proc := &slowProc{format: "slow/v1"}
-	s.Register(proc)
+	s.register(proc)
 
 	over := make([]core.Announcement, 11)
 	for i := range over {
@@ -72,7 +72,7 @@ func TestAdmissionInteractiveBorrowsFromBatchFirst(t *testing.T) {
 		BatchRate: 0.001, BatchBurst: 5,
 	}})
 	proc := &slowProc{format: "slow/v1"}
-	s.Register(proc)
+	s.register(proc)
 
 	// 6 interactive requests: 1 from the interactive bucket, then 5
 	// borrowed from the batch budget — all admitted.
@@ -116,7 +116,7 @@ func TestAdmissionBurstDefaultsToTwiceRate(t *testing.T) {
 	}
 	// The unlimited interactive class still counts its traffic.
 	proc := &slowProc{format: "slow/v1"}
-	s.Register(proc)
+	s.register(proc)
 	for i := 0; i < 3; i++ {
 		if _, err := s.VerifyAnnouncement(context.Background(), annNumbered("slow/v1", i)); err != nil {
 			t.Fatalf("interactive %d: %v", i, err)
@@ -130,7 +130,7 @@ func TestAdmissionBurstDefaultsToTwiceRate(t *testing.T) {
 func TestAdmissionErrorsDoNotDisturbVerdictCounters(t *testing.T) {
 	s := newTestService(t, Config{Admission: AdmissionConfig{BatchRate: 1, BatchBurst: 1}})
 	proc := &slowProc{format: "slow/v1"}
-	s.Register(proc)
+	s.register(proc)
 	anns := make([]core.Announcement, 8)
 	for i := range anns {
 		anns[i] = annNumbered("slow/v1", i)

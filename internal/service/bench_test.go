@@ -31,7 +31,7 @@ func BenchmarkPullExchange(b *testing.B) {
 	src := newTestService(b, Config{ID: "src", PersistPath: b.TempDir(), CacheSize: 1 << 16, Key: key})
 	dst := newTestService(b, Config{ID: "dst", PersistPath: b.TempDir(), CacheSize: 1 << 16, PeerKeys: []identity.PartyID{key.ID()}})
 	for _, s := range []*Service{src, dst} {
-		s.Register(&countingProc{format: "counting/v1", accept: true})
+		s.register(&countingProc{format: "counting/v1", accept: true})
 	}
 	ctx := context.Background()
 	peer := transport.DialInProc(src)

@@ -27,20 +27,17 @@ var ErrNoSigningKey = errors.New("service: co-signing requires a signing identit
 
 // CoSign verifies one request through the normal cached/singleflight path
 // and signs the canonical certificate digest over the resulting verdict —
-// over the cached verdict bytes themselves — with this authority's key. The returned response carries everything a
-// certificate coordinator needs: the signer's party ID, the
-// content-addressed verdict key, the verdict itself, and the signature.
-// The verdict is this authority's own (cache hits included) — co-signing
-// never outsources the judgement being signed.
+// over the cached verdict bytes themselves — with this authority's key.
+// The returned response carries everything a certificate coordinator
+// needs: the signer's party ID, the content-addressed verdict key, the
+// verdict's cached bytes (shared with the cache: read, never modify), and
+// the signature. The verdict is this authority's own (cache hits included)
+// — co-signing never outsources the judgement being signed.
 func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignResponse, error) {
 	if s.fed == nil || s.fed.key == nil {
 		return CoSignResponse{}, ErrNoSigningKey
 	}
 	e, err := s.verify(ctx, "", req.Format, req.Game, req.Advice, req.Proof)
-	if err != nil {
-		return CoSignResponse{}, err
-	}
-	v, err := e.decode()
 	if err != nil {
 		return CoSignResponse{}, err
 	}
@@ -51,7 +48,7 @@ func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignRes
 		VerifierID: s.id,
 		Signer:     s.fed.key.ID(),
 		Key:        key.String(),
-		Verdict:    *v,
+		Verdict:    e.verdict,
 		Signature:  sig,
 	}, nil
 }
@@ -59,14 +56,14 @@ func (s *Service) CoSign(ctx context.Context, req core.VerifyRequest) (CoSignRes
 // StoreCertificate admits one assembled quorum certificate: verified
 // offline against the panel keyset when Config.PanelKeys is set (failures
 // are counted and surface with the "certificate rejected:" prefix),
-// persisted as a certified record in the durable log — a certificate the
-// log does not accept (closed, or its queue full) is refused, not
-// acknowledged — and installed in the verdict cache so Certificate serves
-// it without touching the store, or the panel. An attached gossiper then
-// pushes the certified record to its peers at once (Engine.Push), so a
-// replica serves it one round trip later; the rounds remain the backstop,
-// where peers that hold the bare verdict pull the certified copy because
-// the record's content sum covers it.
+// persisted as a certified record in the durable log — written before
+// StoreCertificate returns; a certificate the log could not write is
+// refused, not acknowledged — and installed in the verdict cache
+// so Certificate serves it without touching the store, or the panel. An
+// attached gossiper then pushes the certified record to its peers at once
+// (Engine.Push), so a replica serves it one round trip later; the rounds
+// remain the backstop, where peers that hold the bare verdict pull the
+// certified copy because the record's content sum covers it.
 func (s *Service) StoreCertificate(c *core.Certificate) error {
 	if c == nil {
 		s.metrics.certsRejected.Add(1)
@@ -91,10 +88,12 @@ func (s *Service) StoreCertificate(c *core.Certificate) error {
 		return err
 	}
 	defer s.release()
-	if s.store != nil && !s.store.AppendCertified(key, c.Verdict, nil, encoded) {
-		// Acknowledging it would promise a certificate no restart or
-		// replica will ever hold.
-		return fmt.Errorf("service: certificate %s not persisted: the verdict log is closed or its queue is full", key)
+	if s.store != nil {
+		// The append waits for the write: acknowledging a certificate the
+		// log never wrote would promise what no restart or replica holds.
+		if err := s.store.AppendCertified(key, c.Verdict, nil, encoded); err != nil {
+			return fmt.Errorf("service: certificate %s not persisted: %w", key, err)
+		}
 	}
 	s.cache.PutCertified(key, c.Verdict, encoded, false)
 	s.announce(key)

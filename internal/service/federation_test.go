@@ -27,7 +27,7 @@ func testKeyPair(t testing.TB) *identity.KeyPair {
 func newKeyedService(t *testing.T, id string, key *identity.KeyPair, allow ...identity.PartyID) *Service {
 	t.Helper()
 	s := newTestService(t, Config{ID: id, PersistPath: t.TempDir(), Key: key, PeerKeys: allow})
-	s.Register(&countingProc{format: "counting/v1", accept: true})
+	s.register(&countingProc{format: "counting/v1", accept: true})
 	return s
 }
 
@@ -141,7 +141,7 @@ func TestFederationKeyedConvergence(t *testing.T) {
 // configured — and accepted when it is not (single-operator mode).
 func TestFederationRejectsUnsignedDelta(t *testing.T) {
 	src := newTestService(t, Config{ID: "legacy", PersistPath: t.TempDir()})
-	src.Register(&countingProc{format: "counting/v1", accept: true})
+	src.register(&countingProc{format: "counting/v1", accept: true})
 	verifyN(t, src, 3)
 
 	gated := newKeyedService(t, "gated", testKeyPair(t), testKeyPair(t).ID())
@@ -158,7 +158,7 @@ func TestFederationRejectsUnsignedDelta(t *testing.T) {
 	}
 
 	open := newTestService(t, Config{ID: "open", PersistPath: t.TempDir()})
-	open.Register(&countingProc{format: "counting/v1", accept: true})
+	open.register(&countingProc{format: "counting/v1", accept: true})
 	if applied, err := signedPull(t, open, src); err != nil || applied != 3 {
 		t.Fatalf("no-allowlist pull from unkeyed peer: applied=%d err=%v, want 3/nil", applied, err)
 	}
@@ -265,7 +265,7 @@ func TestUnfederatedServiceVerifiesClaimedSigner(t *testing.T) {
 	src := newKeyedService(t, "src", keyA)
 	verifyN(t, src, 2)
 	dst := newTestService(t, Config{ID: "dst", PersistPath: t.TempDir()})
-	dst.Register(&countingProc{format: "counting/v1", accept: true})
+	dst.register(&countingProc{format: "counting/v1", accept: true})
 
 	offer, err := dst.SyncOffer()
 	if err != nil {
@@ -303,7 +303,7 @@ func TestUnfederatedServiceVerifiesClaimedSigner(t *testing.T) {
 // unsigned deltas must not grow a blank-identity per-peer stats row.
 func TestUnsignedAcceptHasNoBlankPeerRow(t *testing.T) {
 	legacy := newTestService(t, Config{ID: "legacy", PersistPath: t.TempDir()})
-	legacy.Register(&countingProc{format: "counting/v1", accept: true})
+	legacy.register(&countingProc{format: "counting/v1", accept: true})
 	verifyN(t, legacy, 2)
 	dst := newKeyedService(t, "dst", testKeyPair(t)) // keyed, no allowlist
 	if applied, err := signedPull(t, dst, legacy); err != nil || applied != 2 {
@@ -321,7 +321,7 @@ func TestUnsignedAcceptHasNoBlankPeerRow(t *testing.T) {
 // authority's name.
 func TestUnsignedDeltaWireOriginsCleared(t *testing.T) {
 	dst := newTestService(t, Config{ID: "dst", PersistPath: t.TempDir()})
-	dst.Register(&countingProc{format: "counting/v1", accept: true})
+	dst.register(&countingProc{format: "counting/v1", accept: true})
 	offer, err := dst.SyncOffer()
 	if err != nil {
 		t.Fatal(err)

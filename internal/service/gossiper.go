@@ -209,9 +209,6 @@ func (g *Gossiper) Stop() { g.engine.Stop() }
 // Stats snapshots the gossip counters.
 func (g *Gossiper) Stats() gossip.Stats { return g.engine.Stats() }
 
-// Seed reports the resolved selection seed (the logged value).
-func (g *Gossiper) Seed() int64 { return g.engine.Seed() }
-
 // noteRumor marks a key hot on an attached push-pull gossiper: the next
 // rounds push its record eagerly instead of waiting for a fingerprint
 // mismatch. Called for fresh local verdicts and applied foreign records

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"rationality/internal/core"
@@ -66,8 +67,10 @@ type CoSignResponse struct {
 	Signer identity.PartyID `json:"signer"`
 	// Key is the hex content address of the verdict being certified.
 	Key string `json:"key"`
-	// Verdict is the member's own verdict on the request.
-	Verdict core.Verdict `json:"verdict"`
+	// Verdict is the member's own verdict on the request in canonical
+	// JSON — core.Verdict.AppendJSON's bytes, the exact bytes Signature
+	// covers.
+	Verdict json.RawMessage `json:"verdict"`
 	// Signature is the member's Ed25519 co-signature.
 	Signature []byte `json:"signature"`
 }

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"rationality/internal/bimatrix"
 	"rationality/internal/core"
 	"rationality/internal/game"
+	"rationality/internal/identity"
 	"rationality/internal/reputation"
 	"rationality/internal/transport"
 )
@@ -118,7 +120,7 @@ func TestHandlerBatchAndStatsOverWire(t *testing.T) {
 	if sr.Stats.CacheHits != 1 {
 		t.Fatalf("cache counters = %+v, want exactly 1 hit from the repeat stream", sr.Stats)
 	}
-	if rep.Score("shady").Disagreements != 1 {
+	if reported(rep, "shady", reputation.Misbehaved) != 1 {
 		t.Fatal("forger not reported over the wire path")
 	}
 }
@@ -235,6 +237,65 @@ func TestStreamVerdictAppendJSONMatchesMarshal(t *testing.T) {
 		got, err := appendStreamVerdict(nil, sv.Index, sv.Verdict.AppendJSON(nil), sv.Certificate)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("appendStreamVerdict = %s, %v\n want %s", got, err, want)
+		}
+	}
+}
+
+// TestCoSignReplyIsByteIdentical: a cosigned reply carries the member's
+// cached verdict bytes, and it spells the reply exactly as json.Marshal of
+// a struct-typed verdict would — for built-in procedures' verdicts,
+// accepted and rejected, and for a reason and details that need <, > and &
+// escaped.
+func TestCoSignReplyIsByteIdentical(t *testing.T) {
+	type structReply struct {
+		VerifierID string           `json:"verifierId"`
+		Signer     identity.PartyID `json:"signer"`
+		Key        string           `json:"key"`
+		Verdict    core.Verdict     `json:"verdict"`
+		Signature  []byte           `json:"signature"`
+	}
+	s := newTestService(t, Config{ID: "member", Key: testKeyPair(t)})
+	s.register(&scriptedProc{verdicts: map[string]core.Verdict{
+		`{"script":0}`: {Format: "scripted/v1", Reason: "1 < 2 && 3 > 2", Details: map[string]string{"v": "<a&b>"}},
+	}})
+	forged, err := core.AnnounceEnumerationForged("shady", game.PrisonersDilemma(), game.Profile{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := core.AnnounceP1("inv", "matching-pennies", bimatrix.FromInts(
+		[][]int64{{1, -1}, {-1, 1}},
+		[][]int64{{-1, 1}, {1, -1}},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripted := core.Announcement{InventorID: "inv", Format: "scripted/v1",
+		Game: json.RawMessage(`{"script":0}`), Advice: json.RawMessage(`{}`)}
+	for _, ann := range []core.Announcement{pdAnnouncement(t), forged, p1, scripted} {
+		msg, err := transport.NewMessage(MsgCoSign, CoSignRequest{Request: core.VerifyRequest{
+			Format: ann.Format, Game: ann.Game, Advice: ann.Advice, Proof: ann.Proof,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := s.Handle(context.Background(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got CoSignResponse
+		if err := reply.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		var v core.Verdict
+		if err := json.Unmarshal(got.Verdict, &v); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(structReply{got.VerifierID, got.Signer, got.Key, v, got.Signature})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply.Payload, want) {
+			t.Errorf("%s: the cosigned reply is\n %s\nwant\n %s", ann.Format, reply.Payload, want)
 		}
 	}
 }

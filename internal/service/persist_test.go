@@ -33,7 +33,7 @@ func TestServiceWarmStartRestart(t *testing.T) {
 	// First life: every announcement is a miss that runs the procedure.
 	proc1 := &countingProc{format: "counting/v1", accept: true}
 	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
-	svc1.Register(proc1)
+	svc1.register(proc1)
 	for i := range anns {
 		if _, err := svc1.VerifyAnnouncement(ctx, anns[i]); err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestServiceWarmStartRestart(t *testing.T) {
 	// Second life: the same announcements must all be warm hits.
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir})
-	svc2.Register(proc2)
+	svc2.register(proc2)
 	for i := range anns {
 		v, err := svc2.VerifyAnnouncement(ctx, anns[i])
 		if err != nil {
@@ -85,7 +85,7 @@ func TestServiceWarmStartSurvivesTornTail(t *testing.T) {
 
 	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
 	proc1 := &countingProc{format: "counting/v1", accept: true}
-	svc1.Register(proc1)
+	svc1.register(proc1)
 	for i := 0; i < n; i++ {
 		if _, err := svc1.VerifyAnnouncement(ctx, announcementFor("inv", fmt.Sprintf(`{"i":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestServiceWarmStartSurvivesTornTail(t *testing.T) {
 
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir})
-	svc2.Register(proc2)
+	svc2.register(proc2)
 	st := svc2.Stats()
 	if st.Persistence == nil || st.Persistence.Replayed != n {
 		t.Fatalf("Replayed = %+v, want %d despite the torn tail", st.Persistence, n)
@@ -166,7 +166,7 @@ func TestServiceBatchVerdictsPersist(t *testing.T) {
 	const n = 12
 
 	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
-	svc1.Register(&countingProc{format: "counting/v1", accept: true})
+	svc1.register(&countingProc{format: "counting/v1", accept: true})
 	anns := make([]core.Announcement, n)
 	for i := range anns {
 		anns[i] = announcementFor("inv", fmt.Sprintf(`{"b":%d}`, i))
@@ -180,7 +180,7 @@ func TestServiceBatchVerdictsPersist(t *testing.T) {
 
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir})
-	svc2.Register(proc2)
+	svc2.register(proc2)
 	verdicts, tr, err := streamAll(ctx, svc2, anns)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestHotVerdictSurvivesChurnAndRestart(t *testing.T) {
 	// The hot entry stays cache-resident throughout because every churn
 	// round re-hits it, refreshing its cache recency.
 	svc1 := newTestService(t, Config{PersistPath: dir, CacheSize: 8, SyncEvery: 1})
-	svc1.Register(&countingProc{format: "counting/v1", accept: true})
+	svc1.register(&countingProc{format: "counting/v1", accept: true})
 	hotAnn := announcementFor("inv", `{"hot":true}`)
 	if _, err := svc1.VerifyAnnouncement(ctx, hotAnn); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestHotVerdictSurvivesChurnAndRestart(t *testing.T) {
 	// Second life: the hot announcement must be a warm hit.
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir, CacheSize: 8})
-	svc2.Register(proc2)
+	svc2.register(proc2)
 	if _, err := svc2.VerifyAnnouncement(ctx, hotAnn); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestWarmStartTrimsToCacheCapacity(t *testing.T) {
 	const n = 16
 
 	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
-	svc1.Register(&countingProc{format: "counting/v1", accept: true})
+	svc1.register(&countingProc{format: "counting/v1", accept: true})
 	anns := make([]core.Announcement, n)
 	for i := range anns {
 		anns[i] = announcementFor("inv", fmt.Sprintf(`{"i":%d}`, i))
@@ -283,7 +283,7 @@ func TestWarmStartTrimsToCacheCapacity(t *testing.T) {
 	const smallCache = 4
 	proc2 := &countingProc{format: "counting/v1", accept: true}
 	svc2 := newTestService(t, Config{PersistPath: dir, CacheSize: smallCache})
-	svc2.Register(proc2)
+	svc2.register(proc2)
 	st := svc2.Stats()
 	if st.CacheEntries > smallCache {
 		t.Fatalf("replay overfilled the cache: %d entries, cap %d", st.CacheEntries, smallCache)
@@ -389,7 +389,7 @@ func TestRestartRepliesAreByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	svc1 := newTestService(t, Config{PersistPath: dir, SyncEvery: 1})
-	svc1.Register(proc)
+	svc1.register(proc)
 	fresh, _ := wireReplies(t, svc1, anns) // every one a miss
 	certified := anns[len(anns)-1]
 	key := identity.DigestBytes([]byte(certified.Format), certified.Game, certified.Advice, certified.Proof)
@@ -413,7 +413,7 @@ func TestRestartRepliesAreByteIdentical(t *testing.T) {
 
 	ran := proc.calls.Load()
 	svc2 := newTestService(t, Config{PersistPath: dir})
-	svc2.Register(proc)
+	svc2.register(proc)
 	if got := svc2.Stats().Persistence.Replayed; got != uint64(len(anns)) {
 		t.Fatalf("replayed %d verdicts, want %d", got, len(anns))
 	}

@@ -403,9 +403,6 @@ func signerID(k *identity.KeyPair) identity.PartyID {
 // ID returns the verifier identity this service answers as.
 func (s *Service) ID() string { return s.id }
 
-// Register adds a custom procedure to the served registry.
-func (s *Service) Register(p core.Procedure) { s.procs.Register(p) }
-
 // Formats lists the proof formats this service can check.
 func (s *Service) Formats() []string { return s.procs.Formats() }
 

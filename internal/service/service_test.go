@@ -119,7 +119,7 @@ func TestVerifyUnknownFormatFails(t *testing.T) {
 func TestCacheRepeatVerifiedOnce(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true}
 	s := newTestService(t, Config{})
-	s.Register(proc)
+	s.register(proc)
 	ann := announcementFor("inv", `{"n":1}`)
 	for i := 0; i < 5; i++ {
 		v, err := s.VerifyAnnouncement(context.Background(), ann)
@@ -145,7 +145,7 @@ func TestCacheRepeatVerifiedOnce(t *testing.T) {
 func TestCacheKeyIsContentAddressed(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true}
 	s := newTestService(t, Config{})
-	s.Register(proc)
+	s.register(proc)
 	// Distinct payloads must not collide, and the inventor ID must not be
 	// part of the key: the same content from two inventors shares an entry.
 	for _, ann := range []core.Announcement{
@@ -165,7 +165,7 @@ func TestCacheKeyIsContentAddressed(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true}
 	s := newTestService(t, Config{CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 	ann := announcementFor("inv", `{"n":1}`)
 	for i := 0; i < 3; i++ {
 		if _, err := s.VerifyAnnouncement(context.Background(), ann); err != nil {
@@ -271,7 +271,7 @@ func TestCachedVerdictIsACopy(t *testing.T) {
 func TestSingleflightDeduplicates(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 4})
-	s.Register(proc)
+	s.register(proc)
 	ann := announcementFor("inv", `{"n":1}`)
 
 	const clients = 16
@@ -322,7 +322,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: workers, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	const requests = 12
 	var wg sync.WaitGroup
@@ -422,11 +422,11 @@ func TestReputationRecording(t *testing.T) {
 	if _, _, err := streamAll(context.Background(), s, []core.Announcement{honest, forged}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Score(honest.InventorID); got.Agreements != 1 || got.Disagreements != 0 {
-		t.Fatalf("honest inventor score = %+v, want one agreement", got)
+	if a, m := reported(rep, honest.InventorID, reputation.Agreed), reported(rep, honest.InventorID, reputation.Misbehaved); a != 1 || m != 0 {
+		t.Fatalf("honest inventor: %d agreements, %d offences; want one agreement", a, m)
 	}
-	if got := rep.Score("shady"); got.Disagreements != 1 {
-		t.Fatalf("shady inventor score = %+v, want one disagreement", got)
+	if got := reported(rep, "shady", reputation.Misbehaved); got != 1 {
+		t.Fatalf("shady inventor: %d offences, want one", got)
 	}
 	// Cached repeats must not re-record: flooding a verifier with one
 	// announcement cannot move reputations or grow the audit log.
@@ -436,15 +436,15 @@ func TestReputationRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rep.Score("shady"); got.Disagreements != 1 {
-		t.Fatalf("cached repeats re-recorded: score = %+v", got)
+	if got := reported(rep, "shady", reputation.Misbehaved); got != 1 {
+		t.Fatalf("cached repeats re-recorded: %d offences", got)
 	}
 	// Batched repeats are hits too: one agreement per fresh verdict.
 	if _, _, err := streamAll(context.Background(), s, []core.Announcement{honest, honest, honest}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Score(honest.InventorID); got.Agreements != 1 {
-		t.Fatalf("batched repeats re-recorded: honest score = %+v", got)
+	if got := reported(rep, honest.InventorID, reputation.Agreed); got != 1 {
+		t.Fatalf("batched repeats re-recorded: %d honest agreements", got)
 	}
 	if st := s.Stats(); st.Requests != 10 || st.CacheHits != 8 {
 		t.Fatalf("stats = %+v, want 10 requests with 8 cache hits", st)
@@ -469,7 +469,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Register(proc)
+	s.register(proc)
 
 	result := make(chan error, 1)
 	go func() {
@@ -521,7 +521,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestVerifyBatchCancelledKeepsCompletedVerdicts(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 	defer close(proc.gate)
 
 	// Saturate the single worker so batch items must wait for a slot.
@@ -569,7 +569,7 @@ func TestVerifyBatchCancelledKeepsCompletedVerdicts(t *testing.T) {
 func TestContextCancelledWhileWaitingForWorker(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	started := make(chan struct{})
 	go func() {
@@ -660,3 +660,17 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatalf("expected traffic and cache hits, got %+v", st)
 	}
 }
+
+// reported counts the reputation events of kind logged against party.
+func reported(r *reputation.Registry, party string, kind reputation.EventKind) int {
+	n := 0
+	for _, e := range r.Events() {
+		if e.Party == party && e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// register adds a custom procedure to the served registry.
+func (s *Service) register(p core.Procedure) { s.procs.Register(p) }

@@ -48,7 +48,7 @@ func TestSoakStreamsWithTieredAdmission(t *testing.T) {
 			BatchRate: 500, BatchBurst: 2 * streamItems,
 		},
 	})
-	s.Register(proc)
+	s.register(proc)
 	ctx := context.Background()
 
 	var (

@@ -17,7 +17,7 @@ import (
 func TestStreamVerifyOverTCP(t *testing.T) {
 	proc := &slowProc{format: "slow/v1"}
 	s := newTestService(t, Config{Workers: 4, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 	srv, err := transport.ListenTCP("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestStreamVerifyCertificateIfCached(t *testing.T) {
 func TestStreamVerifyOverTCPClientCancel(t *testing.T) {
 	proc := &slowProc{format: "slow/v1", delay: 2 * time.Millisecond}
 	s := newTestService(t, Config{Workers: 2, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 	srv, err := transport.ListenTCP("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)

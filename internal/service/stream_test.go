@@ -49,7 +49,7 @@ func annNumbered(format string, n int) core.Announcement {
 func TestVerifyStreamDeliversEveryItem(t *testing.T) {
 	proc := &slowProc{format: "slow/v1"}
 	s := newTestService(t, Config{Workers: 4})
-	s.Register(proc)
+	s.register(proc)
 
 	const items = 100
 	anns := make([]core.Announcement, items)
@@ -118,7 +118,7 @@ func TestVerifyStreamEmptyBatch(t *testing.T) {
 func TestStreamFirstVerdictWithin10xSingleVerify(t *testing.T) {
 	proc := &slowProc{format: "slow/v1", delay: time.Millisecond}
 	s := newTestService(t, Config{Workers: 16, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	// Measure a single Verify generously: warm up, then take the max of
 	// several runs so scheduler noise widens the bound, never the margin.
@@ -164,7 +164,7 @@ func TestStreamFirstVerdictWithin10xSingleVerify(t *testing.T) {
 func TestVerifyStreamServerCloseMidStream(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
 	s := newTestService(t, Config{Workers: 1, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	const items = 100
 	anns := make([]core.Announcement, items)
@@ -246,7 +246,7 @@ func TestVerifyStreamServerCloseMidStream(t *testing.T) {
 func TestVerifyStreamEmitErrorAborts(t *testing.T) {
 	proc := &slowProc{format: "slow/v1"}
 	s := newTestService(t, Config{Workers: 2, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	const items = 500
 	anns := make([]core.Announcement, items)
@@ -283,7 +283,7 @@ func TestVerifyStreamEmitErrorAborts(t *testing.T) {
 func TestVerifyStreamCancelledContext(t *testing.T) {
 	proc := &slowProc{format: "slow/v1", delay: 2 * time.Millisecond}
 	s := newTestService(t, Config{Workers: 2, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 
 	const items = 500
 	anns := make([]core.Announcement, items)

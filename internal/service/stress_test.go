@@ -29,7 +29,7 @@ func TestStressShardedHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Register(proc)
+	s.register(proc)
 
 	const (
 		hammerers  = 8
@@ -134,7 +134,7 @@ func TestStressShardedHotPath(t *testing.T) {
 func TestStressSingleflightUnderChurn(t *testing.T) {
 	proc := &countingProc{format: "counting/v1", accept: true}
 	s := newTestService(t, Config{Workers: 2, CacheSize: -1})
-	s.Register(proc)
+	s.register(proc)
 	ann := announcementFor("inv", `{"hot":1}`)
 	ctx := context.Background()
 

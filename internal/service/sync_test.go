@@ -23,9 +23,9 @@ import (
 func newSyncedPair(t *testing.T, n int) (src, dst *Service) {
 	t.Helper()
 	src = newTestService(t, Config{ID: "src", PersistPath: t.TempDir()})
-	src.Register(&countingProc{format: "counting/v1", accept: true})
+	src.register(&countingProc{format: "counting/v1", accept: true})
 	dst = newTestService(t, Config{ID: "dst", PersistPath: t.TempDir()})
-	dst.Register(&countingProc{format: "counting/v1", accept: true})
+	dst.register(&countingProc{format: "counting/v1", accept: true})
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		if _, err := src.VerifyAnnouncement(ctx, announcementFor("inv", fmt.Sprintf(`{"i":%d}`, i))); err != nil {
@@ -263,7 +263,7 @@ func TestScopedDeltaSignatureBindsScope(t *testing.T) {
 // scope, a fingerprint count that is no legal width.
 func TestHandlerRejectsMalformedScopedOffers(t *testing.T) {
 	s := newTestService(t, Config{ID: "src", PersistPath: t.TempDir()})
-	s.Register(&countingProc{format: "counting/v1", accept: true})
+	s.register(&countingProc{format: "counting/v1", accept: true})
 	verifyDistinct(t, s, "k", 10)
 	outside := SyncEntry{Key: bytes.Repeat([]byte{0xff}, 32), Stamp: 1} // last bucket; scope 0x01 is the first
 	for name, msg := range map[string]struct {
@@ -306,7 +306,7 @@ func TestCertificateReplicatesToMemberWhoseClockIsAhead(t *testing.T) {
 	a := newTestService(t, Config{ID: "a", PersistPath: t.TempDir()})
 	c := newTestService(t, Config{ID: "c", PersistPath: t.TempDir()})
 	for _, s := range []*Service{a, c} {
-		s.Register(&countingProc{format: "counting/v1", accept: true})
+		s.register(&countingProc{format: "counting/v1", accept: true})
 	}
 	ctx := context.Background()
 	ann := announcementFor("inv", `{"certified":"shared"}`)
@@ -374,7 +374,7 @@ func TestCertifiedRecordIsAuditedOnAPeer(t *testing.T) {
 	keyA, keyB := testKeyPair(t), testKeyPair(t)
 	a := newKeyedService(t, "a", keyA)
 	b := newTestService(t, Config{ID: "b", PersistPath: t.TempDir(), Key: keyB, PeerKeys: []identity.PartyID{keyA.ID()}, AuditRate: 1})
-	b.Register(&countingProc{format: "counting/v1", accept: true})
+	b.register(&countingProc{format: "counting/v1", accept: true})
 	key := certifiedOn(t, a, announcementFor("inv", `{"certified":"audited"}`))
 
 	if n, err := signedPull(t, b, a); err != nil || n != 1 {
@@ -396,7 +396,7 @@ func TestCacheMissKeepsLoggedCertificate(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{ID: "a", PersistPath: dir, CacheSize: 2, CacheShards: 1})
 	proc := &countingProc{format: "counting/v1", accept: true}
-	s.Register(proc)
+	s.register(proc)
 	ann := announcementFor("inv", `{"certified":"evicted"}`)
 	key := certifiedOn(t, s, ann)
 	verifyDistinct(t, s, "evicting", 4)
@@ -441,8 +441,8 @@ func TestCacheMissKeepsLoggedCertificate(t *testing.T) {
 // covers it: a delta signed for one polarity answers no other offer.
 func TestSyncEntryCarriesPolarity(t *testing.T) {
 	s := newTestService(t, Config{ID: "a", PersistPath: t.TempDir()})
-	s.Register(&countingProc{format: "counting/v1", accept: true})
-	s.Register(&countingProc{format: "refusing/v1", accept: false})
+	s.register(&countingProc{format: "counting/v1", accept: true})
+	s.register(&countingProc{format: "refusing/v1", accept: false})
 	ctx := context.Background()
 	rejected := announcementFor("inv", `{"polarity":"no"}`)
 	rejected.Format = "refusing/v1"

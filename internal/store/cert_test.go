@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // TestCertifiedRecordRoundTrip persists a record with a certificate
@@ -15,8 +16,8 @@ func TestCertifiedRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cert := []byte(`{"key":"ab","verdict":{"accepted":true},"panel":"Bw==","sigs":[]}`)
-	if !s.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert) {
-		t.Fatal("certified append refused")
+	if err := s.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert); err != nil {
+		t.Fatalf("certified append refused: %v", err)
 	}
 	if !s.Append(testKey(1), testVerdict(1), testRequest(1)) {
 		t.Fatal("plain append refused")
@@ -78,8 +79,8 @@ func TestCertificateTravelsAntiEntropy(t *testing.T) {
 
 	// a's record gains a certificate: new content, so it travels.
 	cert := []byte(`{"key":"ef","sigs":[]}`)
-	if !a.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert) {
-		t.Fatal("certified re-append refused")
+	if err := a.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert); err != nil {
+		t.Fatalf("certified re-append refused: %v", err)
 	}
 	if manifestOf(t, a)[testKey(0)].Sum == man[testKey(0)].Sum {
 		t.Fatal("record sum unchanged by the certificate — anti-entropy would never ship it")
@@ -130,7 +131,9 @@ func TestCertificateReachesPeerWhoseClockIsAhead(t *testing.T) {
 	// A holds the bare verdict and then its certificate, at stamps 1 and 2.
 	cert := []byte(`{"key":"ef","sigs":["a","b","c"]}`)
 	a.Append(key, testVerdict(0), testRequest(0))
-	a.AppendCertified(key, testVerdict(0), testRequest(0), cert)
+	if err := a.AppendCertified(key, testVerdict(0), testRequest(0), cert); err != nil {
+		t.Fatal(err)
+	}
 	bare := manifestOf(t, c)[key]
 	if held := manifestOf(t, a)[key]; !held.Certified || held.Stamp >= bare.Stamp || bare.Certified {
 		t.Fatalf("test premise: a holds %+v, c holds %+v", held, bare)
@@ -195,5 +198,68 @@ func TestCertificateDoesNotOverrideOppositePolarity(t *testing.T) {
 	in[0].Stamp = 10
 	if applied, _, err := s.Ingest(in); err != nil || len(applied) != 1 {
 		t.Fatalf("newer record must still win on stamps: %+v %v", applied, err)
+	}
+}
+
+// TestCertifiedAppendWaitsForTheFlusher: with the flusher parked inside a
+// command and the one-slot queue full, a plain Append drops while a
+// certified append waits its turn and lands — and replays after a restart.
+// Once the tail is closed under the flusher, a certified append reports the
+// failure instead of acknowledging a certificate the log never wrote.
+func TestCertifiedAppendWaitsForTheFlusher(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	go s.do(func() { close(parked); <-release })
+	<-parked
+	if !s.Append(testKey(1), testVerdict(1), nil) {
+		t.Fatal("the one queue slot refused a record")
+	}
+	if s.Append(testKey(2), testVerdict(2), nil) {
+		t.Fatal("a plain append into the full queue was accepted")
+	}
+	cert := []byte(`{"key":"ab","sigs":[]}`)
+	done := make(chan error, 1)
+	go func() { done <- s.AppendCertified(testKey(0), testVerdict(0), testRequest(0), cert) }()
+	select {
+	case err := <-done:
+		t.Fatalf("the certified append returned (%v) while the flusher was parked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("certified append: %v", err)
+	}
+	if st := s.Stats(); st.Dropped != 1 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want the one plain append dropped and nothing failed", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, records, err := Open(dir, Options{QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	byKey := map[[32]byte]Live{}
+	for _, r := range records {
+		byKey[r.Key] = r
+	}
+	if len(records) != 2 || !bytes.Equal(byKey[testKey(0)].Cert, cert) {
+		t.Fatalf("replayed %d records, certificate %q; want 2 records and %q", len(records), byKey[testKey(0)].Cert, cert)
+	}
+
+	if err := s.do(func() { s.tail.Close() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendCertified(testKey(3), testVerdict(3), nil, cert); err == nil {
+		t.Fatal("a certified append the closed tail could not write was acknowledged")
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Persisted != 0 {
+		t.Fatalf("stats = %+v, want the one write counted failed", st)
 	}
 }

@@ -172,7 +172,7 @@ func (lawWorld) cert(k int) []byte {
 //
 //   - idempotence: re-ingesting a delta applies nothing;
 //   - commutativity and associativity: whatever the order, once every pair
-//     has exchanged, all stores hold equal content (Summary) on every key
+//     has exchanged, all stores hold equal content (summaryOf) on every key
 //     without a local-proof contradiction, and a key certified anywhere is
 //     certified everywhere;
 //   - no store ever loses a request column it once held;
@@ -292,7 +292,9 @@ func mergeLaws(t *testing.T, seed int64) {
 			what += fmt.Sprintf(": store %d appends key %d", i, k)
 		case op < 5: // a quorum certificate lands (honest keys only)
 			k %= contested
-			stores[i].AppendCertified(testKey(k), w.verdict(k, w.truth(k)), req, w.cert(k))
+			if err := stores[i].AppendCertified(testKey(k), w.verdict(k, w.truth(k)), req, w.cert(k)); err != nil {
+				t.Fatal(err)
+			}
 			settle(t, stores[i])
 			what += fmt.Sprintf(": store %d certifies key %d", i, k)
 		case op < 6:
@@ -433,7 +435,9 @@ func TestReappendKeepsCertificate(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{})
 	key, cert := testKey(0), []byte(`{"key":"ab","sigs":["a","b","c"]}`)
 	s.Append(key, testVerdict(0), testRequest(0))
-	s.AppendCertified(key, testVerdict(0), testRequest(0), cert)
+	if err := s.AppendCertified(key, testVerdict(0), testRequest(0), cert); err != nil {
+		t.Fatal(err)
+	}
 	certified := manifestOf(t, s)[key]
 	s.Append(key, testVerdict(0), testRequest(0))
 	got := manifestOf(t, s)[key]
@@ -443,7 +447,9 @@ func TestReappendKeepsCertificate(t *testing.T) {
 	// A flipped verdict is another matter: the certificate vouched for
 	// the old polarity and goes, as in the service's cache.
 	other := testKey(1)
-	s.AppendCertified(other, testVerdict(0), nil, cert)
+	if err := s.AppendCertified(other, testVerdict(0), nil, cert); err != nil {
+		t.Fatal(err)
+	}
 	s.Append(other, testVerdict(1), nil)
 	if manifestOf(t, s)[other].Certified {
 		t.Fatal("a certificate survived a flip of the verdict it certified")
@@ -470,7 +476,9 @@ func TestCertifiedAppendKeepsRequest(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{})
 	key, req, cert := testKey(0), testRequest(0), []byte(`{"key":"ab","sigs":[]}`)
 	s.Append(key, testVerdict(0), req)
-	s.AppendCertified(key, testVerdict(0), nil, cert)
+	if err := s.AppendCertified(key, testVerdict(0), nil, cert); err != nil {
+		t.Fatal(err)
+	}
 	d := deltaOf(t, s, nil)
 	if len(d) != 1 || !bytes.Equal(d[0].Request, req) || !bytes.Equal(d[0].Cert, cert) {
 		t.Fatalf("delta after the certified append: %+v", d)
@@ -647,8 +655,8 @@ func TestContentSumIsAFunctionOfTheRecord(t *testing.T) {
 		if i%5 == 0 {
 			cert = []byte(`{"sigs":[]}`)
 		}
-		if !a.AppendCertified(testKey(i), v, testRequest(i), cert) {
-			t.Fatal("append refused")
+		if err := a.AppendCertified(testKey(i), v, testRequest(i), cert); err != nil {
+			t.Fatalf("append refused: %v", err)
 		}
 	}
 	atAppend := manifestOf(t, a)

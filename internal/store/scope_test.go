@@ -19,7 +19,7 @@ import (
 // triggered has run: a sync command runs behind the drained queue.
 func settle(t *testing.T, s *Store) {
 	t.Helper()
-	if _, err := s.Summary(); err != nil {
+	if err := s.do(func() {}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,7 +86,7 @@ func keysOf(recs []Record) string {
 }
 
 // checkFingerprints recomputes the bucket fingerprints and the summary from
-// a manifest with the reference hash (hash/fnv, as Summary was first
+// a manifest with the reference hash (hash/fnv, as the summary was first
 // written) and compares them with what the store maintains incrementally.
 func checkFingerprints(t *testing.T, s *Store, what string) {
 	t.Helper()
@@ -146,7 +146,9 @@ func TestScopedReconcileMatchesCompleteManifest(t *testing.T) {
 					if rng.Intn(5) == 0 {
 						cert = []byte(fmt.Sprintf(`{"key":"%d","sigs":[]}`, k))
 					}
-					s.AppendCertified(testKey(k), v, testRequest(k), cert)
+					if err := s.AppendCertified(testKey(k), v, testRequest(k), cert); err != nil {
+						t.Fatal(err)
+					}
 				}
 				settle(t, s)
 			}

@@ -38,7 +38,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -311,15 +310,6 @@ func (s *Store) closeFiles() {
 // Records queued after Close starts may or may not be persisted; call
 // Append only before Close, as the service's drain ordering guarantees.
 func (s *Store) Append(key identity.Hash, v core.Verdict, request []byte) bool {
-	return s.AppendCertified(key, v, request, nil)
-}
-
-// AppendCertified is Append with an aggregate quorum certificate
-// attached: the encoded core.Certificate persists in the record's
-// certificate column and replicates with it, so a restarted or syncing
-// authority serves the certificate as readily as the verdict. A nil cert
-// is exactly Append.
-func (s *Store) AppendCertified(key identity.Hash, v core.Verdict, request, cert []byte) bool {
 	select {
 	case <-s.quit:
 		return false // closed: the flusher is draining or gone
@@ -333,21 +323,49 @@ func (s *Store) AppendCertified(key identity.Hash, v core.Verdict, request, cert
 		s.dropped.Add(1)
 		return false
 	}
-	var req json.RawMessage
-	if len(request) > 0 {
-		req = append(json.RawMessage(nil), request...)
-	}
-	var cp []byte
-	if len(cert) > 0 {
-		cp = append([]byte(nil), cert...)
-	}
 	select {
-	case s.queue <- Record{Key: key, Verdict: v.Clone(), Request: req, Cert: cp}:
+	case s.queue <- Record{Key: key, Verdict: v.Clone(), Request: clone(request)}:
 		return true
 	default:
 		s.dropped.Add(1)
 		return false
 	}
+}
+
+// AppendCertified writes a verdict with an aggregate quorum certificate
+// attached and reports whether it is on the log: the encoded
+// core.Certificate persists in the record's certificate column and
+// replicates with it, so a restarted or syncing authority serves the
+// certificate as readily as the verdict. Unlike Append it never drops: it
+// runs as a flusher command behind every queued record, waits for the
+// write — not its fsync, which the flusher runs next, as after a queued
+// record — and returns an error (ErrClosed, or the log's write error) when
+// the record did not land.
+func (s *Store) AppendCertified(key identity.Hash, v core.Verdict, request, cert []byte) error {
+	r := Record{Key: key, Verdict: v.Clone(), Request: clone(request), Cert: clone(cert)}
+	var written bool
+	var writeErr error
+	err := s.do(func() {
+		d, _ := s.commit(&r, true)
+		written, writeErr = d.write, s.flushErr
+	})
+	switch {
+	case err != nil:
+		return err
+	case writeErr != nil:
+		return writeErr
+	case !written:
+		return fmt.Errorf("store: certified record %s was not written", key)
+	}
+	return nil
+}
+
+// clone copies b, keeping nil and empty as nil.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 // Stats returns a point-in-time snapshot of the store's counters.
@@ -401,6 +419,11 @@ func (s *Store) flusher() {
 			// prefix of the append history.
 			s.drainPending()
 			fn()
+			// A command that wrote has already released its caller; its
+			// fsync and any compaction it made due run now, as after a
+			// queued record.
+			s.syncTail()
+			s.maybeCompact()
 		case r := <-s.queue:
 			s.handleRecord(&r)
 			s.drainPending()

@@ -259,8 +259,8 @@ func TestCompactionCopiesFrames(t *testing.T) {
 				v.Reason = "bad byte \xff here"
 			}
 			hot[testKey(i)] = i%2 == 0
-			if !s.AppendCertified(testKey(i), v, req, cert) {
-				t.Fatal("append refused")
+			if err := s.AppendCertified(testKey(i), v, req, cert); err != nil {
+				t.Fatalf("append refused: %v", err)
 			}
 		}
 		before, man, sum := liveFrames(t, s), manifestOf(t, s), summaryOf(t, s)

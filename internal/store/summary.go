@@ -10,8 +10,8 @@ import (
 
 // Fingerprint support: a replication exchange wants to know "do we already
 // agree, and if not, where?" without shipping a manifest. The index keeps
-// one fingerprint per key-space bucket (index.go), so Summary and
-// Fingerprints cost O(buckets) and never a pass over the live set.
+// one fingerprint per key-space bucket (index.go), so Fingerprints costs
+// O(buckets) and never a pass over the live set.
 // Everything here runs on the flusher goroutine via the command channel,
 // like the rest of the sync surface.
 
@@ -25,30 +25,6 @@ const (
 	// enough that an in-sync probe stays a fraction of a manifest.
 	keysPerBucket = 4
 )
-
-// Summary is a store's content fingerprint: the live-key count and an
-// order-independent digest over every live (key, content sum) pair. Two
-// stores with equal summaries hold the same verdict content with
-// overwhelming probability.
-type Summary struct {
-	// Count is the number of live keys.
-	Count int `json:"count"`
-	// Digest folds every live record's key and content sum into one
-	// 64-bit value, XOR-combined so iteration order cannot matter.
-	Digest uint64 `json:"digest"`
-}
-
-// Summary fingerprints the live set: the XOR of the bucket fingerprints.
-func (s *Store) Summary() (Summary, error) {
-	var sum Summary
-	err := s.do(func() {
-		sum.Count = s.index.len()
-		for _, f := range s.index.fp {
-			sum.Digest ^= f
-		}
-	})
-	return sum, err
-}
 
 // Scope is a bitmap over key-space buckets, one bit per bucket (bit i of
 // byte i/8, least significant first), that restricts a manifest or a delta

@@ -42,15 +42,6 @@ type ChaosConfig struct {
 	Garble float64
 }
 
-// ChaosStats counts the faults a ChaosClient has injected.
-type ChaosStats struct {
-	Calls      uint64 `json:"calls"`
-	Drops      uint64 `json:"drops"`
-	Delays     uint64 `json:"delays"`
-	Duplicates uint64 `json:"duplicates"`
-	Garbles    uint64 `json:"garbles"`
-}
-
 // ChaosClient wraps a Client and injects seeded, deterministic faults:
 // drops, delays, duplicates, and payload corruption. It exists for
 // fault-injection tests — production federations meet flaky links; the
@@ -148,14 +139,3 @@ func (c *ChaosClient) Call(ctx context.Context, req Message) (Message, error) {
 
 // Close closes the inner client.
 func (c *ChaosClient) Close() error { return c.inner.Close() }
-
-// Stats reports the fault counts injected so far.
-func (c *ChaosClient) Stats() ChaosStats {
-	return ChaosStats{
-		Calls:      c.calls.Load(),
-		Drops:      c.drops.Load(),
-		Delays:     c.delays.Load(),
-		Duplicates: c.dupes.Load(),
-		Garbles:    c.garbles.Load(),
-	}
-}

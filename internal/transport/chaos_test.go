@@ -40,7 +40,7 @@ func TestChaosPassthrough(t *testing.T) {
 			t.Fatalf("call %d: payload mutated: %s", i, resp.Payload)
 		}
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Calls != 50 || st.Drops+st.Delays+st.Duplicates+st.Garbles != 0 {
 		t.Errorf("passthrough injected faults: %+v", st)
 	}
@@ -64,7 +64,7 @@ func TestChaosDrop(t *testing.T) {
 	if inner.delivered.Load() != 0 {
 		t.Errorf("dropped calls reached the inner client: %d", inner.delivered.Load())
 	}
-	if st := c.Stats(); st.Drops != 10 {
+	if st := c.stats(); st.Drops != 10 {
 		t.Errorf("stats=%+v, want 10 drops", st)
 	}
 }
@@ -106,7 +106,7 @@ func TestChaosDuplicate(t *testing.T) {
 	if inner.delivered.Load() != 20 {
 		t.Errorf("delivered=%d, want 20 (each call duplicated)", inner.delivered.Load())
 	}
-	if st := c.Stats(); st.Duplicates != 10 {
+	if st := c.stats(); st.Duplicates != 10 {
 		t.Errorf("stats=%+v, want 10 duplicates", st)
 	}
 }
@@ -130,7 +130,7 @@ func TestChaosGarble(t *testing.T) {
 	if garbled != 10 {
 		t.Errorf("garbled %d/10 payloads, want all", garbled)
 	}
-	if st := c.Stats(); st.Garbles != 10 {
+	if st := c.stats(); st.Garbles != 10 {
 		t.Errorf("stats=%+v", st)
 	}
 }
@@ -178,5 +178,20 @@ func TestChaosSeededDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical fault sequences")
+	}
+}
+
+// chaosStats counts the faults a ChaosClient has injected.
+type chaosStats struct {
+	Calls, Drops, Delays, Duplicates, Garbles uint64
+}
+
+func (c *ChaosClient) stats() chaosStats {
+	return chaosStats{
+		Calls:      c.calls.Load(),
+		Drops:      c.drops.Load(),
+		Delays:     c.delays.Load(),
+		Duplicates: c.dupes.Load(),
+		Garbles:    c.garbles.Load(),
 	}
 }

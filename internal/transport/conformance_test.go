@@ -34,7 +34,7 @@ func pipeRig(n *PipeNet, addr string) *rig {
 		dial:             func() (*PoolClient, error) { return n.Dial(addr) },
 		rawDial:          func() (net.Conn, error) { return n.listeners[addr].dial(context.Background()) },
 		closeServer:      n.Close,
-		setStreamTimeout: func(d time.Duration) { n.listeners[addr].srv.SetStreamWriteTimeout(d) },
+		setStreamTimeout: func(d time.Duration) { n.listeners[addr].srv.setStreamWriteTimeout(d) },
 	}
 }
 
@@ -68,7 +68,7 @@ var transports = []struct {
 			dial:             func() (*PoolClient, error) { return DialTCP(srv.Addr(), time.Second) },
 			rawDial:          func() (net.Conn, error) { return net.Dial("tcp", srv.Addr()) },
 			closeServer:      srv.Close,
-			setStreamTimeout: srv.SetStreamWriteTimeout,
+			setStreamTimeout: srv.setStreamWriteTimeout,
 		}
 	}},
 	{"pipenet", func(t *testing.T, h Handler) *rig {
@@ -679,4 +679,15 @@ func TestTransportConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// setStreamWriteTimeout overrides the write deadline every reply frame is
+// bounded by, unary replies included: zero restores
+// DefaultStreamWriteTimeout, a negative duration disables the bound. Safe to
+// call while serving.
+func (s *Server) setStreamWriteTimeout(d time.Duration) {
+	if d == 0 {
+		d = DefaultStreamWriteTimeout
+	}
+	s.streamWriteTimeout.Store(int64(d))
 }

@@ -44,17 +44,6 @@ func serve(ln net.Listener, h Handler) *Server {
 // Addr returns the server's bound address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// SetStreamWriteTimeout overrides the write deadline every reply frame
-// is bounded by, unary replies included: zero restores
-// DefaultStreamWriteTimeout, a negative duration disables the bound.
-// Safe to call while serving.
-func (s *Server) SetStreamWriteTimeout(d time.Duration) {
-	if d == 0 {
-		d = DefaultStreamWriteTimeout
-	}
-	s.streamWriteTimeout.Store(int64(d))
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
