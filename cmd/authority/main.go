@@ -3,7 +3,7 @@
 // agent on different machines:
 //
 //	# terminal 1: a verifier selling its procedures on :7101 through the
-//	# concurrent service layer (8 workers, 4096 cached verdicts)
+//	# concurrent service layer (8 procedure slots, 4096 cached verdicts)
 //	authority verifier -id verify-corp -listen 127.0.0.1:7101 -workers 8 -cache-size 4096
 //
 //	# terminal 2: an inventor announcing a built-in demo game on :7100
@@ -14,7 +14,7 @@
 //	authority quorum -inventor 127.0.0.1:7100 -verifiers verify-corp=127.0.0.1:7101
 //
 //	# batch-verify 100 copies of a demo announcement over one
-//	# verify-stream exchange: each verdict arrives as its worker finishes
+//	# verify-stream exchange: each verdict arrives as its verification finishes
 //	authority batch -verifier 127.0.0.1:7101 -game pd -count 100
 //
 //	# inspect the verifier's live service counters
@@ -51,7 +51,7 @@
 //
 // The verifier is internal/node behind a flag set: the authority the
 // gossip harness and the examples start in-process. It serves through
-// internal/service (worker pool, verdict cache, "verify-stream",
+// internal/service (procedure slots, verdict cache, "verify-stream",
 // "service-stats"); with -persist it warm-starts from its durable verdict
 // log, serving every verdict it ever reached as a cache hit. On
 // SIGINT/SIGTERM it drains — in-flight verifications finish — and prints
@@ -218,7 +218,7 @@ func parseVerifier(args []string) (*flag.FlagSet, node.Config, error) {
 	var peers, peerKeys, panelKeys string
 	fs.StringVar(&c.ID, "id", c.ID, "verifier identifier")
 	fs.StringVar(&c.Listen, "listen", c.Listen, "listen address")
-	fs.IntVar(&c.Workers, "workers", c.Workers, "worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&c.Workers, "workers", c.Workers, "max concurrent procedure executions (0 = GOMAXPROCS)")
 	fs.IntVar(&c.CacheSize, "cache-size", c.CacheSize,
 		"verdict-cache entries (negative disables caching)")
 	fs.IntVar(&c.CacheShards, "cache-shards", c.CacheShards,
@@ -515,7 +515,7 @@ func runQuorum(args []string) error {
 
 // runBatch submits count copies of a built-in announcement as one
 // verify-stream exchange — a load probe for the service layer. Verdicts
-// arrive one frame at a time as workers finish: the first-verdict line
+// arrive one frame at a time as items finish: the first-verdict line
 // prints the moment frame zero lands (the number streaming exists to
 // flatten), the trailer line sums up the exchange.
 func runBatch(args []string) error {

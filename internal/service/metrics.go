@@ -231,7 +231,8 @@ type Stats struct {
 	PeakInFlight int64 `json:"peakInFlight"`
 	// CacheEntries is the current verdict-cache population; CacheShards
 	// the stripe count and ShardEntries the per-stripe population (nil
-	// when caching is disabled); Workers the executor pool size.
+	// when caching is disabled); Workers the procedure-slot count
+	// (Config.Workers).
 	CacheEntries int   `json:"cacheEntries"`
 	CacheShards  int   `json:"cacheShards"`
 	ShardEntries []int `json:"shardEntries,omitempty"`

@@ -4,17 +4,18 @@
 // general purpose verification procedures"; this package makes that literal
 // with the machinery a selling service needs under load:
 //
-//   - a bounded worker pool, so many agents can submit announcements
-//     concurrently without unbounded goroutine growth; batch fan-out runs
-//     on the same pool, so wire-controlled batch sizes never translate
-//     into extra goroutines;
+//   - Config.Workers procedure slots, so many agents can submit
+//     announcements concurrently while at most Workers procedures run at
+//     once; stream items, co-signs and audits take the same slots, and a
+//     stream runs on at most Workers goroutines, so wire-controlled batch
+//     sizes never translate into extra goroutines;
 //   - a sharded, content-addressed verdict cache (SHA-256 over format,
 //     game, advice and proof via identity.DigestBytes) with singleflight
 //     deduplication, so a popular announcement is verified exactly once no
 //     matter how many agents ask at the same time — and a cache hit
 //     touches only its own shard's lock, never a global one;
-//   - a batch API that fans a slice of announcements across the pool and
-//     aggregates the verdicts in order;
+//   - a stream API that fans a slice of announcements across the slots
+//     and emits each verdict as it completes;
 //   - lock-free operational metrics: atomic request/hit/miss/dedup
 //     counters, an in-flight gauge and an atomic log-scale latency
 //     histogram with percentile estimates, exposed as a Stats snapshot and
@@ -67,8 +68,9 @@ type Config struct {
 	// Procedures is the registry to serve; nil means the bundled
 	// procedures (core.NewProcedureRegistry).
 	Procedures *core.ProcedureRegistry
-	// Workers bounds concurrent procedure executions; zero or negative
-	// means GOMAXPROCS.
+	// Workers bounds concurrent procedure executions — unary requests,
+	// stream items, co-signs and audits together; zero or negative means
+	// GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the verdict cache in entries. Zero means
 	// DefaultCacheSize; negative disables caching.
@@ -206,23 +208,20 @@ type Service struct {
 	// shard) is the smaller of the two.
 	replayed uint64
 
-	// jobs carries batch-item work; execs carries singleflight leader
-	// executions. They are separate queues consumed by the same workers
-	// so that a blocked singleflight follower can drain execs without
-	// ever re-entering batch-item code: stolen executions run the
-	// procedure directly and cannot nest another steal, which keeps the
-	// follower's stack depth constant no matter how long a
-	// wire-controlled batch is.
-	jobs     chan func()
-	execs    chan func()
-	workerWG sync.WaitGroup
+	// slots holds one token per running procedure, at most workers of
+	// them. A procedure call takes a token on its caller's goroutine and
+	// returns it when the procedure returns; cache lookup, singleflight
+	// waits, cache.Put, store appends and emits all run holding none. A
+	// slot holder waits on nothing the service controls — no other slot,
+	// no singleflight leader, no channel — so the bound cannot deadlock.
+	slots chan struct{}
 
 	// state packs the lifecycle into one word so admission control is a
 	// single CAS instead of a global mutex: bit 63 is the closed flag,
 	// the low bits count in-flight requests. drained is closed when the
 	// last in-flight request of a closed service releases (or by Close
 	// itself when nothing is in flight); shutdown serializes the
-	// pool teardown across concurrent Close calls.
+	// teardown across concurrent Close calls.
 	state    atomic.Uint64
 	drained  chan struct{}
 	shutdown sync.Once
@@ -231,7 +230,8 @@ type Service struct {
 // stateClosed is the closed flag inside Service.state.
 const stateClosed = uint64(1) << 63
 
-// New starts a service: the worker pool is live when New returns.
+// New starts a service, warm-started from Config.PersistPath when set: it
+// serves as soon as New returns.
 func New(cfg Config) (*Service, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("service: config needs an ID")
@@ -259,8 +259,7 @@ func New(cfg Config) (*Service, error) {
 		flight:  newFlightGroup(),
 		rep:     cfg.Reputation,
 		workers: workers,
-		jobs:    make(chan func()),
-		execs:   make(chan func()),
+		slots:   make(chan struct{}, workers),
 		drained: make(chan struct{}),
 	}
 	s.admission = newAdmissionController(cfg.Admission)
@@ -303,8 +302,8 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: PersistPath requires the verdict cache (CacheSize must not be negative)")
 		}
 		// Warm start: recover the durable log and replay into the cache
-		// before the first worker (and therefore the first listener)
-		// exists, so a restarted authority's first request can already
+		// before New returns (and therefore before the first listener
+		// exists), so a restarted authority's first request can already
 		// be a hit. Replay order is oldest-first, which seeds the
 		// cache's recency stamps sensibly; when the log holds more live
 		// verdicts than the cache can, only the newest cacheSize records
@@ -364,32 +363,7 @@ func New(cfg Config) (*Service, error) {
 		s.auditWG.Add(1)
 		go s.auditor()
 	}
-	s.workerWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.worker()
-	}
 	return s, nil
-}
-
-func (s *Service) worker() {
-	defer s.workerWG.Done()
-	jobs, execs := s.jobs, s.execs
-	for jobs != nil || execs != nil {
-		select {
-		case job, ok := <-jobs:
-			if !ok {
-				jobs = nil
-				continue
-			}
-			job()
-		case job, ok := <-execs:
-			if !ok {
-				execs = nil
-				continue
-			}
-			job()
-		}
-	}
 }
 
 // signerID is the party ID of an optional key (empty for nil).
@@ -488,9 +462,9 @@ func (s *Service) VerifyAnnouncement(ctx context.Context, ann core.Announcement)
 func (s *Service) closing() bool { return s.state.Load()&stateClosed != 0 }
 
 // Close drains the service: it refuses new requests, waits for in-flight
-// ones to finish, and stops the worker pool. Close is idempotent, and
-// every Close call — first or concurrent — returns only after the drain
-// and teardown are complete.
+// ones to finish, then stops the auditor and closes the store. Close is
+// idempotent, and every Close call — first or concurrent — returns only
+// after the drain and teardown are complete.
 func (s *Service) Close() error {
 	for {
 		n := s.state.Load()
@@ -506,9 +480,6 @@ func (s *Service) Close() error {
 	}
 	<-s.drained
 	s.shutdown.Do(func() {
-		close(s.jobs)
-		close(s.execs)
-		s.workerWG.Wait()
 		if s.audits != nil {
 			// The auditor appends repairs to the store, so it must drain
 			// before the store does.
@@ -516,7 +487,7 @@ func (s *Service) Close() error {
 			s.auditWG.Wait()
 		}
 		if s.store != nil {
-			// All workers are gone, so no Append can race this: the
+			// Every request has drained, so no Append can race this: the
 			// store drains its queue, syncs, and releases its files.
 			s.storeErr = s.store.Close()
 		}
@@ -568,23 +539,22 @@ func (s *Service) verify(ctx context.Context, inventorID, format string, gameSpe
 		return nil, ErrServiceClosed
 	}
 	defer s.release()
-	return s.verifyRegistered(ctx, inventorID, format, gameSpec, advice, proofBody, false)
+	return s.verifyRegistered(ctx, inventorID, format, gameSpec, advice, proofBody)
 }
 
 // verifyRegistered does cache lookup, then a singleflight execution, then
 // reputation recording, and returns the verdict's cache entry. The caller
 // must already hold an in-flight registration (directly or through a
-// stream), which keeps the worker pool alive until the request completes
-// even during a drain. onPool says the caller is itself a pool worker:
-// execution then happens inline (the pool bound is already held) and any
-// singleflight wait drains the execution queue, so a leader queued behind
-// pool-occupying followers cannot deadlock.
+// stream), which keeps the store open until the request completes even
+// during a drain. A singleflight leader runs the procedure on its own
+// goroutine, holding a slot only while the procedure runs; followers wait
+// holding nothing.
 //
 // A cache hit takes no mutex and copies nothing: metrics and admission
 // are atomic, the shard read path is lock-free (sync.Map load plus an
 // atomic recency stamp), and the entry it finds is immutable — the
 // caller splices its bytes or decodes its own copy.
-func (s *Service) verifyRegistered(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage, onPool bool) (*cacheEntry, error) {
+func (s *Service) verifyRegistered(ctx context.Context, inventorID, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, error) {
 	start := s.metrics.begin()
 	defer s.metrics.end(start)
 
@@ -596,21 +566,13 @@ func (s *Service) verifyRegistered(ctx context.Context, inventorID, format strin
 	}
 	s.metrics.cacheMisses.Add(1)
 
-	var steal <-chan func()
-	if onPool {
-		steal = s.execs
-	}
 	// fresh is the leader's own verdict, read only for its reputation
 	// record; followers share the entry.
 	var fresh *core.Verdict
 	e, shared, err := s.flight.Do(ctx, key, func() (e *cacheEntry, err error) {
-		if onPool {
-			e, fresh, err = s.executeInline(key, format, gameSpec, advice, proofBody)
-		} else {
-			e, fresh, err = s.executeOnPool(ctx, key, format, gameSpec, advice, proofBody)
-		}
+		e, fresh, err = s.executeFresh(ctx, key, format, gameSpec, advice, proofBody)
 		return e, err
-	}, steal)
+	})
 	if err != nil {
 		s.metrics.failures.Add(1)
 		return nil, err
@@ -629,13 +591,10 @@ func (s *Service) verifyRegistered(ctx context.Context, inventorID, format strin
 	return e, nil
 }
 
-// executeInline runs one verification on the calling goroutine and caches
-// the verdict, returning its entry and the verdict itself. Only pool
-// workers call it directly: the pool's concurrency bound is already held,
-// so dispatching to the pool again would waste a queue round trip and
-// risk deadlock.
-func (s *Service) executeInline(key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, *core.Verdict, error) {
-	v, err := s.execute(format, gameSpec, advice, proofBody)
+// executeFresh runs one verification on the calling goroutine and caches
+// the verdict, returning its entry and the verdict itself.
+func (s *Service) executeFresh(ctx context.Context, key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, *core.Verdict, error) {
+	v, err := s.execute(ctx, format, gameSpec, advice, proofBody)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -659,35 +618,22 @@ func (s *Service) executeInline(key identity.Hash, format string, gameSpec, advi
 	return e, v, nil
 }
 
-// executeOnPool runs one verification on a pool worker. Once the job is
-// enqueued it always runs to completion (singleflight followers depend on
-// the result); the context only guards the wait for a free worker.
-func (s *Service) executeOnPool(ctx context.Context, key identity.Hash, format string, gameSpec, advice, proofBody json.RawMessage) (*cacheEntry, *core.Verdict, error) {
-	var e *cacheEntry
-	var v *core.Verdict
-	var err error
-	done := make(chan struct{})
-	job := func() {
-		defer close(done)
-		e, v, err = s.executeInline(key, format, gameSpec, advice, proofBody)
-	}
-	select {
-	case s.execs <- job:
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
-	<-done
-	return e, v, err
-}
-
-// execute resolves the procedure and runs it, translating procedure errors
-// (unintelligible inputs) into rejection verdicts carrying the reason.
-func (s *Service) execute(format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
+// execute resolves the procedure and runs it holding one slot, translating
+// procedure errors (unintelligible inputs) into rejection verdicts carrying
+// the reason. ctx guards only the wait for a slot: a procedure that has
+// started runs to completion (singleflight followers depend on it).
+func (s *Service) execute(ctx context.Context, format string, gameSpec, advice, proofBody json.RawMessage) (*core.Verdict, error) {
 	proc, err := s.procs.Lookup(format)
 	if err != nil {
 		return nil, err
 	}
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	v, err := proc.Verify(gameSpec, advice, proofBody)
+	<-s.slots
 	if err != nil {
 		v = &core.Verdict{Format: format, Reason: err.Error()}
 	}
@@ -749,7 +695,7 @@ func (s *Service) auditRecord(r *store.Record) {
 	if err := json.Unmarshal(r.Request, &req); err != nil {
 		return // an unparseable request proves nothing either way
 	}
-	v, err := s.execute(req.Format, req.Game, req.Advice, req.Proof)
+	v, err := s.execute(context.Background(), req.Format, req.Game, req.Advice, req.Proof)
 	if err != nil {
 		return // unknown format: this authority cannot audit the record
 	}

@@ -14,6 +14,7 @@ import (
 	"rationality/internal/identity"
 	"rationality/internal/proof"
 	"rationality/internal/reputation"
+	"rationality/internal/store"
 )
 
 // countingProc is a test procedure that counts executions, optionally
@@ -324,7 +325,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	s := newTestService(t, Config{Workers: workers, CacheSize: -1})
 	s.register(proc)
 
-	const requests = 12
+	const requests, streamed = 12, 12
 	var wg sync.WaitGroup
 	for i := 0; i < requests; i++ {
 		wg.Add(1)
@@ -337,6 +338,18 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 			}
 		}(i)
 	}
+	// A stream of distinct items beside them: one bound covers both paths.
+	anns := make([]core.Announcement, streamed)
+	for i := range anns {
+		anns[i] = announcementFor("inv", fmt.Sprintf(`{"s":%d}`, i))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, tr, err := streamAll(context.Background(), s, anns); err != nil || tr.Delivered != streamed {
+			t.Errorf("stream beside unary requests: trailer %+v, err %v", tr, err)
+		}
+	}()
 	deadline := time.After(5 * time.Second)
 	for proc.current.Load() < workers {
 		select {
@@ -352,8 +365,124 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	if got := proc.peak.Load(); got > workers {
 		t.Fatalf("observed %d concurrent executions, pool bound is %d", got, workers)
 	}
-	if got := proc.calls.Load(); got != requests {
-		t.Fatalf("procedure ran %d times, want %d", got, requests)
+	if got := proc.calls.Load(); got != requests+streamed {
+		t.Fatalf("procedure ran %d times, want %d", got, requests+streamed)
+	}
+}
+
+// The auditor's re-verification is a procedure run like any other: with
+// the only slot held by a gated request, an ingested record's audit waits
+// for the slot instead of running a second procedure beside it.
+func TestAuditTakesAProcedureSlot(t *testing.T) {
+	proc := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
+	s := newTestService(t, Config{Workers: 1, PersistPath: t.TempDir(), AuditRate: 1})
+	s.register(proc)
+	open := sync.OnceFunc(func() { close(proc.gate) })
+	defer open() // a failed check must not leave Close waiting on the gate
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.VerifyAnnouncement(context.Background(), announcementFor("inv", `{"held":1}`))
+		held <- err
+	}()
+	waitFor(t, 5*time.Second, "the request holding the slot", func() bool { return proc.current.Load() == 1 })
+
+	foreign := announcementFor("inv", `{"foreign":1}`)
+	req, err := json.Marshal(core.VerifyRequest{Format: foreign.Format, Game: foreign.Game, Advice: foreign.Advice, Proof: foreign.Proof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := store.Record{
+		Key:     identity.DigestBytes([]byte(foreign.Format), foreign.Game, foreign.Advice, foreign.Proof),
+		Verdict: core.Verdict{Accepted: true, Format: foreign.Format},
+		Request: req,
+		Origin:  "did:rationality:voucher",
+		Stamp:   1,
+	}
+	if n, err := s.Ingest([]store.Record{rec}); err != nil || n != 1 {
+		t.Fatalf("Ingest = %d, %v; want the record applied", n, err)
+	}
+	// Give an audit that ignores the bound ample time to enter the procedure.
+	time.Sleep(100 * time.Millisecond)
+	if got := proc.calls.Load(); got != 1 {
+		t.Fatalf("procedure entered %d times while its only slot was held, want 1", got)
+	}
+	open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the audit", func() bool { return s.Stats().Audits == 1 })
+	if got := proc.peak.Load(); got != 1 {
+		t.Fatalf("observed %d concurrent executions, Workers is 1", got)
+	}
+}
+
+// Stream items that wait on a singleflight leader hold no slot, so the
+// leader always gets one: with the only slot held, three streams of one
+// announcement X and a unary verify of X all pile up on a single
+// execution of X, and every one completes once the slot frees.
+func TestStreamFollowersCannotStarveTheirLeader(t *testing.T) {
+	gated := &countingProc{format: "counting/v1", accept: true, gate: make(chan struct{})}
+	x := &countingProc{format: "x/v1", accept: true}
+	s := newTestService(t, Config{Workers: 1})
+	s.register(gated)
+	s.register(x)
+
+	go func() { _, _ = s.VerifyAnnouncement(context.Background(), announcementFor("inv", `{"held":1}`)) }()
+	waitFor(t, 5*time.Second, "the request holding the slot", func() bool { return gated.current.Load() == 1 })
+
+	ann := core.Announcement{InventorID: "inv", Format: "x/v1", Game: json.RawMessage(`{"x":1}`), Advice: json.RawMessage(`{}`)}
+	const streams, copies = 3, 50
+	anns := make([]core.Announcement, copies)
+	for i := range anns {
+		anns[i] = ann
+	}
+	type result struct {
+		tr     StreamTrailer
+		frames int
+		err    error
+	}
+	results := make(chan result, streams)
+	for range streams {
+		go func() {
+			frames := 0
+			tr, err := s.VerifyStream(context.Background(), anns, func(StreamVerdict) error {
+				frames++
+				return nil
+			})
+			results <- result{tr, frames, err}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // the streams queue up first
+	unary := make(chan error, 1)
+	go func() {
+		_, err := s.VerifyAnnouncement(context.Background(), ann)
+		unary <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	close(gated.gate)
+
+	deadline := time.After(5 * time.Second)
+	for range streams {
+		select {
+		case r := <-results:
+			if r.err != nil || r.frames != copies || r.tr.Delivered != copies || r.tr.Truncated {
+				t.Fatalf("stream: %d frames, trailer %+v, err %v; want all %d", r.frames, r.tr, r.err, copies)
+			}
+		case <-deadline:
+			t.Fatal("streams deadlocked behind the unary leader")
+		}
+	}
+	select {
+	case err := <-unary:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-deadline:
+		t.Fatal("unary verify never returned")
+	}
+	if got := x.calls.Load(); got != 1 {
+		t.Fatalf("X's procedure ran %d times, want 1", got)
 	}
 }
 

@@ -34,40 +34,17 @@ func newFlightGroup() *flightGroup {
 // caller rather than computed by this one. Followers honor their own ctx
 // while waiting, and a leader that aborts on its own context does not
 // poison them: a follower with a live context retries and becomes the new
-// leader.
-//
-// steal, when non-nil, is a work queue the follower services while it
-// waits. A caller already running on a worker-pool goroutine must pass the
-// pool's execution queue here: its leader's execution may be queued behind
-// it on that very pool, so a follower that blocked without draining the
-// queue could deadlock the pool (every worker waiting on a leader whose
-// job none of them will ever pop). The queue must carry only leader
-// executions — jobs that never wait on the flight group themselves — so a
-// stolen job cannot nest another steal and the follower's stack stays
-// bounded regardless of load. Callers not on the pool pass nil — receiving
-// from a nil channel blocks forever, turning the steal case into a no-op.
-func (g *flightGroup) Do(ctx context.Context, key identity.Hash, fn func() (*cacheEntry, error), steal <-chan func()) (*cacheEntry, bool, error) {
+// leader. A follower holds nothing while it waits — in particular no
+// procedure slot — so waiting on a leader can never starve that leader.
+func (g *flightGroup) Do(ctx context.Context, key identity.Hash, fn func() (*cacheEntry, error)) (*cacheEntry, bool, error) {
 	for {
 		g.mu.Lock()
 		if c, ok := g.calls[key]; ok {
 			g.mu.Unlock()
-		wait:
-			for {
-				select {
-				case <-c.done:
-					break wait
-				case <-ctx.Done():
-					return nil, true, ctx.Err()
-				case job, ok := <-steal:
-					if !ok {
-						// Pool closed mid-wait (cannot happen before the
-						// drain completes, but stay safe): fall back to a
-						// plain wait.
-						steal = nil
-						continue
-					}
-					job()
-				}
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return nil, true, ctx.Err()
 			}
 			if isContextError(c.err) && ctx.Err() == nil {
 				continue // the leader gave up on its own ctx, not ours

@@ -25,7 +25,7 @@ func soakAnnouncements(tag string, n int) []core.Announcement {
 
 // TestSoakStreamsWithTieredAdmission is the streaming soak: concurrent
 // verify-streams saturate the batch admission budget while interactive
-// Verify traffic and a Stats poller race them on the same pool. Run
+// Verify traffic and a Stats poller race them for the same slots. Run
 // under -race (CI does) it is the data-race proof for the stream +
 // admission hot path; its assertions pin the tiering contract — the
 // batch class sheds first, interactive never sheds, and every offered
@@ -174,7 +174,7 @@ func TestSoakStreamsWithTieredAdmission(t *testing.T) {
 	}
 
 	// Interactive latency must stay bounded while batch streams hog the
-	// pool: a loose p99 roof catches starvation, not scheduler jitter.
+	// slots: a loose p99 roof catches starvation, not scheduler jitter.
 	var all []time.Duration
 	for _, ls := range latencies {
 		all = append(all, ls...)

@@ -3,10 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rationality/internal/core"
@@ -16,7 +15,7 @@ import (
 // Wire message types of the streaming batch exchange.
 const (
 	// MsgVerifyStream: agent → service. Payload BatchVerifyRequest; the
-	// reply is a stream — one MsgStreamVerdict frame per item as workers
+	// reply is a stream — one MsgStreamVerdict frame per item as items
 	// finish, terminated by a MsgStreamTrailer frame (transport Last flag
 	// set) with the aggregate stats. Time-to-first-verdict is therefore
 	// one verification, not the whole batch.
@@ -84,23 +83,25 @@ type StreamTrailer struct {
 	FirstVerdict time.Duration `json:"firstVerdict,omitempty"`
 }
 
-// streamResult carries one finished item from a pool worker to the
+// streamResult carries one finished item from a stream goroutine to the
 // collector: the input's index and the entry to deliver, or the
 // infrastructure error (cancelled context, shutdown) that left the item
-// with nothing to deliver.
+// with nothing to deliver. A result with done set carries no item: it is
+// the goroutine's last send, err its reason for stopping early, if any.
 type streamResult struct {
 	index int
 	entry *cacheEntry
 	err   error
+	done  bool
 }
 
-// VerifyStream fans the announcements across the shared worker pool and
+// VerifyStream fans the announcements across the procedure slots and
 // calls emit once per completed item, in completion order, so the caller
 // sees the first verdict after roughly one verification no matter how
 // long the batch is. emit runs on the calling goroutine, serialized; an
 // emit error aborts the stream (remaining work is cancelled and drained)
 // and is returned. Infrastructure failures — cancelled context, service
-// shutdown — stop submission but never discard finished work: completed
+// shutdown — stop taking items but never discard finished work: completed
 // items are still emitted and the returned trailer reports Truncated
 // with the cause in Reason. The whole stream counts as one in-flight
 // request (Close waits for it) and is charged to the batch admission
@@ -171,89 +172,70 @@ func (s *Service) beginBatch(n int) error {
 	return nil
 }
 
-// fanOut is VerifyStream's submit/collect loop. A submitter goroutine
-// feeds one pool job per announcement — batch length is wire-controlled,
-// so it must not translate into goroutines, and the submit blocks while
-// all workers are busy — and deliver runs on the calling goroutine once
-// per completed item, in completion order, with the item's index and
-// cache entry: the certificate, when the entry carries one, rides along
-// (the stream never waits on a panel). An item whose verification failed
+// fanOut is VerifyStream's take/collect loop. At most min(Workers,
+// len(anns)) goroutines take items by an atomic index — batch length is
+// wire-controlled, so it must not translate into goroutines — and verify
+// each on the shared slots; deliver runs on the calling goroutine once per
+// completed item, in completion order, with the item's index and cache
+// entry: the certificate, when the entry carries one, rides along (the
+// stream never waits on a panel). An item whose verification failed
 // outright (an unknown format) is delivered as a rejection naming the
-// error. Submission stops at the first infrastructure failure (returned
-// as cause) or deliver error (returned, the remaining results drained so
-// no worker blocks); everything that completed before a cause is still
-// delivered. The caller holds the in-flight registration that keeps the
-// pool alive.
+// error. Taking stops at the first infrastructure failure (returned as
+// cause) or deliver error (returned, the remaining results drained so no
+// goroutine blocks); everything that completed before a cause is still
+// delivered. fanOut returns only after every goroutine it started has.
 func (s *Service) fanOut(ctx context.Context, anns []core.Announcement, deliver func(int, *cacheEntry) error) (cause, deliverErr error) {
-	// results is drained by this goroutine until closed, so workers never
-	// block on it longer than one deliver; abort stops the submitter
-	// early when delivering fails. submitErr is the submitter's own reason
-	// for stopping, published by the close of results.
-	results := make(chan streamResult, s.workers)
-	abort := make(chan struct{})
-	var submitErr error
-	var wg sync.WaitGroup
-	go func() {
-		defer func() {
-			wg.Wait()
-			close(results)
-		}()
-		for i := range anns {
-			if submitErr = ctx.Err(); submitErr != nil {
-				return
-			}
-			if s.closing() {
-				submitErr = ErrServiceClosed
-				return
-			}
-			select {
-			case <-abort:
-				return
-			default:
-			}
-			ann := &anns[i]
-			wg.Add(1)
-			job := func() {
-				defer wg.Done()
-				err := ctx.Err()
-				r := streamResult{index: i}
-				if err == nil {
-					r.entry, err = s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof, true)
+	n := min(s.workers, len(anns))
+	// results holds one result per taker, so a taker waits at most one
+	// deliver; this goroutine drains it until every taker has sent its
+	// done result. aborted stops the takers early when delivering fails.
+	results := make(chan streamResult, n)
+	var next atomic.Int64
+	var aborted atomic.Bool
+	for range n {
+		go func() {
+			var stop error
+			for {
+				if stop = ctx.Err(); stop != nil {
+					break
 				}
-				if isContextError(err) || errors.Is(err, ErrServiceClosed) {
+				if s.closing() {
+					stop = ErrServiceClosed
+					break
+				}
+				i := int(next.Add(1) - 1)
+				if i >= len(anns) || aborted.Load() {
+					break
+				}
+				ann := &anns[i]
+				entry, err := s.verifyRegistered(ctx, ann.InventorID, ann.Format, ann.Game, ann.Advice, ann.Proof)
+				r := streamResult{index: i, entry: entry}
+				if isContextError(err) {
 					r.err = err
 				} else if err != nil {
 					r.entry = newEntry(&core.Verdict{Format: ann.Format, Reason: err.Error()})
 				}
 				results <- r
 			}
-			select {
-			case s.jobs <- job:
-			case <-ctx.Done():
-				wg.Done()
-				submitErr = ctx.Err()
-				return
-			case <-abort:
-				wg.Done()
-				return
-			}
-		}
-	}()
+			results <- streamResult{done: true, err: stop}
+		}()
+	}
 
-	for r := range results {
+	for running := n; running > 0; {
+		r := <-results
+		if r.done {
+			running--
+		}
 		switch {
 		case r.err != nil:
 			if cause == nil {
 				cause = r.err
 			}
-		case deliverErr == nil:
+		case !r.done && deliverErr == nil:
 			if deliverErr = deliver(r.index, r.entry); deliverErr != nil {
-				close(abort)
+				aborted.Store(true)
 			}
-		} // after a deliver error: drain, so no worker blocks on a dead consumer
-	}
-	if cause == nil {
-		cause = submitErr
+		} // after a deliver error: drain, so no taker blocks on a dead consumer
 	}
 	return cause, deliverErr
 }
@@ -285,9 +267,9 @@ func (s *Service) HandleStream(ctx context.Context, req transport.Message, send 
 	if req.Type != MsgVerifyStream {
 		return transport.Message{}, fmt.Errorf("service: cannot stream %q", req.Type)
 	}
-	// The whole batch is decoded before the first item is submitted: a
-	// submitter that decodes between submits is slower than the workers,
-	// which then park and unpark per item.
+	// The whole batch is decoded before the first item is taken: decoding
+	// between items is slower than verifying them, so the stream
+	// goroutines would park and unpark per item.
 	anns, err := decodeBatch(req)
 	if err != nil {
 		return transport.Message{}, err

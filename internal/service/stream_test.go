@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,19 @@ func TestStreamFirstVerdictWithin10xSingleVerify(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the goroutine count is back to at most want:
+// a stream must leave none of its goroutines behind.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the stream ended, %d before it", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestVerifyStreamServerCloseMidStream covers the drain path: Close
 // during an active stream lets in-flight items finish and the trailer
 // reports the truncation.
@@ -177,6 +191,7 @@ func TestVerifyStreamServerCloseMidStream(t *testing.T) {
 	}
 	delivered := make(chan StreamVerdict, items)
 	res := make(chan result, 1)
+	before := runtime.NumGoroutine()
 	go func() {
 		tr, err := s.VerifyStream(context.Background(), anns, func(sv StreamVerdict) error {
 			delivered <- sv
@@ -238,6 +253,7 @@ func TestVerifyStreamServerCloseMidStream(t *testing.T) {
 	if got := len(delivered); got != r.tr.Delivered {
 		t.Fatalf("emitted %d frames, trailer says %d", got, r.tr.Delivered)
 	}
+	waitGoroutines(t, before)
 }
 
 // TestVerifyStreamEmitErrorAborts covers the broken-consumer path: an
@@ -255,6 +271,7 @@ func TestVerifyStreamEmitErrorAborts(t *testing.T) {
 	}
 	boom := errors.New("consumer gone")
 	frames := 0
+	before := runtime.NumGoroutine()
 	_, err := s.VerifyStream(context.Background(), anns, func(StreamVerdict) error {
 		frames++
 		if frames >= 3 {
@@ -268,6 +285,7 @@ func TestVerifyStreamEmitErrorAborts(t *testing.T) {
 	if proc.calls.Load() >= items {
 		t.Fatalf("all %d items ran despite the aborted stream", items)
 	}
+	waitGoroutines(t, before)
 	// The pool must be fully drained and reusable.
 	if _, err := s.VerifyAnnouncement(context.Background(), annNumbered("slow/v1", items+1)); err != nil {
 		t.Fatalf("verify after aborted stream: %v", err)
@@ -292,6 +310,7 @@ func TestVerifyStreamCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
+	before := runtime.NumGoroutine()
 	tr, err := s.VerifyStream(ctx, anns, func(StreamVerdict) error {
 		frames++
 		if frames == 3 {
@@ -308,6 +327,7 @@ func TestVerifyStreamCancelledContext(t *testing.T) {
 	if tr.Delivered >= items {
 		t.Fatal("cancelled stream delivered the whole batch")
 	}
+	waitGoroutines(t, before)
 	st := s.Stats()
 	if st.CacheHits+st.CacheMisses != st.Requests {
 		t.Fatalf("hits+misses = %d, requests = %d", st.CacheHits+st.CacheMisses, st.Requests)

@@ -13,7 +13,7 @@ import (
 )
 
 // TestStressShardedHotPath hammers the sharded cache, the lock-free
-// metrics and the pool-routed batch path from many goroutines at once —
+// metrics and the stream path from many goroutines at once —
 // Verify, VerifyStream, Stats and a mid-flight Close — over a cache small
 // enough to evict constantly, then audits counter coherence. Run under
 // -race (CI does) this doubles as the data-race proof for the lock-free
