@@ -150,20 +150,19 @@ func runFederation(cfg runConfig) error {
 			"go":   runtime.Version(),
 			"date": time.Now().Format("2006-01-02"),
 		},
-		Points: nil,
 	}
 	seed := cfg.seed
 	if seed == 0 {
 		seed = 1
 	}
-	fmt.Println("    n  budget  rounds  exchanges  gossip-bytes  all-pairs-bytes  ratio")
+	fmt.Fprintln(cfg.out, "    n  budget  rounds  exchanges  gossip-bytes  all-pairs-bytes  ratio")
 	for _, n := range []int{20, 50} {
 		pt, err := measureFederation(n, seed)
 		if err != nil {
 			return err
 		}
 		bench.Points = append(bench.Points, pt)
-		fmt.Printf("%5d  %6d  %6d  %9d  %12d  %15d  %5.3f\n",
+		fmt.Fprintf(cfg.out, "%5d  %6d  %6d  %9d  %12d  %15d  %5.3f\n",
 			pt.N, pt.RoundBudget, pt.GossipRounds, pt.GossipExchanges,
 			pt.GossipBytes, pt.AllPairsBytes, pt.BytesRatio)
 	}
@@ -174,6 +173,6 @@ func runFederation(cfg runConfig) error {
 	if err := os.WriteFile("BENCH_federation.json", append(doc, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Println("wrote BENCH_federation.json")
+	fmt.Fprintln(cfg.out, "wrote BENCH_federation.json")
 	return nil
 }

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -33,6 +34,7 @@ type runConfig struct {
 	iters  int
 	agents int
 	seed   int64
+	out    io.Writer // where a run prints its table
 }
 
 var experiments = []experiment{
@@ -59,7 +61,7 @@ func main() {
 		seed   = flag.Int64("seed", 1, "workload seed")
 	)
 	flag.Parse()
-	cfg := runConfig{stride: *stride, iters: *iters, agents: *agents, seed: *seed}
+	cfg := runConfig{stride: *stride, iters: *iters, agents: *agents, seed: *seed, out: os.Stdout}
 
 	if *which == "list" {
 		for _, e := range experiments {

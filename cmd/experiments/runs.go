@@ -17,25 +17,25 @@ import (
 
 // E1 — Fig. 7.
 func runFig7(cfg runConfig) error {
-	fmt.Printf("agents=%d loads~U[1,1000] iterations/point=%d stride=%d\n",
+	fmt.Fprintf(cfg.out, "agents=%d loads~U[1,1000] iterations/point=%d stride=%d\n",
 		cfg.agents, cfg.iters, cfg.stride)
-	fmt.Println("links  inventor-better%  ties%  mean-makespan(greedy)  mean-makespan(inventor)")
+	fmt.Fprintln(cfg.out, "links  inventor-better%  ties%  mean-makespan(greedy)  mean-makespan(inventor)")
 	sim := links.Fig7Config{Agents: cfg.agents, MaxLoad: 1000, Iterations: cfg.iters, Seed: cfg.seed}
 	for _, m := range links.PaperLinkCounts(cfg.stride) {
 		pt, err := links.SimulatePoint(m, sim)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%5d  %15.1f  %5.1f  %21.1f  %23.1f\n",
+		fmt.Fprintf(cfg.out, "%5d  %15.1f  %5.1f  %21.1f  %23.1f\n",
 			pt.Links, pt.BetterPct, pt.TiePct, pt.MeanGreedy, pt.MeanInventor)
 	}
 	return nil
 }
 
 // E2 — §5 offline numbers.
-func runParticipation(runConfig) error {
+func runParticipation(cfg runConfig) error {
 	g := participation.MustNew(3, 2, numeric.I(8), numeric.I(3))
-	fmt.Println("game: n=3, k=2, c/v=3/8 (v=8, c=3)  [paper §5]")
+	fmt.Fprintln(cfg.out, "game: n=3, k=2, c/v=3/8 (v=8, c=3)  [paper §5]")
 	for _, branch := range []participation.Branch{participation.LowBranch, participation.HighBranch} {
 		p, ok := g.SolveExact(branch, 64)
 		if !ok {
@@ -45,23 +45,23 @@ func runParticipation(runConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("branch=%d: p=%-4s verifier accepts; expected gain=%s (paper: p=1/4, gain=v/16=1/2)\n",
+		fmt.Fprintf(cfg.out, "branch=%d: p=%-4s verifier accepts; expected gain=%s (paper: p=1/4, gain=v/16=1/2)\n",
 			branch, p.RatString(), gain.RatString())
 	}
 	// The verifier's side: conditional probabilities at p = 1/4.
 	p := numeric.R(1, 4)
-	fmt.Printf("conditionals at p=1/4: A=%s B=%s C=%s D=%s  (Eq. 3)\n",
+	fmt.Fprintf(cfg.out, "conditionals at p=1/4: A=%s B=%s C=%s D=%s  (Eq. 3)\n",
 		g.Ak(p).RatString(), g.Bk(p).RatString(), g.Ck(p).RatString(), g.Dk(p).RatString())
 	// Forged advice is rejected.
 	if _, err := g.VerifyAdvice(numeric.R(1, 3)); err == nil {
 		return fmt.Errorf("forged p accepted")
 	}
-	fmt.Println("forged advice p=1/3: rejected (indifference violated)")
+	fmt.Fprintln(cfg.out, "forged advice p=1/3: rejected (indifference violated)")
 	return nil
 }
 
 // E3 — §5 online numbers.
-func runOnlineParticipation(runConfig) error {
+func runOnlineParticipation(cfg runConfig) error {
 	g := participation.MustNew(3, 2, numeric.I(8), numeric.I(3))
 	p := numeric.R(1, 4)
 	honest, err := g.AnalyzeOnline(p, false)
@@ -72,12 +72,12 @@ func runOnlineParticipation(runConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("early movers play the offline p = 1/4; the inventor advises the last mover")
-	fmt.Printf("last-mover pivotal gain: v-c = %s (paper: 5v/8 = 5)\n",
+	fmt.Fprintln(cfg.out, "early movers play the offline p = 1/4; the inventor advises the last mover")
+	fmt.Fprintf(cfg.out, "last-mover pivotal gain: v-c = %s (paper: 5v/8 = 5)\n",
 		numeric.Sub(g.V(), g.C()).RatString())
-	fmt.Printf("last-mover expected gain  honest=%s  flipped=%s (false advice -> loss)\n",
+	fmt.Fprintf(cfg.out, "last-mover expected gain  honest=%s  flipped=%s (false advice -> loss)\n",
 		honest.LastMoverGain.RatString(), flipped.LastMoverGain.RatString())
-	fmt.Printf("random-order per-firm gain=%s  paper bound 5v/24=%s  offline v/16=%s\n",
+	fmt.Fprintf(cfg.out, "random-order per-firm gain=%s  paper bound 5v/24=%s  offline v/16=%s\n",
 		honest.RandomOrderGain.RatString(), numeric.R(5, 3).RatString(), numeric.R(1, 2).RatString())
 	return nil
 }
@@ -87,8 +87,8 @@ func runOnlineParticipation(runConfig) error {
 // support enumeration (the prover) must sweep exponentially many support
 // pairs before it reaches the full one, while the P1 verifier does a single
 // linear solve on the advised supports.
-func runP1Scaling(runConfig) error {
-	fmt.Println("size(n=m)  bits-on-wire  prover(support-enum)  verifier(P1)  ratio")
+func runP1Scaling(cfg runConfig) error {
+	fmt.Fprintln(cfg.out, "size(n=m)  bits-on-wire  prover(support-enum)  verifier(P1)  ratio")
 	for _, n := range []int{2, 3, 4, 5, 6, 7} {
 		g, eq := hideAndSeekGame(n)
 		adviceMsg := interactive.AdviceFromEquilibrium(g, eq)
@@ -110,13 +110,13 @@ func runP1Scaling(runConfig) error {
 		verifTime := time.Since(verifStart)
 
 		ratio := float64(proverTime) / float64(verifTime)
-		fmt.Printf("%9d  %12d  %20s  %12s  %7.1fx\n",
+		fmt.Fprintf(cfg.out, "%9d  %12d  %20s  %12s  %7.1fx\n",
 			n, adviceMsg.BitsOnWire(), proverTime.Round(time.Microsecond),
 			verifTime.Round(time.Microsecond), ratio)
 	}
 	// Verifier-only scaling on sizes where running the prover is hopeless —
 	// exactly the regime the rationality authority is for.
-	fmt.Println("verifier-only (prover intractable, advice supplied):")
+	fmt.Fprintln(cfg.out, "verifier-only (prover intractable, advice supplied):")
 	for _, n := range []int{8, 12, 16, 24, 32, 48} {
 		g, eq := hideAndSeekGame(n)
 		adviceMsg := interactive.AdviceFromEquilibrium(g, eq)
@@ -124,10 +124,10 @@ func runP1Scaling(runConfig) error {
 		if _, err := interactive.VerifyP1(g, adviceMsg); err != nil {
 			return err
 		}
-		fmt.Printf("%9d  %12d  %20s  %12s\n",
+		fmt.Fprintf(cfg.out, "%9d  %12d  %20s  %12s\n",
 			n, adviceMsg.BitsOnWire(), "—", time.Since(verifStart).Round(time.Microsecond))
 	}
-	fmt.Println("verifier time grows polynomially (one linear solve); bits = n+m exactly (Lemma 1)")
+	fmt.Fprintln(cfg.out, "verifier time grows polynomially (one linear solve); bits = n+m exactly (Lemma 1)")
 	return nil
 }
 
@@ -168,8 +168,8 @@ func hideAndSeekGame(n int) (*bimatrix.Game, *bimatrix.Equilibrium) {
 
 // E5 — Remark 3: P2 query counts.
 func runP2Queries(cfg runConfig) error {
-	fmt.Println("n=32 columns; hidden support of size s; average P2 queries until conclusive")
-	fmt.Println("support-size  avg-queries  avg-bits-revealed")
+	fmt.Fprintln(cfg.out, "n=32 columns; hidden support of size s; average P2 queries until conclusive")
+	fmt.Fprintln(cfg.out, "support-size  avg-queries  avg-bits-revealed")
 	const n = 32
 	for _, s := range []int{1, 2, 4, 8, 16, 32} {
 		totalQ, totalRevealed := 0, 0
@@ -190,9 +190,9 @@ func runP2Queries(cfg runConfig) error {
 			totalQ += report.Queries
 			totalRevealed += report.RevealedIndices
 		}
-		fmt.Printf("%12d  %11.1f  %17.1f\n", s, float64(totalQ)/iters, float64(totalRevealed)/iters)
+		fmt.Fprintf(cfg.out, "%12d  %11.1f  %17.1f\n", s, float64(totalQ)/iters, float64(totalRevealed)/iters)
 	}
-	fmt.Println("Θ(n) supports need O(1) queries; constant supports need Θ(n) (Remark 3)")
+	fmt.Fprintln(cfg.out, "Θ(n) supports need O(1) queries; constant supports need Θ(n) (Remark 3)")
 	return nil
 }
 
@@ -221,14 +221,14 @@ func diagonalGame(n, s int) (*bimatrix.Game, *bimatrix.Equilibrium) {
 }
 
 // E6 — Fig. 6.
-func runFig6(runConfig) error {
-	fmt.Println("k    greedy-final-delay  alternative-path-delay  (paper: 2k+3 vs 2k+2)")
+func runFig6(cfg runConfig) error {
+	fmt.Fprintln(cfg.out, "k    greedy-final-delay  alternative-path-delay  (paper: 2k+3 vs 2k+2)")
 	for _, k := range []int{0, 1, 2, 5, 10, 50} {
 		res, err := congestion.BuildFig6(k)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-4d %18s  %22s\n",
+		fmt.Fprintf(cfg.out, "%-4d %18s  %22s\n",
 			k, res.GreedyFinalDelay.RatString(), res.AlternativeFinalDelay.RatString())
 	}
 	return nil
@@ -236,7 +236,7 @@ func runFig6(runConfig) error {
 
 // E7 — §3 proof blow-up.
 func runCoqProof(cfg runConfig) error {
-	fmt.Println("agents x strategies  profiles  proof-steps  proof-bytes  build-time  check-time")
+	fmt.Fprintln(cfg.out, "agents x strategies  profiles  proof-steps  proof-bytes  build-time  check-time")
 	rng := rand.New(rand.NewSource(cfg.seed))
 	shapes := []struct {
 		agents, strategies int
@@ -273,17 +273,17 @@ func runCoqProof(cfg runConfig) error {
 			return err
 		}
 		checkTime := time.Since(checkStart)
-		fmt.Printf("%7dx%-10d  %8d  %11d  %11d  %10s  %10s\n",
+		fmt.Fprintf(cfg.out, "%7dx%-10d  %8d  %11d  %11d  %10s  %10s\n",
 			shape.agents, shape.strategies, g.NumProfiles(), pf.Steps(), len(data),
 			buildTime.Round(time.Microsecond), checkTime.Round(time.Microsecond))
 	}
-	fmt.Println("proof size tracks the profile space — the intractability §3 warns about")
+	fmt.Fprintln(cfg.out, "proof size tracks the profile space — the intractability §3 warns about")
 	return nil
 }
 
 // E8 — Lemma 2.
 func runLemma2(cfg runConfig) error {
-	fmt.Println("m  n   greedy  OPT  (2-1/m)*OPT  bound-holds")
+	fmt.Fprintln(cfg.out, "m  n   greedy  OPT  (2-1/m)*OPT  bound-holds")
 	rng := rand.New(rand.NewSource(cfg.seed))
 	worst := 0.0
 	for _, m := range []int{2, 3, 4} {
@@ -303,13 +303,13 @@ func runLemma2(cfg runConfig) error {
 			if r := float64(s.Makespan()) / float64(opt); r > worst {
 				worst = r
 			}
-			fmt.Printf("%d  %2d  %6d  %3d  %11.1f  %v\n", m, n, s.Makespan(), opt, bound, holds)
+			fmt.Fprintf(cfg.out, "%d  %2d  %6d  %3d  %11.1f  %v\n", m, n, s.Makespan(), opt, bound, holds)
 			if !holds {
 				return fmt.Errorf("Lemma 2 violated")
 			}
 		}
 	}
-	fmt.Printf("worst observed greedy/OPT ratio: %.3f (Lemma 2 allows up to 2-1/m)\n", worst)
+	fmt.Fprintf(cfg.out, "worst observed greedy/OPT ratio: %.3f (Lemma 2 allows up to 2-1/m)\n", worst)
 	return nil
 }
 
@@ -318,11 +318,8 @@ func runLemma2(cfg runConfig) error {
 // case, the inventor dynamically updates its information." Fig. 7 evaluates
 // the second; this run compares both against greedy on the same workloads.
 func runAblation(cfg runConfig) error {
-	fmt.Println("links  dynamic-beats-greedy%  prior-beats-greedy%  mean-makespan greedy/dynamic/prior")
-	iters := cfg.iters
-	if iters > 50 {
-		iters = 50
-	}
+	fmt.Fprintln(cfg.out, "links  dynamic-beats-greedy%  prior-beats-greedy%  mean-makespan greedy/dynamic/prior")
+	iters := min(cfg.iters, 50)
 	for _, m := range []int{2, 25, 100, 250, 500} {
 		rng := rand.New(rand.NewSource(cfg.seed + int64(m)))
 		dynBetter, priBetter := 0, 0
@@ -352,38 +349,35 @@ func runAblation(cfg runConfig) error {
 			sumP += float64(prior.Makespan())
 		}
 		n := float64(iters)
-		fmt.Printf("%5d  %21.1f  %19.1f  %8.0f / %8.0f / %8.0f\n",
+		fmt.Fprintf(cfg.out, "%5d  %21.1f  %19.1f  %8.0f / %8.0f / %8.0f\n",
 			m, 100*float64(dynBetter)/n, 100*float64(priBetter)/n, sumG/n, sumD/n, sumP/n)
 	}
-	fmt.Println("with 1000 agents the running average converges fast: the two models track closely")
+	fmt.Fprintln(cfg.out, "with 1000 agents the running average converges fast: the two models track closely")
 	return nil
 }
 
 // E11 — §6's behavioural model: each agent follows the inventor with
 // probability p and plays greedy otherwise (Fig. 7 is the p = 1 extreme).
 func runAdoption(cfg runConfig) error {
-	iters := cfg.iters
-	if iters > 50 {
-		iters = 50
-	}
+	iters := min(cfg.iters, 50)
 	const m = 100
-	fmt.Printf("m=%d links, %d agents, %d iterations per point\n", m, cfg.agents, iters)
-	fmt.Println("p      mixed-beats-greedy%  mean-makespan(mixed)  mean-makespan(greedy)")
+	fmt.Fprintf(cfg.out, "m=%d links, %d agents, %d iterations per point\n", m, cfg.agents, iters)
+	fmt.Fprintln(cfg.out, "p      mixed-beats-greedy%  mean-makespan(mixed)  mean-makespan(greedy)")
 	pts, err := links.AdoptionSweep(m, []float64{0, 0.25, 0.5, 0.75, 1},
 		links.Fig7Config{Agents: cfg.agents, MaxLoad: 1000, Iterations: iters, Seed: cfg.seed})
 	if err != nil {
 		return err
 	}
 	for _, pt := range pts {
-		fmt.Printf("%.2f   %19.1f  %20.1f  %21.1f\n",
+		fmt.Fprintf(cfg.out, "%.2f   %19.1f  %20.1f  %21.1f\n",
 			pt.P, pt.BetterPct, pt.MeanMixed, pt.MeanGreedy)
 	}
-	fmt.Println("the inventor's benefit grows with the fraction of agents that consult it")
+	fmt.Fprintln(cfg.out, "the inventor's benefit grows with the fraction of agents that consult it")
 	return nil
 }
 
 // E9 — Fig. 5 / Remark 2.
-func runFig5(runConfig) error {
+func runFig5(cfg runConfig) error {
 	g := bimatrix.FromInts(
 		[][]int64{{1, 1}, {0, 2}},
 		[][]int64{{1, 1}, {1, 0}},
@@ -393,15 +387,15 @@ func runFig5(runConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Fig. 5 game, S1={A}: P1 recovers an equilibrium with λ1=%s λ2=%s (paper: both 1)\n",
+	fmt.Fprintf(cfg.out, "Fig. 5 game, S1={A}: P1 recovers an equilibrium with λ1=%s λ2=%s (paper: both 1)\n",
 		eq.LambdaRow.RatString(), eq.LambdaCol.RatString())
-	fmt.Println("Remark 2 ambiguity — column mixes consistent with what the row agent sees:")
+	fmt.Fprintln(cfg.out, "Remark 2 ambiguity — column mixes consistent with what the row agent sees:")
 	for _, qd := range []string{"0", "1/4", "1/2", "3/4"} {
 		q := numeric.MustRat(qd)
 		y := numeric.VecOf(numeric.Sub(numeric.One(), q), q)
 		ok := g.IsEquilibrium(bimatrix.Profile{X: numeric.VecOfInts(1, 0), Y: y})
-		fmt.Printf("  qD=%-4s equilibrium=%v\n", qd, ok)
+		fmt.Fprintf(cfg.out, "  qD=%-4s equilibrium=%v\n", qd, ok)
 	}
-	fmt.Println("every qD <= 1/2 is consistent: P2 reveals none of them (privacy)")
+	fmt.Fprintln(cfg.out, "every qD <= 1/2 is consistent: P2 reveals none of them (privacy)")
 	return nil
 }

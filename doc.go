@@ -52,6 +52,6 @@
 // The verifier party runs as internal/service (the one verifier server, in
 // process or behind cmd/authority), with internal/transport, internal/store,
 // internal/quorum, internal/gossip, internal/trust and internal/obs around
-// it. The programs under examples/ show each part in use; see README.md for
-// a quickstart and DESIGN.md for the architecture.
+// it. The Example functions of example_*_test.go show each part in use; see
+// README.md for a quickstart and DESIGN.md for the architecture.
 package rationality

@@ -1,16 +1,9 @@
-// Command auction reproduces the paper's §5 scenario end to end: n firms
-// consider entering an auction with participation fee c and prize v. The
-// inventor (the auctioneer) solves the symmetric equilibrium probability p —
-// the hard root-finding step — and serves it with a checkable claim; each
-// firm verifies Eq. (5) exactly before playing. The online variant then lets
-// firms decide in sequence with the inventor advising the last mover, and
-// contrasts honest with flipped (false) advice.
-package main
+package rationality_test
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"log"
 
 	"rationality/internal/core"
 	"rationality/internal/numeric"
@@ -21,18 +14,18 @@ import (
 	"rationality/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "auction:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// Example_auction reproduces the paper's §5 scenario end to end: n firms
+// consider entering an auction with participation fee c and prize v. The
+// inventor (the auctioneer) solves the symmetric equilibrium probability p
+// — the hard root-finding step — and serves it with a checkable claim;
+// each firm verifies Eq. (5) exactly before playing. The online variant
+// then lets firms decide in sequence with the inventor advising the last
+// mover, and contrasts honest with flipped (false) advice.
+func Example_auction() {
 	// The paper's numbers: n = 3 firms, k = 2 quorum, c/v = 3/8 (v=8, c=3).
 	g, err := participation.New(3, 2, numeric.I(8), numeric.I(3))
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	fmt.Printf("participation game: n=%d k=%d v=%s c=%s\n",
 		g.N(), g.K(), g.V().RatString(), g.C().RatString())
@@ -40,24 +33,24 @@ func run() error {
 	// Offline: the inventor announces the equilibrium probability.
 	ann, err := core.AnnounceParticipation("auction-house", "entry-game", g, participation.LowBranch)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	inventor, err := core.NewInventorService(ann)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	var members []quorum.Member
 	for _, id := range []string{"v1", "v2", "v3"} {
 		vs, err := service.New(service.Config{ID: id})
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		defer vs.Close()
 		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
 	}
 	panel, err := quorum.New(quorum.Config{Members: members, Registry: reputation.NewRegistry()})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 
 	// Each firm is an agent; all of them verify the same advice and can
@@ -66,11 +59,11 @@ func run() error {
 	for _, firm := range []string{"firm-a", "firm-b", "firm-c"} {
 		announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(inventor))
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		res, err := panel.VerifyAnnouncement(ctx, announced)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		fmt.Printf("%s: accepted=%v p=%s expected gain=%s (= v/16)\n",
 			firm, res.Accepted, res.Verdict.Details["p"], res.Verdict.Details["expectedGain"])
@@ -80,11 +73,11 @@ func run() error {
 	p := numeric.MustRat("1/4")
 	honest, err := g.AnalyzeOnline(p, false)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	flipped, err := g.AnalyzeOnline(p, true)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	bound := numeric.Div(numeric.Mul(g.V(), numeric.I(5)), numeric.I(24)) // 5v/24
 	offline := g.GainAbstain(p)                                           // v/16
@@ -99,15 +92,26 @@ func run() error {
 	for count := 0; count <= 2; count++ {
 		advice, gain, err := g.LastMoverAdvice(count)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		if _, err := g.VerifyLastMoverAdvice(count, advice); err != nil {
-			return fmt.Errorf("honest last-mover advice failed verification: %w", err)
+			log.Fatalf("honest last-mover advice failed verification: %v", err)
 		}
-		wrong := participation.Decision(!bool(advice))
-		_, flipErr := g.VerifyLastMoverAdvice(count, wrong)
+		_, flipErr := g.VerifyLastMoverAdvice(count, participation.Decision(!bool(advice)))
 		fmt.Printf("  count=%d: advice=%-11s gain=%-3s flipped advice rejected=%v\n",
 			count, advice, gain.RatString(), flipErr != nil)
 	}
-	return nil
+	// Output:
+	// participation game: n=3 k=2 v=8 c=3
+	// firm-a: accepted=true p=1/4 expected gain=1/2 (= v/16)
+	// firm-b: accepted=true p=1/4 expected gain=1/2 (= v/16)
+	// firm-c: accepted=true p=1/4 expected gain=1/2 (= v/16)
+	//
+	// online participation (early movers play p = 1/4):
+	//   last mover expected gain, honest advice:  19/8
+	//   last mover expected gain, flipped advice: -11/8  <- false advice causes a loss
+	//   random-order per-firm gain: 21/8 (paper bound 5v/24 = 5/3; offline v/16 = 1/2)
+	//   count=0: advice=abstain     gain=0   flipped advice rejected=true
+	//   count=1: advice=participate gain=5   flipped advice rejected=true
+	//   count=2: advice=abstain     gain=8   flipped advice rejected=true
 }

@@ -1,4 +1,14 @@
-// Command lotteryadvisor plays out the lottery scenario from the paper's
+package rationality_test
+
+import (
+	"crypto/rand"
+	"fmt"
+	"log"
+
+	"rationality/internal/lottery"
+)
+
+// Example_lotteryadvisor plays out the lottery scenario from the paper's
 // Discussion (§7): the lottery company knows that fake raffle tickets —
 // almost indistinguishable from valid ones — are sold in a certain
 // geographic area. Acting as a rationality authority, it advises
@@ -6,24 +16,7 @@
 // proofs: per-ticket validity commitments published at issuance, opened on
 // challenge. The disclosure is minimal but lets participants keep their
 // winning chance at 1/x.
-package main
-
-import (
-	"crypto/rand"
-	"fmt"
-	"os"
-
-	"rationality/internal/lottery"
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "lotteryadvisor:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func Example_lotteryadvisor() {
 	// Issue 8 tickets; a counterfeiter circulates 2 fakes downtown.
 	tickets := []lottery.Ticket{
 		{Serial: "A-001", Area: "uptown"},
@@ -37,7 +30,7 @@ func run() error {
 	}
 	company, err := lottery.NewCompany(tickets, rand.Reader)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 
 	// Issuance: the commitments are public; the fake list is not.
@@ -45,8 +38,7 @@ func run() error {
 	fmt.Printf("company published %d per-ticket validity commitments\n", len(comms))
 
 	// The advice.
-	avoid := company.AdviseAvoidAreas()
-	fmt.Printf("advice: avoid buying in %v\n", avoid)
+	fmt.Printf("advice: avoid buying in %v\n", company.AdviseAvoidAreas())
 	fmt.Printf("winning chance of a valid ticket (1/x): %s\n", company.FairChance().RatString())
 	for _, area := range []string{"uptown", "midtown", "downtown"} {
 		fmt.Printf("  win probability buying at random in %-9s: %s\n",
@@ -60,11 +52,11 @@ func run() error {
 	for _, serial := range []string{"X-666", "A-005"} {
 		open, err := company.ProveTicket(serial)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		valid, err := lottery.VerifyTicketProof(comms, serial, open)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		fmt.Printf("challenge %s: proof verified, valid=%v\n", serial, valid)
 	}
@@ -73,12 +65,19 @@ func run() error {
 	// bound into the committed value.
 	openValid, err := company.ProveTicket("A-001")
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-	if _, err := lottery.VerifyTicketProof(comms, "X-666", openValid); err != nil {
-		fmt.Println("replayed proof rejected:", err)
-	} else {
-		return fmt.Errorf("replayed proof was accepted")
-	}
-	return nil
+	_, err = lottery.VerifyTicketProof(comms, "X-666", openValid)
+	fmt.Println("replayed proof rejected:", err)
+	// Output:
+	// company published 8 per-ticket validity commitments
+	// advice: avoid buying in [downtown]
+	// winning chance of a valid ticket (1/x): 1/6
+	//   win probability buying at random in uptown   : 1/6
+	//   win probability buying at random in midtown  : 1/6
+	//   win probability buying at random in downtown : 1/12
+	// value of following the advice (uptown vs downtown): 1/12
+	// challenge X-666: proof verified, valid=false
+	// challenge A-005: proof verified, valid=true
+	// replayed proof rejected: lottery: proof for "X-666": commitment: opening does not match commitment
 }

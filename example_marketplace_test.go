@@ -1,16 +1,10 @@
-// Command marketplace simulates the rationality authority as an ecosystem
-// over many rounds: a mixed population of honest and forging inventors, a
-// verifier pool containing one corrupt member, and a reputation-threshold
-// agent. Round by round, majority voting pays honest verifiers and bleeds
-// the liar until the agent stops consulting it; forging inventors are
-// reported with evidence and their key-bound reputations collapse — the
-// paper's "long-lasting reputation" incentive, end to end.
-package main
+package rationality_test
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"log"
+	"math/rand"
 
 	"rationality/internal/core"
 	"rationality/internal/game"
@@ -22,14 +16,14 @@ import (
 	"rationality/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "marketplace:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// Example_marketplace simulates the rationality authority as an ecosystem
+// over many rounds: a mixed population of honest and forging inventors, a
+// verifier pool containing one corrupt member, and a reputation-threshold
+// agent. Round by round, majority voting pays honest verifiers and bleeds
+// the liar until the agent stops consulting it; forging inventors are
+// reported with evidence and their key-bound reputations collapse — the
+// paper's "long-lasting reputation" incentive, end to end.
+func Example_marketplace() {
 	registry := reputation.NewRegistry()
 
 	// The verifier pool: three honest, one corrupt. The corrupt one is the
@@ -43,7 +37,7 @@ func run() error {
 		}
 		vs, err := service.New(cfg)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		defer vs.Close()
 		members = append(members, quorum.Member{ID: id, Client: transport.DialInProc(vs)})
@@ -51,11 +45,11 @@ func run() error {
 	const threshold = 0.3
 	panel, err := quorum.New(quorum.Config{Members: members, Registry: registry, Threshold: threshold})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 
 	// The inventor population: two honest, one forger, each with a signing
-	// identity.
+	// identity drawn from its own fixed seed.
 	type inventor struct {
 		name   string
 		honest bool
@@ -67,15 +61,13 @@ func run() error {
 	}
 
 	pd := game.PrisonersDilemma()
-	keys := map[string]*identity.KeyPair{}
 	ids := map[string]string{}
 	services := map[string]*core.InventorService{}
-	for _, inv := range population {
-		k, err := identity.NewKeyPair()
+	for i, inv := range population {
+		k, err := identity.NewKeyPairFrom(rand.New(rand.NewSource(int64(i + 1))))
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
-		keys[inv.name] = k
 		var ann core.Announcement
 		if inv.honest {
 			ann, err = core.AnnounceEnumeration(inv.name, pd, proof.MaxNash)
@@ -83,16 +75,16 @@ func run() error {
 			ann, err = core.AnnounceEnumerationForged(inv.name, pd, game.Profile{0, 0})
 		}
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		signed, err := core.SignAnnouncement(k, ann)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		ids[inv.name] = signed.InventorID
 		svc, err := core.NewInventorService(signed)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		services[inv.name] = svc
 	}
@@ -103,14 +95,14 @@ func run() error {
 		inv := population[(round-1)%len(population)]
 		announced, err := core.FetchAnnouncement(ctx, transport.DialInProc(services[inv.name]))
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		// Every announcement here is signed: the panel checks the signature
 		// before any verifier is asked, so a rejection is charged to the
 		// key that signed the forgery.
 		res, err := panel.VerifyAnnouncement(ctx, announced)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		liarConsulted := "excluded"
 		for _, v := range res.Votes {
@@ -137,5 +129,21 @@ func run() error {
 		}
 	}
 	fmt.Printf("audit log: %d misbehaviour reports with evidence\n", misbehaviours)
-	return nil
+	// Output:
+	// round 1: acme-games    accepted=true  verifiers=4 shady-checks consulted
+	// round 2: fair-auctions accepted=true  verifiers=4 shady-checks consulted
+	// round 3: fraud-factory accepted=false verifiers=3 shady-checks excluded
+	// round 4: acme-games    accepted=true  verifiers=3 shady-checks excluded
+	// round 5: fair-auctions accepted=true  verifiers=3 shady-checks excluded
+	// round 6: fraud-factory accepted=false verifiers=3 shady-checks excluded
+	//
+	// final reputations:
+	//   verifier veritas       0.88
+	//   verifier checkers      0.88
+	//   verifier proofly       0.88
+	//   verifier shady-checks  0.25
+	//   inventor acme-games    0.50 (key 6f158170...)
+	//   inventor fair-auctions 0.50 (key 8ed90420...)
+	//   inventor fraud-factory 0.25 (key 11bba3ed...)
+	// audit log: 2 misbehaviour reports with evidence
 }

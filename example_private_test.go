@@ -1,30 +1,23 @@
-// Command private demonstrates §4's privacy-preserving verification. The
+package rationality_test
+
+import (
+	"crypto/rand"
+	"fmt"
+	"log"
+	mathrand "math/rand"
+
+	"rationality/internal/bimatrix"
+	"rationality/internal/interactive"
+)
+
+// Example_private demonstrates §4's privacy-preserving verification. The
 // inventor computes a mixed equilibrium of a bimatrix game (PPAD-hard in
 // general); protocol P1 then verifies it in polynomial time from the
 // supports alone, and protocol P2 verifies it while revealing NOTHING about
 // the other agent's support or probabilities beyond a few committed
 // membership bits — the paper's zero-knowledge-style guarantee (Remark 2).
 // A lying prover is caught by the commitment check.
-package main
-
-import (
-	"crypto/rand"
-	"fmt"
-	mathrand "math/rand"
-	"os"
-
-	"rationality/internal/bimatrix"
-	"rationality/internal/interactive"
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "private:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func Example_private() {
 	// The paper's Fig. 5 game.
 	g := bimatrix.FromInts(
 		[][]int64{{1, 1}, {0, 2}},
@@ -34,7 +27,7 @@ func run() error {
 	// Inventor side: the hard computation.
 	advice, eq, err := interactive.BuildP1Advice(g)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	fmt.Printf("inventor found an equilibrium: x=%s y=%s λ1=%s λ2=%s\n",
 		eq.X, eq.Y, eq.LambdaRow.RatString(), eq.LambdaCol.RatString())
@@ -43,7 +36,7 @@ func run() error {
 	// solving the Fig. 3 linear system. Communication is n+m bits.
 	recovered, err := interactive.VerifyP1(g, advice)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	fmt.Printf("P1 verified in polynomial time from %d bits on the wire: λ1=%s λ2=%s\n",
 		advice.BitsOnWire(), recovered.LambdaRow.RatString(), recovered.LambdaCol.RatString())
@@ -52,13 +45,13 @@ func run() error {
 	// support stays hidden behind hash commitments opened per random query.
 	prover, err := interactive.NewHonestProver(g, eq, rand.Reader)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	report, err := interactive.VerifyP2(g, interactive.RowAgent, prover, interactive.P2Config{
 		Rng: mathrand.New(mathrand.NewSource(2026)),
 	})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	fmt.Printf("P2 verified privately: %d queries, %d conclusive, %d of %d opponent bits revealed\n",
 		report.Queries, report.Conclusive, report.RevealedIndices, g.Cols())
@@ -71,12 +64,15 @@ func run() error {
 	// A prover that tries to adapt its membership answers after seeing the
 	// queries is caught by the commitments.
 	liar := &interactive.EquivocatingProver{HonestProver: prover}
-	if _, err := interactive.VerifyP2(g, interactive.RowAgent, liar, interactive.P2Config{
+	_, err = interactive.VerifyP2(g, interactive.RowAgent, liar, interactive.P2Config{
 		Rng: mathrand.New(mathrand.NewSource(7)),
-	}); err != nil {
-		fmt.Println("equivocating prover rejected:", err)
-	} else {
-		return fmt.Errorf("equivocating prover was NOT caught")
-	}
-	return nil
+	})
+	fmt.Println("equivocating prover rejected:", err)
+	// Output:
+	// inventor found an equilibrium: x=(1, 0) y=(1, 0) λ1=1 λ2=1
+	// P1 verified in polynomial time from 4 bits on the wire: λ1=1 λ2=1
+	// P2 verified privately: 2 queries, 1 conclusive, 2 of 2 opponent bits revealed
+	// Remark 2: with S1={A}, λ1=λ2=1, every column mix with qD <= 1/2 is consistent —
+	// the verifier accepted without learning which one the column agent plays.
+	// equivocating prover rejected: P2 verifier rejected the advice: membership opening for index 0 is invalid: commitment: opening does not match commitment
 }

@@ -22,7 +22,7 @@ import (
 	"rationality/internal/transport"
 )
 
-// These tests compose the internal packages the way the examples do: one
+// These tests compose the internal packages the way the Examples do: one
 // flow per part of the paper, end to end. Their TestFacade names date from
 // the root package's former re-export layer, which they used to call.
 

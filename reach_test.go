@@ -2,9 +2,11 @@ package rationality
 
 // The reachability audit: every exported function and method outside the
 // test files must be reachable from a program (a `main` package: the two
-// commands, every example and the benchmark) or named by a row of the
-// paper-claim ledger (claims_test.go). An export that only tests reach is
-// library surface nobody uses; it belongs in a _test.go file or nowhere.
+// commands and the benchmark; or an Example function of the root
+// directory's external test package, the example_*_test.go files, which
+// `go test` runs and checks) or named by a row of the paper-claim ledger
+// (claims_test.go). An export that only tests reach is library surface
+// nobody uses; it belongs in a _test.go file or nowhere.
 
 import (
 	"fmt"
@@ -25,10 +27,10 @@ import (
 const modulePath = "rationality"
 
 // TestExportsAreReached type-checks the module's non-test files and walks
-// the call graph from every program's main, init functions and package
-// variables, and from every function a ledger row names. A method counts
-// as reached when it satisfies an interface, since an interface call
-// reaches it without naming it. Every exported function or method of a
+// the call graph from every program's main, every Example function, init
+// functions and package variables, and from every function a ledger row
+// names. A method counts as reached when it satisfies an interface, since
+// an interface call reaches it without naming it. Every exported function or method of a
 // non-main package that the walk misses is reported.
 func TestExportsAreReached(t *testing.T) {
 	m, err := loadModule(".")
@@ -54,13 +56,15 @@ func TestExportsAreReached(t *testing.T) {
 }
 
 // module is the type-checked set of the module's packages, non-test files
-// only, as the default build context selects them.
+// only, as the default build context selects them, and the root
+// directory's external test package, which holds the Example functions.
 type module struct {
-	fset  *token.FileSet
-	std   types.Importer
-	dirs  map[string]string // import path -> directory
-	pkgs  map[string]*modulePkg
-	order []*modulePkg // in load order: dependencies first
+	fset     *token.FileSet
+	std      types.Importer
+	dirs     map[string]string // import path -> directory
+	pkgs     map[string]*modulePkg
+	order    []*modulePkg // in load order: dependencies first
+	examples *modulePkg   // package rationality_test; nil without one
 }
 
 type modulePkg struct {
@@ -112,7 +116,42 @@ func loadModule(root string) (*module, error) {
 			return nil, err
 		}
 	}
-	return m, nil
+	return m, m.loadExamples(root)
+}
+
+// loadExamples type-checks the _test.go files of root that form the
+// external test package, where the Example functions live.
+func (m *module) loadExamples(root string) error {
+	names, err := filepath.Glob(filepath.Join(root, "*_test.go"))
+	if err != nil {
+		return err
+	}
+	p := &modulePkg{path: modulePath + "_test"}
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == p.path {
+			p.files = append(p.files, f)
+		}
+	}
+	if len(p.files) == 0 {
+		return nil
+	}
+	if err := m.check(p); err != nil {
+		return err
+	}
+	m.examples = p
+	m.order = append(m.order, p)
+	return nil
+}
+
+// isProgram reports whether p is a main package or the Example package:
+// code that runs as a program, whose own declarations are never library
+// surface.
+func (m *module) isProgram(p *modulePkg) bool {
+	return p.types.Name() == "main" || p == m.examples
 }
 
 // Import resolves module packages from source and everything else through
@@ -163,18 +202,25 @@ func (m *module) load(path string) (*modulePkg, error) {
 		delete(m.dirs, path)
 		return nil, nil
 	}
-	p.info = &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}
-	conf := types.Config{Importer: m}
-	if p.types, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
+	if err := m.check(p); err != nil {
 		return nil, err
 	}
 	m.pkgs[path] = p
 	m.order = append(m.order, p)
 	return p, nil
+}
+
+// check type-checks p's parsed files, recording the uses and definitions
+// the call-graph walk reads.
+func (m *module) check(p *modulePkg) error {
+	p.info = &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	var err error
+	p.types, err = (&types.Config{Importer: m}).Check(p.path, m.fset, p.files, p.info)
+	return err
 }
 
 // lookupFunc resolves a ledger name, "Func" or "Type.Method", in the
@@ -241,8 +287,9 @@ func (m *module) unreachedExports(extra []*types.Func) []string {
 		}
 	}
 
-	// Roots: each program's main, and the initialisation of every package
-	// a program imports (init functions and package-level variables).
+	// Roots: each program's main, every Example function, and the
+	// initialisation of every package a program imports (init functions
+	// and package-level variables).
 	imported := map[string]bool{}
 	var visit func(pkg *types.Package)
 	visit = func(pkg *types.Package) {
@@ -255,7 +302,7 @@ func (m *module) unreachedExports(extra []*types.Func) []string {
 		}
 	}
 	for _, p := range m.order {
-		if p.types.Name() == "main" {
+		if m.isProgram(p) {
 			visit(p.types)
 		}
 	}
@@ -267,7 +314,9 @@ func (m *module) unreachedExports(extra []*types.Func) []string {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+					isMain := d.Name.Name == "main" && p.types.Name() == "main"
+					isExample := strings.HasPrefix(d.Name.Name, "Example") && p == m.examples
+					if d.Recv == nil && (d.Name.Name == "init" || isMain || isExample) {
 						queue = append(queue, pending{d.Body, p.info})
 					}
 				case *ast.GenDecl:
@@ -313,7 +362,7 @@ func (m *module) unreachedExports(extra []*types.Func) []string {
 
 	var out []string
 	for fn, d := range decls {
-		if !fn.Exported() || d.pkg.types.Name() == "main" || reached[fn] {
+		if !fn.Exported() || m.isProgram(d.pkg) || reached[fn] {
 			continue
 		}
 		fd := d.decl
