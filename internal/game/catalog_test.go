@@ -93,9 +93,9 @@ func isMixedNash(g *Game, mp MixedProfile) bool {
 		return false
 	}
 	for i := 0; i < g.NumAgents(); i++ {
-		base := g.ExpectedPayoff(i, mp)
+		base := expectedPayoff(g, i, mp)
 		for si := 0; si < g.NumStrategies(i); si++ {
-			if numeric.Gt(g.ExpectedPayoffPureDeviation(i, si, mp), base) {
+			if numeric.Gt(expectedPayoffPureDeviation(g, i, si, mp), base) {
 				return false
 			}
 		}

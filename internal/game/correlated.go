@@ -72,23 +72,25 @@ func (g *Game) IsCorrelatedEquilibrium(d *CorrelatedDistribution) bool {
 	if d == nil || len(d.probs) != g.NumProfiles() {
 		return false
 	}
+	gain, diff := new(big.Rat), new(big.Rat)
 	for i := 0; i < g.NumAgents(); i++ {
 		for r := 0; r < g.NumStrategies(i); r++ {
 			for t := 0; t < g.NumStrategies(i); t++ {
 				if r == t {
 					continue
 				}
-				gain := new(big.Rat)
-				g.ForEachProfile(func(p Profile) bool {
+				gain.SetInt64(0)
+				shift := (t - r) * g.strides[i]
+				g.forEachIndexed(func(idx int, p Profile) bool {
 					if p[i] != r {
 						return true
 					}
-					w := d.probs[g.index(p)]
+					w := d.probs[idx]
 					if w.Sign() == 0 {
 						return true
 					}
-					diff := numeric.Sub(g.Payoff(i, p), g.Payoff(i, p.Change(i, t)))
-					gain.Add(gain, numeric.Mul(w, diff))
+					diff.Sub(g.u(i, idx), g.u(i, idx+shift))
+					gain.Add(gain, diff.Mul(diff, w))
 					return true
 				})
 				if gain.Sign() < 0 {
@@ -103,14 +105,12 @@ func (g *Game) IsCorrelatedEquilibrium(d *CorrelatedDistribution) bool {
 // ExpectedPayoffCorrelated returns agent i's expected utility under the
 // distribution.
 func (g *Game) ExpectedPayoffCorrelated(i int, d *CorrelatedDistribution) *big.Rat {
-	total := new(big.Rat)
-	g.ForEachProfile(func(p Profile) bool {
-		w := d.probs[g.index(p)]
+	total, term := new(big.Rat), new(big.Rat)
+	for idx, w := range d.probs {
 		if w.Sign() != 0 {
-			total.Add(total, numeric.Mul(w, g.Payoff(i, p)))
+			total.Add(total, term.Mul(w, g.u(i, idx)))
 		}
-		return true
-	})
+	}
 	return total
 }
 
@@ -124,16 +124,14 @@ func (g *Game) SolveCorrelatedEquilibrium() (*CorrelatedDistribution, error) {
 	lp := &numeric.LP{NumVars: nProfiles, Objective: numeric.NewVec(nProfiles)}
 
 	// Objective: social welfare.
-	idx := 0
-	g.ForEachProfile(func(p Profile) bool {
-		welfare := new(big.Rat)
+	welfare := new(big.Rat)
+	for idx := 0; idx < nProfiles; idx++ {
+		welfare.SetInt64(0)
 		for i := 0; i < g.NumAgents(); i++ {
-			welfare.Add(welfare, g.Payoff(i, p))
+			welfare.Add(welfare, g.u(i, idx))
 		}
 		lp.Objective.SetAt(idx, welfare)
-		idx++
-		return true
-	})
+	}
 
 	// Obedience constraints.
 	for i := 0; i < g.NumAgents(); i++ {
@@ -143,12 +141,11 @@ func (g *Game) SolveCorrelatedEquilibrium() (*CorrelatedDistribution, error) {
 					continue
 				}
 				row := numeric.NewVec(nProfiles)
-				col := 0
-				g.ForEachProfile(func(p Profile) bool {
+				shift := (t - r) * g.strides[i]
+				g.forEachIndexed(func(idx int, p Profile) bool {
 					if p[i] == r {
-						row.SetAt(col, numeric.Sub(g.Payoff(i, p), g.Payoff(i, p.Change(i, t))))
+						row.SetAt(idx, numeric.Sub(g.u(i, idx), g.u(i, idx+shift)))
 					}
-					col++
 					return true
 				})
 				lp.AddGE(row, numeric.Zero())

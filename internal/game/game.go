@@ -8,12 +8,13 @@ import (
 )
 
 // Game is a finite strategic-form game ⟨N, A = (Ai), U = (ui)⟩. Payoffs are
-// exact rationals stored densely: payoffs[i] holds agent i's utility for
-// every profile, indexed by the mixed-radix encoding of the profile.
+// exact rationals stored densely in one table: agent i's utility for the
+// profile with mixed-radix index idx is payoffs[i*numProfiles+idx].
 type Game struct {
 	name          string
-	numStrategies []int        // TSi in Fig. 2: numStrategies[i] = |Ai|
-	payoffs       [][]*big.Rat // payoffs[agent][profileIndex]
+	numStrategies []int     // TSi in Fig. 2: numStrategies[i] = |Ai|
+	strides       []int     // index(p with i→s) = index(p) + (s−p[i])·strides[i]
+	payoffs       []big.Rat // payoffs[agent*numProfiles + profileIndex]
 	numProfiles   int
 }
 
@@ -35,15 +36,19 @@ func New(name string, numStrategies []int) (*Game, error) {
 	}
 	sizes := make([]int, len(numStrategies))
 	copy(sizes, numStrategies)
-	payoffs := make([][]*big.Rat, len(sizes))
-	for i := range payoffs {
-		row := make([]*big.Rat, numProfiles)
-		for j := range row {
-			row[j] = new(big.Rat)
-		}
-		payoffs[i] = row
+	strides := make([]int, len(sizes))
+	stride := 1
+	for i := len(sizes) - 1; i >= 0; i-- {
+		strides[i] = stride
+		stride *= sizes[i]
 	}
-	return &Game{name: name, numStrategies: sizes, payoffs: payoffs, numProfiles: numProfiles}, nil
+	return &Game{
+		name:          name,
+		numStrategies: sizes,
+		strides:       strides,
+		payoffs:       make([]big.Rat, len(sizes)*numProfiles),
+		numProfiles:   numProfiles,
+	}, nil
 }
 
 // MustNew is New that panics on error; for tests, examples, and literals.
@@ -62,10 +67,9 @@ func FromFunc(name string, numStrategies []int, u func(agent int, p Profile) *bi
 	if err != nil {
 		return nil, err
 	}
-	g.ForEachProfile(func(p Profile) bool {
-		idx := g.index(p)
-		for i := range g.payoffs {
-			g.payoffs[i][idx].Set(u(i, p))
+	g.forEachIndexed(func(idx int, p Profile) bool {
+		for i := range g.numStrategies {
+			g.u(i, idx).Set(u(i, p))
 		}
 		return true
 	})
@@ -115,16 +119,18 @@ func (g *Game) index(p Profile) int {
 	return idx
 }
 
-// profileAt is the inverse of index.
-func (g *Game) profileAt(idx int) Profile {
-	p := make(Profile, len(g.numStrategies))
-	for i := len(g.numStrategies) - 1; i >= 0; i-- {
-		k := g.numStrategies[i]
-		p[i] = idx % k
-		idx /= k
+// checkedIndex is index for a profile the caller has not validated; it
+// panics on an invalid one, as Payoff does.
+func (g *Game) checkedIndex(p Profile) int {
+	if !g.ValidProfile(p) {
+		panic(fmt.Sprintf("game: invalid profile %v", p))
 	}
-	return p
+	return g.index(p)
 }
+
+// u borrows agent i's payoff at profile index idx: procedures read it in
+// place and must not modify or retain it.
+func (g *Game) u(i, idx int) *big.Rat { return &g.payoffs[i*g.numProfiles+idx] }
 
 // Payoff returns agent i's utility ui(p) as a fresh rational. It panics on an
 // invalid profile, mirroring that u is only defined on A.
@@ -132,10 +138,7 @@ func (g *Game) Payoff(i int, p Profile) *big.Rat {
 	if i < 0 || i >= g.NumAgents() {
 		panic(fmt.Sprintf("game: agent %d out of range", i))
 	}
-	if !g.ValidProfile(p) {
-		panic(fmt.Sprintf("game: invalid profile %v", p))
-	}
-	return numeric.Copy(g.payoffs[i][g.index(p)])
+	return numeric.Copy(g.u(i, g.checkedIndex(p)))
 }
 
 // SetPayoff sets agent i's utility for profile p.
@@ -143,10 +146,7 @@ func (g *Game) SetPayoff(i int, p Profile, v *big.Rat) {
 	if i < 0 || i >= g.NumAgents() {
 		panic(fmt.Sprintf("game: agent %d out of range", i))
 	}
-	if !g.ValidProfile(p) {
-		panic(fmt.Sprintf("game: invalid profile %v", p))
-	}
-	g.payoffs[i][g.index(p)].Set(v)
+	g.u(i, g.checkedIndex(p)).Set(v)
 }
 
 // SetPayoffs sets every agent's utility for profile p at once.
@@ -160,14 +160,25 @@ func (g *Game) SetPayoffs(p Profile, vs ...*big.Rat) {
 }
 
 // ForEachProfile calls fn for every profile in lexicographic order until fn
-// returns false. The profile passed to fn is reused across calls; clone it to
-// retain it.
+// returns false. The profile passed to fn is reused across calls and must not
+// be modified; clone it to retain it.
 func (g *Game) ForEachProfile(fn func(p Profile) bool) {
-	p := make(Profile, g.NumAgents())
+	g.forEachIndexed(func(_ int, p Profile) bool { return fn(p) })
+}
+
+// forEachIndexed is ForEachProfile with each profile's payoff index: an
+// odometer over one profile, the last agent's strategy turning fastest.
+func (g *Game) forEachIndexed(fn func(idx int, p Profile) bool) {
+	p := make(Profile, len(g.numStrategies))
 	for idx := 0; idx < g.numProfiles; idx++ {
-		copy(p, g.profileAt(idx))
-		if !fn(p) {
+		if !fn(idx, p) {
 			return
+		}
+		for i := len(p) - 1; i >= 0; i-- {
+			if p[i]++; p[i] < g.numStrategies[i] {
+				break
+			}
+			p[i] = 0
 		}
 	}
 }

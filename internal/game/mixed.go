@@ -25,53 +25,43 @@ func (g *Game) ValidMixed(mp MixedProfile) bool {
 	return true
 }
 
-// ExpectedPayoff returns agent i's expected utility under the mixed profile:
-// Σ_profiles Π_k mp[k](p[k]) · ui(p). The sum enumerates the full profile
-// space, so it is exponential in the number of agents — acceptable for the
-// small games this repository verifies directly; the interactive P1/P2
-// protocols exist precisely to avoid this cost for 2-agent games.
-func (g *Game) ExpectedPayoff(i int, mp MixedProfile) *big.Rat {
-	if !g.ValidMixed(mp) {
-		panic("game: ExpectedPayoff on invalid mixed profile")
+// PureDeviationPayoffs returns, for every pure strategy s of agent i, agent
+// i's expected utility when it plays s while every other agent k plays mp[k]:
+// Σ over profiles with p[i] = s of Π_{k≠i} mp[k](p[k]) · ui(p). One pass over
+// the profile space yields all of them; mp[i] is not read, and agent i's
+// expected utility under mp is Σ_s mp[i](s)·dev[s]. The pass is exponential
+// in the number of agents — the interactive P1/P2 protocols exist to avoid
+// it for 2-agent games. It panics unless mp has one vector of the right
+// dimension per agent.
+func (g *Game) PureDeviationPayoffs(i int, mp MixedProfile) []*big.Rat {
+	if len(mp) != g.NumAgents() {
+		panic("game: PureDeviationPayoffs on a mixed profile of the wrong shape")
 	}
-	return g.expectedPayoff(i, mp)
-}
-
-func (g *Game) expectedPayoff(i int, mp MixedProfile) *big.Rat {
-	total := new(big.Rat)
+	for k, v := range mp {
+		if v == nil || v.Len() != g.NumStrategies(k) {
+			panic("game: PureDeviationPayoffs on a mixed profile of the wrong shape")
+		}
+	}
+	sums := make([]big.Rat, g.NumStrategies(i))
 	weight := new(big.Rat)
-	g.ForEachProfile(func(p Profile) bool {
+	g.forEachIndexed(func(idx int, p Profile) bool {
 		weight.SetInt64(1)
 		for k, s := range p {
-			prob := mp[k].At(s)
+			if k == i {
+				continue
+			}
+			prob := mp[k].Ref(s)
 			if prob.Sign() == 0 {
-				weight.SetInt64(0)
-				break
+				return true
 			}
 			weight.Mul(weight, prob)
 		}
-		if weight.Sign() != 0 {
-			weight.Mul(weight, g.payoffs[i][g.index(p)])
-			total.Add(total, weight)
-		}
+		sums[p[i]].Add(&sums[p[i]], weight.Mul(weight, g.u(i, idx)))
 		return true
 	})
-	return total
-}
-
-// ExpectedPayoffPureDeviation returns agent i's expected utility when it
-// deviates to pure strategy si while everyone else plays mp.
-func (g *Game) ExpectedPayoffPureDeviation(i, si int, mp MixedProfile) *big.Rat {
-	if !g.ValidMixed(mp) {
-		panic("game: ExpectedPayoffPureDeviation on invalid mixed profile")
+	dev := make([]*big.Rat, len(sums))
+	for s := range sums {
+		dev[s] = &sums[s]
 	}
-	if si < 0 || si >= g.NumStrategies(i) {
-		panic("game: deviation strategy out of range")
-	}
-	dev := make(MixedProfile, len(mp))
-	copy(dev, mp)
-	pure := numeric.NewVec(g.NumStrategies(i))
-	pure.SetAt(si, numeric.One())
-	dev[i] = pure
-	return g.expectedPayoff(i, dev)
+	return dev
 }

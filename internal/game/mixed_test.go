@@ -1,6 +1,8 @@
 package game
 
 import (
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"rationality/internal/numeric"
@@ -50,7 +52,7 @@ func TestExpectedPayoffMatchesPure(t *testing.T) {
 	for _, p := range allProfiles(g) {
 		mp := pureAsMixed(g, p)
 		for i := 0; i < g.NumAgents(); i++ {
-			if !numeric.Eq(g.ExpectedPayoff(i, mp), g.Payoff(i, p)) {
+			if !numeric.Eq(expectedPayoff(g, i, mp), g.Payoff(i, p)) {
 				t.Fatalf("expected payoff of degenerate mix differs at %v agent %d", p, i)
 			}
 		}
@@ -61,7 +63,7 @@ func TestExpectedPayoffUniformMatchingPennies(t *testing.T) {
 	g := matchingPennies()
 	mp := uniformMixed(g)
 	for i := 0; i < 2; i++ {
-		if got := g.ExpectedPayoff(i, mp); got.Sign() != 0 {
+		if got := expectedPayoff(g, i, mp); got.Sign() != 0 {
 			t.Errorf("agent %d expected payoff = %s, want 0", i, got.RatString())
 		}
 	}
@@ -94,13 +96,13 @@ func TestExpectedPayoffPureDeviation(t *testing.T) {
 	mp := uniformMixed(g)
 	// Against a uniform opponent every deviation still yields 0.
 	for si := 0; si < 2; si++ {
-		if got := g.ExpectedPayoffPureDeviation(0, si, mp); got.Sign() != 0 {
+		if got := expectedPayoffPureDeviation(g, 0, si, mp); got.Sign() != 0 {
 			t.Errorf("deviation to %d = %s, want 0", si, got.RatString())
 		}
 	}
 	// Against pure heads, matching (row plays heads) yields +1.
 	pure := pureAsMixed(g, Profile{0, 0})
-	if got := g.ExpectedPayoffPureDeviation(0, 0, pure); got.RatString() != "1" {
+	if got := expectedPayoffPureDeviation(g, 0, 0, pure); got.RatString() != "1" {
 		t.Errorf("deviation payoff = %s, want 1", got.RatString())
 	}
 }
@@ -120,10 +122,108 @@ func TestThreeAgentMixedEquilibrium(t *testing.T) {
 
 func TestExpectedPayoffPanicsOnInvalid(t *testing.T) {
 	g := matchingPennies()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on invalid mixed profile")
+	for _, mp := range []MixedProfile{
+		{numeric.VecOfInts(1)},
+		{numeric.VecOfInts(1, 0), numeric.VecOfInts(1)},
+		{numeric.VecOfInts(1, 0), nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on mis-shaped mixed profile %v", mp)
+				}
+			}()
+			g.PureDeviationPayoffs(0, mp)
+		}()
+	}
+}
+
+// expectedPayoff is the textbook definition the one-pass deviation payoffs
+// are checked against: Σ_profiles Π_k mp[k](p[k]) · ui(p).
+func expectedPayoff(g *Game, i int, mp MixedProfile) *big.Rat {
+	if !g.ValidMixed(mp) {
+		panic("game: expectedPayoff on invalid mixed profile")
+	}
+	total := new(big.Rat)
+	weight := new(big.Rat)
+	g.ForEachProfile(func(p Profile) bool {
+		weight.SetInt64(1)
+		for k, s := range p {
+			prob := mp[k].At(s)
+			if prob.Sign() == 0 {
+				weight.SetInt64(0)
+				break
+			}
+			weight.Mul(weight, prob)
 		}
-	}()
-	g.ExpectedPayoff(0, MixedProfile{numeric.VecOfInts(1)})
+		if weight.Sign() != 0 {
+			weight.Mul(weight, g.Payoff(i, p))
+			total.Add(total, weight)
+		}
+		return true
+	})
+	return total
+}
+
+// expectedPayoffPureDeviation is expectedPayoff with agent i's mix replaced
+// by pure strategy si.
+func expectedPayoffPureDeviation(g *Game, i, si int, mp MixedProfile) *big.Rat {
+	dev := make(MixedProfile, len(mp))
+	copy(dev, mp)
+	pure := numeric.NewVec(g.NumStrategies(i))
+	pure.SetAt(si, numeric.One())
+	dev[i] = pure
+	return expectedPayoff(g, i, dev)
+}
+
+// TestPureDeviationPayoffsMatchExpectedPayoffs holds the one-pass deviation
+// payoffs to the per-strategy definition, and their mp[i]-weighted sum to
+// the expected payoff, over random games and random mixed profiles with
+// zeros and mixed denominators.
+func TestPureDeviationPayoffsMatchExpectedPayoffs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		counts := make([]int, 1+rng.Intn(4))
+		for i := range counts {
+			counts[i] = 1 + rng.Intn(3)
+		}
+		g, err := FromFunc("random", counts, func(int, Profile) *big.Rat {
+			return numeric.R(rng.Int63n(41)-20, 1+rng.Int63n(6))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := make(MixedProfile, len(counts))
+		for k, n := range counts {
+			w := make([]int64, n)
+			var sum int64
+			for s := range w {
+				if rng.Intn(3) > 0 {
+					w[s] = 1 + rng.Int63n(5)
+				}
+				sum += w[s]
+			}
+			if sum == 0 {
+				w[0], sum = 1, 1
+			}
+			v := numeric.NewVec(n)
+			for s := range w {
+				v.SetAt(s, numeric.R(w[s], sum))
+			}
+			mp[k] = v
+		}
+		for i := range counts {
+			dev := g.PureDeviationPayoffs(i, mp)
+			value := new(big.Rat)
+			for s, d := range dev {
+				if want := expectedPayoffPureDeviation(g, i, s, mp); !numeric.Eq(d, want) {
+					t.Fatalf("trial %d agent %d strategy %d: one pass %s, definition %s", trial, i, s, d.RatString(), want.RatString())
+				}
+				value.Add(value, numeric.Mul(mp[i].At(s), d))
+			}
+			if want := expectedPayoff(g, i, mp); !numeric.Eq(value, want) {
+				t.Fatalf("trial %d agent %d: Σ mp·dev = %s, expected payoff %s", trial, i, value.RatString(), want.RatString())
+			}
+		}
+	}
 }

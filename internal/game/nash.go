@@ -1,13 +1,12 @@
 package game
 
-import "rationality/internal/numeric"
-
 // LeU reports whether profile p ≤u q: every agent weakly prefers q, i.e.
 // ∀i: ui(p) <= ui(q). It is the paper's leStrat(n, u, Si1, Si2) predicate
 // (Fig. 2 line 20).
 func (g *Game) LeU(p, q Profile) bool {
+	pi, qi := g.checkedIndex(p), g.checkedIndex(q)
 	for i := 0; i < g.NumAgents(); i++ {
-		if numeric.Gt(g.Payoff(i, p), g.Payoff(i, q)) {
+		if g.u(i, pi).Cmp(g.u(i, qi)) > 0 {
 			return false
 		}
 	}
@@ -20,8 +19,9 @@ func (g *Game) LeU(p, q Profile) bool {
 func (g *Game) Incomparable(p, q Profile) bool {
 	someonePrefersQ := false
 	someonePrefersP := false
+	pi, qi := g.checkedIndex(p), g.checkedIndex(q)
 	for i := 0; i < g.NumAgents(); i++ {
-		switch g.Payoff(i, p).Cmp(g.Payoff(i, q)) {
+		switch g.u(i, pi).Cmp(g.u(i, qi)) {
 		case -1:
 			someonePrefersQ = true
 		case 1:
@@ -46,13 +46,14 @@ func (g *Game) FindDeviation(p Profile) (dev Deviation, ok bool) {
 	if !g.ValidProfile(p) {
 		panic("game: FindDeviation on invalid profile")
 	}
+	idx := g.index(p)
 	for i := 0; i < g.NumAgents(); i++ {
-		base := g.Payoff(i, p)
+		base := g.u(i, idx)
 		for si := 0; si < g.NumStrategies(i); si++ {
 			if si == p[i] {
 				continue
 			}
-			if numeric.Gt(g.Payoff(i, p.Change(i, si)), base) {
+			if g.u(i, idx+(si-p[i])*g.strides[i]).Cmp(base) > 0 {
 				return Deviation{Agent: i, Strategy: si}, true
 			}
 		}

@@ -64,14 +64,20 @@ func VerifyNAgent(g *game.Game, advice *NAgentAdvice) ([]*numeric.Rat, error) {
 	}
 
 	values := make([]*numeric.Rat, g.NumAgents())
+	term := new(numeric.Rat)
 	for i := 0; i < g.NumAgents(); i++ {
-		value := g.ExpectedPayoff(i, advice.Probs)
-		inSupport := make(map[int]bool, len(advice.Supports[i]))
+		// One pass yields every pure strategy's payoff against the others'
+		// mix; the equilibrium value is their mix-weighted sum.
+		devs := g.PureDeviationPayoffs(i, advice.Probs)
+		value := new(numeric.Rat)
+		for si, dev := range devs {
+			value.Add(value, term.Mul(advice.Probs[i].Ref(si), dev))
+		}
+		inSupport := make([]bool, len(devs))
 		for _, s := range advice.Supports[i] {
 			inSupport[s] = true
 		}
-		for si := 0; si < g.NumStrategies(i); si++ {
-			dev := g.ExpectedPayoffPureDeviation(i, si, advice.Probs)
+		for si, dev := range devs {
 			if inSupport[si] && !numeric.Eq(dev, value) {
 				return nil, rejectP("Pn", "agent %d: in-support strategy %d earns %s, not the equilibrium value %s",
 					i, si, dev.RatString(), value.RatString())

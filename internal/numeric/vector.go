@@ -48,6 +48,10 @@ func (v *Vec) Len() int { return len(v.elems) }
 // At returns a copy of element i.
 func (v *Vec) At(i int) *big.Rat { return Copy(v.elems[i]) }
 
+// Ref returns element i itself, not a copy, for a read inside a procedure:
+// the caller must neither modify nor retain it.
+func (v *Vec) Ref(i int) *big.Rat { return v.elems[i] }
+
 // SetAt sets element i to a copy of x.
 func (v *Vec) SetAt(i int, x *big.Rat) { v.elems[i].Set(x) }
 
