@@ -57,6 +57,10 @@ func (g *Game) A() *numeric.Matrix { return g.a.Clone() }
 // B returns a copy of the column agent's payoff matrix.
 func (g *Game) B() *numeric.Matrix { return g.b.Clone() }
 
+// Payoffs returns the game's own A and B, not copies, for reads inside a
+// procedure: the caller must not modify them.
+func (g *Game) Payoffs() (a, b *numeric.Matrix) { return g.a, g.b }
+
 // Profile is a mixed strategy profile: X over the rows, Y over the columns.
 type Profile struct {
 	X *numeric.Vec
@@ -103,14 +107,14 @@ func (g *Game) IsEquilibrium(p Profile) bool {
 // supportIsOptimal reports whether every index in the support of mix
 // achieves the maximum of vals.
 func supportIsOptimal(mix, vals *numeric.Vec) bool {
-	best := vals.At(0)
+	best := vals.Ref(0)
 	for i := 1; i < vals.Len(); i++ {
-		if v := vals.At(i); numeric.Gt(v, best) {
+		if v := vals.Ref(i); numeric.Gt(v, best) {
 			best = v
 		}
 	}
 	for _, i := range mix.Support() {
-		if !numeric.Eq(vals.At(i), best) {
+		if !numeric.Eq(vals.Ref(i), best) {
 			return false
 		}
 	}

@@ -89,7 +89,8 @@ func VerifyP1Row(g *bimatrix.Game, advice *P1Advice) (*numeric.Vec, *big.Rat, er
 	if err := checkAdviceShape(g, advice); err != nil {
 		return nil, nil, err
 	}
-	y, lambda1, err := solveIndifference(g.A(), advice.RowSupport, advice.ColSupport, false)
+	a, _ := g.Payoffs()
+	y, lambda1, err := solveIndifference(a, advice.RowSupport, advice.ColSupport, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,7 +103,8 @@ func VerifyP1Col(g *bimatrix.Game, advice *P1Advice) (*numeric.Vec, *big.Rat, er
 	if err := checkAdviceShape(g, advice); err != nil {
 		return nil, nil, err
 	}
-	x, lambda2, err := solveIndifference(g.B(), advice.ColSupport, advice.RowSupport, true)
+	_, b := g.Payoffs()
+	x, lambda2, err := solveIndifference(b, advice.ColSupport, advice.RowSupport, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,9 +177,9 @@ func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, tran
 	k := len(mixSupport)
 	at := func(strat, t int) *big.Rat {
 		if transposed {
-			return payoff.At(mixSupport[t], strat)
+			return payoff.Ref(mixSupport[t], strat)
 		}
-		return payoff.At(strat, mixSupport[t])
+		return payoff.Ref(strat, mixSupport[t])
 	}
 	outDim := payoff.Cols()
 	total := payoff.Rows()
@@ -210,9 +212,9 @@ func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, tran
 	case sol.Unique:
 		mix = numeric.NewVec(outDim)
 		for t, idx := range mixSupport {
-			mix.SetAt(idx, sol.X.At(t))
+			mix.SetAt(idx, sol.X.Ref(t))
 		}
-		lambda = sol.X.At(k)
+		lambda = sol.X.Ref(k) // sol is ours: λ needs no copy
 	default:
 		mix, lambda, err = lpCompletion(payoff, eqSupport, mixSupport, transposed, outDim, total)
 		if err != nil {
@@ -223,14 +225,14 @@ func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, tran
 	// Feasibility: 0 <= y_t <= 1 on the support.
 	one := numeric.One()
 	for _, idx := range mixSupport {
-		v := mix.At(idx)
+		v := mix.Ref(idx)
 		if v.Sign() < 0 || numeric.Gt(v, one) {
 			return nil, nil, rejectP("P1", "recovered probability %s for strategy %d is outside [0, 1]",
 				v.RatString(), idx)
 		}
 	}
 	// Optimality: strategies outside eqSupport earn at most λ.
-	inEq := make(map[int]bool, len(eqSupport))
+	inEq := make([]bool, total)
 	for _, s := range eqSupport {
 		inEq[s] = true
 	}
@@ -242,7 +244,7 @@ func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, tran
 		}
 		acc.SetInt64(0)
 		for t := 0; t < k; t++ {
-			term.Mul(at(strat, t), mix.At(mixSupport[t]))
+			term.Mul(at(strat, t), mix.Ref(mixSupport[t]))
 			acc.Add(acc, term)
 		}
 		if acc.Cmp(lambda) > 0 {
@@ -250,7 +252,7 @@ func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, tran
 				strat, acc.RatString(), lambda.RatString())
 		}
 	}
-	return mix, numeric.Copy(lambda), nil
+	return mix, lambda, nil
 }
 
 // lpCompletion resolves a degenerate (underdetermined) indifference system
@@ -260,9 +262,9 @@ func lpCompletion(payoff *numeric.Matrix, eqSupport, mixSupport []int, transpose
 	k := len(mixSupport)
 	at := func(strat, t int) *big.Rat {
 		if transposed {
-			return payoff.At(mixSupport[t], strat)
+			return payoff.Ref(mixSupport[t], strat)
 		}
-		return payoff.At(strat, mixSupport[t])
+		return payoff.Ref(strat, mixSupport[t])
 	}
 	inEq := make(map[int]bool, len(eqSupport))
 	for _, s := range eqSupport {

@@ -22,38 +22,110 @@ type Solution struct {
 	FreeCols []int
 }
 
-// Solve solves Ax = b by exact Gauss-Jordan elimination. It returns
-// ErrInconsistent when no solution exists. When the system is
-// underdetermined, the returned solution has all free variables set to zero
-// and Unique is false.
+// Solve solves Ax = b exactly. It returns ErrInconsistent when no solution
+// exists. When the system is underdetermined, the returned solution has all
+// free variables set to zero and Unique is false.
+//
+// The elimination is fraction-free (Bareiss 1968): each row of [A | b] is
+// scaled by the LCM of its denominators to integers, every elimination step
+// divides exactly by the previous pivot, and one back-substitution over the
+// integers gives d·x, where d is the last pivot. Only the answer is
+// normalised, once per unknown.
 func Solve(a *Matrix, b *Vec) (*Solution, error) {
 	if a.Rows() != b.Len() {
 		panic("numeric: system shape mismatch")
 	}
 	rows, cols := a.Rows(), a.Cols()
-
-	// Build the augmented matrix [A | b] with a workspace we can mutate.
-	aug := NewMatrix(rows, cols+1)
+	w := cols + 1
+	m := make([]big.Int, rows*w) // [A | b], each row scaled to integers
+	var scale, g, t big.Int
 	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			aug.at(i, j).Set(a.at(i, j))
+		row := m[i*w : (i+1)*w]
+		entry := func(j int) *big.Rat {
+			if j < cols {
+				return a.elems[i*cols+j]
+			}
+			return b.elems[i]
 		}
-		aug.at(i, cols).Set(b.elems[i])
+		scale.SetInt64(1)
+		for j := range row {
+			if e := entry(j); !e.IsInt() {
+				g.GCD(nil, nil, &scale, e.Denom())
+				scale.Mul(&scale, t.Quo(e.Denom(), &g))
+			}
+		}
+		for j := range row {
+			e := entry(j)
+			if e.IsInt() {
+				row[j].Mul(e.Num(), &scale)
+			} else {
+				row[j].Mul(e.Num(), t.Quo(&scale, e.Denom()))
+			}
+		}
 	}
 
-	pivotCols := gaussJordan(aug, cols)
+	// Forward elimination to row echelon form. After the step on pivot
+	// (row, col), every entry below it is a minor of the scaled system, so
+	// the division by the previous pivot is exact.
+	var pivotCols []int
+	prev := big.NewInt(1)
+	row := 0
+	for col := 0; col < cols && row < rows; col++ {
+		pivot := -1
+		for r := row; r < rows; r++ {
+			if m[r*w+col].Sign() != 0 {
+				pivot = r
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		if pivot != row {
+			for j := col; j < w; j++ {
+				m[row*w+j], m[pivot*w+j] = m[pivot*w+j], m[row*w+j]
+			}
+		}
+		p := &m[row*w+col]
+		for r := row + 1; r < rows; r++ {
+			f := &m[r*w+col]
+			for j := col + 1; j < w; j++ {
+				e := &m[r*w+j]
+				e.Mul(e, p)
+				e.Sub(e, t.Mul(f, &m[row*w+j]))
+				e.Quo(e, prev)
+			}
+			f.SetInt64(0)
+		}
+		prev = p
+		pivotCols = append(pivotCols, col)
+		row++
+	}
 	rank := len(pivotCols)
 
 	// Inconsistency: a zero row of A with non-zero augmented entry.
 	for i := rank; i < rows; i++ {
-		if aug.at(i, cols).Sign() != 0 {
+		if m[i*w+cols].Sign() != 0 {
 			return nil, ErrInconsistent
 		}
 	}
 
+	// Back-substitution for y = d·x with the free variables at zero: by
+	// Cramer's rule on the pivot rows and columns, y is integral, so every
+	// division is exact.
+	d := prev
+	y := make([]big.Int, cols)
+	for r := rank - 1; r >= 0; r-- {
+		acc := &y[pivotCols[r]]
+		acc.Mul(d, &m[r*w+cols])
+		for _, c := range pivotCols[r+1:] {
+			acc.Sub(acc, t.Mul(&m[r*w+c], &y[c]))
+		}
+		acc.Quo(acc, &m[r*w+pivotCols[r]])
+	}
 	x := NewVec(cols)
-	for r, c := range pivotCols {
-		x.elems[c].Set(aug.at(r, cols))
+	for _, c := range pivotCols {
+		x.elems[c].SetFrac(&y[c], d)
 	}
 
 	isPivot := make([]bool, cols)
@@ -68,61 +140,4 @@ func Solve(a *Matrix, b *Vec) (*Solution, error) {
 	}
 
 	return &Solution{X: x, Unique: rank == cols, Rank: rank, FreeCols: freeCols}, nil
-}
-
-// gaussJordan reduces the first limit columns of m in place to reduced row
-// echelon form and returns the pivot column of each pivot row, in row order.
-// Columns at index >= limit (the augmented part) are carried along.
-func gaussJordan(m *Matrix, limit int) []int {
-	rows := m.Rows()
-	var pivotCols []int
-	factor := new(big.Rat)
-	prod := new(big.Rat)
-
-	row := 0
-	for col := 0; col < limit && row < rows; col++ {
-		// Find a pivot in this column at or below `row`.
-		pivot := -1
-		for r := row; r < rows; r++ {
-			if m.at(r, col).Sign() != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		m.swapRows(row, pivot)
-
-		// Normalize the pivot row.
-		inv := new(big.Rat).Inv(m.at(row, col))
-		for j := col; j < m.Cols(); j++ {
-			m.at(row, j).Mul(m.at(row, j), inv)
-		}
-
-		// Eliminate the column from every other row.
-		for r := 0; r < rows; r++ {
-			if r == row || m.at(r, col).Sign() == 0 {
-				continue
-			}
-			factor.Set(m.at(r, col))
-			for j := col; j < m.Cols(); j++ {
-				prod.Mul(factor, m.at(row, j))
-				m.at(r, j).Sub(m.at(r, j), prod)
-			}
-		}
-
-		pivotCols = append(pivotCols, col)
-		row++
-	}
-	return pivotCols
-}
-
-func (m *Matrix) swapRows(i, j int) {
-	if i == j {
-		return
-	}
-	for c := 0; c < m.cols; c++ {
-		m.elems[i*m.cols+c], m.elems[j*m.cols+c] = m.elems[j*m.cols+c], m.elems[i*m.cols+c]
-	}
 }

@@ -51,6 +51,10 @@ func (m *Matrix) Cols() int { return m.cols }
 // At returns a copy of element (i, j).
 func (m *Matrix) At(i, j int) *big.Rat { return Copy(m.at(i, j)) }
 
+// Ref returns element (i, j) itself, not a copy, for a read inside a
+// procedure: the caller must neither modify nor retain it.
+func (m *Matrix) Ref(i, j int) *big.Rat { return m.at(i, j) }
+
 // SetAt sets element (i, j) to a copy of x.
 func (m *Matrix) SetAt(i, j int, x *big.Rat) { m.at(i, j).Set(x) }
 
