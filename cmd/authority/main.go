@@ -50,7 +50,7 @@
 //	    -peers 127.0.0.1:7102 -peer-keys <b's party-id>
 //
 // The verifier is internal/node behind a flag set: the authority the
-// gossip harness and the examples start in-process. It serves through
+// gossip harness and Example_federation start in-process. It serves through
 // internal/service (procedure slots, verdict cache, "verify-stream",
 // "service-stats"); with -persist it warm-starts from its durable verdict
 // log, serving every verdict it ever reached as a cache hit. On

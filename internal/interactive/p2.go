@@ -123,20 +123,14 @@ func VerifyP2(g *bimatrix.Game, role Role, prover P2Prover, cfg P2Config) (*P2Re
 		return report, err
 	}
 
-	// The receiving agent's expected gain for the other agent's pure
-	// strategy j, computed from its own mix: for the row agent this is
-	// λ2(j) = Σ_i x_i B(i, j); for the column agent λ1(i) = Σ_j y_j A(i, j).
-	gainOther := func(j int) *big.Rat {
-		if role == RowAgent {
-			return g.ColValues(offer.OwnProbs).At(j)
-		}
-		return g.RowValues(offer.OwnProbs).At(j)
+	// The receiving agent's expected gain for each of the other agent's pure
+	// strategies j, computed once from its own mix: for the row agent this
+	// is λ2(j) = Σ_i x_i B(i, j); for the column agent λ1(i) = Σ_j y_j A(i, j).
+	gainTable := g.RowValues
+	if role == RowAgent {
+		gainTable = g.ColValues
 	}
-	// Precompute all of them once; otherDim values.
-	gains := make([]*big.Rat, otherDim)
-	for j := 0; j < otherDim; j++ {
-		gains[j] = gainOther(j)
-	}
+	gains := gainTable(offer.OwnProbs)
 
 	opened := make(map[int]bool, otherDim)
 	membership := make(map[int]bool, otherDim)
@@ -177,9 +171,9 @@ func VerifyP2(g *bimatrix.Game, role Role, prover P2Prover, cfg P2Config) (*P2Re
 
 		switch {
 		case in1 && in2:
-			if !numeric.Eq(gains[j1], offer.LambdaOther) || !numeric.Eq(gains[j2], offer.LambdaOther) {
+			if !numeric.Eq(gains.Ref(j1), offer.LambdaOther) || !numeric.Eq(gains.Ref(j2), offer.LambdaOther) {
 				return report, rejectP("P2", "both-in test failed: gains (%s, %s) != λ_other = %s",
-					gains[j1].RatString(), gains[j2].RatString(), offer.LambdaOther.RatString())
+					gains.Ref(j1).RatString(), gains.Ref(j2).RatString(), offer.LambdaOther.RatString())
 			}
 			report.Conclusive++
 		case in1 || in2:
@@ -187,22 +181,22 @@ func VerifyP2(g *bimatrix.Game, role Role, prover P2Prover, cfg P2Config) (*P2Re
 			if in2 {
 				in, out = j2, j1
 			}
-			if !numeric.Eq(gains[in], offer.LambdaOther) {
+			if !numeric.Eq(gains.Ref(in), offer.LambdaOther) {
 				return report, rejectP("P2", "1-in/1-out test failed: in-gain %s != λ_other = %s",
-					gains[in].RatString(), offer.LambdaOther.RatString())
+					gains.Ref(in).RatString(), offer.LambdaOther.RatString())
 			}
-			if numeric.Gt(gains[out], offer.LambdaOther) {
+			if numeric.Gt(gains.Ref(out), offer.LambdaOther) {
 				return report, rejectP("P2", "1-in/1-out test failed: out-gain %s exceeds λ_other = %s",
-					gains[out].RatString(), offer.LambdaOther.RatString())
+					gains.Ref(out).RatString(), offer.LambdaOther.RatString())
 			}
 			report.Conclusive++
 		default:
 			// Both out: inconclusive (Fig. 4), but the out-gains must still
 			// not exceed λ_other; a violation is a free catch.
 			for _, j := range []int{j1, j2} {
-				if numeric.Gt(gains[j], offer.LambdaOther) {
+				if numeric.Gt(gains.Ref(j), offer.LambdaOther) {
 					return report, rejectP("P2", "out-of-support index %d gains %s > λ_other = %s",
-						j, gains[j].RatString(), offer.LambdaOther.RatString())
+						j, gains.Ref(j).RatString(), offer.LambdaOther.RatString())
 				}
 			}
 		}

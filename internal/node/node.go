@@ -2,8 +2,8 @@
 // signing key, admin plane and readiness gates, trust policy, verification
 // service, listener and replication loop, started in that order and
 // drained in the reverse. `authority verifier` is this package behind a
-// flag set; the gossip harness and the examples start the same authority
-// in-process over a transport.PipeNet.
+// flag set; the gossip harness and Example_federation start the same
+// authority in-process over a transport.PipeNet.
 package node
 
 import (
