@@ -169,7 +169,7 @@ func checkSupport(s []int, limit int) error {
 // with transposed == true the roles of the index sets are swapped and
 // payoffs are read down columns (recovering the row mix x from B).
 //
-// The solver first attempts plain Gaussian elimination on the square-ish
+// The solver first attempts fraction-free elimination on the square-ish
 // system exactly as in Lemma 1. When the system is underdetermined (a
 // degenerate game), it falls back to exact LP feasibility so that a valid
 // advice is never rejected for degeneracy.

@@ -18,8 +18,9 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("numeric: negative matrix dimension")
 	}
 	elems := make([]*big.Rat, rows*cols)
+	vals := make([]big.Rat, len(elems)) // one allocation for every element
 	for i := range elems {
-		elems[i] = new(big.Rat)
+		elems[i] = &vals[i]
 	}
 	return &Matrix{rows: rows, cols: cols, elems: elems}
 }

@@ -6,7 +6,12 @@
 // mercy of floating-point rounding. The package wraps *big.Rat with
 // copy-discipline helpers (big.Rat values alias internal state, so every
 // arithmetic helper here returns a freshly allocated result), dense vectors
-// and matrices, Gaussian elimination, and a two-phase exact simplex solver.
+// and matrices, fraction-free (Bareiss) elimination, and a two-phase exact
+// simplex solver.
+//
+// The borrow rule: values handed out are copies (At, Clone, every helper's
+// result), and reads inside a procedure may borrow (Vec.Ref, Matrix.Ref)
+// when the caller neither modifies nor retains what it borrowed.
 package numeric
 
 import (

@@ -18,8 +18,9 @@ func NewVec(n int) *Vec {
 		panic("numeric: negative vector dimension")
 	}
 	elems := make([]*big.Rat, n)
+	vals := make([]big.Rat, len(elems)) // one allocation for every element
 	for i := range elems {
-		elems[i] = new(big.Rat)
+		elems[i] = &vals[i]
 	}
 	return &Vec{elems: elems}
 }
