@@ -375,8 +375,9 @@ func pinnedCases(t testing.TB, seed int64) []procCase {
 	// Participation with a tolerance, and links-routing with the wrong link.
 	for k := 0; k < 4; k++ {
 		g, p := exactParticipation(rng, k)
-		ann := AnnounceParticipationForged("inv", "tolerant", g, numeric.Add(p, numeric.R(1, 1000)).RatString())
-		ann.Advice = mustJSON(ParticipationAdviceSpec{P: numeric.Add(p, numeric.R(1, 1000)).RatString(), Tolerance: []string{"1/10", "1/100000"}[k%2]})
+		off := numeric.Add(p, numeric.R(1, 1000)).RatString()
+		ann := AnnounceParticipationForged("inv", "tolerant", g, off)
+		ann.Advice = mustJSON(ParticipationAdviceSpec{P: off, Tolerance: []string{"1/10", "1/100000"}[k%2]})
 		add(fmt.Sprintf("tolerance-%d/%s", k, FormatParticipation), ann, nil)
 
 		spec := routingCase(rng, k)
