@@ -24,7 +24,8 @@ type Game struct {
 }
 
 // New builds a game from the two payoff matrices, which must be non-empty
-// and of equal shape.
+// and of equal shape. The game keeps them: the caller must not modify them
+// afterwards.
 func New(a, b *numeric.Matrix) (*Game, error) {
 	if a.Rows() == 0 || a.Cols() == 0 {
 		return nil, fmt.Errorf("bimatrix: empty payoff matrix")
@@ -33,7 +34,7 @@ func New(a, b *numeric.Matrix) (*Game, error) {
 		return nil, fmt.Errorf("bimatrix: A is %dx%d but B is %dx%d",
 			a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	}
-	return &Game{a: a.Clone(), b: b.Clone()}, nil
+	return &Game{a: a, b: b}, nil
 }
 
 // FromInts builds a game from integer payoff literals.
