@@ -21,8 +21,8 @@ import (
 	"rationality/internal/store"
 )
 
-// -update regenerates the golden exposition file from the current
-// renderer: go test ./internal/obs -run TestWriteMetricsGolden -update
+// -update regenerates the golden files (metrics, text, watch and stats
+// JSON) from the current renderers: go test ./internal/obs -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureStats is a fully populated snapshot: every section present,
@@ -148,9 +148,16 @@ func TestWriteMetricsGolden(t *testing.T) {
 	if err := WriteMetrics(&buf, "verify-corp", fixtureStats()); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "metrics.golden")
+	checkGolden(t, "metrics.golden", buf.Bytes())
+}
+
+// checkGolden compares got against testdata/name, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,13 +165,13 @@ func TestWriteMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("exposition output differs from %s (re-run with -update after intentional changes)\ngot:\n%s", golden, diffFirstLine(buf.Bytes(), want))
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s (re-run with -update after intentional changes)\n%s", golden, diffFirstLine(got, want))
 	}
 }
 
 // diffFirstLine points a failing golden comparison at the first
-// mismatching line instead of dumping two full expositions.
+// mismatching line instead of dumping two full renderings.
 func diffFirstLine(got, want []byte) string {
 	g := strings.Split(string(got), "\n")
 	w := strings.Split(string(want), "\n")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -39,6 +40,42 @@ func TestWriteTextStableLines(t *testing.T) {
 	if strings.Index(out, "bb22bb22") > strings.Index(out, "evil") {
 		t.Error("peer lines not sorted")
 	}
+}
+
+// TestWriteTextGolden pins the human rendering byte for byte: every line
+// of a fully populated snapshot, then the lines a zero snapshot prints.
+func TestWriteTextGolden(t *testing.T) {
+	var buf bytes.Buffer
+	WriteText(&buf, fixtureStats())
+	buf.WriteString("--- zero snapshot\n")
+	WriteText(&buf, service.Stats{})
+	checkGolden(t, "text.golden", buf.Bytes())
+}
+
+// TestWatchGolden pins the watch view: the header, a fixture row, an idle
+// window, a restarted authority and a degenerate (zero-length) window.
+func TestWatchGolden(t *testing.T) {
+	idle := service.Stats{Requests: 50, CacheHits: 50}
+	restarted := service.Stats{Requests: 10, CacheHits: 4}
+	lines := []string{
+		WatchHeader(),
+		DiffStats(service.Stats{}, fixtureStats(), 2*time.Second).Row(),
+		DiffStats(idle, idle, time.Second).Row(),
+		DiffStats(service.Stats{Requests: 1000, CacheHits: 900}, restarted, time.Second).Row(),
+		DiffStats(service.Stats{}, fixtureStats(), 0).Row(),
+	}
+	checkGolden(t, "watch.golden", []byte(strings.Join(lines, "\n")+"\n"))
+}
+
+// TestStatsJSONGolden pins the service-stats reply's JSON over the
+// fixture: every field name and omitempty rule the CLI's -json output
+// and the bench harness read.
+func TestStatsJSONGolden(t *testing.T) {
+	b, err := json.MarshalIndent(service.StatsResponse{VerifierID: "verify-corp", Stats: fixtureStats()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "stats.golden", append(b, '\n'))
 }
 
 // TestDiffStatsRates: a two-second window with known counter movement
