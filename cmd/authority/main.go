@@ -631,7 +631,7 @@ func watchStats(fetch func() (service.StatsResponse, error), prev service.StatsR
 		if rows%headerEvery == 0 {
 			fmt.Println(obs.WatchHeader())
 		}
-		fmt.Println(obs.DiffStats(prev.Stats, cur.Stats, now.Sub(prevAt)).Row())
+		fmt.Println(obs.WatchRow(prev.Stats, cur.Stats, now.Sub(prevAt)))
 		prev, prevAt = cur, now
 		rows++
 	}

@@ -82,80 +82,46 @@ func WriteText(w io.Writer, st service.Stats) {
 	}
 }
 
-// WatchDelta is one row of the live `stats -watch` view: the rates and
-// ratios computed between two consecutive Stats snapshots, plus the
-// point-in-time gauges from the newer one. Build it with DiffStats.
-type WatchDelta struct {
-	// Elapsed is the window the rates are normalized over.
-	Elapsed time.Duration
-	// Requests counts verifications completed inside the window.
-	Requests uint64
-	// ReqPerSec is the window's per-second rate of admitted requests.
-	ReqPerSec float64
-	// DedupPerSec is the per-second rate of singleflight followers.
-	DedupPerSec float64
-	// IngestPerSec is the per-second rate of anti-entropy ingests.
-	IngestPerSec float64
-	// FedRejectPerSec is the per-second rate of federation rejections,
-	// all causes summed.
-	FedRejectPerSec float64
-	// FailPerSec is the per-second rate of no-verdict failures.
-	FailPerSec float64
-	// HitRatio is cache hits over requests within the window; NaN when
-	// the window saw no requests (rendered as "-").
-	HitRatio float64
-	// P50 / P99 are the newer snapshot's cumulative latency estimates.
-	P50, P99 time.Duration
-	// InFlight is the newer snapshot's in-flight request gauge.
-	InFlight int64
-	// CacheEntries is the newer snapshot's verdict-cache population.
-	CacheEntries int
-	// LiveRecords is the newer snapshot's on-disk live-key count (zero
-	// without persistence).
-	LiveRecords uint64
+// WatchHeader is the column header of the watch view; the watch loop
+// reprints it periodically, top-style.
+func WatchHeader() string {
+	return fmt.Sprintf("%9s %6s %8s %8s %8s %7s %11s %11s %6s %7s %7s",
+		"req/s", "hit%", "dedup/s", "ingst/s", "fedrej/s", "fail/s", "p50", "p99", "inflt", "cache", "live")
 }
 
-// DiffStats computes one watch row from two snapshots taken elapsed
-// apart. Counters that moved backwards — a restarted authority — are
-// treated as counting from zero, so a watch survives the restart of what
-// it is watching instead of printing absurd negative rates.
-func DiffStats(prev, cur service.Stats, elapsed time.Duration) WatchDelta {
+// WatchRow renders one line of the live `stats -watch` view under
+// WatchHeader: per-second rates over the window between two snapshots
+// taken elapsed apart (requests, singleflight followers, anti-entropy
+// ingests, federation rejections across causes, failures), the window's
+// hit ratio ("-" when it saw no requests), and the newer snapshot's
+// latency estimates and gauges. A counter that moved backwards — a
+// restarted authority — counts from zero, so a watch survives the restart
+// of what it is watching; a window of zero length reads every rate as 0.
+func WatchRow(prev, cur service.Stats, elapsed time.Duration) string {
 	sec := elapsed.Seconds()
 	if sec <= 0 {
-		sec = math.Inf(1) // degenerate window: every rate reads 0
+		sec = math.Inf(1)
 	}
-	reqs := counterDelta(prev.Requests, cur.Requests)
-	hits := counterDelta(prev.CacheHits, cur.CacheHits)
-	d := WatchDelta{
-		Elapsed:         elapsed,
-		Requests:        reqs,
-		ReqPerSec:       float64(reqs) / sec,
-		DedupPerSec:     float64(counterDelta(prev.Deduplicated, cur.Deduplicated)) / sec,
-		IngestPerSec:    float64(counterDelta(prev.Ingested, cur.Ingested)) / sec,
-		FedRejectPerSec: float64(counterDelta(fedRejected(prev), fedRejected(cur))) / sec,
-		FailPerSec:      float64(counterDelta(prev.Failures, cur.Failures)) / sec,
-		HitRatio:        math.NaN(),
-		P50:             cur.Latency.P50,
-		P99:             cur.Latency.P99,
-		InFlight:        cur.InFlight,
-		CacheEntries:    cur.CacheEntries,
+	delta := func(p, c uint64) uint64 {
+		if c < p {
+			return c
+		}
+		return c - p
 	}
+	rate := func(p, c uint64) float64 { return float64(delta(p, c)) / sec }
+	reqs := delta(prev.Requests, cur.Requests)
+	hit := "-"
 	if reqs > 0 {
-		d.HitRatio = float64(hits) / float64(reqs)
+		hit = fmt.Sprintf("%.1f%%", float64(delta(prev.CacheHits, cur.CacheHits))/float64(reqs)*100)
 	}
+	var live uint64
 	if cur.Persistence != nil {
-		d.LiveRecords = cur.Persistence.LiveRecords
+		live = cur.Persistence.LiveRecords
 	}
-	return d
-}
-
-// counterDelta is cur-prev with restart tolerance: a counter that moved
-// backwards restarted at zero, so the window's delta is cur itself.
-func counterDelta(prev, cur uint64) uint64 {
-	if cur < prev {
-		return cur
-	}
-	return cur - prev
+	return fmt.Sprintf("%9.1f %6s %8.1f %8.1f %8.1f %7.1f %11s %11s %6d %7d %7d",
+		float64(reqs)/sec, hit, rate(prev.Deduplicated, cur.Deduplicated), rate(prev.Ingested, cur.Ingested),
+		rate(fedRejected(prev), fedRejected(cur)), rate(prev.Failures, cur.Failures),
+		watchDuration(cur.Latency.P50), watchDuration(cur.Latency.P99), cur.InFlight, cur.CacheEntries, live)
 }
 
 // fedRejected sums a snapshot's federation rejection buckets across all
@@ -166,24 +132,6 @@ func fedRejected(st service.Stats) uint64 {
 		return 0
 	}
 	return f.RejectedUnsigned + f.RejectedUnknown + f.RejectedBadSig + f.RejectedCorrupt + f.RejectedQuarantined
-}
-
-// WatchHeader is the column header of the watch view; the watch loop
-// reprints it periodically, top-style.
-func WatchHeader() string {
-	return fmt.Sprintf("%9s %6s %8s %8s %8s %7s %11s %11s %6s %7s %7s",
-		"req/s", "hit%", "dedup/s", "ingst/s", "fedrej/s", "fail/s", "p50", "p99", "inflt", "cache", "live")
-}
-
-// Row renders the delta as one aligned watch line under WatchHeader.
-func (d WatchDelta) Row() string {
-	hit := "-"
-	if !math.IsNaN(d.HitRatio) {
-		hit = fmt.Sprintf("%.1f%%", d.HitRatio*100)
-	}
-	return fmt.Sprintf("%9.1f %6s %8.1f %8.1f %8.1f %7.1f %11s %11s %6d %7d %7d",
-		d.ReqPerSec, hit, d.DedupPerSec, d.IngestPerSec, d.FedRejectPerSec, d.FailPerSec,
-		watchDuration(d.P50), watchDuration(d.P99), d.InFlight, d.CacheEntries, d.LiveRecords)
 }
 
 // watchDuration renders a latency estimate compactly: log2 bucket bounds

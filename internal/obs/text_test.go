@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -59,10 +58,10 @@ func TestWatchGolden(t *testing.T) {
 	restarted := service.Stats{Requests: 10, CacheHits: 4}
 	lines := []string{
 		WatchHeader(),
-		DiffStats(service.Stats{}, fixtureStats(), 2*time.Second).Row(),
-		DiffStats(idle, idle, time.Second).Row(),
-		DiffStats(service.Stats{Requests: 1000, CacheHits: 900}, restarted, time.Second).Row(),
-		DiffStats(service.Stats{}, fixtureStats(), 0).Row(),
+		WatchRow(service.Stats{}, fixtureStats(), 2*time.Second),
+		WatchRow(idle, idle, time.Second),
+		WatchRow(service.Stats{Requests: 1000, CacheHits: 900}, restarted, time.Second),
+		WatchRow(service.Stats{}, fixtureStats(), 0),
 	}
 	checkGolden(t, "watch.golden", []byte(strings.Join(lines, "\n")+"\n"))
 }
@@ -78,9 +77,15 @@ func TestStatsJSONGolden(t *testing.T) {
 	checkGolden(t, "stats.golden", append(b, '\n'))
 }
 
-// TestDiffStatsRates: a two-second window with known counter movement
-// produces the expected per-second rates and hit ratio.
-func TestDiffStatsRates(t *testing.T) {
+// watchCells is a watch row's columns with the alignment padding dropped.
+func watchCells(prev, cur service.Stats, elapsed time.Duration) string {
+	return strings.Join(strings.Fields(WatchRow(prev, cur, elapsed)), " ")
+}
+
+// TestWatchRowRates: a two-second window with known counter movement
+// renders the expected per-second rates and hit ratio, and the newer
+// snapshot's latency estimates and gauges.
+func TestWatchRowRates(t *testing.T) {
 	prev := service.Stats{
 		Requests: 100, CacheHits: 80, Deduplicated: 4, Ingested: 10, Failures: 2,
 		Federation: &service.FederationStats{RejectedUnknown: 3},
@@ -92,71 +97,47 @@ func TestDiffStatsRates(t *testing.T) {
 		Federation:  &service.FederationStats{RejectedUnknown: 3, RejectedBadSig: 7},
 		Persistence: &store.Stats{LiveRecords: 19},
 	}
-	d := DiffStats(prev, cur, 2*time.Second)
-	if d.Requests != 200 || d.ReqPerSec != 100 {
-		t.Errorf("req rate = %d (%v/s), want 200 (100/s)", d.Requests, d.ReqPerSec)
-	}
-	if got := d.HitRatio; math.Abs(got-0.75) > 1e-9 {
-		t.Errorf("hit ratio = %v, want 0.75", got)
-	}
-	if d.DedupPerSec != 2 {
-		t.Errorf("dedup/s = %v, want 2", d.DedupPerSec)
-	}
-	if d.IngestPerSec != 3 {
-		t.Errorf("ingest/s = %v, want 3", d.IngestPerSec)
-	}
-	// Rejections across causes: prev total 3, cur total 10 → 3.5/s.
-	if d.FedRejectPerSec != 3.5 {
-		t.Errorf("fedrej/s = %v, want 3.5", d.FedRejectPerSec)
-	}
-	if d.FailPerSec != 0 {
-		t.Errorf("fail/s = %v, want 0", d.FailPerSec)
-	}
-	if d.P50 != 2047 || d.P99 != 1_048_575 {
-		t.Errorf("p50/p99 = %v/%v", d.P50, d.P99)
-	}
-	if d.InFlight != 5 || d.CacheEntries != 42 || d.LiveRecords != 19 {
-		t.Errorf("gauges = %d/%d/%d", d.InFlight, d.CacheEntries, d.LiveRecords)
+	// 200 requests → 100/s, 150 hits → 75%, dedup 2/s, ingest 3/s,
+	// rejections across causes 3 → 10 → 3.5/s, no new failures; p99
+	// renders rounded to the microsecond above a millisecond.
+	want := "100.0 75.0% 2.0 3.0 3.5 0.0 2.047µs 1.049ms 5 42 19"
+	if got := watchCells(prev, cur, 2*time.Second); got != want {
+		t.Errorf("row = %q\nwant  %q", got, want)
 	}
 }
 
-// TestDiffStatsRestartTolerance: counters that moved backwards mean the
+// TestWatchRowRestartTolerance: counters that moved backwards mean the
 // watched authority restarted; the window counts from zero instead of
 // underflowing to absurd rates.
-func TestDiffStatsRestartTolerance(t *testing.T) {
+func TestWatchRowRestartTolerance(t *testing.T) {
 	prev := service.Stats{Requests: 1000, CacheHits: 900}
 	cur := service.Stats{Requests: 10, CacheHits: 4}
-	d := DiffStats(prev, cur, time.Second)
-	if d.Requests != 10 || d.ReqPerSec != 10 {
-		t.Errorf("post-restart req delta = %d (%v/s), want 10 (10/s)", d.Requests, d.ReqPerSec)
-	}
-	if math.Abs(d.HitRatio-0.4) > 1e-9 {
-		t.Errorf("post-restart hit ratio = %v, want 0.4", d.HitRatio)
+	if got := watchCells(prev, cur, time.Second); !strings.HasPrefix(got, "10.0 40.0% ") {
+		t.Errorf("post-restart row = %q, want 10 req/s at a 40%% hit ratio", got)
 	}
 }
 
-// TestDiffStatsIdleWindow: no requests in the window renders the hit
-// ratio as unknown, not a division by zero.
-func TestDiffStatsIdleWindow(t *testing.T) {
+// TestWatchRowIdleWindow: no requests in the window renders the hit
+// ratio as unknown, not a division by zero; a zero-length window reads
+// every rate as 0.
+func TestWatchRowIdleWindow(t *testing.T) {
 	st := service.Stats{Requests: 50, CacheHits: 50}
-	d := DiffStats(st, st, time.Second)
-	if !math.IsNaN(d.HitRatio) {
-		t.Errorf("idle hit ratio = %v, want NaN", d.HitRatio)
+	if row := WatchRow(st, st, time.Second); !strings.Contains(row, " - ") {
+		t.Errorf("idle row should render hit%% as '-': %q", row)
 	}
-	if !strings.Contains(d.Row(), " - ") {
-		t.Errorf("idle row should render hit%% as '-': %q", d.Row())
+	if got := watchCells(st, st, time.Second); !strings.HasPrefix(got, "0.0 - ") {
+		t.Errorf("idle row = %q, want 0 req/s", got)
 	}
-	if d.ReqPerSec != 0 {
-		t.Errorf("idle req/s = %v", d.ReqPerSec)
+	if got := watchCells(service.Stats{}, st, 0); !strings.HasPrefix(got, "0.0 100.0% 0.0 0.0 0.0 0.0 ") {
+		t.Errorf("zero-length window row = %q, want every rate 0", got)
 	}
 }
 
 // TestWatchRowAlignment: rows line up under the header, column for
 // column, so the watch view reads as a table.
 func TestWatchRowAlignment(t *testing.T) {
-	d := DiffStats(service.Stats{}, fixtureStats(), 2*time.Second)
 	header := WatchHeader()
-	row := d.Row()
+	row := WatchRow(service.Stats{}, fixtureStats(), 2*time.Second)
 	// Terminal columns are runes, not bytes — durations carry a µ.
 	if utf8.RuneCountInString(header) != utf8.RuneCountInString(row) {
 		t.Errorf("header/row width mismatch:\n%s\n%s", header, row)
