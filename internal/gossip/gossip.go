@@ -154,34 +154,24 @@ type Config struct {
 	OnRound func(exchanged bool)
 }
 
-// peerState is one peer's engine-side state, guarded by Engine.mu.
+// peerState is one peer's engine-side state, guarded by Engine.mu. Its
+// PeerStats is the peer's reported view, updated in place (Backoff is
+// derived from next at snapshot time).
 type peerState struct {
-	addr   string
+	PeerStats
 	client transport.Client
-	signer identity.PartyID
-	state  string
-	// failures counts consecutive failures (reset on success); next is
-	// the earliest time the peer is due another attempt.
-	failures int
-	next     time.Time
+	// next is the earliest time the peer is due another attempt.
+	next time.Time
 
 	// pending holds keys to push once the in-flight push (pushing) is done.
 	pending []identity.Hash
 	pushing bool
-
-	attempts          uint64
-	failed            uint64
-	sent              uint64
-	received          uint64
-	skippedBackoff    uint64
-	skippedQuarantine uint64
 }
 
 // Engine runs gossip rounds. Build with New; drive with Round, or Start
 // the background loop and Stop it on shutdown.
 type Engine struct {
-	cfg  Config
-	seed int64
+	cfg Config
 
 	// roundMu serializes rounds (the loop and manual Round callers);
 	// mu guards the mutable state below and is never held across an
@@ -192,14 +182,9 @@ type Engine struct {
 	pushRng *rand.Rand // push targets: apart from rng, so rounds replay unchanged
 	peers   []*peerState
 	board   map[identity.Hash]int // rumor key -> remaining TTL
-	rounds  uint64
-	exchgs  uint64
-	fails   uint64
-	inSync  uint64
-	sent    uint64
-	recvd   uint64
-	bytesTx uint64
-	bytesRx uint64
+	// stats holds the round counters and the resolved fanout and seed;
+	// Stats adds the rumor board and the per-peer view.
+	stats Stats
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -263,16 +248,16 @@ func New(cfg Config) (*Engine, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		cfg:     cfg,
-		seed:    seed,
 		rng:     rand.New(rand.NewSource(seed)),
 		pushRng: rand.New(rand.NewSource(^seed)),
 		board:   make(map[identity.Hash]int),
+		stats:   Stats{Fanout: cfg.Fanout, Seed: seed},
 		ctx:     ctx,
 		cancel:  cancel,
 		exited:  make(chan struct{}),
 	}
 	for _, addr := range cfg.Peers {
-		e.peers = append(e.peers, &peerState{addr: addr, state: Healthy})
+		e.peers = append(e.peers, &peerState{PeerStats: PeerStats{Address: addr, State: Healthy}})
 	}
 	// The seed line is what makes a chaos failure replayable: re-run with
 	// Config.Seed set to the logged value and the same peer selections,
@@ -326,7 +311,7 @@ func (e *Engine) Push(key identity.Hash) {
 	}
 	var targets []*peerState
 	for _, p := range e.peers {
-		if p.client != nil && !now.Before(p.next) && !e.vetoed(p.signer) {
+		if p.client != nil && !now.Before(p.next) && !e.vetoed(p.Signer) {
 			targets = append(targets, p)
 		}
 	}
@@ -363,8 +348,8 @@ func (e *Engine) pushTo(p *peerState) {
 		cancel()
 		if err == nil {
 			e.mu.Lock()
-			p.sent += uint64(res.Sent)
-			e.sent += uint64(res.Sent)
+			p.RecordsSent += uint64(res.Sent)
+			e.stats.RecordsSent += uint64(res.Sent)
 			e.mu.Unlock()
 		}
 	}
@@ -435,8 +420,8 @@ func (e *Engine) Round(ctx context.Context) error {
 	}
 
 	e.mu.Lock()
-	e.rounds++
-	full := e.cfg.AntiEntropyEvery > 0 && e.rounds%uint64(e.cfg.AntiEntropyEvery) == 0
+	e.stats.Rounds++
+	full := e.cfg.AntiEntropyEvery > 0 && e.stats.Rounds%uint64(e.cfg.AntiEntropyEvery) == 0
 	partners := e.selectLocked(time.Now())
 	rumors := make([]identity.Hash, 0, len(e.board))
 	for k := range e.board {
@@ -491,9 +476,9 @@ func (e *Engine) selectLocked(now time.Time) []*peerState {
 		p := e.peers[i]
 		switch {
 		case now.Before(p.next):
-			p.skippedBackoff++
-		case e.vetoed(p.signer):
-			p.skippedQuarantine++
+			p.SkippedBackoff++
+		case e.vetoed(p.Signer):
+			p.SkippedQuarantine++
 		default:
 			picked = append(picked, p)
 		}
@@ -511,13 +496,13 @@ func (e *Engine) vetoed(signer identity.PartyID) bool {
 // counters and the peer's breaker state.
 func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bool {
 	e.mu.Lock()
-	p.attempts++
+	p.Attempts++
 	client := p.client
 	e.mu.Unlock()
 	if client == nil {
-		c, err := e.cfg.Dial(p.addr)
+		c, err := e.cfg.Dial(p.Address)
 		if err != nil {
-			e.cfg.Logf("gossip: %s unreachable: %v", p.addr, err)
+			e.cfg.Logf("gossip: %s unreachable: %v", p.Address, err)
 			e.noteFailure(p, nil)
 			return false
 		}
@@ -531,20 +516,20 @@ func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bo
 	cancel()
 	if res.Signer != "" {
 		e.mu.Lock()
-		p.signer = res.Signer
+		p.Signer = res.Signer
 		e.mu.Unlock()
 	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return false // shutdown mid-exchange: not a peer failure
 		}
-		e.cfg.Logf("gossip: exchange with %s: %v", p.addr, err)
+		e.cfg.Logf("gossip: exchange with %s: %v", p.Address, err)
 		if e.vetoed(res.Signer) {
 			// A deliberate refusal by this node's own policy, not a peer
 			// fault: no backoff, no breaker — the selection skip takes over
 			// now that the signer is known.
 			e.mu.Lock()
-			p.skippedQuarantine++
+			p.SkippedQuarantine++
 			e.mu.Unlock()
 			return false
 		}
@@ -552,26 +537,26 @@ func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bo
 		return false
 	}
 	e.mu.Lock()
-	recovered := p.state == Open
-	p.state = Healthy
-	p.failures = 0
+	recovered := p.State == Open
+	p.State = Healthy
+	p.ConsecutiveFailures = 0
 	p.next = time.Time{}
-	p.sent += uint64(res.Sent)
-	p.received += uint64(res.Received)
-	e.exchgs++
-	e.sent += uint64(res.Sent)
-	e.recvd += uint64(res.Received)
-	e.bytesTx += res.BytesSent
-	e.bytesRx += res.BytesReceived
+	p.RecordsSent += uint64(res.Sent)
+	p.RecordsReceived += uint64(res.Received)
+	e.stats.Exchanges++
+	e.stats.RecordsSent += uint64(res.Sent)
+	e.stats.RecordsReceived += uint64(res.Received)
+	e.stats.BytesSent += res.BytesSent
+	e.stats.BytesReceived += res.BytesReceived
 	if res.InSync {
-		e.inSync++
+		e.stats.InSync++
 	}
 	e.mu.Unlock()
 	if recovered {
-		e.cfg.Logf("gossip: circuit closed for %s: probe succeeded", p.addr)
+		e.cfg.Logf("gossip: circuit closed for %s: probe succeeded", p.Address)
 	}
 	if res.Sent > 0 || res.Received > 0 {
-		e.cfg.Logf("gossip: exchanged with %s: sent=%d received=%d", p.addr, res.Sent, res.Received)
+		e.cfg.Logf("gossip: exchanged with %s: sent=%d received=%d", p.Address, res.Sent, res.Received)
 	}
 	return true
 }
@@ -581,19 +566,19 @@ func (e *Engine) exchangeWith(ctx context.Context, p *peerState, req Request) bo
 // and release the peer's client so the next due attempt re-dials fresh.
 func (e *Engine) noteFailure(p *peerState, client transport.Client) {
 	e.mu.Lock()
-	p.failures++
-	p.failed++
-	e.fails++
-	window := e.backoffLocked(p.failures)
+	p.ConsecutiveFailures++
+	p.Failed++
+	e.stats.Failures++
+	window := e.backoffLocked(p.ConsecutiveFailures)
 	p.next = time.Now().Add(window)
 	opened := false
-	if p.failures >= DefaultBreakerThreshold {
-		opened = p.state != Open
-		p.state = Open
+	if p.ConsecutiveFailures >= DefaultBreakerThreshold {
+		opened = p.State != Open
+		p.State = Open
 	} else {
-		p.state = Degraded
+		p.State = Degraded
 	}
-	failures := p.failures
+	failures := p.ConsecutiveFailures
 	if p.client == client && client != nil {
 		_ = client.Close()
 		p.client = nil
@@ -601,7 +586,7 @@ func (e *Engine) noteFailure(p *peerState, client transport.Client) {
 	e.mu.Unlock()
 	if opened {
 		e.cfg.Logf("gossip: circuit open for %s after %d consecutive failures (next probe in %s)",
-			p.addr, failures, window.Round(time.Millisecond))
+			p.Address, failures, window.Round(time.Millisecond))
 	}
 }
 
@@ -689,32 +674,10 @@ func (e *Engine) Stats() Stats {
 	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Stats{
-		Rounds:          e.rounds,
-		Exchanges:       e.exchgs,
-		Failures:        e.fails,
-		InSync:          e.inSync,
-		RecordsSent:     e.sent,
-		RecordsReceived: e.recvd,
-		BytesSent:       e.bytesTx,
-		BytesReceived:   e.bytesRx,
-		RumorsPending:   len(e.board),
-		Fanout:          e.cfg.Fanout,
-		Seed:            e.seed,
-	}
+	st := e.stats
+	st.RumorsPending = len(e.board)
 	for _, p := range e.peers {
-		ps := PeerStats{
-			Address:             p.addr,
-			Signer:              p.signer,
-			State:               p.state,
-			ConsecutiveFailures: p.failures,
-			Attempts:            p.attempts,
-			Failed:              p.failed,
-			RecordsSent:         p.sent,
-			RecordsReceived:     p.received,
-			SkippedBackoff:      p.skippedBackoff,
-			SkippedQuarantine:   p.skippedQuarantine,
-		}
+		ps := p.PeerStats
 		if p.next.After(now) {
 			ps.Backoff = p.next.Sub(now)
 		}

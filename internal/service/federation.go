@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -90,12 +91,10 @@ type federation struct {
 	key   *identity.KeyPair
 	allow map[identity.PartyID]bool
 
-	mu               sync.Mutex
-	rejectedUnsigned uint64
-	rejectedUnknown  uint64
-	rejectedBadSig   uint64
-	rejectedCorrupt  uint64
-	peers            map[identity.PartyID]*PeerSyncStats
+	mu sync.Mutex
+	// stats holds the signer, the allowlist size, the four cause buckets
+	// and the per-peer rows; Service.Stats adds the trust policy's view.
+	stats FederationStats
 }
 
 // newFederation validates the federation config. A nil return means the
@@ -105,7 +104,10 @@ func newFederation(key *identity.KeyPair, peerKeys []identity.PartyID) (*federat
 	if key == nil && len(peerKeys) == 0 {
 		return nil, nil
 	}
-	f := &federation{key: key, peers: make(map[identity.PartyID]*PeerSyncStats)}
+	f := &federation{key: key}
+	if key != nil {
+		f.stats.Signer = key.ID()
+	}
 	if len(peerKeys) > 0 {
 		f.allow = make(map[identity.PartyID]bool, len(peerKeys))
 		for _, pk := range peerKeys {
@@ -116,78 +118,54 @@ func newFederation(key *identity.KeyPair, peerKeys []identity.PartyID) (*federat
 			f.allow[canonical] = true
 		}
 	}
+	f.stats.TrustedPeers = len(f.allow)
 	return f, nil
 }
 
-// peer returns the counter slot for a signer, creating it on first use.
-// Callers hold f.mu.
-func (f *federation) peer(id identity.PartyID) *PeerSyncStats {
-	p := f.peers[id]
-	if p == nil {
-		p = &PeerSyncStats{}
-		f.peers[id] = p
+// charge adds one delta's outcome to the signer's row. Unsigned deltas
+// admitted without an allowlist carry no signer to attribute them to —
+// they stay out of the per-peer table (a blank-ID row would read as
+// corrupted stats) and remain visible as Stats.Ingested. Callers hold
+// f.mu.
+func (f *federation) charge(signer identity.PartyID, deltas, records, rejected uint64) {
+	if signer == "" {
+		return
 	}
-	return p
+	if f.stats.Peers == nil {
+		f.stats.Peers = make(map[string]PeerSyncStats)
+	}
+	p := f.stats.Peers[string(signer)]
+	p.Deltas, p.Records, p.Rejected = p.Deltas+deltas, p.Records+records, p.Rejected+rejected
+	f.stats.Peers[string(signer)] = p
 }
 
 // countAccept records one verified delta and how many records it applied.
-// Unsigned deltas admitted without an allowlist carry no signer to
-// attribute them to — they stay out of the per-peer table (a blank-ID row
-// would read as corrupted stats) and remain visible as Stats.Ingested.
 func (f *federation) countAccept(signer identity.PartyID, records int) {
-	if signer == "" {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	p := f.peer(signer)
-	p.Deltas++
-	p.Records += uint64(records)
+	f.charge(signer, 1, uint64(records), 0)
 }
 
 // countReject records one refused delta under the given cause bucket,
-// attributing it to the claimed signer when one was named.
+// attributing it to the claimed signer when one was named. A quarantine
+// refusal passes a nil bucket: its bucket lives in the service metrics
+// (the trust policy can run without a federation config).
 func (f *federation) countReject(signer identity.PartyID, bucket *uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	*bucket++
-	if signer != "" {
-		f.peer(signer).Rejected++
+	if bucket != nil {
+		*bucket++
 	}
-}
-
-// countRejectPeer attributes one refused delta to a signer without a
-// federation-level cause bucket — used for quarantine refusals, whose
-// bucket lives in the service metrics (the trust policy can run without
-// a federation config).
-func (f *federation) countRejectPeer(signer identity.PartyID) {
-	if signer == "" {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.peer(signer).Rejected++
+	f.charge(signer, 0, 0, 1)
 }
 
 // snapshot assembles the FederationStats view.
 func (f *federation) snapshot() *FederationStats {
-	st := &FederationStats{TrustedPeers: len(f.allow)}
-	if f.key != nil {
-		st.Signer = f.key.ID()
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st.RejectedUnsigned = f.rejectedUnsigned
-	st.RejectedUnknown = f.rejectedUnknown
-	st.RejectedBadSig = f.rejectedBadSig
-	st.RejectedCorrupt = f.rejectedCorrupt
-	if len(f.peers) > 0 {
-		st.Peers = make(map[string]PeerSyncStats, len(f.peers))
-		for id, p := range f.peers {
-			st.Peers[string(id)] = *p
-		}
-	}
-	return st
+	st := f.stats
+	st.Peers = maps.Clone(st.Peers)
+	return &st
 }
 
 // offerDigest is the canonical content address of a sync-offer: the

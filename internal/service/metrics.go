@@ -9,13 +9,16 @@ import (
 	"rationality/internal/store"
 )
 
-// latencyBuckets is the size of the fixed log-scale latency histogram:
+// LatencyBuckets is the size of the fixed log-scale latency histogram:
 // bucket i counts requests whose latency in nanoseconds has floor(log2) ==
 // i, i.e. bucket boundaries double from 1ns up; bucket 39 (~9.2 minutes)
 // and above collapse into the last bucket. Forty buckets cover every
 // latency a request could plausibly have while keeping the histogram a
-// single cache-friendly array of atomics.
-const latencyBuckets = 40
+// single cache-friendly array of atomics. It is also the number of buckets
+// a full (untrimmed) LatencySummary.Buckets can carry: renderers that need
+// the histogram's complete range iterate up to it and treat indexes past
+// the trimmed slice as zero counts.
+const LatencyBuckets = 40
 
 // metrics aggregates the service's operational counters. Everything is
 // atomic — counters, gauges, and the latency histogram — so the hot path
@@ -72,7 +75,7 @@ type latencyRecorder struct {
 	total atomic.Int64 // nanoseconds
 	min   atomic.Int64 // nanoseconds; 0 = unset
 	max   atomic.Int64 // nanoseconds
-	hist  [latencyBuckets]atomic.Uint64
+	hist  [LatencyBuckets]atomic.Uint64
 }
 
 // observe records one latency sample. Lock-free.
@@ -103,29 +106,19 @@ func latencyBucket(ns int64) int {
 	if b < 0 {
 		return 0
 	}
-	if b >= latencyBuckets {
-		return latencyBuckets - 1
+	if b >= LatencyBuckets {
+		return LatencyBuckets - 1
 	}
 	return b
 }
 
-// LatencyBuckets is the capacity of the log2 latency histogram: the
-// number of buckets a full (untrimmed) LatencySummary.Buckets can carry.
-// Renderers that need the histogram's complete range — e.g. the
-// Prometheus exposition in internal/obs — iterate bucket indexes up to
-// this bound and treat indexes past the trimmed slice as zero counts.
-const LatencyBuckets = latencyBuckets
-
 // LatencyBucketBound is the inclusive upper bound of log2 latency bucket
-// i: 2^(i+1)-1 nanoseconds. It is the `le` threshold a cumulative
-// rendering of LatencySummary.Buckets derives for bucket i.
-func LatencyBucketBound(i int) time.Duration { return bucketUpperBound(i) }
-
-// bucketUpperBound is the largest latency bucket i can hold: 2^(i+1)-1 ns.
-// Percentile estimates report this bound, so they err on the conservative
-// (pessimistic) side by at most one bucket width (a factor of two — the
-// resolution a log2 histogram buys).
-func bucketUpperBound(i int) time.Duration {
+// i: 2^(i+1)-1 nanoseconds, the `le` threshold a cumulative rendering of
+// LatencySummary.Buckets derives for bucket i. Percentile estimates report
+// this bound, so they err on the conservative (pessimistic) side by at
+// most one bucket width (a factor of two — the resolution a log2
+// histogram buys).
+func LatencyBucketBound(i int) time.Duration {
 	if i >= 62 {
 		return time.Duration(int64(^uint64(0) >> 1))
 	}
@@ -335,7 +328,7 @@ func (r *latencyRecorder) summary() LatencySummary {
 		Max:   time.Duration(r.max.Load()),
 	}
 	sum.Mean = sum.Total / time.Duration(count)
-	buckets := make([]uint64, latencyBuckets)
+	buckets := make([]uint64, LatencyBuckets)
 	var total uint64
 	last := -1 // highest populated bucket, for the trailing-zero trim
 	for i := range r.hist {
@@ -378,8 +371,8 @@ func histPercentile(buckets []uint64, total uint64, pct uint64) time.Duration {
 	for i, n := range buckets {
 		cum += n
 		if cum >= rank {
-			return bucketUpperBound(i)
+			return LatencyBucketBound(i)
 		}
 	}
-	return bucketUpperBound(len(buckets) - 1)
+	return LatencyBucketBound(len(buckets) - 1)
 }

@@ -195,7 +195,7 @@ func (s *Service) IngestDelta(offer SyncOfferRequest, delta SyncDeltaResponse) (
 		// visible in Stats) and refuse every record in it.
 		s.metrics.rejectedQuarantined.Add(1)
 		if s.fed != nil {
-			s.fed.countRejectPeer(delta.Signer)
+			s.fed.countReject(delta.Signer, nil)
 		}
 		return 0, fmt.Errorf("%w: signer %s (peer %q)", ErrPeerQuarantined, delta.Signer, delta.VerifierID)
 	}
@@ -205,7 +205,7 @@ func (s *Service) IngestDelta(offer SyncOfferRequest, delta SyncDeltaResponse) (
 		// a bad frame here means the *responder* served bytes it should
 		// not have signed — still a rejection worth counting against it.
 		if s.fed != nil {
-			s.fed.countReject(delta.Signer, &s.fed.rejectedCorrupt)
+			s.fed.countReject(delta.Signer, &s.fed.stats.RejectedCorrupt)
 		}
 		return 0, err
 	}
@@ -231,16 +231,16 @@ func (f *federation) admit(offer *SyncOfferRequest, delta *SyncDeltaResponse) er
 		if len(f.allow) == 0 {
 			return nil // no allowlist: unsigned intra-operator sync is fine
 		}
-		f.countReject("", &f.rejectedUnsigned)
+		f.countReject("", &f.stats.RejectedUnsigned)
 		return fmt.Errorf("%w (peer %q)", ErrUnsignedDelta, delta.VerifierID)
 	}
 	if len(f.allow) > 0 && !f.allow[delta.Signer] {
-		f.countReject(delta.Signer, &f.rejectedUnknown)
+		f.countReject(delta.Signer, &f.stats.RejectedUnknown)
 		return fmt.Errorf("%w: signer %s (peer %q)", ErrUnknownSigner, delta.Signer, delta.VerifierID)
 	}
 	digest := identity.SyncDeltaDigest(offerDigest(offer), delta.Records, delta.Signer)
 	if err := identity.Verify(delta.Signer, digest, delta.Signature); err != nil {
-		f.countReject(delta.Signer, &f.rejectedBadSig)
+		f.countReject(delta.Signer, &f.stats.RejectedBadSig)
 		return fmt.Errorf("service: sync-delta from signer %s (peer %q): %w", delta.Signer, delta.VerifierID, err)
 	}
 	return nil
