@@ -13,16 +13,18 @@
 //     peer/cause/shard, the log2 histogram as a native Prometheus
 //     histogram with cumulative `le` buckets);
 //   - WriteText is the human rendering the CLI `stats` subcommand and the
-//     verifier's shutdown report share, and DiffStats turns two snapshots
-//     into the rates (req/s, hit ratio, rejections/s) a live `top`-style
-//     watch prints;
+//     verifier's shutdown report share, and WatchRow turns two snapshots
+//     into the line of rates (req/s, hit ratio, rejections/s) a live
+//     `top`-style watch prints;
 //   - Server is a separate HTTP admin listener serving /metrics,
 //     /healthz (process liveness), /readyz (readiness gated on a
 //     Readiness latch) and net/http/pprof, so profiles are one curl away
 //     and a load balancer can keep a cold authority out of rotation.
 //
-// Everything here reads snapshots at probe cadence; nothing in this
-// package is ever on the verification hot path.
+// WriteMetrics and WriteText are two renderers over one snapshot. Golden
+// files pin both byte for byte, and a drift test fails when a numeric
+// Stats field reaches neither. Everything here reads snapshots at probe
+// cadence; nothing in this package is ever on the verification hot path.
 package obs
 
 import (
