@@ -141,7 +141,7 @@ func WriteMetrics(w io.Writer, verifierID string, st service.Stats) error {
 	// Concurrency gauges.
 	p.one("rationality_in_flight", gauge, "Requests currently being served.", st.InFlight)
 	p.one("rationality_in_flight_peak", gauge, "Highest concurrency observed since start.", st.PeakInFlight)
-	p.one("rationality_workers", gauge, "Executor pool size.", st.Workers)
+	p.one("rationality_workers", gauge, "Procedure slots: how many verifications may run their procedure at once.", st.Workers)
 
 	// Cache population, total and per stripe.
 	p.one("rationality_cache_entries", gauge, "Current verdict-cache population.", st.CacheEntries)
