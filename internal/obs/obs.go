@@ -29,7 +29,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -133,12 +132,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// joinOr renders a list as "a, b, c" with a fallback for the empty case.
-func joinOr(items []string, empty string) string {
-	if len(items) == 0 {
-		return empty
-	}
-	return strings.Join(items, ", ")
 }

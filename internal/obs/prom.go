@@ -61,7 +61,9 @@ var (
 
 // header emits the HELP and TYPE lines of one family.
 func (p *promWriter) header(name, typ, help string) {
-	p.b.WriteString("# HELP " + name + " " + helpEscaper.Replace(help) + "\n# TYPE " + name + " " + typ + "\n")
+	for _, s := range [...]string{"# HELP ", name, " ", helpEscaper.Replace(help), "\n# TYPE ", name, " ", typ, "\n"} {
+		p.b.WriteString(s)
+	}
 }
 
 // sample emits one sample line: name{set} value. Durations render in
@@ -69,7 +71,9 @@ func (p *promWriter) header(name, typ, help string) {
 func (p *promWriter) sample(name, set string, v any) {
 	p.b.WriteString(name)
 	if set != "" {
-		p.b.WriteString("{" + set + "}")
+		p.b.WriteByte('{')
+		p.b.WriteString(set)
+		p.b.WriteByte('}')
 	}
 	p.b.WriteByte(' ')
 	switch v := v.(type) {
@@ -297,14 +301,15 @@ func WriteMetrics(w io.Writer, verifierID string, st service.Stats) error {
 // from the bucket sum; _sum is the summary's Total.
 func writeLatencyHistogram(p *promWriter, name, help string, lat service.LatencySummary) {
 	p.header(name, "histogram", help)
+	bucket := name + "_bucket"
 	var cum uint64
 	for i := 0; i < service.LatencyBuckets; i++ {
 		if i < len(lat.Buckets) {
 			cum += lat.Buckets[i]
 		}
-		p.sample(name+"_bucket", `le="`+formatFloat(service.LatencyBucketBound(i).Seconds())+`"`, cum)
+		p.sample(bucket, `le="`+formatFloat(service.LatencyBucketBound(i).Seconds())+`"`, cum)
 	}
-	p.sample(name+"_bucket", `le="+Inf"`, cum)
+	p.sample(bucket, `le="+Inf"`, cum)
 	p.sample(name+"_sum", "", lat.Total)
 	p.sample(name+"_count", "", cum)
 }

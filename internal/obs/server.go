@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"rationality/internal/service"
@@ -119,7 +120,11 @@ func (s *Server) handler(cfg ServerConfig) http.Handler {
 			return
 		}
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "not ready: waiting on %s\n", joinOr(cfg.Readiness.Pending(), "nothing"))
+		pending := strings.Join(cfg.Readiness.Pending(), ", ")
+		if pending == "" {
+			pending = "nothing" // the last gate was marked after Ready
+		}
+		fmt.Fprintf(w, "not ready: waiting on %s\n", pending)
 	})
 	// net/http/pprof registers on the default mux at import; wire its
 	// handlers here explicitly so profiles live on the admin port only.

@@ -122,12 +122,12 @@ func newFederation(key *identity.KeyPair, peerKeys []identity.PartyID) (*federat
 	return f, nil
 }
 
-// charge adds one delta's outcome to the signer's row. Unsigned deltas
-// admitted without an allowlist carry no signer to attribute them to —
-// they stay out of the per-peer table (a blank-ID row would read as
-// corrupted stats) and remain visible as Stats.Ingested. Callers hold
-// f.mu.
-func (f *federation) charge(signer identity.PartyID, deltas, records, rejected uint64) {
+// charge adds one delta's deltas, records and rejections to the signer's
+// row. Unsigned deltas admitted without an allowlist carry no signer to
+// attribute them to — they stay out of the per-peer table (a blank-ID row
+// would read as corrupted stats) and remain visible as Stats.Ingested.
+// Callers hold f.mu.
+func (f *federation) charge(signer identity.PartyID, add PeerSyncStats) {
 	if signer == "" {
 		return
 	}
@@ -135,7 +135,9 @@ func (f *federation) charge(signer identity.PartyID, deltas, records, rejected u
 		f.stats.Peers = make(map[string]PeerSyncStats)
 	}
 	p := f.stats.Peers[string(signer)]
-	p.Deltas, p.Records, p.Rejected = p.Deltas+deltas, p.Records+records, p.Rejected+rejected
+	p.Deltas += add.Deltas
+	p.Records += add.Records
+	p.Rejected += add.Rejected
 	f.stats.Peers[string(signer)] = p
 }
 
@@ -143,7 +145,7 @@ func (f *federation) charge(signer identity.PartyID, deltas, records, rejected u
 func (f *federation) countAccept(signer identity.PartyID, records int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.charge(signer, 1, uint64(records), 0)
+	f.charge(signer, PeerSyncStats{Deltas: 1, Records: uint64(records)})
 }
 
 // countReject records one refused delta under the given cause bucket,
@@ -156,7 +158,7 @@ func (f *federation) countReject(signer identity.PartyID, bucket *uint64) {
 	if bucket != nil {
 		*bucket++
 	}
-	f.charge(signer, 0, 0, 1)
+	f.charge(signer, PeerSyncStats{Rejected: 1})
 }
 
 // snapshot assembles the FederationStats view.
