@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,10 +10,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"rationality/internal/fsx"
 )
+
+// runBytes bounds one read of adjacent frames during a snapshot rewrite.
+const runBytes = 1 << 16
 
 // move is an index line and the stamp its frame takes in the next snapshot.
 type move struct {
@@ -96,12 +100,41 @@ func (s *Store) partitionRetained(lines []move) (firstHot int) {
 			}
 		}
 	}
-	byStamp := func(part []move) {
-		sort.Slice(part, func(i, j int) bool { return part[i].stamp < part[j].stamp })
-	}
-	byStamp(lines[:firstHot])
-	byStamp(lines[firstHot:])
+	byStamp := func(m *move) uint64 { return m.stamp }
+	sortLines(lines[:firstHot], byStamp)
+	sortLines(lines[firstHot:], byStamp)
 	return firstHot
+}
+
+// sortLines orders lines by key. It sorts (key, index) pairs, then moves
+// each line once, a permutation cycle at a time: comparing the lines
+// themselves would copy two of them per comparison.
+func sortLines(lines []move, key func(*move) uint64) {
+	order := make([]struct {
+		key uint64
+		i   int
+	}, len(lines))
+	for i := range lines {
+		order[i].key, order[i].i = key(&lines[i]), i
+	}
+	slices.SortFunc(order, func(a, b struct {
+		key uint64
+		i   int
+	}) int {
+		return cmp.Compare(a.key, b.key)
+	})
+	for start := range order {
+		if order[start].i < 0 {
+			continue // already placed
+		}
+		held, at := lines[start], start
+		for order[at].i != start {
+			next := order[at].i
+			lines[at], order[at].i = lines[next], -1
+			at = next
+		}
+		lines[at], order[at].i = held, -1
+	}
 }
 
 // retireOldest enforces the MaxLive retention bound: when the live set
@@ -129,7 +162,8 @@ func (s *Store) retireOldest(lines []move) (retired int) {
 // writeSnapshot copies the survivors' frames into a temp segment, fsyncs
 // it, and atomically renames it over the snapshot, then moves the read
 // handle to the new file. Frames are read in (segment, offset) order
-// through one reusable buffer and checked like every frame read
+// through one reusable buffer, a run of adjacent frames (at most
+// runBytes) per read, and each is checked like every frame read
 // (readFrame); their order inside the snapshot carries no meaning, since
 // recovery ranks by stamp and each key appears once. A re-stamped frame
 // differs from its source only in the stamp and the CRC: the content sum,
@@ -153,38 +187,55 @@ func (s *Store) writeSnapshot(survivors []move) error {
 	if _, err := w.Write(segmentHeader); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
-	sort.Slice(survivors, func(i, j int) bool {
-		a, b := survivors[i].loc, survivors[j].loc
-		return a.seg < b.seg || a.seg == b.seg && a.off < b.off
-	})
+	sortLines(survivors, func(m *move) uint64 { return uint64(m.seg)<<56 | uint64(m.off) })
 	buf := s.buf
 	off := int64(segmentHeaderLen)
-	for i := range survivors {
-		m := &survivors[i]
-		if cap(buf) < int(m.n) {
-			buf = make([]byte, m.n)
+	for i := 0; i < len(survivors); {
+		// A run: the frames from i on that sit end to end in one segment,
+		// up to runBytes, read with one ReadAt. When that read fails, each
+		// frame is read alone, so that each fails alone.
+		first := survivors[i].loc
+		j, size := i+1, int64(first.n)
+		for j < len(survivors) && survivors[j].seg == first.seg && survivors[j].off == first.off+size &&
+			size+int64(survivors[j].n) <= runBytes {
+			size += int64(survivors[j].n)
+			j++
 		}
-		frame := buf[:m.n]
-		if err := s.readFrame(&m.located, frame); err != nil {
-			if !errors.Is(err, errTorn) && !errors.Is(err, io.EOF) {
-				return err
+		if cap(buf) < int(size) {
+			buf = make([]byte, size)
+		}
+		run := buf[:size]
+		whole := s.readAt(&survivors[i].located, run) == nil
+		for ; i < j; i++ {
+			m := &survivors[i]
+			frame := run[m.off-first.off:][:m.n]
+			var err error
+			if whole {
+				err = m.check(frame)
+			} else {
+				err = s.readFrame(&m.located, frame)
 			}
-			s.index.delete(m.key)
-			s.live.Add(^uint64(0))
-			continue
+			if err != nil {
+				if !errors.Is(err, errTorn) && !errors.Is(err, io.EOF) {
+					return err
+				}
+				s.index.delete(m.key)
+				s.live.Add(^uint64(0))
+				continue
+			}
+			if m.to != m.stamp {
+				payload := frame[headerLen:]
+				binary.BigEndian.PutUint64(payload[keyLen:], m.to)
+				binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+			}
+			if _, err := w.Write(frame); err != nil {
+				return fmt.Errorf("store: writing snapshot: %w", err)
+			}
+			e := m.idxEntry
+			e.stamp, e.loc = m.to, loc{seg: segSnap, n: m.n, off: off}
+			s.index.put(m.key, e)
+			off += int64(m.n)
 		}
-		if m.to != m.stamp {
-			payload := frame[headerLen:]
-			binary.BigEndian.PutUint64(payload[keyLen:], m.to)
-			binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-		}
-		if _, err := w.Write(frame); err != nil {
-			return fmt.Errorf("store: writing snapshot: %w", err)
-		}
-		e := m.idxEntry
-		e.stamp, e.loc = m.to, loc{seg: segSnap, n: m.n, off: off}
-		s.index.put(m.key, e)
-		off += int64(m.n)
 	}
 	s.buf = buf[:0]
 	if err := w.Flush(); err != nil {

@@ -15,9 +15,10 @@
 //   - A single flusher goroutine owns the tail file. It drains the
 //     channel, merges each record with the one its key already holds
 //     (merge.go), frames it (length prefix + CRC32C, see segment.go),
-//     appends it, and fsyncs every SyncEvery records — plus once more
-//     whenever the queue drains — so durability amortizes the sync cost
-//     across a burst without leaving a quiet service's records unsynced.
+//     appends it, and fsyncs every SyncEvery records — and otherwise
+//     within syncDelay of the first unsynced record — so one fsync covers
+//     a burst, or every record a steady trickle brings in that delay,
+//     without leaving a quiet service's records unsynced.
 //   - Compaction runs on the same goroutine: once superseded records
 //     (same key re-appended after a cache eviction, or duplicates left
 //     by an earlier crash) exceed CompactAt, the live set is rewritten
@@ -43,6 +44,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rationality/internal/core"
 	"rationality/internal/identity"
@@ -62,16 +64,21 @@ const (
 	// accumulate before the flusher rewrites the live set into a fresh
 	// snapshot segment and truncates the tail.
 	DefaultCompactAt = 1024
+	// syncDelay is how long the first unsynced record waits for the fsync
+	// that fewer than SyncEvery followers have not brought on: the group
+	// commit window, bounding how long a quiet service's records stay in
+	// the page cache.
+	syncDelay = 2 * time.Millisecond
 )
 
 // Options tunes a Store. The zero value is ready to use.
 type Options struct {
 	// SyncEvery is the fsync cadence in records; zero or negative means
 	// DefaultSyncEvery. One means every record is synced before the next
-	// is written (maximum durability, one syscall per verdict). The
-	// flusher additionally syncs whenever its queue drains, so the
-	// cadence only governs sustained bursts, never how long an idle
-	// service leaves records in the page cache.
+	// is written (maximum durability, one syscall per verdict). Fewer
+	// records are synced within 2 ms of the first of them, so the cadence
+	// only governs sustained bursts, never how long an idle service
+	// leaves records in the page cache.
 	SyncEvery int
 	// QueueSize bounds the append queue; zero or negative means
 	// DefaultQueueSize.
@@ -180,6 +187,7 @@ type Store struct {
 	live        atomic.Uint64
 	garbage     atomic.Uint64
 	salvaged    atomic.Uint64
+	syncs       atomic.Uint64 // tail fsyncs since Open
 }
 
 // Open recovers the store at dir (creating it if needed) and returns the
@@ -399,7 +407,16 @@ func (s *Store) flusher() {
 	defer close(s.done)
 	defer s.unlock()
 	defer s.closeFiles()
+	timer := time.NewTimer(syncDelay)
+	defer timer.Stop()
+	var due <-chan time.Time // the timer's channel while records wait for it
 	for {
+		if s.sinceSync == 0 {
+			due = nil
+		} else if due == nil {
+			timer.Reset(syncDelay)
+			due = timer.C
+		}
 		select {
 		case <-s.quit:
 			// Final drain: persist everything accepted before Close.
@@ -414,10 +431,11 @@ func (s *Store) flusher() {
 			}
 		case fn := <-s.cmds:
 			// Writes first, then the command: any Append accepted before
-			// the command was issued is on disk when the command runs, so
-			// the sync API (Manifest/Delta/Ingest) observes a consistent
-			// prefix of the append history.
+			// the command was issued is on disk, synced, when the command
+			// runs, so the sync API (Manifest/Delta/Ingest) observes a
+			// consistent, durable prefix of the append history.
 			s.drainPending()
+			s.syncTail()
 			fn()
 			// A command that wrote has already released its caller; its
 			// fsync and any compaction it made due run now, as after a
@@ -427,24 +445,26 @@ func (s *Store) flusher() {
 		case r := <-s.queue:
 			s.handleRecord(&r)
 			s.drainPending()
+		case <-due:
+			s.syncTail()
 		}
 	}
 }
 
-// drainPending handles every currently queued record without blocking,
-// then syncs the leftovers before the flusher goes idle (or runs a
-// command). handleRecord keeps the sync cadence honest inside the burst,
-// so one fsync covers at most SyncEvery records even under a load that
-// never lets the queue run dry; the trailing sync means a quiet service
-// never leaves records sitting in the page cache waiting for record
-// number SyncEvery to show up.
+// drainPending handles every currently queued record without blocking.
+// handleRecord keeps the sync cadence honest inside the burst, so one
+// fsync covers at most SyncEvery records even under a load that never
+// lets the queue run dry. The leftovers are not synced here: the flusher
+// loop's timer syncs them within syncDelay of the first, so a trickle of
+// one record per wake-up shares an fsync instead of paying one each, and
+// a quiet service never leaves records in the page cache waiting for
+// record number SyncEvery to show up.
 func (s *Store) drainPending() {
 	for {
 		select {
 		case r := <-s.queue:
 			s.handleRecord(&r)
 		default:
-			s.syncTail()
 			return
 		}
 	}
@@ -498,4 +518,5 @@ func (s *Store) syncTail() {
 		return
 	}
 	s.sinceSync = 0
+	s.syncs.Add(1)
 }

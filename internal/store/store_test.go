@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -441,5 +442,113 @@ func TestCloseIdempotent(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
+	}
+}
+
+// The group commit: fewer than SyncEvery records are synced within
+// syncDelay of the first, so a quiet store holds no unsynced record a
+// second after its last append — Close, which syncs whatever is left,
+// finds nothing to do. SyncEvery 1 still syncs every record before the
+// next is written: one fsync per record, none shared.
+func TestSyncCadence(t *testing.T) {
+	t.Run("quiet", func(t *testing.T) {
+		s, _ := mustOpen(t, t.TempDir(), Options{SyncEvery: 64})
+		for i := 0; i < 3; i++ {
+			s.Append(testKey(i), testVerdict(i), nil)
+		}
+		waitFor(t, "3 records", func() bool { return s.Stats().Persisted == 3 })
+		time.Sleep(time.Second)
+		synced := s.syncs.Load()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if synced == 0 || s.syncs.Load() != synced {
+			t.Fatalf("a second after 3 appends: %d fsyncs, and Close made %d more; want at least 1, then none",
+				synced, s.syncs.Load()-synced)
+		}
+	})
+	t.Run("every record", func(t *testing.T) {
+		s, _ := mustOpen(t, t.TempDir(), Options{SyncEvery: 1})
+		const n = 50
+		for i := 0; i < n; i++ {
+			if !s.Append(testKey(i), testVerdict(i), nil) {
+				t.Fatalf("append %d dropped", i)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.syncs.Load(); s.Stats().Persisted != n || got != n {
+			t.Fatalf("%d records persisted with %d fsyncs, want %d and %d", s.Stats().Persisted, got, n, n)
+		}
+	})
+}
+
+// A live frame that fails its check during a compaction leaves the index
+// and the new snapshot, and every intact frame is kept: a byte flipped
+// mid-run fails only its own frame's check, and a snapshot cut short
+// fails the run's one read, which is retried frame by frame so only the
+// frames past the cut are lost.
+func TestCompactionDropsBadFrames(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.Append(testKey(i), testVerdict(i), nil)
+	}
+	waitFor(t, "records", func() bool { return s.Stats().Persisted == n })
+	// damage compacts, lets hurt spoil the snapshot through its own handle
+	// given the keys in snapshot order, compacts again and returns the keys
+	// hurt named, which must be gone while every other record stays.
+	live := n
+	damage := func(hurt func(f *os.File, keys []identity.Hash, lines map[identity.Hash]idxEntry) []identity.Hash) {
+		t.Helper()
+		if err := s.do(s.compact); err != nil {
+			t.Fatal(err)
+		}
+		lines := indexLines(t, s)
+		keys := make([]identity.Hash, 0, len(lines))
+		for k := range lines {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return lines[keys[i]].off < lines[keys[j]].off })
+		f, err := os.OpenFile(filepath.Join(dir, snapshotName), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := hurt(f, keys, lines)
+		f.Close()
+		if err := s.do(s.compact); err != nil || s.flushErr != nil {
+			t.Fatalf("compaction over bad frames: %v, %v", err, s.flushErr)
+		}
+		after := indexLines(t, s)
+		for _, k := range gone {
+			if _, ok := after[k]; ok {
+				t.Errorf("record %s with a bad frame is still indexed", k)
+			}
+		}
+		if live -= len(gone); len(after) != live || s.Stats().LiveRecords != uint64(live) {
+			t.Fatalf("%d lines, %d live after the compaction; want %d", len(after), s.Stats().LiveRecords, live)
+		}
+	}
+	damage(func(f *os.File, keys []identity.Hash, lines map[identity.Hash]idxEntry) []identity.Hash {
+		l := lines[keys[n/2]]
+		if _, err := f.WriteAt([]byte{0xff}, l.off+int64(l.n)-1); err != nil {
+			t.Fatal(err)
+		}
+		return keys[n/2 : n/2+1]
+	})
+	damage(func(f *os.File, keys []identity.Hash, lines map[identity.Hash]idxEntry) []identity.Hash {
+		cut := keys[len(keys)-2:]
+		if err := f.Truncate(lines[cut[0]].off + 3); err != nil {
+			t.Fatal(err)
+		}
+		return cut
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs := mustOpen(t, dir, Options{}); len(recs) != live {
+		t.Fatalf("reopened with %d records, want %d", len(recs), live)
 	}
 }

@@ -2,8 +2,9 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rationality/internal/identity"
 )
@@ -115,11 +116,8 @@ func (s *Store) readFrames(want []located) ([]byte, int, error) {
 	if s.flushErr != nil {
 		return nil, 0, s.flushErr
 	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].stamp != want[j].stamp {
-			return want[i].stamp < want[j].stamp
-		}
-		return bytes.Compare(want[i].key[:], want[j].key[:]) < 0
+	slices.SortFunc(want, func(a, b located) int {
+		return cmp.Or(cmp.Compare(a.stamp, b.stamp), bytes.Compare(a.key[:], b.key[:]))
 	})
 	size := segmentHeaderLen
 	for i := range want {
@@ -141,6 +139,15 @@ func (s *Store) readFrames(want []located) ([]byte, int, error) {
 // the location its index line records, and checks it: length, CRC, key and
 // stamp (checkFrame). Runs on the flusher goroutine.
 func (s *Store) readFrame(w *located, frame []byte) error {
+	if err := s.readAt(w, frame); err != nil {
+		return err
+	}
+	return w.check(frame)
+}
+
+// readAt fills p from w's segment, starting at w's frame: one frame, or a
+// run of adjacent frames beginning with w's.
+func (s *Store) readAt(w *located, p []byte) error {
 	f, name := s.tail, tailName
 	if w.seg == segSnap {
 		f, name = s.snap, snapshotName
@@ -148,10 +155,19 @@ func (s *Store) readFrame(w *located, frame []byte) error {
 	if f == nil {
 		return fmt.Errorf("store: live record %s is indexed in a missing %s", w.key, name)
 	}
-	if _, err := f.ReadAt(frame, w.off); err != nil {
+	if _, err := f.ReadAt(p, w.off); err != nil {
 		return fmt.Errorf("store: reading live record %s at %s+%d: %w", w.key, name, w.off, err)
 	}
+	return nil
+}
+
+// check is checkFrame of w's frame, its error naming where the frame sits.
+func (w *located) check(frame []byte) error {
 	if err := checkFrame(frame, w.key, w.stamp); err != nil {
+		name := tailName
+		if w.seg == segSnap {
+			name = snapshotName
+		}
 		return fmt.Errorf("store: live record %s at %s+%d: %w", w.key, name, w.off, err)
 	}
 	return nil
