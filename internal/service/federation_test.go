@@ -165,7 +165,7 @@ func TestFederationRejectsUnsignedDelta(t *testing.T) {
 }
 
 // A delta signed by a key outside the allowlist is rejected and counted
-// against that signer.
+// in its cause bucket, with no per-peer row: the signer is unproven.
 func TestFederationRejectsUnknownSigner(t *testing.T) {
 	rogueKey := testKeyPair(t)
 	rogue := newKeyedService(t, "rogue", rogueKey)
@@ -181,8 +181,8 @@ func TestFederationRejectsUnknownSigner(t *testing.T) {
 	if st.Federation.RejectedUnknown != 1 {
 		t.Fatalf("RejectedUnknown = %d, want 1", st.Federation.RejectedUnknown)
 	}
-	if got := st.Federation.Peers[string(rogueKey.ID())]; got.Rejected != 1 || got.Deltas != 0 {
-		t.Fatalf("rogue peer counters = %+v, want 1 rejection", got)
+	if got, ok := st.Federation.Peers[string(rogueKey.ID())]; ok {
+		t.Fatalf("rogue peer has a row %+v, want none", got)
 	}
 	if st.Ingested != 0 {
 		t.Fatal("unknown signer's records were ingested")
@@ -209,6 +209,53 @@ func TestFederationRejectsForgedRecords(t *testing.T) {
 	}
 	if st := dst.Stats(); st.Federation.RejectedBadSig != 1 || st.Ingested != 0 {
 		t.Fatalf("forgery counters = %+v", st.Federation)
+	}
+}
+
+// A signer string is whatever the sender wrote: refusing 500 forged ones
+// leaves no per-peer row, whether the refusal is an unknown signer (an
+// allowlist is set) or a bad signature (a key, no allowlist); each still
+// counts in its cause bucket. A bad signature from an allowlisted signer
+// does land in that signer's row.
+func TestFederationForgedSignersGetNoRows(t *testing.T) {
+	listed := testKeyPair(t)
+	for _, tc := range []struct {
+		name  string
+		allow []identity.PartyID
+		cause func(*FederationStats) uint64
+	}{
+		{"allowlist", []identity.PartyID{listed.ID()}, func(f *FederationStats) uint64 { return f.RejectedUnknown }},
+		{"key-only", nil, func(f *FederationStats) uint64 { return f.RejectedBadSig }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := newKeyedService(t, "dst", testKeyPair(t), tc.allow...)
+			offer, err := dst.SyncOffer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 500; i++ {
+				delta := SyncDeltaResponse{Signer: identity.PartyID(fmt.Sprintf("junk\n%d", i)), Signature: []byte{1}}
+				if _, err := dst.IngestDelta(offer, delta); err == nil {
+					t.Fatalf("forged signer %q was admitted", delta.Signer)
+				}
+			}
+			fed := dst.Stats().Federation
+			if len(fed.Peers) != 0 || tc.cause(fed) != 500 {
+				t.Fatalf("after 500 forged signers: %d rows, cause bucket %d; want 0 rows, 500", len(fed.Peers), tc.cause(fed))
+			}
+		})
+	}
+	dst := newKeyedService(t, "dst", testKeyPair(t), listed.ID())
+	offer, err := dst.SyncOffer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.IngestDelta(offer, SyncDeltaResponse{Signer: listed.ID(), Signature: []byte{1}}); err == nil {
+		t.Fatal("a bad signature from an allowlisted signer was admitted")
+	}
+	fed := dst.Stats().Federation
+	if got := fed.Peers[string(listed.ID())]; got.Rejected != 1 || fed.RejectedBadSig != 1 {
+		t.Fatalf("allowlisted signer's row %+v, RejectedBadSig %d; want 1 rejection in both", got, fed.RejectedBadSig)
 	}
 }
 

@@ -234,13 +234,20 @@ func (f *federation) admit(offer *SyncOfferRequest, delta *SyncDeltaResponse) er
 		f.countReject("", &f.stats.RejectedUnsigned)
 		return fmt.Errorf("%w (peer %q)", ErrUnsignedDelta, delta.VerifierID)
 	}
-	if len(f.allow) > 0 && !f.allow[delta.Signer] {
-		f.countReject(delta.Signer, &f.stats.RejectedUnknown)
+	// A refusal is charged to a per-peer row only when the signer is
+	// allowlisted: the signer string is whatever the sender wrote, and a
+	// row per forged string would grow the table without bound.
+	row := delta.Signer
+	if !f.allow[row] {
+		row = ""
+	}
+	if len(f.allow) > 0 && row == "" {
+		f.countReject("", &f.stats.RejectedUnknown)
 		return fmt.Errorf("%w: signer %s (peer %q)", ErrUnknownSigner, delta.Signer, delta.VerifierID)
 	}
 	digest := identity.SyncDeltaDigest(offerDigest(offer), delta.Records, delta.Signer)
 	if err := identity.Verify(delta.Signer, digest, delta.Signature); err != nil {
-		f.countReject(delta.Signer, &f.stats.RejectedBadSig)
+		f.countReject(row, &f.stats.RejectedBadSig)
 		return fmt.Errorf("service: sync-delta from signer %s (peer %q): %w", delta.Signer, delta.VerifierID, err)
 	}
 	return nil
