@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"slices"
 	"unicode/utf8"
 )
@@ -54,6 +55,45 @@ func AppendVerifyResponse(dst []byte, verifierID string, verdict []byte) []byte 
 	dst = append(dst, `,"verdict":`...)
 	dst = append(dst, verdict...)
 	return append(dst, '}')
+}
+
+// AppendJSON appends the request exactly as json.Marshal encodes it, and
+// returns json.Marshal's error when it fails. The raw members are spliced
+// in when each is non-empty JSON with nothing json.Marshal would rewrite
+// — no whitespace, no <, > or &, no U+2028 or U+2029 — and the request
+// goes through json.Marshal otherwise. A store record's content sum is
+// taken over these bytes.
+func (r *VerifyRequest) AppendJSON(dst []byte) ([]byte, error) {
+	if !spliceable(r.Game) || !spliceable(r.Advice) || len(r.Proof) > 0 && !spliceable(r.Proof) {
+		data, err := json.Marshal(r)
+		return append(dst, data...), err
+	}
+	dst = slices.Grow(dst, len(r.Format)+len(r.Game)+len(r.Advice)+len(r.Proof)+48)
+	dst = appendJSONString(append(dst, `{"format":`...), r.Format)
+	dst = append(append(dst, `,"game":`...), r.Game...)
+	dst = append(append(dst, `,"advice":`...), r.Advice...)
+	if len(r.Proof) > 0 {
+		dst = append(append(dst, `,"proof":`...), r.Proof...)
+	}
+	return append(dst, '}'), nil
+}
+
+// spliceable reports whether json.Marshal copies raw through unchanged:
+// it is one valid JSON value with no byte compaction drops or escaping
+// rewrites.
+func spliceable(raw []byte) bool {
+	for i, c := range raw {
+		switch c {
+		case ' ', '\t', '\n', '\r', '<', '>', '&':
+			return false
+		case 0xE2: // U+2028 and U+2029 are E2 80 A8 and E2 80 A9
+			if i+2 < len(raw) && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8 {
+				return false
+			}
+		}
+	}
+	s := scanner{data: raw}
+	return len(raw) > 0 && s.value(1) && s.pos == len(raw)
 }
 
 const hexDigits = "0123456789abcdef"

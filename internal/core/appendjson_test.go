@@ -86,6 +86,36 @@ func FuzzVerdictAppendJSON(f *testing.F) {
 	})
 }
 
+// checkRequestEncoding: VerifyRequest.AppendJSON writes json.Marshal's
+// bytes, or fails where json.Marshal fails, and appending to a non-empty
+// buffer only appends. A store record's content sum covers these bytes.
+func checkRequestEncoding(t *testing.T, r VerifyRequest) {
+	t.Helper()
+	want, wantErr := json.Marshal(r)
+	got, err := r.AppendJSON([]byte("prefix"))
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("AppendJSON(%+v) error %v, json.Marshal's %v", r, err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatalf("VerifyRequest.AppendJSON\n got  %s\n want prefix%s", got, want)
+	}
+}
+
+func TestVerifyRequestAppendJSONMatchesMarshal(t *testing.T) {
+	for _, c := range pinnedCases(t, 1) {
+		checkRequestEncoding(t, verifyRequestOf(c.ann))
+	}
+	raws := []string{"", "null", "{}", `[1, 2]`, " {}", "{}\n", `{"a":"x y"}`, `{"a":"<b>&"}`, `{"a":"x&y"}`, `{"a":">"}`,
+		"{\"a\":\"\u2028\u2029\"}", `{"a":"\u2028"}`, `{"a":`, `{"a":1}}`, "\"\xff\"", `"é"`, `{"a":"\t"}`}
+	for _, raw := range raws {
+		for _, format := range []string{FormatP1, "<f&>", "\u2028", ""} {
+			checkRequestEncoding(t, VerifyRequest{Format: format, Game: json.RawMessage(raw), Advice: json.RawMessage(`[0]`)})
+			checkRequestEncoding(t, VerifyRequest{Format: format, Game: json.RawMessage(`{}`), Advice: json.RawMessage(raw), Proof: json.RawMessage(raw)})
+		}
+	}
+	checkRequestEncoding(t, VerifyRequest{Format: FormatP1})
+}
+
 var sinkBytes []byte
 
 func BenchmarkVerdictAppendJSON(b *testing.B) {

@@ -606,9 +606,9 @@ func (s *Service) executeFresh(ctx context.Context, key identity.Hash, format st
 		// the verification path never waits on a disk. The request
 		// rides along so any future auditor (here or on a peer) can
 		// re-run the verification from the log alone.
-		req, _ := json.Marshal(core.VerifyRequest{
+		req, _ := (&core.VerifyRequest{
 			Format: format, Game: gameSpec, Advice: advice, Proof: proofBody,
-		})
+		}).AppendJSON(nil)
 		s.store.Append(key, *v, req)
 		// A fresh verdict is exactly what rumor-mongering exists for:
 		// push it through the next gossip exchanges instead of waiting
