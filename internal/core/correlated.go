@@ -28,6 +28,20 @@ type CorrelatedEntry struct {
 	Prob    string       `json:"prob"`
 }
 
+// entries keys each probability by its profile's string, the form
+// game.NewCorrelatedDistribution takes.
+func (s *CorrelatedAdviceSpec) entries() (map[string]*numeric.Rat, error) {
+	entries := make(map[string]*numeric.Rat, len(s.Entries))
+	for _, e := range s.Entries {
+		p, err := numeric.ParseRat(e.Prob)
+		if err != nil {
+			return nil, fmt.Errorf("core: correlated advice probability: %w", err)
+		}
+		entries[e.Profile.String()] = p
+	}
+	return entries, nil
+}
+
 // CorrelatedProcedure checks FormatCorrelated advice: game = GameSpec,
 // advice = CorrelatedAdviceSpec, proof = empty (the obedience constraints
 // are linear; the verifier checks them directly).
@@ -38,25 +52,13 @@ func (CorrelatedProcedure) Format() string { return FormatCorrelated }
 
 // Verify implements Procedure.
 func (CorrelatedProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
-	var spec GameSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: correlated game spec: %w", err)
-	}
-	g, err := spec.ToGame()
+	g, err := decodeOr(gameSpec, "core: correlated game spec: %w", (*scanner).game, (*GameSpec).ToGame)
 	if err != nil {
 		return nil, err
 	}
-	var advSpec CorrelatedAdviceSpec
-	if err := json.Unmarshal(advice, &advSpec); err != nil {
-		return nil, fmt.Errorf("core: correlated advice: %w", err)
-	}
-	entries := make(map[string]*numeric.Rat, len(advSpec.Entries))
-	for _, e := range advSpec.Entries {
-		p, err := numeric.ParseRat(e.Prob)
-		if err != nil {
-			return nil, fmt.Errorf("core: correlated advice probability: %w", err)
-		}
-		entries[e.Profile.String()] = p
+	entries, err := decodeOr(advice, "core: correlated advice: %w", (*scanner).correlated, (*CorrelatedAdviceSpec).entries)
+	if err != nil {
+		return nil, err
 	}
 
 	verdict := &Verdict{Format: FormatCorrelated, Details: map[string]string{}}

@@ -33,17 +33,13 @@ func (LastMoverProcedure) Format() string { return FormatLastMover }
 
 // Verify implements Procedure.
 func (LastMoverProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
-	var spec ParticipationSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: last-mover game spec: %w", err)
-	}
-	g, err := spec.ToParticipation()
+	g, err := decodeOr(gameSpec, "core: last-mover game spec: %w", (*scanner).participation, (*ParticipationSpec).ToParticipation)
 	if err != nil {
 		return nil, err
 	}
-	var advSpec LastMoverAdviceSpec
-	if err := json.Unmarshal(advice, &advSpec); err != nil {
-		return nil, fmt.Errorf("core: last-mover advice: %w", err)
+	advSpec, err := decodeOr(advice, "core: last-mover advice: %w", (*scanner).lastMoverAdvice, itself[LastMoverAdviceSpec])
+	if err != nil {
+		return nil, err
 	}
 
 	verdict := &Verdict{Format: FormatLastMover, Details: map[string]string{}}

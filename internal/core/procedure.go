@@ -174,19 +174,15 @@ func (EnumerationProcedure) Format() string { return FormatEnumeration }
 
 // Verify implements Procedure.
 func (EnumerationProcedure) Verify(gameSpec, advice, proofBody json.RawMessage) (*Verdict, error) {
-	var spec GameSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: enumeration game spec: %w", err)
-	}
-	g, err := spec.ToGame()
+	g, err := decodeOr(gameSpec, "core: enumeration game spec: %w", (*scanner).game, (*GameSpec).ToGame)
 	if err != nil {
 		return nil, err
 	}
-	var advised game.Profile
-	if err := json.Unmarshal(advice, &advised); err != nil {
-		return nil, fmt.Errorf("core: enumeration advice: %w", err)
+	advised, err := decodeOr(advice, "core: enumeration advice: %w", (*scanner).profile, itself[game.Profile])
+	if err != nil {
+		return nil, err
 	}
-	pf, err := proof.Unmarshal(proofBody)
+	pf, err := decodeOr(proofBody, "proof: decoding: %w", (*scanner).proof, itself[proof.Proof])
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +194,7 @@ func (EnumerationProcedure) Verify(gameSpec, advice, proofBody json.RawMessage) 
 		verdict.Reason = fmt.Sprintf("proof certifies %v but the advice is %v", pf.Advised, advised)
 		return verdict, nil
 	}
-	if err := proof.Check(g, pf); err != nil {
+	if err := proof.Check(g, &pf); err != nil {
 		verdict.Reason = err.Error()
 		return verdict, nil
 	}
@@ -218,17 +214,13 @@ func (P1Procedure) Format() string { return FormatP1 }
 
 // Verify implements Procedure.
 func (P1Procedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
-	var spec BimatrixSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: P1 game spec: %w", err)
-	}
-	g, err := spec.ToBimatrix()
+	g, err := decodeOr(gameSpec, "core: P1 game spec: %w", (*scanner).bimatrix, (*BimatrixSpec).ToBimatrix)
 	if err != nil {
 		return nil, err
 	}
-	var adv interactive.P1Advice
-	if err := json.Unmarshal(advice, &adv); err != nil {
-		return nil, fmt.Errorf("core: P1 advice: %w", err)
+	adv, err := decodeOr(advice, "core: P1 advice: %w", (*scanner).p1Advice, itself[interactive.P1Advice])
+	if err != nil {
+		return nil, err
 	}
 	verdict := &Verdict{Format: FormatP1, Details: map[string]string{
 		"bitsOnWire": fmt.Sprint(adv.BitsOnWire()),
@@ -252,6 +244,19 @@ type NAgentAdviceSpec struct {
 	Probs    []VecSpec `json:"probs"`
 }
 
+// advice converts the wire form into the advice VerifyNAgent checks.
+func (s *NAgentAdviceSpec) advice() (*interactive.NAgentAdvice, error) {
+	probs := make(game.MixedProfile, len(s.Probs))
+	for i, vs := range s.Probs {
+		v, err := vs.ToVec()
+		if err != nil {
+			return nil, err
+		}
+		probs[i] = v
+	}
+	return &interactive.NAgentAdvice{Supports: s.Supports, Probs: probs}, nil
+}
+
 // NAgentProcedure checks the n-agent generalization: game = GameSpec,
 // advice = NAgentAdviceSpec, proof = empty.
 type NAgentProcedure struct{}
@@ -261,31 +266,16 @@ func (NAgentProcedure) Format() string { return FormatNAgent }
 
 // Verify implements Procedure.
 func (NAgentProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
-	var spec GameSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: n-agent game spec: %w", err)
-	}
-	g, err := spec.ToGame()
+	g, err := decodeOr(gameSpec, "core: n-agent game spec: %w", (*scanner).game, (*GameSpec).ToGame)
 	if err != nil {
 		return nil, err
 	}
-	var advSpec NAgentAdviceSpec
-	if err := json.Unmarshal(advice, &advSpec); err != nil {
-		return nil, fmt.Errorf("core: n-agent advice: %w", err)
-	}
-	probs := make(game.MixedProfile, len(advSpec.Probs))
-	for i, vs := range advSpec.Probs {
-		v, err := vs.ToVec()
-		if err != nil {
-			return nil, err
-		}
-		probs[i] = v
+	adv, err := decodeOr(advice, "core: n-agent advice: %w", (*scanner).nAgentAdvice, (*NAgentAdviceSpec).advice)
+	if err != nil {
+		return nil, err
 	}
 	verdict := &Verdict{Format: FormatNAgent, Details: map[string]string{}}
-	values, err := interactive.VerifyNAgent(g, &interactive.NAgentAdvice{
-		Supports: advSpec.Supports,
-		Probs:    probs,
-	})
+	values, err := interactive.VerifyNAgent(g, adv)
 	if err != nil {
 		verdict.Reason = err.Error()
 		return verdict, nil
@@ -306,6 +296,20 @@ type ParticipationAdviceSpec struct {
 	Tolerance string `json:"tolerance,omitempty"`
 }
 
+// rats parses p, and the tolerance when there is one.
+func (a *ParticipationAdviceSpec) rats() (pt [2]*numeric.Rat, err error) {
+	if pt[0], err = numeric.ParseRat(a.P); err != nil {
+		return pt, fmt.Errorf("core: participation advice p: %w", err)
+	}
+	if a.Tolerance == "" {
+		return pt, nil
+	}
+	if pt[1], err = numeric.ParseRat(a.Tolerance); err != nil {
+		return pt, fmt.Errorf("core: participation tolerance: %w", err)
+	}
+	return pt, nil
+}
+
 // ParticipationProcedure checks §5 advice: game = ParticipationSpec, advice
 // = ParticipationAdviceSpec, proof = empty (the verifier asserts Eq. (5)).
 type ParticipationProcedure struct{}
@@ -315,30 +319,19 @@ func (ParticipationProcedure) Format() string { return FormatParticipation }
 
 // Verify implements Procedure.
 func (ParticipationProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
-	var spec ParticipationSpec
-	if err := json.Unmarshal(gameSpec, &spec); err != nil {
-		return nil, fmt.Errorf("core: participation game spec: %w", err)
-	}
-	g, err := spec.ToParticipation()
+	g, err := decodeOr(gameSpec, "core: participation game spec: %w", (*scanner).participation, (*ParticipationSpec).ToParticipation)
 	if err != nil {
 		return nil, err
 	}
-	var advSpec ParticipationAdviceSpec
-	if err := json.Unmarshal(advice, &advSpec); err != nil {
-		return nil, fmt.Errorf("core: participation advice: %w", err)
-	}
-	p, err := numeric.ParseRat(advSpec.P)
+	pt, err := decodeOr(advice, "core: participation advice: %w", (*scanner).participationAdvice, (*ParticipationAdviceSpec).rats)
 	if err != nil {
-		return nil, fmt.Errorf("core: participation advice p: %w", err)
+		return nil, err
 	}
+	p, tol := pt[0], pt[1]
 	verdict := &Verdict{Format: FormatParticipation, Details: map[string]string{
 		"p": p.RatString(),
 	}}
-	if advSpec.Tolerance != "" {
-		tol, err := numeric.ParseRat(advSpec.Tolerance)
-		if err != nil {
-			return nil, fmt.Errorf("core: participation tolerance: %w", err)
-		}
+	if tol != nil {
 		gap, err := g.VerifyAdviceApprox(p, tol)
 		if err != nil {
 			verdict.Reason = err.Error()

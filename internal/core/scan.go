@@ -3,13 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/big"
 	"unicode/utf8"
 )
 
 // The hot wire payloads — a verify request, the request inside a cosign,
-// the announcement array of a batch — are decoded by one validating
-// single-pass scanner instead of encoding/json's validate-then-reflect
-// double pass. A verdict is never scanned: the hot paths splice its
+// the announcement array of a batch — and the procedures' inputs they
+// carry (scaninputs.go) are decoded by one validating single-pass
+// scanner instead of encoding/json's validate-then-reflect double pass. A verdict is never scanned: the hot paths splice its
 // bytes, replay checks them in place with CanonicalVerdict (at the end
 // of this file), and the other sites that want a value decode it with
 // json.Unmarshal. The contract is
@@ -34,6 +35,10 @@ type scanner struct {
 	// inventor is the last inventor ID decoded: a batch usually speaks
 	// for one inventor, so a repeat costs a comparison, not a string.
 	inventor string
+	// ints and words are the arenas a procedure input's integer lists
+	// and whole-number rationals are carved from (scaninputs.go).
+	ints  []int
+	words []big.Word
 }
 
 // ws skips insignificant whitespace and returns the byte now under the

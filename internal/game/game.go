@@ -132,6 +132,12 @@ func (g *Game) checkedIndex(p Profile) int {
 // place and must not modify or retain it.
 func (g *Game) u(i, idx int) *big.Rat { return &g.payoffs[i*g.numProfiles+idx] }
 
+// Table returns the game's own payoff table, agent-major: agent i's
+// payoff at the k-th profile of ForEachProfile's order is
+// Table()[i*NumProfiles()+k]. It is for a decoder filling a game New just
+// made; everyone else reads and writes through Payoff and SetPayoff.
+func (g *Game) Table() []big.Rat { return g.payoffs }
+
 // Payoff returns agent i's utility ui(p) as a fresh rational. It panics on an
 // invalid profile, mirroring that u is only defined on A.
 func (g *Game) Payoff(i int, p Profile) *big.Rat {

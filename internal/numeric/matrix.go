@@ -17,12 +17,17 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic("numeric: negative matrix dimension")
 	}
-	elems := make([]*big.Rat, rows*cols)
-	vals := make([]big.Rat, len(elems)) // one allocation for every element
-	for i := range elems {
-		elems[i] = &vals[i]
+	return MatrixOver(rows, cols, make([]big.Rat, rows*cols)) // one allocation for every element
+}
+
+// MatrixOver returns the rows×cols matrix whose elements, row-major, are
+// vals themselves: the matrix keeps vals, which the caller must not use
+// afterwards. It panics unless len(vals) is rows·cols.
+func MatrixOver(rows, cols int, vals []big.Rat) *Matrix {
+	if len(vals) != rows*cols {
+		panic("numeric: matrix shape does not match its elements")
 	}
-	return &Matrix{rows: rows, cols: cols, elems: elems}
+	return &Matrix{rows: rows, cols: cols, elems: VecOver(vals).elems}
 }
 
 // MatrixOfInts builds a matrix from integer rows. All rows must have equal

@@ -118,6 +118,61 @@ func ParseRat(s string) (*big.Rat, error) {
 	return r, nil
 }
 
+// SetRatBytes sets z, a zero Rat, to the rational s spells and reports
+// whether s spells one, agreeing with z.SetString(string(s)) on every
+// input. A whole number or a fraction written -?[0-9]+(/[0-9]+)?, its
+// terms at most 18 digits, is read in machine words: a whole number's
+// magnitude is stored in word[0], which z keeps as its numerator (so
+// word, of length and capacity 1, must serve no other Rat). Anything else
+// goes through SetString — another sign, a decimal point, an exponent, a
+// base prefix, and a fraction's term with a leading zero, which
+// SetString reads as octal.
+func SetRatBytes(z *big.Rat, s []byte, word []big.Word) bool {
+	body := s
+	if len(body) > 0 && body[0] == '-' {
+		body = body[1:]
+	}
+	num, n, ok := smallTerm(body)
+	den := uint64(1)
+	if ok && n < len(body) {
+		var m int
+		den, m, ok = smallTerm(body[n+1:])
+		ok = ok && body[n] == '/' && n+1+m == len(body) && den != 0 &&
+			(n == 1 || body[0] != '0') && (m == 1 || body[n+1] != '0')
+	}
+	if !ok {
+		_, ok = z.SetString(string(s))
+		return ok
+	}
+	a, b := num, den
+	for b != 0 {
+		a, b = b, a%b
+	}
+	if num, den = num/a, den/a; den == 1 && uint64(big.Word(num)) == num {
+		word[0] = big.Word(num)
+		z.Num().SetBits(word)
+	} else {
+		z.SetInt64(int64(num)) // gives the denominator its storage
+		z.Denom().SetUint64(den)
+	}
+	if s[0] == '-' {
+		z.Num().Neg(z.Num())
+	}
+	return true
+}
+
+// smallTerm reads the run of decimal digits b opens with: its value and
+// length, or ok=false when there is none or it is longer than 18 digits.
+func smallTerm(b []byte) (v uint64, n int, ok bool) {
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		if n == 18 {
+			return 0, 0, false
+		}
+		v = v*10 + uint64(b[n]-'0')
+	}
+	return v, n, n > 0
+}
+
 // MustRat is ParseRat that panics on error; intended for constants in tests
 // and examples.
 func MustRat(s string) *big.Rat {

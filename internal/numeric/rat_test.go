@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -175,4 +176,69 @@ func TestMustRatPanics(t *testing.T) {
 		}
 	}()
 	MustRat("zzz")
+}
+
+// ratSpellings are SetRatBytes' seeds: every branch of its fast path and
+// every way out of it — octal and prefixed terms, zero and signed
+// denominators, 18 and 19 digits, decimals and exponents, garbage.
+var ratSpellings = []string{
+	"0", "-0", "7", "-7", "007", "-007", "3/8", "-3/8", "6/16", "-0/5", "0/1",
+	"12/1", "10/20", "1/0", "0/0", "1/-2", "+1", "--1", "-", "", "/", "5/", "/5",
+	"1/2/3", "07/8", "08/1", "1/08", "1/010", "00/1", "0x1A", "0b11/1", "1_000",
+	"999999999999999999", "-999999999999999999", "1000000000000000000",
+	"999999999999999999/999999999999999998", "1/1000000000000000000",
+	"4294967296", "18446744073709551616", "0.375", "-2.5", "1e3", "3/8 ", " 3/8", "٣",
+}
+
+// checkSetRatBytes is SetRatBytes' contract on one input: the outcome and
+// the value of big.Rat.SetString.
+func checkSetRatBytes(t *testing.T, s string) {
+	t.Helper()
+	var want big.Rat
+	_, wantOK := want.SetString(s)
+	var got big.Rat
+	word := make([]big.Word, 1)
+	if ok := SetRatBytes(&got, []byte(s), word); ok != wantOK {
+		t.Fatalf("SetRatBytes(%q) = %v, SetString says %v", s, ok, wantOK)
+	} else if ok && (got.Cmp(&want) != 0 || got.RatString() != want.RatString()) {
+		t.Fatalf("SetRatBytes(%q) = %s, SetString says %s", s, got.RatString(), want.RatString())
+	}
+}
+
+func TestSetRatBytes(t *testing.T) {
+	for _, s := range ratSpellings {
+		checkSetRatBytes(t, s)
+	}
+	// A whole number lives in its word: two Rats read through distinct
+	// words stay independent, and setting one leaves the other alone.
+	words := make([]big.Word, 2)
+	var a, b big.Rat
+	SetRatBytes(&a, []byte("41"), words[0:1:1])
+	SetRatBytes(&b, []byte("-42"), words[1:2:2])
+	if words[0] != 41 || words[1] != 42 {
+		t.Fatalf("words = %v, want the magnitudes [41 42]", words)
+	}
+	a.SetInt64(1 << 40)
+	if b.RatString() != "-42" {
+		t.Fatalf("setting a changed b to %s", b.RatString())
+	}
+	if n := testing.AllocsPerRun(100, func() { SetRatBytes(new(big.Rat), []byte("-12345"), words[0:1:1]) }); n > 1 {
+		t.Fatalf("a whole number costs %v allocations beyond its Rat, want 0", n-1)
+	}
+}
+
+// FuzzSetRatBytes holds SetRatBytes to big.Rat.SetString on every input:
+// the same outcome and value, never a different one. An exponent goes to
+// SetString on both sides, so inputs with one are skipped: they would
+// only keep the fuzzer computing huge powers of ten.
+func FuzzSetRatBytes(f *testing.F) {
+	for _, s := range ratSpellings {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if strings.ContainsAny(s, "eEpP") {
+			return
+		}
+		checkSetRatBytes(t, s)
+	})
 }

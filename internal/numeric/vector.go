@@ -17,8 +17,13 @@ func NewVec(n int) *Vec {
 	if n < 0 {
 		panic("numeric: negative vector dimension")
 	}
-	elems := make([]*big.Rat, n)
-	vals := make([]big.Rat, len(elems)) // one allocation for every element
+	return VecOver(make([]big.Rat, n)) // one allocation for every element
+}
+
+// VecOver returns the vector whose elements are vals themselves: the
+// vector keeps vals, which the caller must not use afterwards.
+func VecOver(vals []big.Rat) *Vec {
+	elems := make([]*big.Rat, len(vals))
 	for i := range elems {
 		elems[i] = &vals[i]
 	}

@@ -121,12 +121,3 @@ func (p *Proof) Steps() int {
 func (p *Proof) Marshal() ([]byte, error) {
 	return json.Marshal(p)
 }
-
-// Unmarshal decodes a proof from its JSON wire form.
-func Unmarshal(data []byte) (*Proof, error) {
-	var p Proof
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("proof: decoding: %w", err)
-	}
-	return &p, nil
-}

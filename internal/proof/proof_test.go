@@ -1,6 +1,7 @@
 package proof
 
 import (
+	"encoding/json"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -236,8 +237,8 @@ func TestProofRoundTripJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Unmarshal(data)
-	if err != nil {
+	q := new(Proof)
+	if err := json.Unmarshal(data, q); err != nil {
 		t.Fatal(err)
 	}
 	if err := Check(g, q); err != nil {
@@ -246,7 +247,7 @@ func TestProofRoundTripJSON(t *testing.T) {
 	if !q.Advised.Equal(p.Advised) || q.Mode != p.Mode {
 		t.Error("round trip lost fields")
 	}
-	if _, err := Unmarshal([]byte("{broken")); err == nil {
+	if err := json.Unmarshal([]byte("{broken"), new(Proof)); err == nil {
 		t.Error("garbage unmarshalled")
 	}
 }
