@@ -65,7 +65,7 @@ func AppendVerifyResponse(dst []byte, verifierID string, verdict []byte) []byte 
 // taken over these bytes.
 func (r *VerifyRequest) AppendJSON(dst []byte) ([]byte, error) {
 	if !spliceable(r.Game) || !spliceable(r.Advice) || len(r.Proof) > 0 && !spliceable(r.Proof) {
-		data, err := json.Marshal(r)
+		data, err := json.Marshal(*r) // a copy, so that r itself does not escape
 		return append(dst, data...), err
 	}
 	dst = slices.Grow(dst, len(r.Format)+len(r.Game)+len(r.Advice)+len(r.Proof)+48)

@@ -179,6 +179,7 @@ func (s *scanner) matrix(m **numeric.Matrix) bool {
 	s.pos = at
 	vals := make([]big.Rat, rows*cols)
 	*m = numeric.MatrixOver(rows, cols, vals)
+	s.reserve(len(vals))
 	return ok && cols > 0 && s.each(rows, func(i int) bool { return s.rats(vals[i*cols : (i+1)*cols]) })
 }
 
@@ -200,6 +201,7 @@ func (s *scanner) game() (g *game.Game, ok bool) {
 			return false
 		}
 		table, np := g.Table(), g.NumProfiles()
+		s.reserve(len(table))
 		return s.each(g.NumAgents(), func(i int) bool { return s.rats(table[i*np : (i+1)*np]) })
 	})
 	return g, ok && g != nil

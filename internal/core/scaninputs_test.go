@@ -171,9 +171,9 @@ func TestScannedPayoffsDoNotAlias(t *testing.T) {
 // budget in the same change.
 var procAllocBudgets = map[string]float64{
 	FormatEnumeration:   4391,
-	FormatP1:            30667,
-	FormatNAgent:        14816,
-	FormatParticipation: 9034,
+	FormatP1:            30655,
+	FormatNAgent:        14808,
+	FormatParticipation: 9035,
 	FormatCorrelated:    4284,
 	FormatLastMover:     1219,
 	FormatLinksRouting:  469,

@@ -110,19 +110,15 @@ func (s *Store) partitionRetained(lines []move) (firstHot int) {
 // each line once, a permutation cycle at a time: comparing the lines
 // themselves would copy two of them per comparison.
 func sortLines(lines []move, key func(*move) uint64) {
-	order := make([]struct {
+	type keyed struct {
 		key uint64
 		i   int
-	}, len(lines))
-	for i := range lines {
-		order[i].key, order[i].i = key(&lines[i]), i
 	}
-	slices.SortFunc(order, func(a, b struct {
-		key uint64
-		i   int
-	}) int {
-		return cmp.Compare(a.key, b.key)
-	})
+	order := make([]keyed, len(lines))
+	for i := range lines {
+		order[i] = keyed{key(&lines[i]), i}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	for start := range order {
 		if order[start].i < 0 {
 			continue // already placed
