@@ -283,9 +283,9 @@ func (s *scanner) lastMoverAdvice() (a LastMoverAdviceSpec, ok bool) {
 	return a, ok
 }
 
-func (s *scanner) nAgentAdvice() (*interactive.NAgentAdvice, bool) {
-	a := &interactive.NAgentAdvice{Probs: game.MixedProfile{}}
-	return a, s.fields([]string{"supports", "probs"}, func(i int) (ok bool) {
+func (s *scanner) nAgentAdvice() (a *interactive.NAgentAdvice, ok bool) {
+	a = &interactive.NAgentAdvice{Probs: game.MixedProfile{}}
+	ok = s.fields([]string{"supports", "probs"}, func(i int) (ok bool) {
 		if i == 0 {
 			a.Supports, ok = list(s, s.intsInto)
 		} else {
@@ -293,6 +293,7 @@ func (s *scanner) nAgentAdvice() (*interactive.NAgentAdvice, bool) {
 		}
 		return ok
 	})
+	return a, ok
 }
 
 // correlated scans a CorrelatedAdviceSpec into the entries
@@ -300,7 +301,7 @@ func (s *scanner) nAgentAdvice() (*interactive.NAgentAdvice, bool) {
 // is the empty string, which does not parse.
 func (s *scanner) correlated() (entries map[string]*big.Rat, ok bool) {
 	entries = map[string]*big.Rat{}
-	return entries, s.fields([]string{"entries"}, func(int) bool {
+	ok = s.fields([]string{"entries"}, func(int) bool {
 		n, ok := s.count()
 		probs := make([]big.Rat, n)
 		return ok && s.each(n, func(i int) bool {
@@ -317,6 +318,7 @@ func (s *scanner) correlated() (entries map[string]*big.Rat, ok bool) {
 			return ok && rated
 		})
 	})
+	return entries, ok
 }
 
 // proof scans an enumeration proof.Proof.
