@@ -38,6 +38,9 @@ var paperClaims = []paperClaim{
 	{"§4", "Lemma 1: the P1 verifier reads n+m bits and solves one linear system",
 		"interactive", "TestP1RoundTripMatchingPennies",
 		[]string{"BuildP1Advice", "VerifyP1", "P1Advice.BitsOnWire"}, "E4"},
+	{"Fig. 1", "a positive affine map of one player's payoffs never flips a verdict (the machine-word path's soundness)",
+		"core", "TestPositiveAffineKeepsPolarity",
+		[]string{"P1Procedure.Verify", "NAgentProcedure.Verify", "CorrelatedProcedure.Verify", "EnumerationProcedure.Verify"}, ""},
 	{"§4", "P1 (Fig. 3): advice that is not an equilibrium never verifies",
 		"interactive", "TestP1SoundnessProperty", []string{"VerifyP1"}, ""},
 	{"§4", "P2 (Fig. 4): the honest prover is accepted",

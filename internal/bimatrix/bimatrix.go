@@ -68,14 +68,6 @@ type Profile struct {
 	Y *numeric.Vec
 }
 
-// Valid reports whether the profile's dimensions match the game and both
-// strategies are probability vectors.
-func (g *Game) Valid(p Profile) bool {
-	return p.X != nil && p.Y != nil &&
-		p.X.Len() == g.Rows() && p.Y.Len() == g.Cols() &&
-		p.X.IsStochastic() && p.Y.IsStochastic()
-}
-
 // RowValues returns A·y: entry i is the row agent's expected payoff for pure
 // row i against the column mix y.
 func (g *Game) RowValues(y *numeric.Vec) *numeric.Vec { return g.a.MulVec(y) }
@@ -94,28 +86,39 @@ func (g *Game) ExpectedB(p Profile) *big.Rat { return p.X.Dot(g.b.MulVec(p.Y)) }
 // strategy in each agent's support is a best response to the opponent's mix
 // (the "second Nash theorem" condition Lemma 1 relies on).
 func (g *Game) IsEquilibrium(p Profile) bool {
-	if !g.Valid(p) {
+	return p.X != nil && p.Y != nil &&
+		IsEquilibriumOf(g.a.Values(), g.b.Values(), g.Rows(), g.Cols(), p.X.Values(), p.Y.Values())
+}
+
+// IsEquilibriumOf is IsEquilibrium over any Field, for the rows×cols
+// payoff matrices a and b, row-major, and the mixes x and y.
+func IsEquilibriumOf[T any, P numeric.Field[T]](a, b []T, rows, cols int, x, y []T) bool {
+	if len(x) != rows || len(y) != cols || !numeric.Stochastic[T, P](x) || !numeric.Stochastic[T, P](y) {
 		return false
 	}
-	rowVals := g.RowValues(p.Y)
-	if !supportIsOptimal(p.X, rowVals) {
-		return false
+	rowVals := make([]T, rows) // A·y
+	colVals := make([]T, cols) // Bᵀ·x
+	var term T
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			P(&rowVals[i]).Add(&rowVals[i], P(&term).Mul(&a[i*cols+j], &y[j]))
+			P(&colVals[j]).Add(&colVals[j], P(&term).Mul(&x[i], &b[i*cols+j]))
+		}
 	}
-	colVals := g.ColValues(p.X)
-	return supportIsOptimal(p.Y, colVals)
+	return supportIsOptimal[T, P](x, rowVals) && supportIsOptimal[T, P](y, colVals)
 }
 
 // supportIsOptimal reports whether every index in the support of mix
 // achieves the maximum of vals.
-func supportIsOptimal(mix, vals *numeric.Vec) bool {
-	best := vals.Ref(0)
-	for i := 1; i < vals.Len(); i++ {
-		if v := vals.Ref(i); numeric.Gt(v, best) {
+func supportIsOptimal[T any, P numeric.Field[T]](mix, vals []T) bool {
+	best := P(&vals[0])
+	for i := 1; i < len(vals); i++ {
+		if v := P(&vals[i]); v.Cmp(best) > 0 {
 			best = v
 		}
 	}
-	for _, i := range mix.Support() {
-		if !numeric.Eq(vals.Ref(i), best) {
+	for i := range mix {
+		if P(&mix[i]).Sign() != 0 && P(&vals[i]).Cmp(best) != 0 {
 			return false
 		}
 	}

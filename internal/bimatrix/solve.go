@@ -78,11 +78,11 @@ func (g *Game) SolveForSupports(s1, s2 []int) (*Equilibrium, error) {
 		return nil, fmt.Errorf("bimatrix: column support: %w", err)
 	}
 
-	y, err := solveSide(g.a, s1, s2, false)
+	y, _, err := SolveSide(g.a, s1, s2, false)
 	if err != nil {
 		return nil, err
 	}
-	x, err := solveSide(g.b, s2, s1, true)
+	x, _, err := SolveSide(g.b, s2, s1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +93,15 @@ func (g *Game) SolveForSupports(s1, s2 []int) (*Equilibrium, error) {
 	return g.newEquilibrium(p), nil
 }
 
-// solveSide finds a mix for the "responding" agent that makes the "indifferent"
-// agent indifferent across its support eqSupport and weakly worse off it.
-// For the row agent's indifference (transposed == false) the unknown is the
-// column mix y over mixSupport and payoffs come from matrix rows; for the
-// column agent's indifference (transposed == true) the unknown is the row
-// mix x and payoffs come from matrix columns.
-func solveSide(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed bool) (*numeric.Vec, error) {
+// SolveSide finds a mix for the "responding" agent that makes the
+// "indifferent" agent indifferent across its support eqSupport and weakly
+// worse off it, by exact LP feasibility, and returns it with that agent's
+// value λ. For the row agent's indifference (transposed == false) the
+// unknown is the column mix y over mixSupport and payoffs come from matrix
+// rows; for the column agent's indifference (transposed == true) the
+// unknown is the row mix x and payoffs come from matrix columns. It returns
+// ErrNoEquilibrium when no such mix exists.
+func SolveSide(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed bool) (*numeric.Vec, *numeric.Rat, error) {
 	dim := payoff.Cols()
 	if transposed {
 		dim = payoff.Rows()
@@ -116,9 +118,9 @@ func solveSide(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed b
 
 	coeff := func(strat, mixIdx int) *numeric.Rat {
 		if transposed {
-			return payoff.At(mixSupport[mixIdx], strat)
+			return payoff.Ref(mixSupport[mixIdx], strat)
 		}
-		return payoff.At(strat, mixSupport[mixIdx])
+		return payoff.Ref(strat, mixSupport[mixIdx])
 	}
 
 	inEq := make(map[int]bool, len(eqSupport))
@@ -149,17 +151,17 @@ func solveSide(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed b
 
 	res, err := numeric.SolveLP(lp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if res.Status != numeric.Optimal {
-		return nil, ErrNoEquilibrium
+		return nil, nil, ErrNoEquilibrium
 	}
 
 	mix := numeric.NewVec(dim)
 	for t, idx := range mixSupport {
-		mix.SetAt(idx, res.X.At(t))
+		mix.SetAt(idx, res.X.Ref(t))
 	}
-	return mix, nil
+	return mix, numeric.Sub(res.X.Ref(k), res.X.Ref(k+1)), nil
 }
 
 func validSupport(s []int, limit int) error {

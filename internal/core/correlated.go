@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/big"
 
 	"rationality/internal/game"
 	"rationality/internal/numeric"
@@ -52,6 +54,9 @@ func (CorrelatedProcedure) Format() string { return FormatCorrelated }
 
 // Verify implements Procedure.
 func (CorrelatedProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
+	if v, ok := onWords(func() (*Verdict, bool) { return correlatedWordsVerify(gameSpec, advice) }); ok {
+		return v, nil
+	}
 	g, err := decodeOr(gameSpec, "core: correlated game spec: %w", (*scanner).game, (*GameSpec).ToGame)
 	if err != nil {
 		return nil, err
@@ -60,23 +65,21 @@ func (CorrelatedProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict
 	if err != nil {
 		return nil, err
 	}
-
-	verdict := &Verdict{Format: FormatCorrelated, Details: map[string]string{}}
 	d, err := game.NewCorrelatedDistribution(g, entries)
 	if err != nil {
-		verdict.Reason = err.Error()
-		return verdict, nil
+		return &Verdict{Format: FormatCorrelated, Reason: err.Error(), Details: map[string]string{}}, nil
 	}
 	if !g.IsCorrelatedEquilibrium(d) {
-		verdict.Reason = "obedience constraints violated: some recommendation invites a profitable deviation"
-		return verdict, nil
+		return valuesVerdict[big.Rat](FormatCorrelated, nil, errDisobeyed), nil
 	}
-	verdict.Accepted = true
-	for i := 0; i < g.NumAgents(); i++ {
-		verdict.Details[fmt.Sprintf("value[%d]", i)] = g.ExpectedPayoffCorrelated(i, d).RatString()
+	values := make([]big.Rat, g.NumAgents())
+	for i := range values {
+		values[i].Set(g.ExpectedPayoffCorrelated(i, d))
 	}
-	return verdict, nil
+	return valuesVerdict(FormatCorrelated, values, nil), nil
 }
+
+var errDisobeyed = errors.New("obedience constraints violated: some recommendation invites a profitable deviation")
 
 // AnnounceCorrelated solves the welfare-optimal correlated equilibrium (one
 // exact LP — polynomial, unlike Nash) and packages the announcement.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"sort"
 	"sync"
 
@@ -214,6 +215,9 @@ func (P1Procedure) Format() string { return FormatP1 }
 
 // Verify implements Procedure.
 func (P1Procedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
+	if v, ok := onWords(func() (*Verdict, bool) { return p1Words(gameSpec, advice) }); ok {
+		return v, nil
+	}
 	g, err := decodeOr(gameSpec, "core: P1 game spec: %w", (*scanner).bimatrix, (*BimatrixSpec).ToBimatrix)
 	if err != nil {
 		return nil, err
@@ -222,20 +226,11 @@ func (P1Procedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error)
 	if err != nil {
 		return nil, err
 	}
-	verdict := &Verdict{Format: FormatP1, Details: map[string]string{
-		"bitsOnWire": fmt.Sprint(adv.BitsOnWire()),
-	}}
 	eq, err := interactive.VerifyP1(g, &adv)
 	if err != nil {
-		verdict.Reason = err.Error()
-		return verdict, nil
+		return p1Verdict[big.Rat](&adv, nil, nil, nil, nil, err), nil
 	}
-	verdict.Accepted = true
-	verdict.Details["lambdaRow"] = eq.LambdaRow.RatString()
-	verdict.Details["lambdaCol"] = eq.LambdaCol.RatString()
-	verdict.Details["x"] = eq.X.String()
-	verdict.Details["y"] = eq.Y.String()
-	return verdict, nil
+	return p1Verdict(&adv, eq.X.Values(), eq.Y.Values(), eq.LambdaRow, eq.LambdaCol, nil), nil
 }
 
 // NAgentAdviceSpec is the wire form of Remark 1's n-agent advice.
@@ -266,6 +261,9 @@ func (NAgentProcedure) Format() string { return FormatNAgent }
 
 // Verify implements Procedure.
 func (NAgentProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
+	if v, ok := onWords(func() (*Verdict, bool) { return nAgentWordsVerify(gameSpec, advice) }); ok {
+		return v, nil
+	}
 	g, err := decodeOr(gameSpec, "core: n-agent game spec: %w", (*scanner).game, (*GameSpec).ToGame)
 	if err != nil {
 		return nil, err
@@ -274,17 +272,12 @@ func (NAgentProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, er
 	if err != nil {
 		return nil, err
 	}
-	verdict := &Verdict{Format: FormatNAgent, Details: map[string]string{}}
 	values, err := interactive.VerifyNAgent(g, adv)
-	if err != nil {
-		verdict.Reason = err.Error()
-		return verdict, nil
-	}
-	verdict.Accepted = true
+	vals := make([]big.Rat, len(values))
 	for i, v := range values {
-		verdict.Details[fmt.Sprintf("value[%d]", i)] = v.RatString()
+		vals[i].Set(v)
 	}
-	return verdict, nil
+	return valuesVerdict(FormatNAgent, vals, err), nil
 }
 
 // ParticipationAdviceSpec is the §5 advice: the symmetric equilibrium
@@ -319,6 +312,9 @@ func (ParticipationProcedure) Format() string { return FormatParticipation }
 
 // Verify implements Procedure.
 func (ParticipationProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verdict, error) {
+	if v, ok := onWords(func() (*Verdict, bool) { return participationWordsVerify(gameSpec, advice) }); ok {
+		return v, nil
+	}
 	g, err := decodeOr(gameSpec, "core: participation game spec: %w", (*scanner).participation, (*ParticipationSpec).ToParticipation)
 	if err != nil {
 		return nil, err
@@ -328,26 +324,13 @@ func (ParticipationProcedure) Verify(gameSpec, advice, _ json.RawMessage) (*Verd
 		return nil, err
 	}
 	p, tol := pt[0], pt[1]
-	verdict := &Verdict{Format: FormatParticipation, Details: map[string]string{
-		"p": p.RatString(),
-	}}
+	var gap, gain *big.Rat
 	if tol != nil {
-		gap, err := g.VerifyAdviceApprox(p, tol)
-		if err != nil {
-			verdict.Reason = err.Error()
-			return verdict, nil
+		if gap, err = g.VerifyAdviceApprox(p, tol); err == nil {
+			gain = g.GainAbstain(p)
 		}
-		verdict.Accepted = true
-		verdict.Details["indifferenceGap"] = gap.RatString()
-		verdict.Details["expectedGain"] = g.GainAbstain(p).RatString()
-		return verdict, nil
+	} else {
+		gain, err = g.VerifyAdvice(p)
 	}
-	gain, err := g.VerifyAdvice(p)
-	if err != nil {
-		verdict.Reason = err.Error()
-		return verdict, nil
-	}
-	verdict.Accepted = true
-	verdict.Details["expectedGain"] = gain.RatString()
-	return verdict, nil
+	return participationVerdict(p, tol != nil, gap, gain, err), nil
 }

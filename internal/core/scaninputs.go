@@ -168,19 +168,27 @@ func (s *scanner) vec(v **numeric.Vec) bool {
 // matrix scans a non-empty rectangular array of rational strings, as
 // stringsToMatrix reads one.
 func (s *scanner) matrix(m **numeric.Matrix) bool {
-	at := s.pos
-	rows, ok := s.count()
-	if !ok || rows == 0 {
-		return false
-	}
-	s.pos++ // into the array, onto its first row
-	s.ws()
-	cols, ok := s.count()
-	s.pos = at
+	rows, cols, ok := s.grid()
 	vals := make([]big.Rat, rows*cols)
 	*m = numeric.MatrixOver(rows, cols, vals)
 	s.reserve(len(vals))
-	return ok && cols > 0 && s.each(rows, func(i int) bool { return s.rats(vals[i*cols : (i+1)*cols]) })
+	return ok && s.each(rows, func(i int) bool { return s.rats(vals[i*cols : (i+1)*cols]) })
+}
+
+// grid returns the shape of the array of rows under the cursor, read from
+// its length and its first row's, and leaves the cursor where it was; ok
+// is false unless both are non-zero. Scanning each row with exactly cols
+// elements then checks the rest.
+func (s *scanner) grid() (rows, cols int, ok bool) {
+	at := s.pos
+	if rows, ok = s.count(); !ok || rows == 0 {
+		return 0, 0, false
+	}
+	s.pos++ // into the array, onto its first row
+	s.ws()
+	cols, ok = s.count()
+	s.pos = at
+	return rows, cols, ok && cols > 0
 }
 
 // game scans a GameSpec into the game ToGame builds.
@@ -249,10 +257,13 @@ func (s *scanner) participation() (*participation.Game, bool) {
 
 // participationAdvice scans a ParticipationAdviceSpec into p and, when
 // there is one, the tolerance.
-func (s *scanner) participationAdvice() (pt [2]*big.Rat, ok bool) {
+func (s *scanner) participationAdvice() ([2]*big.Rat, bool) { return ratPair(s, s.rat) }
+
+// ratPair scans a ParticipationAdviceSpec's p and optional tolerance by el.
+func ratPair[T any](s *scanner, el func(*T) bool) (pt [2]*T, ok bool) {
 	ok = s.fields([]string{"p", "tolerance"}, func(i int) bool {
-		pt[i] = new(big.Rat)
-		return s.rat(pt[i])
+		pt[i] = new(T)
+		return el(pt[i])
 	})
 	return pt, ok && pt[0] != nil
 }

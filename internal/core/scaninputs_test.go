@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/big"
 	"reflect"
 	"runtime/debug"
@@ -165,16 +166,15 @@ func TestScannedPayoffsDoNotAlias(t *testing.T) {
 }
 
 // procAllocBudgets is how many allocations one pass over each format's
-// pinned cases (TestProcedureVerdictsArePinned's inputs) costs: exact, or
-// one over the highest of ten runs where the count was seen to vary. A
+// pinned cases (TestProcedureVerdictsArePinned's inputs) costs, exactly. A
 // change that raises a count fails here; one that lowers it lowers the
 // budget in the same change.
 var procAllocBudgets = map[string]float64{
 	FormatEnumeration:   4391,
-	FormatP1:            30655,
-	FormatNAgent:        14808,
-	FormatParticipation: 9035,
-	FormatCorrelated:    4284,
+	FormatP1:            14335,
+	FormatNAgent:        1638,
+	FormatParticipation: 1611,
+	FormatCorrelated:    839,
 	FormatLastMover:     1219,
 	FormatLinksRouting:  469,
 }
@@ -196,11 +196,16 @@ func TestProcedureAllocBudgets(t *testing.T) {
 	for _, format := range caseFormats {
 		p, _ := procs.Lookup(format)
 		cases := byFormat[format]
-		got := testing.AllocsPerRun(5, func() {
-			for _, c := range cases {
-				p.Verify(c.ann.Game, c.ann.Advice, c.ann.Proof)
-			}
-		})
+		// The least of three readings: AllocsPerRun counts every
+		// goroutine's allocations, and the runtime's own can only add.
+		got := math.Inf(1)
+		for range 3 {
+			got = min(got, testing.AllocsPerRun(5, func() {
+				for _, c := range cases {
+					p.Verify(c.ann.Game, c.ann.Advice, c.ann.Proof)
+				}
+			}))
+		}
 		report = append(report, fmt.Sprintf("%s: %v over %d cases", format, got, len(cases)))
 		if got > procAllocBudgets[format] {
 			t.Errorf("%s: %v allocations per pass over %d cases, budget %v", format, got, len(cases), procAllocBudgets[format])

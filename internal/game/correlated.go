@@ -19,16 +19,13 @@ import (
 // order) to probability. Use NewCorrelatedDistribution to build one from
 // explicit (profile, probability) pairs.
 type CorrelatedDistribution struct {
-	probs []*big.Rat // by profile index
+	probs []big.Rat // by profile index
 }
 
 // NewCorrelatedDistribution builds a distribution; unspecified profiles get
 // probability zero. It validates stochasticity.
 func NewCorrelatedDistribution(g *Game, entries map[string]*big.Rat) (*CorrelatedDistribution, error) {
-	d := &CorrelatedDistribution{probs: make([]*big.Rat, g.NumProfiles())}
-	for i := range d.probs {
-		d.probs[i] = new(big.Rat)
-	}
+	d := &CorrelatedDistribution{probs: make([]big.Rat, g.NumProfiles())}
 	remaining := len(entries)
 	g.ForEachProfile(func(p Profile) bool {
 		if v, ok := entries[p.String()]; ok {
@@ -40,17 +37,27 @@ func NewCorrelatedDistribution(g *Game, entries map[string]*big.Rat) (*Correlate
 	if remaining != 0 {
 		return nil, fmt.Errorf("game: %d distribution entries name profiles outside the game", remaining)
 	}
-	total := new(big.Rat)
-	for _, v := range d.probs {
-		if v.Sign() < 0 {
-			return nil, fmt.Errorf("game: negative probability in correlated distribution")
-		}
-		total.Add(total, v)
-	}
-	if total.Cmp(numeric.One()) != 0 {
-		return nil, fmt.Errorf("game: correlated distribution sums to %s, want 1", total.RatString())
+	if err := CheckDistribution(d.probs); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// CheckDistribution is NewCorrelatedDistribution's check of the
+// probabilities, indexed by profile, over any Field: none negative, and
+// summing to 1.
+func CheckDistribution[T any, P numeric.Field[T]](probs []T) error {
+	var total, one T
+	for i := range probs {
+		if P(&probs[i]).Sign() < 0 {
+			return fmt.Errorf("game: negative probability in correlated distribution")
+		}
+		P(&total).Add(&total, &probs[i])
+	}
+	if P(&total).Cmp(P(&one).SetInt64(1)) != 0 {
+		return fmt.Errorf("game: correlated distribution sums to %s, want 1", P(&total).RatString())
+	}
+	return nil
 }
 
 // Prob returns the probability of profile p.
@@ -58,7 +65,7 @@ func (d *CorrelatedDistribution) Prob(g *Game, p Profile) *big.Rat {
 	if !g.ValidProfile(p) {
 		panic("game: Prob on invalid profile")
 	}
-	return numeric.Copy(d.probs[g.index(p)])
+	return numeric.Copy(&d.probs[g.index(p)])
 }
 
 // IsCorrelatedEquilibrium checks Aumann's obedience constraints exactly:
@@ -69,31 +76,35 @@ func (d *CorrelatedDistribution) Prob(g *Game, p Profile) *big.Rat {
 // i.e. an agent recommended r never gains in expectation by playing t
 // instead.
 func (g *Game) IsCorrelatedEquilibrium(d *CorrelatedDistribution) bool {
-	if d == nil || len(d.probs) != g.NumProfiles() {
-		return false
-	}
-	gain, diff := new(big.Rat), new(big.Rat)
+	return d != nil && len(d.probs) == g.NumProfiles() && obedient(&g.shape, g.payoffs, d.probs)
+}
+
+// IsCorrelatedEquilibrium is Game.IsCorrelatedEquilibrium on machine
+// words, for probabilities indexed by profile.
+func (w *Words) IsCorrelatedEquilibrium(probs []numeric.Q) bool {
+	return obedient(&w.shape, w.payoffs, probs)
+}
+
+func obedient[T any, P numeric.Field[T]](g *shape, table []T, probs []T) bool {
+	var gain, diff T
 	for i := 0; i < g.NumAgents(); i++ {
+		u := table[i*g.numProfiles : (i+1)*g.numProfiles]
 		for r := 0; r < g.NumStrategies(i); r++ {
 			for t := 0; t < g.NumStrategies(i); t++ {
 				if r == t {
 					continue
 				}
-				gain.SetInt64(0)
+				P(&gain).SetInt64(0)
 				shift := (t - r) * g.strides[i]
 				g.forEachIndexed(func(idx int, p Profile) bool {
-					if p[i] != r {
+					if p[i] != r || P(&probs[idx]).Sign() == 0 {
 						return true
 					}
-					w := d.probs[idx]
-					if w.Sign() == 0 {
-						return true
-					}
-					diff.Sub(g.u(i, idx), g.u(i, idx+shift))
-					gain.Add(gain, diff.Mul(diff, w))
+					P(&diff).Sub(&u[idx], &u[idx+shift])
+					P(&gain).Add(&gain, P(&diff).Mul(&diff, &probs[idx]))
 					return true
 				})
-				if gain.Sign() < 0 {
+				if P(&gain).Sign() < 0 {
 					return false
 				}
 			}
@@ -105,10 +116,21 @@ func (g *Game) IsCorrelatedEquilibrium(d *CorrelatedDistribution) bool {
 // ExpectedPayoffCorrelated returns agent i's expected utility under the
 // distribution.
 func (g *Game) ExpectedPayoffCorrelated(i int, d *CorrelatedDistribution) *big.Rat {
-	total, term := new(big.Rat), new(big.Rat)
-	for idx, w := range d.probs {
-		if w.Sign() != 0 {
-			total.Add(total, term.Mul(w, g.u(i, idx)))
+	v := expected(&g.shape, g.payoffs, i, d.probs)
+	return &v
+}
+
+// ExpectedPayoffCorrelated is Game.ExpectedPayoffCorrelated on machine
+// words.
+func (w *Words) ExpectedPayoffCorrelated(i int, probs []numeric.Q) numeric.Q {
+	return expected(&w.shape, w.payoffs, i, probs)
+}
+
+func expected[T any, P numeric.Field[T]](g *shape, table []T, i int, probs []T) (total T) {
+	var term T
+	for idx := range probs {
+		if P(&probs[idx]).Sign() != 0 {
+			P(&total).Add(&total, P(&term).Mul(&probs[idx], &table[i*g.numProfiles+idx]))
 		}
 	}
 	return total
@@ -170,9 +192,9 @@ func (g *Game) SolveCorrelatedEquilibrium() (*CorrelatedDistribution, error) {
 		// simplex over a probability simplex is bounded.
 		return nil, fmt.Errorf("game: correlated LP status %v", res.Status)
 	}
-	d := &CorrelatedDistribution{probs: make([]*big.Rat, nProfiles)}
+	d := &CorrelatedDistribution{probs: make([]big.Rat, nProfiles)}
 	for j := 0; j < nProfiles; j++ {
-		d.probs[j] = res.X.At(j)
+		d.probs[j].Set(res.X.Ref(j))
 	}
 	return d, nil
 }

@@ -11,26 +11,61 @@ import (
 // exact rationals stored densely in one table: agent i's utility for the
 // profile with mixed-radix index idx is payoffs[i*numProfiles+idx].
 type Game struct {
-	name          string
-	numStrategies []int     // TSi in Fig. 2: numStrategies[i] = |Ai|
-	strides       []int     // index(p with i→s) = index(p) + (s−p[i])·strides[i]
-	payoffs       []big.Rat // payoffs[agent*numProfiles + profileIndex]
+	name string
+	shape
+	payoffs []big.Rat // payoffs[agent*numProfiles + profileIndex]
+}
+
+// shape is what a game is besides its payoffs: the agents' strategy
+// counts and the profile space's mixed-radix layout.
+type shape struct {
+	numStrategies []int // TSi in Fig. 2: numStrategies[i] = |Ai|
+	strides       []int // index(p with i→s) = index(p) + (s−p[i])·strides[i]
 	numProfiles   int
+}
+
+// Words is a game whose payoffs are small exact rationals in machine
+// words: what the n-agent and correlated procedures check first, with no
+// big.Rat table. Its decoder fills Table right after NewWords; nothing
+// changes it afterwards.
+type Words struct {
+	shape
+	payoffs []numeric.Q
 }
 
 // New creates a game with the given strategy set sizes (one per agent) and
 // all payoffs zero. Every agent must have at least one strategy.
 func New(name string, numStrategies []int) (*Game, error) {
+	s, err := newShape(numStrategies)
+	if err != nil {
+		return nil, err
+	}
+	return &Game{name: name, shape: s, payoffs: make([]big.Rat, len(s.numStrategies)*s.numProfiles)}, nil
+}
+
+// NewWords is New for a Words game.
+func NewWords(numStrategies []int) (*Words, error) {
+	s, err := newShape(numStrategies)
+	if err != nil {
+		return nil, err
+	}
+	return &Words{shape: s, payoffs: make([]numeric.Q, len(s.numStrategies)*s.numProfiles)}, nil
+}
+
+// Table returns the game's own payoff table, laid out as Game.Table's.
+func (w *Words) Table() []numeric.Q { return w.payoffs }
+
+func newShape(numStrategies []int) (shape, error) {
 	if len(numStrategies) == 0 {
-		return nil, fmt.Errorf("game: a game needs at least one agent")
+		return shape{}, fmt.Errorf("game: a game needs at least one agent")
 	}
 	numProfiles := 1
 	for i, k := range numStrategies {
 		if k <= 0 {
-			return nil, fmt.Errorf("game: agent %d has %d strategies; need >= 1", i, k)
+			return shape{}, fmt.Errorf("game: agent %d has %d strategies; need >= 1", i, k)
 		}
 		if numProfiles > 1<<28/k {
-			return nil, fmt.Errorf("game: profile space too large to materialize")
+			return shape{}, fmt.Errorf("game: profile space too large to materialize")
 		}
 		numProfiles *= k
 	}
@@ -42,13 +77,7 @@ func New(name string, numStrategies []int) (*Game, error) {
 		strides[i] = stride
 		stride *= sizes[i]
 	}
-	return &Game{
-		name:          name,
-		numStrategies: sizes,
-		strides:       strides,
-		payoffs:       make([]big.Rat, len(sizes)*numProfiles),
-		numProfiles:   numProfiles,
-	}, nil
+	return shape{numStrategies: sizes, strides: strides, numProfiles: numProfiles}, nil
 }
 
 // MustNew is New that panics on error; for tests, examples, and literals.
@@ -80,25 +109,25 @@ func FromFunc(name string, numStrategies []int, u func(agent int, p Profile) *bi
 func (g *Game) Name() string { return g.name }
 
 // NumAgents returns |N|.
-func (g *Game) NumAgents() int { return len(g.numStrategies) }
+func (g *shape) NumAgents() int { return len(g.numStrategies) }
 
 // NumStrategies returns |Ai| for agent i.
-func (g *Game) NumStrategies(i int) int { return g.numStrategies[i] }
+func (g *shape) NumStrategies(i int) int { return g.numStrategies[i] }
 
 // StrategyCounts returns a copy of the per-agent strategy set sizes (the
 // paper's TSi).
-func (g *Game) StrategyCounts() []int {
+func (g *shape) StrategyCounts() []int {
 	c := make([]int, len(g.numStrategies))
 	copy(c, g.numStrategies)
 	return c
 }
 
 // NumProfiles returns |A| = ∏|Ai|.
-func (g *Game) NumProfiles() int { return g.numProfiles }
+func (g *shape) NumProfiles() int { return g.numProfiles }
 
 // ValidProfile reports whether p selects an in-range strategy for every
 // agent. It is the paper's isStrat(n, TSi, Si) predicate.
-func (g *Game) ValidProfile(p Profile) bool {
+func (g *shape) ValidProfile(p Profile) bool {
 	if len(p) != len(g.numStrategies) {
 		return false
 	}
@@ -111,7 +140,7 @@ func (g *Game) ValidProfile(p Profile) bool {
 }
 
 // index converts a profile to its dense payoff index (mixed radix).
-func (g *Game) index(p Profile) int {
+func (g *shape) index(p Profile) int {
 	idx := 0
 	for i, s := range p {
 		idx = idx*g.numStrategies[i] + s
@@ -119,9 +148,18 @@ func (g *Game) index(p Profile) int {
 	return idx
 }
 
+// Index returns profile p's position in ForEachProfile's order, and false
+// for a profile that selects no valid strategy for some agent.
+func (g *shape) Index(p Profile) (int, bool) {
+	if !g.ValidProfile(p) {
+		return 0, false
+	}
+	return g.index(p), true
+}
+
 // checkedIndex is index for a profile the caller has not validated; it
 // panics on an invalid one, as Payoff does.
-func (g *Game) checkedIndex(p Profile) int {
+func (g *shape) checkedIndex(p Profile) int {
 	if !g.ValidProfile(p) {
 		panic(fmt.Sprintf("game: invalid profile %v", p))
 	}
@@ -168,13 +206,13 @@ func (g *Game) SetPayoffs(p Profile, vs ...*big.Rat) {
 // ForEachProfile calls fn for every profile in lexicographic order until fn
 // returns false. The profile passed to fn is reused across calls and must not
 // be modified; clone it to retain it.
-func (g *Game) ForEachProfile(fn func(p Profile) bool) {
+func (g *shape) ForEachProfile(fn func(p Profile) bool) {
 	g.forEachIndexed(func(_ int, p Profile) bool { return fn(p) })
 }
 
 // forEachIndexed is ForEachProfile with each profile's payoff index: an
 // odometer over one profile, the last agent's strategy turning fastest.
-func (g *Game) forEachIndexed(fn func(idx int, p Profile) bool) {
+func (g *shape) forEachIndexed(fn func(idx int, p Profile) bool) {
 	p := make(Profile, len(g.numStrategies))
 	for idx := 0; idx < g.numProfiles; idx++ {
 		if !fn(idx, p) {

@@ -33,35 +33,46 @@ func (g *Game) ValidMixed(mp MixedProfile) bool {
 // in the number of agents — the interactive P1/P2 protocols exist to avoid
 // it for 2-agent games. It panics unless mp has one vector of the right
 // dimension per agent.
-func (g *Game) PureDeviationPayoffs(i int, mp MixedProfile) []*big.Rat {
+func (g *Game) PureDeviationPayoffs(i int, mp MixedProfile) []big.Rat {
 	if len(mp) != g.NumAgents() {
 		panic("game: PureDeviationPayoffs on a mixed profile of the wrong shape")
 	}
+	mix := make([][]big.Rat, len(mp))
 	for k, v := range mp {
 		if v == nil || v.Len() != g.NumStrategies(k) {
 			panic("game: PureDeviationPayoffs on a mixed profile of the wrong shape")
 		}
+		mix[k] = v.Values()
 	}
-	sums := make([]big.Rat, g.NumStrategies(i))
-	weight := new(big.Rat)
+	return deviations(&g.shape, g.payoffs, i, mix)
+}
+
+// PureDeviationPayoffs is Game.PureDeviationPayoffs on machine words, for
+// a mix the caller has checked has one vector of the right length per
+// agent.
+func (w *Words) PureDeviationPayoffs(i int, mix [][]numeric.Q) []numeric.Q {
+	return deviations(&w.shape, w.payoffs, i, mix)
+}
+
+// deviations is PureDeviationPayoffs over a payoff table of any Field.
+func deviations[T any, P numeric.Field[T]](g *shape, table []T, i int, mix [][]T) []T {
+	sums := make([]T, g.numStrategies[i])
+	var weight T
+	w := P(&weight)
 	g.forEachIndexed(func(idx int, p Profile) bool {
-		weight.SetInt64(1)
+		w.SetInt64(1)
 		for k, s := range p {
 			if k == i {
 				continue
 			}
-			prob := mp[k].Ref(s)
+			prob := P(&mix[k][s])
 			if prob.Sign() == 0 {
 				return true
 			}
-			weight.Mul(weight, prob)
+			w.Mul(w, prob)
 		}
-		sums[p[i]].Add(&sums[p[i]], weight.Mul(weight, g.u(i, idx)))
+		P(&sums[p[i]]).Add(&sums[p[i]], w.Mul(w, &table[i*g.numProfiles+idx]))
 		return true
 	})
-	dev := make([]*big.Rat, len(sums))
-	for s := range sums {
-		dev[s] = &sums[s]
-	}
-	return dev
+	return sums
 }

@@ -215,7 +215,8 @@ func TestPureDeviationPayoffsMatchExpectedPayoffs(t *testing.T) {
 		for i := range counts {
 			dev := g.PureDeviationPayoffs(i, mp)
 			value := new(big.Rat)
-			for s, d := range dev {
+			for s := range dev {
+				d := &dev[s]
 				if want := expectedPayoffPureDeviation(g, i, s, mp); !numeric.Eq(d, want) {
 					t.Fatalf("trial %d agent %d strategy %d: one pass %s, definition %s", trial, i, s, d.RatString(), want.RatString())
 				}

@@ -1,6 +1,8 @@
 package interactive
 
 import (
+	"math/big"
+
 	"rationality/internal/game"
 	"rationality/internal/numeric"
 )
@@ -36,18 +38,49 @@ func VerifyNAgent(g *game.Game, advice *NAgentAdvice) ([]*numeric.Rat, error) {
 	if advice == nil {
 		return nil, rejectP("Pn", "nil advice")
 	}
-	if len(advice.Supports) != g.NumAgents() || len(advice.Probs) != g.NumAgents() {
-		return nil, rejectP("Pn", "advice covers %d agents; game has %d",
-			len(advice.Supports), g.NumAgents())
+	probs := make([][]big.Rat, len(advice.Probs))
+	for i, v := range advice.Probs {
+		if v != nil {
+			probs[i] = v.Values()
+		}
 	}
-	if !g.ValidMixed(advice.Probs) {
-		return nil, rejectP("Pn", "probabilities are not a valid mixed profile")
+	vals, err := verifyNAgent(g.StrategyCounts(), advice.Supports, probs, func(i int) []big.Rat {
+		return g.PureDeviationPayoffs(i, advice.Probs)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, s := range advice.Supports {
-		if err := checkSupport(s, g.NumStrategies(i)); err != nil {
+	values := make([]*numeric.Rat, len(vals))
+	for i := range vals {
+		values[i] = &vals[i]
+	}
+	return values, nil
+}
+
+// VerifyNAgentWords is VerifyNAgent on machine words, for a game and
+// probabilities whose every value fits; run it under numeric.Fits.
+func VerifyNAgentWords(g *game.Words, supports [][]int, probs [][]numeric.Q) ([]numeric.Q, error) {
+	return verifyNAgent(g.StrategyCounts(), supports, probs, func(i int) []numeric.Q {
+		return g.PureDeviationPayoffs(i, probs)
+	})
+}
+
+// verifyNAgent is VerifyNAgent over any Field, for a game with the given
+// strategy counts whose agent i's pure-deviation payoffs devs returns.
+func verifyNAgent[T any, P numeric.Field[T]](counts []int, supports [][]int, probs [][]T, devs func(i int) []T) ([]T, error) {
+	if len(supports) != len(counts) || len(probs) != len(counts) {
+		return nil, rejectP("Pn", "advice covers %d agents; game has %d", len(supports), len(counts))
+	}
+	for i, v := range probs {
+		if len(v) != counts[i] || !numeric.Stochastic[T, P](v) {
+			return nil, rejectP("Pn", "probabilities are not a valid mixed profile")
+		}
+	}
+	for i, s := range supports {
+		if err := checkSupport(s, counts[i]); err != nil {
 			return nil, rejectP("Pn", "agent %d support: %v", i, err)
 		}
-		actual := advice.Probs[i].Support()
+		actual := numeric.Support[T, P](probs[i])
 		if len(actual) != len(s) {
 			return nil, rejectP("Pn", "agent %d: support size %d does not match probabilities (%d non-zero)",
 				i, len(s), len(actual))
@@ -63,31 +96,31 @@ func VerifyNAgent(g *game.Game, advice *NAgentAdvice) ([]*numeric.Rat, error) {
 		}
 	}
 
-	values := make([]*numeric.Rat, g.NumAgents())
-	term := new(numeric.Rat)
-	for i := 0; i < g.NumAgents(); i++ {
+	values := make([]T, len(counts))
+	var term T
+	for i := range counts {
 		// One pass yields every pure strategy's payoff against the others'
 		// mix; the equilibrium value is their mix-weighted sum.
-		devs := g.PureDeviationPayoffs(i, advice.Probs)
-		value := new(numeric.Rat)
-		for si, dev := range devs {
-			value.Add(value, term.Mul(advice.Probs[i].Ref(si), dev))
+		devs := devs(i)
+		value := P(&values[i])
+		for si := range devs {
+			value.Add(value, P(&term).Mul(&probs[i][si], &devs[si]))
 		}
 		inSupport := make([]bool, len(devs))
-		for _, s := range advice.Supports[i] {
+		for _, s := range supports[i] {
 			inSupport[s] = true
 		}
-		for si, dev := range devs {
-			if inSupport[si] && !numeric.Eq(dev, value) {
+		for si := range devs {
+			dev := P(&devs[si])
+			if inSupport[si] && dev.Cmp(value) != 0 {
 				return nil, rejectP("Pn", "agent %d: in-support strategy %d earns %s, not the equilibrium value %s",
 					i, si, dev.RatString(), value.RatString())
 			}
-			if numeric.Gt(dev, value) {
+			if dev.Cmp(value) > 0 {
 				return nil, rejectP("Pn", "agent %d: strategy %d earns %s > equilibrium value %s",
 					i, si, dev.RatString(), value.RatString())
 			}
 		}
-		values[i] = value
 	}
 	return values, nil
 }

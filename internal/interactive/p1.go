@@ -86,29 +86,21 @@ func AdviceFromEquilibrium(g *bimatrix.Game, eq *bimatrix.Equilibrium) *P1Advice
 // recovered y is a probability vector and that every row outside S1 earns at
 // most λ1. It returns the column agent's Nash probabilities and λ1.
 func VerifyP1Row(g *bimatrix.Game, advice *P1Advice) (*numeric.Vec, *big.Rat, error) {
-	if err := checkAdviceShape(g, advice); err != nil {
+	if err := checkAdviceShape(g.Rows(), g.Cols(), advice); err != nil {
 		return nil, nil, err
 	}
 	a, _ := g.Payoffs()
-	y, lambda1, err := solveIndifference(a, advice.RowSupport, advice.ColSupport, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return y, lambda1, nil
+	return solveIndifference(a, advice.RowSupport, advice.ColSupport, false)
 }
 
 // VerifyP1Col is the column agent's verifier, symmetric to VerifyP1Row: it
 // recovers the row agent's Nash probabilities x and λ2 from B.
 func VerifyP1Col(g *bimatrix.Game, advice *P1Advice) (*numeric.Vec, *big.Rat, error) {
-	if err := checkAdviceShape(g, advice); err != nil {
+	if err := checkAdviceShape(g.Rows(), g.Cols(), advice); err != nil {
 		return nil, nil, err
 	}
 	_, b := g.Payoffs()
-	x, lambda2, err := solveIndifference(b, advice.ColSupport, advice.RowSupport, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, lambda2, nil
+	return solveIndifference(b, advice.ColSupport, advice.RowSupport, true)
 }
 
 // VerifyP1 runs both agents' verifiers and cross-checks that the recovered
@@ -124,23 +116,71 @@ func VerifyP1(g *bimatrix.Game, advice *P1Advice) (*bimatrix.Equilibrium, error)
 	}
 	p := bimatrix.Profile{X: x, Y: y}
 	if !g.IsEquilibrium(p) {
-		return nil, rejectP("P1", "recovered profile is not an equilibrium")
+		return nil, errNotEquilibrium
 	}
 	return &bimatrix.Equilibrium{Profile: p, LambdaRow: lambda1, LambdaCol: lambda2}, nil
 }
 
-func checkAdviceShape(g *bimatrix.Game, advice *P1Advice) error {
+var errNotEquilibrium = rejectP("P1", "recovered profile is not an equilibrium")
+
+// P1Words is what VerifyP1Words recovers: both mixes and both values.
+type P1Words struct {
+	X, Y                 []numeric.Q
+	LambdaRow, LambdaCol numeric.Q
+}
+
+// VerifyP1Words is VerifyP1 on machine words, for the rows×cols payoff
+// matrices a and b, row-major; run it under numeric.Fits. A degenerate
+// indifference system, which VerifyP1 completes by LP, leaves the words.
+func VerifyP1Words(a, b []numeric.Q, rows, cols int, advice *P1Advice) (*P1Words, error) {
+	if err := checkAdviceShape(rows, cols, advice); err != nil {
+		return nil, err
+	}
+	side := func(payoff []numeric.Q, eq, mixS []int, transposed bool) ([]numeric.Q, *numeric.Q, error) {
+		sys, rhs := indifference[numeric.Q](payoff, cols, eq, mixS, transposed)
+		sol, unique, consistent := numeric.SolveWords(sys, rhs, len(rhs), len(mixS)+1)
+		if !consistent {
+			return nil, nil, errInconsistent
+		}
+		if !unique {
+			numeric.Abandon()
+		}
+		mix := make([]numeric.Q, cols)
+		if transposed {
+			mix = make([]numeric.Q, rows)
+		}
+		for t, idx := range mixS {
+			mix[idx] = sol[t]
+		}
+		lambda := &sol[len(mixS)]
+		return mix, lambda, checkSide(payoff, rows, cols, eq, mixS, transposed, mix, lambda)
+	}
+	y, lambda1, err := side(a, advice.RowSupport, advice.ColSupport, false)
+	if err != nil {
+		return nil, err
+	}
+	x, lambda2, err := side(b, advice.ColSupport, advice.RowSupport, true)
+	if err != nil {
+		return nil, err
+	}
+	if !bimatrix.IsEquilibriumOf(a, b, rows, cols, x, y) {
+		return nil, errNotEquilibrium
+	}
+	return &P1Words{X: x, Y: y, LambdaRow: *lambda1, LambdaCol: *lambda2}, nil
+}
+
+func checkAdviceShape(rows, cols int, advice *P1Advice) error {
 	if advice == nil {
 		return rejectP("P1", "nil advice")
 	}
-	if advice.Rows != g.Rows() || advice.Cols != g.Cols() {
+	if advice.Rows != rows || advice.Cols != cols {
 		return rejectP("P1", "advice is for a %dx%d game; this game is %dx%d",
-			advice.Rows, advice.Cols, g.Rows(), g.Cols())
+			advice.Rows, advice.Cols, rows, cols)
 	}
-	if err := checkSupport(advice.RowSupport, g.Rows()); err != nil {
+	if err := checkSupport(advice.RowSupport, rows); err != nil {
 		return rejectP("P1", "row support: %v", err)
 	}
-	if err := checkSupport(advice.ColSupport, g.Cols()); err != nil {
+	if err := checkSupport(advice.ColSupport, cols); err != nil {
 		return rejectP("P1", "column support: %v", err)
 	}
 	return nil
@@ -163,6 +203,8 @@ func checkSupport(s []int, limit int) error {
 	return nil
 }
 
+var errInconsistent = rejectP("P1", "indifference system is inconsistent: the supports admit no equilibrium")
+
 // solveIndifference solves Fig. 3's system for one side. With
 // transposed == false it recovers the column mix y over colSupport that
 // makes every row in rowSupport indifferent at value λ using matrix rows;
@@ -175,134 +217,96 @@ func checkSupport(s []int, limit int) error {
 // advice is never rejected for degeneracy.
 func solveIndifference(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed bool) (*numeric.Vec, *big.Rat, error) {
 	k := len(mixSupport)
-	at := func(strat, t int) *big.Rat {
-		if transposed {
-			return payoff.Ref(mixSupport[t], strat)
-		}
-		return payoff.Ref(strat, mixSupport[t])
-	}
-	outDim := payoff.Cols()
-	total := payoff.Rows()
-	if transposed {
-		outDim = payoff.Rows()
-		total = payoff.Cols()
-	}
-
-	// Unknowns: y_{mixSupport[0..k-1]}, λ. Equations: one per eqSupport row
-	// plus normalization.
-	sys := numeric.NewMatrix(len(eqSupport)+1, k+1)
-	rhs := numeric.NewVec(len(eqSupport) + 1)
-	for r, strat := range eqSupport {
-		for t := 0; t < k; t++ {
-			sys.SetAt(r, t, at(strat, t))
-		}
-		sys.SetAt(r, k, numeric.I(-1)) // −λ
-	}
-	for t := 0; t < k; t++ {
-		sys.SetAt(len(eqSupport), t, numeric.One())
-	}
-	rhs.SetAt(len(eqSupport), numeric.One())
-
+	sys, rhs := indifference[big.Rat](payoff.Values(), payoff.Cols(), eqSupport, mixSupport, transposed)
+	sol, err := numeric.Solve(numeric.MatrixOver(len(rhs), k+1, sys), numeric.VecOver(rhs))
 	var mix *numeric.Vec
 	var lambda *big.Rat
-	sol, err := numeric.Solve(sys, rhs)
 	switch {
 	case err != nil:
-		return nil, nil, rejectP("P1", "indifference system is inconsistent: the supports admit no equilibrium")
+		return nil, nil, errInconsistent
 	case sol.Unique:
-		mix = numeric.NewVec(outDim)
+		mix = numeric.NewVec(payoff.Cols())
+		if transposed {
+			mix = numeric.NewVec(payoff.Rows())
+		}
 		for t, idx := range mixSupport {
 			mix.SetAt(idx, sol.X.Ref(t))
 		}
 		lambda = sol.X.Ref(k) // sol is ours: λ needs no copy
 	default:
-		mix, lambda, err = lpCompletion(payoff, eqSupport, mixSupport, transposed, outDim, total)
+		mix, lambda, err = bimatrix.SolveSide(payoff, eqSupport, mixSupport, transposed)
+		if errors.Is(err, bimatrix.ErrNoEquilibrium) {
+			return nil, nil, rejectP("P1", "degenerate indifference system has no feasible completion")
+		}
 		if err != nil {
 			return nil, nil, err
 		}
 	}
+	return mix, lambda, checkSide(payoff.Values(), payoff.Rows(), payoff.Cols(), eqSupport, mixSupport, transposed, mix.Values(), lambda)
+}
 
-	// Feasibility: 0 <= y_t <= 1 on the support.
-	one := numeric.One()
+// indifference builds Fig. 3's system over any Field, payoff being a
+// matrix of cols columns, row-major: unknowns the mix over mixSupport and
+// λ; one equation per eqSupport strategy, and the normalization.
+func indifference[T any, P numeric.Field[T]](payoff []T, cols int, eqSupport, mixSupport []int, transposed bool) (sys, rhs []T) {
+	k := len(mixSupport)
+	n := len(eqSupport) + 1
+	sys, rhs = make([]T, n*(k+1)), make([]T, n)
+	for r, strat := range eqSupport {
+		for t := 0; t < k; t++ {
+			P(&sys[r*(k+1)+t]).Set(at(payoff, cols, strat, mixSupport[t], transposed))
+		}
+		P(&sys[r*(k+1)+k]).SetInt64(-1) // −λ
+	}
+	for t := 0; t < k; t++ {
+		P(&sys[(n-1)*(k+1)+t]).SetInt64(1)
+	}
+	P(&rhs[n-1]).SetInt64(1)
+	return sys, rhs
+}
+
+// at is the payoff to strategy strat against the other agent's strategy
+// other: payoff(strat, other), or payoff(other, strat) down columns.
+func at[T any](payoff []T, cols, strat, other int, transposed bool) *T {
+	if transposed {
+		return &payoff[other*cols+strat]
+	}
+	return &payoff[strat*cols+other]
+}
+
+// checkSide checks a recovered mix (over every strategy of the responding
+// agent) and λ: each probability in [0, 1], and no strategy outside
+// eqSupport earning more than λ.
+func checkSide[T any, P numeric.Field[T]](payoff []T, rows, cols int, eqSupport, mixSupport []int, transposed bool, mix []T, lambda *T) error {
+	var one T
+	P(&one).SetInt64(1)
 	for _, idx := range mixSupport {
-		v := mix.Ref(idx)
-		if v.Sign() < 0 || numeric.Gt(v, one) {
-			return nil, nil, rejectP("P1", "recovered probability %s for strategy %d is outside [0, 1]",
+		if v := P(&mix[idx]); v.Sign() < 0 || v.Cmp(&one) > 0 {
+			return rejectP("P1", "recovered probability %s for strategy %d is outside [0, 1]",
 				v.RatString(), idx)
 		}
 	}
-	// Optimality: strategies outside eqSupport earn at most λ.
+	total := rows
+	if transposed {
+		total = cols
+	}
 	inEq := make([]bool, total)
 	for _, s := range eqSupport {
 		inEq[s] = true
 	}
-	acc := new(big.Rat)
-	term := new(big.Rat)
+	var acc, term T
 	for strat := 0; strat < total; strat++ {
 		if inEq[strat] {
 			continue
 		}
-		acc.SetInt64(0)
-		for t := 0; t < k; t++ {
-			term.Mul(at(strat, t), mix.Ref(mixSupport[t]))
-			acc.Add(acc, term)
+		P(&acc).SetInt64(0)
+		for _, idx := range mixSupport {
+			P(&acc).Add(&acc, P(&term).Mul(at(payoff, cols, strat, idx, transposed), &mix[idx]))
 		}
-		if acc.Cmp(lambda) > 0 {
-			return nil, nil, rejectP("P1", "off-support strategy %d earns %s > λ = %s",
-				strat, acc.RatString(), lambda.RatString())
-		}
-	}
-	return mix, lambda, nil
-}
-
-// lpCompletion resolves a degenerate (underdetermined) indifference system
-// by exact LP feasibility over the same constraints plus the off-support
-// dominance inequalities.
-func lpCompletion(payoff *numeric.Matrix, eqSupport, mixSupport []int, transposed bool, outDim, total int) (*numeric.Vec, *big.Rat, error) {
-	k := len(mixSupport)
-	at := func(strat, t int) *big.Rat {
-		if transposed {
-			return payoff.Ref(mixSupport[t], strat)
-		}
-		return payoff.Ref(strat, mixSupport[t])
-	}
-	inEq := make(map[int]bool, len(eqSupport))
-	for _, s := range eqSupport {
-		inEq[s] = true
-	}
-
-	// Vars: k mix probabilities, λ⁺, λ⁻.
-	lp := &numeric.LP{NumVars: k + 2}
-	for strat := 0; strat < total; strat++ {
-		row := numeric.NewVec(k + 2)
-		for t := 0; t < k; t++ {
-			row.SetAt(t, at(strat, t))
-		}
-		row.SetAt(k, numeric.I(-1))
-		row.SetAt(k+1, numeric.One())
-		if inEq[strat] {
-			lp.AddEQ(row, numeric.Zero())
-		} else {
-			lp.AddLE(row, numeric.Zero())
+		if P(&acc).Cmp(lambda) > 0 {
+			return rejectP("P1", "off-support strategy %d earns %s > λ = %s",
+				strat, P(&acc).RatString(), P(lambda).RatString())
 		}
 	}
-	sum := numeric.NewVec(k + 2)
-	for t := 0; t < k; t++ {
-		sum.SetAt(t, numeric.One())
-	}
-	lp.AddEQ(sum, numeric.One())
-
-	res, err := numeric.SolveLP(lp)
-	if err != nil {
-		return nil, nil, err
-	}
-	if res.Status != numeric.Optimal {
-		return nil, nil, rejectP("P1", "degenerate indifference system has no feasible completion")
-	}
-	mix := numeric.NewVec(outDim)
-	for t, idx := range mixSupport {
-		mix.SetAt(idx, res.X.At(t))
-	}
-	lambda := numeric.Sub(res.X.At(k), res.X.At(k+1))
-	return mix, lambda, nil
+	return nil
 }

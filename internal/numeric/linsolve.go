@@ -43,9 +43,9 @@ func Solve(a *Matrix, b *Vec) (*Solution, error) {
 		row := m[i*w : (i+1)*w]
 		entry := func(j int) *big.Rat {
 			if j < cols {
-				return a.elems[i*cols+j]
+				return &a.elems[i*cols+j]
 			}
-			return b.elems[i]
+			return &b.elems[i]
 		}
 		scale.SetInt64(1)
 		for j := range row {

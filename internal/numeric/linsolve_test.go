@@ -128,7 +128,7 @@ func solveGaussJordan(a *Matrix, b *Vec) (*Solution, error) {
 		for j := 0; j < cols; j++ {
 			aug.at(i, j).Set(a.at(i, j))
 		}
-		aug.at(i, cols).Set(b.elems[i])
+		aug.at(i, cols).Set(&b.elems[i])
 	}
 	pivotCols := gaussJordan(aug, cols)
 	rank := len(pivotCols)
@@ -255,7 +255,8 @@ func randomSystem(rng *rand.Rand, rows, cols int, inconsistent bool) (*Matrix, *
 
 // FuzzSolve holds the fraction-free Solve to Gauss–Jordan elimination over
 // random rational systems: square, underdetermined, overdetermined,
-// rank-deficient, consistent or not.
+// rank-deficient, consistent or not. SolveWords is held to the same
+// answers wherever its minors fit in machine words.
 //
 //	go test -run '^$' -fuzz '^FuzzSolve$' -fuzztime 20s ./internal/numeric/
 func FuzzSolve(f *testing.F) {
@@ -269,6 +270,19 @@ func FuzzSolve(f *testing.F) {
 		want, wantErr := solveGaussJordan(a, b)
 		if !errors.Is(gotErr, wantErr) {
 			t.Fatalf("A =\n%s\nb = %s: err %v, Gauss–Jordan %v", a, b, gotErr, wantErr)
+		}
+		words := func(vals []big.Rat) []Q {
+			out := make([]Q, len(vals))
+			for i := range vals {
+				out[i], _ = ParseQ([]byte(vals[i].RatString()))
+			}
+			return out
+		}
+		var x []Q
+		var unique, consistent bool
+		if Fits(func() { x, unique, consistent = SolveWords(words(a.Values()), words(b.Values()), a.Rows(), a.Cols()) }) &&
+			(consistent != (wantErr == nil) || consistent && (unique != want.Unique || JoinRats(x) != want.X.String())) {
+			t.Fatalf("A =\n%s\nb = %s: SolveWords consistent=%v unique=%v x=%s, Gauss–Jordan err %v", a, b, consistent, unique, JoinRats(x), wantErr)
 		}
 		if wantErr != nil {
 			return

@@ -9,7 +9,7 @@ import (
 // matrix; accessors copy on read and write.
 type Matrix struct {
 	rows, cols int
-	elems      []*big.Rat // row-major
+	elems      []big.Rat // row-major
 }
 
 // NewMatrix returns a zero matrix with the given shape.
@@ -27,7 +27,7 @@ func MatrixOver(rows, cols int, vals []big.Rat) *Matrix {
 	if len(vals) != rows*cols {
 		panic("numeric: matrix shape does not match its elements")
 	}
-	return &Matrix{rows: rows, cols: cols, elems: VecOver(vals).elems}
+	return &Matrix{rows: rows, cols: cols, elems: vals}
 }
 
 // MatrixOfInts builds a matrix from integer rows. All rows must have equal
@@ -68,14 +68,18 @@ func (m *Matrix) at(i, j int) *big.Rat {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic("numeric: matrix index out of range")
 	}
-	return m.elems[i*m.cols+j]
+	return &m.elems[i*m.cols+j]
 }
+
+// Values returns the matrix's own elements, row-major, under Ref's rule:
+// the caller must neither modify nor retain them.
+func (m *Matrix) Values() []big.Rat { return m.elems }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
-	for i, e := range m.elems {
-		c.elems[i].Set(e)
+	for i := range m.elems {
+		c.elems[i].Set(&m.elems[i])
 	}
 	return c
 }
@@ -88,9 +92,9 @@ func (m *Matrix) MulVec(v *Vec) *Vec {
 	out := NewVec(m.rows)
 	term := new(big.Rat)
 	for i := 0; i < m.rows; i++ {
-		acc := out.elems[i]
+		acc := &out.elems[i]
 		for j := 0; j < m.cols; j++ {
-			term.Mul(m.at(i, j), v.elems[j])
+			term.Mul(m.at(i, j), &v.elems[j])
 			acc.Add(acc, term)
 		}
 	}
@@ -105,9 +109,9 @@ func (m *Matrix) VecMul(v *Vec) *Vec {
 	out := NewVec(m.cols)
 	term := new(big.Rat)
 	for j := 0; j < m.cols; j++ {
-		acc := out.elems[j]
+		acc := &out.elems[j]
 		for i := 0; i < m.rows; i++ {
-			term.Mul(v.elems[i], m.at(i, j))
+			term.Mul(&v.elems[i], m.at(i, j))
 			acc.Add(acc, term)
 		}
 	}

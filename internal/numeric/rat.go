@@ -1,5 +1,6 @@
 // Package numeric provides exact rational arithmetic, linear algebra, and
-// linear programming over math/big rationals.
+// linear programming, on machine words where the values fit and over
+// math/big rationals everywhere.
 //
 // All equilibrium verification in this repository is carried out with exact
 // arithmetic: a verifier that accepts or rejects a proof must not be at the
@@ -8,6 +9,13 @@
 // arithmetic helper here returns a freshly allocated result), dense vectors
 // and matrices, fraction-free (Bareiss) elimination, and a two-phase exact
 // simplex solver.
+//
+// Q is the machine-word rational: int64 terms in lowest terms, sums and
+// products formed in 128 bits, and SolveWords is Bareiss on it. A result
+// that does not fit is never wrapped: it abandons the computation, which
+// Fits reports, and the caller redoes the work on big.Rat. Field is the
+// method set both types share, so one generic kernel runs on either and
+// spells its values alike.
 //
 // The borrow rule: values handed out are copies (At, Clone, every helper's
 // result), and reads inside a procedure may borrow (Vec.Ref, Matrix.Ref)
@@ -64,9 +72,6 @@ func Div(a, b *big.Rat) *big.Rat {
 
 // Neg returns -a without mutating the operand.
 func Neg(a *big.Rat) *big.Rat { return new(big.Rat).Neg(a) }
-
-// Abs returns |a| as a fresh value.
-func Abs(a *big.Rat) *big.Rat { return new(big.Rat).Abs(a) }
 
 // Eq reports whether a == b.
 func Eq(a, b *big.Rat) bool { return a.Cmp(b) == 0 }
@@ -128,27 +133,12 @@ func ParseRat(s string) (*big.Rat, error) {
 // base prefix, and a fraction's term with a leading zero, which
 // SetString reads as octal.
 func SetRatBytes(z *big.Rat, s []byte, word []big.Word) bool {
-	body := s
-	if len(body) > 0 && body[0] == '-' {
-		body = body[1:]
-	}
-	num, n, ok := smallTerm(body)
-	den := uint64(1)
-	if ok && n < len(body) {
-		var m int
-		den, m, ok = smallTerm(body[n+1:])
-		ok = ok && body[n] == '/' && n+1+m == len(body) && den != 0 &&
-			(n == 1 || body[0] != '0') && (m == 1 || body[n+1] != '0')
-	}
+	num, den, ok := smallRat(s)
 	if !ok {
 		_, ok = z.SetString(string(s))
 		return ok
 	}
-	a, b := num, den
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if num, den = num/a, den/a; den == 1 && uint64(big.Word(num)) == num {
+	if den == 1 && uint64(big.Word(num)) == num {
 		word[0] = big.Word(num)
 		z.Num().SetBits(word)
 	} else {
@@ -159,6 +149,31 @@ func SetRatBytes(z *big.Rat, s []byte, word []big.Word) bool {
 		z.Num().Neg(z.Num())
 	}
 	return true
+}
+
+// smallRat reads s, a rational of SetRatBytes' machine-word grammar, into
+// its magnitude in lowest terms; ok is false for any other spelling.
+func smallRat(s []byte) (num, den uint64, ok bool) {
+	body := s
+	if len(body) > 0 && body[0] == '-' {
+		body = body[1:]
+	}
+	num, n, ok := smallTerm(body)
+	den = 1
+	if ok && n < len(body) {
+		var m int
+		den, m, ok = smallTerm(body[n+1:])
+		ok = ok && body[n] == '/' && n+1+m == len(body) && den != 0 &&
+			(n == 1 || body[0] != '0') && (m == 1 || body[n+1] != '0')
+	}
+	if !ok {
+		return 0, 0, false
+	}
+	a, b := num, den
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return num / a, den / a, true
 }
 
 // smallTerm reads the run of decimal digits b opens with: its value and

@@ -70,13 +70,6 @@ func TestSubMulDivNeg(t *testing.T) {
 	}
 }
 
-func TestAbs(t *testing.T) {
-	a := R(-1, 2)
-	if got := Abs(a); got.RatString() != "1/2" {
-		t.Fatalf("Abs = %s", got.RatString())
-	}
-}
-
 func TestComparators(t *testing.T) {
 	a, b := R(1, 3), R(1, 2)
 	if !Lt(a, b) || !Le(a, b) || !Le(a, a) || !Eq(a, a) {

@@ -9,7 +9,7 @@ import (
 // Elements are owned by the vector; accessors copy on read and write so that
 // callers never share *big.Rat state with the vector by accident.
 type Vec struct {
-	elems []*big.Rat
+	elems []big.Rat
 }
 
 // NewVec returns a zero vector of dimension n.
@@ -22,13 +22,7 @@ func NewVec(n int) *Vec {
 
 // VecOver returns the vector whose elements are vals themselves: the
 // vector keeps vals, which the caller must not use afterwards.
-func VecOver(vals []big.Rat) *Vec {
-	elems := make([]*big.Rat, len(vals))
-	for i := range elems {
-		elems[i] = &vals[i]
-	}
-	return &Vec{elems: elems}
-}
+func VecOver(vals []big.Rat) *Vec { return &Vec{elems: vals} }
 
 // VecOf builds a vector copying the given elements.
 func VecOf(xs ...*big.Rat) *Vec {
@@ -52,11 +46,15 @@ func VecOfInts(xs ...int64) *Vec {
 func (v *Vec) Len() int { return len(v.elems) }
 
 // At returns a copy of element i.
-func (v *Vec) At(i int) *big.Rat { return Copy(v.elems[i]) }
+func (v *Vec) At(i int) *big.Rat { return Copy(&v.elems[i]) }
 
 // Ref returns element i itself, not a copy, for a read inside a procedure:
 // the caller must neither modify nor retain it.
-func (v *Vec) Ref(i int) *big.Rat { return v.elems[i] }
+func (v *Vec) Ref(i int) *big.Rat { return &v.elems[i] }
+
+// Values returns the vector's own elements, not copies, under Ref's rule:
+// the caller must neither modify nor retain them.
+func (v *Vec) Values() []big.Rat { return v.elems }
 
 // SetAt sets element i to a copy of x.
 func (v *Vec) SetAt(i int, x *big.Rat) { v.elems[i].Set(x) }
@@ -64,8 +62,8 @@ func (v *Vec) SetAt(i int, x *big.Rat) { v.elems[i].Set(x) }
 // Clone returns a deep copy of v.
 func (v *Vec) Clone() *Vec {
 	c := NewVec(v.Len())
-	for i, e := range v.elems {
-		c.elems[i].Set(e)
+	for i := range v.elems {
+		c.elems[i].Set(&v.elems[i])
 	}
 	return c
 }
@@ -76,7 +74,7 @@ func (v *Vec) Dot(w *Vec) *big.Rat {
 	total := new(big.Rat)
 	term := new(big.Rat)
 	for i := range v.elems {
-		term.Mul(v.elems[i], w.elems[i])
+		term.Mul(&v.elems[i], &w.elems[i])
 		total.Add(total, term)
 	}
 	return total
@@ -85,8 +83,8 @@ func (v *Vec) Dot(w *Vec) *big.Rat {
 // Sum returns the sum of the elements of v.
 func (v *Vec) Sum() *big.Rat {
 	total := new(big.Rat)
-	for _, e := range v.elems {
-		total.Add(total, e)
+	for i := range v.elems {
+		total.Add(total, &v.elems[i])
 	}
 	return total
 }

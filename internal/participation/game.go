@@ -76,19 +76,36 @@ func (g *Game) C() *big.Rat { return numeric.Copy(g.c) }
 
 // binomTail returns Pr[X >= lo] for X ~ Binomial(m, p), exactly.
 func binomTail(m, lo int, p *big.Rat) *big.Rat {
-	if lo <= 0 {
-		return numeric.One()
-	}
-	if lo > m {
-		return numeric.Zero()
-	}
-	q := numeric.Sub(numeric.One(), p)
-	total := numeric.Zero()
-	for j := lo; j <= m; j++ {
-		term := numeric.Mul(numeric.Binomial(m, j), numeric.Mul(numeric.Pow(p, j), numeric.Pow(q, m-j)))
-		total = numeric.Add(total, term)
+	t := tail[big.Rat](m, lo, p)
+	return &t
+}
+
+// tail is binomTail over any Field.
+func tail[T any, P numeric.Field[T]](m, lo int, p *T) (total T) {
+	var q, term, f T
+	P(&q).Sub(P(&q).SetInt64(1), p)
+	for j := max(lo, 0); j <= m; j++ {
+		P(&term).SetInt64(1) // C(m, j), then times p^j·q^(m−j)
+		for i := 1; i <= j; i++ {
+			P(&term).Mul(&term, P(&f).SetFrac64(int64(m-j+i), int64(i)))
+		}
+		pow[T, P](&term, p, j)
+		pow[T, P](&term, &q, m-j)
+		P(&total).Add(&total, &term)
 	}
 	return total
+}
+
+// pow multiplies z by x^k.
+func pow[T any, P numeric.Field[T]](z, x *T, k int) {
+	var base T
+	P(&base).Set(x)
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			P(z).Mul(z, &base)
+		}
+		P(&base).Mul(&base, &base)
+	}
 }
 
 // Ak is Pr{at least k firms participate | f participates} when the other
@@ -106,13 +123,6 @@ func (g *Game) Ck(p *big.Rat) *big.Rat { return binomTail(g.n-1, g.k, p) }
 // Dk is Pr{at most k−1 firms participate | f does not} = 1 − Ck.
 func (g *Game) Dk(p *big.Rat) *big.Rat { return numeric.Sub(numeric.One(), g.Ck(p)) }
 
-// GainParticipate is a firm's expected payoff for participating when every
-// other firm participates with probability p: (v−c)·Ak + (−c)·Bk.
-func (g *Game) GainParticipate(p *big.Rat) *big.Rat {
-	vc := numeric.Sub(g.v, g.c)
-	return numeric.Sub(numeric.Mul(vc, g.Ak(p)), numeric.Mul(g.c, g.Bk(p)))
-}
-
 // GainAbstain is a firm's expected payoff for abstaining: v·Ck + 0·Dk.
 func (g *Game) GainAbstain(p *big.Rat) *big.Rat {
 	return numeric.Mul(g.v, g.Ck(p))
@@ -121,7 +131,21 @@ func (g *Game) GainAbstain(p *big.Rat) *big.Rat {
 // IndifferenceGap is the left-minus-right side of Eq. (5):
 // (v−c)·Ak − c·Bk − v·Ck. It is zero exactly at a symmetric equilibrium.
 func (g *Game) IndifferenceGap(p *big.Rat) *big.Rat {
-	return numeric.Sub(g.GainParticipate(p), g.GainAbstain(p))
+	gap, _ := gaps[big.Rat](g.n, g.k, g.v, g.c, p)
+	return &gap
+}
+
+// gaps returns Eq. (5)'s indifference gap and the abstain gain v·Ck over
+// any Field.
+func gaps[T any, P numeric.Field[T]](n, k int, v, c, p *T) (gap, abstain T) {
+	ak, ck := tail[T, P](n-1, k-1, p), tail[T, P](n-1, k, p)
+	var vc, bk, t T
+	P(&vc).Sub(v, c)
+	P(&bk).Sub(P(&bk).SetInt64(1), &ak)
+	P(&gap).Sub(P(&gap).Mul(&vc, &ak), P(&t).Mul(c, &bk))
+	P(&abstain).Mul(v, &ck)
+	P(&gap).Sub(&gap, &abstain)
+	return gap, abstain
 }
 
 // PivotGap is the algebraically simplified gap
@@ -141,14 +165,11 @@ func (g *Game) PivotGap(p *big.Rat) *big.Rat {
 // indifference). It rejects p outside (0, 1) — the symmetric equilibrium of
 // interest is interior — and any p that does not satisfy the indifference.
 func (g *Game) VerifyAdvice(p *big.Rat) (*big.Rat, error) {
-	if p.Sign() <= 0 || p.Cmp(numeric.One()) >= 0 {
-		return nil, fmt.Errorf("participation: advised probability %s outside (0, 1)", p.RatString())
+	_, gain, err := verify[big.Rat](g.n, g.k, g.v, g.c, p, nil)
+	if err != nil {
+		return nil, err
 	}
-	if gap := g.IndifferenceGap(p); gap.Sign() != 0 {
-		return nil, fmt.Errorf("participation: advised p = %s violates the indifference condition by %s",
-			p.RatString(), gap.RatString())
-	}
-	return g.GainAbstain(p), nil
+	return &gain, nil
 }
 
 // VerifyAdviceApprox accepts p whose indifference gap is within tol in
@@ -156,16 +177,46 @@ func (g *Game) VerifyAdvice(p *big.Rat) (*big.Rat, error) {
 // root finding cannot always land on an exact rational root; the agent
 // decides how much slack to accept (tol = 0 reproduces VerifyAdvice).
 func (g *Game) VerifyAdviceApprox(p, tol *big.Rat) (*big.Rat, error) {
-	if tol.Sign() < 0 {
-		return nil, fmt.Errorf("participation: negative tolerance")
+	gap, _, err := verify[big.Rat](g.n, g.k, g.v, g.c, p, tol)
+	if err != nil {
+		return nil, err
 	}
-	if p.Sign() <= 0 || p.Cmp(numeric.One()) >= 0 {
-		return nil, fmt.Errorf("participation: advised probability %s outside (0, 1)", p.RatString())
+	return &gap, nil
+}
+
+// VerifyWords is New's checks, then VerifyAdviceApprox when tol is not nil
+// and VerifyAdvice when it is, on machine words: it returns the gap and the
+// abstain gain v·Ck. Run it under numeric.Fits; a game New would refuse
+// leaves the words.
+func VerifyWords(n, k int, v, c, p, tol *numeric.Q) (gap, gain numeric.Q, err error) {
+	if k < 2 || n < k || c.Sign() <= 0 || v.Cmp(c) <= 0 {
+		numeric.Abandon()
 	}
-	gap := g.IndifferenceGap(p)
-	if numeric.Gt(numeric.Abs(gap), tol) {
-		return nil, fmt.Errorf("participation: advised p = %s violates the indifference condition by %s (tolerance %s)",
-			p.RatString(), gap.RatString(), tol.RatString())
+	return verify[numeric.Q](n, k, v, c, p, tol)
+}
+
+func verify[T any, P numeric.Field[T]](n, k int, v, c, p, tol *T) (gap, gain T, err error) {
+	var one T
+	if tol != nil && P(tol).Sign() < 0 {
+		return gap, gain, fmt.Errorf("participation: negative tolerance")
 	}
-	return gap, nil
+	if P(p).Sign() <= 0 || P(p).Cmp(P(&one).SetInt64(1)) >= 0 {
+		return gap, gain, fmt.Errorf("participation: advised probability %s outside (0, 1)", P(p).RatString())
+	}
+	gap, gain = gaps[T, P](n, k, v, c, p)
+	switch {
+	case tol == nil && P(&gap).Sign() != 0:
+		err = fmt.Errorf("participation: advised p = %s violates the indifference condition by %s",
+			P(p).RatString(), P(&gap).RatString())
+	case tol != nil:
+		var abs T
+		if P(&abs).Set(&gap); P(&abs).Sign() < 0 {
+			P(&abs).Sub(P(&one).SetInt64(0), &gap) // one's storage, reused
+		}
+		if P(&abs).Cmp(tol) > 0 {
+			err = fmt.Errorf("participation: advised p = %s violates the indifference condition by %s (tolerance %s)",
+				P(p).RatString(), P(&gap).RatString(), P(tol).RatString())
+		}
+	}
+	return gap, gain, err
 }

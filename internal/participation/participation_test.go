@@ -2,6 +2,7 @@ package participation
 
 import (
 	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -191,7 +192,7 @@ func TestSolveBisection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Must be within tolerance of 1/4.
-	delta := numeric.Abs(numeric.Sub(p, numeric.R(1, 4)))
+	delta := new(big.Rat).Abs(numeric.Sub(p, numeric.R(1, 4)))
 	if numeric.Gt(delta, numeric.R(1, 1<<20)) {
 		t.Errorf("low root %s not within tolerance of 1/4", p.RatString())
 	}
@@ -201,7 +202,7 @@ func TestSolveBisection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta = numeric.Abs(numeric.Sub(p, numeric.R(3, 4)))
+	delta = new(big.Rat).Abs(numeric.Sub(p, numeric.R(3, 4)))
 	if numeric.Gt(delta, numeric.R(1, 1<<20)) {
 		t.Errorf("high root %s not within tolerance of 3/4", p.RatString())
 	}

@@ -308,12 +308,13 @@ func (s *Store) closeFiles() {
 // Append queues one verdict for persistence and reports whether it was
 // accepted. It never blocks: when the flusher is behind and the queue is
 // full, the record is dropped (counted in Stats.Dropped) — restart warmth
-// is best-effort, verification latency is not. The verdict's Details map
-// is deep-copied here, so the caller may keep mutating its copy; request
-// — the JSON-encoded core.VerifyRequest the verdict was computed from,
-// which is what makes the record independently re-verifiable by an
-// auditor — is likewise copied, and may be nil when the caller has no
-// inputs to offer (such a record simply cannot be audited).
+// is best-effort, verification latency is not. Append takes ownership of
+// the verdict's Details map and of request — the JSON-encoded
+// core.VerifyRequest the verdict was computed from, which is what makes
+// the record independently re-verifiable by an auditor — without copying
+// either: the caller must not modify them afterwards. request may be nil
+// when the caller has no inputs to offer (such a record simply cannot be
+// audited).
 //
 // Records queued after Close starts may or may not be persisted; call
 // Append only before Close, as the service's drain ordering guarantees.
@@ -323,16 +324,8 @@ func (s *Store) Append(key identity.Hash, v core.Verdict, request []byte) bool {
 		return false // closed: the flusher is draining or gone
 	default:
 	}
-	if len(s.queue) == cap(s.queue) {
-		// Overloaded: drop before paying for the Details copy. The
-		// length read races benignly with the flusher — at worst a
-		// record is dropped just as a slot frees, which the best-effort
-		// contract already allows.
-		s.dropped.Add(1)
-		return false
-	}
 	select {
-	case s.queue <- Record{Key: key, Verdict: v.Clone(), Request: clone(request)}:
+	case s.queue <- Record{Key: key, Verdict: v, Request: request}:
 		return true
 	default:
 		s.dropped.Add(1)

@@ -30,7 +30,8 @@ const modulePath = "rationality"
 // the call graph from every program's main, every Example function, init
 // functions and package variables, and from every function a ledger row
 // names. A method counts as reached when it satisfies an interface, since
-// an interface call reaches it without naming it. Every exported function or method of a
+// an interface call reaches it without naming it, or a generic constraint,
+// since a call through a type parameter reaches it the same way. Every exported function or method of a
 // non-main package that the walk misses is reported.
 func TestExportsAreReached(t *testing.T) {
 	m, err := loadModule(".")
@@ -340,6 +341,39 @@ func (m *module) unreachedExports(extra []*types.Func) []string {
 			if types.Identical(stripRecv(sig), stripRecv(im.Type().(*types.Signature))) {
 				mark(fn)
 				break
+			}
+		}
+	}
+	// A generic constraint's methods are called through a type parameter
+	// (numeric.Field[T]), so a method also counts when *N satisfies a
+	// one-parameter constraint the module declares, instantiated at N.
+	var constraints []*types.Named
+	for _, p := range m.order {
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 1 && types.IsInterface(n) {
+					constraints = append(constraints, n)
+				}
+			}
+		}
+	}
+	for fn := range decls {
+		sig := fn.Type().(*types.Signature)
+		if sig.Recv() == nil {
+			continue
+		}
+		recv := sig.Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, c := range constraints {
+			inst, err := types.Instantiate(nil, c, []types.Type{recv}, true)
+			if err != nil {
+				continue
+			}
+			iface := inst.Underlying().(*types.Interface)
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); obj != nil && types.Satisfies(types.NewPointer(recv), iface) {
+				mark(fn)
 			}
 		}
 	}
